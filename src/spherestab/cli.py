@@ -16,9 +16,9 @@ from flags or from a JSON config file; flags override the file.  The
 default output directory is $SPHERESTAB_OUTDIR, falling back to the
 current directory.
 
-Exit codes: 0 all asserted bounds pass, 1 a bound failed, 2 configuration
-error, 3 numerical failure (infeasible budget, insufficient samples, no
-convergence).
+Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
+still written), 2 configuration error, 3 numerical failure (infeasible
+budget, insufficient samples, no convergence).
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .geometry import (
     area,
     geodesic_distance,
     measure_volume_growth,
+    sample_points,
 )
 from .sampling import stratified_integral, volume_growth_sampled
 
@@ -160,8 +161,6 @@ def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateRep
     if M.family not in ("equator", "clifford"):
         raise UnsupportedFamily("identity is verified on the built-in families")
     n = M.dimension
-    from .geometry import sample_points
-
     _, U, _ = sample_points(M, 64, seed=0)
     a2 = M.shape_batch(0, U)[4]
     if np.ptp(a2) > 1e-12:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .geometry import ParametrizedHypersurface
+from .geometry import ParametrizedHypersurface, shape_at
 
 
 class SurfaceField:
@@ -90,8 +90,6 @@ class ShapeNormField(SurfaceField):
     method: str = "auto"
 
     def value(self, M, chart_index, U):
-        from .geometry import shape_at
-
         U = np.asarray(U, dtype=float)
         flat = U.reshape(-1, U.shape[-1])
         vals = np.array(

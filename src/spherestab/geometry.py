@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,8 +53,17 @@ def chord_distance(x, p):
 
 def geodesic_distance(x, p):
     """Great-circle distance on the unit sphere via the chord-arc map 2*asin(c/2)."""
-    c = chord_distance(x, p)
+    return _chord_to_arc(chord_distance(x, p))
+
+
+def _chord_to_arc(c):
+    """Great-circle length 2*asin(c/2) of a chord of the unit sphere."""
     return 2.0 * np.arcsin(np.clip(c / 2.0, 0.0, 1.0))
+
+
+def _distance(metric):
+    """Distance function of a metric name: "geodesic", otherwise chord."""
+    return geodesic_distance if metric == "geodesic" else chord_distance
 
 
 @dataclass(frozen=True)
@@ -437,6 +447,24 @@ def shape_at(M, chart_index, u, method="auto", fd_step=SHAPE_STEP):
     return ShapeData(g, nu, A, H, a2)
 
 
+def _norm_A_sq(M, chart_index, U):
+    """|A|^2 at chart nodes: closed form when available, else pointwise :func:`shape_at`."""
+    if M.has_closed_form:
+        return M.shape_batch(chart_index, U)[4]
+    return np.array([shape_at(M, chart_index, u).norm_A_sq for u in U])
+
+
+def _central_diff(fn, U, h):
+    """(fn(U + h e_a) - fn(U - h e_a)) / 2h for each chart axis a, stacked on a last axis."""
+    n = np.shape(U)[-1]
+    cols = []
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        cols.append((fn(U + e) - fn(U - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def _check_metric(g):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
@@ -446,13 +474,7 @@ def _check_metric(g):
 def _chart_jacobian(chart, u, h):
     if chart.jacobian is not None:
         return chart.jacobian(u)
-    n = chart.dim
-    jac = np.empty((len(chart.embed(u)), n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        jac[:, a] = (chart.embed(u + e) - chart.embed(u - e)) / (2.0 * h)
-    return jac
+    return _central_diff(chart.embed, u, h)
 
 
 def _second_partial(embed, u, a, b, h):
@@ -499,11 +521,15 @@ def chart_quadrature(chart, resolution):
     """Tensor-product nodes (m, n) and weights (m,) without the metric density."""
     res = _per_axis(resolution, chart.dim)
     rules = [axis_rule(chart, a, res[a]) for a in range(chart.dim)]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=0), axis=0)
+    nodes = _tensor_grid([r[0] for r in rules])
+    weights = reduce(np.multiply.outer, [r[1] for r in rules]).ravel()
     return nodes, weights
+
+
+def _tensor_grid(axes):
+    """Row-major tensor product of 1D axes as points, shape (prod of lengths, len(axes))."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _per_axis(resolution, n):
@@ -519,22 +545,12 @@ def sqrt_det_metric(chart, nodes, fd_step=FD_STEP):
     """sqrt(det g) at parameter nodes, analytic when available."""
     if chart.metric_diag is not None:
         return np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5
-    jac = _batched_fd_jacobian(chart, nodes, fd_step)
+    jac = _central_diff(chart.embed, nodes, fd_step)
     g = np.einsum("...ia,...ib->...ab", jac, jac)
     det = np.linalg.det(g)
     if np.any(det <= 0):
         raise DegenerateChart("non-positive metric determinant at a quadrature node")
     return np.sqrt(det)
-
-
-def _batched_fd_jacobian(chart, nodes, h):
-    n = chart.dim
-    cols = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        cols.append((chart.embed(nodes + e) - chart.embed(nodes - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
 
 
 def area(M, resolution=256):
@@ -599,7 +615,6 @@ def measure_volume_growth(
     n = M.dimension
     if radii is None:
         radii = np.geomspace(0.05, 1.9, 12)
-    dist = geodesic_distance if metric == "geodesic" else chord_distance
     _, _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
     best = 0.0
     for chart in M.charts:
@@ -608,13 +623,18 @@ def measure_volume_growth(
         nodes, weights = chart_quadrature(chart, resolution)
         mass = weights * sqrt_det_metric(chart, nodes)
         X = chart.embed(nodes)
-        for c in centers:
-            d = dist(X, c)
-            for r in radii:
-                ratio = float(mass[d <= r].sum()) / r**n
-                if ratio > best:
-                    best = ratio
+        best = max(best, _growth_sup(X, mass, centers, radii, n, _distance(metric)))
     return safety * best
+
+
+def _growth_sup(X, mass, centers, radii, n, dist):
+    """sup over centers x radii of (mass of the points X within r of the center) / r^n."""
+    best = 0.0
+    for c in centers:
+        d = dist(X, c)
+        for r in radii:
+            best = max(best, float(mass[d <= r].sum()) / r**n)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +654,10 @@ def save_chart_file(M, path, grid):
     with open(path, "w") as fh:
         fh.write(f"dim {M.dimension} charts {len(M.charts)}\n")
         for chart in M.charts:
-            axes = [
-                np.linspace(lo, hi, g, endpoint=not per)
-                for (lo, hi), per, g in zip(chart.box, chart.periodic, grid)
-            ]
             fh.write("box " + " ".join(repr(float(v)) for v in np.ravel(chart.box)) + "\n")
             fh.write("periodic " + " ".join(str(int(p)) for p in chart.periodic) + "\n")
             fh.write("grid " + " ".join(str(g) for g in grid) + "\n")
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = chart.embed(np.stack([m.ravel() for m in mesh], axis=-1))
+            pts = chart.embed(_tensor_grid(_file_axes(chart.box, chart.periodic, grid)))
             for row in pts:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
@@ -679,16 +694,20 @@ def load_chart_file(path):
 _PAD = 3  # wrap columns appended on each side of a periodic axis
 
 
-def _spline_chart(box, periodic, grid, values):
-    n = len(grid)
-    axes = [
+def _file_axes(box, periodic, grid):
+    """Chart-file sample axes: both endpoints on polar axes, no wrap point on periodic ones."""
+    return [
         np.linspace(lo, hi, g, endpoint=not per)
         for (lo, hi), per, g in zip(box, periodic, grid)
     ]
+
+
+def _spline_chart(box, periodic, grid, values):
+    n = len(grid)
+    axes = _file_axes(box, periodic, grid)
     for a, per in enumerate(periodic):
         if not per:
             continue
-        h = axes[a][1] - axes[a][0]
         left = axes[a][:_PAD] + (box[a, 1] - box[a, 0])
         right = axes[a][-_PAD:] - (box[a, 1] - box[a, 0])
         axes[a] = np.concatenate([right, axes[a], left])
@@ -700,7 +719,6 @@ def _spline_chart(box, periodic, grid, values):
             ],
             axis=a,
         )
-        del h
 
     if n == 1:
         from scipy.interpolate import CubicSpline

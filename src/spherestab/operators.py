@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
-from .geometry import ParametrizedHypersurface, _per_axis
+from .geometry import ParametrizedHypersurface, _norm_A_sq, _per_axis, _tensor_grid
 
 
 @dataclass
@@ -105,8 +105,8 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     shapes = [len(ax[0]) for ax in axes]
     n_nodes = int(np.prod(shapes))
     idx = np.arange(n_nodes).reshape(shapes)
-    mesh = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+    nodes = _tensor_grid([ax[0] for ax in axes])
+    mesh = [nodes[:, b].reshape(shapes) for b in range(chart.dim)]
     cell = float(np.prod([ax[1] for ax in axes]))
 
     gdiag = chart.metric_diag(nodes)
@@ -117,7 +117,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
 
-    a2 = M.shape_batch(0, nodes)[4] if M.has_closed_form else _a2_slow(M, nodes)
+    a2 = _norm_A_sq(M, 0, nodes)
     pot = (a2 + M.dimension) * mass
 
     rows, cols, vals = [], [], []
@@ -156,12 +156,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         nodes=nodes,
         surface=M.family + str(M.params),
     )
-
-
-def _a2_slow(M, nodes):
-    from .geometry import shape_at
-
-    return np.array([shape_at(M, 0, u).norm_A_sq for u in nodes])
 
 
 # ---------------------------------------------------------------------------

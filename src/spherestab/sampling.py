@@ -21,9 +21,16 @@ import numpy as np
 
 from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
+    FD_STEP,
     ParametrizedHypersurface,
+    _central_diff,
+    _chord_to_arc,
+    _distance,
+    _growth_sup,
     _per_axis,
+    _tensor_grid,
     geodesic_distance,
+    sample_points,
     sqrt_det_metric,
 )
 
@@ -66,12 +73,7 @@ def stratified_integral(
         box = np.asarray(chart.box, dtype=float)
     else:
         box = np.asarray(box, dtype=float)
-    counts = _per_axis(strata, n)
-    edges = [np.linspace(box[a, 0], box[a, 1], counts[a] + 1) for a in range(n)]
-    lows = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    highs = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-    lows = np.stack([g.ravel() for g in lows], axis=-1)     # (cells, n)
-    highs = np.stack([g.ravel() for g in highs], axis=-1)
+    lows, highs = _strata_cells(box, _per_axis(strata, n))
     vols = np.prod(highs - lows, axis=-1)
     cells = lows.shape[0]
     k = max(2, int(samples_per_cell))
@@ -87,6 +89,12 @@ def stratified_integral(
     value = float(np.sum(vols * mean))
     stderr = float(np.sqrt(np.sum(vols**2 * var / k)))
     return MCEstimate(value, stderr, cells * k)
+
+
+def _strata_cells(box, counts):
+    """Lower and upper corners, each (cells, n), of the uniform cell grid of a box."""
+    edges = [np.linspace(box[a, 0], box[a, 1], c + 1) for a, c in enumerate(counts)]
+    return _tensor_grid([e[:-1] for e in edges]), _tensor_grid([e[1:] for e in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -110,31 +118,19 @@ def volume_growth_sampled(
     quadrature is impractical); one weighted sample set serves every
     (center, radius) pair.
     """
-    from .geometry import chord_distance, geodesic_distance, sample_points
-
     chart = M.charts[chart_index]
     n = chart.dim
     if radii is None:
         radii = np.geomspace(0.05, 1.9, 12)
-    dist = geodesic_distance if metric == "geodesic" else chord_distance
     box = np.asarray(chart.box, dtype=float)
-    counts = _per_axis(strata, n)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    edges = [np.linspace(box[a, 0], box[a, 1], counts[a] + 1) for a in range(n)]
-    lows = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges], indexing="ij")], axis=-1)
-    highs = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges], indexing="ij")], axis=-1)
+    lows, highs = _strata_cells(box, _per_axis(strata, n))
     k = int(samples_per_cell)
     pts = (lows[:, None, :] + rng.random((lows.shape[0], k, n)) * (highs - lows)[:, None, :]).reshape(-1, n)
     w = np.repeat(np.prod(highs - lows, axis=-1) / k, k) * sqrt_det_metric(chart, pts)
     X = chart.embed(pts)
     _, _, centers = sample_points(M, n_centers, seed=seed)
-    best = 0.0
-    for c in centers:
-        d = dist(X, c)
-        for r in radii:
-            ratio = float(w[d <= r].sum()) / r**n
-            best = max(best, ratio)
-    return safety * best
+    return safety * _growth_sup(X, w, centers, radii, n, _distance(metric))
 
 
 def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
@@ -148,9 +144,7 @@ def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
     box = chart.sample_box()
     u = None
     for _ in range(zoom + 1):
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        pts = _tensor_grid([np.linspace(lo, hi, resolution) for lo, hi in box])
         d = np.linalg.norm(chart.embed(pts) - np.asarray(x), axis=-1)
         u = pts[int(np.argmin(d))]
         width = (box[:, 1] - box[:, 0]) / resolution * 2.0
@@ -229,19 +223,19 @@ def local_polar_integral(
     u0 = nearest_chart_point(M, center_ambient, chart_index)
     gap = geodesic_distance(chart.embed(u0), center_ambient)
     if reach_metric == "euclidean":
-        reach_geo = 2.0 * np.arcsin(np.clip(reach / 2.0, 0.0, 1.0))
-        breaks = [2.0 * np.arcsin(np.clip(b / 2.0, 0.0, 1.0)) for b in breaks]
+        reach_geo = _chord_to_arc(reach)
+        breaks = [_chord_to_arc(b) for b in breaks]
     else:
         reach_geo = float(reach)
         breaks = list(breaks)
     if gap >= reach_geo:
         return 0.0
 
-    gdiag0 = (
-        chart.metric_diag(u0)
-        if chart.metric_diag is not None
-        else np.diag(_fd_metric(chart, u0))
-    )
+    if chart.metric_diag is not None:
+        gdiag0 = chart.metric_diag(u0)
+    else:
+        jac = _central_diff(chart.embed, u0, FD_STEP)
+        gdiag0 = np.diag(jac.T @ jac)
     E = 1.0 / np.sqrt(gdiag0)
     dirs, dir_w = _unit_directions(n, n_angular)
 
@@ -283,14 +277,3 @@ def _inside_box(chart, pts):
         if np.any(pts[..., a] <= lo + 1e-9) or np.any(pts[..., a] >= hi - 1e-9):
             return False
     return True
-
-
-def _fd_metric(chart, u, h=1e-5):
-    n = chart.dim
-    cols = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        cols.append((chart.embed(u + e) - chart.embed(u - e)) / (2 * h))
-    jac = np.stack(cols, axis=-1)
-    return jac.T @ jac

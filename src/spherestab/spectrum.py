@@ -27,7 +27,15 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NonMinimal, UnsupportedFamily, ZeroTestFunction
 from .fields import ConstantField, ShapeNormField, SurfaceField
-from .geometry import ParametrizedHypersurface, chart_quadrature, sqrt_det_metric
+from .geometry import (
+    ParametrizedHypersurface,
+    _central_diff,
+    _diag_embed,
+    _norm_A_sq,
+    chart_quadrature,
+    sample_points,
+    sqrt_det_metric,
+)
 from .operators import AnalyticSpectrum, DiscreteOperator, assemble_jacobi
 
 EIG_TOL = 1e-10
@@ -132,41 +140,19 @@ def rayleigh_quotient(
             w = weights * sqrt_det_metric(chart, nodes)
         else:
             # high-dimensional charts: sampled quadrature with density weights
-            from .geometry import sample_points
-
             _, nodes, _ = sample_points(M, max(2000, resolution), seed=0)
             w = sqrt_det_metric(chart, nodes)
         vals = np.asarray(f.value(M, c, nodes), dtype=float)
         grads = f.gradient_sq(M, c, nodes)
         if grads is None:
-            grads = _fd_gradient_sq(M, c, nodes, f)
-        a2 = M.shape_batch(c, nodes)[4] if M.has_closed_form else _a2_of(M, c, nodes)
+            grads = surface_gradient_sq_fd(M, c, nodes, lambda pts: f.value(M, c, pts), step=1e-5)
+        a2 = _norm_A_sq(M, c, nodes)
         num += float(w @ (grads - (a2 + M.dimension) * vals**2))
         denom += float(w @ vals**2)
         scale += float(w.sum())
     if denom <= 1e-28 * scale:
         raise ZeroTestFunction("test field vanishes identically at the quadrature nodes")
     return num / denom
-
-
-def _fd_gradient_sq(M, c, nodes, f, h=1e-5):
-    chart = M.charts[c]
-    if chart.metric_diag is None:
-        raise UnsupportedFamily("finite-difference gradients need an analytic metric")
-    gdiag = chart.metric_diag(nodes)
-    out = np.zeros(nodes.shape[0])
-    for a in range(chart.dim):
-        e = np.zeros(chart.dim)
-        e[a] = h
-        df = (f.value(M, c, nodes + e) - f.value(M, c, nodes - e)) / (2 * h)
-        out += df * df / gdiag[:, a]
-    return out
-
-
-def _a2_of(M, c, nodes):
-    from .geometry import shape_at
-
-    return np.array([shape_at(M, c, u).norm_A_sq for u in nodes])
 
 
 def test_function_A(M: ParametrizedHypersurface) -> SurfaceField:
@@ -203,13 +189,8 @@ def christoffel_fd(M: ParametrizedHypersurface, chart_index, U, step=2e-3):
     U = np.asarray(U, dtype=float)
     m, n = U.shape
     gdiag = chart.metric_diag(U)
-    dg = np.empty((m, n, n, n))       # dg[:, c, a, b] = d_c g_ab
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = step
-        dg[:, c] = (
-            _diag_to_full(chart.metric_diag(U + e)) - _diag_to_full(chart.metric_diag(U - e))
-        ) / (2 * step)
+    # dg[:, c, a, b] = d_c g_ab
+    dg = np.moveaxis(_central_diff(lambda P: _diag_embed(chart.metric_diag(P)), U, step), -1, 1)
     ginv = 1.0 / gdiag
     # gamma[:, d, c, a] = Gamma^d_{ca} = 1/2 g^{dd} (d_c g_da + d_a g_dc - d_d g_ca)
     gamma = np.empty((m, n, n, n))
@@ -245,16 +226,12 @@ def surface_laplacian_fd(M, chart_index, U, fn, step=2e-3, parts=None):
 
 def surface_gradient_sq_fd(M, chart_index, U, fn, step=2e-3):
     """|grad f|^2 = g^{cc} (d_c f)^2 by central differences (diagonal metric)."""
+    chart = M.charts[chart_index]
+    if chart.metric_diag is None:
+        raise UnsupportedFamily("finite-difference gradients need an analytic metric")
     U = np.asarray(U, dtype=float)
-    m, n = U.shape
-    gdiag = M.charts[chart_index].metric_diag(U)
-    out = np.zeros(m)
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = step
-        df = (fn(U + e) - fn(U - e)) / (2 * step)
-        out += df * df / gdiag[:, c]
-    return out
+    df = _central_diff(fn, U, step)
+    return np.sum(df * df / chart.metric_diag(U), axis=-1)
 
 
 def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) -> SimonsReport:
@@ -270,8 +247,6 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     """
     if not M.has_closed_form:
         raise UnsupportedFamily("identity check needs the closed-form geometry backend")
-    from .geometry import sample_points
-
     n = M.dimension
     _, U, _ = sample_points(M, samples, seed=seed, pad=2.0 * step)
     chart = 0
@@ -283,11 +258,8 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
 
     parts = christoffel_fd(M, chart, U, step)
     _, ginv, gamma = parts
-    dA = np.empty((m, n, n, n))       # dA[:, c, a, b] = d_c A_ab
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = step
-        dA[:, c] = (M.shape_batch(chart, U + e)[2] - M.shape_batch(chart, U - e)[2]) / (2 * step)
+    # dA[:, c, a, b] = d_c A_ab
+    dA = np.moveaxis(_central_diff(lambda P: M.shape_batch(chart, P)[2], U, step), -1, 1)
     # nabla_c A_ab = d_c A_ab - Gamma^d_{ca} A_db - Gamma^d_{cb} A_ad
     nabla = (
         dA
@@ -310,14 +282,6 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     lhs9 = normA0 * lap_norm
     violation = np.maximum(0.0, rhs9 - lhs9)
     return SimonsReport(float(identity.max()), float(violation.max()), m, step)
-
-
-def _diag_to_full(gdiag):
-    n = gdiag.shape[-1]
-    out = np.zeros(gdiag.shape + (n,))
-    idx = np.arange(n)
-    out[..., idx, idx] = gdiag
-    return out
 
 
 def simons_refinement(M, steps=(0.08, 0.04, 0.02), samples=100, seed=0):

@@ -2,6 +2,7 @@
 
 import json
 
+import spherestab.cutoff as cut
 from spherestab.cli import main
 
 
@@ -54,6 +55,18 @@ def test_inf_cutoff_csv_report(tmp_path):
     lines = (tmp_path / "cutoff_clifford_1_1.csv").read_text().strip().splitlines()
     assert lines[0].startswith("# config:")
     assert json.loads(lines[1])["passed"] is True
+
+
+def test_failing_bound_still_writes_report(tmp_path, monkeypatch):
+    # inflating |grad phi|^2 25-fold pushes the integral past its bound; the
+    # run must exit 1 and still leave its report with the failed verdict
+    original = cut.tangential_gradient_sq
+    monkeypatch.setattr(cut, "tangential_gradient_sq", lambda *a: 25.0 * original(*a))
+    argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "2",
+            "--epsilon", "0.05", "--exponent", "1", "--kind", "inf", "--seed", "7"]
+    assert run(tmp_path, *argv) == 1
+    lines = (tmp_path / "cutoff_clifford_1_1.csv").read_text().strip().splitlines()
+    assert json.loads(lines[1])["passed"] is False
 
 
 def test_config_file_and_flag_override(tmp_path):

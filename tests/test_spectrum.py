@@ -7,7 +7,7 @@ from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
 from spherestab.errors import NonMinimal, ZeroTestFunction
-from spherestab.fields import AmbientCoordinateField, ConstantField
+from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceField
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,14 @@ def test_rayleigh_eigenfunction_value(torus):
     f = AmbientCoordinateField(0, scale=np.sqrt(2.0))
     quad = spec.rayleigh_quotient(torus, f, method="quadrature", resolution=64)
     assert abs(quad + 2.0) <= 1e-9
+
+    # a value-only wrapper has no analytic gradient: finite-difference path
+    class ValueOnly(SurfaceField):
+        def value(self, M, chart_index, U):
+            return f.value(M, chart_index, U)
+
+    quad = spec.rayleigh_quotient(torus, ValueOnly(), method="quadrature", resolution=64)
+    assert abs(quad + 2.0) <= 1e-8
     oper = spec.rayleigh_quotient(torus, f, method="operator", resolution=64)
     assert abs(oper + 2.0) <= 5e-3  # discrete eigenvalue carries O(h^2)
 
