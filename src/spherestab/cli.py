@@ -18,7 +18,8 @@ current directory.
 
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error, 3 numerical failure (infeasible
-budget, insufficient samples, no convergence).
+budget, insufficient samples, no convergence; the report is still written,
+with a ``failure`` field naming the cause).
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ from . import cutoff as cut
 from . import geometry as geo
 from . import operators as ops
 from . import spectrum as spec
-from .errors import (
-    BoundViolation,
-    BudgetInfeasible,
-    InsufficientSamples,
-    NoConvergence,
-    SpherestabError,
-)
+from .errors import BoundViolation, SpherestabError
 
 OUTDIR_ENV = "SPHERESTAB_OUTDIR"
 
@@ -135,6 +130,8 @@ def _write_report(config: RunConfig, payload: dict, rows=None, columns=None) -> 
             lines.append(",".join(columns))
             for row in rows:
                 lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
+            if "failure" in payload:
+                lines.append("# failure: " + payload["failure"])
         else:
             lines.append(json.dumps(payload, sort_keys=True, default=_jsonable))
         text = "\n".join(lines) + "\n"
@@ -173,6 +170,7 @@ def _run_spectrum(config: RunConfig):
     rows = [analytic.record(config.tag())]
     rows[-1]["abs_err"] = 0.0
     errors = []
+    columns = ["surface", "backend", "resolution", "lambda1", "residual", "abs_err"]
     for res in config.resolutions:
         result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
         row = result.record(config.tag(), res)
@@ -180,14 +178,17 @@ def _run_spectrum(config: RunConfig):
         errors.append(row["abs_err"])
         rows.append(row)
         if not result.converged:
-            raise NoConvergence("eigensolver did not converge", result)
+            failure = f"NoConvergence: eigensolver did not converge at resolution {res}"
+            payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}
+            path = _write_report(config, payload, rows, columns)
+            print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
+            return 3
     order = spec.observed_order(errors) if len(errors) >= 2 else float("inf")
     payload = {
         "rows": rows,
         "analytic_lambda1": analytic.lambda1,
         "observed_order": order if np.isfinite(order) else "inf",
     }
-    columns = ["surface", "backend", "resolution", "lambda1", "residual", "abs_err"]
     path = _write_report(config, payload, rows, columns)
     ok = errors[-1] <= 1e-6 and all(r["residual"] <= 1e-8 for r in rows[1:]) and order >= 2
     print(f"spectrum {config.tag()}: lambda1 = {rows[-1]['lambda1']:.9f} "
@@ -395,14 +396,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetInfeasible, InsufficientSamples, NoConvergence) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 1
     except SpherestabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        failure = f"{type(exc).__name__}: {exc}"
+        path = _write_report(config, {"failure": failure})
+        print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
         return 3
 
 

@@ -623,6 +623,7 @@ def measure_volume_growth(
         nodes, weights = chart_quadrature(chart, resolution)
         mass = weights * sqrt_det_metric(chart, nodes)
         X = chart.embed(nodes)
+        del nodes, weights  # only X and mass are needed over the centers x radii loop
         best = max(best, _growth_sup(X, mass, centers, radii, n, _distance(metric)))
     return safety * best
 

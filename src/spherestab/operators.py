@@ -17,6 +17,17 @@ symmetric positive semidefinite with the constant vector in its kernel, so
 on a surface with constant potential the constant function is an exact
 discrete eigenvector -- mirroring the continuous situation.
 
+On the minimal products S^k(r_k) x S^l(r_l), r^2 = d/n, the metric and its
+density split over the two factor charts, so the assembled pencil is exactly
+a Kronecker sum of two sphere pencils:
+
+    S = S_k (x) B_l + B_k (x) S_l,    B = B_k (x) B_l,    V = 2n B,
+
+where (S_d, B_d) is the unit-sphere assembly of S^d rescaled to radius r_d
+(stiffness by r^(d-2), mass by r^d).  :func:`assemble_jacobi` attaches these
+factor pencils and the constant c with V = c B to the operator, so the
+eigensolver can work one factor at a time.
+
 An analytic backend covers the closed-form families: round spheres
 (eigenvalues j(j+n-1)/r^2 with the usual multiplicities), the flat product
 torus (2(j^2+m^2) over integer pairs) and, restricted to axisymmetric
@@ -33,7 +44,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
-from .geometry import ParametrizedHypersurface, _norm_A_sq, _per_axis, _tensor_grid
+from .geometry import (
+    CliffordSpec,
+    ParametrizedHypersurface,
+    _norm_A_sq,
+    _per_axis,
+    _tensor_grid,
+    equator,
+)
 
 
 @dataclass
@@ -48,6 +66,8 @@ class DiscreteOperator:
     periodic: tuple
     nodes: np.ndarray              # (m, n) chart coordinates of the grid nodes
     surface: str = "custom"
+    factors: tuple = ()            # ((S_k, B_k), (S_l, B_l)) whose Kronecker sum is (S, B)
+    potential_ratio: float = 0.0  # c with V = c B when ``factors`` is set
 
     @property
     def size(self):
@@ -90,8 +110,28 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
 
     Requires a single chart with diagonal (orthogonal-coordinate) metric,
     which covers every built-in family.  ``resolution`` is the node count
-    per axis (scalar or list), at least 8.
+    per axis (scalar or list), at least 8.  On the product families the
+    operator also carries its two factor pencils (see the module docstring).
     """
+    op = _assemble(M, resolution)
+    if M.family == "clifford":
+        op.factors = _sphere_factors(CliffordSpec(*M.params), op.resolution)
+        op.potential_ratio = 2.0 * M.dimension
+    return op
+
+
+def _sphere_factors(spec, res):
+    """Factor pencils of S^k(r_k) x S^l(r_l) on the per-axis grids res[:k], res[k:]."""
+    (rk, rl), k = spec.radii, spec.k
+    out = []
+    for d, r, sub in ((k, rk, res[:k]), (spec.l, rl, res[k:])):
+        unit = _assemble(equator(d), sub)
+        out.append((unit.stiffness * r ** (d - 2), unit.mass * r**d))
+    return tuple(out)
+
+
+def _assemble(M, resolution):
+    """The finite-volume pencil of M, without factor data."""
     if len(M.charts) != 1:
         raise AssemblyFailure("assembly supports single-chart surfaces")
     chart = M.charts[0]

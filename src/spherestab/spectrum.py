@@ -65,31 +65,33 @@ class EigenResult:
 def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) -> EigenResult:
     """Smallest eigenvalue of the stability pencil.
 
-    Numeric operators are solved by shift-invert Lanczos with the shift
-    sigma = -(2n + 1), safely below the target window [-2n, -n], and the
-    deterministic all-ones start vector so the constant mode on the
-    product families is found immediately.  The analytic backend minimizes
-    (enumerated -Delta eigenvalue) - (|A|^2 + n) exactly.
+    Numeric operators are solved by shift-invert Lanczos from the
+    deterministic all-ones start vector, so the constant mode on the product
+    families is found immediately.  An operator that carries factor pencils
+    (the product families, see :mod:`spherestab.operators`) is solved one
+    factor at a time with the shift sigma = -1 below each factor's
+    nonnegative spectrum: lambda_1 = mu_k + mu_l - c with eigenvector
+    x_k (x) x_l.  Any other operator is solved whole with the shift
+    sigma = -(2n + 1), safely below the target window [-2n, -n].  Either
+    way the eigenvector is normalized and its residual is measured against
+    the full assembled pencil, and ``converged`` holds only if every solve
+    converged.  The analytic backend minimizes (enumerated -Delta
+    eigenvalue) - (|A|^2 + n) exactly.
     """
     if isinstance(op, AnalyticSpectrum):
         lam = float(np.min(op.eigenvalues(8)) - op.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
     A, B = op.pencil()
-    sigma = -(2.0 * op.dimension + 1.0)
-    v0 = np.ones(op.size)
-    try:
-        vals, vecs = eigsh(
-            A, k=1, M=B, sigma=sigma, which="LM", v0=v0, tol=EIG_TOL, maxiter=EIG_MAXITER
+    if op.factors:
+        (mu_k, x_k, conv_k), (mu_l, x_l, conv_l) = (
+            _smallest(S_f.tocsc(), B_f, -1.0) for S_f, B_f in op.factors
         )
-        converged = True
-    except ArpackNoConvergence as exc:  # report what we have; caller decides
-        if len(exc.eigenvalues) == 0:
-            raise
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-        converged = False
-    lam = float(vals[0])
-    x = vecs[:, 0]
+        lam = mu_k + mu_l - op.potential_ratio
+        x = np.kron(x_k, x_l)
+        converged = conv_k and conv_l
+    else:
+        lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
     x = x / np.sqrt(float(x @ (B @ x)))
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
     if x[nz[0]] < 0:
@@ -97,6 +99,20 @@ def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) ->
     Bx = B @ x
     residual = float(np.linalg.norm(A @ x - lam * Bx) / np.linalg.norm(Bx))
     return EigenResult(lam, x, residual, "numeric", converged)
+
+
+def _smallest(A, B, sigma):
+    """(eigenvalue, eigenvector, converged) of the pencil (A, B) nearest sigma."""
+    try:
+        vals, vecs = eigsh(
+            A, k=1, M=B, sigma=sigma, which="LM", v0=np.ones(A.shape[0]),
+            tol=EIG_TOL, maxiter=EIG_MAXITER,
+        )
+        return float(vals[0]), vecs[:, 0], True
+    except ArpackNoConvergence as exc:  # report what we have; caller decides
+        if len(exc.eigenvalues) == 0:
+            raise
+        return float(exc.eigenvalues[0]), exc.eigenvectors[:, 0], False
 
 
 def rayleigh_quotient(

@@ -3,6 +3,7 @@
 import json
 
 import spherestab.cutoff as cut
+import spherestab.spectrum as spec
 from spherestab.cli import main
 
 
@@ -100,6 +101,37 @@ def test_infeasible_budget_exits_3(tmp_path):
     code = run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1",
                "--points", "1", "--epsilon", "0.05", "--exponent", "2", "--kind", "inf")
     assert code == 3
+
+
+def test_infeasible_budget_writes_failure_report(tmp_path):
+    code = run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1",
+               "--points", "1", "--epsilon", "0.05", "--exponent", "2", "--kind", "inf")
+    assert code == 3
+    lines = (tmp_path / "cutoff_clifford_1_1.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("# config:")
+    assert json.loads(lines[1])["failure"].startswith("BudgetInfeasible: ")
+
+
+def test_unconverged_spectrum_writes_rows_and_failure(tmp_path, monkeypatch):
+    original = spec.first_stability_eigenvalue
+
+    def unconverged(op):
+        result = original(op)
+        if result.backend == "numeric":
+            result.converged = False
+        return result
+
+    monkeypatch.setattr(spec, "first_stability_eigenvalue", unconverged)
+    argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32"]
+    assert run(tmp_path, *argv, "--format", "json") == 3
+    doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
+    assert doc["failure"].startswith("NoConvergence: ")
+    assert [r["backend"] for r in doc["rows"]] == ["analytic", "numeric"]
+    assert doc["rows"][1]["resolution"] == 16
+    assert run(tmp_path, *argv) == 3
+    lines = (tmp_path / "spectrum_clifford_1_1.csv").read_text().strip().splitlines()
+    assert lines[1] == "surface,backend,resolution,lambda1,residual,abs_err"
+    assert len(lines) == 5 and lines[4].startswith("# failure: NoConvergence: ")
 
 
 def test_estimates_cli(tmp_path):
