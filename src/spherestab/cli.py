@@ -239,10 +239,7 @@ def _run_cutoff(config: RunConfig):
     )
     if config.kind == "inf":
         fld = cut.build_inf_cutoff(cover)
-        c_v = est.default_volume_growth(M, metric="geodesic", seed=config.seed)
-        report = cut.gradient_integral_estimate(
-            M, cover, fld, config.exponent, C_V=c_v, seed=config.seed
-        )
+        report = cut.gradient_integral_estimate(M, cover, fld, config.exponent, seed=config.seed)
         payload = {
             "integral": report.integral,
             "stderr": report.stderr,
@@ -257,8 +254,7 @@ def _run_cutoff(config: RunConfig):
         ok = report.passed
     else:
         fld = cut.build_product_cutoff(cover)
-        c_v = est.default_volume_growth(M, metric="chord", seed=config.seed)
-        report = cut.mr_quality_report(M, fld, C_V=c_v, seed=config.seed)
+        report = cut.mr_quality_report(M, fld, seed=config.seed)
         payload = {
             "area_not_one": report.area_not_one.value,
             "grad_l2": report.grad_l2.value,
@@ -281,7 +277,7 @@ def _run_cutoff(config: RunConfig):
 def _run_estimates(config: RunConfig):
     M = config.surface()
     lam1 = -float(M.dimension) if config.family == "equator" else -2.0 * M.dimension
-    c_v = est.default_volume_growth(M, seed=config.seed)
+    c_v = geo.measure_volume_growth(M)
     _, _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
     reports = []
     for r in config.radii:

@@ -137,6 +137,8 @@ class BallCover:
     containment: str = "full"     # input points lie in B(p, r) ("full") or B(p, r/6)
 
     def __post_init__(self):
+        if self.metric not in ("geodesic", "euclidean"):
+            raise ValueError(f"unknown cover metric {self.metric!r}; use 'geodesic' or 'euclidean'")
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if self.centers.size == 0:
@@ -299,15 +301,10 @@ def vitali_discard(cover: BallCover) -> BallCover:
 
 def covers_points(cover: BallCover, factor) -> bool:
     """Every input point within factor * r_i of some center (brute force)."""
-    if cover.points is None or len(cover.points) == 0:
+    if cover.points is None:
         return True
-    if cover.size == 0:
-        return False
-    dist = _distance(cover.metric)
-    for p in cover.points:
-        if not np.any(dist(cover.centers, p) <= factor * cover.radii + 1e-12):
-            return False
-    return True
+    d = _distance(cover.metric)(cover.points[:, None, :], cover.centers[None, :, :])
+    return bool(np.all(np.any(d <= factor * cover.radii + 1e-12, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +351,10 @@ def enlarged_class_count(cover: BallCover):
     """
     N = cover.centers.shape[1]
     bound = 108.0**N
-    worst = 0
-    dist = _distance(cover.metric)
-    for _, idx in cover.dyadic_classes.items():
-        for j in idx:
-            d = dist(cover.centers[idx], cover.centers[j])
-            count = int(np.sum(d <= cover.radii[idx] + cover.radii[j]))
-            worst = max(worst, count)
+    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
+    dyadic = np.floor(np.log2(cover.radii))
+    inside = (d <= cover.radii[:, None] + cover.radii[None, :]) & (dyadic[:, None] == dyadic[None, :])
+    worst = int(inside.sum(axis=0).max(initial=0))
     if worst > bound:
         raise BoundViolation(f"class count {worst} exceeds 108^{N}")
     return worst, bound
@@ -582,9 +576,7 @@ def gradient_integral_estimate(
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
     n = M.dimension
     if C_V is None:
-        C_V = measure_volume_growth(
-            M, metric="geodesic" if cover.metric == "geodesic" else "chord"
-        )
+        C_V = measure_volume_growth(M, metric=cover.metric)
     bound = 2.0 ** (n + q) * C_V * cover.epsilon
 
     total = ZERO_ESTIMATE

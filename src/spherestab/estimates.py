@@ -35,7 +35,7 @@ from .geometry import (
     measure_volume_growth,
     sample_points,
 )
-from .sampling import stratified_integral, volume_growth_sampled
+from .sampling import stratified_integral
 
 
 @dataclass
@@ -67,13 +67,6 @@ class EstimateReport:
         }
 
 
-def default_volume_growth(M, metric="geodesic", seed=0):
-    """C_V by quadrature for n <= 3 charts, by weighted sampling above."""
-    if max(chart.dim for chart in M.charts) <= 3:
-        return measure_volume_growth(M, metric=metric, seed=seed)
-    return volume_growth_sampled(M, metric=metric, seed=seed)
-
-
 def local_A_bound(
     M: ParametrizedHypersurface,
     p,
@@ -88,14 +81,16 @@ def local_A_bound(
 
     ``p`` is an ambient point, ``r`` a geodesic radius in (0, 2) and
     ``lambda1`` the first stability eigenvalue that feeds
-    ``alpha = |-lambda_1 - n|``.
+    ``alpha = |-lambda_1 - n|``.  ``C_V`` defaults to the geodesic
+    :func:`measure_volume_growth`, which is exact and seed-free on the
+    built-in families in every dimension.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:
-        C_V = default_volume_growth(M, seed=seed)
+        C_V = measure_volume_growth(M, seed=seed)
     if strata is None:
         strata = {1: 512, 2: 72, 3: 20, 4: 9, 5: 6, 6: 5}.get(n, 4)
     p = np.asarray(p, dtype=float)

@@ -62,8 +62,12 @@ def _chord_to_arc(c):
 
 
 def _distance(metric):
-    """Distance function of a metric name: "geodesic", otherwise chord."""
-    return geodesic_distance if metric == "geodesic" else chord_distance
+    """Distance function of a metric name: "geodesic", or "chord" / "euclidean"."""
+    if metric == "geodesic":
+        return geodesic_distance
+    if metric in ("chord", "euclidean"):
+        return chord_distance
+    raise ValueError(f"unknown metric {metric!r}; use 'geodesic', 'chord' or 'euclidean'")
 
 
 @dataclass(frozen=True)
@@ -606,36 +610,87 @@ def measure_volume_growth(
     seed=0,
     safety=1.1,
 ):
-    """Measured area-growth constant C_V with sup area(M cap B_r(x)) / r^n <= C_V.
+    """Area-growth constant C_V with sup area(M cap B_r(x)) / r^n <= C_V.
 
-    The sup runs over sampled on-surface centers and a log-spaced radius
-    grid, then takes a 10% safety factor.  ``metric`` selects geodesic balls
-    of S^(n+1) or Euclidean (chord) balls of R^(n+2).
+    The sup runs over centers x in M and a log-spaced radius grid, then
+    takes a 10% safety factor.  ``metric`` selects geodesic balls of
+    S^(n+1) ("geodesic") or Euclidean balls of R^(n+2) ("chord" or
+    "euclidean"); any other name raises ``ValueError``.
+
+    The built-in families (``equator``, ``clifford``) are homogeneous, so
+    the ball area does not depend on the center; it is evaluated exactly
+    (to quadrature rounding) by :func:`_ball_area`, in any dimension.
+    Other surfaces (chart files) take the sup over ``n_centers`` sampled
+    centers (drawn with ``seed``) of the ball mass of a ``resolution``
+    tensor quadrature, for n <= 3 charts; ``n_centers``, ``resolution``
+    and ``seed`` apply only to that branch.
     """
     n = M.dimension
+    dist = _distance(metric)
     if radii is None:
         radii = np.geomspace(0.05, 1.9, 12)
+    radii = np.asarray(radii, dtype=float)
+    if M.family in ("equator", "clifford"):
+        k, l = M.params if M.family == "clifford" else (n, 0)
+        # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
+        levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
+        return safety * float(np.max(_ball_area(k, l, levels) / radii**n))
     _, _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
     best = 0.0
     for chart in M.charts:
         if chart.dim > 3:
-            raise UnsupportedFamily("volume-growth measurement is limited to n <= 3 charts")
+            raise UnsupportedFamily("volume-growth quadrature is limited to n <= 3 charts")
         nodes, weights = chart_quadrature(chart, resolution)
         mass = weights * sqrt_det_metric(chart, nodes)
         X = chart.embed(nodes)
         del nodes, weights  # only X and mass are needed over the centers x radii loop
-        best = max(best, _growth_sup(X, mass, centers, radii, n, _distance(metric)))
+        for c in centers:
+            d = dist(X, c)
+            for r in radii:
+                best = max(best, float(mass[d <= r].sum()) / r**n)
     return safety * best
 
 
-def _growth_sup(X, mass, centers, radii, n, dist):
-    """sup over centers x radii of (mass of the points X within r of the center) / r^n."""
-    best = 0.0
-    for c in centers:
-        d = dist(X, c)
-        for r in radii:
-            best = max(best, float(mass[d <= r].sum()) / r**n)
-    return best
+def _ball_area(k, l, c):
+    """area{y in M : <x, y> >= c} on S^k(sqrt(k/n)) x S^l(sqrt(l/n)), any x in M; c an array.
+
+    ``l = 0`` is the equator S^k, whose balls are spherical caps.  With theta
+    and phi the polar angles of the two factors measured from x,
+    ``<x, y> = (k/n) cos theta + (l/n) cos phi``, so the ball is
+    phi <= phi*(theta) and its area is one theta integral of the cap area
+    J_(l-1)(phi*).  That integral is Gauss-Legendre on the segments between
+    the kinks where phi* reaches pi or 0; the map
+    theta = a + (b - a)(1 - cos(pi t))/2 absorbs the square-root behaviour
+    of phi* at the segment ends.
+    """
+    c = np.asarray(c, dtype=float)
+    if l == 0:
+        return _sphere_area(k - 1) * _sin_power_integral(k - 1, np.arccos(np.clip(c, -1.0, 1.0)))
+    wk, wl = k / (k + l), l / (k + l)
+    # 0 <= kink(phi* = pi) <= kink(phi* = 0) <= pi; an absent kink clips onto an end
+    kinks = np.arccos(np.clip([(c + wl) / wk, (c - wl) / wk], -1.0, 1.0))
+    edges = np.concatenate([np.zeros((1,) + c.shape), kinks, np.full((1,) + c.shape, np.pi)])
+    lo, width = edges[:-1, ..., None], np.diff(edges, axis=0)[..., None]
+    t, w = np.polynomial.legendre.leggauss(48)
+    theta = lo + width * (1.0 - np.cos(np.pi * (t + 1.0) / 2.0)) / 2.0
+    dtheta = width * (np.pi / 4.0) * np.sin(np.pi * (t + 1.0) / 2.0) * w
+    phi = np.arccos(np.clip((c[..., None] - wk * np.cos(theta)) / wl, -1.0, 1.0))
+    total = np.sum(dtheta * np.sin(theta) ** (k - 1) * _sin_power_integral(l - 1, phi), axis=(0, -1))
+    return wk ** (k / 2) * wl ** (l / 2) * _sphere_area(k - 1) * _sphere_area(l - 1) * total
+
+
+def _sphere_area(m):
+    """|S^m| = 2 pi^((m+1)/2) / Gamma((m+1)/2); |S^0| = 2 counts two points."""
+    return 2.0 * math.pi ** ((m + 1) / 2) / math.gamma((m + 1) / 2)
+
+
+def _sin_power_integral(m, a):
+    """J_m(a) = int_0^a sin^m, by J_m = -sin^(m-1)(a) cos(a) / m + (m-1)/m J_(m-2)."""
+    if m == 0:
+        return a
+    if m == 1:
+        return 1.0 - np.cos(a)
+    return -np.sin(a) ** (m - 1) * np.cos(a) / m + (m - 1) / m * _sin_power_integral(m - 2, a)
 
 
 # ---------------------------------------------------------------------------

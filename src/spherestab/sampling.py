@@ -25,12 +25,9 @@ from .geometry import (
     ParametrizedHypersurface,
     _central_diff,
     _chord_to_arc,
-    _distance,
-    _growth_sup,
     _per_axis,
     _tensor_grid,
     geodesic_distance,
-    sample_points,
     sqrt_det_metric,
 )
 
@@ -73,7 +70,8 @@ def stratified_integral(
         box = np.asarray(chart.box, dtype=float)
     else:
         box = np.asarray(box, dtype=float)
-    lows, highs = _strata_cells(box, _per_axis(strata, n))
+    edges = [np.linspace(box[a, 0], box[a, 1], c + 1) for a, c in enumerate(_per_axis(strata, n))]
+    lows, highs = _tensor_grid([e[:-1] for e in edges]), _tensor_grid([e[1:] for e in edges])
     vols = np.prod(highs - lows, axis=-1)
     cells = lows.shape[0]
     k = max(2, int(samples_per_cell))
@@ -91,47 +89,9 @@ def stratified_integral(
     return MCEstimate(value, stderr, cells * k)
 
 
-def _strata_cells(box, counts):
-    """Lower and upper corners, each (cells, n), of the uniform cell grid of a box."""
-    edges = [np.linspace(box[a, 0], box[a, 1], c + 1) for a, c in enumerate(counts)]
-    return _tensor_grid([e[:-1] for e in edges]), _tensor_grid([e[1:] for e in edges])
-
-
 # ---------------------------------------------------------------------------
 # deterministic local polar patches
 # ---------------------------------------------------------------------------
-
-def volume_growth_sampled(
-    M: ParametrizedHypersurface,
-    metric="geodesic",
-    n_centers=20,
-    radii=None,
-    strata=4,
-    samples_per_cell=4,
-    seed=0,
-    safety=1.1,
-    chart_index=0,
-):
-    """C_V = safety * sup area(M cap B_r(x)) / r^n from one stratified sample set.
-
-    Works in any chart dimension (the n > 3 families where full tensor
-    quadrature is impractical); one weighted sample set serves every
-    (center, radius) pair.
-    """
-    chart = M.charts[chart_index]
-    n = chart.dim
-    if radii is None:
-        radii = np.geomspace(0.05, 1.9, 12)
-    box = np.asarray(chart.box, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    lows, highs = _strata_cells(box, _per_axis(strata, n))
-    k = int(samples_per_cell)
-    pts = (lows[:, None, :] + rng.random((lows.shape[0], k, n)) * (highs - lows)[:, None, :]).reshape(-1, n)
-    w = np.repeat(np.prod(highs - lows, axis=-1) / k, k) * sqrt_det_metric(chart, pts)
-    X = chart.embed(pts)
-    _, _, centers = sample_points(M, n_centers, seed=seed)
-    return safety * _growth_sup(X, w, centers, radii, n, _distance(metric))
-
 
 def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
     """Chart coordinates of (approximately) the closest surface point to x.

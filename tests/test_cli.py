@@ -143,6 +143,16 @@ def test_estimates_cli(tmp_path):
     assert any(line.startswith("l4_identity") for line in lines)
 
 
+def test_estimates_volume_growth_is_seed_independent(tmp_path):
+    c_v = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert main(["estimates", "--family", "clifford", "--k", "2", "--l", "2",
+                     "--points", "5", "--seed", seed, "--format", "json", "--out", str(out)]) == 0
+        c_v.append(json.loads((out / "estimates_clifford_2_2.json").read_text())["C_V"])
+    assert c_v[0] == c_v[1]
+
+
 def test_cutoff_singular_set_file(tmp_path):
     from spherestab import geometry as geo
 

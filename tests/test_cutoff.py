@@ -213,6 +213,41 @@ def test_enlarged_class_count_after_discard():
     assert bound == 108.0**2
 
 
+def test_cover_checks_match_loop_reference():
+    # per-point / per-ball loops, as the checks were first written
+    def covers_loop(cov, factor):
+        dist = geo._distance(cov.metric)
+        return all(np.any(dist(cov.centers, p) <= factor * cov.radii + 1e-12) for p in cov.points)
+
+    def class_count_loop(cov):
+        dist = geo._distance(cov.metric)
+        worst = 0
+        for idx in cov.dyadic_classes.values():
+            for j in idx:
+                d = dist(cov.centers[idx], cov.centers[j])
+                worst = max(worst, int(np.sum(d <= cov.radii[idx] + cov.radii[j])))
+        return worst
+
+    rng = np.random.default_rng(17)
+    pts = sphere_cloud(80, seed=17)
+    for metric in ("geodesic", "euclidean"):
+        centers = sphere_cloud(40, seed=18)
+        cov = cut.BallCover(centers, rng.uniform(0.1, 0.5, 40), 2, 1, 1e9, metric, points=pts)
+        for factor in (1.0, 2.0, 3.0):  # False, False, True on both metrics
+            assert cut.covers_points(cov, factor) == covers_loop(cov, factor)
+        assert cut.enlarged_class_count(cov)[0] == class_count_loop(cov)
+    empty = cut.empty_cover(2, 1, 1.0, ambient_dim=4)
+    assert cut.enlarged_class_count(empty)[0] == 0
+    assert cut.covers_points(empty, 1.0)                        # no points to cover
+    no_balls = cut.BallCover(empty.centers, empty.radii, 2, 1, 1.0, points=pts)
+    assert not cut.covers_points(no_balls, 1.0)
+
+
+def test_cover_rejects_unknown_metric():
+    with pytest.raises(ValueError):
+        cut.BallCover(np.zeros((1, 4)), np.array([0.1]), 2, 1, 1.0, "chord")
+
+
 # ---------------------------------------------------------------------------
 # cutoff fields
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_local_A_bound_equator_zero(equator2):
 def test_local_A_bound_family_sweep(kl, clifford_families):
     M = clifford_families[kl]
     n = M.dimension
-    c_v = est.default_volume_growth(M)
+    c_v = geo.measure_volume_growth(M)
     _, _, centers = geo.sample_points(M, 20, seed=4)
     for r in (0.1, 0.25, 0.5, 1.0):
         for c in centers:

@@ -199,6 +199,72 @@ def test_volume_growth_bounds(torus):
     assert math.pi < cv < 10.0
 
 
+BUILT_IN = [geo.equator(2), geo.equator(3)] + [
+    geo.clifford_hypersurface(kl) for kl in [(1, 1), (1, 2), (2, 2), (3, 3)]
+]
+
+
+def ball_area(M, r, metric="geodesic"):
+    """area(M cap B_r(x)) as measure_volume_growth reads it on one radius, without safety."""
+    return geo.measure_volume_growth(M, metric=metric, radii=[r], safety=1.0) * r**M.dimension
+
+
+@pytest.mark.parametrize("kl,geodesic,chord", [
+    ((1, 1), 4.3991, 5.6215), ((1, 2), 4.6071, 5.8979), ((2, 1), 4.6071, 5.8979),
+    ((2, 2), 5.4260, 5.4283), ((3, 3), 5.6783, 5.6818),
+])
+def test_volume_growth_exact_values(kl, geodesic, chord):
+    M = geo.clifford_hypersurface(kl)
+    for seed in (0, 1, 7):
+        assert abs(geo.measure_volume_growth(M, seed=seed) - geodesic) <= 1e-4
+        assert abs(geo.measure_volume_growth(M, metric="chord", seed=seed) - chord) <= 1e-4
+
+
+@pytest.mark.parametrize("M", BUILT_IN, ids=repr)
+def test_ball_area_limits(M):
+    n = M.dimension
+    # the chord ball of radius 2 is all of M
+    assert abs(ball_area(M, 2.0, "chord") / geo.area(M) - 1.0) <= 1e-12
+    # a small ball is a flat n-disc
+    r = 1e-3
+    assert abs(ball_area(M, r) / (math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n) - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3)])
+def test_ball_area_factor_order(k, l):
+    a, b = geo.clifford_hypersurface((k, l)), geo.clifford_hypersurface((l, k))
+    for metric in ("geodesic", "chord"):
+        for r in np.geomspace(0.05, 1.9, 12):
+            assert abs(ball_area(a, r, metric) / ball_area(b, r, metric) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("kl,res", [((1, 1), 256), ((1, 2), 96)])
+def test_ball_area_against_chart_quadrature(kl, res):
+    M = geo.clifford_hypersurface(kl)
+    chart = M.charts[0]
+    nodes, weights = geo.chart_quadrature(chart, res)
+    mass = weights * geo.sqrt_det_metric(chart, nodes)
+    X = chart.embed(nodes)
+    _, _, centers = geo.sample_points(M, 3, seed=2)
+    for c in centers:
+        d = geo.geodesic_distance(X, c)
+        for r in (0.5, 1.0, 1.5):
+            assert abs(float(mass[d <= r].sum()) / ball_area(M, r) - 1.0) <= 0.01, (c, r)
+
+
+def test_chart_file_volume_growth(tmp_path, torus):
+    path = tmp_path / "torus.chart"
+    geo.save_chart_file(torus, path, 128)
+    loaded = geo.load_chart_file(path)  # family "chartfile": the quadrature branch
+    built_in = geo.measure_volume_growth(torus)
+    assert abs(geo.measure_volume_growth(loaded) / built_in - 1.0) <= 0.005
+
+
+def test_volume_growth_rejects_unknown_metric(torus):
+    with pytest.raises(ValueError):
+        geo.measure_volume_growth(torus, metric="geodesc")
+
+
 # ---------------------------------------------------------------------------
 # chart files
 # ---------------------------------------------------------------------------
