@@ -279,17 +279,21 @@ def _run_estimates(config: RunConfig):
     lam1 = -float(M.dimension) if config.family == "equator" else -2.0 * M.dimension
     c_v = geo.measure_volume_growth(M)
     _, _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
-    reports = []
-    for r in config.radii:
-        for c in centers:
-            reports.append(est.local_A_bound(M, c, r, lam1, C_V=c_v, seed=config.seed))
-    reports.append(est.l4_identity_check(M))
+    bounds = [
+        est.local_A_bound(M, c, r, lam1, C_V=c_v, seed=config.seed)
+        for r in config.radii
+        for c in centers
+    ]
+    # the l4 identity holds with equality, so its margin is 0 by construction
+    # and stays out of the summary's minimum
+    reports = bounds + [est.l4_identity_check(M)]
     rows = [rep.row() for rep in reports]
     payload = {"rows": rows, "lambda1": lam1, "C_V": c_v}
     path = _write_report(config, payload, rows, ["name", "n", "lhs", "rhs", "margin", "stderr"])
     ok = all(rep.passed for rep in reports)
+    margin = min((rep.margin for rep in bounds), default=float("inf"))
     print(f"estimates {config.tag()}: {len(reports)} reports, "
-          f"min margin {min(rep.margin for rep in reports):.3g} -> {path}")
+          f"min bound margin {margin:.3g} -> {path}")
     return 0 if ok else 1
 
 

@@ -419,24 +419,30 @@ class CutoffField:
         vals, _ = self._ramps(d)
         return vals.min(axis=1) if self.kind == "inf" else vals.prod(axis=1)
 
+    def _active_ramp(self, X):
+        """Inf kind: per point the active ball (lowest index on ties), its ramp
+        slope and the gradient of its distance, from one distance evaluation."""
+        d, grad_d = self._dist_grad(X)
+        vals, slope = self._ramps(d)
+        act = vals.argmin(axis=1)
+        take = np.arange(act.shape[0])
+        return act, slope[take, act], grad_d[take, act]
+
     def active_index(self, X):
         """Index of the ball whose ramp achieves the inf (lowest index on ties)."""
         if self.kind != "inf":
             raise UnsupportedFamily("active ball is only defined for the inf kind")
-        d, _ = self._dist_grad(np.atleast_2d(X))
-        vals, _ = self._ramps(d)
-        return vals.argmin(axis=1)
+        return self._active_ramp(X)[0]
 
     def ambient_gradient(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.zeros_like(X)
+        if self.kind == "inf":
+            _, slope, grad_d = self._active_ramp(X)
+            return slope[:, None] * grad_d
         d, grad_d = self._dist_grad(X)
         vals, slope = self._ramps(d)
-        if self.kind == "inf":
-            act = vals.argmin(axis=1)
-            take = np.arange(X.shape[0])
-            return slope[take, act][:, None] * grad_d[take, act]
         other = _product_excluding_one(vals)
         return np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
 
@@ -566,11 +572,18 @@ def gradient_integral_estimate(
 ) -> GradientIntegralReport:
     """Monte-Carlo  int_M |grad phi|^q  against the bound 2^(n+q) C_V epsilon.
 
+    The integral runs over supp grad phi, the points where the active ramp
+    has nonzero slope; so at q = 0 it is the area of that support, not of
+    the whole chart box (where |grad phi|^0 would read 1 on phi == 1).
     Integration is per ball on a chart box around it (the integrand lives on
     thin annuli; global sampling would miss them), deduplicated by the
-    active-ball partition.  Raises :class:`InsufficientSamples` when the
-    standard error exceeds 10% of the bound; an estimate above bound + 3
-    stderr is returned as a report with ``passed`` false.
+    active-ball partition.  Ball i's ramps are evaluated only against its
+    neighbours, the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j: no other
+    ramp can drop below 1 where ball i's does, so the active ball and the
+    integrand equal those of the full field bit for bit.  Raises
+    :class:`InsufficientSamples` when the standard error exceeds 10% of the
+    bound; an estimate above bound + 3 stderr is returned as a report with
+    ``passed`` false.
     """
     if field.kind != "inf":
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
@@ -581,21 +594,15 @@ def gradient_integral_estimate(
 
     total = ZERO_ESTIMATE
     rng_children = np.random.SeedSequence(seed).spawn(max(cover.size, 1))
+    neighbours = _ramp_neighbours(field.cover)
     for i in range(cover.size):
         reach = 2.0 * cover.radii[i]
         box = _ball_chart_box(M, chart_index, cover.centers[i], reach, cover.metric)
         if box is None:
             continue
-
-        def integrand(U, X, i=i):
-            act = field.active_index(X)
-            grad = field.ambient_gradient(X)
-            gsq = tangential_gradient_sq(M, chart_index, U, grad)
-            return np.where(act == i, gsq ** (q / 2.0), 0.0)
-
         est = stratified_integral(
             M,
-            integrand,
+            _active_gradient_integrand(M, chart_index, field, i, neighbours[i], q),
             chart_index=chart_index,
             box=box,
             strata=strata,
@@ -611,6 +618,35 @@ def gradient_integral_estimate(
     return GradientIntegralReport(
         total.value, total.stderr, bound, cover.epsilon, C_V, q, n, total.samples
     )
+
+
+def _ramp_neighbours(cover: BallCover):
+    """Per ball i, the sorted indices j (i included) with dist(p_i, p_j) < 2 r_i + 2 r_j.
+
+    A point with both ramps below 1 lies within 2 r_i of p_i and 2 r_j of
+    p_j, so the triangle inequality bounds the centre distance; the 1e-9
+    relative slack only admits extra balls, which cannot change an argmin.
+    """
+    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
+    reach = 2.0 * (cover.radii[:, None] + cover.radii[None, :])
+    return [np.flatnonzero(row) for row in d < reach * (1.0 + 1e-9)]
+
+
+def _active_gradient_integrand(M, chart_index, field, ball, neighbours, q):
+    """|grad phi|^q where ``ball`` holds the active ramp with nonzero slope, else 0.
+
+    ``neighbours`` are the sorted ball indices from :func:`_ramp_neighbours`;
+    the ramps are evaluated against those balls only.
+    """
+    local = CutoffField(field.cover.subset(neighbours), "inf")
+    own = int(np.searchsorted(neighbours, ball))
+
+    def integrand(U, X):
+        act, slope, grad_d = local._active_ramp(X)
+        gsq = tangential_gradient_sq(M, chart_index, U, slope[:, None] * grad_d)
+        return np.where((act == own) & (slope > 0.0), gsq ** (q / 2.0), 0.0)
+
+    return integrand
 
 
 def _ball_chart_box(M, chart_index, center, reach, metric, safety=1.5):

@@ -107,6 +107,22 @@ def sphere_point(angles):
     return out
 
 
+def sphere_angles(x):
+    """Hyperspherical angles (..., k) of points x (..., k+1); inverse of :func:`sphere_point`.
+
+    Polar angles are t_i = atan2(|x_(i+1:)|, x_i) in [0, pi]; the last angle
+    is atan2(x_k, x_(k-1)) mod 2 pi.  Every angle is invariant under positive
+    scaling, so x need not be unit: the result is the angle chart of x/|x|.
+    """
+    x = np.asarray(x, dtype=float)
+    k = x.shape[-1] - 1
+    out = np.empty(x.shape[:-1] + (k,))
+    for i in range(k - 1):
+        out[..., i] = np.arctan2(np.linalg.norm(x[..., i + 1 :], axis=-1), x[..., i])
+    out[..., k - 1] = np.mod(np.arctan2(x[..., k], x[..., k - 1]), 2.0 * math.pi)
+    return out
+
+
 def sphere_jacobian(angles):
     """Analytic Jacobian of :func:`sphere_point`, shape (..., k+1, k)."""
     angles = np.asarray(angles, dtype=float)
@@ -159,8 +175,11 @@ class Chart:
 
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
     Optional analytic accessories (``jacobian``, ``metric_diag``,
-    ``axis_density``) enable the exact fast paths; without them everything
-    falls back to central finite differences of ``embed``.
+    ``axis_density``, ``inverse``) enable the exact fast paths; without them
+    everything falls back to central finite differences of ``embed`` (and
+    to a grid scan for the nearest chart point).  ``inverse`` maps ambient
+    points (..., n+2) to the chart coordinates of their nearest surface
+    points.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
@@ -171,6 +190,7 @@ class Chart:
     axis_density: Optional[list] = None  # per-axis factors of sqrt(det g)
     density_const: float = 1.0
     margin: float = POLE_MARGIN
+    inverse: Optional[Callable] = None
 
     @property
     def dim(self):
@@ -306,7 +326,12 @@ def equator(n):
         a2 = np.zeros(base)
         return gdiag, nu, A, H, a2
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, 1.0)
+    def inverse(X):
+        # nearest point of the equator: drop the normal coordinate (angles
+        # are scale-invariant, so no normalization is needed)
+        return sphere_angles(np.asarray(X, dtype=float)[..., : n + 1])
+
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, 1.0, inverse=inverse)
     return ParametrizedHypersurface(n, [chart], "equator", (n,), closed_form)
 
 
@@ -366,7 +391,17 @@ def clifford_hypersurface(spec):
         a2 = np.full(base, float(n))   # sum of squared curvatures == k*(l/k) + l*(k/l)
         return gdiag, nu, A, H, a2
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, density_const)
+    def inverse(X):
+        # the nearest point to (a, b) is (r_k a/|a|, r_l b/|b|): each factor
+        # block maps to its own angles
+        X = np.asarray(X, dtype=float)
+        return np.concatenate(
+            [sphere_angles(X[..., : k + 1]), sphere_angles(X[..., k + 1 :])], axis=-1
+        )
+
+    chart = Chart(
+        box, periodic, embed, jacobian, metric_diag, density, density_const, inverse=inverse
+    )
     return ParametrizedHypersurface(n, [chart], "clifford", (k, l), closed_form)
 
 

@@ -94,14 +94,25 @@ def stratified_integral(
 # ---------------------------------------------------------------------------
 
 def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
-    """Chart coordinates of (approximately) the closest surface point to x.
+    """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
 
-    Coarse grid argmin over the sample box followed by ``zoom`` grid
-    refinements; accurate to a tiny fraction of the coarse spacing, which is
+    Charts with a closed-form ``inverse`` (the built-in families) use it,
+    with polar axes clipped into the sample box.  Other charts (chart files)
+    take a coarse grid argmin over the sample box followed by ``zoom`` grid
+    refinements, accurate to a tiny fraction of the coarse spacing, which is
     all the local patches need (their coverage is verified separately).
+    That scan evaluates ``resolution``^n points per pass, so it is limited to
+    n <= 3 charts and raises :class:`UnsupportedFamily` above.
     """
     chart = M.charts[chart_index]
-    box = chart.sample_box()
+    sample = chart.sample_box()
+    polar = ~np.asarray(chart.periodic, dtype=bool)
+    if chart.inverse is not None:
+        u = chart.inverse(x)
+        return np.where(polar, np.clip(u, sample[:, 0], sample[:, 1]), u)
+    if chart.dim > 3:
+        raise UnsupportedFamily("the nearest-point grid scan is limited to n <= 3 charts")
+    box = sample
     u = None
     for _ in range(zoom + 1):
         pts = _tensor_grid([np.linspace(lo, hi, resolution) for lo, hi in box])
@@ -109,10 +120,7 @@ def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
         u = pts[int(np.argmin(d))]
         width = (box[:, 1] - box[:, 0]) / resolution * 2.0
         box = np.stack([u - width, u + width], axis=-1)
-        sample = chart.sample_box()
-        for a, per in enumerate(chart.periodic):
-            if not per:
-                box[a] = np.clip(box[a], sample[a, 0], sample[a, 1])
+        box[polar] = np.clip(box[polar], sample[polar, :1], sample[polar, 1:])
     return u
 
 

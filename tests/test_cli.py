@@ -168,6 +168,40 @@ def test_cutoff_singular_set_file(tmp_path):
     assert len(doc["radii"]) == 2
 
 
+def test_cutoff_reaches_four_dimensional_products(tmp_path):
+    # one ball at the chart centre of clifford(2, 2): its chart box needs the
+    # nearest chart point of a 4-dimensional chart (closed-form inverse)
+    from spherestab import geometry as geo
+
+    chart = geo.clifford_hypersurface((2, 2)).charts[0]
+    cloud = tmp_path / "centre.txt"
+    centre = chart.embed(chart.box.mean(axis=1))
+    cloud.write_text(" ".join(repr(float(v)) for v in centre) + "\n")
+    code = run(tmp_path, "cutoff", "--family", "clifford", "--k", "2", "--l", "2",
+               "--singular-set", str(cloud), "--epsilon", "0.01", "--exponent", "1",
+               "--kind", "inf", "--format", "json")
+    assert code == 0
+    doc = json.loads((tmp_path / "cutoff_clifford_2_2.json").read_text())
+    assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
+
+
+def test_inf_cutoff_exponent_zero_measures_gradient_support(tmp_path):
+    # q = 0 integrates |grad phi|^0 = 1 over supp grad phi only, not over
+    # the parts of a ball's chart box where phi == 1
+    assert run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1",
+               "--points", "3", "--epsilon", "0.05", "--exponent", "0", "--kind", "inf",
+               "--seed", "5", "--format", "json") == 0
+    doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
+    assert doc["passed"] and doc["integral"] <= doc["bound"]
+
+
+def test_estimates_summary_reports_bound_margin(tmp_path, capsys):
+    assert run(tmp_path, "estimates", "--family", "clifford", "--k", "1", "--l", "2") == 0
+    summary = capsys.readouterr().out
+    margin = float(summary.split("min bound margin ")[1].split()[0])
+    assert margin > 0.0
+
+
 def test_inconsistent_clifford_n_rejected(tmp_path):
     assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "1", "--l", "2",
                "--n", "2", "--resolutions", "16") == 2

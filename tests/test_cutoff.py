@@ -401,6 +401,43 @@ def test_gradient_estimate_torus_q1(torus, torus_cv_geodesic):
     assert rep.passed
 
 
+@pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5))])
+def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
+    # the all-balls integrand, as gradient_integral_estimate first wrote it
+    def reference(M, field, i, q, U, X):
+        d, grad_d = field._dist_grad(X)
+        vals, slope = field._ramps(d)
+        act = vals.argmin(axis=1)
+        take = np.arange(X.shape[0])
+        grad = slope[take, act][:, None] * grad_d[take, act]
+        gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+        return np.where(act == i, gsq ** (q / 2.0), 0.0)
+
+    M = geo.clifford_hypersurface(kl)
+    _, _, centers = geo.sample_points(M, count, seed=31, pad=0.3)
+    rng = np.random.default_rng(32)
+    cov = cut.BallCover(centers, rng.uniform(*radius, count), M.dimension, 1, 1e9, "geodesic")
+    field = cut.build_inf_cutoff(cov)
+    neighbours = cut._ramp_neighbours(cov)
+    assert any(1 < len(nb) < count for nb in neighbours)  # overlapping, yet local
+    _, U_all, _ = geo.sample_points(M, 400, seed=33)
+    nonzero = 0
+    for i in range(count):
+        U = U_all
+        try:
+            box = cut._ball_chart_box(M, 0, cov.centers[i], 2.0 * cov.radii[i], "geodesic")
+        except PreconditionViolated:  # a large ball cut by a polar face
+            box = None
+        if box is not None:
+            U = np.vstack([U, rng.uniform(box[:, 0], box[:, 1], size=(400, M.dimension))])
+        X = M.charts[0].embed(U)
+        for q in (1, 2):
+            local = cut._active_gradient_integrand(M, 0, field, i, neighbours[i], q)(U, X)
+            assert np.array_equal(local, reference(M, field, i, q, U, X))
+            nonzero += int(np.count_nonzero(local))
+    assert nonzero > 1000
+
+
 def test_gradient_estimate_empty_cover(torus, torus_cv_geodesic):
     cov = cut.empty_cover(2, 1, 0.05, ambient_dim=4)
     field = cut.build_inf_cutoff(cov)

@@ -1,5 +1,6 @@
 """Geometry backends: closed forms, finite differences, areas, chart files."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from spherestab import geometry as geo
 from spherestab.errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
+from spherestab.sampling import nearest_chart_point
 
 RNG = np.random.default_rng(42)
 
@@ -165,6 +167,86 @@ def test_immersion_drift_raises(torus):
     M = geo.ParametrizedHypersurface(2, [bad], family="custom")
     with pytest.raises(ImmersionDrift):
         geo.shape_at(M, 0, np.array([0.3, 0.4]))
+
+
+# ---------------------------------------------------------------------------
+# chart inverse and nearest chart points
+# ---------------------------------------------------------------------------
+
+INVERSE_FAMILIES = [("equator", n) for n in (2, 3, 4, 5)] + [
+    ("clifford", kl) for kl in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+]
+
+
+def _family(kind, arg):
+    return geo.equator(arg) if kind == "equator" else geo.clifford_hypersurface(arg)
+
+
+def _scan_only(M):
+    """The same surface with its closed-form inverse removed (grid-scan path)."""
+    chart = dataclasses.replace(M.charts[0], inverse=None)
+    return geo.ParametrizedHypersurface(M.dimension, [chart], family="custom")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_sphere_angles_inverts_sphere_point(k):
+    box, _ = geo._sphere_axes(k)
+    rng = np.random.default_rng(k)
+    t = rng.uniform(box[:, 0] + 0.01, box[:, 1] - 0.01, size=(50, k))
+    x = geo.sphere_point(t)
+    assert np.max(np.abs(geo.sphere_angles(x) - t)) <= 1e-12
+    assert np.max(np.abs(geo.sphere_angles(3.0 * x) - t)) <= 1e-12  # scale-free
+
+
+@pytest.mark.parametrize("kind, arg", INVERSE_FAMILIES)
+def test_nearest_chart_point_round_trip(kind, arg):
+    M = _family(kind, arg)
+    chart = M.charts[0]
+    _, U, X = geo.sample_points(M, 40, seed=3)
+    for x in X:
+        u = nearest_chart_point(M, x)
+        assert np.all(u >= chart.box[:, 0]) and np.all(u <= chart.box[:, 1])
+        assert np.max(np.abs(chart.embed(u) - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, arg", [("equator", 2), ("clifford", (1, 2))])
+def test_nearest_chart_point_clips_poles_like_scan(kind, arg):
+    M = _family(kind, arg)
+    scan = _scan_only(M)
+    chart = M.charts[0]
+    sample = chart.sample_box()
+    a = chart.periodic.index(False)       # first polar axis
+    u = sample.mean(axis=1)
+    for pole, bound in ((0.0, sample[a, 0]), (math.pi, sample[a, 1])):
+        u[a] = pole
+        x = chart.embed(u)
+        fast, slow = nearest_chart_point(M, x), nearest_chart_point(scan, x)
+        assert fast[a] == bound and abs(slow[a] - bound) <= 1e-12
+        gap_fast = np.linalg.norm(chart.embed(fast) - x)
+        assert gap_fast <= np.linalg.norm(chart.embed(slow) - x) + 1e-12
+
+
+@pytest.mark.parametrize("kind, arg, count", [
+    ("equator", 2, 6), ("clifford", (1, 1), 6), ("clifford", (1, 2), 2),
+])
+def test_nearest_chart_point_beats_scan_off_surface(kind, arg, count):
+    # the scan costs ~0.8 s per call at n = 3, so only a few points there
+    M = _family(kind, arg)
+    scan = _scan_only(M)
+    embed = M.charts[0].embed
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(count, M.dimension + 2))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    for x in X:
+        fast = np.linalg.norm(embed(nearest_chart_point(M, x)) - x)
+        slow = np.linalg.norm(embed(nearest_chart_point(scan, x)) - x)
+        assert fast <= slow + 1e-12
+
+
+@pytest.mark.parametrize("M", [geo.equator(4), geo.clifford_hypersurface((2, 2))])
+def test_nearest_chart_point_scan_refused_above_three(M):
+    with pytest.raises(UnsupportedFamily):
+        nearest_chart_point(_scan_only(M), M.charts[0].embed(M.charts[0].sample_box().mean(axis=1)))
 
 
 # ---------------------------------------------------------------------------
