@@ -57,6 +57,7 @@ class RunConfig:
     epsilon: float = 0.05
     exponent: float = 1.0
     kind: str = "inf"
+    r_min: float = 1e-3
     points: int = 1
     singular_set: str = ""
     n_max: int = 10
@@ -77,6 +78,8 @@ class RunConfig:
             raise ConfigError("resolutions must be >= 8")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
+        if self.r_min <= 0:
+            raise ConfigError("r_min must be positive")
         if self.kind not in ("inf", "product"):
             raise ConfigError("kind must be 'inf' or 'product'")
         if self.format not in ("csv", "json"):
@@ -234,7 +237,7 @@ def _run_cutoff(config: RunConfig):
         _, _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
     metric = "geodesic" if config.kind == "inf" else "euclidean"
     cover = cut.cover_singular_set(
-        pts, n, config.exponent, config.epsilon, metric=metric,
+        pts, n, config.exponent, config.epsilon, r_min=config.r_min, metric=metric,
         containment="full" if config.kind == "inf" else "sixth",
     )
     if config.kind == "inf":
@@ -280,7 +283,7 @@ def _run_estimates(config: RunConfig):
     c_v = geo.measure_volume_growth(M)
     _, _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
     bounds = [
-        est.local_A_bound(M, c, r, lam1, C_V=c_v, seed=config.seed)
+        est.local_A_bound(M, c, r, lam1, C_V=c_v)
         for r in config.radii
         for c in centers
     ]
@@ -370,6 +373,8 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--exponent", type=float, default=None, help="budget/integrand exponent q")
     p.add_argument("--kind", choices=("inf", "product"), default=None)
+    p.add_argument("--r-min", dest="r_min", type=float, default=None,
+                   help="smallest ball radius of the cover (default 1e-3)")
 
     p = sub.add_parser("estimates", help="local curvature-energy bounds and the L4 identity")
     common(p)

@@ -448,6 +448,19 @@ class CutoffField:
 
     def ambient_hessian(self, X):
         """Euclidean Hessian of the product cutoff (sum and cross terms)."""
+        return self._product_derivatives(X)[1]
+
+    def _product_derivatives(self, X):
+        """Product kind: (gradient, Hessian) from one distance evaluation, O(balls) per point.
+
+        With v_i the ramp values, g_i = slope_i grad d_i, other_i =
+        prod_{k != i} v_k and S = sum_{v_j > 0} g_j / v_j, the i != j cross
+        term sum_{i != j} other_i g_i g_j^T / v_j is
+        ``grad phi S^T - sum_{v_i > 0} other_i g_i g_i^T / v_i`` (v_i = 0
+        forces g_i = 0).  Its diagonal part joins the per-ball Hessians, whose
+        radial parts are grad d_i grad d_i^T terms, in one batched
+        (dim, balls) @ (balls, dim) product per point.
+        """
         if self.kind != "product":
             raise UnsupportedFamily("the inf cutoff is Lipschitz only; no Hessian")
         if self.cover.metric != "euclidean":
@@ -455,42 +468,32 @@ class CutoffField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         p, dim = X.shape
         if self.cover.size == 0:
-            return np.zeros((p, dim, dim))
+            return np.zeros((p, dim)), np.zeros((p, dim, dim))
         d, grad_d = self._dist_grad(X)
         vals, slope = self._ramps(d)
-        r = self.cover.radii[None, :]
-        t = 2.0 * (d / r) - 1.0
-        curv = _quintic_d2(t) * 4.0 / r**2
         other = _product_excluding_one(vals)
-        eye = np.eye(dim)
-        safe_d = np.where(d > 1e-300, d, 1.0)
-        out = np.zeros((p, dim, dim))
-        for i in range(self.cover.size):
-            gi = grad_d[:, i, :]
-            proj = gi[:, :, None] * gi[:, None, :]
-            Hi = curv[:, i, None, None] * proj + (slope[:, i] / safe_d[:, i])[
-                :, None, None
-            ] * (eye[None] - proj)
-            out += other[:, i, None, None] * Hi
-        grads = slope[..., None] * grad_d          # (p, balls, dim)
-        for i in range(self.cover.size):
-            for j in range(self.cover.size):
-                if i == j:
-                    continue
-                pair = np.where(vals[:, j] > 0.0, other[:, i] / np.where(vals[:, j] > 0.0, vals[:, j], 1.0), 0.0)
-                out += pair[:, None, None] * grads[:, i, :, None] * grads[:, j, None, :]
-        return out
+        grad = np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
+        r = self.cover.radii[None, :]
+        curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
+        tangential = slope / np.where(d > 1e-300, d, 1.0)   # Hess d_i = (I - grad d_i grad d_i^T) / d_i
+        live = vals > 0.0
+        rate = np.where(live, slope / np.where(live, vals, 1.0), 0.0)   # |g_i| / v_i
+        coef = other * (curv - tangential - slope * rate)
+        hess = np.matmul(grad_d.transpose(0, 2, 1), coef[..., None] * grad_d)
+        S = np.matmul(rate[:, None, :], grad_d)[:, 0]
+        hess += grad[:, :, None] * S[:, None, :]
+        idx = np.arange(dim)
+        hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
+        return grad, hess
 
 
 def _product_excluding_one(vals):
     """prod_{j != i} vals[:, j] via prefix/suffix products (zero-safe)."""
-    p, m = vals.shape
-    prefix = np.ones((p, m + 1))
-    suffix = np.ones((p, m + 1))
-    for i in range(m):
-        prefix[:, i + 1] = prefix[:, i] * vals[:, i]
-        suffix[:, m - 1 - i] = suffix[:, m - i] * vals[:, m - 1 - i]
-    return prefix[:, :m] * suffix[:, 1:]
+    prefix = np.ones_like(vals)
+    suffix = np.ones_like(vals)
+    np.cumprod(vals[:, :-1], axis=1, out=prefix[:, 1:])
+    suffix[:, :-1] = np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1]
+    return prefix * suffix
 
 
 def build_inf_cutoff(cover: BallCover) -> CutoffField:
@@ -533,9 +536,9 @@ def surface_laplacian_of_cutoff(M, chart_index, U, X, field: CutoffField):
     chart = M.charts[chart_index]
     jac = chart.jacobian(np.asarray(U, dtype=float))
     gdiag = chart.metric_diag(np.asarray(U, dtype=float))
-    hess = field.ambient_hessian(X)
+    grad, hess = field._product_derivatives(X)
     trace = np.einsum("pia,pij,pja,pa->p", jac, hess, jac, 1.0 / gdiag, optimize=True)
-    drift = -n * np.einsum("pj,pj->p", field.ambient_gradient(X), X)
+    drift = -n * np.einsum("pj,pj->p", grad, X)
     return trace + drift
 
 

@@ -6,8 +6,9 @@ Three families of checks live here.
   energy in a ball obeys ``int_{M cap B_r(p)} |A|^2 <= C r^(n-2)`` with the
   explicit constant assembled from the stability-inequality proof,
   ``2 * 2^(n+2) C_V r^(n-2) + alpha * 2^n C_V r^n`` where
-  ``alpha = |-lambda_1 - n|``.  Reports carry the measured left side, the
-  bound and the margin, so the looseness of the constant stays visible.
+  ``alpha = |-lambda_1 - n|``.  The left side is exact on these
+  homogeneous surfaces.  Reports carry it with the bound and the margin,
+  so the looseness of the constant stays visible.
 
 * ``ssy_constants`` / ``l4_identity_check``: the absorption coefficient
   ``(1 + a) / (1 + 2/n - a)`` of the L^2-to-L^4 upgrade is admissible
@@ -27,15 +28,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientSamples, UnsupportedFamily
+from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
     ParametrizedHypersurface,
+    _ball_area,
+    _norm_A_sq,
     area,
-    geodesic_distance,
     measure_volume_growth,
     sample_points,
 )
-from .sampling import stratified_integral
 
 
 @dataclass
@@ -67,52 +68,43 @@ class EstimateReport:
         }
 
 
-def local_A_bound(
-    M: ParametrizedHypersurface,
-    p,
-    r,
-    lambda1,
-    C_V=None,
-    strata=None,
-    samples_per_cell=3,
-    seed=0,
-) -> EstimateReport:
-    """Measured int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
+def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> EstimateReport:
+    """Exact int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
 
-    ``p`` is an ambient point, ``r`` a geodesic radius in (0, 2) and
+    ``p`` is a point of M, ``r`` a geodesic radius in (0, 2) and
     ``lambda1`` the first stability eigenvalue that feeds
-    ``alpha = |-lambda_1 - n|``.  ``C_V`` defaults to the geodesic
-    :func:`measure_volume_growth`, which is exact and seed-free on the
-    built-in families in every dimension.
+    ``alpha = |-lambda_1 - n|``.  On the built-in families (``equator``,
+    ``clifford``) |A|^2 is constant and the ball area does not depend on
+    the centre, so the left side is |A|^2(p) times
+    :func:`geometry._ball_area` at level cos r, with stderr 0.  Other
+    surfaces raise :class:`UnsupportedFamily`, and a ``p`` farther than
+    1e-9 from M (checked through the chart inverse) raises
+    :class:`PreconditionViolated`.  ``C_V`` defaults to the geodesic
+    :func:`measure_volume_growth`, exact on the same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
+    if M.family not in ("equator", "clifford"):
+        raise UnsupportedFamily("exact curvature energy needs a homogeneous built-in family")
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:
-        C_V = measure_volume_growth(M, seed=seed)
-    if strata is None:
-        strata = {1: 512, 2: 72, 3: 20, 4: 9, 5: 6, 6: 5}.get(n, 4)
+        C_V = measure_volume_growth(M)
     p = np.asarray(p, dtype=float)
-
-    if not M.has_closed_form:
-        raise UnsupportedFamily("curvature-energy measurement needs closed-form |A|^2")
-
-    def integrand(U, X):
-        a2 = M.shape_batch(0, U)[4]
-        return np.where(geodesic_distance(X, p) <= r, a2, 0.0)
-
-    est = stratified_integral(
-        M, integrand, strata=strata, samples_per_cell=samples_per_cell, seed=seed
-    )
+    chart = M.charts[0]
+    u = chart.inverse(p)
+    off = float(np.linalg.norm(chart.embed(u) - p))
+    if not off <= 1e-9:
+        raise PreconditionViolated(f"ball centre lies {off:.3g} off the surface")
+    k, l = M.params if M.family == "clifford" else (n, 0)
+    a2 = float(_norm_A_sq(M, 0, u[None])[0])
+    lhs = a2 * float(_ball_area(k, l, np.cos(r)))
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
-    if est.stderr > 0.1 * rhs:
-        raise InsufficientSamples(f"stderr {est.stderr:.3g} > 10% of bound {rhs:.3g}")
     return EstimateReport(
         "local_A_bound",
-        est.value,
+        lhs,
         rhs,
-        est.stderr,
+        0.0,
         {"n": n, "r": r, "alpha": alpha, "C_V": C_V, "lambda1": lambda1},
     )
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -678,12 +678,26 @@ def measure_volume_growth(
         nodes, weights = chart_quadrature(chart, resolution)
         mass = weights * sqrt_det_metric(chart, nodes)
         X = chart.embed(nodes)
-        del nodes, weights  # only X and mass are needed over the centers x radii loop
+        del nodes, weights  # only X and mass are needed over the centers
         for c in centers:
+            # ball mass of every radius from one sort: the cumulative mass up
+            # to the last node with d <= r
             d = dist(X, c)
-            for r in radii:
-                best = max(best, float(mass[d <= r].sum()) / r**n)
+            order = np.argsort(d)
+            cum = np.concatenate([[0.0], np.cumsum(mass[order])])
+            ball = cum[np.searchsorted(d[order], radii, side="right")]
+            best = max(best, float(np.max(ball / radii**n)))
     return safety * best
+
+
+@lru_cache(maxsize=1)
+def _ball_rule():
+    """48-node Gauss-Legendre rule of the :func:`_ball_area` theta integral.
+
+    Built on first use and kept: building it costs more than the integral.
+    Callers must not write to the returned arrays.
+    """
+    return np.polynomial.legendre.leggauss(48)
 
 
 def _ball_area(k, l, c):
@@ -706,7 +720,7 @@ def _ball_area(k, l, c):
     kinks = np.arccos(np.clip([(c + wl) / wk, (c - wl) / wk], -1.0, 1.0))
     edges = np.concatenate([np.zeros((1,) + c.shape), kinks, np.full((1,) + c.shape, np.pi)])
     lo, width = edges[:-1, ..., None], np.diff(edges, axis=0)[..., None]
-    t, w = np.polynomial.legendre.leggauss(48)
+    t, w = _ball_rule()
     theta = lo + width * (1.0 - np.cos(np.pi * (t + 1.0) / 2.0)) / 2.0
     dtheta = width * (np.pi / 4.0) * np.sin(np.pi * (t + 1.0) / 2.0) * w
     phi = np.arccos(np.clip((c[..., None] - wk * np.cos(theta)) / wl, -1.0, 1.0))

@@ -144,13 +144,16 @@ def test_estimates_cli(tmp_path):
 
 
 def test_estimates_volume_growth_is_seed_independent(tmp_path):
-    c_v = []
+    # the centres move with the seed; C_V and the exact rows must not
+    docs = []
     for seed in ("0", "7"):
         out = tmp_path / seed
         assert main(["estimates", "--family", "clifford", "--k", "2", "--l", "2",
                      "--points", "5", "--seed", seed, "--format", "json", "--out", str(out)]) == 0
-        c_v.append(json.loads((out / "estimates_clifford_2_2.json").read_text())["C_V"])
-    assert c_v[0] == c_v[1]
+        docs.append(json.loads((out / "estimates_clifford_2_2.json").read_text()))
+    assert docs[0]["C_V"] == docs[1]["C_V"]
+    assert docs[0]["rows"] == docs[1]["rows"]
+    assert all(r["stderr"] == 0.0 and r["lhs"] > 0.0 for r in docs[0]["rows"])
 
 
 def test_cutoff_singular_set_file(tmp_path):
@@ -183,6 +186,18 @@ def test_cutoff_reaches_four_dimensional_products(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "cutoff_clifford_2_2.json").read_text())
     assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
+
+
+def test_cutoff_r_min_option_reaches_feasible_cover(tmp_path):
+    # twenty clusters at the default r_min = 1e-3 spend 0.02 >= epsilon = 0.01
+    argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "20",
+            "--epsilon", "0.01", "--exponent", "1", "--kind", "inf", "--format", "json"]
+    assert run(tmp_path, *argv) == 3
+    assert run(tmp_path, *argv, "--r-min", "1e-4") == 0
+    doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
+    assert doc["config"]["r_min"] == 1e-4
+    assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
+    assert run(tmp_path, *argv, "--r-min", "0") == 2
 
 
 def test_inf_cutoff_exponent_zero_measures_gradient_support(tmp_path):

@@ -342,6 +342,81 @@ def test_product_cutoff_derivatives_match_fd():
             assert np.abs(fd_row - H[a]).max() <= 1e-4
 
 
+def _pairwise_product_hessian(field, X):
+    """Reference: the product-cutoff Hessian by its explicit i != j double loop."""
+    p, dim = X.shape
+    d, grad_d = field._dist_grad(X)
+    vals, slope = field._ramps(d)
+    r = field.cover.radii[None, :]
+    curv = cut._quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
+    other = cut._product_excluding_one(vals)
+    safe_d = np.where(d > 1e-300, d, 1.0)
+    out = np.zeros((p, dim, dim))
+    for i in range(field.cover.size):
+        gi = grad_d[:, i, :]
+        proj = gi[:, :, None] * gi[:, None, :]
+        Hi = curv[:, i, None, None] * proj + (slope[:, i] / safe_d[:, i])[:, None, None] * (
+            np.eye(dim)[None] - proj
+        )
+        out += other[:, i, None, None] * Hi
+    grads = slope[..., None] * grad_d
+    for i in range(field.cover.size):
+        for j in range(field.cover.size):
+            if i == j:
+                continue
+            live = vals[:, j] > 0.0
+            pair = np.where(live, other[:, i] / np.where(live, vals[:, j], 1.0), 0.0)
+            out += pair[:, None, None] * grads[:, i, :, None] * grads[:, j, None, :]
+    return out
+
+
+def test_product_hessian_matches_pairwise_loop_on_overlapping_balls():
+    centers = np.array([
+        [1.0, 0, 0, 0], [1.0, 0.15, 0, 0], [1.0, 0, 0.15, 0],
+        [1.0, 0.1, 0.1, 0.1], [1.0, -0.1, 0, 0.12],
+    ])
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    field = cut.build_product_cutoff(cut.BallCover(
+        centers, np.array([0.3, 0.28, 0.32, 0.26, 0.3]), 2, 1.0, 10.0, "euclidean"
+    ))
+    X = np.array([1.0, 0, 0, 0]) + np.random.default_rng(11).normal(scale=0.15, size=(4000, 4))
+    d, _ = field._dist_grad(X)
+    vals, slope = field._ramps(d)
+    active = np.sum(slope > 0.0, axis=1)
+    vanishing = np.any(vals == 0.0, axis=1)
+    crowded = (active >= 3) & ~vanishing
+    assert crowded.sum() >= 100 and np.sum((active >= 4) & ~vanishing) >= 10
+    assert np.sum(vanishing & (active >= 2)) >= 100
+
+    hess = field.ambient_hessian(X)
+    ref = _pairwise_product_hessian(field, X)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(hess - ref).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(hess[vanishing] == 0.0)   # phi == 0 near a point inside some B(p_k, r_k/2)
+
+    h = 1e-6
+    for x in X[crowded][:40]:
+        fd = np.stack([
+            (field.ambient_gradient((x + h * e)[None])[0] - field.ambient_gradient((x - h * e)[None])[0])
+            / (2 * h)
+            for e in np.eye(4)
+        ])
+        H = field.ambient_hessian(x[None])[0]
+        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+
+
+def test_product_excluding_one_matches_prefix_suffix_loop():
+    # the same left-to-right multiplications as the loop, so equal bit for bit
+    for m in (1, 2, 7):
+        vals = np.random.default_rng(m).random((200, m))
+        vals[vals < 0.25] = 0.0
+        prefix, suffix = np.ones((200, m + 1)), np.ones((200, m + 1))
+        for i in range(m):
+            prefix[:, i + 1] = prefix[:, i] * vals[:, i]
+            suffix[:, m - 1 - i] = suffix[:, m - i] * vals[:, m - 1 - i]
+        assert np.array_equal(cut._product_excluding_one(vals), prefix[:, :m] * suffix[:, 1:])
+
+
 def test_inf_cutoff_has_no_hessian():
     field = cut.build_inf_cutoff(one_ball_cover(0.2, "geodesic"))
     with pytest.raises(UnsupportedFamily):

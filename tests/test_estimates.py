@@ -5,6 +5,7 @@ import pytest
 
 from spherestab import estimates as est
 from spherestab import geometry as geo
+from spherestab.errors import PreconditionViolated, UnsupportedFamily
 
 
 def test_ssy_examples():
@@ -69,7 +70,7 @@ def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
     # oracle: the ball area by an independent quadrature of the indicator
     _, _, P = geo.sample_points(torus, 1, seed=9)
     p, r = P[0], 0.5
-    rep = est.local_A_bound(torus, p, r, -4.0, C_V=torus_cv_geodesic, seed=3)
+    rep = est.local_A_bound(torus, p, r, -4.0, C_V=torus_cv_geodesic)
     from spherestab.geometry import chart_quadrature, sqrt_det_metric, geodesic_distance
 
     chart = torus.charts[0]
@@ -83,8 +84,8 @@ def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
 
 def test_local_A_bound_radius_scaling(torus, torus_cv_geodesic):
     _, _, P = geo.sample_points(torus, 1, seed=9)
-    big = est.local_A_bound(torus, P[0], 0.5, -4.0, C_V=torus_cv_geodesic, seed=3)
-    small = est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=torus_cv_geodesic, seed=3)
+    big = est.local_A_bound(torus, P[0], 0.5, -4.0, C_V=torus_cv_geodesic)
+    small = est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=torus_cv_geodesic)
     # lhs shrinks ~quadratically while the r^(n-2) term of the bound is flat (n = 2)
     assert 3.0 <= big.lhs / small.lhs <= 5.0
     assert big.rhs > small.rhs  # only through the alpha r^n term
@@ -104,8 +105,37 @@ def test_local_A_bound_family_sweep(kl, clifford_families):
     _, _, centers = geo.sample_points(M, 20, seed=4)
     for r in (0.1, 0.25, 0.5, 1.0):
         for c in centers:
-            rep = est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v, seed=5)
+            rep = est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v)
             assert rep.passed, (kl, r)
+
+
+def test_local_A_bound_small_ball_is_exact():
+    # |A|^2 == n == 4 on clifford(2, 2); a ball this small must not read 0
+    M = geo.clifford_hypersurface((2, 2))
+    _, _, centers = geo.sample_points(M, 3, seed=901)
+    expect = 4.0 * float(geo._ball_area(2, 2, np.cos(0.1)))
+    assert expect > 0.0
+    for c in centers:
+        rep = est.local_A_bound(M, c, 0.1, -8.0)
+        assert abs(rep.lhs - expect) <= 1e-12 * expect
+        assert rep.stderr == 0.0 and rep.passed
+
+
+def test_local_A_bound_refuses_off_surface_centre(torus):
+    _, _, P = geo.sample_points(torus, 1, seed=2)
+    with pytest.raises(PreconditionViolated):
+        est.local_A_bound(torus, 1.01 * P[0], 0.25, -4.0, C_V=4.4)
+    with pytest.raises(PreconditionViolated):
+        est.local_A_bound(torus, np.array([1.0, 0, 0, 0]), 0.25, -4.0, C_V=4.4)
+
+
+def test_local_A_bound_refuses_chart_files(tmp_path, torus):
+    path = tmp_path / "torus.chart"
+    geo.save_chart_file(torus, path, 48)
+    loaded = geo.load_chart_file(path)
+    _, _, P = geo.sample_points(torus, 1, seed=2)
+    with pytest.raises(UnsupportedFamily):
+        est.local_A_bound(loaded, P[0], 0.25, -4.0, C_V=4.4)
 
 
 def test_local_A_bound_rejects_bad_radius(torus):

@@ -342,6 +342,28 @@ def test_chart_file_volume_growth(tmp_path, torus):
     assert abs(geo.measure_volume_growth(loaded) / built_in - 1.0) <= 0.005
 
 
+@pytest.mark.parametrize("metric", ["geodesic", "chord"])
+def test_chart_file_volume_growth_matches_radius_loop(tmp_path, torus, metric):
+    # reference: the ball mass of every centre x radius pair by its own mask
+    path = tmp_path / "torus.chart"
+    geo.save_chart_file(torus, path, 128)
+    loaded = geo.load_chart_file(path)
+    chart = loaded.charts[0]
+    nodes, weights = geo.chart_quadrature(chart, 128)
+    mass = weights * geo.sqrt_det_metric(chart, nodes)
+    X = chart.embed(nodes)
+    _, _, centers = geo.sample_points(loaded, 20, seed=0)
+    dist = geo._distance(metric)
+    radii = np.geomspace(0.05, 1.9, 12)
+    best = 0.0
+    for c in centers:
+        d = dist(X, c)
+        for r in radii:
+            best = max(best, float(mass[d <= r].sum()) / r**2)
+    got = geo.measure_volume_growth(loaded, metric=metric)
+    assert abs(got / (1.1 * best) - 1.0) <= 1e-12
+
+
 def test_volume_growth_rejects_unknown_metric(torus):
     with pytest.raises(ValueError):
         geo.measure_volume_growth(torus, metric="geodesc")
