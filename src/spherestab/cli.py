@@ -57,7 +57,6 @@ class RunConfig:
     epsilon: float = 0.05
     exponent: float = 1.0
     kind: str = "inf"
-    r_min: float = 1e-3
     points: int = 1
     singular_set: str = ""
     n_max: int = 10
@@ -78,8 +77,6 @@ class RunConfig:
             raise ConfigError("resolutions must be >= 8")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if self.r_min <= 0:
-            raise ConfigError("r_min must be positive")
         if self.kind not in ("inf", "product"):
             raise ConfigError("kind must be 'inf' or 'product'")
         if self.format not in ("csv", "json"):
@@ -224,6 +221,18 @@ def _run_simons(config: RunConfig):
     return 0 if ok else 1
 
 
+def _radius_floor(count, n, q, epsilon):
+    """Smallest cover radius: 1e-3 unless ``count`` balls of it spend the budget.
+
+    ``count * r_min^(n-q) < epsilon`` is needed for a cover of ``count``
+    points; when 1e-3 misses it, the floor drops to half the uniform share
+    ``(epsilon / count)^(1/(n-q))``, which meets it.
+    """
+    if q >= n or count * 1e-3 ** (n - q) < epsilon:
+        return 1e-3
+    return 0.5 * (epsilon / count) ** (1.0 / (n - q))
+
+
 def _run_cutoff(config: RunConfig):
     M = config.surface()
     n = M.dimension
@@ -237,7 +246,8 @@ def _run_cutoff(config: RunConfig):
         _, _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
     metric = "geodesic" if config.kind == "inf" else "euclidean"
     cover = cut.cover_singular_set(
-        pts, n, config.exponent, config.epsilon, r_min=config.r_min, metric=metric,
+        pts, n, config.exponent, config.epsilon,
+        r_min=_radius_floor(len(pts), n, config.exponent, config.epsilon), metric=metric,
         containment="full" if config.kind == "inf" else "sixth",
     )
     if config.kind == "inf":
@@ -373,8 +383,6 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--exponent", type=float, default=None, help="budget/integrand exponent q")
     p.add_argument("--kind", choices=("inf", "product"), default=None)
-    p.add_argument("--r-min", dest="r_min", type=float, default=None,
-                   help="smallest ball radius of the cover (default 1e-3)")
 
     p = sub.add_parser("estimates", help="local curvature-energy bounds and the L4 identity")
     common(p)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
     ParametrizedHypersurface,
-    _ball_area,
+    _homogeneous_ball_area,
     _norm_A_sq,
     area,
     measure_volume_growth,
@@ -76,16 +76,15 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> Estim
     ``alpha = |-lambda_1 - n|``.  On the built-in families (``equator``,
     ``clifford``) |A|^2 is constant and the ball area does not depend on
     the centre, so the left side is |A|^2(p) times
-    :func:`geometry._ball_area` at level cos r, with stderr 0.  Other
-    surfaces raise :class:`UnsupportedFamily`, and a ``p`` farther than
-    1e-9 from M (checked through the chart inverse) raises
+    :func:`geometry._homogeneous_ball_area` at level cos r, with stderr 0.
+    Other surfaces raise :class:`UnsupportedFamily`, and a ``p`` farther
+    than 1e-9 from M (checked through the chart inverse) raises
     :class:`PreconditionViolated`.  ``C_V`` defaults to the geodesic
     :func:`measure_volume_growth`, exact on the same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
-    if M.family not in ("equator", "clifford"):
-        raise UnsupportedFamily("exact curvature energy needs a homogeneous built-in family")
+    ball = float(_homogeneous_ball_area(M, np.cos(r)))
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:
@@ -96,9 +95,8 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> Estim
     off = float(np.linalg.norm(chart.embed(u) - p))
     if not off <= 1e-9:
         raise PreconditionViolated(f"ball centre lies {off:.3g} off the surface")
-    k, l = M.params if M.family == "clifford" else (n, 0)
     a2 = float(_norm_A_sq(M, 0, u[None])[0])
-    lhs = a2 * float(_ball_area(k, l, np.cos(r)))
+    lhs = a2 * ball
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
     return EstimateReport(
         "local_A_bound",

@@ -40,6 +40,7 @@ from .errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
 POLE_MARGIN = 1e-3
 DRIFT_TOL = 1e-8
 COND_LIMIT = 1e12
+_HOMOGENEOUS = ("equator", "clifford")  # ball area independent of the center
 FD_STEP = 1e-5    # first-derivative stencils (jacobians, metric densities)
 SHAPE_STEP = 1e-3  # second-fundamental-form stencils; smaller steps are
                    # roundoff-dominated through the SVD normal (measured:
@@ -665,11 +666,10 @@ def measure_volume_growth(
     if radii is None:
         radii = np.geomspace(0.05, 1.9, 12)
     radii = np.asarray(radii, dtype=float)
-    if M.family in ("equator", "clifford"):
-        k, l = M.params if M.family == "clifford" else (n, 0)
+    if M.family in _HOMOGENEOUS:
         # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
         levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
-        return safety * float(np.max(_ball_area(k, l, levels) / radii**n))
+        return safety * float(np.max(_homogeneous_ball_area(M, levels) / radii**n))
     _, _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
     best = 0.0
     for chart in M.charts:
@@ -688,6 +688,19 @@ def measure_volume_growth(
             ball = cum[np.searchsorted(d[order], radii, side="right")]
             best = max(best, float(np.max(ball / radii**n)))
     return safety * best
+
+
+def _homogeneous_ball_area(M, level):
+    """area{y in M : <x, y> >= level} for any x in M, on a homogeneous built-in family.
+
+    The ball area of ``equator`` and ``clifford`` does not depend on its
+    center; ``level`` may be an array.  Other families raise
+    :class:`UnsupportedFamily`.
+    """
+    if M.family not in _HOMOGENEOUS:
+        raise UnsupportedFamily(f"family {M.family!r} has no closed-form ball area")
+    k, l = M.params if M.family == "clifford" else (M.dimension, 0)
+    return _ball_area(k, l, level)
 
 
 @lru_cache(maxsize=1)

@@ -2,6 +2,7 @@
 
 import json
 
+import spherestab.cli as cli
 import spherestab.cutoff as cut
 import spherestab.spectrum as spec
 from spherestab.cli import main
@@ -188,16 +189,17 @@ def test_cutoff_reaches_four_dimensional_products(tmp_path):
     assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
 
 
-def test_cutoff_r_min_option_reaches_feasible_cover(tmp_path):
-    # twenty clusters at the default r_min = 1e-3 spend 0.02 >= epsilon = 0.01
+def test_cutoff_lowers_radius_floor_for_many_points(tmp_path):
+    # twenty clusters at the library's r_min = 1e-3 spend 0.02 >= epsilon = 0.01;
+    # the CLI lowers the floor to 0.5 * (0.01 / 20) = 2.5e-4 instead of refusing
+    assert cli._radius_floor(20, 2, 1, 0.01) == 0.5 * (0.01 / 20)
+    assert cli._radius_floor(150, 2, 1, 1.0) == 1e-3
     argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "20",
             "--epsilon", "0.01", "--exponent", "1", "--kind", "inf", "--format", "json"]
-    assert run(tmp_path, *argv) == 3
-    assert run(tmp_path, *argv, "--r-min", "1e-4") == 0
+    assert run(tmp_path, *argv) == 0
     doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
-    assert doc["config"]["r_min"] == 1e-4
+    assert "r_min" not in doc["config"]
     assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
-    assert run(tmp_path, *argv, "--r-min", "0") == 2
 
 
 def test_inf_cutoff_exponent_zero_measures_gradient_support(tmp_path):
