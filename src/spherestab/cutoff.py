@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BoundViolation,
@@ -249,25 +251,18 @@ def cover_singular_set(
 
 
 def _single_linkage(points, link, dist):
-    m = len(points)
-    parent = list(range(m))
+    """Connected components of the graph dist <= link, ordered by smallest member.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        d = dist(points, points[i])
-        for j in np.flatnonzero(d <= link):
-            ri, rj = find(i), find(int(j))
-            if ri != rj:
-                parent[ri] = rj
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(ix) for ix in sorted(groups.values(), key=lambda ix: int(ix[0]))]
+    The link matrix is broadcast 256 rows at a time, so the pairwise
+    differences never hold more than 256 x m points.
+    """
+    linked = sp.vstack([
+        sp.csr_matrix(dist(points[lo:lo + 256, None, :], points[None, :, :]) <= link)
+        for lo in range(0, len(points), 256)
+    ])
+    _, labels = connected_components(linked, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
 
 
 def vitali_discard(cover: BallCover) -> BallCover:
@@ -281,22 +276,14 @@ def vitali_discard(cover: BallCover) -> BallCover:
     """
     if cover.size == 0:
         return cover
-    dist = _distance(cover.metric)
+    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
+    clash = d < (cover.radii[:, None] + cover.radii[None, :]) / 6.0
     keys = tuple(cover.centers.T[::-1]) + (-cover.radii,)
-    order = np.lexsort(keys)
     retained = []
-    for j in order:
-        pj, rj = cover.centers[j], cover.radii[j]
-        clash = False
-        for i in retained:
-            if dist(pj, cover.centers[i]) < (cover.radii[i] + rj) / 6.0:
-                clash = True
-                break
-        if not clash:
+    for j in np.lexsort(keys):
+        if not clash[j, retained].any():
             retained.append(int(j))
-    retained = sorted(retained)
-    out = cover.subset(np.array(retained))
-    return out
+    return cover.subset(np.array(sorted(retained)))
 
 
 def covers_points(cover: BallCover, factor) -> bool:
@@ -653,9 +640,13 @@ def _active_gradient_integrand(M, chart_index, field, ball, neighbours, q):
 
 
 def _ball_chart_box(M, chart_index, center, reach, metric, safety=1.5):
-    """Chart box guaranteed to contain M cap B(center, reach); None if disjoint."""
+    """Chart box guaranteed to contain M cap B(center, reach); None if disjoint.
+
+    The box grows until every face that bounds its image lies outside the
+    ball; faces clipped onto a polar face of the chart do not count (see
+    :func:`_box_excludes_ball`), so balls at a coordinate pole are covered.
+    """
     chart = M.charts[chart_index]
-    n = chart.dim
     u0 = nearest_chart_point(M, center, chart_index)
     x0 = chart.embed(u0)
     dist = _distance(metric)
@@ -666,28 +657,26 @@ def _ball_chart_box(M, chart_index, center, reach, metric, safety=1.5):
     width = safety * reach_geo / np.sqrt(gdiag)
     for _ in range(6):
         box = np.stack([u0 - width, u0 + width], axis=-1)
-        clipped = False
         for a, per in enumerate(chart.periodic):
             lo, hi = chart.box[a]
             if per:
                 if width[a] * 2 >= hi - lo:
                     box[a] = (lo, hi)
             else:
-                if box[a, 0] < lo or box[a, 1] > hi:
-                    box[a] = np.clip(box[a], lo, hi)
-                    clipped = True
+                box[a] = np.clip(box[a], lo, hi)
         if _box_excludes_ball(chart, box, center, reach, dist):
             return box
-        if clipped:
-            raise PreconditionViolated(
-                "ball region is cut by the chart box; move it away from a pole"
-            )
         width *= 1.4
     raise PreconditionViolated("could not bound the ball region in chart coordinates")
 
 
 def _box_excludes_ball(chart, box, center, reach, dist, face_samples=7):
-    """Every face of the chart box lies outside the ball (so the box covers it)."""
+    """Every face of the chart box that bounds its image lies outside the ball.
+
+    A full periodic axis has no face, and a face clipped onto a polar face
+    of the chart collapses inside M (the density vanishes there), so
+    neither is checked; the box then covers M cap B(center, reach).
+    """
     n = chart.dim
     axes = [np.linspace(box[a, 0], box[a, 1], face_samples) for a in range(n)]
     for a in range(n):
@@ -697,6 +686,8 @@ def _box_excludes_ball(chart, box, center, reach, dist, face_samples=7):
         sub = [axes[b] for b in range(n) if b != a]
         face = _tensor_grid(sub) if sub else np.empty((1, 0))
         for side in (0, 1):
+            if not chart.periodic[a] and box[a, side] == chart.box[a][side]:
+                continue  # polar face of the chart
             pts = np.insert(face, a, box[a, side], axis=1)
             if np.any(dist(chart.embed(pts), center) <= reach):
                 return False

@@ -17,16 +17,11 @@ symmetric positive semidefinite with the constant vector in its kernel, so
 on a surface with constant potential the constant function is an exact
 discrete eigenvector -- mirroring the continuous situation.
 
-On the minimal products S^k(r_k) x S^l(r_l), r^2 = d/n, the metric and its
-density split over the two factor charts, so the assembled pencil is exactly
-a Kronecker sum of two sphere pencils:
-
-    S = S_k (x) B_l + B_k (x) S_l,    B = B_k (x) B_l,    V = 2n B,
-
-where (S_d, B_d) is the unit-sphere assembly of S^d rescaled to radius r_d
-(stiffness by r^(d-2), mass by r^d).  :func:`assemble_jacobi` attaches these
-factor pencils and the constant c with V = c B to the operator, so the
-eigensolver can work one factor at a time.
+That structure is what :func:`spherestab.spectrum.first_stability_eigenvalue`
+certifies before it solves anything: S is symmetric with nonpositive
+off-diagonals and zero row sums (a weighted graph Laplacian), so when V = c B
+-- as on every built-in family, where |A|^2 is constant -- the smallest
+eigenvalue is -c with the constant eigenvector.
 
 An analytic backend covers the closed-form families: round spheres
 (eigenvalues j(j+n-1)/r^2 with the usual multiplicities), the flat product
@@ -44,14 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
-from .geometry import (
-    CliffordSpec,
-    ParametrizedHypersurface,
-    _norm_A_sq,
-    _per_axis,
-    _tensor_grid,
-    equator,
-)
+from .geometry import ParametrizedHypersurface, _norm_A_sq, _per_axis, _tensor_grid
 
 
 @dataclass
@@ -66,8 +54,6 @@ class DiscreteOperator:
     periodic: tuple
     nodes: np.ndarray              # (m, n) chart coordinates of the grid nodes
     surface: str = "custom"
-    factors: tuple = ()            # ((S_k, B_k), (S_l, B_l)) whose Kronecker sum is (S, B)
-    potential_ratio: float = 0.0  # c with V = c B when ``factors`` is set
 
     @property
     def size(self):
@@ -110,28 +96,8 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
 
     Requires a single chart with diagonal (orthogonal-coordinate) metric,
     which covers every built-in family.  ``resolution`` is the node count
-    per axis (scalar or list), at least 8.  On the product families the
-    operator also carries its two factor pencils (see the module docstring).
+    per axis (scalar or list), at least 8.
     """
-    op = _assemble(M, resolution)
-    if M.family == "clifford":
-        op.factors = _sphere_factors(CliffordSpec(*M.params), op.resolution)
-        op.potential_ratio = 2.0 * M.dimension
-    return op
-
-
-def _sphere_factors(spec, res):
-    """Factor pencils of S^k(r_k) x S^l(r_l) on the per-axis grids res[:k], res[k:]."""
-    (rk, rl), k = spec.radii, spec.k
-    out = []
-    for d, r, sub in ((k, rk, res[:k]), (spec.l, rl, res[k:])):
-        unit = _assemble(equator(d), sub)
-        out.append((unit.stiffness * r ** (d - 2), unit.mass * r**d))
-    return tuple(out)
-
-
-def _assemble(M, resolution):
-    """The finite-volume pencil of M, without factor data."""
     if len(M.charts) != 1:
         raise AssemblyFailure("assembly supports single-chart surfaces")
     chart = M.charts[0]
@@ -146,7 +112,6 @@ def _assemble(M, resolution):
     n_nodes = int(np.prod(shapes))
     idx = np.arange(n_nodes).reshape(shapes)
     nodes = _tensor_grid([ax[0] for ax in axes])
-    mesh = [nodes[:, b].reshape(shapes) for b in range(chart.dim)]
     cell = float(np.prod([ax[1] for ax in axes]))
 
     gdiag = chart.metric_diag(nodes)
@@ -160,31 +125,28 @@ def _assemble(M, resolution):
     a2 = _norm_A_sq(M, 0, nodes)
     pot = (a2 + M.dimension) * mass
 
-    rows, cols, vals = [], [], []
+    # one flux sweep per axis: (lo node, hi node, weight) per edge, by slab
     ndim = chart.dim
+    grid = nodes.reshape(*shapes, ndim)
+    sweeps = []
     for a in range(ndim):
         coords, h = axes[a]
-        mids = coords + h / 2.0
-        if not chart.periodic[a]:
-            mids = mids[:-1]  # no flux through the vanishing-density box ends
-        for e in range(len(mids)):
-            lo_sel = [slice(None)] * ndim
-            hi_sel = [slice(None)] * ndim
-            lo_sel[a], hi_sel[a] = e, (e + 1) % shapes[a]
-            pts = [g[tuple(lo_sel)] for g in mesh]
-            pts[a] = np.full_like(pts[a], mids[e])
-            pts = np.stack([p.ravel() for p in pts], axis=-1)
-            gd = chart.metric_diag(pts)
-            w = np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2
-            ii = idx[tuple(lo_sel)].ravel()
-            jj = idx[tuple(hi_sel)].ravel()
-            rows += [ii, jj, ii, jj]
-            cols += [ii, jj, jj, ii]
-            vals += [w, w, -w, -w]
-    S = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    )
+        # no flux through the vanishing-density box ends of a polar axis
+        keep = slice(None) if chart.periodic[a] else slice(0, -1)
+        lo = np.moveaxis(idx, a, 0)[keep]
+        hi = np.moveaxis(np.roll(idx, -1, axis=a), a, 0)[keep]
+        pts = np.moveaxis(grid, a, 0)[keep].copy()
+        pts[..., a] = (coords + h / 2.0)[keep].reshape((-1,) + (1,) * (ndim - 1))
+        gd = chart.metric_diag(pts.reshape(-1, ndim))
+        w = np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2
+        sweeps.append([arr.reshape(len(lo), -1) for arr in (lo, hi, w)])
+
+    # per edge w at (ii, ii) and (jj, jj), -w at (ii, jj) and (jj, ii), laid out
+    # slab after slab, so duplicates sum in the order of a per-slab loop
+    rows = np.concatenate([np.stack([ii, jj, ii, jj], axis=1).ravel() for ii, jj, _ in sweeps])
+    cols = np.concatenate([np.stack([ii, jj, jj, ii], axis=1).ravel() for ii, jj, _ in sweeps])
+    vals = np.concatenate([np.stack([w, w, -w, -w], axis=1).ravel() for _, _, w in sweeps])
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
     S.sum_duplicates()
     return DiscreteOperator(
         stiffness=S,

@@ -8,7 +8,9 @@ the infimum of the stability Rayleigh quotient.  Benchmarks verified here:
 equators attain lambda_1 = -n with the constant eigenfunction; the minimal
 products of spheres attain lambda_1 = -2n, again with constant first
 eigenfunction, and |A| = sqrt(n) is the natural test field that exhibits
-the value.  The pointwise identity
+the value.  On an assembled pencil both values are certified from its
+Laplacian structure (a bound on |lambda_1 + c| with V = c B) before any
+eigensolve, which then runs only for pencils that fail the check.  The pointwise identity
 
     Delta |A|^2 = 2 |grad A|^2 + 2 n |A|^2 - 2 |A|^4
 
@@ -40,6 +42,7 @@ from .operators import AnalyticSpectrum, DiscreteOperator, assemble_jacobi
 
 EIG_TOL = 1e-10
 EIG_MAXITER = 10_000
+CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 
 
 @dataclass
@@ -65,40 +68,75 @@ class EigenResult:
 def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) -> EigenResult:
     """Smallest eigenvalue of the stability pencil.
 
-    Numeric operators are solved by shift-invert Lanczos from the
-    deterministic all-ones start vector, so the constant mode on the product
-    families is found immediately.  An operator that carries factor pencils
-    (the product families, see :mod:`spherestab.operators`) is solved one
-    factor at a time with the shift sigma = -1 below each factor's
-    nonnegative spectrum: lambda_1 = mu_k + mu_l - c with eigenvector
-    x_k (x) x_l.  Any other operator is solved whole with the shift
-    sigma = -(2n + 1), safely below the target window [-2n, -n].  Either
-    way the eigenvector is normalized and its residual is measured against
-    the full assembled pencil, and ``converged`` holds only if every solve
-    converged.  The analytic backend minimizes (enumerated -Delta
-    eigenvalue) - (|A|^2 + n) exactly.
+    A numeric operator is first certified in O(nnz): when S is a weighted
+    graph Laplacian and V = c B, the smallest eigenvalue is -c with the
+    constant eigenvector.  When :func:`_constant_mode_gap` bounds
+    |lambda_1 + c| by at most ``CERT_TOL``, lambda_1 is the constant
+    vector's Rayleigh quotient and nothing is solved.  An operator that
+    fails the certificate is solved whole by
+    shift-invert Lanczos with the shift sigma = -(2n + 1), safely below the
+    target window [-2n, -n], from the deterministic all-ones start vector.
+    Either way the eigenvector is normalized and its residual is measured
+    against the full assembled pencil.  The analytic backend minimizes
+    (enumerated -Delta eigenvalue) - (|A|^2 + n) exactly.
     """
     if isinstance(op, AnalyticSpectrum):
         lam = float(np.min(op.eigenvalues(8)) - op.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
-    A, B = op.pencil()
-    if op.factors:
-        (mu_k, x_k, conv_k), (mu_l, x_l, conv_l) = (
-            _smallest(S_f.tocsc(), B_f, -1.0) for S_f, B_f in op.factors
-        )
-        lam = mu_k + mu_l - op.potential_ratio
-        x = np.kron(x_k, x_l)
-        converged = conv_k and conv_l
+    B = op.mass
+    if _constant_mode_gap(op) <= CERT_TOL:
+        x = np.ones(op.size)
+        lam, converged = float(x @ _apply(op, x)) / float(x @ (B @ x)), True
     else:
-        lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
+        lam, x, converged = _smallest(*op.pencil(), -(2.0 * op.dimension + 1.0))
     x = x / np.sqrt(float(x @ (B @ x)))
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
     if x[nz[0]] < 0:
         x = -x
     Bx = B @ x
-    residual = float(np.linalg.norm(A @ x - lam * Bx) / np.linalg.norm(Bx))
+    residual = float(np.linalg.norm(_apply(op, x) - lam * Bx) / np.linalg.norm(Bx))
     return EigenResult(lam, x, residual, "numeric", converged)
+
+
+def _apply(op, x):
+    """(S - V) x, without assembling S - V."""
+    return op.stiffness @ x - op.potential @ x
+
+
+def _constant_mode_gap(op):
+    """Bound on |lambda_1 + c| from the Laplacian structure of the pencil; inf if it fails.
+
+    If B and V are diagonal and S is symmetric with off-diagonals <= 0,
+    then S - diag(S 1) is positive semidefinite with the constants as its
+    kernel, and Weyl's inequality for the pencil gives
+
+        |lambda_1 + c| <= max_i |(S 1)_i| / B_ii + ptp(V_ii / B_ii)
+
+    for any c between the extremes of V_ii / B_ii.  Every check runs on the
+    stored arrays; the only matrix-sized temporary is the transpose of S.
+    """
+    b, v = _diagonal(op.mass), _diagonal(op.potential)
+    S = op.stiffness.tocsr()
+    if b is None or v is None or np.any(b <= 0) or not S.has_canonical_format:
+        return np.inf
+    T = S.T.tocsr()
+    if not all(np.array_equal(p, q) for p, q in
+               zip((S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data))):
+        return np.inf
+    del T
+    # a positive diagonal sum needs a positive stored entry on the diagonal,
+    # so equal counts leave no positive entry off it
+    if np.count_nonzero(S.data > 0) != np.count_nonzero(S.diagonal() > 0):
+        return np.inf
+    defect = np.abs(S @ np.ones(op.size)) / b
+    return float(defect.max() + np.ptp(v / b))
+
+
+def _diagonal(mat):
+    """The diagonal of a sparse matrix, or None if it stores a nonzero off the diagonal."""
+    d = mat.diagonal()
+    return d if mat.count_nonzero() == np.count_nonzero(d) else None
 
 
 def _smallest(A, B, sigma):

@@ -154,6 +154,49 @@ def test_vitali_order_independent():
     assert key1 == key2
 
 
+def test_linkage_and_discard_match_loop_reference():
+    # union-find linkage and the pairwise discard loop, as first written
+    def linkage_loop(points, link, dist):
+        parent = list(range(len(points)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in range(len(points)):
+            for j in np.flatnonzero(dist(points, points[i]) <= link):
+                parent[find(i)] = find(int(j))
+        groups = {}
+        for i in range(len(points)):
+            groups.setdefault(find(i), []).append(i)
+        return sorted(groups.values(), key=lambda ix: ix[0])
+
+    def discard_loop(cov, dist):
+        retained = []
+        for j in np.lexsort(tuple(cov.centers.T[::-1]) + (-cov.radii,)):
+            if all(dist(cov.centers[j], cov.centers[i]) >= (cov.radii[i] + cov.radii[j]) / 6.0
+                   for i in retained):
+                retained.append(int(j))
+        return sorted(retained)
+
+    rng = np.random.default_rng(23)
+    for trial in range(12):
+        pts = sphere_cloud(int(rng.integers(1, 120)), seed=trial)
+        if trial % 2:
+            pts = pts[:1] + 0.1 * pts  # clustered cloud
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        radii = rng.uniform(0.01, 0.6, len(pts))
+        for metric in ("geodesic", "euclidean"):
+            dist = geo._distance(metric)
+            link = rng.uniform(0.02, 0.4)
+            got = [list(ix) for ix in cut._single_linkage(pts, link, dist)]
+            assert got == linkage_loop(pts, link, dist)
+            out = cut.vitali_discard(cut.BallCover(pts, radii, 2, 1, 1e9, metric))
+            kept = discard_loop(cut.BallCover(pts, radii, 2, 1, 1e9, metric), dist)
+            assert np.array_equal(out.radii, radii[kept])
+
+
 # ---------------------------------------------------------------------------
 # packing bounds
 # ---------------------------------------------------------------------------
@@ -474,6 +517,23 @@ def test_gradient_estimate_torus_q1(torus, torus_cv_geodesic):
     field = cut.build_inf_cutoff(cov)
     rep = cut.gradient_integral_estimate(torus, cov, field, 1, C_V=torus_cv_geodesic)
     assert rep.passed
+
+
+def test_gradient_estimate_ball_at_coordinate_pole():
+    # clifford(2, 1) is homogeneous, so a ball centred at the pole of the S^2
+    # chart (its chart box is clipped onto the polar face) must give the
+    # same integral as a ball of the same radius at an S^2 equator point
+    M = geo.clifford_hypersurface((2, 1))
+    C_V = geo.measure_volume_growth(M)
+    reports = []
+    for u in ([0.0, 0.0, 0.0], [math.pi / 2, 0.0, 0.0]):
+        cov = cut.cover_singular_set(M.charts[0].embed(np.array([u])), n=3, q=1, epsilon=0.1)
+        field = cut.build_inf_cutoff(cov)
+        reports.append(cut.gradient_integral_estimate(M, cov, field, 1, C_V=C_V, seed=3))
+    pole, equator_point = reports
+    assert pole.passed and equator_point.passed
+    assert pole.integral > 0.2 * pole.bound
+    assert abs(pole.integral - equator_point.integral) <= 3.0 * math.hypot(pole.stderr, equator_point.stderr)
 
 
 @pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5))])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from spherestab import geometry as geo
@@ -68,30 +69,40 @@ FACTORED_GRIDS = [
     ((2, 1), 8), ((2, 1), 12), ((2, 1), [8, 10, 12]),
     ((2, 2), 8), ((2, 2), [8, 9, 10, 8]),
 ]
+# a one-tuple (d,) stands for equator(d)
+EQUATOR_GRIDS = [((2,), 8), ((2,), 16), ((2,), [12, 16]), ((3,), 8), ((3,), [8, 10, 12])]
+
+
+def surface(kl):
+    return geo.clifford_hypersurface(kl) if len(kl) == 2 else geo.equator(*kl)
+
+
+def sphere_factor(d, r, res):
+    """Pencil of S^d(r): the unit-sphere assembly, stiffness by r^(d-2), mass by r^d."""
+    unit = ops.assemble_jacobi(geo.equator(d), res)
+    return unit.stiffness * r ** (d - 2), unit.mass * r**d
 
 
 @pytest.mark.parametrize("kl, res", FACTORED_GRIDS)
 def test_assembled_pencil_is_kronecker_sum_of_factors(kl, res):
     op = ops.assemble_jacobi(geo.clifford_hypersurface(kl), res)
-    (S_k, B_k), (S_l, B_l) = op.factors
+    k, l = kl
+    rk, rl = geo.CliffordSpec(k, l).radii
+    (S_k, B_k), (S_l, B_l) = sphere_factor(k, rk, op.resolution[:k]), sphere_factor(l, rl, op.resolution[k:])
     assert S_k.shape[0] * S_l.shape[0] == op.size
     S = sp.kron(S_k, B_l) + sp.kron(B_k, S_l)
     B = sp.kron(B_k, B_l)
     assert abs(S - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
     assert abs(B - op.mass).max() <= 1e-14 * abs(op.mass).max()
-    assert op.potential_ratio == 2.0 * (kl[0] + kl[1])
-    assert abs(op.potential - op.potential_ratio * op.mass).max() == 0.0
+    assert abs(op.potential - 2.0 * (k + l) * op.mass).max() == 0.0
 
 
-def test_factors_only_on_product_families(equator2):
-    op = ops.assemble_jacobi(equator2, 16)
-    assert op.factors == () and op.potential_ratio == 0.0
-
-
-@pytest.mark.parametrize("kl, res", FACTORED_GRIDS)
+@pytest.mark.parametrize("kl, res", FACTORED_GRIDS + EQUATOR_GRIDS)
 def test_factorized_lambda1_matches_whole_pencil_solve(kl, res):
-    # oracle: shift-invert Lanczos on the assembled pencil, sigma = -(2n + 1)
-    op = ops.assemble_jacobi(geo.clifford_hypersurface(kl), res)
+    # the certified lambda_1 against the oracle: shift-invert Lanczos on the
+    # assembled pencil, sigma = -(2n + 1)
+    op = ops.assemble_jacobi(surface(kl), res)
+    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
     A, B = op.pencil()
     oracle, _, converged = spec._smallest(A, B, -(2.0 * op.dimension + 1.0))
     result = spec.first_stability_eigenvalue(op)
@@ -100,27 +111,56 @@ def test_factorized_lambda1_matches_whole_pencil_solve(kl, res):
     assert result.residual <= 1e-12
 
 
+def _edge(S, i):
+    cols = S.indices[S.indptr[i]:S.indptr[i + 1]]
+    return int(cols[cols != i][0])
+
+
+def _positive_pair(op, i):
+    # flip one edge weight, keeping S symmetric with zero row sums
+    S = op.stiffness.tolil()
+    j = _edge(op.stiffness, i)
+    w = S[i, j]
+    S[i, j] = S[j, i] = -w
+    S[i, i] += 2.0 * w
+    S[j, j] += 2.0 * w
+    op.stiffness = S.tocsr()
+
+
+def _scale_entry(name, factor, off_diagonal=False):
+    def corrupt(op, i):
+        M = getattr(op, name).tolil()
+        j = _edge(op.stiffness, i) if off_diagonal else i
+        M[i, j] *= factor
+        setattr(op, name, M.tocsr())
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda S, B, c: (S + 0.01 * sp.diags(S.diagonal()), B, c),  # diagonal x 1.01
-    lambda S, B, c: (S + 0.01 * B, B, c),                       # factor eigenvalue 0.01
-    lambda S, B, c: (S, B, 1.01 * c),                           # potential constant x 1.01
-], ids=["stiffness-diagonal", "stiffness-shift", "potential-constant"])
-def test_corrupted_factor_fails_residual(corrupt):
-    # a factor pencil that does not match the assembled operator must be caught
-    # by the residual, which is measured on the full pencil.  (A uniform
-    # rescaling of a factor stiffness keeps the constant mode and its zero
-    # eigenvalue, so it still yields the true eigenpair.)
-    op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 12)
-    (S_k, B_k), factor_l = op.factors
-    S_k, B_k, op.potential_ratio = corrupt(S_k, B_k, op.potential_ratio)
-    op.factors = ((S_k, B_k), factor_l)
-    assert spec.first_stability_eigenvalue(op).residual > 1e-8
+    _positive_pair,
+    _scale_entry("stiffness", 1.01),                 # one diagonal entry +1 %
+    _scale_entry("potential", 1.01),                 # one potential entry x 1.01
+    _scale_entry("stiffness", 1.0 + 1e-9, True),     # S_ij != S_ji, row sums ~ 0
+], ids=["positive-off-diagonal", "stiffness-diagonal", "potential-entry", "asymmetric-entry"])
+def test_certificate_refuses_corrupted_pencil(corrupt):
+    # each corruption breaks one hypothesis of the certificate; the fallback
+    # whole-pencil solve must then find the smallest eigenvalue of the pencil
+    op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
+    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
+    corrupt(op, op.size // 2 + 3)
+    assert spec._constant_mode_gap(op) > spec.CERT_TOL
+    dense = scipy.linalg.eigh(
+        (op.stiffness - op.potential).toarray(), op.mass.toarray(), eigvals_only=True
+    )
+    result = spec.first_stability_eigenvalue(op)
+    assert result.converged
+    assert abs(result.lambda1 - dense.min()) <= 1e-10
 
 
 @pytest.mark.parametrize("kl, res", [((3, 3), 8), ((2, 2), 16)])
 def test_factorized_reach(kl, res):
-    # n = 6 (262k nodes) and n = 4 at 16^4 were out of reach of the
-    # whole-pencil solve; lambda_1 = -2n exactly on the minimal products
+    # n = 6 (262k nodes) and n = 4 at 16^4 are out of reach of the
+    # whole-pencil solve; the certificate gives lambda_1 = -2n exactly
     n = kl[0] + kl[1]
     result = spec.first_stability_eigenvalue(ops.assemble_jacobi(geo.clifford_hypersurface(kl), res))
     assert result.converged
