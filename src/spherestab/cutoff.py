@@ -397,6 +397,28 @@ class CutoffField:
         slope = _quintic_d1(t) * 2.0 / r
         return vals, slope
 
+    def _inside_some_ball(self, X):
+        """Rows of X within some ball B(p_i, r_i), screened conservatively.
+
+        A product ramp is exactly 1 with zero derivatives wherever d >= r
+        (t >= 1 in :meth:`_ramps`), so the rows left out read phi = 1 with
+        zero gradient and Hessian.  The squared chord comes from the Gram
+        form |x|^2 + |p|^2 - 2 x.p, one (balls, dim) @ (dim, points)
+        product; its rounding (about 1e-15 on the unit sphere) sits inside
+        the 1e-9 relative and 1e-12 absolute slack, so every row whose
+        computed distance is below r is kept.  Chord <= arc, so the screen
+        also holds for a geodesic cover.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.cover.size == 0:
+            return np.zeros(X.shape[0], dtype=bool)
+        c, r = self.cover.centers, self.cover.radii
+        sq = c @ X.T   # balls x points, so the broadcasts below run along long rows
+        sq *= -2.0
+        sq += np.einsum("pj,pj->p", X, X)
+        sq += np.einsum("ij,ij->i", c, c)[:, None]
+        return np.any(sq < (r**2 * (1.0 + 1e-9) + 1e-12)[:, None], axis=0)
+
     # -- evaluation --------------------------------------------------------
     def value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -407,13 +429,14 @@ class CutoffField:
         return vals.min(axis=1) if self.kind == "inf" else vals.prod(axis=1)
 
     def _active_ramp(self, X):
-        """Inf kind: per point the active ball (lowest index on ties), its ramp
-        slope and the gradient of its distance, from one distance evaluation."""
+        """Inf kind: per point the active ball (lowest index on ties), phi (its
+        ramp value, equal to ``value`` bit for bit), its ramp slope and the
+        gradient of its distance, from one distance evaluation."""
         d, grad_d = self._dist_grad(X)
         vals, slope = self._ramps(d)
         act = vals.argmin(axis=1)
         take = np.arange(act.shape[0])
-        return act, slope[take, act], grad_d[take, act]
+        return act, vals[take, act], slope[take, act], grad_d[take, act]
 
     def active_index(self, X):
         """Index of the ball whose ramp achieves the inf (lowest index on ties)."""
@@ -426,12 +449,11 @@ class CutoffField:
         if self.cover.size == 0:
             return np.zeros_like(X)
         if self.kind == "inf":
-            _, slope, grad_d = self._active_ramp(X)
+            _, _, slope, grad_d = self._active_ramp(X)
             return slope[:, None] * grad_d
         d, grad_d = self._dist_grad(X)
         vals, slope = self._ramps(d)
-        other = _product_excluding_one(vals)
-        return np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
+        return _product_gradient(_product_excluding_one(vals), slope, grad_d)
 
     def ambient_hessian(self, X):
         """Euclidean Hessian of the product cutoff (sum and cross terms)."""
@@ -459,7 +481,7 @@ class CutoffField:
         d, grad_d = self._dist_grad(X)
         vals, slope = self._ramps(d)
         other = _product_excluding_one(vals)
-        grad = np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
+        grad = _product_gradient(other, slope, grad_d)
         r = self.cover.radii[None, :]
         curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
         tangential = slope / np.where(d > 1e-300, d, 1.0)   # Hess d_i = (I - grad d_i grad d_i^T) / d_i
@@ -472,6 +494,11 @@ class CutoffField:
         idx = np.arange(dim)
         hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
         return grad, hess
+
+
+def _product_gradient(other, slope, grad_d):
+    """grad prod_i v_i = sum_i other_i slope_i grad d_i, other_i = prod_{k != i} v_k."""
+    return np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
 
 
 def _product_excluding_one(vals):
@@ -494,9 +521,13 @@ def build_product_cutoff(cover: BallCover) -> CutoffField:
     """Smooth product cutoff (C^2 quintic ramps) over a satisfied Euclidean cover."""
     if cover.size and not cover.satisfied:
         raise PreconditionViolated("cover budget not satisfied")
+    _require_euclidean(cover)
+    return CutoffField(cover, "product", PRODUCT_C0)
+
+
+def _require_euclidean(cover: BallCover):
     if cover.size and cover.metric != "euclidean":
         raise PreconditionViolated("the product construction uses Euclidean balls")
-    return CutoffField(cover, "product", PRODUCT_C0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +663,7 @@ def _active_gradient_integrand(M, chart_index, field, ball, neighbours, q):
     own = int(np.searchsorted(neighbours, ball))
 
     def integrand(U, X):
-        act, slope, grad_d = local._active_ramp(X)
+        act, _, slope, grad_d = local._active_ramp(X)
         gsq = tangential_gradient_sq(M, chart_index, U, slope[:, None] * grad_d)
         return np.where((act == own) & (slope > 0.0), gsq ** (q / 2.0), 0.0)
 
@@ -725,6 +756,13 @@ def mr_quality_report(
 ) -> MRQualityReport:
     """Measure (area{phi != 1}, int |grad phi|^2, int |Delta phi|) for a product cutoff.
 
+    Each integrand is evaluated only on the sample rows inside some ball of
+    the cover (:meth:`CutoffField._inside_some_ball`); every other row has
+    phi = 1 with zero derivatives and contributes an exact 0.0, the value
+    the full evaluation gives there, so the estimates are unchanged bit for
+    bit.  A non-Euclidean cover is refused (:class:`PreconditionViolated`)
+    before any integral runs, as in :func:`build_product_cutoff`.
+
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
     ambient mean-curvature bound (n for minimal hypersurfaces of the unit
@@ -735,6 +773,7 @@ def mr_quality_report(
     """
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
+    _require_euclidean(field.cover)
     n = M.dimension
     N = n + 2
     if C_V is None:
@@ -749,29 +788,40 @@ def mr_quality_report(
         (c1 + 8.0 * 108.0**N * c0) * C_V * eps,
     )
     seeds = np.random.SeedSequence(seed).spawn(3)
-
-    area = stratified_integral(
-        M,
-        lambda U, X: (field.value(X) < 1.0 - 1e-12).astype(float),
-        chart_index=chart_index, strata=strata, samples_per_cell=samples_per_cell,
-        seed=seeds[0],
-    )
-    grad = stratified_integral(
-        M,
-        lambda U, X: tangential_gradient_sq(M, chart_index, U, field.ambient_gradient(X)),
-        chart_index=chart_index, strata=strata, samples_per_cell=samples_per_cell,
-        seed=seeds[1],
-    )
-    lap = stratified_integral(
-        M,
-        lambda U, X: np.abs(surface_laplacian_of_cutoff(M, chart_index, U, X, field)),
-        chart_index=chart_index, strata=strata, samples_per_cell=samples_per_cell,
-        seed=seeds[2],
-    )
+    area, grad, lap = [
+        stratified_integral(
+            M, _inside_balls_only(field, integrand),
+            chart_index=chart_index, strata=strata, samples_per_cell=samples_per_cell,
+            seed=child,
+        )
+        for integrand, child in zip(_quality_integrands(M, field, chart_index), seeds)
+    ]
     for est, bnd, name in zip((area, grad, lap), bounds, ("area", "grad", "lap")):
         if est.stderr > 0.1 * bnd:
             raise InsufficientSamples(f"{name} stderr {est.stderr:.3g} > 10% of {bnd:.3g}")
     return MRQualityReport(area, grad, lap, bounds, eps, C_V, c0, c1, N)
+
+
+def _quality_integrands(M, field: CutoffField, chart_index):
+    """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|."""
+    return (
+        lambda U, X: (field.value(X) < 1.0 - 1e-12).astype(float),
+        lambda U, X: tangential_gradient_sq(M, chart_index, U, field.ambient_gradient(X)),
+        lambda U, X: np.abs(surface_laplacian_of_cutoff(M, chart_index, U, X, field)),
+    )
+
+
+def _inside_balls_only(field: CutoffField, integrand):
+    """``integrand`` on the rows inside some ball of a product field, 0.0 on the rest."""
+
+    def restricted(U, X):
+        rows = field._inside_some_ball(X)
+        out = np.zeros(X.shape[0])
+        if rows.any():
+            out[rows] = integrand(U[rows], X[rows])
+        return out
+
+    return restricted
 
 
 # ---------------------------------------------------------------------------
@@ -841,14 +891,13 @@ def ibp_residual(
         breaks = (cover.radii[i], 2.0 * cover.radii[i])
 
         def correction(U, X, i=i):
-            act = field.active_index(X)
-            phi = field.value(X)
+            act, phi, slope, grad_d = field._active_ramp(X)
             uu = np.asarray(u.value(M, chart_index, U), dtype=float)
             lap = _field_laplacian(M, chart_index, U, v)
             inn = _field_grad_inner(M, chart_index, U, u, v)
             dv = _field_chart_gradient(M, chart_index, U, v)
             dphi = np.einsum(
-                "pia,pi->pa", chart.jacobian(U), field.ambient_gradient(X), optimize=True
+                "pia,pi->pa", chart.jacobian(U), slope[:, None] * grad_d, optimize=True
             )
             gdiag = chart.metric_diag(U)
             cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
@@ -876,7 +925,11 @@ def cutoff_cross_term(
     nodes_per_segment=24,
     chart_index=0,
 ) -> float:
-    """int_M |u| |grad_M phi| by local patches (the vanishing cross term)."""
+    """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
+
+    Each patch integrand takes its partition mask and grad phi from one
+    distance evaluation of the field.
+    """
     cover = field.cover
     chart = M.charts[chart_index]
     total = 0.0
@@ -890,15 +943,19 @@ def cutoff_cross_term(
 
         def integrand(U, X, i=i):
             if field.kind == "inf":
-                mask = field.active_index(X) == i
+                act, _, slope, grad_d = field._active_ramp(X)
+                mask = act == i
+                grad = slope[:, None] * grad_d
             else:
+                d, grad_d = field._dist_grad(X)
+                vals, slope = field._ramps(d)
                 # partition supp(grad phi) by the first annulus containing the point
-                d = _distance(cover.metric)(X[:, None, :], cover.centers[None])
                 in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
                 first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
                 mask = first == i
+                grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
             uu = np.abs(np.asarray(u.value(M, chart_index, U), dtype=float))
-            gsq = tangential_gradient_sq(M, chart_index, U, field.ambient_gradient(X))
+            gsq = tangential_gradient_sq(M, chart_index, U, grad)
             return np.where(mask, uu * np.sqrt(gsq), 0.0)
 
         total += local_polar_integral(

@@ -337,6 +337,8 @@ def test_inf_cutoff_multi_ball_slope_bound(torus):
     X = sphere_cloud(5000, seed=2)
     grads = np.linalg.norm(field.ambient_gradient(X), axis=1)
     assert np.all(grads <= np.max(2.0 / cov.radii) + 1e-12)
+    # the active ramp's value is phi itself, bit for bit
+    assert np.array_equal(field._active_ramp(X)[1], field.value(X))
 
 
 def test_product_cutoff_profile_sets():
@@ -632,6 +634,66 @@ def test_mr_quality_report_empty(torus, torus_cv_chord):
     assert rep.area_not_one.value == 0.0
     assert rep.grad_l2.value == 0.0
     assert rep.lap_l1.value == 0.0
+
+
+def _crowded_torus_cover():
+    """Five overlapping Euclidean balls on the torus, with surface points at
+    chord distance r and r(1 -/+ 1e-12) from every centre.
+
+    On the torus (cos a, sin a, cos b, sin b) / sqrt(2) a step s in one angle
+    moves a chord sqrt(2) |sin(s/2)|, so the target distances are exact up
+    to rounding.
+    """
+    r = 0.15
+    base = np.array([[1.0 + 0.04 * j, 2.0] for j in range(5)])
+    steps = 2.0 * np.arcsin(np.array([r, r * (1.0 - 1e-12), r * (1.0 + 1e-12)]) / math.sqrt(2.0))
+    moves = np.array([(sign * s, 0.0) for sign in (1.0, -1.0) for s in steps]
+                     + [(0.0, sign * s) for sign in (1.0, -1.0) for s in steps])
+    U = (base[:, None, :] + moves[None]).reshape(-1, 2)
+    return base, np.full(5, r), U
+
+
+def test_quality_integrands_on_screened_rows_match_all_rows(torus):
+    # the rows left out by the ball screen read exactly 0.0 in all three
+    # integrands, and the kept rows equal the all-rows evaluation bit for bit
+    chart = torus.charts[0]
+    U_bg = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(3000, 2))
+    _, _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
+    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
+    base, radii, U_edge = _crowded_torus_cover()
+    crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
+    empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean", ambient_dim=4)
+    for cover, U in ((workload, U_bg), (crowded, np.concatenate([U_edge, U_bg])), (empty, U_bg)):
+        field = cut.build_product_cutoff(cover)
+        X = chart.embed(U)
+        kept = field._inside_some_ball(X)
+        if cover.size:
+            assert 0 < kept.sum() < len(U)
+        else:
+            assert not kept.any()
+        for integrand in cut._quality_integrands(torus, field, 0):
+            full = integrand(U, X)
+            assert np.array_equal(cut._inside_balls_only(field, integrand)(U, X), full)
+            assert np.all(full[~kept] == 0.0)
+    # points just inside a ball (and off the other balls' zero sets) carry
+    # nonzero ramp derivatives, so a screen that drops them is caught above
+    lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded), 0)[2]
+    assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3])) > 0.0) >= 10
+
+
+def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
+    # a product field built directly on a geodesic cover is refused before
+    # any integral runs
+    _, _, pts = geo.sample_points(torus, 1, seed=5)
+    cov = cut.BallCover(pts, np.array([0.2]), 2, 0.0, 0.1, "geodesic")
+    field = cut.CutoffField(cov, "product")
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the cover check")
+
+    monkeypatch.setattr(cut, "stratified_integral", no_integral)
+    with pytest.raises(PreconditionViolated):
+        cut.mr_quality_report(torus, field, C_V=1.0)
 
 
 # ---------------------------------------------------------------------------
