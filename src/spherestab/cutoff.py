@@ -56,6 +56,7 @@ from .geometry import (
 from .sampling import (
     MCEstimate,
     ZERO_ESTIMATE,
+    _stratified_rows,
     local_polar_integral,
     nearest_chart_point,
     stratified_integral,
@@ -63,6 +64,7 @@ from .sampling import (
 from .spectrum import surface_laplacian_fd
 
 BUDGET_SHARE = 0.9   # fraction of epsilon the greedy cover actually spends
+_CHUNK_ROWS = 8192   # sample rows per batched pass of gradient_integral_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +373,16 @@ class CutoffField:
     C0: float = PRODUCT_C0
 
     # -- distances ---------------------------------------------------------
-    def _dist_grad(self, X):
+    def _dist_grad(self, X, centers=None):
+        """Distances (points, balls) from each row of X to the ball centres, and their gradients.
+
+        ``centers`` defaults to every ball of the cover; a (balls, dim) or
+        per-row (points, balls, dim) array evaluates a subset of them.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.cover.centers[None, :, :]
+        if centers is None:
+            centers = self.cover.centers
+        diff = X[:, None, :] - centers
         chord = np.linalg.norm(diff, axis=-1)
         safe = np.where(chord > 1e-300, chord, 1.0)
         direction = diff / safe[..., None]
@@ -386,8 +395,9 @@ class CutoffField:
             grad_d = direction
         return d, grad_d
 
-    def _ramps(self, d):
-        r = self.cover.radii[None, :]
+    def _ramps(self, d, radii=None):
+        """Ramp values and slopes at distances d (``radii`` matching the centres of d)."""
+        r = self.cover.radii if radii is None else radii
         if self.kind == "inf":
             vals = np.clip((d - r) / r, 0.0, 1.0)
             slope = np.where((d > r) & (d < 2.0 * r), 1.0 / r, 0.0)
@@ -403,21 +413,16 @@ class CutoffField:
         A product ramp is exactly 1 with zero derivatives wherever d >= r
         (t >= 1 in :meth:`_ramps`), so the rows left out read phi = 1 with
         zero gradient and Hessian.  The squared chord comes from the Gram
-        form |x|^2 + |p|^2 - 2 x.p, one (balls, dim) @ (dim, points)
-        product; its rounding (about 1e-15 on the unit sphere) sits inside
-        the 1e-9 relative and 1e-12 absolute slack, so every row whose
-        computed distance is below r is kept.  Chord <= arc, so the screen
-        also holds for a geodesic cover.
+        form (:func:`_gram_chord_sq`, laid out balls x points so the
+        broadcasts run along long rows) and is compared with
+        :func:`_chord_sq_bound`, whose slack covers its rounding, so every
+        row whose computed distance is below r is kept.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.zeros(X.shape[0], dtype=bool)
-        c, r = self.cover.centers, self.cover.radii
-        sq = c @ X.T   # balls x points, so the broadcasts below run along long rows
-        sq *= -2.0
-        sq += np.einsum("pj,pj->p", X, X)
-        sq += np.einsum("ij,ij->i", c, c)[:, None]
-        return np.any(sq < (r**2 * (1.0 + 1e-9) + 1e-12)[:, None], axis=0)
+        bound = _chord_sq_bound(self.cover.radii, self.cover.metric)
+        return np.any(_gram_chord_sq(self.cover.centers, X) < bound[:, None], axis=0)
 
     # -- evaluation --------------------------------------------------------
     def value(self, X):
@@ -428,15 +433,26 @@ class CutoffField:
         vals, _ = self._ramps(d)
         return vals.min(axis=1) if self.kind == "inf" else vals.prod(axis=1)
 
-    def _active_ramp(self, X):
+    def _active_ramp(self, X, balls=None):
         """Inf kind: per point the active ball (lowest index on ties), phi (its
         ramp value, equal to ``value`` bit for bit), its ramp slope and the
-        gradient of its distance, from one distance evaluation."""
-        d, grad_d = self._dist_grad(X)
-        vals, slope = self._ramps(d)
+        gradient of its distance, from one distance evaluation.
+
+        ``balls`` restricts the inf to some balls: a sorted index list for
+        every row, or one per row (points, k).  A row may repeat a ball
+        after its sorted list (see :func:`_neighbour_table`); the argmin
+        takes the first of equal values, so the repeat never changes it.
+        """
+        if balls is None:
+            d, grad_d = self._dist_grad(X)
+            vals, slope = self._ramps(d)
+        else:
+            d, grad_d = self._dist_grad(X, self.cover.centers[balls])
+            vals, slope = self._ramps(d, self.cover.radii[balls])
         act = vals.argmin(axis=1)
         take = np.arange(act.shape[0])
-        return act, vals[take, act], slope[take, act], grad_d[take, act]
+        ball = act if balls is None else np.broadcast_to(balls, vals.shape)[take, act]
+        return ball, vals[take, act], slope[take, act], grad_d[take, act]
 
     def active_index(self, X):
         """Index of the ball whose ramp achieves the inf (lowest index on ties)."""
@@ -494,6 +510,32 @@ class CutoffField:
         idx = np.arange(dim)
         hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
         return grad, hess
+
+
+def _gram_chord_sq(a, b):
+    """Squared chords |a_i - b_j|^2 (len(a), len(b)) from the Gram form
+    |a|^2 + |b|^2 - 2 a.b, one matrix product; on the unit sphere its
+    rounding is about 1e-15."""
+    sq = a @ b.T
+    sq *= -2.0
+    sq += np.einsum("pj,pj->p", b, b)
+    sq += np.einsum("ij,ij->i", a, a)[:, None]
+    return sq
+
+
+def _chord_sq_bound(radius, metric, lower=False):
+    """The squared chord of a ball radius, widened for a conservative screen.
+
+    A geodesic radius r is the chord 2 sin(r/2) (all of the sphere from
+    r = pi on).  The 1e-9 relative and 1e-12 absolute slack lies far above
+    the rounding of any squared chord of unit vectors, so a screen that
+    keeps ``sq < bound`` (or ``sq > bound`` with ``lower``) keeps every
+    point whose computed distance is below (above) the radius.
+    """
+    chord = 2.0 * np.sin(np.minimum(radius, np.pi) / 2.0) if metric == "geodesic" else radius
+    if lower:
+        return chord**2 * (1.0 - 1e-9) - 1e-12
+    return chord**2 * (1.0 + 1e-9) + 1e-12
 
 
 def _product_gradient(other, slope, grad_d):
@@ -598,10 +640,16 @@ def gradient_integral_estimate(
     the whole chart box (where |grad phi|^0 would read 1 on phi == 1).
     Integration is per ball on a chart box around it (the integrand lives on
     thin annuli; global sampling would miss them), deduplicated by the
-    active-ball partition.  Ball i's ramps are evaluated only against its
-    neighbours, the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j: no other
-    ramp can drop below 1 where ball i's does, so the active ball and the
-    integrand equal those of the full field bit for bit.  Raises
+    active-ball partition, and the per-ball estimates are summed in ball
+    order.  All balls' chart boxes come from one batched search
+    (:func:`_ball_chart_boxes`), and the boxes are sampled in chunks of at
+    most ``_CHUNK_ROWS`` rows (at least one ball each), so the transient
+    memory does not grow with the ball count.  Each row is first screened
+    by the distance to its own ball: only rows that may lie in its ramp
+    annulus evaluate the ramps, and only those of the ball's neighbours,
+    the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j; no other ramp can
+    drop below 1 where ball i's does, so the active ball and the integrand
+    equal those of the full field bit for bit.  Raises
     :class:`InsufficientSamples` when the standard error exceeds 10% of the
     bound; an estimate above bound + 3 stderr is returned as a report with
     ``passed`` false.
@@ -615,22 +663,25 @@ def gradient_integral_estimate(
 
     total = ZERO_ESTIMATE
     rng_children = np.random.SeedSequence(seed).spawn(max(cover.size, 1))
-    neighbours = _ramp_neighbours(field.cover)
-    for i in range(cover.size):
-        reach = 2.0 * cover.radii[i]
-        box = _ball_chart_box(M, chart_index, cover.centers[i], reach, cover.metric)
-        if box is None:
-            continue
-        est = stratified_integral(
-            M,
-            _active_gradient_integrand(M, chart_index, field, i, neighbours[i], q),
-            chart_index=chart_index,
-            box=box,
-            strata=strata,
-            samples_per_cell=samples_per_cell,
-            seed=rng_children[i],
-        )
-        total = total + est
+    if cover.size:
+        reach = 2.0 * cover.radii
+        boxes, hit = _ball_chart_boxes(M, chart_index, cover.centers, reach, cover.metric)
+        integrand = _annulus_gradient_integrand(M, chart_index, field, q)
+        balls = np.flatnonzero(hit)
+        rows = _stratified_rows(M.charts[chart_index].dim, strata, samples_per_cell)
+        per_chunk = max(1, _CHUNK_ROWS // rows)
+        for lo in range(0, len(balls), per_chunk):
+            chunk = balls[lo:lo + per_chunk]
+            for est in stratified_integral(
+                M,
+                lambda U, X, which, chunk=chunk: integrand(U, X, chunk[which]),
+                chart_index=chart_index,
+                box=boxes[chunk],
+                strata=strata,
+                samples_per_cell=samples_per_cell,
+                seed=[rng_children[i] for i in chunk],
+            ):
+                total = total + est
 
     if total.stderr > 0.1 * bound:
         raise InsufficientSamples(
@@ -641,88 +692,133 @@ def gradient_integral_estimate(
     )
 
 
-def _ramp_neighbours(cover: BallCover):
-    """Per ball i, the sorted indices j (i included) with dist(p_i, p_j) < 2 r_i + 2 r_j.
+def _ramp_neighbours(cover: BallCover, reach=2.0):
+    """Per ball i, the sorted indices j (i included) with dist(p_i, p_j) < reach (r_i + r_j).
 
-    A point with both ramps below 1 lies within 2 r_i of p_i and 2 r_j of
-    p_j, so the triangle inequality bounds the centre distance; the 1e-9
-    relative slack only admits extra balls, which cannot change an argmin.
+    With ``reach`` 2 (inf ramps, below 1 within 2 r) a point with both
+    ramps below 1 lies within 2 r_i of p_i and 2 r_j of p_j, so the triangle
+    inequality bounds the centre distance; ``reach`` 1 does the same for
+    product ramps, below 1 within r.  The test is a conservative
+    squared-chord screen against that distance (:func:`_chord_sq_bound`;
+    chord <= arc, so a Euclidean bound also holds for a geodesic cover).
+    It may admit extra balls, which cannot change an argmin or a product.
+    Rows are screened 256 at a time, so the temporaries hold at most
+    256 x balls entries.
     """
-    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
-    reach = 2.0 * (cover.radii[:, None] + cover.radii[None, :])
-    return [np.flatnonzero(row) for row in d < reach * (1.0 + 1e-9)]
+    c, r = cover.centers, cover.radii
+    out = []
+    for lo in range(0, cover.size, 256):
+        bound = _chord_sq_bound(reach * (r[lo:lo + 256, None] + r[None, :]), "euclidean")
+        out += [np.flatnonzero(row) for row in _gram_chord_sq(c[lo:lo + 256], c) < bound]
+    return out
 
 
-def _active_gradient_integrand(M, chart_index, field, ball, neighbours, q):
-    """|grad phi|^q where ``ball`` holds the active ramp with nonzero slope, else 0.
+def _neighbour_table(neighbours):
+    """Neighbour lists as one (balls, width) table, each row padded with its own ball.
 
-    ``neighbours`` are the sorted ball indices from :func:`_ramp_neighbours`;
-    the ramps are evaluated against those balls only.
+    The pad comes after the sorted list, which holds the ball itself, so
+    an argmin over a table row picks the same ball as over the list.
     """
-    local = CutoffField(field.cover.subset(neighbours), "inf")
-    own = int(np.searchsorted(neighbours, ball))
+    table = np.repeat(np.arange(len(neighbours))[:, None], max(map(len, neighbours)), axis=1)
+    for row, nb in zip(table, neighbours):
+        row[: len(nb)] = nb
+    return table
 
-    def integrand(U, X):
-        act, _, slope, grad_d = local._active_ramp(X)
-        gsq = tangential_gradient_sq(M, chart_index, U, slope[:, None] * grad_d)
-        return np.where((act == own) & (slope > 0.0), gsq ** (q / 2.0), 0.0)
+
+def _annulus_gradient_integrand(M, chart_index, field, q):
+    """``integrand(U, X, own)``: |grad phi|^q where ball own[p] holds the active
+    ramp with nonzero slope, else 0.
+
+    A row outside a conservative screen of its ball's open annulus
+    r < d < 2 r (where the ramp slope is nonzero) reads an exact 0.0 without
+    evaluating any ramp.  The screen compares the squared chord to the
+    ball's centre with the widened bounds of :func:`_chord_sq_bound`.
+    """
+    cover = field.cover
+    table = _neighbour_table(_ramp_neighbours(cover))
+    inner_sq = _chord_sq_bound(cover.radii, cover.metric, lower=True)
+    outer_sq = _chord_sq_bound(2.0 * cover.radii, cover.metric)
+
+    def integrand(U, X, own):
+        diff = X - cover.centers[own]
+        sq = np.einsum("pj,pj->p", diff, diff)
+        rows = np.flatnonzero((sq > inner_sq[own]) & (sq < outer_sq[own]))
+        act, _, slope, grad_d = field._active_ramp(X[rows], table[own[rows]])
+        keep = (act == own[rows]) & (slope > 0.0)
+        rows = rows[keep]
+        out = np.zeros(X.shape[0])
+        grad = slope[keep, None] * grad_d[keep]
+        out[rows] = tangential_gradient_sq(M, chart_index, U[rows], grad) ** (q / 2.0)
+        return out
 
     return integrand
 
 
-def _ball_chart_box(M, chart_index, center, reach, metric, safety=1.5):
-    """Chart box guaranteed to contain M cap B(center, reach); None if disjoint.
+def _ball_chart_boxes(M, chart_index, centers, reach, metric, safety=1.5):
+    """Chart boxes (balls, n, 2) guaranteed to contain M cap B(center, reach), and the
+    mask of the balls that meet M (the other rows are unset).
 
-    The box grows until every face that bounds its image lies outside the
-    ball; faces clipped onto a polar face of the chart do not count (see
-    :func:`_box_excludes_ball`), so balls at a coordinate pole are covered.
+    One nearest-point call and one gap test serve every ball.  A box grows
+    by 1.4 until every face that bounds its image lies outside its ball;
+    faces clipped onto a polar face of the chart do not count (see
+    :func:`_boxes_exclude_balls`), so balls at a coordinate pole are
+    covered.  Each round tests only the balls still unresolved, and a ball
+    left after six rounds raises :class:`PreconditionViolated`.
     """
     chart = M.charts[chart_index]
-    u0 = nearest_chart_point(M, center, chart_index)
-    x0 = chart.embed(u0)
-    dist = _distance(metric)
+    u0 = nearest_chart_point(M, centers, chart_index)
     reach_geo = _chord_to_arc(reach) if metric == "euclidean" else reach
-    if geodesic_distance(x0, center) >= reach_geo:
-        return None
-    gdiag = chart.metric_diag(u0)
-    width = safety * reach_geo / np.sqrt(gdiag)
+    hit = geodesic_distance(chart.embed(u0), centers) < reach_geo
+    boxes = np.empty(u0.shape + (2,))
+    todo = np.flatnonzero(hit)
+    width = np.zeros_like(u0)
+    width[todo] = safety * reach_geo[todo, None] / np.sqrt(chart.metric_diag(u0[todo]))
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    periodic = np.asarray(chart.periodic, dtype=bool)
+    dist = _distance(metric)
     for _ in range(6):
-        box = np.stack([u0 - width, u0 + width], axis=-1)
-        for a, per in enumerate(chart.periodic):
-            lo, hi = chart.box[a]
-            if per:
-                if width[a] * 2 >= hi - lo:
-                    box[a] = (lo, hi)
-            else:
-                box[a] = np.clip(box[a], lo, hi)
-        if _box_excludes_ball(chart, box, center, reach, dist):
-            return box
-        width *= 1.4
-    raise PreconditionViolated("could not bound the ball region in chart coordinates")
+        if not todo.size:
+            return boxes, hit
+        box = np.stack([u0[todo] - width[todo], u0[todo] + width[todo]], axis=-1)
+        full = periodic & (width[todo] * 2 >= hi - lo)
+        box = np.where(full[..., None], chart.box, box)
+        box[:, ~periodic] = np.clip(box[:, ~periodic], lo[~periodic, None], hi[~periodic, None])
+        done = _boxes_exclude_balls(chart, box, centers[todo], reach[todo], dist)
+        boxes[todo[done]] = box[done]
+        todo = todo[~done]
+        width[todo] *= 1.4
+    if todo.size:
+        raise PreconditionViolated("could not bound the ball region in chart coordinates")
+    return boxes, hit
 
 
-def _box_excludes_ball(chart, box, center, reach, dist, face_samples=7):
-    """Every face of the chart box that bounds its image lies outside the ball.
+def _boxes_exclude_balls(chart, boxes, centers, reach, dist, face_samples=7):
+    """Per box, every face that bounds its image lies outside its ball.
 
     A full periodic axis has no face, and a face clipped onto a polar face
     of the chart collapses inside M (the density vanishes there), so
-    neither is checked; the box then covers M cap B(center, reach).
+    neither is checked; the box then covers M cap B(center, reach).  Each
+    face is a ``face_samples``^(n-1) grid.
     """
-    n = chart.dim
-    axes = [np.linspace(box[a, 0], box[a, 1], face_samples) for a in range(n)]
+    count, n = boxes.shape[:2]
+    axes = np.linspace(boxes[..., 0], boxes[..., 1], face_samples, axis=-1)  # (boxes, n, samples)
+    excluded = np.ones(count, dtype=bool)
     for a in range(n):
         lo, hi = chart.box[a]
-        if chart.periodic[a] and np.isclose(box[a, 0], lo) and np.isclose(box[a, 1], hi):
-            continue  # full periodic axis has no face
-        sub = [axes[b] for b in range(n) if b != a]
-        face = _tensor_grid(sub) if sub else np.empty((1, 0))
+        other = [b for b in range(n) if b != a]
+        grid = _tensor_grid([np.arange(face_samples)] * len(other)) if other else np.zeros((1, 0), int)
+        pts = np.empty((count, grid.shape[0], n))
+        pts[..., other] = axes[:, other, grid]
+        full = chart.periodic[a] & np.isclose(boxes[:, a, 0], lo) & np.isclose(boxes[:, a, 1], hi)
         for side in (0, 1):
-            if not chart.periodic[a] and box[a, side] == chart.box[a][side]:
-                continue  # polar face of the chart
-            pts = np.insert(face, a, box[a, side], axis=1)
-            if np.any(dist(chart.embed(pts), center) <= reach):
-                return False
-    return True
+            rows = excluded & ~full  # a full periodic axis has no face
+            if not chart.periodic[a]:
+                rows &= boxes[:, a, side] != chart.box[a][side]  # polar face of the chart
+            rows = np.flatnonzero(rows)
+            pts[rows, :, a] = boxes[rows, a, side, None]
+            near = dist(chart.embed(pts[rows]), centers[rows, None, :]) <= reach[rows, None]
+            excluded[rows[near.any(axis=1)]] = False
+    return excluded
 
 
 @dataclass
@@ -886,12 +982,13 @@ def ibp_residual(
     inner = _field_grad_inner(M, chart_index, nodes, u, v)
     total = float(w @ (u_vals * lap_v + inner))
 
+    neighbours = _ramp_neighbours(cover)
     for i in range(cover.size):
         reach = 2.0 * cover.radii[i]
         breaks = (cover.radii[i], 2.0 * cover.radii[i])
 
         def correction(U, X, i=i):
-            act, phi, slope, grad_d = field._active_ramp(X)
+            act, phi, slope, grad_d = field._active_ramp(X, neighbours[i])
             uu = np.asarray(u.value(M, chart_index, U), dtype=float)
             lap = _field_laplacian(M, chart_index, U, v)
             inn = _field_grad_inner(M, chart_index, U, u, v)
@@ -928,11 +1025,17 @@ def cutoff_cross_term(
     """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
 
     Each patch integrand takes its partition mask and grad phi from one
-    distance evaluation of the field.
+    distance evaluation against the patch ball's neighbours
+    (:func:`_ramp_neighbours`, reach 2 (r_i + r_j) for inf ramps and
+    r_i + r_j for product ramps); where the mask holds, no other ramp
+    differs from 1 with zero slope, so the integrand is that of the full
+    field (for product ramps, up to the rounding of the gradient's sum over
+    fewer balls).
     """
     cover = field.cover
     chart = M.charts[chart_index]
     total = 0.0
+    neighbours = _ramp_neighbours(cover, 2.0 if field.kind == "inf" else 1.0)
     for i in range(cover.size):
         reach = 2.0 * cover.radii[i] if field.kind == "inf" else cover.radii[i]
         breaks = (
@@ -942,16 +1045,18 @@ def cutoff_cross_term(
         )
 
         def integrand(U, X, i=i):
+            nb = neighbours[i]
             if field.kind == "inf":
-                act, _, slope, grad_d = field._active_ramp(X)
+                act, _, slope, grad_d = field._active_ramp(X, nb)
                 mask = act == i
                 grad = slope[:, None] * grad_d
             else:
-                d, grad_d = field._dist_grad(X)
-                vals, slope = field._ramps(d)
+                r = cover.radii[nb]
+                d, grad_d = field._dist_grad(X, cover.centers[nb])
+                vals, slope = field._ramps(d, r)
                 # partition supp(grad phi) by the first annulus containing the point
-                in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
-                first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
+                in_ann = (d > r / 2.0) & (d < r)
+                first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
                 mask = first == i
                 grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
             uu = np.abs(np.asarray(u.value(M, chart_index, U), dtype=float))

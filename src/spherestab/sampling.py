@@ -49,6 +49,19 @@ class MCEstimate:
 ZERO_ESTIMATE = MCEstimate(0.0, 0.0, 0)
 
 
+class BoxEstimates(list):
+    """The per-box estimates of one stacked :func:`stratified_integral` call."""
+
+    @property
+    def samples(self):
+        return sum(est.samples for est in self)
+
+
+def _stratified_rows(n, strata, samples_per_cell):
+    """Sample rows per box of :func:`stratified_integral`: cells times samples per cell."""
+    return int(np.prod(_per_axis(strata, n))) * max(2, int(samples_per_cell))
+
+
 def stratified_integral(
     M: ParametrizedHypersurface,
     fn,
@@ -63,30 +76,53 @@ def stratified_integral(
     ``fn(U, X)`` receives chart parameters and ambient points and returns
     the integrand values (without the metric density; the density is part
     of the measure).  ``box`` restricts integration to a chart sub-box.
+
+    A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
+    box in one pass and returns their estimates as :class:`BoxEstimates`;
+    each box gets exactly the samples and the estimate that a call with
+    that box and its seed alone would give.  ``fn(U, X, which)`` then also
+    receives the box index of each row; the rows come box by box,
+    :func:`_stratified_rows` of them per box.
     """
     chart = M.charts[chart_index]
     n = chart.dim
-    if box is None:
-        box = np.asarray(chart.box, dtype=float)
-    else:
-        box = np.asarray(box, dtype=float)
-    edges = [np.linspace(box[a, 0], box[a, 1], c + 1) for a, c in enumerate(_per_axis(strata, n))]
-    lows, highs = _tensor_grid([e[:-1] for e in edges]), _tensor_grid([e[1:] for e in edges])
-    vols = np.prod(highs - lows, axis=-1)
-    cells = lows.shape[0]
+    boxes = np.asarray(chart.box if box is None else box, dtype=float)
+    single = boxes.ndim == 2
+    if single:
+        boxes, seed = boxes[None], [seed]
+    counts = _per_axis(strata, n)
+    grid = (len(boxes), *counts)
+
+    def cell_grid(per_axis):
+        # per box, the row-major tensor grid of per-axis cell values (boxes, cells, n)
+        shapes = [grid[:1] + tuple(-1 if b == a else 1 for b in range(n)) for a in range(n)]
+        return np.stack([
+            np.broadcast_to(v.reshape(shape), grid) for v, shape in zip(per_axis, shapes)
+        ], axis=-1).reshape(len(boxes), -1, n)
+
+    edges = [np.linspace(boxes[:, a, 0], boxes[:, a, 1], c + 1, axis=-1)
+             for a, c in enumerate(counts)]
+    lows = cell_grid([e[:, :-1] for e in edges])
+    sides = cell_grid([np.diff(e, axis=-1) for e in edges])
+    vols = np.prod(sides, axis=-1)
+    cells = lows.shape[1]
     k = max(2, int(samples_per_cell))
 
-    rng = np.random.default_rng(seed)  # int, SeedSequence or Generator all work
-    pts = lows[:, None, :] + rng.random((cells, k, n)) * (highs - lows)[:, None, :]
+    draws = np.empty((len(boxes), cells, k, n))
+    for out, s in zip(draws, seed):
+        np.random.default_rng(s).random(out=out)  # int, SeedSequence or Generator all work
+    pts = lows[:, :, None, :] + draws * sides[:, :, None, :]
     flat = pts.reshape(-1, n)
     dens = sqrt_det_metric(chart, flat)
-    vals = np.asarray(fn(flat, chart.embed(flat)), dtype=float) * dens
-    vals = vals.reshape(cells, k)
-    mean = vals.mean(axis=1)
-    var = vals.var(axis=1, ddof=1)
-    value = float(np.sum(vols * mean))
-    stderr = float(np.sqrt(np.sum(vols**2 * var / k)))
-    return MCEstimate(value, stderr, cells * k)
+    X = chart.embed(flat)
+    vals = fn(flat, X) if single else fn(flat, X, np.repeat(np.arange(len(boxes)), cells * k))
+    vals = (np.asarray(vals, dtype=float) * dens).reshape(len(boxes), cells, k)
+    mean = vals.mean(axis=-1)
+    var = vals.var(axis=-1, ddof=1)
+    value = np.sum(vols * mean, axis=-1)
+    stderr = np.sqrt(np.sum(vols**2 * var / k, axis=-1))
+    ests = BoxEstimates(MCEstimate(float(v), float(e), cells * k) for v, e in zip(value, stderr))
+    return ests[0] if single else ests
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +132,15 @@ def stratified_integral(
 def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
     """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
 
-    Charts with a closed-form ``inverse`` (the built-in families) use it,
-    with polar axes clipped into the sample box.  Other charts (chart files)
-    take a coarse grid argmin over the sample box followed by ``zoom`` grid
-    refinements, accurate to a tiny fraction of the coarse spacing, which is
-    all the local patches need (their coverage is verified separately).
-    That scan evaluates ``resolution``^n points per pass, so it is limited to
-    n <= 3 charts and raises :class:`UnsupportedFamily` above.
+    ``x`` is one ambient point or an array of them (..., n+2).  Charts with
+    a closed-form ``inverse`` (the built-in families) use it, with polar
+    axes clipped into the sample box.  Other charts (chart files) take, per
+    point, a coarse grid argmin over the sample box followed by ``zoom``
+    grid refinements, accurate to a tiny fraction of the coarse spacing,
+    which is all the local patches need (their coverage is verified
+    separately).  That scan evaluates ``resolution``^n points per pass, so
+    it is limited to n <= 3 charts and raises :class:`UnsupportedFamily`
+    above.
     """
     chart = M.charts[chart_index]
     sample = chart.sample_box()
@@ -112,11 +150,18 @@ def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
         return np.where(polar, np.clip(u, sample[:, 0], sample[:, 1]), u)
     if chart.dim > 3:
         raise UnsupportedFamily("the nearest-point grid scan is limited to n <= 3 charts")
+    x = np.asarray(x, dtype=float)
+    rows = [_scan_nearest(chart, p, sample, polar, resolution, zoom)
+            for p in x.reshape(-1, x.shape[-1])]
+    return np.reshape(rows, x.shape[:-1] + (chart.dim,))
+
+
+def _scan_nearest(chart, x, sample, polar, resolution, zoom):
     box = sample
     u = None
     for _ in range(zoom + 1):
         pts = _tensor_grid([np.linspace(lo, hi, resolution) for lo, hi in box])
-        d = np.linalg.norm(chart.embed(pts) - np.asarray(x), axis=-1)
+        d = np.linalg.norm(chart.embed(pts) - x, axis=-1)
         u = pts[int(np.argmin(d))]
         width = (box[:, 1] - box[:, 0]) / resolution * 2.0
         box = np.stack([u - width, u + width], axis=-1)

@@ -13,6 +13,7 @@ from spherestab.errors import (
     UnsupportedFamily,
 )
 from spherestab.fields import AmbientCoordinateField, ConstantField
+from spherestab.sampling import ZERO_ESTIMATE, _stratified_rows, nearest_chart_point, stratified_integral
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +539,53 @@ def test_gradient_estimate_ball_at_coordinate_pole():
     assert abs(pole.integral - equator_point.integral) <= 3.0 * math.hypot(pole.stderr, equator_point.stderr)
 
 
-@pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5))])
-def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
-    # the all-balls integrand, as gradient_integral_estimate first wrote it
-    def reference(M, field, i, q, U, X):
+def _all_balls_integrand(M, field, i, q):
+    """|grad phi|^q where ball i holds the active ramp with nonzero slope, from every ball's ramp."""
+
+    def integrand(U, X):
         d, grad_d = field._dist_grad(X)
         vals, slope = field._ramps(d)
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         grad = slope[take, act][:, None] * grad_d[take, act]
         gsq = cut.tangential_gradient_sq(M, 0, U, grad)
-        return np.where(act == i, gsq ** (q / 2.0), 0.0)
+        return np.where((act == i) & (slope[take, act] > 0.0), gsq ** (q / 2.0), 0.0)
 
+    return integrand
+
+
+def _rows_straddling(M, field, i, target, count, rng):
+    """Chart points along random chart rays from ball i's centre whose
+    distance to it, as the field computes it, brackets ``target`` as
+    tightly as floats allow: the last bisection bracket on each ray, both
+    sides.  The distance of unit-size coordinates resolves steps of about
+    one ulp of 1, so that is the bracket's width."""
+    chart = M.charts[0]
+    u0 = chart.inverse(field.cover.centers[i])
+    dirs = rng.normal(size=(count, M.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def dist(t):
+        return field._dist_grad(chart.embed(u0 + t[:, None] * dirs))[0][:, i]
+
+    lo, hi = np.zeros(count), np.full(count, target)
+    while np.any(dist(hi) <= target):
+        hi = np.where(dist(hi) <= target, 2.0 * hi, hi)
+    for _ in range(120):
+        mid = (lo + hi) / 2.0
+        below = dist(mid) <= target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    for t in (lo, hi):
+        assert np.all(np.abs(dist(t) - target) <= 4.0 * np.spacing(1.0))
+    return u0 + np.concatenate([lo, hi])[:, None] * np.concatenate([dirs, dirs])
+
+
+@pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5))])
+def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
+    # the batched integrand (annulus screen, padded neighbour table) equals
+    # the all-balls formula, kept here as the oracle, on chart-uniform rows,
+    # rows in each ball's chart box, and rows on both sides of d = r_i and
+    # d = 2 r_i within float resolution, where the screen's slack decides
     M = geo.clifford_hypersurface(kl)
     _, _, centers = geo.sample_points(M, count, seed=31, pad=0.3)
     rng = np.random.default_rng(32)
@@ -557,22 +593,147 @@ def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
     field = cut.build_inf_cutoff(cov)
     neighbours = cut._ramp_neighbours(cov)
     assert any(1 < len(nb) < count for nb in neighbours)  # overlapping, yet local
+    boxes, hit = cut._ball_chart_boxes(M, 0, cov.centers, 2.0 * cov.radii, "geodesic")
+    assert hit.all()
     _, U_all, _ = geo.sample_points(M, 400, seed=33)
-    nonzero = 0
+    blocks = []
     for i in range(count):
-        U = U_all
-        try:
-            box = cut._ball_chart_box(M, 0, cov.centers[i], 2.0 * cov.radii[i], "geodesic")
-        except PreconditionViolated:  # a large ball cut by a polar face
-            box = None
-        if box is not None:
-            U = np.vstack([U, rng.uniform(box[:, 0], box[:, 1], size=(400, M.dimension))])
-        X = M.charts[0].embed(U)
-        for q in (1, 2):
-            local = cut._active_gradient_integrand(M, 0, field, i, neighbours[i], q)(U, X)
-            assert np.array_equal(local, reference(M, field, i, q, U, X))
-            nonzero += int(np.count_nonzero(local))
+        edges = [_rows_straddling(M, field, i, target, 20, rng) for target in (cov.radii[i], 2.0 * cov.radii[i])]
+        box = rng.uniform(boxes[i, :, 0], boxes[i, :, 1], size=(400, M.dimension))
+        blocks.append(np.vstack([U_all, box, *edges]))
+    U = np.vstack(blocks)
+    X = M.charts[0].embed(U)
+    own = np.repeat(np.arange(count), [len(block) for block in blocks])
+    nonzero = 0
+    for q in (1, 2):
+        batched = cut._annulus_gradient_integrand(M, 0, field, q)(U, X, own)
+        for i in range(count):
+            rows = own == i
+            assert np.array_equal(batched[rows], _all_balls_integrand(M, field, i, q)(U[rows], X[rows]))
+        nonzero += int(np.count_nonzero(batched))
+        edge_rows = np.concatenate([np.flatnonzero(own == i)[-80:] for i in range(count)])
+        assert np.count_nonzero(batched[edge_rows]) > 10 * count  # the ulp rows inside the annulus
     assert nonzero > 1000
+
+
+def _box_excludes_ball_reference(chart, box, center, reach, dist, face_samples=7):
+    # the per-ball face test as gradient_integral_estimate first ran it
+    n = chart.dim
+    axes = [np.linspace(box[a, 0], box[a, 1], face_samples) for a in range(n)]
+    for a in range(n):
+        lo, hi = chart.box[a]
+        if chart.periodic[a] and np.isclose(box[a, 0], lo) and np.isclose(box[a, 1], hi):
+            continue
+        sub = [axes[b] for b in range(n) if b != a]
+        face = geo._tensor_grid(sub) if sub else np.empty((1, 0))
+        for side in (0, 1):
+            if not chart.periodic[a] and box[a, side] == chart.box[a][side]:
+                continue
+            pts = np.insert(face, a, box[a, side], axis=1)
+            if np.any(dist(chart.embed(pts), center) <= reach):
+                return False
+    return True
+
+
+def _ball_chart_box_reference(M, center, reach, metric, safety=1.5):
+    # the per-ball box search as gradient_integral_estimate first ran it
+    chart = M.charts[0]
+    u0 = nearest_chart_point(M, center)
+    reach_geo = geo._chord_to_arc(reach) if metric == "euclidean" else reach
+    if geo.geodesic_distance(chart.embed(u0), center) >= reach_geo:
+        return None, 0
+    width = safety * reach_geo / np.sqrt(chart.metric_diag(u0))
+    for rounds in range(1, 7):
+        box = np.stack([u0 - width, u0 + width], axis=-1)
+        for a, per in enumerate(chart.periodic):
+            lo, hi = chart.box[a]
+            if per:
+                if width[a] * 2 >= hi - lo:
+                    box[a] = (lo, hi)
+            else:
+                box[a] = np.clip(box[a], lo, hi)
+        if _box_excludes_ball_reference(chart, box, center, reach, geo._distance(metric)):
+            return box, rounds
+        width *= 1.4
+    raise PreconditionViolated("could not bound the ball region in chart coordinates")
+
+
+def _per_ball_reference(M, cover, field, q, strata, samples_per_cell, seed):
+    # one box search, one stratified_integral and one all-balls integrand per ball
+    children = np.random.SeedSequence(seed).spawn(max(cover.size, 1))
+    total, rounds = ZERO_ESTIMATE, []
+    for i in range(cover.size):
+        box, grown = _ball_chart_box_reference(M, cover.centers[i], 2.0 * cover.radii[i], cover.metric)
+        rounds.append(grown)
+        if box is not None:
+            total = total + stratified_integral(
+                M, _all_balls_integrand(M, field, i, q), box=box, strata=strata,
+                samples_per_cell=samples_per_cell, seed=children[i],
+            )
+    return total, rounds
+
+
+def _identity_covers():
+    torus, m12, m21 = (geo.clifford_hypersurface(kl) for kl in ((1, 1), (1, 2), (2, 1)))
+    rng = np.random.default_rng(41)
+    _, _, c11 = geo.sample_points(torus, 24, seed=42)
+    _, _, c12 = geo.sample_points(m12, 6, seed=43)
+    off = np.array([[0.0, 0.0, 1.0, 0.0]])  # geodesic distance pi/4 from the torus
+    pole = cut.cover_singular_set(m21.charts[0].embed(np.array([[0.0, 0.0, 0.0]])), n=3, q=1, epsilon=0.1)
+    radii = rng.uniform(0.05, 0.3, 24)
+    # the last ball repeats ball 0, so every ramp ties with ball 0's and the
+    # lower index stays active: a table that put the pad before the sorted
+    # neighbours would make the repeat active
+    doubled = cut.BallCover(np.vstack([c11, c11[:1]]), np.append(radii, radii[0]), 2, 1, 1e9, "geodesic")
+    return [
+        ("geodesic", torus, doubled, 1),
+        ("euclidean", torus, cut.BallCover(c11, rng.uniform(0.05, 0.3, 24), 2, 1, 1e9, "euclidean"), 2),
+        ("pole", m21, pole, 1),
+        ("off-surface", torus, cut.BallCover(np.vstack([c11[:3], off, c11[3:6]]),
+                                             np.full(7, 0.1), 2, 1, 1e9, "geodesic"), 1),
+        ("growth", m12, cut.BallCover(c12, np.full(6, 0.1), 3, 1, 1e9, "geodesic"), 1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["geodesic", "euclidean", "pole", "off-surface", "growth"])
+def test_batched_gradient_estimate_matches_per_ball_loop(case, monkeypatch):
+    # the batched box search, stacked sampling and annulus integrand give
+    # the per-ball loop's integral, stderr and samples bit for bit, and the
+    # chunk size (one ball per chunk, or every ball in one) changes nothing
+    name, M, cover, q = _identity_covers()[case]
+    field = cut.build_inf_cutoff(cover)
+    strata, per_cell = (14, 3) if M.dimension == 2 else (8, 3)
+    expected, rounds = _per_ball_reference(M, cover, field, q, strata, per_cell, seed=5)
+    if name == "off-surface":
+        assert rounds.count(0) == 1 and expected.samples == 6 * 3 * strata**2
+    if name == "growth":
+        assert max(rounds) > 1
+    reports = []
+    for chunk_rows in (cut._CHUNK_ROWS, _stratified_rows(M.dimension, strata, per_cell), 10**9):
+        monkeypatch.setattr(cut, "_CHUNK_ROWS", chunk_rows)
+        rep = cut.gradient_integral_estimate(M, cover, field, q, C_V=5.0, strata=strata,
+                                             samples_per_cell=per_cell, seed=5)
+        assert (rep.integral, rep.stderr, rep.samples) == (expected.value, expected.stderr, expected.samples)
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
+    assert expected.value > 0.0
+
+
+def test_batched_chart_boxes_match_per_ball_search():
+    # every cover of the identity test, plus balls at both poles of the
+    # polar axes of clifford(2,2): the same boxes and the same misses
+    covers = [(M, cover) for _, M, cover, _ in _identity_covers()]
+    M22 = geo.clifford_hypersurface((2, 2))
+    poles = M22.charts[0].embed(np.array([[0.0, 1.0, 0.5, 2.0], [math.pi, 1.0, 0.5, 2.0],
+                                          [1.0, 1.0, math.pi, 2.0], [0.02, 1.0, 0.03, 2.0]]))
+    covers.append((M22, cut.BallCover(poles, np.array([0.1, 0.2, 0.3, 0.15]), 4, 1, 1e9, "geodesic")))
+    for M, cover in covers:
+        boxes, hit = cut._ball_chart_boxes(M, 0, cover.centers, 2.0 * cover.radii, cover.metric)
+        for i in range(cover.size):
+            box, _ = _ball_chart_box_reference(M, cover.centers[i], 2.0 * cover.radii[i], cover.metric)
+            assert hit[i] == (box is not None)
+            if box is not None:
+                assert np.array_equal(boxes[i], box)
 
 
 def test_gradient_estimate_empty_cover(torus, torus_cv_geodesic):
@@ -731,6 +892,87 @@ def test_ibp_exponent_consistency_guard(torus):
     u = ConstantField(1.0)
     with pytest.raises(PreconditionViolated):
         cut.ibp_residual(torus, cov, u, u, q=1.5)
+
+
+def _patch_reference(M, field, u, v, i, which):
+    """The all-balls patch integrand of ball i, as ibp_residual ("ibp") and
+    cutoff_cross_term ("cross") first wrote it."""
+    cover = field.cover
+    chart = M.charts[0]
+
+    def integrand(U, X):
+        d, grad_d = field._dist_grad(X)
+        vals, slope = field._ramps(d)
+        uu = np.asarray(u.value(M, 0, U), dtype=float)
+        if field.kind == "product":
+            in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
+            first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
+            grad = cut._product_gradient(cut._product_excluding_one(vals), slope, grad_d)
+            gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+            return np.where(first == i, np.abs(uu) * np.sqrt(gsq), 0.0)
+        act = vals.argmin(axis=1)
+        take = np.arange(X.shape[0])
+        phi, grad = vals[take, act], slope[take, act][:, None] * grad_d[take, act]
+        if which == "cross":
+            gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+            return np.where(act == i, np.abs(uu) * np.sqrt(gsq), 0.0)
+        lap = v.laplacian(M, 0, U)
+        inn = cut._field_grad_inner(M, 0, U, u, v)
+        dv = v.chart_gradient(M, 0, U)
+        dphi = np.einsum("pia,pi->pa", chart.jacobian(U), grad, optimize=True)
+        cross = uu * np.sum(dv * dphi / chart.metric_diag(U), axis=-1)
+        return np.where(act == i, -(1.0 - phi) * (uu * lap + inn) + cross, 0.0)
+
+    return integrand
+
+
+def test_patch_integrands_match_all_balls(torus, monkeypatch):
+    # ibp_residual and cutoff_cross_term evaluate each patch against its
+    # ball's neighbours only (reach 2 (r_i + r_j) inf, r_i + r_j product);
+    # on crowded covers, on the patch rows and on rows far from the ball,
+    # the inf patch integrands equal the all-balls ones bit for bit and the
+    # product one has the same support and values to rounding
+    chart = torus.charts[0]
+    _, _, centers = geo.sample_points(torus, 30, seed=51, pad=0.3)
+    rng = np.random.default_rng(52)
+    u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
+    v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
+    inf_cover = cut.BallCover(centers, rng.uniform(0.05, 0.3, 30), 2, 1, 1e9, "geodesic")
+    product_cover = cut.BallCover(centers, rng.uniform(0.1, 0.6, 30), 2, 0.0, 1e9, "euclidean")
+    patches = []
+    monkeypatch.setattr(cut, "local_polar_integral",
+                        lambda M, center, fn, reach, **kw: patches.append((center, fn, reach)) or 0.0)
+    U_bg = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=(1500, 2))
+    cases = (
+        ("ibp", inf_cover, lambda: cut.ibp_residual(torus, inf_cover, u, v, resolution=16)),
+        ("cross", inf_cover, lambda: cut.cutoff_cross_term(torus, cut.build_inf_cutoff(inf_cover), u)),
+        ("cross", product_cover, lambda: cut.cutoff_cross_term(torus, cut.CutoffField(product_cover, "product"), u)),
+    )
+    for which, cover, run in cases:
+        field = cut.CutoffField(cover, "inf" if cover is inf_cover else "product")
+        reach = 2.0 if field.kind == "inf" else 1.0
+        assert any(1 < len(nb) < cover.size for nb in cut._ramp_neighbours(cover, reach))
+        patches.clear()
+        run()
+        assert len(patches) == cover.size
+        nonzero = 0
+        for i, (center, fn, patch_reach) in enumerate(patches):
+            assert np.array_equal(center, cover.centers[i])
+            u0 = chart.inverse(center)
+            U = np.vstack([U_bg, u0 + rng.uniform(-1.0, 1.0, size=(1500, 2)) * patch_reach * 1.6])
+            X = chart.embed(U)
+            local = fn(U, X)
+            ref = _patch_reference(torus, field, u, v, i, which)(U, X)
+            if field.kind == "inf":
+                assert np.array_equal(local, ref)
+            else:
+                # the product gradient is one matmul over the ball columns;
+                # summing fewer columns may round differently where two or
+                # more annuli overlap, so values agree to rounding
+                assert np.array_equal(local == 0.0, ref == 0.0)
+                assert np.allclose(local, ref, rtol=1e-14, atol=0.0)
+            nonzero += int(np.count_nonzero(local))
+        assert nonzero > 200 * cover.size
 
 
 def test_ibp_constant_u_divergence_form(torus):

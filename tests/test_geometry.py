@@ -243,6 +243,20 @@ def test_nearest_chart_point_beats_scan_off_surface(kind, arg, count):
         assert fast <= slow + 1e-12
 
 
+def test_nearest_chart_point_takes_a_batch():
+    # an (..., n+2) array of points gives, on both paths, exactly the
+    # per-point answers in the same layout
+    M = geo.clifford_hypersurface((1, 1))
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(2, 3, 4))
+    X /= np.linalg.norm(X, axis=-1, keepdims=True)
+    for surface in (M, _scan_only(M)):
+        batch = nearest_chart_point(surface, X)
+        assert batch.shape == (2, 3, 2)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(batch[idx], nearest_chart_point(surface, X[idx]))
+
+
 @pytest.mark.parametrize("M", [geo.equator(4), geo.clifford_hypersurface((2, 2))])
 def test_nearest_chart_point_scan_refused_above_three(M):
     with pytest.raises(UnsupportedFamily):
