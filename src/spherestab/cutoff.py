@@ -988,7 +988,13 @@ def ibp_residual(
         breaks = (cover.radii[i], 2.0 * cover.radii[i])
 
         def correction(U, X, i=i):
+            # 0 wherever another ball is active, so evaluate only where ball i is
             act, phi, slope, grad_d = field._active_ramp(X, neighbours[i])
+            rows = act == i
+            out = np.zeros(len(U))
+            if not rows.any():
+                return out
+            U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
             uu = np.asarray(u.value(M, chart_index, U), dtype=float)
             lap = _field_laplacian(M, chart_index, U, v)
             inn = _field_grad_inner(M, chart_index, U, u, v)
@@ -998,7 +1004,8 @@ def ibp_residual(
             )
             gdiag = chart.metric_diag(U)
             cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
-            return np.where(act == i, -(1.0 - phi) * (uu * lap + inn) + cross, 0.0)
+            out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
+            return out
 
         total += local_polar_integral(
             M,

@@ -17,6 +17,15 @@ symmetric positive semidefinite with the constant vector in its kernel, so
 on a surface with constant potential the constant function is an exact
 discrete eigenvector -- mirroring the continuous situation.
 
+The grid fixes the sparsity, so S is written straight into canonical CSR:
+row i holds the (2d + 1)-point stencil of node i in the slot order
+``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
+neighbours one step down and up axis a), which is ascending column order
+except on the rows that wrap on a periodic axis.  Each off-diagonal is the
+negated flux weight of its edge, and the diagonal is their negated sum
+taken in one fixed order: axis by axis, the flux to lo_a before the flux
+to hi_a.
+
 That structure is what :func:`spherestab.spectrum.first_stability_eigenvalue`
 certifies before it solves anything: S is symmetric with nonpositive
 off-diagonals and zero row sums (a weighted graph Laplacian), so when V = c B
@@ -97,6 +106,15 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     Requires a single chart with diagonal (orthogonal-coordinate) metric,
     which covers every built-in family.  ``resolution`` is the node count
     per axis (scalar or list), at least 8.
+
+    Every node gets one (2d + 1)-slot stencil row, columns and values in the
+    order ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]``.  The flux weight
+    ``sqrt(det g) / g_aa * cell / h_a^2`` of each edge is evaluated at the
+    edge midpoint.  The two slots through the box ends of a polar axis are
+    dropped by position; the density vanishes there, so no flux crosses.  The
+    diagonal sums the kept weights axis by axis, lo_a before hi_a, so no
+    sort decides its rounding.  One ``sort_indices`` orders the rows that
+    wrap on a periodic axis; B and V are diagonal CSR.
     """
     if len(M.charts) != 1:
         raise AssemblyFailure("assembly supports single-chart surfaces")
@@ -110,7 +128,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     axes = grid_axes(chart, resolution)
     shapes = [len(ax[0]) for ax in axes]
     n_nodes = int(np.prod(shapes))
-    idx = np.arange(n_nodes).reshape(shapes)
     nodes = _tensor_grid([ax[0] for ax in axes])
     cell = float(np.prod([ax[1] for ax in axes]))
 
@@ -125,33 +142,46 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     a2 = _norm_A_sq(M, 0, nodes)
     pot = (a2 + M.dimension) * mass
 
-    # one flux sweep per axis: (lo node, hi node, weight) per edge, by slab
+    # one stencil row per node, slots in the order of the docstring
     ndim = chart.dim
     grid = nodes.reshape(*shapes, ndim)
-    sweeps = []
+    idx = np.arange(n_nodes, dtype=np.int32).reshape(shapes)
+    cols = np.empty((*shapes, 2 * ndim + 1), dtype=np.int32)
+    vals = np.empty((*shapes, 2 * ndim + 1))
+    keep = np.ones((*shapes, 2 * ndim + 1), dtype=bool)
+    diag = np.zeros(shapes)
     for a in range(ndim):
         coords, h = axes[a]
-        # no flux through the vanishing-density box ends of a polar axis
-        keep = slice(None) if chart.periodic[a] else slice(0, -1)
-        lo = np.moveaxis(idx, a, 0)[keep]
-        hi = np.moveaxis(np.roll(idx, -1, axis=a), a, 0)[keep]
-        pts = np.moveaxis(grid, a, 0)[keep].copy()
-        pts[..., a] = (coords + h / 2.0)[keep].reshape((-1,) + (1,) * (ndim - 1))
+        # flux weight of the edge from each node to its hi neighbour, at the
+        # edge midpoint; on a polar axis the last one is the box end
+        pts = np.moveaxis(grid, a, 0).copy()
+        pts[..., a] = (coords + h / 2.0).reshape((-1,) + (1,) * (ndim - 1))
         gd = chart.metric_diag(pts.reshape(-1, ndim))
         w = np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2
-        sweeps.append([arr.reshape(len(lo), -1) for arr in (lo, hi, w)])
+        up = np.moveaxis(w.reshape(pts.shape[:-1]), 0, a)
+        lo = np.roll(up, 1, axis=a)
+        cols[..., a] = np.roll(idx, 1, axis=a)
+        cols[..., -1 - a] = np.roll(idx, -1, axis=a)
+        vals[..., a] = -lo
+        vals[..., -1 - a] = -up
+        if not chart.periodic[a]:
+            # no flux through the vanishing-density box ends of a polar axis
+            np.moveaxis(keep[..., a], a, 0)[0] = False
+            np.moveaxis(keep[..., -1 - a], a, 0)[-1] = False
+        diag += np.where(keep[..., a], lo, 0.0)
+        diag += np.where(keep[..., -1 - a], up, 0.0)
+    cols[..., ndim] = idx
+    vals[..., ndim] = diag
 
-    # per edge w at (ii, ii) and (jj, jj), -w at (ii, jj) and (jj, ii), laid out
-    # slab after slab, so duplicates sum in the order of a per-slab loop
-    rows = np.concatenate([np.stack([ii, jj, ii, jj], axis=1).ravel() for ii, jj, _ in sweeps])
-    cols = np.concatenate([np.stack([ii, jj, jj, ii], axis=1).ravel() for ii, jj, _ in sweeps])
-    vals = np.concatenate([np.stack([w, w, -w, -w], axis=1).ravel() for _, _, w in sweeps])
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
-    S.sum_duplicates()
+    # scipy stores the index arrays as int32 wherever the counts fit
+    indptr = np.concatenate(([0], np.cumsum(keep.reshape(n_nodes, -1).sum(axis=1))))
+    S = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_nodes, n_nodes))
+    S.sort_indices()  # the rows that wrap on a periodic axis
+    diagonal = np.arange(n_nodes + 1, dtype=np.int32)
     return DiscreteOperator(
         stiffness=S,
-        mass=sp.diags(mass).tocsr(),
-        potential=sp.diags(pot).tocsr(),
+        mass=sp.csr_matrix((mass, diagonal[:-1], diagonal), shape=S.shape),
+        potential=sp.csr_matrix((pot, diagonal[:-1], diagonal), shape=S.shape),
         dimension=M.dimension,
         resolution=res,
         periodic=chart.periodic,

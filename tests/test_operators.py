@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from spherestab import geometry as geo
@@ -120,8 +121,6 @@ def test_discrete_spectrum_convergence_order(torus, equator2):
 
 
 def test_potential_shift_moves_eigenvalues_exactly(torus):
-    import scipy.sparse as sp
-
     op = ops.assemble_jacobi(torus, 16)
     A = (op.stiffness - op.potential).toarray()
     B = op.mass.toarray()
@@ -138,13 +137,117 @@ def test_coo_export_roundtrip(tmp_path, torus):
     rows = np.array(
         [[float(tok) for tok in line.split()] for line in path.read_text().splitlines()]
     )
-    import scipy.sparse as sp
-
     rebuilt = sp.csr_matrix(
         (rows[:, 2], (rows[:, 0].astype(int), rows[:, 1].astype(int))),
         shape=op.stiffness.shape,
     )
     assert np.abs((rebuilt - op.stiffness)).max() == 0.0
+
+
+def _coo_reference(M, resolution):
+    """(S, B, V) by the former assembly: a COO triplet sweep with merged duplicates.
+
+    Per edge w at (ii, ii) and (jj, jj) and -w at (ii, jj) and (jj, ii), laid
+    out slab after slab per axis; ``sum_duplicates`` adds each row's entries in
+    that order wherever scipy's per-row sort is stable (rows of <= 16 entries).
+    """
+    chart = M.charts[0]
+    axes = ops.grid_axes(chart, resolution)
+    shapes = [len(ax[0]) for ax in axes]
+    n_nodes = int(np.prod(shapes))
+    idx = np.arange(n_nodes).reshape(shapes)
+    nodes = geo._tensor_grid([ax[0] for ax in axes])
+    cell = float(np.prod([ax[1] for ax in axes]))
+    mass = np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5 * cell
+    pot = (geo._norm_A_sq(M, 0, nodes) + M.dimension) * mass
+    ndim = chart.dim
+    grid = nodes.reshape(*shapes, ndim)
+    sweeps = []
+    for a in range(ndim):
+        coords, h = axes[a]
+        keep = slice(None) if chart.periodic[a] else slice(0, -1)
+        lo = np.moveaxis(idx, a, 0)[keep]
+        hi = np.moveaxis(np.roll(idx, -1, axis=a), a, 0)[keep]
+        pts = np.moveaxis(grid, a, 0)[keep].copy()
+        pts[..., a] = (coords + h / 2.0)[keep].reshape((-1,) + (1,) * (ndim - 1))
+        gd = chart.metric_diag(pts.reshape(-1, ndim))
+        w = np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2
+        sweeps.append([arr.reshape(len(lo), -1) for arr in (lo, hi, w)])
+    rows = np.concatenate([np.stack([ii, jj, ii, jj], axis=1).ravel() for ii, jj, _ in sweeps])
+    cols = np.concatenate([np.stack([ii, jj, jj, ii], axis=1).ravel() for ii, jj, _ in sweeps])
+    vals = np.concatenate([np.stack([w, w, -w, -w], axis=1).ravel() for _, _, w in sweeps])
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    S.sum_duplicates()
+    return S, sp.diags(mass).tocsr(), sp.diags(pot).tocsr()
+
+
+def _assert_matches_reference(M, resolution, exact_diagonal=True):
+    op = ops.assemble_jacobi(M, resolution)
+    S = op.stiffness
+    ref_S, ref_B, ref_V = _coo_reference(M, resolution)
+    assert S.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert getattr(S, name).dtype == getattr(ref_S, name).dtype
+    assert np.array_equal(S.indptr, ref_S.indptr)
+    assert np.array_equal(S.indices, ref_S.indices)
+    for got, ref in ((op.mass, ref_B), (op.potential, ref_V)):
+        assert got.indices.dtype == ref.indices.dtype == np.int32
+        assert np.array_equal(got.diagonal(), ref.diagonal())
+    if exact_diagonal:
+        assert np.array_equal(S.data, ref_S.data)
+    else:
+        rows = np.repeat(np.arange(op.size), np.diff(S.indptr))
+        off = rows != S.indices
+        assert np.array_equal(S.data[off], ref_S.data[off])
+        # two orders of a sum of 2d positive terms differ by at most
+        # (2d - 1) eps times the sum
+        bound = (2 * M.dimension - 1) * np.finfo(float).eps * ref_S.diagonal()
+        assert np.all(np.abs(S.diagonal() - ref_S.diagonal()) <= bound)
+    # the diagonal is the stencil's fixed-order sum: axis by axis, the flux to
+    # the lo neighbour before the flux to the hi neighbour
+    shapes = [len(ax[0]) for ax in ops.grid_axes(M.charts[0], resolution)]
+    idx = np.arange(op.size).reshape(shapes)
+    diagonal = np.zeros(op.size)
+    for a in range(len(shapes)):
+        for shift in (1, -1):
+            nb = np.roll(idx, shift, axis=a).ravel()
+            diagonal = diagonal - np.asarray(ref_S[np.arange(op.size), nb]).ravel()
+    assert np.array_equal(S.diagonal(), diagonal)
+    # no stored entry couples the two box ends of a polar axis
+    coo = S.tocoo()
+    r, c = np.unravel_index(coo.row, shapes), np.unravel_index(coo.col, shapes)
+    for a, periodic in enumerate(M.charts[0].periodic):
+        if not periodic:
+            assert np.abs(r[a] - c[a]).max() == 1
+
+
+@pytest.mark.parametrize("M, resolutions", [
+    (geo.equator(1), [8, 33]),
+    (geo.equator(2), [[8, 13], 128]),
+    (geo.equator(3), [9]),
+    (geo.equator(4), [8]),
+    (geo.clifford_hypersurface((1, 1)), [[8, 300]]),
+    (geo.clifford_hypersurface((1, 2)), [9]),
+    (geo.clifford_hypersurface((2, 1)), [16, 24]),
+    (geo.clifford_hypersurface((2, 2)), [[8, 9, 10, 8]]),
+    (geo.clifford_hypersurface((3, 1)), [[8, 9, 10, 11]]),
+    (geo.clifford_hypersurface((1, 3)), [8]),
+], ids=["equator1", "equator2", "equator3", "equator4", "clifford11", "clifford12",
+        "clifford21", "clifford22", "clifford31", "clifford13"])
+def test_stencil_assembly_matches_coo_reference(M, resolutions):
+    # up to n = 4 every row has <= 16 COO entries, so the reference sums each
+    # diagonal in the stencil's fixed order and the match is bit for bit
+    for res in resolutions:
+        _assert_matches_reference(M, res)
+
+
+@pytest.mark.parametrize("M", [geo.equator(5), geo.clifford_hypersurface((3, 2))],
+                         ids=["equator5", "clifford32"])
+def test_stencil_assembly_matches_coo_reference_n5(M):
+    # 20-entry COO rows go through scipy's unstable sort, so the reference
+    # sums each diagonal in an arbitrary order: off-diagonals bit for bit, the
+    # diagonal to the rounding of its sum
+    _assert_matches_reference(M, 8, exact_diagonal=False)
 
 
 def test_assembly_preconditions(torus):
