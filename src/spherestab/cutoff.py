@@ -931,20 +931,21 @@ def _field_laplacian(M, chart_index, U, f):
     return surface_laplacian_fd(M, chart_index, U, lambda pts: f.value(M, chart_index, pts))
 
 
-def _field_grad_inner(M, chart_index, U, f, g):
+def _field_grad_inner(M, chart_index, U, f, g, jac=None, gdiag=None):
     try:
-        return grad_inner(M, chart_index, U, f, g)
+        return grad_inner(M, chart_index, U, f, g, jac, gdiag)
     except (AttributeError, UnsupportedFamily):
         pass
-    gdiag = M.charts[chart_index].metric_diag(np.asarray(U, dtype=float))
+    if gdiag is None:
+        gdiag = M.charts[chart_index].metric_diag(np.asarray(U, dtype=float))
     df = _central_diff(lambda pts: f.value(M, chart_index, pts), U, 1e-5)
     dg = _central_diff(lambda pts: g.value(M, chart_index, pts), U, 1e-5)
     return np.sum(df * dg / gdiag, axis=-1)
 
 
-def _field_chart_gradient(M, chart_index, U, f, h=1e-5):
+def _field_chart_gradient(M, chart_index, U, f, jac=None, h=1e-5):
     try:
-        return f.chart_gradient(M, chart_index, U)
+        return f.chart_gradient(M, chart_index, U, jac=jac)
     except AttributeError:
         return _central_diff(lambda pts: f.value(M, chart_index, pts), U, h)
 
@@ -995,14 +996,13 @@ def ibp_residual(
             if not rows.any():
                 return out
             U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
+            # one chart frame of the patch rows serves every derivative below
+            jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
             uu = np.asarray(u.value(M, chart_index, U), dtype=float)
             lap = _field_laplacian(M, chart_index, U, v)
-            inn = _field_grad_inner(M, chart_index, U, u, v)
-            dv = _field_chart_gradient(M, chart_index, U, v)
-            dphi = np.einsum(
-                "pia,pi->pa", chart.jacobian(U), slope[:, None] * grad_d, optimize=True
-            )
-            gdiag = chart.metric_diag(U)
+            inn = _field_grad_inner(M, chart_index, U, u, v, jac, gdiag)
+            dv = _field_chart_gradient(M, chart_index, U, v, jac)
+            dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
             cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
             out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
             return out

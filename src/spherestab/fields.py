@@ -64,11 +64,14 @@ class AmbientCoordinateField(SurfaceField):
     def value(self, M, chart_index, U):
         return self.scale * M.embed(chart_index, U)[..., self.index]
 
-    def chart_gradient(self, M, chart_index, U):
-        chart = M.charts[chart_index]
-        if chart.jacobian is None:
-            raise UnsupportedFamily("coordinate field gradients need an analytic jacobian")
-        return self.scale * chart.jacobian(np.asarray(U, dtype=float))[..., self.index, :]
+    def chart_gradient(self, M, chart_index, U, jac=None):
+        """Chart partials d_a f; ``jac`` is the chart Jacobian at U if the caller has it."""
+        if jac is None:
+            chart = M.charts[chart_index]
+            if chart.jacobian is None:
+                raise UnsupportedFamily("coordinate field gradients need an analytic jacobian")
+            jac = chart.jacobian(np.asarray(U, dtype=float))
+        return self.scale * jac[..., self.index, :]
 
     def gradient_sq(self, M, chart_index, U):
         chart = M.charts[chart_index]
@@ -98,10 +101,17 @@ class ShapeNormField(SurfaceField):
         return vals.reshape(U.shape[:-1])
 
 
-def grad_inner(M: ParametrizedHypersurface, chart_index, U, f: SurfaceField, g: SurfaceField):
-    """<grad f, grad g> for coordinate-type fields with analytic chart gradients."""
-    chart = M.charts[chart_index]
-    df = f.chart_gradient(M, chart_index, U)
-    dg = g.chart_gradient(M, chart_index, U)
-    gdiag = chart.metric_diag(np.asarray(U, dtype=float))
+def grad_inner(
+    M: ParametrizedHypersurface, chart_index, U, f: SurfaceField, g: SurfaceField,
+    jac=None, gdiag=None,
+):
+    """<grad f, grad g> for coordinate-type fields with analytic chart gradients.
+
+    ``jac`` and ``gdiag`` are the chart Jacobian and metric diagonal at U,
+    evaluated here when the caller does not pass them.
+    """
+    df = f.chart_gradient(M, chart_index, U, jac=jac)
+    dg = g.chart_gradient(M, chart_index, U, jac=jac)
+    if gdiag is None:
+        gdiag = M.charts[chart_index].metric_diag(np.asarray(U, dtype=float))
     return np.sum(df * dg / gdiag, axis=-1)

@@ -148,15 +148,30 @@ def sphere_jacobian(angles):
 
 
 def _sphere_metric_diag(angles):
-    """Diagonal of the unit S^k round metric in hyperspherical coordinates."""
-    angles = np.asarray(angles, dtype=float)
-    k = angles.shape[-1]
-    diag = np.ones(angles.shape)
-    run = np.ones(angles.shape[:-1])
+    """Diagonal of the unit S^k round metric in hyperspherical coordinates.
+
+    The recurrence g_0 = 1, g_(i+1) = g_i sin^2 t_i runs on whatever the
+    angles are.  Points (..., k) get the stacked diagonal (..., k).  An open
+    grid -- a tuple of k per-axis arrays that broadcast against each other,
+    as from ``np.ix_`` -- gets a tuple of k entries that broadcast to the
+    grid; entry i varies only along axes < i, so the sines are taken once
+    per axis value.  Both forms round identically.
+    """
+    grid = isinstance(angles, tuple)
+    if not grid:
+        angles = np.asarray(angles, dtype=float)
+    k = len(angles) if grid else angles.shape[-1]
+    diag = []
+    run = 1.0
     for i in range(k):
-        diag[..., i] = run
-        run = run * np.sin(angles[..., i]) ** 2
-    return diag
+        diag.append(run)
+        run = run * np.sin(angles[i] if grid else angles[..., i]) ** 2
+    if grid:
+        return tuple(diag)
+    out = np.empty(angles.shape)
+    for i, g in enumerate(diag):
+        out[..., i] = g
+    return out
 
 
 def _sphere_axes(k):
@@ -180,7 +195,11 @@ class Chart:
     everything falls back to central finite differences of ``embed`` (and
     to a grid scan for the nearest chart point).  ``inverse`` maps ambient
     points (..., n+2) to the chart coordinates of their nearest surface
-    points.
+    points.  ``metric_diag`` maps points (..., n) to the metric diagonal
+    (..., n), and an open grid (a tuple of n per-axis coordinate arrays
+    that broadcast against each other, as from ``np.ix_``) to a tuple of n
+    diagonal entries that broadcast to that grid, bit for bit the values of
+    the stacked form at the grid points.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
@@ -368,6 +387,10 @@ def clifford_hypersurface(spec):
         return jac
 
     def metric_diag(U):
+        if isinstance(U, tuple):  # open grid: one tuple entry per axis
+            dk = _sphere_metric_diag(U[:k])
+            dl = _sphere_metric_diag(U[k:])
+            return tuple(g * rk**2 for g in dk) + tuple(g * rl**2 for g in dl)
         U = np.asarray(U, dtype=float)
         dk = _sphere_metric_diag(U[..., :k]) * rk**2
         dl = _sphere_metric_diag(U[..., k:]) * rl**2
@@ -488,9 +511,14 @@ def shape_at(M, chart_index, u, method="auto", fd_step=SHAPE_STEP):
 
 
 def _norm_A_sq(M, chart_index, U):
-    """|A|^2 at chart nodes: closed form when available, else pointwise :func:`shape_at`."""
+    """|A|^2 at chart points (m, n); pointwise :func:`shape_at` without a closed form.
+
+    Every closed-form family has constant |A|^2 (0 on the equator, n on the
+    products), so no normal or (m, n, n) second fundamental form is built;
+    the values are those of ``M.shape_batch(chart_index, U)[4]``.
+    """
     if M.has_closed_form:
-        return M.shape_batch(chart_index, U)[4]
+        return np.full(np.shape(U)[:-1], float(M.dimension) if M.family == "clifford" else 0.0)
     return np.array([shape_at(M, chart_index, u).norm_A_sq for u in U])
 
 

@@ -17,6 +17,21 @@ symmetric positive semidefinite with the constant vector in its kernel, so
 on a surface with constant potential the constant function is an exact
 discrete eigenvector -- mirroring the continuous situation.
 
+The geometry is evaluated on the grid axes, not on the full grid.  A
+diagonal chart metric is asked for on an open grid (the per-axis node
+coordinates, or those of one axis moved to its midpoints, as arrays that
+broadcast against each other), so each axis's sines are taken once per
+coordinate value; on the hyperspherical charts entry g_aa varies only
+along the axes before a within its sphere factor.  sqrt(det g), the mass
+and the flux weights are then formed by broadcasting, with the same IEEE
+operations in the same order as on the stacked per-node (m, d) metric:
+the product runs over the axes in order, then ``** 0.5``, then
+``/ g_aa * cell / h^2``.  Broadcasting only repeats a value, it does not
+round it again, so every grid value goes through the same roundings on
+the same operands and the weights are bit for bit those of a per-node
+evaluation; only the final stencil arrays have the grid's size.  |A|^2 is
+constant on every built-in family and is read as that constant.
+
 The grid fixes the sparsity, so S is written straight into canonical CSR:
 row i holds the (2d + 1)-point stencil of node i in the slot order
 ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
@@ -107,14 +122,23 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     which covers every built-in family.  ``resolution`` is the node count
     per axis (scalar or list), at least 8.
 
+    ``chart.metric_diag`` is evaluated on open grids (``np.ix_`` of the
+    per-axis coordinates): once at the nodes, for the metric and mass
+    checks and the mass, and once per axis a with that axis moved to its
+    edge midpoints, for the flux weights.  The mass and the flux weight
+    ``sqrt(det g) / g_aa * cell / h_a^2`` of each edge, at the edge
+    midpoint, are broadcast products of those per-axis entries, multiplied
+    in the order ``np.prod`` uses on a stacked (m, d) metric, so they round
+    as a per-node evaluation would; they reach the grid's full size only
+    when written into the stencil.
+
     Every node gets one (2d + 1)-slot stencil row, columns and values in the
-    order ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]``.  The flux weight
-    ``sqrt(det g) / g_aa * cell / h_a^2`` of each edge is evaluated at the
-    edge midpoint.  The two slots through the box ends of a polar axis are
-    dropped by position; the density vanishes there, so no flux crosses.  The
-    diagonal sums the kept weights axis by axis, lo_a before hi_a, so no
-    sort decides its rounding.  One ``sort_indices`` orders the rows that
-    wrap on a periodic axis; B and V are diagonal CSR.
+    order ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]``.  The two slots
+    through the box ends of a polar axis are dropped by position; the
+    density vanishes there, so no flux crosses.  The diagonal sums the kept
+    weights axis by axis, lo_a before hi_a, so no sort decides its rounding.
+    One ``sort_indices`` orders the rows that wrap on a periodic axis; B and
+    V are diagonal CSR.
     """
     if len(M.charts) != 1:
         raise AssemblyFailure("assembly supports single-chart surfaces")
@@ -126,39 +150,38 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         raise ValueError("resolution must be >= 8 per axis")
 
     axes = grid_axes(chart, resolution)
-    shapes = [len(ax[0]) for ax in axes]
+    coords = [ax[0] for ax in axes]
+    shapes = [len(c) for c in coords]
     n_nodes = int(np.prod(shapes))
-    nodes = _tensor_grid([ax[0] for ax in axes])
+    nodes = _tensor_grid(coords)
     cell = float(np.prod([ax[1] for ax in axes]))
 
-    gdiag = chart.metric_diag(nodes)
-    if np.any(gdiag <= 0):
+    # metric on the open grid: one broadcastable entry per axis
+    grid = np.ix_(*coords)
+    gdiag = chart.metric_diag(grid)
+    if any(np.any(g <= 0) for g in gdiag):
         raise DegenerateChart("metric degenerates at a grid node")
-    sqrtg = np.prod(gdiag, axis=-1) ** 0.5
-    mass = sqrtg * cell
+    mass = _sqrt_det(gdiag) * cell
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
+    mass = np.broadcast_to(mass, shapes).ravel()
 
     a2 = _norm_A_sq(M, 0, nodes)
     pot = (a2 + M.dimension) * mass
 
     # one stencil row per node, slots in the order of the docstring
     ndim = chart.dim
-    grid = nodes.reshape(*shapes, ndim)
     idx = np.arange(n_nodes, dtype=np.int32).reshape(shapes)
     cols = np.empty((*shapes, 2 * ndim + 1), dtype=np.int32)
     vals = np.empty((*shapes, 2 * ndim + 1))
     keep = np.ones((*shapes, 2 * ndim + 1), dtype=bool)
     diag = np.zeros(shapes)
     for a in range(ndim):
-        coords, h = axes[a]
+        h = axes[a][1]
         # flux weight of the edge from each node to its hi neighbour, at the
         # edge midpoint; on a polar axis the last one is the box end
-        pts = np.moveaxis(grid, a, 0).copy()
-        pts[..., a] = (coords + h / 2.0).reshape((-1,) + (1,) * (ndim - 1))
-        gd = chart.metric_diag(pts.reshape(-1, ndim))
-        w = np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2
-        up = np.moveaxis(w.reshape(pts.shape[:-1]), 0, a)
+        gd = chart.metric_diag(grid[:a] + (grid[a] + h / 2.0,) + grid[a + 1 :])
+        up = _sqrt_det(gd) / gd[a] * cell / h**2
         lo = np.roll(up, 1, axis=a)
         cols[..., a] = np.roll(idx, 1, axis=a)
         cols[..., -1 - a] = np.roll(idx, -1, axis=a)
@@ -188,6 +211,18 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         nodes=nodes,
         surface=M.family + str(M.params),
     )
+
+
+def _sqrt_det(gdiag):
+    """sqrt(det g) from open-grid diagonal entries, multiplied in ``np.prod``'s order.
+
+    The product starts from ones with one dimension per axis (1.0 * g_0 is
+    exact), so it is an array even when every entry is a scalar.
+    """
+    det = np.ones((1,) * len(gdiag))
+    for g in gdiag:
+        det = det * g
+    return det ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -975,6 +975,35 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
         assert nonzero > 200 * cover.size
 
 
+def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
+    # each patch evaluates the chart frame of its rows once and passes it to
+    # every derivative: the fields' gradients, the inner product and dphi
+    chart = torus.charts[0]
+    calls = []
+    jacobian = chart.jacobian
+    monkeypatch.setattr(chart, "jacobian", lambda U: calls.append(len(U)) or jacobian(U))
+    per_patch = []
+    polar = cut.local_polar_integral
+
+    def counted(M, center, fn, reach, **kw):
+        def patch(U, X):
+            before = len(calls)
+            out = fn(U, X)
+            per_patch.append(len(calls) - before)
+            return out
+
+        return polar(M, center, patch, reach, **kw)
+
+    monkeypatch.setattr(cut, "local_polar_integral", counted)
+    _, _, centers = geo.sample_points(torus, 4, seed=11)
+    cover = cut.BallCover(centers, np.full(4, 0.05), 2, 1, 1e9, "geodesic")
+    u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
+    v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
+    resid = cut.ibp_residual(torus, cover, u, v, resolution=16, n_angular=16, nodes_per_segment=8)
+    assert np.isfinite(resid)
+    assert per_patch == [1] * cover.size
+
+
 def test_ibp_constant_u_divergence_form(torus):
     # u == 1: residual reduces to |int phi Delta v + int <grad v, grad phi>|
     _, _, pts = geo.sample_points(torus, 1, seed=4)

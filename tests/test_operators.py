@@ -8,7 +8,7 @@ from scipy.sparse.linalg import eigsh
 
 from spherestab import geometry as geo
 from spherestab import operators as ops
-from spherestab.errors import AssemblyFailure, UnsupportedFamily
+from spherestab.errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
 
 
 def lowest_pencil_eigs(op, k=6):
@@ -159,7 +159,7 @@ def _coo_reference(M, resolution):
     nodes = geo._tensor_grid([ax[0] for ax in axes])
     cell = float(np.prod([ax[1] for ax in axes]))
     mass = np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5 * cell
-    pot = (geo._norm_A_sq(M, 0, nodes) + M.dimension) * mass
+    pot = (M.shape_batch(0, nodes)[4] + M.dimension) * mass
     ndim = chart.dim
     grid = nodes.reshape(*shapes, ndim)
     sweeps = []
@@ -221,7 +221,8 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
             assert np.abs(r[a] - c[a]).max() == 1
 
 
-@pytest.mark.parametrize("M, resolutions", [
+# (surface, grids) of the reference comparisons; uneven and odd per-axis counts
+_GRIDS = [
     (geo.equator(1), [8, 33]),
     (geo.equator(2), [[8, 13], 128]),
     (geo.equator(3), [9]),
@@ -232,8 +233,12 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
     (geo.clifford_hypersurface((2, 2)), [[8, 9, 10, 8]]),
     (geo.clifford_hypersurface((3, 1)), [[8, 9, 10, 11]]),
     (geo.clifford_hypersurface((1, 3)), [8]),
-], ids=["equator1", "equator2", "equator3", "equator4", "clifford11", "clifford12",
-        "clifford21", "clifford22", "clifford31", "clifford13"])
+]
+_GRID_IDS = ["equator1", "equator2", "equator3", "equator4", "clifford11", "clifford12",
+             "clifford21", "clifford22", "clifford31", "clifford13"]
+
+
+@pytest.mark.parametrize("M, resolutions", _GRIDS, ids=_GRID_IDS)
 def test_stencil_assembly_matches_coo_reference(M, resolutions):
     # up to n = 4 every row has <= 16 COO entries, so the reference sums each
     # diagonal in the stencil's fixed order and the match is bit for bit
@@ -248,6 +253,124 @@ def test_stencil_assembly_matches_coo_reference_n5(M):
     # sums each diagonal in an arbitrary order: off-diagonals bit for bit, the
     # diagonal to the rounding of its sum
     _assert_matches_reference(M, 8, exact_diagonal=False)
+
+
+@pytest.mark.parametrize("M, resolutions", _GRIDS + [(geo.equator(5), [8])],
+                         ids=_GRID_IDS + ["equator5"])
+def test_open_grid_metric_matches_stacked(M, resolutions):
+    # the assembly's open-grid metric, on the node grid and on each axis's
+    # midpoint grid, against the stacked form at the full grid's points
+    chart = M.charts[0]
+    for res in resolutions:
+        axes = ops.grid_axes(chart, res)
+        shapes = tuple(len(ax[0]) for ax in axes)
+        node_coords = [ax[0] for ax in axes]
+        grids = [node_coords] + [
+            node_coords[:a] + [node_coords[a] + h / 2.0] + node_coords[a + 1 :]
+            for a, (_, h) in enumerate(axes)
+        ]
+        for coords in grids:
+            stacked = chart.metric_diag(geo._tensor_grid(coords))
+            open_grid = chart.metric_diag(np.ix_(*coords))
+            assert isinstance(open_grid, tuple) and len(open_grid) == chart.dim
+            for b, entry in enumerate(open_grid):
+                full = np.broadcast_to(entry, shapes).ravel()
+                assert np.array_equal(full, stacked[:, b])
+            sqrt_det = np.broadcast_to(ops._sqrt_det(open_grid), shapes).ravel()
+            assert np.array_equal(sqrt_det, np.prod(stacked, axis=-1) ** 0.5)
+
+
+def _former_sphere_metric_diag(angles):
+    """The stacked hyperspherical metric loop as it was before the open grid."""
+    angles = np.asarray(angles, dtype=float)
+    k = angles.shape[-1]
+    diag = np.ones(angles.shape)
+    run = np.ones(angles.shape[:-1])
+    for i in range(k):
+        diag[..., i] = run
+        run = run * np.sin(angles[..., i]) ** 2
+    return diag
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (3, 0), (5, 0), (1, 1), (1, 2), (2, 1),
+                                  (2, 2), (1, 3), (3, 1), (3, 2)])
+def test_stacked_metric_matches_former_loop(k, l):
+    M = geo.equator(k) if l == 0 else geo.clifford_hypersurface((k, l))
+    chart = M.charts[0]
+    rng = np.random.default_rng(10 * k + l)
+    for base in [(), (1,), (500,), (7, 9)]:
+        U = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=base + (M.dimension,))
+        if l == 0:
+            former = _former_sphere_metric_diag(U)
+            assert np.array_equal(geo._sphere_metric_diag(U), former)
+        else:
+            rk, rl = geo.CliffordSpec(k, l).radii
+            former = np.concatenate([_former_sphere_metric_diag(U[..., :k]) * rk**2,
+                                     _former_sphere_metric_diag(U[..., k:]) * rl**2], axis=-1)
+        got = chart.metric_diag(U)
+        assert got.shape == former.shape and got.dtype == former.dtype
+        assert np.array_equal(got, former)
+
+
+@pytest.mark.parametrize("M", [geo.equator(1), geo.equator(3), geo.clifford_hypersurface((1, 1)),
+                               geo.clifford_hypersurface((2, 3))],
+                         ids=["equator1", "equator3", "clifford11", "clifford23"])
+def test_norm_A_sq_matches_shape_batch(M):
+    chart = M.charts[0]
+    U = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(64, M.dimension))
+    for pts in (U, U[:1], U[0:0]):
+        got, ref = geo._norm_A_sq(M, 0, pts), M.shape_batch(0, pts)[4]
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("M", [geo.equator(2), geo.clifford_hypersurface((2, 1))],
+                         ids=["equator2", "clifford21"])
+def test_assembly_never_builds_shape_batch(M, monkeypatch):
+    expected = ops.assemble_jacobi(M, 8)
+
+    def refuse(chart_index, U):
+        raise AssertionError("assembly built the closed-form shape batch")
+
+    monkeypatch.setattr(M, "_closed_form", refuse)
+    with pytest.raises(AssertionError):
+        M.shape_batch(0, np.zeros((1, M.dimension)))
+    op = ops.assemble_jacobi(M, 8)
+    for name in ("stiffness", "mass", "potential"):
+        assert np.array_equal(getattr(op, name).toarray(), getattr(expected, name).toarray())
+
+
+def _sphere_chart_on_box(box):
+    """The hyperspherical S^2 chart with its coordinate box replaced."""
+    base = geo.equator(2).charts[0]
+    return geo.Chart(np.array(box, dtype=float), base.periodic, base.embed,
+                     base.jacobian, base.metric_diag)
+
+
+def test_assembly_refuses_degenerate_open_grid():
+    # polar nodes at -0.5 + (i + 1/2) * 1 = i: the node t = 0 has g_11 = sin^2 0 = 0
+    degenerate = _sphere_chart_on_box([[-0.5, 7.5], [0.0, 2.0 * np.pi]])
+    M = geo.ParametrizedHypersurface(2, [degenerate])
+    assert np.any(geo._tensor_grid([ops.grid_axes(degenerate, 8)[0][0]]) == 0.0)
+    with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
+        ops.assemble_jacobi(M, 8)
+    # shifted off the zeros of sin, the same chart passes the metric and mass checks
+    shifted = _sphere_chart_on_box([[0.25, 8.25], [0.0, 2.0 * np.pi]])
+    gdiag = shifted.metric_diag(np.ix_(*[ax[0] for ax in ops.grid_axes(shifted, 8)]))
+    assert all(np.all(g > 0) for g in gdiag)
+
+
+def test_assembly_refuses_vanishing_mass():
+    # every metric entry positive, but their product underflows to 0
+    def tiny(U):
+        if isinstance(U, tuple):
+            return tuple(np.full(np.shape(t), 1e-200) for t in U)
+        return np.full(np.shape(U), 1e-200)
+
+    base = geo.equator(2).charts[0]
+    chart = geo.Chart(base.box, base.periodic, base.embed, base.jacobian, tiny)
+    with pytest.raises(AssemblyFailure):
+        ops.assemble_jacobi(geo.ParametrizedHypersurface(2, [chart]), 8)
 
 
 def test_assembly_preconditions(torus):
