@@ -164,9 +164,7 @@ def _csv_cell(v):
 
 def _run_spectrum(config: RunConfig):
     M = config.surface()
-    analytic = spec.first_stability_eigenvalue(
-        ops.analytic_laplace_spectrum(M, axisymmetric=M.family == "clifford" and (config.k, config.l) != (1, 1))
-    )
+    analytic = _analytic_eigenvalue(M)
     rows = [analytic.record(config.tag())]
     rows[-1]["abs_err"] = 0.0
     errors = []
@@ -194,6 +192,11 @@ def _run_spectrum(config: RunConfig):
     print(f"spectrum {config.tag()}: lambda1 = {rows[-1]['lambda1']:.9f} "
           f"(analytic {analytic.lambda1}), err {errors[-1]:.2e}, order {order} -> {path}")
     return 0 if ok else 1
+
+
+def _analytic_eigenvalue(M):
+    """Exact lambda_1 of a built-in family from its (axisymmetric) analytic spectrum."""
+    return spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M, axisymmetric=True))
 
 
 def _run_simons(config: RunConfig):
@@ -243,7 +246,7 @@ def _run_cutoff(config: RunConfig):
                 f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}"
             )
     else:
-        _, _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
+        _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
     metric = "geodesic" if config.kind == "inf" else "euclidean"
     cover = cut.cover_singular_set(
         pts, n, config.exponent, config.epsilon,
@@ -289,9 +292,9 @@ def _run_cutoff(config: RunConfig):
 
 def _run_estimates(config: RunConfig):
     M = config.surface()
-    lam1 = -float(M.dimension) if config.family == "equator" else -2.0 * M.dimension
+    lam1 = _analytic_eigenvalue(M).lambda1
     c_v = geo.measure_volume_growth(M)
-    _, _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
+    _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
     bounds = [
         est.local_A_bound(M, c, r, lam1, C_V=c_v)
         for r in config.radii

@@ -576,16 +576,27 @@ def _require_euclidean(cover: BallCover):
 # surface calculus of ambient fields
 # ---------------------------------------------------------------------------
 
-def tangential_gradient_sq(M, chart_index, U, ambient_grad):
+def _require_chart_frame(M):
+    """Refuse a chart without an analytic ``jacobian`` and ``metric_diag``.
+
+    The cutoff integrals read both (ball boxes, tangential gradients, patch
+    frames); a chart-file surface has neither, so it is refused with
+    :class:`UnsupportedFamily` before any integral runs.
+    """
+    if M.chart.jacobian is None or M.chart.metric_diag is None:
+        raise UnsupportedFamily(f"{M!r}: cutoff integrals need an analytic chart jacobian and metric")
+
+
+def tangential_gradient_sq(M, U, ambient_grad):
     """|grad_M phi|^2 from an ambient gradient via the chart frame."""
-    chart = M.charts[chart_index]
+    chart = M.chart
     jac = chart.jacobian(np.asarray(U, dtype=float))
     comps = np.einsum("pia,pi->pa", jac, ambient_grad, optimize=True)
     gdiag = chart.metric_diag(np.asarray(U, dtype=float))
     return np.sum(comps**2 / gdiag, axis=-1)
 
 
-def surface_laplacian_of_cutoff(M, chart_index, U, X, field: CutoffField):
+def surface_laplacian_of_cutoff(M, U, X, field: CutoffField):
     """Delta_Sigma phi = tr_Sigma Hess phi + <grad phi, H_vec> at surface points.
 
     Needs the Euclidean Hessian (product kind) and the mean curvature
@@ -593,7 +604,7 @@ def surface_laplacian_of_cutoff(M, chart_index, U, X, field: CutoffField):
     is -n x.
     """
     n = M.minimal_immersion_laplacian_factor()
-    chart = M.charts[chart_index]
+    chart = M.chart
     jac = chart.jacobian(np.asarray(U, dtype=float))
     gdiag = chart.metric_diag(np.asarray(U, dtype=float))
     grad, hess = field._product_derivatives(X)
@@ -631,7 +642,6 @@ def gradient_integral_estimate(
     strata=14,
     samples_per_cell=3,
     seed=0,
-    chart_index=0,
 ) -> GradientIntegralReport:
     """Monte-Carlo  int_M |grad phi|^q  against the bound 2^(n+q) C_V epsilon.
 
@@ -656,6 +666,7 @@ def gradient_integral_estimate(
     """
     if field.kind != "inf":
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
+    _require_chart_frame(M)
     n = M.dimension
     if C_V is None:
         C_V = measure_volume_growth(M, metric=cover.metric)
@@ -665,17 +676,16 @@ def gradient_integral_estimate(
     rng_children = np.random.SeedSequence(seed).spawn(max(cover.size, 1))
     if cover.size:
         reach = 2.0 * cover.radii
-        boxes, hit = _ball_chart_boxes(M, chart_index, cover.centers, reach, cover.metric)
-        integrand = _annulus_gradient_integrand(M, chart_index, field, q)
+        boxes, hit = _ball_chart_boxes(M, cover.centers, reach, cover.metric)
+        integrand = _annulus_gradient_integrand(M, field, q)
         balls = np.flatnonzero(hit)
-        rows = _stratified_rows(M.charts[chart_index].dim, strata, samples_per_cell)
+        rows = _stratified_rows(M.chart.dim, strata, samples_per_cell)
         per_chunk = max(1, _CHUNK_ROWS // rows)
         for lo in range(0, len(balls), per_chunk):
             chunk = balls[lo:lo + per_chunk]
             for est in stratified_integral(
                 M,
                 lambda U, X, which, chunk=chunk: integrand(U, X, chunk[which]),
-                chart_index=chart_index,
                 box=boxes[chunk],
                 strata=strata,
                 samples_per_cell=samples_per_cell,
@@ -725,7 +735,7 @@ def _neighbour_table(neighbours):
     return table
 
 
-def _annulus_gradient_integrand(M, chart_index, field, q):
+def _annulus_gradient_integrand(M, field, q):
     """``integrand(U, X, own)``: |grad phi|^q where ball own[p] holds the active
     ramp with nonzero slope, else 0.
 
@@ -748,13 +758,13 @@ def _annulus_gradient_integrand(M, chart_index, field, q):
         rows = rows[keep]
         out = np.zeros(X.shape[0])
         grad = slope[keep, None] * grad_d[keep]
-        out[rows] = tangential_gradient_sq(M, chart_index, U[rows], grad) ** (q / 2.0)
+        out[rows] = tangential_gradient_sq(M, U[rows], grad) ** (q / 2.0)
         return out
 
     return integrand
 
 
-def _ball_chart_boxes(M, chart_index, centers, reach, metric, safety=1.5):
+def _ball_chart_boxes(M, centers, reach, metric, safety=1.5):
     """Chart boxes (balls, n, 2) guaranteed to contain M cap B(center, reach), and the
     mask of the balls that meet M (the other rows are unset).
 
@@ -765,8 +775,8 @@ def _ball_chart_boxes(M, chart_index, centers, reach, metric, safety=1.5):
     covered.  Each round tests only the balls still unresolved, and a ball
     left after six rounds raises :class:`PreconditionViolated`.
     """
-    chart = M.charts[chart_index]
-    u0 = nearest_chart_point(M, centers, chart_index)
+    chart = M.chart
+    u0 = nearest_chart_point(M, centers)
     reach_geo = _chord_to_arc(reach) if metric == "euclidean" else reach
     hit = geodesic_distance(chart.embed(u0), centers) < reach_geo
     boxes = np.empty(u0.shape + (2,))
@@ -848,7 +858,6 @@ def mr_quality_report(
     strata=96,
     samples_per_cell=2,
     seed=0,
-    chart_index=0,
 ) -> MRQualityReport:
     """Measure (area{phi != 1}, int |grad phi|^2, int |Delta phi|) for a product cutoff.
 
@@ -870,6 +879,7 @@ def mr_quality_report(
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
     _require_euclidean(field.cover)
+    _require_chart_frame(M)
     n = M.dimension
     N = n + 2
     if C_V is None:
@@ -887,10 +897,10 @@ def mr_quality_report(
     area, grad, lap = [
         stratified_integral(
             M, _inside_balls_only(field, integrand),
-            chart_index=chart_index, strata=strata, samples_per_cell=samples_per_cell,
+            strata=strata, samples_per_cell=samples_per_cell,
             seed=child,
         )
-        for integrand, child in zip(_quality_integrands(M, field, chart_index), seeds)
+        for integrand, child in zip(_quality_integrands(M, field), seeds)
     ]
     for est, bnd, name in zip((area, grad, lap), bounds, ("area", "grad", "lap")):
         if est.stderr > 0.1 * bnd:
@@ -898,12 +908,12 @@ def mr_quality_report(
     return MRQualityReport(area, grad, lap, bounds, eps, C_V, c0, c1, N)
 
 
-def _quality_integrands(M, field: CutoffField, chart_index):
+def _quality_integrands(M, field: CutoffField):
     """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|."""
     return (
         lambda U, X: (field.value(X) < 1.0 - 1e-12).astype(float),
-        lambda U, X: tangential_gradient_sq(M, chart_index, U, field.ambient_gradient(X)),
-        lambda U, X: np.abs(surface_laplacian_of_cutoff(M, chart_index, U, X, field)),
+        lambda U, X: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
+        lambda U, X: np.abs(surface_laplacian_of_cutoff(M, U, X, field)),
     )
 
 
@@ -924,30 +934,30 @@ def _inside_balls_only(field: CutoffField, integrand):
 # integration by parts across the covered set
 # ---------------------------------------------------------------------------
 
-def _field_laplacian(M, chart_index, U, f):
-    lap = f.laplacian(M, chart_index, U)
+def _field_laplacian(M, U, f):
+    lap = f.laplacian(M, U)
     if lap is not None:
         return lap
-    return surface_laplacian_fd(M, chart_index, U, lambda pts: f.value(M, chart_index, pts))
+    return surface_laplacian_fd(M, U, lambda pts: f.value(M, pts))
 
 
-def _field_grad_inner(M, chart_index, U, f, g, jac=None, gdiag=None):
+def _field_grad_inner(M, U, f, g, jac=None, gdiag=None):
     try:
-        return grad_inner(M, chart_index, U, f, g, jac, gdiag)
+        return grad_inner(M, U, f, g, jac, gdiag)
     except (AttributeError, UnsupportedFamily):
         pass
     if gdiag is None:
-        gdiag = M.charts[chart_index].metric_diag(np.asarray(U, dtype=float))
-    df = _central_diff(lambda pts: f.value(M, chart_index, pts), U, 1e-5)
-    dg = _central_diff(lambda pts: g.value(M, chart_index, pts), U, 1e-5)
+        gdiag = M.chart.metric_diag(np.asarray(U, dtype=float))
+    df = _central_diff(lambda pts: f.value(M, pts), U, 1e-5)
+    dg = _central_diff(lambda pts: g.value(M, pts), U, 1e-5)
     return np.sum(df * dg / gdiag, axis=-1)
 
 
-def _field_chart_gradient(M, chart_index, U, f, jac=None, h=1e-5):
+def _field_chart_gradient(M, U, f, jac=None, h=1e-5):
     try:
-        return f.chart_gradient(M, chart_index, U, jac=jac)
+        return f.chart_gradient(M, U, jac=jac)
     except AttributeError:
-        return _central_diff(lambda pts: f.value(M, chart_index, pts), U, h)
+        return _central_diff(lambda pts: f.value(M, pts), U, h)
 
 
 def ibp_residual(
@@ -959,7 +969,6 @@ def ibp_residual(
     resolution=128,
     n_angular=128,
     nodes_per_segment=24,
-    chart_index=0,
 ) -> float:
     """| int phi u Delta v + int phi <grad u, grad v> + int u <grad v, grad phi> |.
 
@@ -974,13 +983,14 @@ def ibp_residual(
         raise PreconditionViolated(
             f"cover was budgeted at exponent {cover.exponent}, not {q}"
         )
+    _require_chart_frame(M)
     field = build_inf_cutoff(cover)
-    chart = M.charts[chart_index]
+    chart = M.chart
     nodes, weights = chart_quadrature(chart, resolution)
     w = weights * sqrt_det_metric(chart, nodes)
-    u_vals = np.asarray(u.value(M, chart_index, nodes), dtype=float)
-    lap_v = _field_laplacian(M, chart_index, nodes, v)
-    inner = _field_grad_inner(M, chart_index, nodes, u, v)
+    u_vals = np.asarray(u.value(M, nodes), dtype=float)
+    lap_v = _field_laplacian(M, nodes, v)
+    inner = _field_grad_inner(M, nodes, u, v)
     total = float(w @ (u_vals * lap_v + inner))
 
     neighbours = _ramp_neighbours(cover)
@@ -998,10 +1008,10 @@ def ibp_residual(
             U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
             # one chart frame of the patch rows serves every derivative below
             jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
-            uu = np.asarray(u.value(M, chart_index, U), dtype=float)
-            lap = _field_laplacian(M, chart_index, U, v)
-            inn = _field_grad_inner(M, chart_index, U, u, v, jac, gdiag)
-            dv = _field_chart_gradient(M, chart_index, U, v, jac)
+            uu = np.asarray(u.value(M, U), dtype=float)
+            lap = _field_laplacian(M, U, v)
+            inn = _field_grad_inner(M, U, u, v, jac, gdiag)
+            dv = _field_chart_gradient(M, U, v, jac)
             dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
             cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
             out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
@@ -1013,7 +1023,6 @@ def ibp_residual(
             correction,
             reach,
             breaks=breaks,
-            chart_index=chart_index,
             n_angular=n_angular,
             nodes_per_segment=nodes_per_segment,
             reach_metric=cover.metric,
@@ -1027,7 +1036,6 @@ def cutoff_cross_term(
     u,
     n_angular=128,
     nodes_per_segment=24,
-    chart_index=0,
 ) -> float:
     """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
 
@@ -1039,8 +1047,8 @@ def cutoff_cross_term(
     field (for product ramps, up to the rounding of the gradient's sum over
     fewer balls).
     """
+    _require_chart_frame(M)
     cover = field.cover
-    chart = M.charts[chart_index]
     total = 0.0
     neighbours = _ramp_neighbours(cover, 2.0 if field.kind == "inf" else 1.0)
     for i in range(cover.size):
@@ -1066,8 +1074,8 @@ def cutoff_cross_term(
                 first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
                 mask = first == i
                 grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
-            uu = np.abs(np.asarray(u.value(M, chart_index, U), dtype=float))
-            gsq = tangential_gradient_sq(M, chart_index, U, grad)
+            uu = np.abs(np.asarray(u.value(M, U), dtype=float))
+            gsq = tangential_gradient_sq(M, U, grad)
             return np.where(mask, uu * np.sqrt(gsq), 0.0)
 
         total += local_polar_integral(
@@ -1076,7 +1084,6 @@ def cutoff_cross_term(
             integrand,
             reach,
             breaks=breaks,
-            chart_index=chart_index,
             n_angular=n_angular,
             nodes_per_segment=nodes_per_segment,
             reach_metric=cover.metric,

@@ -90,12 +90,12 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> Estim
     if C_V is None:
         C_V = measure_volume_growth(M)
     p = np.asarray(p, dtype=float)
-    chart = M.charts[0]
+    chart = M.chart
     u = chart.inverse(p)
     off = float(np.linalg.norm(chart.embed(u) - p))
     if not off <= 1e-9:
         raise PreconditionViolated(f"ball centre lies {off:.3g} off the surface")
-    a2 = float(_norm_A_sq(M, 0, u[None])[0])
+    a2 = float(_norm_A_sq(M, u[None])[0])
     lhs = a2 * ball
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
     return EstimateReport(
@@ -146,8 +146,8 @@ def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateRep
     if M.family not in ("equator", "clifford"):
         raise UnsupportedFamily("identity is verified on the built-in families")
     n = M.dimension
-    _, U, _ = sample_points(M, 64, seed=0)
-    a2 = M.shape_batch(0, U)[4]
+    U, _ = sample_points(M, 64, seed=0)
+    a2 = M.shape_batch(U)[4]
     if np.ptp(a2) > 1e-12:
         raise UnsupportedFamily("|A|^2 is not constant; no closed-form identity")
     const = float(a2[0])

@@ -19,14 +19,14 @@ from .geometry import ParametrizedHypersurface, shape_at
 class SurfaceField:
     """Base field: subclasses override ``value`` and, if they can, derivatives."""
 
-    def value(self, M, chart_index, U):
+    def value(self, M, U):
         raise NotImplementedError
 
-    def gradient_sq(self, M, chart_index, U):
+    def gradient_sq(self, M, U):
         """|grad f|^2 at the points, or None when not analytically known."""
         return None
 
-    def laplacian(self, M, chart_index, U):
+    def laplacian(self, M, U):
         """Delta_M f at the points, or None when not analytically known."""
         return None
 
@@ -35,15 +35,15 @@ class SurfaceField:
 class ConstantField(SurfaceField):
     constant: float
 
-    def value(self, M, chart_index, U):
+    def value(self, M, U):
         U = np.asarray(U, dtype=float)
         return np.full(U.shape[:-1], self.constant)
 
-    def gradient_sq(self, M, chart_index, U):
+    def gradient_sq(self, M, U):
         U = np.asarray(U, dtype=float)
         return np.zeros(U.shape[:-1])
 
-    def laplacian(self, M, chart_index, U):
+    def laplacian(self, M, U):
         U = np.asarray(U, dtype=float)
         return np.zeros(U.shape[:-1])
 
@@ -61,29 +61,28 @@ class AmbientCoordinateField(SurfaceField):
     index: int
     scale: float = 1.0
 
-    def value(self, M, chart_index, U):
-        return self.scale * M.embed(chart_index, U)[..., self.index]
+    def value(self, M, U):
+        return self.scale * M.embed(U)[..., self.index]
 
-    def chart_gradient(self, M, chart_index, U, jac=None):
+    def chart_gradient(self, M, U, jac=None):
         """Chart partials d_a f; ``jac`` is the chart Jacobian at U if the caller has it."""
         if jac is None:
-            chart = M.charts[chart_index]
-            if chart.jacobian is None:
+            if M.chart.jacobian is None:
                 raise UnsupportedFamily("coordinate field gradients need an analytic jacobian")
-            jac = chart.jacobian(np.asarray(U, dtype=float))
+            jac = M.chart.jacobian(np.asarray(U, dtype=float))
         return self.scale * jac[..., self.index, :]
 
-    def gradient_sq(self, M, chart_index, U):
-        chart = M.charts[chart_index]
+    def gradient_sq(self, M, U):
+        chart = M.chart
         if chart.jacobian is None or chart.metric_diag is None:
             return None
-        df = self.chart_gradient(M, chart_index, U)
+        df = self.chart_gradient(M, U)
         gdiag = chart.metric_diag(np.asarray(U, dtype=float))
         return np.sum(df * df / gdiag, axis=-1)
 
-    def laplacian(self, M, chart_index, U):
+    def laplacian(self, M, U):
         factor = M.minimal_immersion_laplacian_factor()
-        return -factor * self.value(M, chart_index, U)
+        return -factor * self.value(M, U)
 
 
 @dataclass
@@ -92,26 +91,23 @@ class ShapeNormField(SurfaceField):
 
     method: str = "auto"
 
-    def value(self, M, chart_index, U):
+    def value(self, M, U):
         U = np.asarray(U, dtype=float)
         flat = U.reshape(-1, U.shape[-1])
-        vals = np.array(
-            [np.sqrt(shape_at(M, chart_index, u, method=self.method).norm_A_sq) for u in flat]
-        )
+        vals = np.array([np.sqrt(shape_at(M, u, method=self.method).norm_A_sq) for u in flat])
         return vals.reshape(U.shape[:-1])
 
 
 def grad_inner(
-    M: ParametrizedHypersurface, chart_index, U, f: SurfaceField, g: SurfaceField,
-    jac=None, gdiag=None,
+    M: ParametrizedHypersurface, U, f: SurfaceField, g: SurfaceField, jac=None, gdiag=None
 ):
     """<grad f, grad g> for coordinate-type fields with analytic chart gradients.
 
     ``jac`` and ``gdiag`` are the chart Jacobian and metric diagonal at U,
     evaluated here when the caller does not pass them.
     """
-    df = f.chart_gradient(M, chart_index, U, jac=jac)
-    dg = g.chart_gradient(M, chart_index, U, jac=jac)
+    df = f.chart_gradient(M, U, jac=jac)
+    dg = g.chart_gradient(M, U, jac=jac)
     if gdiag is None:
-        gdiag = M.charts[chart_index].metric_diag(np.asarray(U, dtype=float))
+        gdiag = M.chart.metric_diag(np.asarray(U, dtype=float))
     return np.sum(df * dg / gdiag, axis=-1)

@@ -1,8 +1,9 @@
 """Chart-based closed hypersurfaces of the round unit sphere.
 
-Surfaces M^n in S^(n+1) subset R^(n+2) are described by parametrization
-charts (a box of angles with periodicity flags and an immersion map).  Two
-families ship with exact closed-form geometry:
+Surfaces M^n in S^(n+1) subset R^(n+2) are described by one
+parametrization chart (a box of angles with periodicity flags and an
+immersion map); chart coordinates U are arrays (..., n).  Two families ship
+with exact closed-form geometry:
 
 * ``equator(n)``     -- the totally geodesic S^n (A == 0, H == 0),
 * ``clifford(k, l)`` -- S^k(sqrt(k/n)) x S^l(sqrt(l/n)) with k + l = n,
@@ -269,14 +270,14 @@ class ShapeData:
 
 
 class ParametrizedHypersurface:
-    """A closed n-dimensional hypersurface of S^(n+1) given by charts."""
+    """A closed n-dimensional hypersurface of S^(n+1) given by one chart."""
 
-    def __init__(self, dimension, charts, family="custom", params=(), closed_form=None):
+    def __init__(self, dimension, chart, family="custom", params=(), closed_form=None):
         self.dimension = dimension
-        self.charts = list(charts)
+        self.chart = chart
         self.family = family
         self.params = tuple(params)
-        self._closed_form = closed_form  # (chart_index, U) -> batched shape arrays
+        self._closed_form = closed_form  # U -> batched shape arrays
 
     def __repr__(self):
         tag = self.family + (str(self.params) if self.params else "")
@@ -286,14 +287,14 @@ class ParametrizedHypersurface:
     def has_closed_form(self):
         return self._closed_form is not None
 
-    def shape_batch(self, chart_index, U):
+    def shape_batch(self, U):
         """Batched (metric diag or full, normal, A, H, |A|^2) arrays; closed form only."""
         if self._closed_form is None:
             raise UnsupportedFamily(f"{self!r} has no closed-form geometry")
-        return self._closed_form(chart_index, U)
+        return self._closed_form(U)
 
-    def embed(self, chart_index, U):
-        return self.charts[chart_index].embed(np.asarray(U, dtype=float))
+    def embed(self, U):
+        return self.chart.embed(np.asarray(U, dtype=float))
 
     def minimal_immersion_laplacian_factor(self):
         """Delta_M applied to an ambient coordinate x_j is -c * x_j on these surfaces.
@@ -335,7 +336,7 @@ def equator(n):
 
     density = [_axis_sin_power(n - 1 - a) for a in range(n)]
 
-    def closed_form(chart_index, U):
+    def closed_form(U):
         U = np.asarray(U, dtype=float)
         base = U.shape[:-1]
         gdiag = metric_diag(U)
@@ -352,7 +353,7 @@ def equator(n):
         return sphere_angles(np.asarray(X, dtype=float)[..., : n + 1])
 
     chart = Chart(box, periodic, embed, jacobian, metric_diag, density, 1.0, inverse=inverse)
-    return ParametrizedHypersurface(n, [chart], "equator", (n,), closed_form)
+    return ParametrizedHypersurface(n, chart, "equator", (n,), closed_form)
 
 
 def clifford_hypersurface(spec):
@@ -400,7 +401,7 @@ def clifford_hypersurface(spec):
     density += [_axis_sin_power(l - 1 - a) for a in range(l)]
     density_const = rk**k * rl**l
 
-    def closed_form(chart_index, U):
+    def closed_form(U):
         U = np.asarray(U, dtype=float)
         base = U.shape[:-1]
         gdiag = metric_diag(U)
@@ -426,7 +427,7 @@ def clifford_hypersurface(spec):
     chart = Chart(
         box, periodic, embed, jacobian, metric_diag, density, density_const, inverse=inverse
     )
-    return ParametrizedHypersurface(n, [chart], "clifford", (k, l), closed_form)
+    return ParametrizedHypersurface(n, chart, "clifford", (k, l), closed_form)
 
 
 def _axis_sin_power(p):
@@ -449,7 +450,7 @@ def _diag_embed(diag):
 # pointwise shape data
 # ---------------------------------------------------------------------------
 
-def shape_at(M, chart_index, u, method="auto", fd_step=SHAPE_STEP):
+def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
     """First and second fundamental forms of M at a chart parameter point.
 
     ``method`` selects the backend: "closed-form" (built-in families),
@@ -467,12 +468,12 @@ def shape_at(M, chart_index, u, method="auto", fd_step=SHAPE_STEP):
         method = "closed-form" if M.has_closed_form else "normal-derivative"
 
     if method == "closed-form":
-        gdiag, nu, A, H, a2 = M.shape_batch(chart_index, u[None, :])
+        gdiag, nu, A, H, a2 = M.shape_batch(u[None, :])
         g = _diag_embed(gdiag)[0]
         _check_metric(g)
         return ShapeData(g, nu[0], A[0], float(H[0]), float(a2[0]))
 
-    chart = M.charts[chart_index]
+    chart = M.chart
     x = chart.embed(u)
     if abs(np.linalg.norm(x) - 1.0) > DRIFT_TOL:
         raise ImmersionDrift(f"|x(u)| - 1 = {np.linalg.norm(x) - 1.0:.3e} exceeds {DRIFT_TOL}")
@@ -510,16 +511,16 @@ def shape_at(M, chart_index, u, method="auto", fd_step=SHAPE_STEP):
     return ShapeData(g, nu, A, H, a2)
 
 
-def _norm_A_sq(M, chart_index, U):
+def _norm_A_sq(M, U):
     """|A|^2 at chart points (m, n); pointwise :func:`shape_at` without a closed form.
 
     Every closed-form family has constant |A|^2 (0 on the equator, n on the
     products), so no normal or (m, n, n) second fundamental form is built;
-    the values are those of ``M.shape_batch(chart_index, U)[4]``.
+    the values are those of ``M.shape_batch(U)[4]``.
     """
     if M.has_closed_form:
         return np.full(np.shape(U)[:-1], float(M.dimension) if M.family == "clifford" else 0.0)
-    return np.array([shape_at(M, chart_index, u).norm_A_sq for u in U])
+    return np.array([shape_at(M, u).norm_A_sq for u in U])
 
 
 def _central_diff(fn, U, h):
@@ -622,47 +623,35 @@ def sqrt_det_metric(chart, nodes, fd_step=FD_STEP):
 
 
 def area(M, resolution=256):
-    """Total area by per-chart quadrature of sqrt(det g).
+    """Total area by chart quadrature of sqrt(det g).
 
     Built-in families use the separable closed form (the density factors
     across axes), so any dimension is cheap; generic charts integrate on a
     full tensor grid and are practical for n <= 3.
     """
-    total = 0.0
-    for chart in M.charts:
-        if chart.axis_density is not None:
-            res = _per_axis(resolution, chart.dim)
-            part = chart.density_const
-            for a in range(chart.dim):
-                nodes, weights = axis_rule(chart, a, res[a])
-                part *= float(weights @ chart.axis_density[a](nodes))
-            total += part
-        else:
-            if chart.dim > 3:
-                raise UnsupportedFamily("full-grid quadrature is limited to n <= 3 charts")
-            nodes, weights = chart_quadrature(chart, resolution)
-            total += float(weights @ sqrt_det_metric(chart, nodes))
-    return total
+    chart = M.chart
+    if chart.axis_density is not None:
+        res = _per_axis(resolution, chart.dim)
+        total = chart.density_const
+        for a in range(chart.dim):
+            nodes, weights = axis_rule(chart, a, res[a])
+            total *= float(weights @ chart.axis_density[a](nodes))
+        return total
+    if chart.dim > 3:
+        raise UnsupportedFamily("full-grid quadrature is limited to n <= 3 charts")
+    nodes, weights = chart_quadrature(chart, resolution)
+    return float(weights @ sqrt_det_metric(chart, nodes))
 
 
 def sample_points(M, count, seed=0, pad=0.0):
     """Random chart parameter points (margin-respecting) and their ambient images.
 
-    Returns (chart_indices, U, X).  Sampling is uniform in chart coordinates;
-    use quadrature weights when an area-uniform law matters.
+    Returns (U, X).  Sampling is uniform in chart coordinates; use
+    quadrature weights when an area-uniform law matters.
     """
-    rng = np.random.default_rng(seed)
-    chart_idx = rng.integers(0, len(M.charts), size=count)
-    U = np.empty((count, M.dimension))
-    X = np.empty((count, M.dimension + 2))
-    for c in range(len(M.charts)):
-        mask = chart_idx == c
-        if not np.any(mask):
-            continue
-        box = M.charts[c].sample_box(pad)
-        U[mask] = rng.uniform(box[:, 0], box[:, 1], size=(int(mask.sum()), M.dimension))
-        X[mask] = M.charts[c].embed(U[mask])
-    return chart_idx, U, X
+    box = M.chart.sample_box(pad)
+    U = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, M.dimension))
+    return U, M.chart.embed(U)
 
 
 def measure_volume_growth(
@@ -698,23 +687,23 @@ def measure_volume_growth(
         # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
         levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
         return safety * float(np.max(_homogeneous_ball_area(M, levels) / radii**n))
-    _, _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
+    _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
+    chart = M.chart
+    if chart.dim > 3:
+        raise UnsupportedFamily("volume-growth quadrature is limited to n <= 3 charts")
+    nodes, weights = chart_quadrature(chart, resolution)
+    mass = weights * sqrt_det_metric(chart, nodes)
+    X = chart.embed(nodes)
+    del nodes, weights  # only X and mass are needed over the centers
     best = 0.0
-    for chart in M.charts:
-        if chart.dim > 3:
-            raise UnsupportedFamily("volume-growth quadrature is limited to n <= 3 charts")
-        nodes, weights = chart_quadrature(chart, resolution)
-        mass = weights * sqrt_det_metric(chart, nodes)
-        X = chart.embed(nodes)
-        del nodes, weights  # only X and mass are needed over the centers
-        for c in centers:
-            # ball mass of every radius from one sort: the cumulative mass up
-            # to the last node with d <= r
-            d = dist(X, c)
-            order = np.argsort(d)
-            cum = np.concatenate([[0.0], np.cumsum(mass[order])])
-            ball = cum[np.searchsorted(d[order], radii, side="right")]
-            best = max(best, float(np.max(ball / radii**n)))
+    for c in centers:
+        # ball mass of every radius from one sort: the cumulative mass up
+        # to the last node with d <= r
+        d = dist(X, c)
+        order = np.argsort(d)
+        cum = np.concatenate([[0.0], np.cumsum(mass[order])])
+        ball = cum[np.searchsorted(d[order], radii, side="right")]
+        best = max(best, float(np.max(ball / radii**n)))
     return safety * best
 
 
@@ -788,53 +777,53 @@ def _sin_power_integral(m, a):
 # ---------------------------------------------------------------------------
 
 def save_chart_file(M, path, grid):
-    """Write sampled ambient points of every chart in the plain-text format.
+    """Write sampled ambient points of the chart in the plain-text format.
 
-    Format: header ``dim n charts c``; per chart a ``box`` line (lo hi per
-    axis), a ``periodic`` line (0/1 per axis), a ``grid`` line (points per
-    axis), then the row-major grid of ambient points, n+2 floats per line.
+    Format: header ``dim n charts 1``, a ``box`` line (lo hi per axis), a
+    ``periodic`` line (0/1 per axis), a ``grid`` line (points per axis),
+    then the row-major grid of ambient points, n+2 floats per line.
     Non-periodic axes include both endpoints; periodic axes omit the wrap
     point.
     """
     grid = _per_axis(grid, M.dimension)
+    chart = M.chart
     with open(path, "w") as fh:
-        fh.write(f"dim {M.dimension} charts {len(M.charts)}\n")
-        for chart in M.charts:
-            fh.write("box " + " ".join(repr(float(v)) for v in np.ravel(chart.box)) + "\n")
-            fh.write("periodic " + " ".join(str(int(p)) for p in chart.periodic) + "\n")
-            fh.write("grid " + " ".join(str(g) for g in grid) + "\n")
-            pts = chart.embed(_tensor_grid(_file_axes(chart.box, chart.periodic, grid)))
-            for row in pts:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"dim {M.dimension} charts 1\n")
+        fh.write("box " + " ".join(repr(float(v)) for v in np.ravel(chart.box)) + "\n")
+        fh.write("periodic " + " ".join(str(int(p)) for p in chart.periodic) + "\n")
+        fh.write("grid " + " ".join(str(g) for g in grid) + "\n")
+        pts = chart.embed(_tensor_grid(_file_axes(chart.box, chart.periodic, grid)))
+        for row in pts:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_chart_file(path):
     """Read a plain-text chart file and build a spline-interpolated surface.
 
     The sampled grid is interpolated per ambient coordinate with C^2 cubic
-    splines (periodic axes are wrap-padded), currently for n in {1, 2}; all
-    geometry then runs through the finite-difference backend.
+    splines (periodic axes are wrap-padded), currently for n in {1, 2} and
+    one chart per file; all geometry then runs through the
+    finite-difference backend.
     """
     with open(path) as fh:
         tokens = fh.readline().split()
         if len(tokens) != 4 or tokens[0] != "dim" or tokens[2] != "charts":
-            raise ValueError("chart file must start with 'dim n charts c'")
+            raise ValueError("chart file must start with 'dim n charts 1'")
         n, n_charts = int(tokens[1]), int(tokens[3])
         if n not in (1, 2):
             raise UnsupportedFamily("spline chart interpolation supports n in {1, 2}")
-        charts = []
-        for _ in range(n_charts):
-            box = np.array([float(v) for v in fh.readline().split()[1:]]).reshape(n, 2)
-            periodic = tuple(bool(int(v)) for v in fh.readline().split()[1:])
-            grid = [int(v) for v in fh.readline().split()[1:]]
-            rows = np.array(
-                [[float(v) for v in fh.readline().split()] for _ in range(int(np.prod(grid)))]
-            )
-            if rows.shape[1] != n + 2:
-                raise ValueError(f"expected {n + 2} floats per grid line")
-            values = rows.reshape(grid + [n + 2])
-            charts.append(_spline_chart(box, periodic, grid, values))
-    return ParametrizedHypersurface(n, charts, family="chartfile")
+        if n_charts != 1:
+            raise UnsupportedFamily(f"a chart file holds one chart, not {n_charts}")
+        box = np.array([float(v) for v in fh.readline().split()[1:]]).reshape(n, 2)
+        periodic = tuple(bool(int(v)) for v in fh.readline().split()[1:])
+        grid = [int(v) for v in fh.readline().split()[1:]]
+        rows = np.array(
+            [[float(v) for v in fh.readline().split()] for _ in range(int(np.prod(grid)))]
+        )
+        if rows.shape[1] != n + 2:
+            raise ValueError(f"expected {n + 2} floats per grid line")
+        values = rows.reshape(grid + [n + 2])
+    return ParametrizedHypersurface(n, _spline_chart(box, periodic, grid, values), family="chartfile")
 
 
 _PAD = 3  # wrap columns appended on each side of a periodic axis

@@ -118,8 +118,8 @@ def grid_axes(chart, resolution):
 def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator:
     """Assemble the stability pencil of M on a tensor grid.
 
-    Requires a single chart with diagonal (orthogonal-coordinate) metric,
-    which covers every built-in family.  ``resolution`` is the node count
+    Requires a chart with diagonal (orthogonal-coordinate) metric, which
+    covers every built-in family.  ``resolution`` is the node count
     per axis (scalar or list), at least 8.
 
     ``chart.metric_diag`` is evaluated on open grids (``np.ix_`` of the
@@ -140,9 +140,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     One ``sort_indices`` orders the rows that wrap on a periodic axis; B and
     V are diagonal CSR.
     """
-    if len(M.charts) != 1:
-        raise AssemblyFailure("assembly supports single-chart surfaces")
-    chart = M.charts[0]
+    chart = M.chart
     if chart.metric_diag is None:
         raise AssemblyFailure("assembly needs an analytic diagonal metric (orthogonal chart)")
     res = _per_axis(resolution, chart.dim)
@@ -166,7 +164,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         raise AssemblyFailure("mass matrix is not positive definite")
     mass = np.broadcast_to(mass, shapes).ravel()
 
-    a2 = _norm_A_sq(M, 0, nodes)
+    a2 = _norm_A_sq(M, nodes)
     pot = (a2 + M.dimension) * mass
 
     # one stencil row per node, slots in the order of the docstring

@@ -65,7 +65,6 @@ def _stratified_rows(n, strata, samples_per_cell):
 def stratified_integral(
     M: ParametrizedHypersurface,
     fn,
-    chart_index=0,
     box=None,
     strata=24,
     samples_per_cell=2,
@@ -84,7 +83,7 @@ def stratified_integral(
     receives the box index of each row; the rows come box by box,
     :func:`_stratified_rows` of them per box.
     """
-    chart = M.charts[chart_index]
+    chart = M.chart
     n = chart.dim
     boxes = np.asarray(chart.box if box is None else box, dtype=float)
     single = boxes.ndim == 2
@@ -129,7 +128,7 @@ def stratified_integral(
 # deterministic local polar patches
 # ---------------------------------------------------------------------------
 
-def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
+def nearest_chart_point(M, x, resolution=96, zoom=3):
     """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
 
     ``x`` is one ambient point or an array of them (..., n+2).  Charts with
@@ -142,7 +141,7 @@ def nearest_chart_point(M, x, chart_index=0, resolution=96, zoom=3):
     it is limited to n <= 3 charts and raises :class:`UnsupportedFamily`
     above.
     """
-    chart = M.charts[chart_index]
+    chart = M.chart
     sample = chart.sample_box()
     polar = ~np.asarray(chart.periodic, dtype=bool)
     if chart.inverse is not None:
@@ -214,7 +213,6 @@ def local_polar_integral(
     fn,
     reach,
     breaks=(),
-    chart_index=0,
     n_angular=96,
     nodes_per_segment=24,
     safety=1.4,
@@ -230,10 +228,10 @@ def local_polar_integral(
     surface.  ``reach_metric`` says whether reach/breaks are geodesic or
     Euclidean (chord) radii.
     """
-    chart = M.charts[chart_index]
+    chart = M.chart
     n = chart.dim
     center_ambient = np.asarray(center_ambient, dtype=float)
-    u0 = nearest_chart_point(M, center_ambient, chart_index)
+    u0 = nearest_chart_point(M, center_ambient)
     gap = geodesic_distance(chart.embed(u0), center_ambient)
     if reach_metric == "euclidean":
         reach_geo = _chord_to_arc(reach)

@@ -169,12 +169,12 @@ def rayleigh_quotient(
     analytic gradient exists, otherwise the operator path.
     """
     if method == "auto":
-        probe = f.gradient_sq(M, 0, M.charts[0].sample_box().mean(axis=1)[None, :])
+        probe = f.gradient_sq(M, M.chart.sample_box().mean(axis=1)[None, :])
         method = "quadrature" if probe is not None else "operator"
 
     if method == "operator":
         op = assemble_jacobi(M, resolution)
-        x = np.asarray(f.value(M, 0, op.nodes), dtype=float)
+        x = np.asarray(f.value(M, op.nodes), dtype=float)
         B = op.mass
         denom = float(x @ (B @ x))
         if denom <= 1e-28 * B.diagonal().sum():
@@ -185,26 +185,22 @@ def rayleigh_quotient(
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
-    num = 0.0
-    denom = 0.0
-    scale = 0.0
-    for c, chart in enumerate(M.charts):
-        if chart.dim <= 3:
-            nodes, weights = chart_quadrature(chart, resolution)
-            w = weights * sqrt_det_metric(chart, nodes)
-        else:
-            # high-dimensional charts: sampled quadrature with density weights
-            _, nodes, _ = sample_points(M, max(2000, resolution), seed=0)
-            w = sqrt_det_metric(chart, nodes)
-        vals = np.asarray(f.value(M, c, nodes), dtype=float)
-        grads = f.gradient_sq(M, c, nodes)
-        if grads is None:
-            grads = surface_gradient_sq_fd(M, c, nodes, lambda pts: f.value(M, c, pts), step=1e-5)
-        a2 = _norm_A_sq(M, c, nodes)
-        num += float(w @ (grads - (a2 + M.dimension) * vals**2))
-        denom += float(w @ vals**2)
-        scale += float(w.sum())
-    if denom <= 1e-28 * scale:
+    chart = M.chart
+    if chart.dim <= 3:
+        nodes, weights = chart_quadrature(chart, resolution)
+        w = weights * sqrt_det_metric(chart, nodes)
+    else:
+        # high-dimensional charts: sampled quadrature with density weights
+        nodes, _ = sample_points(M, max(2000, resolution), seed=0)
+        w = sqrt_det_metric(chart, nodes)
+    vals = np.asarray(f.value(M, nodes), dtype=float)
+    grads = f.gradient_sq(M, nodes)
+    if grads is None:
+        grads = surface_gradient_sq_fd(M, nodes, lambda pts: f.value(M, pts), step=1e-5)
+    a2 = _norm_A_sq(M, nodes)
+    num = float(w @ (grads - (a2 + M.dimension) * vals**2))
+    denom = float(w @ vals**2)
+    if denom <= 1e-28 * float(w.sum()):
         raise ZeroTestFunction("test field vanishes identically at the quadrature nodes")
     return num / denom
 
@@ -232,12 +228,12 @@ class SimonsReport:
     step: float
 
 
-def christoffel_fd(M: ParametrizedHypersurface, chart_index, U, step=2e-3):
+def christoffel_fd(M: ParametrizedHypersurface, U, step=2e-3):
     """Christoffel symbols from central differences of the (diagonal) metric.
 
     Returns (gdiag, ginv_diag, gamma) with gamma[:, d, c, a] = Gamma^d_{ca}.
     """
-    chart = M.charts[chart_index]
+    chart = M.chart
     if chart.metric_diag is None:
         raise UnsupportedFamily("covariant stencils need an analytic diagonal metric")
     U = np.asarray(U, dtype=float)
@@ -255,7 +251,7 @@ def christoffel_fd(M: ParametrizedHypersurface, chart_index, U, step=2e-3):
     return gdiag, ginv, gamma
 
 
-def surface_laplacian_fd(M, chart_index, U, fn, step=2e-3, parts=None):
+def surface_laplacian_fd(M, U, fn, step=2e-3, parts=None):
     """Laplace-Beltrami of a chart-parameter callable by central differences.
 
     ``Delta f = g^{cc} (d^2_cc f - Gamma^e_{cc} d_e f)`` on the diagonal-metric
@@ -264,7 +260,7 @@ def surface_laplacian_fd(M, chart_index, U, fn, step=2e-3, parts=None):
     """
     U = np.asarray(U, dtype=float)
     m, n = U.shape
-    _, ginv, gamma = parts if parts is not None else christoffel_fd(M, chart_index, U, step)
+    _, ginv, gamma = parts if parts is not None else christoffel_fd(M, U, step)
     f0 = fn(U)
     df = np.empty((m, n))
     ddf = np.empty((m, n))
@@ -278,9 +274,9 @@ def surface_laplacian_fd(M, chart_index, U, fn, step=2e-3, parts=None):
     return np.einsum("mc,mc->m", ginv, ddf) - np.einsum("me,me->m", corr, df)
 
 
-def surface_gradient_sq_fd(M, chart_index, U, fn, step=2e-3):
+def surface_gradient_sq_fd(M, U, fn, step=2e-3):
     """|grad f|^2 = g^{cc} (d_c f)^2 by central differences (diagonal metric)."""
-    chart = M.charts[chart_index]
+    chart = M.chart
     if chart.metric_diag is None:
         raise UnsupportedFamily("finite-difference gradients need an analytic metric")
     U = np.asarray(U, dtype=float)
@@ -302,18 +298,17 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     if not M.has_closed_form:
         raise UnsupportedFamily("identity check needs the closed-form geometry backend")
     n = M.dimension
-    _, U, _ = sample_points(M, samples, seed=seed, pad=2.0 * step)
-    chart = 0
+    U, _ = sample_points(M, samples, seed=seed, pad=2.0 * step)
     m = U.shape[0]
 
-    gdiag0, _, A0, H0, a2_0 = M.shape_batch(chart, U)
+    gdiag0, _, A0, H0, a2_0 = M.shape_batch(U)
     if np.any(np.abs(H0) > 1e-6):
         raise NonMinimal(f"|H| up to {np.abs(H0).max():.3e} at samples; identity needs H = 0")
 
-    parts = christoffel_fd(M, chart, U, step)
+    parts = christoffel_fd(M, U, step)
     _, ginv, gamma = parts
     # dA[:, c, a, b] = d_c A_ab
-    dA = np.moveaxis(_central_diff(lambda P: M.shape_batch(chart, P)[2], U, step), -1, 1)
+    dA = np.moveaxis(_central_diff(lambda P: M.shape_batch(P)[2], U, step), -1, 1)
     # nabla_c A_ab = d_c A_ab - Gamma^d_{ca} A_db - Gamma^d_{cb} A_ad
     nabla = (
         dA
@@ -324,11 +319,11 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
         "mc,ma,mb,mcab,mcab->m", ginv, ginv, ginv, nabla, nabla, optimize=True
     )
 
-    a2_fn = lambda pts: M.shape_batch(chart, pts)[4]
-    norm_fn = lambda pts: np.sqrt(M.shape_batch(chart, pts)[4])
-    lap_a2 = surface_laplacian_fd(M, chart, U, a2_fn, step, parts=parts)
-    lap_norm = surface_laplacian_fd(M, chart, U, norm_fn, step, parts=parts)
-    grad_norm_sq = surface_gradient_sq_fd(M, chart, U, norm_fn, step)
+    a2_fn = lambda pts: M.shape_batch(pts)[4]
+    norm_fn = lambda pts: np.sqrt(M.shape_batch(pts)[4])
+    lap_a2 = surface_laplacian_fd(M, U, a2_fn, step, parts=parts)
+    lap_norm = surface_laplacian_fd(M, U, norm_fn, step, parts=parts)
+    grad_norm_sq = surface_gradient_sq_fd(M, U, norm_fn, step)
     normA0 = np.sqrt(a2_0)
 
     identity = np.abs(lap_a2 - (2 * grad_A_sq + 2 * n * a2_0 - 2 * a2_0**2))

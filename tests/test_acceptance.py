@@ -92,8 +92,8 @@ def test_criterion_03_equality_case_geometry():
     worst_a2 = worst_h = 0.0
     for kl in FAMILIES:
         M = geo.clifford_hypersurface(kl)
-        _, U, _ = geo.sample_points(M, 1000, seed=0)
-        _, _, _, H, a2 = M.shape_batch(0, U)
+        U, _ = geo.sample_points(M, 1000, seed=0)
+        _, _, _, H, a2 = M.shape_batch(U)
         worst_a2 = max(worst_a2, float(np.abs(a2 - M.dimension).max()))
         worst_h = max(worst_h, float(np.abs(H).max()))
     verdict(
@@ -156,7 +156,7 @@ def test_criterion_06_cutoff_gradient_estimate():
     failures = []
     ratios = []
     for count in (1, 5, 20):
-        _, _, pts = geo.sample_points(torus, count, seed=count)
+        _, pts = geo.sample_points(torus, count, seed=count)
         for eps in (0.1, 0.05, 0.01):
             try:
                 cut.cover_singular_set(pts, n=2, q=2, epsilon=eps, r_min=1e-4)
@@ -224,7 +224,7 @@ def test_criterion_07_intersection_bound_suite():
 def test_criterion_08_smooth_cutoff_report():
     torus = geo.clifford_hypersurface((1, 1))
     c_v = geo.measure_volume_growth(torus, metric="chord", resolution=128)
-    _, _, pts = geo.sample_points(torus, 1, seed=5)
+    _, pts = geo.sample_points(torus, 1, seed=5)
     eps = 0.05
     r = math.sqrt(0.8 * eps)  # area-budget radius: sum r^k = 0.8 eps < eps (k = 2)
     cover = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean",
@@ -257,7 +257,7 @@ def test_criterion_09_cone_threshold():
 
 def test_criterion_10_ibp_residual():
     torus = geo.clifford_hypersurface((1, 1))
-    _, _, pts = geo.sample_points(torus, 1, seed=2)
+    _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     crosses = []
     for eps in (0.1, 0.05, 0.025):

@@ -161,7 +161,7 @@ def test_cutoff_singular_set_file(tmp_path):
     from spherestab import geometry as geo
 
     torus = geo.clifford_hypersurface((1, 1))
-    _, _, pts = geo.sample_points(torus, 2, seed=3)
+    _, pts = geo.sample_points(torus, 2, seed=3)
     cloud = tmp_path / "sing.txt"
     cloud.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in pts) + "\n")
     code = run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1",
@@ -177,7 +177,7 @@ def test_cutoff_reaches_four_dimensional_products(tmp_path):
     # nearest chart point of a 4-dimensional chart (closed-form inverse)
     from spherestab import geometry as geo
 
-    chart = geo.clifford_hypersurface((2, 2)).charts[0]
+    chart = geo.clifford_hypersurface((2, 2)).chart
     cloud = tmp_path / "centre.txt"
     centre = chart.embed(chart.box.mean(axis=1))
     cloud.write_text(" ".join(repr(float(v)) for v in centre) + "\n")

@@ -131,7 +131,7 @@ def test_vitali_random_family_disjoint_and_covering():
 
 def test_vitali_on_geodesic_cover(torus):
     # end-to-end on the sphere: sixth-containment cover, discard, coverage
-    _, _, pts = geo.sample_points(torus, 12, seed=13)
+    _, pts = geo.sample_points(torus, 12, seed=13)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.6, containment="sixth")
     assert cut.covers_points(cov, 1.0 / 6.0)
     out = cut.vitali_discard(cov)
@@ -332,7 +332,7 @@ def test_inf_cutoff_invariants():
 
 
 def test_inf_cutoff_multi_ball_slope_bound(torus):
-    _, _, pts = geo.sample_points(torus, 4, seed=6)
+    _, pts = geo.sample_points(torus, 4, seed=6)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.3)
     field = cut.build_inf_cutoff(cov)
     X = sphere_cloud(5000, seed=2)
@@ -491,7 +491,7 @@ def m12_cv(m12):
 
 
 def test_gradient_estimate_feasible_case(m12, m12_cv):
-    _, _, pts = geo.sample_points(m12, 5, seed=7, pad=0.05)
+    _, pts = geo.sample_points(m12, 5, seed=7, pad=0.05)
     cov = cut.cover_singular_set(pts, n=3, q=2, epsilon=0.05)
     field = cut.build_inf_cutoff(cov)
     rep = cut.gradient_integral_estimate(m12, cov, field, 2, C_V=m12_cv)
@@ -501,7 +501,7 @@ def test_gradient_estimate_feasible_case(m12, m12_cv):
 
 
 def test_gradient_estimate_epsilon_linearity(m12, m12_cv):
-    _, _, pts = geo.sample_points(m12, 3, seed=8, pad=0.05)
+    _, pts = geo.sample_points(m12, 3, seed=8, pad=0.05)
     values = {}
     for eps in (0.05, 0.025):
         cov = cut.cover_singular_set(pts, n=3, q=2, epsilon=eps)
@@ -515,7 +515,7 @@ def test_gradient_estimate_epsilon_linearity(m12, m12_cv):
 
 
 def test_gradient_estimate_torus_q1(torus, torus_cv_geodesic):
-    _, _, pts = geo.sample_points(torus, 3, seed=2)
+    _, pts = geo.sample_points(torus, 3, seed=2)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.1)
     field = cut.build_inf_cutoff(cov)
     rep = cut.gradient_integral_estimate(torus, cov, field, 1, C_V=torus_cv_geodesic)
@@ -530,7 +530,7 @@ def test_gradient_estimate_ball_at_coordinate_pole():
     C_V = geo.measure_volume_growth(M)
     reports = []
     for u in ([0.0, 0.0, 0.0], [math.pi / 2, 0.0, 0.0]):
-        cov = cut.cover_singular_set(M.charts[0].embed(np.array([u])), n=3, q=1, epsilon=0.1)
+        cov = cut.cover_singular_set(M.chart.embed(np.array([u])), n=3, q=1, epsilon=0.1)
         field = cut.build_inf_cutoff(cov)
         reports.append(cut.gradient_integral_estimate(M, cov, field, 1, C_V=C_V, seed=3))
     pole, equator_point = reports
@@ -548,7 +548,7 @@ def _all_balls_integrand(M, field, i, q):
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         grad = slope[take, act][:, None] * grad_d[take, act]
-        gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+        gsq = cut.tangential_gradient_sq(M, U, grad)
         return np.where((act == i) & (slope[take, act] > 0.0), gsq ** (q / 2.0), 0.0)
 
     return integrand
@@ -560,7 +560,7 @@ def _rows_straddling(M, field, i, target, count, rng):
     tightly as floats allow: the last bisection bracket on each ray, both
     sides.  The distance of unit-size coordinates resolves steps of about
     one ulp of 1, so that is the bracket's width."""
-    chart = M.charts[0]
+    chart = M.chart
     u0 = chart.inverse(field.cover.centers[i])
     dirs = rng.normal(size=(count, M.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -587,26 +587,26 @@ def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
     # rows in each ball's chart box, and rows on both sides of d = r_i and
     # d = 2 r_i within float resolution, where the screen's slack decides
     M = geo.clifford_hypersurface(kl)
-    _, _, centers = geo.sample_points(M, count, seed=31, pad=0.3)
+    _, centers = geo.sample_points(M, count, seed=31, pad=0.3)
     rng = np.random.default_rng(32)
     cov = cut.BallCover(centers, rng.uniform(*radius, count), M.dimension, 1, 1e9, "geodesic")
     field = cut.build_inf_cutoff(cov)
     neighbours = cut._ramp_neighbours(cov)
     assert any(1 < len(nb) < count for nb in neighbours)  # overlapping, yet local
-    boxes, hit = cut._ball_chart_boxes(M, 0, cov.centers, 2.0 * cov.radii, "geodesic")
+    boxes, hit = cut._ball_chart_boxes(M, cov.centers, 2.0 * cov.radii, "geodesic")
     assert hit.all()
-    _, U_all, _ = geo.sample_points(M, 400, seed=33)
+    U_all, _ = geo.sample_points(M, 400, seed=33)
     blocks = []
     for i in range(count):
         edges = [_rows_straddling(M, field, i, target, 20, rng) for target in (cov.radii[i], 2.0 * cov.radii[i])]
         box = rng.uniform(boxes[i, :, 0], boxes[i, :, 1], size=(400, M.dimension))
         blocks.append(np.vstack([U_all, box, *edges]))
     U = np.vstack(blocks)
-    X = M.charts[0].embed(U)
+    X = M.chart.embed(U)
     own = np.repeat(np.arange(count), [len(block) for block in blocks])
     nonzero = 0
     for q in (1, 2):
-        batched = cut._annulus_gradient_integrand(M, 0, field, q)(U, X, own)
+        batched = cut._annulus_gradient_integrand(M, field, q)(U, X, own)
         for i in range(count):
             rows = own == i
             assert np.array_equal(batched[rows], _all_balls_integrand(M, field, i, q)(U[rows], X[rows]))
@@ -637,7 +637,7 @@ def _box_excludes_ball_reference(chart, box, center, reach, dist, face_samples=7
 
 def _ball_chart_box_reference(M, center, reach, metric, safety=1.5):
     # the per-ball box search as gradient_integral_estimate first ran it
-    chart = M.charts[0]
+    chart = M.chart
     u0 = nearest_chart_point(M, center)
     reach_geo = geo._chord_to_arc(reach) if metric == "euclidean" else reach
     if geo.geodesic_distance(chart.embed(u0), center) >= reach_geo:
@@ -676,10 +676,10 @@ def _per_ball_reference(M, cover, field, q, strata, samples_per_cell, seed):
 def _identity_covers():
     torus, m12, m21 = (geo.clifford_hypersurface(kl) for kl in ((1, 1), (1, 2), (2, 1)))
     rng = np.random.default_rng(41)
-    _, _, c11 = geo.sample_points(torus, 24, seed=42)
-    _, _, c12 = geo.sample_points(m12, 6, seed=43)
+    _, c11 = geo.sample_points(torus, 24, seed=42)
+    _, c12 = geo.sample_points(m12, 6, seed=43)
     off = np.array([[0.0, 0.0, 1.0, 0.0]])  # geodesic distance pi/4 from the torus
-    pole = cut.cover_singular_set(m21.charts[0].embed(np.array([[0.0, 0.0, 0.0]])), n=3, q=1, epsilon=0.1)
+    pole = cut.cover_singular_set(m21.chart.embed(np.array([[0.0, 0.0, 0.0]])), n=3, q=1, epsilon=0.1)
     radii = rng.uniform(0.05, 0.3, 24)
     # the last ball repeats ball 0, so every ramp ties with ball 0's and the
     # lower index stays active: a table that put the pad before the sorted
@@ -724,11 +724,11 @@ def test_batched_chart_boxes_match_per_ball_search():
     # polar axes of clifford(2,2): the same boxes and the same misses
     covers = [(M, cover) for _, M, cover, _ in _identity_covers()]
     M22 = geo.clifford_hypersurface((2, 2))
-    poles = M22.charts[0].embed(np.array([[0.0, 1.0, 0.5, 2.0], [math.pi, 1.0, 0.5, 2.0],
+    poles = M22.chart.embed(np.array([[0.0, 1.0, 0.5, 2.0], [math.pi, 1.0, 0.5, 2.0],
                                           [1.0, 1.0, math.pi, 2.0], [0.02, 1.0, 0.03, 2.0]]))
     covers.append((M22, cut.BallCover(poles, np.array([0.1, 0.2, 0.3, 0.15]), 4, 1, 1e9, "geodesic")))
     for M, cover in covers:
-        boxes, hit = cut._ball_chart_boxes(M, 0, cover.centers, 2.0 * cover.radii, cover.metric)
+        boxes, hit = cut._ball_chart_boxes(M, cover.centers, 2.0 * cover.radii, cover.metric)
         for i in range(cover.size):
             box, _ = _ball_chart_box_reference(M, cover.centers[i], 2.0 * cover.radii[i], cover.metric)
             assert hit[i] == (box is not None)
@@ -757,7 +757,7 @@ def test_gradient_estimate_off_surface_ball_skipped(torus, torus_cv_geodesic):
 # ---------------------------------------------------------------------------
 
 def test_mr_quality_report_one_ball(torus, torus_cv_chord):
-    _, _, pts = geo.sample_points(torus, 1, seed=5)
+    _, pts = geo.sample_points(torus, 1, seed=5)
     eps = 0.05
     r = math.sqrt(0.8 * eps)
     cov = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean",
@@ -773,7 +773,7 @@ def test_mr_quality_report_one_ball(torus, torus_cv_chord):
 def test_mr_area_against_quadrature_oracle(torus, torus_cv_chord):
     # independent oracle for H^2({phi != 1}): deterministic indicator
     # quadrature of the ball region on a fine grid
-    _, _, pts = geo.sample_points(torus, 1, seed=5)
+    _, pts = geo.sample_points(torus, 1, seed=5)
     r = 0.25
     cov = cut.BallCover(pts, np.array([r]), 2, 0.0, 0.1, "euclidean",
                         points=pts, containment="sixth")
@@ -781,7 +781,7 @@ def test_mr_area_against_quadrature_oracle(torus, torus_cv_chord):
     rep = cut.mr_quality_report(torus, field, C_V=torus_cv_chord, seed=1)
     from spherestab.geometry import chart_quadrature, chord_distance, sqrt_det_metric
 
-    chart = torus.charts[0]
+    chart = torus.chart
     nodes, weights = chart_quadrature(chart, 768)
     w = weights * sqrt_det_metric(chart, nodes)
     oracle = float(w[chord_distance(chart.embed(nodes), pts[0]) < r].sum())
@@ -817,9 +817,9 @@ def _crowded_torus_cover():
 def test_quality_integrands_on_screened_rows_match_all_rows(torus):
     # the rows left out by the ball screen read exactly 0.0 in all three
     # integrands, and the kept rows equal the all-rows evaluation bit for bit
-    chart = torus.charts[0]
+    chart = torus.chart
     U_bg = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(3000, 2))
-    _, _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
+    _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
     workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
     base, radii, U_edge = _crowded_torus_cover()
     crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
@@ -832,20 +832,20 @@ def test_quality_integrands_on_screened_rows_match_all_rows(torus):
             assert 0 < kept.sum() < len(U)
         else:
             assert not kept.any()
-        for integrand in cut._quality_integrands(torus, field, 0):
+        for integrand in cut._quality_integrands(torus, field):
             full = integrand(U, X)
             assert np.array_equal(cut._inside_balls_only(field, integrand)(U, X), full)
             assert np.all(full[~kept] == 0.0)
     # points just inside a ball (and off the other balls' zero sets) carry
     # nonzero ramp derivatives, so a screen that drops them is caught above
-    lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded), 0)[2]
+    lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
     assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3])) > 0.0) >= 10
 
 
 def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
     # a product field built directly on a geodesic cover is refused before
     # any integral runs
-    _, _, pts = geo.sample_points(torus, 1, seed=5)
+    _, pts = geo.sample_points(torus, 1, seed=5)
     cov = cut.BallCover(pts, np.array([0.2]), 2, 0.0, 0.1, "geodesic")
     field = cut.CutoffField(cov, "product")
 
@@ -855,6 +855,36 @@ def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
     monkeypatch.setattr(cut, "stratified_integral", no_integral)
     with pytest.raises(PreconditionViolated):
         cut.mr_quality_report(torus, field, C_V=1.0)
+
+
+def test_cutoff_integrals_refuse_chart_file(tmp_path, torus, monkeypatch):
+    # a loaded chart file has no analytic jacobian or metric; each cutoff
+    # integral refuses it before any integral or volume-growth run starts
+    path = tmp_path / "torus.chart"
+    geo.save_chart_file(torus, path, 32)
+    loaded = geo.load_chart_file(path)
+    _, pts = geo.sample_points(torus, 1, seed=5)
+    geodesic = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.1)
+    euclidean = cut.cover_singular_set(pts, n=2, q=0.0, epsilon=0.5, metric="euclidean",
+                                       containment="sixth")
+    u = AmbientCoordinateField(0)
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the chart check")
+
+    for name in ("stratified_integral", "local_polar_integral", "measure_volume_growth",
+                 "chart_quadrature"):
+        monkeypatch.setattr(cut, name, no_integral)
+    calls = [
+        lambda: cut.gradient_integral_estimate(loaded, geodesic, cut.build_inf_cutoff(geodesic), 1),
+        lambda: cut.mr_quality_report(loaded, cut.build_product_cutoff(euclidean)),
+        lambda: cut.ibp_residual(loaded, geodesic, u, u),
+        lambda: cut.ibp_residual(loaded, cut.empty_cover(2, 1, 0.1, ambient_dim=4), u, u),
+        lambda: cut.cutoff_cross_term(loaded, cut.build_inf_cutoff(geodesic), u),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedFamily):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +898,7 @@ def test_ibp_empty_cover_equator(equator2):
 
 
 def test_ibp_cross_term_decreases(torus):
-    _, _, pts = geo.sample_points(torus, 1, seed=2)
+    _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     crosses = []
     for eps in (0.1, 0.05, 0.025):
@@ -879,7 +909,7 @@ def test_ibp_cross_term_decreases(torus):
 
 
 def test_ibp_residual_small_at_tight_budget(torus):
-    _, _, pts = geo.sample_points(torus, 1, seed=2)
+    _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
     resid = cut.ibp_residual(torus, cov, u, u)
@@ -887,7 +917,7 @@ def test_ibp_residual_small_at_tight_budget(torus):
 
 
 def test_ibp_exponent_consistency_guard(torus):
-    _, _, pts = geo.sample_points(torus, 1, seed=2)
+    _, pts = geo.sample_points(torus, 1, seed=2)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.05)
     u = ConstantField(1.0)
     with pytest.raises(PreconditionViolated):
@@ -898,27 +928,27 @@ def _patch_reference(M, field, u, v, i, which):
     """The all-balls patch integrand of ball i, as ibp_residual ("ibp") and
     cutoff_cross_term ("cross") first wrote it."""
     cover = field.cover
-    chart = M.charts[0]
+    chart = M.chart
 
     def integrand(U, X):
         d, grad_d = field._dist_grad(X)
         vals, slope = field._ramps(d)
-        uu = np.asarray(u.value(M, 0, U), dtype=float)
+        uu = np.asarray(u.value(M, U), dtype=float)
         if field.kind == "product":
             in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
             first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
             grad = cut._product_gradient(cut._product_excluding_one(vals), slope, grad_d)
-            gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+            gsq = cut.tangential_gradient_sq(M, U, grad)
             return np.where(first == i, np.abs(uu) * np.sqrt(gsq), 0.0)
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         phi, grad = vals[take, act], slope[take, act][:, None] * grad_d[take, act]
         if which == "cross":
-            gsq = cut.tangential_gradient_sq(M, 0, U, grad)
+            gsq = cut.tangential_gradient_sq(M, U, grad)
             return np.where(act == i, np.abs(uu) * np.sqrt(gsq), 0.0)
-        lap = v.laplacian(M, 0, U)
-        inn = cut._field_grad_inner(M, 0, U, u, v)
-        dv = v.chart_gradient(M, 0, U)
+        lap = v.laplacian(M, U)
+        inn = cut._field_grad_inner(M, U, u, v)
+        dv = v.chart_gradient(M, U)
         dphi = np.einsum("pia,pi->pa", chart.jacobian(U), grad, optimize=True)
         cross = uu * np.sum(dv * dphi / chart.metric_diag(U), axis=-1)
         return np.where(act == i, -(1.0 - phi) * (uu * lap + inn) + cross, 0.0)
@@ -932,8 +962,8 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
     # on crowded covers, on the patch rows and on rows far from the ball,
     # the inf patch integrands equal the all-balls ones bit for bit and the
     # product one has the same support and values to rounding
-    chart = torus.charts[0]
-    _, _, centers = geo.sample_points(torus, 30, seed=51, pad=0.3)
+    chart = torus.chart
+    _, centers = geo.sample_points(torus, 30, seed=51, pad=0.3)
     rng = np.random.default_rng(52)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
@@ -978,7 +1008,7 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
 def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
     # each patch evaluates the chart frame of its rows once and passes it to
     # every derivative: the fields' gradients, the inner product and dphi
-    chart = torus.charts[0]
+    chart = torus.chart
     calls = []
     jacobian = chart.jacobian
     monkeypatch.setattr(chart, "jacobian", lambda U: calls.append(len(U)) or jacobian(U))
@@ -995,7 +1025,7 @@ def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
         return polar(M, center, patch, reach, **kw)
 
     monkeypatch.setattr(cut, "local_polar_integral", counted)
-    _, _, centers = geo.sample_points(torus, 4, seed=11)
+    _, centers = geo.sample_points(torus, 4, seed=11)
     cover = cut.BallCover(centers, np.full(4, 0.05), 2, 1, 1e9, "geodesic")
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
@@ -1006,7 +1036,7 @@ def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
 
 def test_ibp_constant_u_divergence_form(torus):
     # u == 1: residual reduces to |int phi Delta v + int <grad v, grad phi>|
-    _, _, pts = geo.sample_points(torus, 1, seed=4)
+    _, pts = geo.sample_points(torus, 1, seed=4)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
     resid = cut.ibp_residual(torus, cov, ConstantField(1.0), v)

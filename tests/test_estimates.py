@@ -68,12 +68,12 @@ def test_l4_identity_all_small_families():
 def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
     # |A|^2 == 2 on the torus, so the measured energy equals 2 * area(M cap B);
     # oracle: the ball area by an independent quadrature of the indicator
-    _, _, P = geo.sample_points(torus, 1, seed=9)
+    _, P = geo.sample_points(torus, 1, seed=9)
     p, r = P[0], 0.5
     rep = est.local_A_bound(torus, p, r, -4.0, C_V=torus_cv_geodesic)
     from spherestab.geometry import chart_quadrature, sqrt_det_metric, geodesic_distance
 
-    chart = torus.charts[0]
+    chart = torus.chart
     nodes, weights = chart_quadrature(chart, 512)
     w = weights * sqrt_det_metric(chart, nodes)
     ball_area = float(w[geodesic_distance(chart.embed(nodes), p) <= r].sum())
@@ -83,7 +83,7 @@ def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
 
 
 def test_local_A_bound_radius_scaling(torus, torus_cv_geodesic):
-    _, _, P = geo.sample_points(torus, 1, seed=9)
+    _, P = geo.sample_points(torus, 1, seed=9)
     big = est.local_A_bound(torus, P[0], 0.5, -4.0, C_V=torus_cv_geodesic)
     small = est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=torus_cv_geodesic)
     # lhs shrinks ~quadratically while the r^(n-2) term of the bound is flat (n = 2)
@@ -92,7 +92,7 @@ def test_local_A_bound_radius_scaling(torus, torus_cv_geodesic):
 
 
 def test_local_A_bound_equator_zero(equator2):
-    _, _, P = geo.sample_points(equator2, 1, seed=1)
+    _, P = geo.sample_points(equator2, 1, seed=1)
     rep = est.local_A_bound(equator2, P[0], 0.5, -2.0)
     assert rep.lhs == 0.0 and rep.passed
 
@@ -102,7 +102,7 @@ def test_local_A_bound_family_sweep(kl, clifford_families):
     M = clifford_families[kl]
     n = M.dimension
     c_v = geo.measure_volume_growth(M)
-    _, _, centers = geo.sample_points(M, 20, seed=4)
+    _, centers = geo.sample_points(M, 20, seed=4)
     for r in (0.1, 0.25, 0.5, 1.0):
         for c in centers:
             rep = est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v)
@@ -112,7 +112,7 @@ def test_local_A_bound_family_sweep(kl, clifford_families):
 def test_local_A_bound_small_ball_is_exact():
     # |A|^2 == n == 4 on clifford(2, 2); a ball this small must not read 0
     M = geo.clifford_hypersurface((2, 2))
-    _, _, centers = geo.sample_points(M, 3, seed=901)
+    _, centers = geo.sample_points(M, 3, seed=901)
     expect = 4.0 * float(geo._ball_area(2, 2, np.cos(0.1)))
     assert expect > 0.0
     for c in centers:
@@ -122,7 +122,7 @@ def test_local_A_bound_small_ball_is_exact():
 
 
 def test_local_A_bound_refuses_off_surface_centre(torus):
-    _, _, P = geo.sample_points(torus, 1, seed=2)
+    _, P = geo.sample_points(torus, 1, seed=2)
     with pytest.raises(PreconditionViolated):
         est.local_A_bound(torus, 1.01 * P[0], 0.25, -4.0, C_V=4.4)
     with pytest.raises(PreconditionViolated):
@@ -133,7 +133,7 @@ def test_local_A_bound_refuses_chart_files(tmp_path, torus):
     path = tmp_path / "torus.chart"
     geo.save_chart_file(torus, path, 48)
     loaded = geo.load_chart_file(path)
-    _, _, P = geo.sample_points(torus, 1, seed=2)
+    _, P = geo.sample_points(torus, 1, seed=2)
     with pytest.raises(UnsupportedFamily):
         est.local_A_bound(loaded, P[0], 0.25, -4.0, C_V=4.4)
 

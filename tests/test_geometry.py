@@ -43,12 +43,12 @@ def test_ambient_point_validation():
 # ---------------------------------------------------------------------------
 
 def test_equator_shape_trivial(equator2):
-    _, U, X = geo.sample_points(equator2, 100, seed=1)
-    _, _, A, H, a2 = equator2.shape_batch(0, U)   # A == 0 at all 100 points
+    U, X = geo.sample_points(equator2, 100, seed=1)
+    _, _, A, H, a2 = equator2.shape_batch(U)   # A == 0 at all 100 points
     assert np.abs(A).max() == 0.0 and np.abs(H).max() == 0.0
     assert np.abs(a2).max() <= 1e-12
     for u in U[:10]:
-        sd = geo.shape_at(equator2, 0, u)
+        sd = geo.shape_at(equator2, u)
         assert np.allclose(sd.second_fundamental, 0.0, atol=1e-14)
         assert sd.mean_curvature == 0.0
     assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
@@ -56,17 +56,17 @@ def test_equator_shape_trivial(equator2):
 
 def test_equator3_shape_trivial():
     M = geo.equator(3)
-    _, U, _ = geo.sample_points(M, 100, seed=2)
-    gdiag, nu, A, H, a2 = M.shape_batch(0, U)
+    U, _ = geo.sample_points(M, 100, seed=2)
+    gdiag, nu, A, H, a2 = M.shape_batch(U)
     assert np.abs(A).max() == 0.0
     assert np.abs(H).max() == 0.0
     assert np.abs(a2).max() <= 1e-12
 
 
 def test_torus_shape(torus):
-    _, U, _ = geo.sample_points(torus, 20, seed=3)
+    U, _ = geo.sample_points(torus, 20, seed=3)
     for u in U[:5]:
-        sd = geo.shape_at(torus, 0, u)
+        sd = geo.shape_at(torus, u)
         assert sd.norm_A_sq == 2.0          # |A|^2 = n exactly in the closed form
         assert sd.mean_curvature == 0.0
         assert np.allclose(sd.metric, 0.5 * np.eye(2))  # flat induced metric
@@ -74,8 +74,8 @@ def test_torus_shape(torus):
 
 def test_clifford21_principal_curvatures():
     M = geo.clifford_hypersurface((2, 1))
-    _, U, _ = geo.sample_points(M, 5, seed=4)
-    sd = geo.shape_at(M, 0, U[0])
+    U, _ = geo.sample_points(M, 5, seed=4)
+    sd = geo.shape_at(M, U[0])
     kappa = np.sort(np.linalg.eigvalsh(np.linalg.solve(sd.metric, sd.second_fundamental)))
     expected = np.sort([math.sqrt(0.5), math.sqrt(0.5), -math.sqrt(2.0)])
     assert np.allclose(kappa, expected, atol=1e-12)
@@ -86,8 +86,8 @@ def test_clifford21_principal_curvatures():
 def test_clifford_minimality_invariants(clifford_families):
     for (k, l), M in clifford_families.items():
         n = k + l
-        _, U, X = geo.sample_points(M, 200, seed=5)
-        gdiag, nu, A, H, a2 = M.shape_batch(0, U)
+        U, X = geo.sample_points(M, 200, seed=5)
+        gdiag, nu, A, H, a2 = M.shape_batch(U)
         assert np.abs(H).max() <= 1e-10
         assert np.abs(a2 - n).max() <= 1e-10
         # stored H matches trace_g(A)
@@ -96,7 +96,7 @@ def test_clifford_minimality_invariants(clifford_families):
         # normals are unit, tangent to the sphere, orthogonal to the chart frame
         assert np.allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-12)
         assert np.abs(np.einsum("mi,mi->m", nu, X)).max() <= 1e-12
-        jac = M.charts[0].jacobian(U)
+        jac = M.chart.jacobian(U)
         assert np.abs(np.einsum("mia,mi->ma", jac, nu)).max() <= 1e-10
 
 
@@ -108,11 +108,11 @@ def test_clifford12_radii():
 
 def test_generic_backends_match_closed_form():
     M = geo.clifford_hypersurface((2, 1))
-    _, U, _ = geo.sample_points(M, 5, seed=6, pad=0.05)
+    U, _ = geo.sample_points(M, 5, seed=6, pad=0.05)
     for u in U:
-        cf = geo.shape_at(M, 0, u)
-        nd = geo.shape_at(M, 0, u, method="normal-derivative")
-        he = geo.shape_at(M, 0, u, method="hessian")
+        cf = geo.shape_at(M, u)
+        nd = geo.shape_at(M, u, method="normal-derivative")
+        he = geo.shape_at(M, u, method="hessian")
         # O(h^2) truncation with h = 1e-3 on a curved chart
         assert abs(nd.norm_A_sq - cf.norm_A_sq) <= 5e-6
         assert abs(nd.mean_curvature) <= 5e-6
@@ -128,11 +128,11 @@ def test_generic_backends_match_closed_form():
 def test_normal_derivative_vs_hessian_refinement():
     # the two A computations agree to O(h^2): errors shrink ~4x per halving
     M = geo.clifford_hypersurface((1, 2))
-    u = geo.sample_points(M, 1, seed=7, pad=0.05)[1][0]
+    u = geo.sample_points(M, 1, seed=7, pad=0.05)[0][0]
     errs = []
     for h in (2e-3, 1e-3, 5e-4):
-        nd = geo.shape_at(M, 0, u, method="normal-derivative", fd_step=h)
-        he = geo.shape_at(M, 0, u, method="hessian", fd_step=h)
+        nd = geo.shape_at(M, u, method="normal-derivative", fd_step=h)
+        he = geo.shape_at(M, u, method="hessian", fd_step=h)
         diff = min(
             np.abs(nd.second_fundamental - he.second_fundamental).max(),
             np.abs(nd.second_fundamental + he.second_fundamental).max(),
@@ -144,13 +144,13 @@ def test_normal_derivative_vs_hessian_refinement():
 
 def test_chart_invariance_reparametrized_torus(torus):
     # same surface under a shifted chart: |A|^2 and H agree where charts overlap
-    base = torus.charts[0]
+    base = torus.chart
     off = np.array([0.7, 1.3])
     chart2 = geo.Chart(base.box.copy(), base.periodic, lambda U: base.embed(np.asarray(U) + off))
-    M2 = geo.ParametrizedHypersurface(2, [chart2], family="custom")
-    _, U, _ = geo.sample_points(torus, 5, seed=8)
+    M2 = geo.ParametrizedHypersurface(2, chart2, family="custom")
+    U, _ = geo.sample_points(torus, 5, seed=8)
     for u in U:
-        sd2 = geo.shape_at(M2, 0, u - off)       # same ambient point
+        sd2 = geo.shape_at(M2, u - off)       # same ambient point
         assert abs(sd2.norm_A_sq - 2.0) <= 1e-8
         assert abs(sd2.mean_curvature) <= 1e-8
 
@@ -158,15 +158,15 @@ def test_chart_invariance_reparametrized_torus(torus):
 def test_degenerate_chart_raises():
     M = geo.clifford_hypersurface((2, 1))
     with pytest.raises(DegenerateChart):
-        geo.shape_at(M, 0, np.array([1e-9, 0.3, 0.4]))  # at the coordinate pole
+        geo.shape_at(M, np.array([1e-9, 0.3, 0.4]))  # at the coordinate pole
 
 
 def test_immersion_drift_raises(torus):
-    base = torus.charts[0]
+    base = torus.chart
     bad = geo.Chart(base.box.copy(), base.periodic, lambda U: 1.001 * base.embed(U))
-    M = geo.ParametrizedHypersurface(2, [bad], family="custom")
+    M = geo.ParametrizedHypersurface(2, bad, family="custom")
     with pytest.raises(ImmersionDrift):
-        geo.shape_at(M, 0, np.array([0.3, 0.4]))
+        geo.shape_at(M, np.array([0.3, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +184,8 @@ def _family(kind, arg):
 
 def _scan_only(M):
     """The same surface with its closed-form inverse removed (grid-scan path)."""
-    chart = dataclasses.replace(M.charts[0], inverse=None)
-    return geo.ParametrizedHypersurface(M.dimension, [chart], family="custom")
+    chart = dataclasses.replace(M.chart, inverse=None)
+    return geo.ParametrizedHypersurface(M.dimension, chart, family="custom")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -201,8 +201,8 @@ def test_sphere_angles_inverts_sphere_point(k):
 @pytest.mark.parametrize("kind, arg", INVERSE_FAMILIES)
 def test_nearest_chart_point_round_trip(kind, arg):
     M = _family(kind, arg)
-    chart = M.charts[0]
-    _, U, X = geo.sample_points(M, 40, seed=3)
+    chart = M.chart
+    U, X = geo.sample_points(M, 40, seed=3)
     for x in X:
         u = nearest_chart_point(M, x)
         assert np.all(u >= chart.box[:, 0]) and np.all(u <= chart.box[:, 1])
@@ -213,7 +213,7 @@ def test_nearest_chart_point_round_trip(kind, arg):
 def test_nearest_chart_point_clips_poles_like_scan(kind, arg):
     M = _family(kind, arg)
     scan = _scan_only(M)
-    chart = M.charts[0]
+    chart = M.chart
     sample = chart.sample_box()
     a = chart.periodic.index(False)       # first polar axis
     u = sample.mean(axis=1)
@@ -233,7 +233,7 @@ def test_nearest_chart_point_beats_scan_off_surface(kind, arg, count):
     # the scan costs ~0.8 s per call at n = 3, so only a few points there
     M = _family(kind, arg)
     scan = _scan_only(M)
-    embed = M.charts[0].embed
+    embed = M.chart.embed
     rng = np.random.default_rng(21)
     X = rng.normal(size=(count, M.dimension + 2))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -260,7 +260,7 @@ def test_nearest_chart_point_takes_a_batch():
 @pytest.mark.parametrize("M", [geo.equator(4), geo.clifford_hypersurface((2, 2))])
 def test_nearest_chart_point_scan_refused_above_three(M):
     with pytest.raises(UnsupportedFamily):
-        nearest_chart_point(_scan_only(M), M.charts[0].embed(M.charts[0].sample_box().mean(axis=1)))
+        nearest_chart_point(_scan_only(M), M.chart.embed(M.chart.sample_box().mean(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +337,11 @@ def test_ball_area_factor_order(k, l):
 @pytest.mark.parametrize("kl,res", [((1, 1), 256), ((1, 2), 96)])
 def test_ball_area_against_chart_quadrature(kl, res):
     M = geo.clifford_hypersurface(kl)
-    chart = M.charts[0]
+    chart = M.chart
     nodes, weights = geo.chart_quadrature(chart, res)
     mass = weights * geo.sqrt_det_metric(chart, nodes)
     X = chart.embed(nodes)
-    _, _, centers = geo.sample_points(M, 3, seed=2)
+    _, centers = geo.sample_points(M, 3, seed=2)
     for c in centers:
         d = geo.geodesic_distance(X, c)
         for r in (0.5, 1.0, 1.5):
@@ -362,11 +362,11 @@ def test_chart_file_volume_growth_matches_radius_loop(tmp_path, torus, metric):
     path = tmp_path / "torus.chart"
     geo.save_chart_file(torus, path, 128)
     loaded = geo.load_chart_file(path)
-    chart = loaded.charts[0]
+    chart = loaded.chart
     nodes, weights = geo.chart_quadrature(chart, 128)
     mass = weights * geo.sqrt_det_metric(chart, nodes)
     X = chart.embed(nodes)
-    _, _, centers = geo.sample_points(loaded, 20, seed=0)
+    _, centers = geo.sample_points(loaded, 20, seed=0)
     dist = geo._distance(metric)
     radii = np.geomspace(0.05, 1.9, 12)
     best = 0.0
@@ -389,14 +389,14 @@ def test_volume_growth_rejects_unknown_metric(torus):
 
 def test_chart_file_roundtrip(tmp_path, torus):
     path = tmp_path / "torus.chart"
-    _, U, X = geo.sample_points(torus, 6, seed=11)
+    U, X = geo.sample_points(torus, 6, seed=11)
     errs = []
     for res in (128, 192):
         geo.save_chart_file(torus, path, res)
         loaded = geo.load_chart_file(path)
         assert loaded.dimension == 2
-        assert np.abs(loaded.charts[0].embed(U) - X).max() < 1e-7
-        sd = geo.shape_at(loaded, 0, U[0])
+        assert np.abs(loaded.chart.embed(U) - X).max() < 1e-7
+        sd = geo.shape_at(loaded, U[0])
         errs.append(abs(sd.norm_A_sq - 2.0))
         assert abs(sd.mean_curvature) < 1e-3
     assert errs[1] < errs[0]  # spline geometry converges under grid refinement
@@ -406,9 +406,9 @@ def test_chart_file_coarse_grid_drifts(tmp_path, torus):
     path = tmp_path / "coarse.chart"
     geo.save_chart_file(torus, path, 48)
     loaded = geo.load_chart_file(path)
-    u = geo.sample_points(torus, 1, seed=12)[1][0]
+    u = geo.sample_points(torus, 1, seed=12)[0][0]
     with pytest.raises(ImmersionDrift):
-        geo.shape_at(loaded, 0, u)
+        geo.shape_at(loaded, u)
 
 
 def test_chart_file_polar_axis(tmp_path, equator2):
@@ -416,7 +416,7 @@ def test_chart_file_polar_axis(tmp_path, equator2):
     geo.save_chart_file(equator2, path, 128)
     loaded = geo.load_chart_file(path)
     assert abs(geo.area(loaded, 96) - 4.0 * math.pi) < 1e-5
-    sd = geo.shape_at(loaded, 0, np.array([1.0, 2.0]))
+    sd = geo.shape_at(loaded, np.array([1.0, 2.0]))
     assert sd.norm_A_sq < 1e-6
 
 
@@ -424,6 +424,26 @@ def test_chart_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.chart"
     path.write_text("charts 1 dim 2\n")
     with pytest.raises(ValueError):
+        geo.load_chart_file(path)
+
+
+def test_chart_file_refuses_several_charts(tmp_path):
+    # a surface has one chart: a file that splits the circle into two
+    # half-circle charts is refused, while the same data as one chart loads
+    circle = geo.equator(1)
+    path = tmp_path / "circle.chart"
+    geo.save_chart_file(circle, path, 64)
+    assert geo.load_chart_file(path).dimension == 1
+    header, *_ = path.read_text().splitlines()
+    assert header == "dim 1 charts 1"
+    half = math.pi
+    lines = ["dim 1 charts 2"]
+    for lo in (0.0, half):
+        t = np.linspace(lo, lo + half, 33)
+        lines += [f"box {lo!r} {lo + half!r}", "periodic 0", "grid 33"]
+        lines += [" ".join(repr(float(v)) for v in row) for row in circle.embed(t[:, None])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UnsupportedFamily):
         geo.load_chart_file(path)
 
 

@@ -151,7 +151,7 @@ def _coo_reference(M, resolution):
     out slab after slab per axis; ``sum_duplicates`` adds each row's entries in
     that order wherever scipy's per-row sort is stable (rows of <= 16 entries).
     """
-    chart = M.charts[0]
+    chart = M.chart
     axes = ops.grid_axes(chart, resolution)
     shapes = [len(ax[0]) for ax in axes]
     n_nodes = int(np.prod(shapes))
@@ -159,7 +159,7 @@ def _coo_reference(M, resolution):
     nodes = geo._tensor_grid([ax[0] for ax in axes])
     cell = float(np.prod([ax[1] for ax in axes]))
     mass = np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5 * cell
-    pot = (M.shape_batch(0, nodes)[4] + M.dimension) * mass
+    pot = (M.shape_batch(nodes)[4] + M.dimension) * mass
     ndim = chart.dim
     grid = nodes.reshape(*shapes, ndim)
     sweeps = []
@@ -205,7 +205,7 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
         assert np.all(np.abs(S.diagonal() - ref_S.diagonal()) <= bound)
     # the diagonal is the stencil's fixed-order sum: axis by axis, the flux to
     # the lo neighbour before the flux to the hi neighbour
-    shapes = [len(ax[0]) for ax in ops.grid_axes(M.charts[0], resolution)]
+    shapes = [len(ax[0]) for ax in ops.grid_axes(M.chart, resolution)]
     idx = np.arange(op.size).reshape(shapes)
     diagonal = np.zeros(op.size)
     for a in range(len(shapes)):
@@ -216,7 +216,7 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
     # no stored entry couples the two box ends of a polar axis
     coo = S.tocoo()
     r, c = np.unravel_index(coo.row, shapes), np.unravel_index(coo.col, shapes)
-    for a, periodic in enumerate(M.charts[0].periodic):
+    for a, periodic in enumerate(M.chart.periodic):
         if not periodic:
             assert np.abs(r[a] - c[a]).max() == 1
 
@@ -260,7 +260,7 @@ def test_stencil_assembly_matches_coo_reference_n5(M):
 def test_open_grid_metric_matches_stacked(M, resolutions):
     # the assembly's open-grid metric, on the node grid and on each axis's
     # midpoint grid, against the stacked form at the full grid's points
-    chart = M.charts[0]
+    chart = M.chart
     for res in resolutions:
         axes = ops.grid_axes(chart, res)
         shapes = tuple(len(ax[0]) for ax in axes)
@@ -296,7 +296,7 @@ def _former_sphere_metric_diag(angles):
                                   (2, 2), (1, 3), (3, 1), (3, 2)])
 def test_stacked_metric_matches_former_loop(k, l):
     M = geo.equator(k) if l == 0 else geo.clifford_hypersurface((k, l))
-    chart = M.charts[0]
+    chart = M.chart
     rng = np.random.default_rng(10 * k + l)
     for base in [(), (1,), (500,), (7, 9)]:
         U = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=base + (M.dimension,))
@@ -316,10 +316,10 @@ def test_stacked_metric_matches_former_loop(k, l):
                                geo.clifford_hypersurface((2, 3))],
                          ids=["equator1", "equator3", "clifford11", "clifford23"])
 def test_norm_A_sq_matches_shape_batch(M):
-    chart = M.charts[0]
+    chart = M.chart
     U = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(64, M.dimension))
     for pts in (U, U[:1], U[0:0]):
-        got, ref = geo._norm_A_sq(M, 0, pts), M.shape_batch(0, pts)[4]
+        got, ref = geo._norm_A_sq(M, pts), M.shape_batch(pts)[4]
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -329,12 +329,12 @@ def test_norm_A_sq_matches_shape_batch(M):
 def test_assembly_never_builds_shape_batch(M, monkeypatch):
     expected = ops.assemble_jacobi(M, 8)
 
-    def refuse(chart_index, U):
+    def refuse(U):
         raise AssertionError("assembly built the closed-form shape batch")
 
     monkeypatch.setattr(M, "_closed_form", refuse)
     with pytest.raises(AssertionError):
-        M.shape_batch(0, np.zeros((1, M.dimension)))
+        M.shape_batch(np.zeros((1, M.dimension)))
     op = ops.assemble_jacobi(M, 8)
     for name in ("stiffness", "mass", "potential"):
         assert np.array_equal(getattr(op, name).toarray(), getattr(expected, name).toarray())
@@ -342,7 +342,7 @@ def test_assembly_never_builds_shape_batch(M, monkeypatch):
 
 def _sphere_chart_on_box(box):
     """The hyperspherical S^2 chart with its coordinate box replaced."""
-    base = geo.equator(2).charts[0]
+    base = geo.equator(2).chart
     return geo.Chart(np.array(box, dtype=float), base.periodic, base.embed,
                      base.jacobian, base.metric_diag)
 
@@ -350,7 +350,7 @@ def _sphere_chart_on_box(box):
 def test_assembly_refuses_degenerate_open_grid():
     # polar nodes at -0.5 + (i + 1/2) * 1 = i: the node t = 0 has g_11 = sin^2 0 = 0
     degenerate = _sphere_chart_on_box([[-0.5, 7.5], [0.0, 2.0 * np.pi]])
-    M = geo.ParametrizedHypersurface(2, [degenerate])
+    M = geo.ParametrizedHypersurface(2, degenerate)
     assert np.any(geo._tensor_grid([ops.grid_axes(degenerate, 8)[0][0]]) == 0.0)
     with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
         ops.assemble_jacobi(M, 8)
@@ -367,20 +367,17 @@ def test_assembly_refuses_vanishing_mass():
             return tuple(np.full(np.shape(t), 1e-200) for t in U)
         return np.full(np.shape(U), 1e-200)
 
-    base = geo.equator(2).charts[0]
+    base = geo.equator(2).chart
     chart = geo.Chart(base.box, base.periodic, base.embed, base.jacobian, tiny)
     with pytest.raises(AssemblyFailure):
-        ops.assemble_jacobi(geo.ParametrizedHypersurface(2, [chart]), 8)
+        ops.assemble_jacobi(geo.ParametrizedHypersurface(2, chart), 8)
 
 
 def test_assembly_preconditions(torus):
     with pytest.raises(ValueError):
         ops.assemble_jacobi(torus, 4)
-    two_charts = geo.ParametrizedHypersurface(2, [torus.charts[0], torus.charts[0]])
-    with pytest.raises(AssemblyFailure):
-        ops.assemble_jacobi(two_charts, 16)
     no_metric = geo.ParametrizedHypersurface(
-        2, [geo.Chart(torus.charts[0].box, torus.charts[0].periodic, torus.charts[0].embed)]
+        2, geo.Chart(torus.chart.box, torus.chart.periodic, torus.chart.embed)
     )
     with pytest.raises(AssemblyFailure):
         ops.assemble_jacobi(no_metric, 16)

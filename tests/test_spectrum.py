@@ -198,8 +198,8 @@ def test_rayleigh_eigenfunction_value(torus):
 
     # a value-only wrapper has no analytic gradient: finite-difference path
     class ValueOnly(SurfaceField):
-        def value(self, M, chart_index, U):
-            return f.value(M, chart_index, U)
+        def value(self, M, U):
+            return f.value(M, U)
 
     quad = spec.rayleigh_quotient(torus, ValueOnly(), method="quadrature", resolution=64)
     assert abs(quad + 2.0) <= 1e-8
@@ -245,8 +245,8 @@ def test_test_function_A_generic_surface(tmp_path, torus):
     geo.save_chart_file(torus, path, 192)
     loaded = geo.load_chart_file(path)
     field = spec.test_function_A(loaded)
-    _, U, _ = geo.sample_points(loaded, 4, seed=1)
-    vals = field.value(loaded, 0, U)
+    U, _ = geo.sample_points(loaded, 4, seed=1)
+    vals = field.value(loaded, U)
     assert np.abs(vals - np.sqrt(2.0)).max() <= 1e-3
 
 
@@ -260,10 +260,10 @@ def test_fd_laplacian_validated_on_coordinate_eigenfunctions():
     for kl in [(2, 1), (2, 2)]:
         M = geo.clifford_hypersurface(kl)
         n = M.dimension
-        _, U, _ = geo.sample_points(M, 30, seed=3, pad=0.02)
+        U, _ = geo.sample_points(M, 30, seed=3, pad=0.02)
         for j in (0, n + 1):
-            fn = lambda pts, j=j: M.embed(0, pts)[..., j]
-            lap = spec.surface_laplacian_fd(M, 0, U, fn, step=1e-3)
+            fn = lambda pts, j=j: M.embed(pts)[..., j]
+            lap = spec.surface_laplacian_fd(M, U, fn, step=1e-3)
             assert np.abs(lap + n * fn(U)).max() <= 1e-5
 
 
@@ -291,13 +291,13 @@ def test_simons_refinement_order(clifford_families):
 
 
 def test_simons_nonminimal_rejected(torus):
-    base = torus.charts[0]
+    base = torus.chart
 
-    def bad_closed_form(chart_index, U):
-        gdiag, nu, A, H, a2 = torus.shape_batch(chart_index, U)
+    def bad_closed_form(U):
+        gdiag, nu, A, H, a2 = torus.shape_batch(U)
         return gdiag, nu, A, H + 0.5, a2  # fake mean curvature
 
-    M = geo.ParametrizedHypersurface(2, [base], "custom", (), bad_closed_form)
+    M = geo.ParametrizedHypersurface(2, base, "custom", (), bad_closed_form)
     with pytest.raises(NonMinimal):
         spec.simons_check(M, samples=10)
 
