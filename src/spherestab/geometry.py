@@ -126,25 +126,25 @@ def sphere_angles(x):
 
 
 def sphere_jacobian(angles):
-    """Analytic Jacobian of :func:`sphere_point`, shape (..., k+1, k)."""
+    """Analytic Jacobian of :func:`sphere_point`, shape (..., k+1, k).
+
+    Column a is d/dt_a: row a is -prod_(m<a) sin t_m * sin t_a, and each
+    later row is its coordinate's product with sin t_a swapped for cos t_a,
+    built as a running product, so it holds where sin t_a == 0 too.
+    """
     angles = np.asarray(angles, dtype=float)
     k = angles.shape[-1]
     s, c = np.sin(angles), np.cos(angles)
     jac = np.zeros(angles.shape[:-1] + (k + 1, k))
-    # prefix[i] = prod_{m<i} sin t_m
-    prefix = np.ones(angles.shape[:-1] + (k + 1,))
-    for i in range(k):
-        prefix[..., i + 1] = prefix[..., i] * s[..., i]
+    prefix = np.ones(angles.shape[:-1])  # prod_(m<a) sin t_m
     for a in range(k):
-        # d/dt_a of prod_{m<i} sin t_m is the same product with sin t_a -> cos t_a
-        for i in range(a + 1, k + 1):
-            rest = prefix[..., i] / np.where(s[..., a] == 0.0, 1.0, s[..., a])
-            dprod = np.where(s[..., a] == 0.0, 0.0, rest) * c[..., a]
-            if i < k:
-                jac[..., i, a] = dprod * c[..., i]
-            else:
-                jac[..., i, a] = dprod
-        jac[..., a, a] = -prefix[..., a] * s[..., a]
+        jac[..., a, a] = -prefix * s[..., a]
+        run = prefix * c[..., a]
+        for i in range(a + 1, k):
+            jac[..., i, a] = run * c[..., i]
+            run = run * s[..., i]
+        jac[..., k, a] = run
+        prefix = prefix * s[..., a]
     return jac
 
 

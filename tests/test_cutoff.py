@@ -897,6 +897,15 @@ def test_ibp_empty_cover_equator(equator2):
     assert resid <= 1e-8
 
 
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_ibp_empty_cover_torus_coordinates(torus, index):
+    # the quadrature's periodic nodes include angle 0, where the chart
+    # derivatives of x_1 and x_3 go through a vanishing sine
+    u = AmbientCoordinateField(index, scale=math.sqrt(2.0))
+    resid = cut.ibp_residual(torus, cut.empty_cover(2, 1, 0.1, ambient_dim=4), u, u)
+    assert resid <= 1e-8
+
+
 def test_ibp_cross_term_decreases(torus):
     _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))

@@ -198,6 +198,20 @@ def test_sphere_angles_inverts_sphere_point(k):
     assert np.max(np.abs(geo.sphere_angles(3.0 * x) - t)) <= 1e-12  # scale-free
 
 
+@pytest.mark.parametrize("M", [geo.equator(3), geo.clifford_hypersurface((1, 1)),
+                               geo.clifford_hypersurface((2, 1))], ids=repr)
+def test_jacobian_at_zero_angles_matches_central_differences(M):
+    # every combination of exactly-zero angles among random ones: the
+    # derivative through a vanishing sin t_a must not be dropped
+    rng = np.random.default_rng(M.dimension)
+    n = M.dimension
+    U = rng.uniform(0.3, 2.8, size=(2**n, n))
+    for row, zeros in enumerate(np.ndindex(*(2,) * n)):
+        U[row, np.flatnonzero(zeros)] = 0.0
+    fd = geo._central_diff(M.chart.embed, U, 1e-6)
+    assert np.max(np.abs(M.chart.jacobian(U) - fd)) <= 1e-9
+
+
 @pytest.mark.parametrize("kind, arg", INVERSE_FAMILIES)
 def test_nearest_chart_point_round_trip(kind, arg):
     M = _family(kind, arg)
