@@ -662,7 +662,8 @@ def gradient_integral_estimate(
     equal those of the full field bit for bit.  Raises
     :class:`InsufficientSamples` when the standard error exceeds 10% of the
     bound; an estimate above bound + 3 stderr is returned as a report with
-    ``passed`` false.
+    ``passed`` false.  A chart without an analytic frame (a loaded chart
+    file) is refused first (:func:`_require_chart_frame`).
     """
     if field.kind != "inf":
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
@@ -866,7 +867,8 @@ def mr_quality_report(
     phi = 1 with zero derivatives and contributes an exact 0.0, the value
     the full evaluation gives there, so the estimates are unchanged bit for
     bit.  A non-Euclidean cover is refused (:class:`PreconditionViolated`)
-    before any integral runs, as in :func:`build_product_cutoff`.
+    before any integral runs, as in :func:`build_product_cutoff`, and so is
+    a chart without an analytic frame (:func:`_require_chart_frame`).
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -977,7 +979,8 @@ def ibp_residual(
     the cutoff cross terms' cancellation quality.  The smooth global parts
     are integrated on the full chart; everything supported near the cover
     (the (1 - phi) corrections and the grad-phi term) uses deterministic
-    local polar patches, partitioned by the active ball.
+    local polar patches, partitioned by the active ball.  A chart without
+    an analytic frame is refused first (:func:`_require_chart_frame`).
     """
     if q is not None and cover.size and q != cover.exponent:
         raise PreconditionViolated(
@@ -1045,7 +1048,8 @@ def cutoff_cross_term(
     r_i + r_j for product ramps); where the mask holds, no other ramp
     differs from 1 with zero slope, so the integrand is that of the full
     field (for product ramps, up to the rounding of the gradient's sum over
-    fewer balls).
+    fewer balls).  A chart without an analytic frame is refused first
+    (:func:`_require_chart_frame`).
     """
     _require_chart_frame(M)
     cover = field.cover

@@ -21,8 +21,9 @@ a sampling margin (default 1e-3) so random evaluation never touches a
 coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
 integrals accurate.  User-supplied surfaces are loaded from plain-text
-chart files and interpolated with C^2 splines; their geometry is computed
-by central finite differences (step 1e-5 for first derivatives, 1e-3 for
+chart files (one chart per file) and interpolated with C^2 splines; they
+carry no analytic Jacobian or metric, and their geometry is computed by
+central finite differences (step 1e-5 for first derivatives, 1e-3 for
 the curvature stencils, where smaller steps lose to roundoff).
 """
 
