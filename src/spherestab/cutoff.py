@@ -227,14 +227,24 @@ def cover_singular_set(
 
     factor = 6.0 if containment == "sixth" else 1.0
     centers = np.empty((m, points.shape[1]))
-    need = np.empty(m)
-    for i, idx in enumerate(clusters):
+    spread = np.empty(m)
+    single = np.array([len(idx) == 1 for idx in clusters])
+    # singleton clusters all at once, with the loop's arithmetic: the mean of
+    # one row, and the norm of a 1-D vector, which is its dot product
+    lone = points[[idx[0] for idx in clusters if len(idx) == 1]]
+    c = lone[:, None, :].mean(axis=1)
+    if metric == "geodesic":
+        c = c / np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0])
+    centers[single] = c
+    spread[single] = dist(lone, c)
+    for i in np.flatnonzero(~single):
+        idx = clusters[i]
         c = points[idx].mean(axis=0)
         if metric == "geodesic":
             c = c / np.linalg.norm(c)
         centers[i] = c
-        spread = float(np.max(dist(points[idx], c))) if len(idx) > 1 else float(dist(points[idx][0], c))
-        need[i] = factor * spread * (1.0 + 1e-9)
+        spread[i] = np.max(dist(points[idx], c))
+    need = factor * spread * (1.0 + 1e-9)
 
     radii = np.maximum(need, r_min)
     if n != q:
@@ -263,8 +273,10 @@ def _single_linkage(points, link, dist):
         for lo in range(0, len(points), 256)
     ])
     _, labels = connected_components(linked, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    return [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
+    order = np.argsort(labels, kind="stable")  # each component's members, ascending
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    components = np.split(order, starts[1:])
+    return [components[i] for i in np.argsort(order[starts])]
 
 
 def vitali_discard(cover: BallCover) -> BallCover:
@@ -382,18 +394,7 @@ class CutoffField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if centers is None:
             centers = self.cover.centers
-        diff = X[:, None, :] - centers
-        chord = np.linalg.norm(diff, axis=-1)
-        safe = np.where(chord > 1e-300, chord, 1.0)
-        direction = diff / safe[..., None]
-        if self.cover.metric == "geodesic":
-            d = _chord_to_arc(chord)
-            scale = 1.0 / np.sqrt(np.clip(1.0 - (chord / 2.0) ** 2, 1e-12, None))
-            grad_d = direction * scale[..., None]
-        else:
-            d = chord
-            grad_d = direction
-        return d, grad_d
+        return _distance_gradient(X[:, None, :] - centers, self.cover.metric)
 
     def _ramps(self, d, radii=None):
         """Ramp values and slopes at distances d (``radii`` matching the centres of d)."""
@@ -512,6 +513,18 @@ class CutoffField:
         return grad, hess
 
 
+def _distance_gradient(diff, metric):
+    """Distances (...) of the difference vectors ``diff`` (..., dim) = x - p of
+    a cover ``metric``, and their gradients in x (..., dim)."""
+    chord = np.linalg.norm(diff, axis=-1)
+    safe = np.where(chord > 1e-300, chord, 1.0)
+    direction = diff / safe[..., None]
+    if metric == "geodesic":
+        scale = 1.0 / np.sqrt(np.clip(1.0 - (chord / 2.0) ** 2, 1e-12, None))
+        return _chord_to_arc(chord), direction * scale[..., None]
+    return chord, direction
+
+
 def _gram_chord_sq(a, b):
     """Squared chords |a_i - b_j|^2 (len(a), len(b)) from the Gram form
     |a|^2 + |b|^2 - 2 a.b, one matrix product; on the unit sphere its
@@ -590,10 +603,13 @@ def _require_chart_frame(M):
 def tangential_gradient_sq(M, U, ambient_grad):
     """|grad_M phi|^2 from an ambient gradient via the chart frame."""
     chart = M.chart
-    jac = chart.jacobian(np.asarray(U, dtype=float))
-    comps = np.einsum("pia,pi->pa", jac, ambient_grad, optimize=True)
-    gdiag = chart.metric_diag(np.asarray(U, dtype=float))
-    return np.sum(comps**2 / gdiag, axis=-1)
+    U = np.asarray(U, dtype=float)
+    grad = np.asarray(ambient_grad, dtype=float)
+    # J^T grad per row as one batched matmul, in the operand layout that
+    # einsum("pia,pi->pa", optimize=True) hands to matmul: the same rounding,
+    # without a contraction-path search on every call
+    comps = np.matmul(chart.jacobian(U).swapaxes(-1, -2), grad.reshape(grad.shape + (1,)))[..., 0]
+    return np.sum(comps**2 / chart.metric_diag(U), axis=-1)
 
 
 def surface_laplacian_of_cutoff(M, U, X, field: CutoffField):
@@ -686,7 +702,7 @@ def gradient_integral_estimate(
             chunk = balls[lo:lo + per_chunk]
             for est in stratified_integral(
                 M,
-                lambda U, X, which, chunk=chunk: integrand(U, X, chunk[which]),
+                lambda U, X, which, chunk=chunk: integrand(U, X, chunk),
                 box=boxes[chunk],
                 strata=strata,
                 samples_per_cell=samples_per_cell,
@@ -737,29 +753,46 @@ def _neighbour_table(neighbours):
 
 
 def _annulus_gradient_integrand(M, field, q):
-    """``integrand(U, X, own)``: |grad phi|^q where ball own[p] holds the active
-    ramp with nonzero slope, else 0.
+    """``integrand(U, X, balls)``: |grad phi|^q where the row's own ball holds
+    the active ramp with nonzero slope, else 0.  The rows come box by box,
+    the same number for each ball of ``balls``, as a stacked
+    :func:`stratified_integral` call lays them out.
 
     A row outside a conservative screen of its ball's open annulus
     r < d < 2 r (where the ramp slope is nonzero) reads an exact 0.0 without
     evaluating any ramp.  The screen compares the squared chord to the
-    ball's centre with the widened bounds of :func:`_chord_sq_bound`.
+    ball's centre with the widened bounds of :func:`_chord_sq_bound`.  A
+    ball whose neighbour list holds no other ball reads its own ramp
+    directly, which is what the inf over its table row (that ball
+    repeated) gives.
     """
     cover = field.cover
-    table = _neighbour_table(_ramp_neighbours(cover))
+    neighbours = _ramp_neighbours(cover)
+    table = _neighbour_table(neighbours)
+    alone = np.array([len(nb) == 1 for nb in neighbours])
     inner_sq = _chord_sq_bound(cover.radii, cover.metric, lower=True)
     outer_sq = _chord_sq_bound(2.0 * cover.radii, cover.metric)
 
-    def integrand(U, X, own):
-        diff = X - cover.centers[own]
-        sq = np.einsum("pj,pj->p", diff, diff)
-        rows = np.flatnonzero((sq > inner_sq[own]) & (sq < outer_sq[own]))
-        act, _, slope, grad_d = field._active_ramp(X[rows], table[own[rows]])
-        keep = (act == own[rows]) & (slope > 0.0)
+    def integrand(U, X, balls):
+        dim = X.shape[-1]
+        diff = X.reshape(len(balls), -1, dim) - cover.centers[balls, None, :]
+        sq = np.einsum("bpj,bpj->bp", diff, diff)
+        screen = (sq > inner_sq[balls, None]) & (sq < outer_sq[balls, None])
+        rows = np.flatnonzero(screen)
+        own = balls[rows // screen.shape[1]]
+        # every row's own ramp, then the inf over the neighbours where there are any
+        d, grad_d = _distance_gradient(diff[screen], cover.metric)
+        _, slope = field._ramps(d, cover.radii[own])
+        keep = slope > 0.0
+        grad = slope[:, None] * grad_d
+        shared = ~alone[own]
+        if shared.any():
+            act, _, slope, grad_d = field._active_ramp(X[rows[shared]], table[own[shared]])
+            keep[shared] = (act == own[shared]) & (slope > 0.0)
+            grad[shared] = slope[:, None] * grad_d
         rows = rows[keep]
         out = np.zeros(X.shape[0])
-        grad = slope[keep, None] * grad_d[keep]
-        out[rows] = tangential_gradient_sq(M, U[rows], grad) ** (q / 2.0)
+        out[rows] = tangential_gradient_sq(M, U[rows], grad[keep]) ** (q / 2.0)
         return out
 
     return integrand

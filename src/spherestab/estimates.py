@@ -68,7 +68,17 @@ class EstimateReport:
         }
 
 
-def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> EstimateReport:
+def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
+    """Area of M cap B_r(p) for a geodesic radius r, the same at every p of M.
+
+    That holds on the built-in families (``equator``, ``clifford``); other
+    surfaces raise :class:`UnsupportedFamily`.
+    """
+    return float(_homogeneous_ball_area(M, np.cos(r)))
+
+
+def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
+                  ball_area=None) -> EstimateReport:
     """Exact int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
 
     ``p`` is a point of M, ``r`` a geodesic radius in (0, 2) and
@@ -76,15 +86,16 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None) -> Estim
     ``alpha = |-lambda_1 - n|``.  On the built-in families (``equator``,
     ``clifford``) |A|^2 is constant and the ball area does not depend on
     the centre, so the left side is |A|^2(p) times
-    :func:`geometry._homogeneous_ball_area` at level cos r, with stderr 0.
-    Other surfaces raise :class:`UnsupportedFamily`, and a ``p`` farther
-    than 1e-9 from M (checked through the chart inverse) raises
-    :class:`PreconditionViolated`.  ``C_V`` defaults to the geodesic
+    :func:`geodesic_ball_area`, with stderr 0; a caller that bounds many
+    centres at one radius computes that area once and passes it as
+    ``ball_area``.  Other surfaces raise :class:`UnsupportedFamily`, and a
+    ``p`` farther than 1e-9 from M (checked through the chart inverse)
+    raises :class:`PreconditionViolated`.  ``C_V`` defaults to the geodesic
     :func:`measure_volume_growth`, exact on the same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
-    ball = float(_homogeneous_ball_area(M, np.cos(r)))
+    ball = geodesic_ball_area(M, r) if ball_area is None else ball_area
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:

@@ -100,14 +100,31 @@ def sphere_point(angles):
     Axes 0..k-2 are polar ([0, pi]); the last axis is periodic ([0, 2pi)).
     """
     angles = np.asarray(angles, dtype=float)
-    k = angles.shape[-1]
-    out = np.empty(angles.shape[:-1] + (k + 1,))
-    run = np.ones(angles.shape[:-1])
-    for i in range(k):
-        out[..., i] = run * np.cos(angles[..., i])
-        run = run * np.sin(angles[..., i])
-    out[..., k] = run
+    out = np.empty(angles.shape[:-1] + (angles.shape[-1] + 1,))
+    _write_sphere_point(out, angles)
     return out
+
+
+def _store(out, x, scale):
+    """``out[...] = x * scale`` (``x`` if ``scale`` is None), without a temporary."""
+    if scale is None:
+        out[...] = x
+    else:
+        np.multiply(x, scale, out=out)
+
+
+def _write_sphere_point(out, angles, scale=None):
+    """Write :func:`sphere_point` of ``angles`` (..., k), times ``scale`` if
+    given, into ``out`` (..., k+1), with the products of
+    ``sphere_point(angles) * scale``."""
+    k = angles.shape[-1]
+    run = None  # the product of the sines so far; None stands for 1.0
+    for i in range(k):
+        x = np.cos(angles[..., i]) if run is None else run * np.cos(angles[..., i])
+        _store(out[..., i], x, scale)
+        sin = np.sin(angles[..., i])
+        run = sin if run is None else run * sin
+    _store(out[..., k], run, scale)
 
 
 def sphere_angles(x):
@@ -135,18 +152,26 @@ def sphere_jacobian(angles):
     """
     angles = np.asarray(angles, dtype=float)
     k = angles.shape[-1]
-    s, c = np.sin(angles), np.cos(angles)
     jac = np.zeros(angles.shape[:-1] + (k + 1, k))
-    prefix = np.ones(angles.shape[:-1])  # prod_(m<a) sin t_m
-    for a in range(k):
-        jac[..., a, a] = -prefix * s[..., a]
-        run = prefix * c[..., a]
-        for i in range(a + 1, k):
-            jac[..., i, a] = run * c[..., i]
-            run = run * s[..., i]
-        jac[..., k, a] = run
-        prefix = prefix * s[..., a]
+    _write_sphere_jacobian(jac, angles)
     return jac
+
+
+def _write_sphere_jacobian(out, angles, scale=None):
+    """Write :func:`sphere_jacobian` of ``angles`` (..., k), times ``scale``
+    if given, into the zeroed ``out`` (..., k+1, k), with the products of
+    ``sphere_jacobian(angles) * scale``."""
+    k = angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    prefix = None  # prod_(m<a) sin t_m; None stands for 1.0
+    for a in range(k):
+        _store(out[..., a, a], -s[..., a] if prefix is None else -prefix * s[..., a], scale)
+        run = c[..., a] if prefix is None else prefix * c[..., a]
+        for i in range(a + 1, k):
+            _store(out[..., i, a], run * c[..., i], scale)
+            run = run * s[..., i]
+        _store(out[..., k, a], run, scale)
+        prefix = s[..., a] if prefix is None else prefix * s[..., a]
 
 
 def _sphere_metric_diag(angles):
@@ -163,11 +188,9 @@ def _sphere_metric_diag(angles):
     if not grid:
         angles = np.asarray(angles, dtype=float)
     k = len(angles) if grid else angles.shape[-1]
-    diag = []
-    run = 1.0
-    for i in range(k):
-        diag.append(run)
-        run = run * np.sin(angles[i] if grid else angles[..., i]) ** 2
+    diag = [1.0]
+    for i in range(k - 1):  # the last angle's sine enters no entry
+        diag.append(diag[-1] * np.sin(angles[i] if grid else angles[..., i]) ** 2)
     if grid:
         return tuple(diag)
     out = np.empty(angles.shape)
@@ -321,15 +344,14 @@ def equator(n):
 
     def embed(U):
         U = np.asarray(U, dtype=float)
-        x = sphere_point(U)
         out = np.zeros(U.shape[:-1] + (n + 2,))
-        out[..., : n + 1] = x
+        _write_sphere_point(out[..., : n + 1], U)
         return out
 
     def jacobian(U):
         U = np.asarray(U, dtype=float)
         jac = np.zeros(U.shape[:-1] + (n + 2, n))
-        jac[..., : n + 1, :] = sphere_jacobian(U)
+        _write_sphere_jacobian(jac[..., : n + 1, :], U)
         return jac
 
     def metric_diag(U):
@@ -377,15 +399,16 @@ def clifford_hypersurface(spec):
 
     def embed(U):
         U = np.asarray(U, dtype=float)
-        xk = sphere_point(U[..., :k]) * rk
-        xl = sphere_point(U[..., k:]) * rl
-        return np.concatenate([xk, xl], axis=-1)
+        out = np.empty(U.shape[:-1] + (n + 2,))
+        _write_sphere_point(out[..., : k + 1], U[..., :k], rk)
+        _write_sphere_point(out[..., k + 1 :], U[..., k:], rl)
+        return out
 
     def jacobian(U):
         U = np.asarray(U, dtype=float)
         jac = np.zeros(U.shape[:-1] + (n + 2, n))
-        jac[..., : k + 1, :k] = sphere_jacobian(U[..., :k]) * rk
-        jac[..., k + 1 :, k:] = sphere_jacobian(U[..., k:]) * rl
+        _write_sphere_jacobian(jac[..., : k + 1, :k], U[..., :k], rk)
+        _write_sphere_jacobian(jac[..., k + 1 :, k:], U[..., k:], rl)
         return jac
 
     def metric_diag(U):

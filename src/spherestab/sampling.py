@@ -15,6 +15,7 @@ deterministically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,15 @@ def stratified_integral(
     the integrand values (without the metric density; the density is part
     of the measure).  ``box`` restricts integration to a chart sub-box.
 
+    The density sqrt(det g) is taken only on the rows where ``fn`` is
+    non-zero (negative values count), and the cell mean and variance only
+    for the cells that hold such a row; every other cell contributes
+    exactly 0, which is what the dense computation gives, so the estimate
+    is bit for bit that of weighting every row.  A chart without an
+    analytic ``metric_diag`` still takes its finite-difference density on
+    every row, so a degenerate metric at any node raises
+    :class:`DegenerateChart` as :func:`sqrt_det_metric` does.
+
     A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
     box in one pass and returns their estimates as :class:`BoxEstimates`;
     each box gets exactly the samples and the estimate that a call with
@@ -112,12 +122,24 @@ def stratified_integral(
         np.random.default_rng(s).random(out=out)  # int, SeedSequence or Generator all work
     pts = lows[:, :, None, :] + draws * sides[:, :, None, :]
     flat = pts.reshape(-1, n)
-    dens = sqrt_det_metric(chart, flat)
     X = chart.embed(flat)
     vals = fn(flat, X) if single else fn(flat, X, np.repeat(np.arange(len(boxes)), cells * k))
-    vals = (np.asarray(vals, dtype=float) * dens).reshape(len(boxes), cells, k)
-    mean = vals.mean(axis=-1)
-    var = vals.var(axis=-1, ddof=1)
+    vals = np.asarray(vals, dtype=float).reshape(len(boxes), cells, k)
+    live = vals != 0.0  # negative values count
+    # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
+    busy = functools.reduce(np.logical_or, np.moveaxis(live, -1, 0))
+    if chart.metric_diag is None:
+        # the finite-difference density checks every node for a degenerate metric
+        dens = sqrt_det_metric(chart, flat)[live.ravel()]
+    else:
+        dens = sqrt_det_metric(chart, flat[live.ravel()])
+    # the live rows of the busy cells, in the same row-major order as dens
+    weighted, busy_live = vals[busy], live[busy]
+    weighted[busy_live] *= dens
+    mean = np.zeros(busy.shape)
+    var = np.zeros(busy.shape)
+    mean[busy] = weighted.mean(axis=-1)
+    var[busy] = weighted.var(axis=-1, ddof=1)
     value = np.sum(vols * mean, axis=-1)
     stderr = np.sqrt(np.sum(vols**2 * var / k, axis=-1))
     ests = BoxEstimates(MCEstimate(float(v), float(e), cells * k) for v, e in zip(value, stderr))

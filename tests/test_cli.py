@@ -4,6 +4,8 @@ import json
 
 import spherestab.cli as cli
 import spherestab.cutoff as cut
+import spherestab.estimates as est
+import spherestab.geometry as geo
 import spherestab.spectrum as spec
 from spherestab.cli import main
 
@@ -142,6 +144,25 @@ def test_estimates_cli(tmp_path):
     assert lines[1] == "name,n,lhs,rhs,margin,stderr"
     assert sum(1 for line in lines if line.startswith("local_A_bound")) == 2
     assert any(line.startswith("l4_identity") for line in lines)
+
+
+def test_estimates_ball_area_once_per_radius(tmp_path, monkeypatch):
+    # one ball area per radius within a run, and the rows of a per-centre
+    # local_A_bound that computes its own area
+    calls = []
+    area = est.geodesic_ball_area
+    monkeypatch.setattr(est, "geodesic_ball_area", lambda M, r: calls.append(r) or area(M, r))
+    argv = ["estimates", "--family", "clifford", "--k", "1", "--l", "2", "--points", "4",
+            "--radii", "0.1,0.5,1.0", "--seed", "3", "--format", "json"]
+    assert run(tmp_path, *argv) == 0
+    assert calls == [0.1, 0.5, 1.0]
+    doc = json.loads((tmp_path / "estimates_clifford_1_2.json").read_text())
+    M = geo.clifford_hypersurface((1, 2))
+    _, centers = geo.sample_points(M, 4, seed=3)
+    expected = [est.local_A_bound(M, c, r, doc["lambda1"], C_V=doc["C_V"]).row()
+                for r in (0.1, 0.5, 1.0) for c in centers]
+    assert len(calls) == 3 + len(expected)
+    assert doc["rows"][:-1] == json.loads(json.dumps(expected))
 
 
 def test_estimates_volume_growth_is_seed_independent(tmp_path):

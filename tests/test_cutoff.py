@@ -287,6 +287,43 @@ def test_cover_checks_match_loop_reference():
     assert not cut.covers_points(no_balls, 1.0)
 
 
+def _cover_centers_loop(points, clusters, metric, factor):
+    # centres and containment radii one cluster at a time, as the cover first built them
+    dist = geo._distance(metric)
+    centers, need = [], []
+    for idx in clusters:
+        c = points[idx].mean(axis=0)
+        if metric == "geodesic":
+            c = c / np.linalg.norm(c)
+        centers.append(c)
+        spread = float(np.max(dist(points[idx], c))) if len(idx) > 1 else float(dist(points[idx][0], c))
+        need.append(factor * spread * (1.0 + 1e-9))
+    return np.array(centers), np.array(need)
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
+def test_singleton_cover_matches_cluster_loop(metric):
+    # the batched singleton clusters give the loop's centres and radii bit for
+    # bit (signs of zero included), next to multi-point clusters
+    torus = geo.clifford_hypersurface((1, 1))
+    U = np.random.default_rng(61).uniform(0.0, 2 * math.pi, size=(150, 2))
+    U[:20, 0] = 0.0                      # exact zero coordinates
+    U[20:30, 0] = -0.0                   # ... and negative zeros
+    U[30:40, 1] = math.pi
+    pts = torus.chart.embed(U)
+    pts = np.vstack([pts, pts[40:46] + 2e-4])  # six two-point clusters
+    for containment, factor in (("full", 1.0), ("sixth", 6.0)):
+        cover = cut.cover_singular_set(pts, 2, 1, 10.0, r_min=1e-3, metric=metric,
+                                       containment=containment)
+        clusters = cut._single_linkage(pts, 2e-3, geo._distance(metric))
+        assert sum(len(idx) == 1 for idx in clusters) == 144 and len(clusters) == 150
+        centers, need = _cover_centers_loop(pts, clusters, metric, factor)
+        radii = np.maximum(np.maximum(need, 1e-3), min(cut.BUDGET_SHARE * 10.0 / 150, 0.95))
+        assert np.array_equal(cover.centers, centers)
+        assert np.array_equal(np.signbit(cover.centers), np.signbit(centers))
+        assert np.array_equal(cover.radii, radii)
+
+
 def test_cover_rejects_unknown_metric():
     with pytest.raises(ValueError):
         cut.BallCover(np.zeros((1, 4)), np.array([0.1]), 2, 1, 1.0, "chord")
@@ -580,12 +617,15 @@ def _rows_straddling(M, field, i, target, count, rng):
     return u0 + np.concatenate([lo, hi])[:, None] * np.concatenate([dirs, dirs])
 
 
-@pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5))])
+@pytest.mark.parametrize("kl, count, radius", [((1, 1), 30, (0.1, 0.4)), ((1, 2), 12, (0.15, 0.5)),
+                                               ((1, 1), 30, (0.02, 0.2)), ((1, 2), 12, (0.05, 0.3))])
 def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
     # the batched integrand (annulus screen, padded neighbour table) equals
     # the all-balls formula, kept here as the oracle, on chart-uniform rows,
     # rows in each ball's chart box, and rows on both sides of d = r_i and
-    # d = 2 r_i within float resolution, where the screen's slack decides
+    # d = 2 r_i within float resolution, where the screen's slack decides;
+    # the smaller radii leave a third to two thirds of the balls without a
+    # neighbour, which read their own ramp directly
     M = geo.clifford_hypersurface(kl)
     _, centers = geo.sample_points(M, count, seed=31, pad=0.3)
     rng = np.random.default_rng(32)
@@ -601,12 +641,13 @@ def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
         edges = [_rows_straddling(M, field, i, target, 20, rng) for target in (cov.radii[i], 2.0 * cov.radii[i])]
         box = rng.uniform(boxes[i, :, 0], boxes[i, :, 1], size=(400, M.dimension))
         blocks.append(np.vstack([U_all, box, *edges]))
+    assert len({len(block) for block in blocks}) == 1  # the integrand's layout: equal blocks
     U = np.vstack(blocks)
     X = M.chart.embed(U)
     own = np.repeat(np.arange(count), [len(block) for block in blocks])
     nonzero = 0
-    for q in (1, 2):
-        batched = cut._annulus_gradient_integrand(M, field, q)(U, X, own)
+    for q in (0, 1, 2):  # q = 0 reads 1 on the whole support of the slope
+        batched = cut._annulus_gradient_integrand(M, field, q)(U, X, np.arange(count))
         for i in range(count):
             rows = own == i
             assert np.array_equal(batched[rows], _all_balls_integrand(M, field, i, q)(U[rows], X[rows]))

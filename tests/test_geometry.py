@@ -198,6 +198,68 @@ def test_sphere_angles_inverts_sphere_point(k):
     assert np.max(np.abs(geo.sphere_angles(3.0 * x) - t)) <= 1e-12  # scale-free
 
 
+def _former_sphere_point(angles):
+    # the hyperspherical embedding loop as it was before the embeds shared an output
+    angles = np.asarray(angles, dtype=float)
+    k = angles.shape[-1]
+    out = np.empty(angles.shape[:-1] + (k + 1,))
+    run = np.ones(angles.shape[:-1])
+    for i in range(k):
+        out[..., i] = run * np.cos(angles[..., i])
+        run = run * np.sin(angles[..., i])
+    out[..., k] = run
+    return out
+
+
+def _former_sphere_jacobian(angles):
+    # the running-product Jacobian loop as it was before the charts shared an output
+    angles = np.asarray(angles, dtype=float)
+    k = angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    jac = np.zeros(angles.shape[:-1] + (k + 1, k))
+    prefix = np.ones(angles.shape[:-1])
+    for a in range(k):
+        jac[..., a, a] = -prefix * s[..., a]
+        run = prefix * c[..., a]
+        for i in range(a + 1, k):
+            jac[..., i, a] = run * c[..., i]
+            run = run * s[..., i]
+        jac[..., k, a] = run
+        prefix = prefix * s[..., a]
+    return jac
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (4, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 4)])
+def test_embed_and_jacobian_match_former_loops(k, l):
+    # bit for bit, signs of zero included: sphere_point and sphere_jacobian,
+    # and the equator and clifford embed and jacobian, which write each
+    # (scaled) factor straight into one output
+    M = geo.equator(k) if l == 0 else geo.clifford_hypersurface((k, l))
+    rng = np.random.default_rng(7 * k + l)
+    for base in [(), (1,), (300,), (6, 7)]:
+        U = rng.uniform(-7.0, 7.0, size=base + (M.dimension,))
+        U[..., 0] = np.where(rng.random(base) < 0.3, 0.0, U[..., 0])   # zero angles
+        U[..., -1] = np.where(rng.random(base) < 0.3, np.pi, U[..., -1])
+        jac = np.zeros(base + (M.dimension + 2, M.dimension))
+        if l == 0:
+            x, jac[..., :-1, :] = _former_sphere_point(U), _former_sphere_jacobian(U)
+            assert _same_bits(geo.sphere_point(U), x)
+            assert _same_bits(geo.sphere_jacobian(U), jac[..., :-1, :])
+            x = np.concatenate([x, np.zeros(base + (1,))], axis=-1)
+        else:
+            rk, rl = geo.CliffordSpec(k, l).radii
+            x = np.concatenate([_former_sphere_point(U[..., :k]) * rk,
+                                _former_sphere_point(U[..., k:]) * rl], axis=-1)
+            jac[..., : k + 1, :k] = _former_sphere_jacobian(U[..., :k]) * rk
+            jac[..., k + 1 :, k:] = _former_sphere_jacobian(U[..., k:]) * rl
+        assert _same_bits(M.chart.embed(U), x)
+        assert _same_bits(M.chart.jacobian(U), jac)
+
+
 @pytest.mark.parametrize("M", [geo.equator(3), geo.clifford_hypersurface((1, 1)),
                                geo.clifford_hypersurface((2, 1))], ids=repr)
 def test_jacobian_at_zero_angles_matches_central_differences(M):

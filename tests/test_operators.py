@@ -292,6 +292,24 @@ def _former_sphere_metric_diag(angles):
     return diag
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sphere_metric_diag_matches_former_recurrence(k):
+    # the recurrence that skips the last angle's sine, in point and open-grid
+    # form, against the loop that took every sine: bit for bit, at poles too
+    rng = np.random.default_rng(40 + k)
+    axes = [np.concatenate([[0.0, np.pi, -np.pi / 2, 2 * np.pi], rng.uniform(-7.0, 7.0, 5 + a)])
+            for a in range(k)]
+    grid = geo._tensor_grid(axes)
+    former = _former_sphere_metric_diag(grid)
+    assert np.array_equal(geo._sphere_metric_diag(grid), former)
+    assert np.array_equal(geo._sphere_metric_diag(grid[3]), former[3])
+    open_grid = geo._sphere_metric_diag(np.ix_(*axes))
+    assert isinstance(open_grid, tuple) and len(open_grid) == k
+    shape = tuple(len(a) for a in axes)
+    for i, entry in enumerate(open_grid):
+        assert np.array_equal(np.broadcast_to(entry, shape).ravel(), former[:, i])
+
+
 @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (3, 0), (5, 0), (1, 1), (1, 2), (2, 1),
                                   (2, 2), (1, 3), (3, 1), (3, 2)])
 def test_stacked_metric_matches_former_loop(k, l):
