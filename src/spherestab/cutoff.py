@@ -44,7 +44,6 @@ from .errors import (
 from .fields import grad_inner
 from .geometry import (
     ParametrizedHypersurface,
-    _central_diff,
     _chord_to_arc,
     _distance,
     _tensor_grid,
@@ -976,25 +975,6 @@ def _field_laplacian(M, U, f):
     return surface_laplacian_fd(M, U, lambda pts: f.value(M, pts))
 
 
-def _field_grad_inner(M, U, f, g, jac=None, gdiag=None):
-    try:
-        return grad_inner(M, U, f, g, jac, gdiag)
-    except (AttributeError, UnsupportedFamily):
-        pass
-    if gdiag is None:
-        gdiag = M.chart.metric_diag(np.asarray(U, dtype=float))
-    df = _central_diff(lambda pts: f.value(M, pts), U, 1e-5)
-    dg = _central_diff(lambda pts: g.value(M, pts), U, 1e-5)
-    return np.sum(df * dg / gdiag, axis=-1)
-
-
-def _field_chart_gradient(M, U, f, jac=None, h=1e-5):
-    try:
-        return f.chart_gradient(M, U, jac=jac)
-    except AttributeError:
-        return _central_diff(lambda pts: f.value(M, pts), U, h)
-
-
 def ibp_residual(
     M: ParametrizedHypersurface,
     cover: BallCover,
@@ -1026,44 +1006,29 @@ def ibp_residual(
     w = weights * sqrt_det_metric(chart, nodes)
     u_vals = np.asarray(u.value(M, nodes), dtype=float)
     lap_v = _field_laplacian(M, nodes, v)
-    inner = _field_grad_inner(M, nodes, u, v)
-    total = float(w @ (u_vals * lap_v + inner))
+    inner = grad_inner(M, nodes, u, v)
 
-    neighbours = _ramp_neighbours(cover)
-    for i in range(cover.size):
-        reach = 2.0 * cover.radii[i]
-        breaks = (cover.radii[i], 2.0 * cover.radii[i])
-
-        def correction(U, X, i=i):
-            # 0 wherever another ball is active, so evaluate only where ball i is
-            act, phi, slope, grad_d = field._active_ramp(X, neighbours[i])
-            rows = act == i
-            out = np.zeros(len(U))
-            if not rows.any():
-                return out
-            U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
-            # one chart frame of the patch rows serves every derivative below
-            jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
-            uu = np.asarray(u.value(M, U), dtype=float)
-            lap = _field_laplacian(M, U, v)
-            inn = _field_grad_inner(M, U, u, v, jac, gdiag)
-            dv = _field_chart_gradient(M, U, v, jac)
-            dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
-            cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
-            out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
+    def correction(i, nb, U, X):
+        # 0 wherever another ball is active, so evaluate only where ball i is
+        act, phi, slope, grad_d = field._active_ramp(X, nb)
+        rows = act == i
+        out = np.zeros(len(U))
+        if not rows.any():
             return out
+        U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
+        # one chart frame of the patch rows serves every derivative below
+        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        uu = np.asarray(u.value(M, U), dtype=float)
+        lap = _field_laplacian(M, U, v)
+        inn = grad_inner(M, U, u, v, jac, gdiag)
+        dv = v.chart_gradient(M, U, jac=jac)
+        dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
+        cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
+        out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
+        return out
 
-        total += local_polar_integral(
-            M,
-            cover.centers[i],
-            correction,
-            reach,
-            breaks=breaks,
-            n_angular=n_angular,
-            nodes_per_segment=nodes_per_segment,
-            reach_metric=cover.metric,
-        )
-    return abs(total)
+    total = float(w @ (u_vals * lap_v + inner))
+    return abs(_patch_sum(M, field, correction, n_angular, nodes_per_segment, total))
 
 
 def cutoff_cross_term(
@@ -1086,43 +1051,47 @@ def cutoff_cross_term(
     """
     _require_chart_frame(M)
     cover = field.cover
-    total = 0.0
-    neighbours = _ramp_neighbours(cover, 2.0 if field.kind == "inf" else 1.0)
+
+    def integrand(i, nb, U, X):
+        if field.kind == "inf":
+            act, _, slope, grad_d = field._active_ramp(X, nb)
+            mask = act == i
+            grad = slope[:, None] * grad_d
+        else:
+            r = cover.radii[nb]
+            d, grad_d = field._dist_grad(X, cover.centers[nb])
+            vals, slope = field._ramps(d, r)
+            # partition supp(grad phi) by the first annulus containing the point
+            in_ann = (d > r / 2.0) & (d < r)
+            first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
+            mask = first == i
+            grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
+        uu = np.abs(np.asarray(u.value(M, U), dtype=float))
+        gsq = tangential_gradient_sq(M, U, grad)
+        return np.where(mask, uu * np.sqrt(gsq), 0.0)
+
+    return _patch_sum(M, field, integrand, n_angular, nodes_per_segment)
+
+
+def _patch_sum(M, field: CutoffField, integrand, n_angular, nodes_per_segment, total=0.0):
+    """``total`` plus, in ball order, the patch integral (:func:`local_polar_integral`)
+    of ``integrand(i, neighbours_i, U, X)`` around each ball i of the cover.
+
+    ``neighbours_i`` comes from :func:`_ramp_neighbours`.  A patch reaches
+    as far as ramp i differs from 1, with radial breaks at the ramp ends:
+    reach 2 r and breaks (r, 2 r) inf, reach r and breaks (r/2, r) product;
+    a Euclidean cover's chords become geodesic radii by :func:`_chord_to_arc`.
+    """
+    cover = field.cover
+    inf = field.kind == "inf"
+    neighbours = _ramp_neighbours(cover, 2.0 if inf else 1.0)
     for i in range(cover.size):
-        reach = 2.0 * cover.radii[i] if field.kind == "inf" else cover.radii[i]
-        breaks = (
-            (cover.radii[i], 2.0 * cover.radii[i])
-            if field.kind == "inf"
-            else (cover.radii[i] / 2.0, cover.radii[i])
-        )
-
-        def integrand(U, X, i=i):
-            nb = neighbours[i]
-            if field.kind == "inf":
-                act, _, slope, grad_d = field._active_ramp(X, nb)
-                mask = act == i
-                grad = slope[:, None] * grad_d
-            else:
-                r = cover.radii[nb]
-                d, grad_d = field._dist_grad(X, cover.centers[nb])
-                vals, slope = field._ramps(d, r)
-                # partition supp(grad phi) by the first annulus containing the point
-                in_ann = (d > r / 2.0) & (d < r)
-                first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
-                mask = first == i
-                grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
-            uu = np.abs(np.asarray(u.value(M, U), dtype=float))
-            gsq = tangential_gradient_sq(M, U, grad)
-            return np.where(mask, uu * np.sqrt(gsq), 0.0)
-
+        r = cover.radii[i]
+        reach, breaks = (2.0 * r, (r, 2.0 * r)) if inf else (r, (r / 2.0, r))
+        if cover.metric == "euclidean":
+            reach, breaks = _chord_to_arc(reach), [_chord_to_arc(b) for b in breaks]
         total += local_polar_integral(
-            M,
-            cover.centers[i],
-            integrand,
-            reach,
-            breaks=breaks,
-            n_angular=n_angular,
-            nodes_per_segment=nodes_per_segment,
-            reach_metric=cover.metric,
+            M, cover.centers[i], lambda U, X, i=i: integrand(i, neighbours[i], U, X), reach,
+            breaks=breaks, n_angular=n_angular, nodes_per_segment=nodes_per_segment,
         )
     return total

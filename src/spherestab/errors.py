@@ -24,12 +24,9 @@ class UnsupportedFamily(SpherestabError):
 class NoConvergence(SpherestabError):
     """Iterative eigensolver hit its iteration cap.
 
-    Carries the best available result so callers can inspect the residual.
+    Raised nowhere in the package: a spectrum report names it in its
+    ``failure`` field; callers may raise it on an unconverged result.
     """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class ZeroTestFunction(SpherestabError):

@@ -1,9 +1,9 @@
 """Scalar fields on a parametrized hypersurface.
 
-A field knows its values at chart parameter points and, when analytically
-available, its squared tangential gradient and its surface Laplacian.
-Fields lacking analytic derivatives fall back to chart finite differences
-where a consumer needs them.
+A field knows its values at chart parameter points, its chart gradient
+(central differences of the values unless the field knows it exactly) and,
+when analytically available, its squared tangential gradient and its
+surface Laplacian.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .geometry import ParametrizedHypersurface, shape_at
+from .geometry import ParametrizedHypersurface, _central_diff, shape_at
 
 
 class SurfaceField:
@@ -21,6 +21,11 @@ class SurfaceField:
 
     def value(self, M, U):
         raise NotImplementedError
+
+    def chart_gradient(self, M, U, jac=None):
+        """Chart partials d_a f by central differences (step 1e-5); ``jac``
+        (the chart Jacobian at U) serves subclasses with exact partials."""
+        return _central_diff(lambda pts: self.value(M, pts), U, 1e-5)
 
     def gradient_sq(self, M, U):
         """|grad f|^2 at the points, or None when not analytically known."""
@@ -38,6 +43,9 @@ class ConstantField(SurfaceField):
     def value(self, M, U):
         U = np.asarray(U, dtype=float)
         return np.full(U.shape[:-1], self.constant)
+
+    def chart_gradient(self, M, U, jac=None):
+        return np.zeros(np.shape(U))
 
     def gradient_sq(self, M, U):
         U = np.asarray(U, dtype=float)
@@ -101,7 +109,7 @@ class ShapeNormField(SurfaceField):
 def grad_inner(
     M: ParametrizedHypersurface, U, f: SurfaceField, g: SurfaceField, jac=None, gdiag=None
 ):
-    """<grad f, grad g> for coordinate-type fields with analytic chart gradients.
+    """<grad f, grad g> from the two fields' chart gradients.
 
     ``jac`` and ``gdiag`` are the chart Jacobian and metric diagonal at U,
     evaluated here when the caller does not pass them.

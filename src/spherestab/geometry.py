@@ -216,15 +216,19 @@ class Chart:
 
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
     Optional analytic accessories (``jacobian``, ``metric_diag``,
-    ``axis_density``, ``inverse``) enable the exact fast paths; without them
-    everything falls back to central finite differences of ``embed`` (and
-    to a grid scan for the nearest chart point).  ``inverse`` maps ambient
-    points (..., n+2) to the chart coordinates of their nearest surface
-    points.  ``metric_diag`` maps points (..., n) to the metric diagonal
-    (..., n), and an open grid (a tuple of n per-axis coordinate arrays
-    that broadcast against each other, as from ``np.ix_``) to a tuple of n
-    diagonal entries that broadcast to that grid, bit for bit the values of
-    the stacked form at the grid points.
+    ``axis_density``, ``inverse``) enable the exact fast paths.  A chart
+    without them (a loaded chart file) is served by central finite
+    differences of ``embed`` in :func:`area`, the volume-growth constant
+    C_V (:func:`measure_volume_growth`) and :func:`shape_at`, and by a grid
+    scan for the nearest chart point; pencil assembly refuses it with
+    :class:`AssemblyFailure`, and the Simons check, the closed-form ball
+    areas and the cutoff integrals with :class:`UnsupportedFamily`.
+    ``inverse`` maps ambient points (..., n+2) to the chart coordinates of
+    their nearest surface points.  ``metric_diag`` maps points (..., n) to
+    the metric diagonal (..., n), and an open grid (a tuple of n per-axis
+    coordinate arrays that broadcast against each other, as from
+    ``np.ix_``) to a tuple of n diagonal entries that broadcast to that
+    grid, bit for bit the values of the stacked form at the grid points.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds

@@ -22,10 +22,7 @@ import numpy as np
 
 from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
-    FD_STEP,
     ParametrizedHypersurface,
-    _central_diff,
-    _chord_to_arc,
     _per_axis,
     _tensor_grid,
     geodesic_distance,
@@ -81,10 +78,7 @@ def stratified_integral(
     non-zero (negative values count), and the cell mean and variance only
     for the cells that hold such a row; every other cell contributes
     exactly 0, which is what the dense computation gives, so the estimate
-    is bit for bit that of weighting every row.  A chart without an
-    analytic ``metric_diag`` still takes its finite-difference density on
-    every row, so a degenerate metric at any node raises
-    :class:`DegenerateChart` as :func:`sqrt_det_metric` does.
+    is bit for bit that of weighting every row.
 
     A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
     box in one pass and returns their estimates as :class:`BoxEstimates`;
@@ -109,8 +103,12 @@ def stratified_integral(
             np.broadcast_to(v.reshape(shape), grid) for v, shape in zip(per_axis, shapes)
         ], axis=-1).reshape(len(boxes), -1, n)
 
-    edges = [np.linspace(boxes[:, a, 0], boxes[:, a, 1], c + 1, axis=-1)
-             for a, c in enumerate(counts)]
+    # per box, linspace's arithmetic for a non-degenerate interval; a stacked
+    # linspace rounds every box another way once any box has zero width
+    edges = []
+    for a, c in enumerate(counts):
+        lo, hi = boxes[:, a, :1], boxes[:, a, 1:]
+        edges.append(np.concatenate([lo + np.arange(c) * ((hi - lo) / c), hi], axis=-1))
     lows = cell_grid([e[:, :-1] for e in edges])
     sides = cell_grid([np.diff(e, axis=-1) for e in edges])
     vols = np.prod(sides, axis=-1)
@@ -128,11 +126,7 @@ def stratified_integral(
     live = vals != 0.0  # negative values count
     # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
     busy = functools.reduce(np.logical_or, np.moveaxis(live, -1, 0))
-    if chart.metric_diag is None:
-        # the finite-difference density checks every node for a degenerate metric
-        dens = sqrt_det_metric(chart, flat)[live.ravel()]
-    else:
-        dens = sqrt_det_metric(chart, flat[live.ravel()])
+    dens = sqrt_det_metric(chart, flat[live.ravel()])
     # the live rows of the busy cells, in the same row-major order as dens
     weighted, busy_live = vals[busy], live[busy]
     weighted[busy_live] *= dens
@@ -149,6 +143,9 @@ def stratified_integral(
 # ---------------------------------------------------------------------------
 # deterministic local polar patches
 # ---------------------------------------------------------------------------
+
+_PATCH_SAFETY = 1.4   # first patch radius, in units of reach + gap
+
 
 def nearest_chart_point(M, x, resolution=96, zoom=3):
     """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
@@ -237,52 +234,39 @@ def local_polar_integral(
     breaks=(),
     n_angular=96,
     nodes_per_segment=24,
-    safety=1.4,
-    reach_metric="geodesic",
 ):
-    """Deterministic integral of ``fn`` over M within ambient distance ``reach``.
+    """Deterministic integral of ``fn`` over M within geodesic distance ``reach``.
 
     Builds a chart-polar patch around the closest surface point, verifies
     that its rim lies beyond ``reach``, and integrates with radial Gauss
-    segments split at ``breaks`` (radii, in the same metric as ``reach``,
-    where the integrand may kink).  ``fn(U, X)`` must vanish at distance
-    >= ``reach`` from the center; returns 0 when the ball does not meet the
-    surface.  ``reach_metric`` says whether reach/breaks are geodesic or
-    Euclidean (chord) radii.
+    segments split at ``breaks`` (geodesic radii where the integrand may
+    kink).  ``fn(U, X)`` must vanish at distance >= ``reach`` from the
+    center; returns 0 when the ball does not meet the surface.  The patch
+    frame is the chart's analytic ``metric_diag`` at the patch centre; a
+    chart without one (a loaded chart file) raises :class:`UnsupportedFamily`.
     """
     chart = M.chart
+    if chart.metric_diag is None:
+        raise UnsupportedFamily("local patches need an analytic chart metric")
     n = chart.dim
     center_ambient = np.asarray(center_ambient, dtype=float)
     u0 = nearest_chart_point(M, center_ambient)
     gap = geodesic_distance(chart.embed(u0), center_ambient)
-    if reach_metric == "euclidean":
-        reach_geo = _chord_to_arc(reach)
-        breaks = [_chord_to_arc(b) for b in breaks]
-    else:
-        reach_geo = float(reach)
-        breaks = list(breaks)
-    if gap >= reach_geo:
+    if gap >= reach:
         return 0.0
 
-    if chart.metric_diag is not None:
-        gdiag0 = chart.metric_diag(u0)
-    else:
-        jac = _central_diff(chart.embed, u0, FD_STEP)
-        gdiag0 = np.diag(jac.T @ jac)
-    E = 1.0 / np.sqrt(gdiag0)
+    E = 1.0 / np.sqrt(chart.metric_diag(u0))
     dirs, dir_w = _unit_directions(n, n_angular)
 
-    s_max = safety * (reach_geo + gap)
+    s_max = _PATCH_SAFETY * (reach + gap)
     for _ in range(5):
         rim = u0 + s_max * dirs * E
-        if _inside_box(chart, rim) and np.all(
-            geodesic_distance(chart.embed(rim), center_ambient) > reach_geo
-        ):
-            break
-        if not _inside_box(chart, u0 + s_max * dirs * E):
+        if not _inside_box(chart, rim):
             raise PreconditionViolated(
                 "local patch leaves the chart box; move the ball away from a pole"
             )
+        if np.all(geodesic_distance(chart.embed(rim), center_ambient) > reach):
+            break
         s_max *= 1.3
     else:
         raise PreconditionViolated("could not enclose the ball in a chart patch")

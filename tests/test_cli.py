@@ -61,6 +61,21 @@ def test_inf_cutoff_csv_report(tmp_path):
     assert json.loads(lines[1])["passed"] is True
 
 
+def test_product_cutoff_json_report(tmp_path):
+    # the product branch: the quality triple with its three bounds and
+    # stderrs, written byte for byte the same on a repeat
+    argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "20",
+            "--epsilon", "0.5", "--exponent", "0", "--kind", "product", "--format", "json"]
+    assert run(tmp_path, *argv) == 0
+    path = tmp_path / "cutoff_clifford_1_1.json"
+    first = path.read_bytes()
+    doc = json.loads(first)
+    assert doc["passed"] is True
+    assert len(doc["bounds"]) == 3 and len(doc["stderrs"]) == 3
+    assert run(tmp_path, *argv) == 0
+    assert path.read_bytes() == first
+
+
 def test_failing_bound_still_writes_report(tmp_path, monkeypatch):
     # inflating |grad phi|^2 25-fold pushes the integral past its bound; the
     # run must exit 1 and still leave its report with the failed verdict

@@ -12,7 +12,7 @@ from spherestab.errors import (
     PreconditionViolated,
     UnsupportedFamily,
 )
-from spherestab.fields import AmbientCoordinateField, ConstantField
+from spherestab.fields import AmbientCoordinateField, ConstantField, grad_inner
 from spherestab.sampling import ZERO_ESTIMATE, _stratified_rows, nearest_chart_point, stratified_integral
 
 
@@ -997,7 +997,7 @@ def _patch_reference(M, field, u, v, i, which):
             gsq = cut.tangential_gradient_sq(M, U, grad)
             return np.where(act == i, np.abs(uu) * np.sqrt(gsq), 0.0)
         lap = v.laplacian(M, U)
-        inn = cut._field_grad_inner(M, U, u, v)
+        inn = grad_inner(M, U, u, v)
         dv = v.chart_gradient(M, U)
         dphi = np.einsum("pia,pi->pa", chart.jacobian(U), grad, optimize=True)
         cross = uu * np.sum(dv * dphi / chart.metric_diag(U), axis=-1)
@@ -1091,3 +1091,44 @@ def test_ibp_constant_u_divergence_form(torus):
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
     resid = cut.ibp_residual(torus, cov, ConstantField(1.0), v)
     assert resid <= 1e-6
+
+
+def test_patch_sum_takes_arc_radii_of_a_euclidean_cover(torus, monkeypatch):
+    # a Euclidean (chord) cover's reach and breaks reach the patches as
+    # geodesic radii; an indicator of each ball's chord ball then integrates
+    # to the closed-form area of that ball, whose geodesic radius is the arc
+    _, centers = geo.sample_points(torus, 3, seed=8)
+    radii = np.array([0.1, 0.2, 0.3])
+    field = cut.CutoffField(cut.BallCover(centers, radii, 2, 0.0, 1e9, "euclidean"), "product")
+    seen = []
+    polar = cut.local_polar_integral
+
+    def recorded(M, center, fn, reach, breaks=(), **kw):
+        seen.append((reach, list(breaks)))
+        return polar(M, center, fn, reach, breaks=breaks, **kw)
+
+    monkeypatch.setattr(cut, "local_polar_integral", recorded)
+
+    def chord_ball(i, nb, U, X):
+        return (np.linalg.norm(X - centers[i], axis=-1) < radii[i]).astype(float)
+
+    total = cut._patch_sum(torus, field, chord_ball, 64, 24)
+    arc = geo._chord_to_arc
+    assert seen == [(arc(r), [arc(r / 2.0), arc(r)]) for r in radii]
+    exact = sum(float(geo._ball_area(1, 1, 1.0 - r**2 / 2.0)) for r in radii)
+    assert abs(total / exact - 1.0) <= 5e-3
+
+
+def test_product_cross_term_matches_chart_quadrature(torus):
+    # the local patches of a product cover against a 384^2 chart quadrature
+    # of |u| |grad phi| over the whole torus
+    _, centers = geo.sample_points(torus, 5, seed=4)
+    field = cut.CutoffField(cut.BallCover(centers, np.full(5, 0.3), 2, 0.0, 1e9, "euclidean"),
+                            "product")
+    u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
+    patches = cut.cutoff_cross_term(torus, field, u)
+    nodes, weights = geo.chart_quadrature(torus.chart, 384)
+    gsq = cut.tangential_gradient_sq(torus, nodes, field.ambient_gradient(torus.chart.embed(nodes)))
+    density = weights * geo.sqrt_det_metric(torus.chart, nodes)
+    quadrature = float(density @ (np.abs(u.value(torus, nodes)) * np.sqrt(gsq)))
+    assert abs(patches / quadrature - 1.0) <= 1e-3

@@ -1,4 +1,5 @@
-"""Stratified Monte Carlo: the live-row density against weighting every row."""
+"""Stratified Monte Carlo (the live-row density against weighting every row)
+and the deterministic local polar patches."""
 
 import math
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from spherestab import geometry as geo
-from spherestab.errors import DegenerateChart
-from spherestab.sampling import BoxEstimates, MCEstimate, stratified_integral
+from spherestab import sampling as smp
+from spherestab.errors import PreconditionViolated, UnsupportedFamily
+from spherestab.sampling import BoxEstimates, MCEstimate, local_polar_integral, stratified_integral
 
 
 def _dense_reference(M, fn, boxes, seeds, strata, samples_per_cell):
@@ -98,10 +100,87 @@ def test_all_zero_integrand_reads_exact_zero():
     assert not math.copysign(1.0, est.value) < 0
 
 
-def test_finite_difference_density_still_checks_every_node():
-    # a chart without metric_diag raises at a degenerate node even where the
-    # integrand is zero, as it did when every row was weighted
-    M = _fd_chart(geo.clifford_hypersurface((2, 1)))
-    flat_pole = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
-    with pytest.raises(DegenerateChart):
-        stratified_integral(M, lambda U, X: np.zeros(len(U)), box=flat_pole, strata=3, seed=0)
+def test_zero_width_box_leaves_stacked_boxes_unchanged():
+    # a box stacked beside a zero-width pole box gets the cell edges, and so
+    # the estimate, that it gets alone
+    M = geo.clifford_hypersurface((2, 1))
+    box = [[0.0, 0.4], [0.5, 2.0], [1.0, 3.0]]
+    pole = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
+    fn = lambda U, X, *which: X[:, 0]  # noqa: E731
+    alone = stratified_integral(M, fn, box=box, strata=6, samples_per_cell=3, seed=11)
+    stacked = stratified_integral(M, fn, box=np.array([box, pole]), strata=6,
+                                  samples_per_cell=3, seed=[11, 11])
+    assert stacked[0] == alone
+
+
+# ---------------------------------------------------------------------------
+# local polar patches
+# ---------------------------------------------------------------------------
+
+def _ball_indicator(center, r):
+    return lambda U, X: (geo.geodesic_distance(X, center) < r).astype(float)
+
+
+def _patch_ball_area(M, center, r):
+    return local_polar_integral(M, center, _ball_indicator(center, r), r, breaks=(r,),
+                                n_angular=64)
+
+
+@pytest.mark.parametrize("kl", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("r", [0.05, 0.1])
+def test_polar_patch_integrates_geodesic_ball_area(kl, r):
+    # the closed-form area of M cap B_r(x); centres 0.5 rad or more from a pole
+    M = geo.clifford_hypersurface(kl)
+    _, centers = geo.sample_points(M, 2, seed=3, pad=0.5)
+    exact = float(geo._ball_area(*kl, np.cos(r)))
+    for center in centers:
+        assert abs(_patch_ball_area(M, center, r) / exact - 1.0) <= 5e-3
+
+
+def test_polar_patch_off_surface_center():
+    # a centre off the torus, at geodesic distance 0.1 from its nearest point
+    # (1, 0, 1, 0)/sqrt(2): a ball that does not reach M reads exactly 0, and
+    # one that does integrates to its area, a one-dimensional integral over
+    # the first angle of the arc of admissible second angles
+    M = geo.clifford_hypersurface((1, 1))
+    t = math.pi / 4.0 - 0.1
+    center = np.array([math.cos(t), 0.0, math.sin(t), 0.0])
+    assert _patch_ball_area(M, center, 0.09) == 0.0
+    r = 0.2
+    a = np.linspace(-math.pi, math.pi, 400_001)
+    q = (math.sqrt(2.0) * math.cos(r) - math.cos(t) * np.cos(a)) / math.sin(t)
+    exact = 0.5 * float(np.mean(2.0 * np.arccos(np.clip(q, -1.0, 1.0)))) * 2.0 * math.pi
+    assert abs(_patch_ball_area(M, center, r) / exact - 1.0) <= 5e-3
+
+
+def test_polar_patch_refuses_a_pole():
+    # a ball centred on the polar pole of clifford(2,1) would leave the chart
+    # box; the same ball 0.5 rad from that pole integrates to its area
+    M = geo.clifford_hypersurface((2, 1))
+    r = 0.1
+    with pytest.raises(PreconditionViolated, match="pole"):
+        _patch_ball_area(M, M.chart.embed(np.array([0.0, 1.0, 2.0])), r)
+    off_pole = _patch_ball_area(M, M.chart.embed(np.array([0.5, 1.0, 2.0])), r)
+    assert abs(off_pole / float(geo._ball_area(2, 1, np.cos(r))) - 1.0) <= 5e-3
+
+
+def test_polar_patch_refuses_a_chart_without_metric():
+    M = _fd_chart(geo.clifford_hypersurface((1, 1)))
+    center = M.chart.embed(np.array([0.3, 0.4]))
+    with pytest.raises(UnsupportedFamily):
+        _patch_ball_area(M, center, 0.1)
+
+
+def test_polar_patch_rim_growth_gives_up(monkeypatch):
+    # a ball around (1, 0, 0, 0), at distance pi/4 from the torus, whose
+    # patch wraps around the periodic axes: every rim of the five grown
+    # patches comes back inside the ball, each round tests the chart box
+    # once, and the patch is refused
+    M = geo.clifford_hypersurface((1, 1))
+    center = np.array([1.0, 0.0, 0.0, 0.0])
+    calls = []
+    inside = smp._inside_box
+    monkeypatch.setattr(smp, "_inside_box", lambda chart, pts: calls.append(1) or inside(chart, pts))
+    with pytest.raises(PreconditionViolated, match="could not enclose"):
+        _patch_ball_area(M, center, 1.0)
+    assert len(calls) == 5
