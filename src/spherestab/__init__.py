@@ -34,10 +34,8 @@ from .geometry import (
     clifford_hypersurface,
     equator,
     geodesic_distance,
-    load_chart_file,
     measure_volume_growth,
     sample_points,
-    save_chart_file,
     shape_at,
 )
 from .operators import (

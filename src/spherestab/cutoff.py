@@ -588,17 +588,6 @@ def _require_euclidean(cover: BallCover):
 # surface calculus of ambient fields
 # ---------------------------------------------------------------------------
 
-def _require_chart_frame(M):
-    """Refuse a chart without an analytic ``jacobian`` and ``metric_diag``.
-
-    The cutoff integrals read both (ball boxes, tangential gradients, patch
-    frames); a chart-file surface has neither, so it is refused with
-    :class:`UnsupportedFamily` before any integral runs.
-    """
-    if M.chart.jacobian is None or M.chart.metric_diag is None:
-        raise UnsupportedFamily(f"{M!r}: cutoff integrals need an analytic chart jacobian and metric")
-
-
 def tangential_gradient_sq(M, U, ambient_grad):
     """|grad_M phi|^2 from an ambient gradient via the chart frame."""
     chart = M.chart
@@ -677,12 +666,10 @@ def gradient_integral_estimate(
     equal those of the full field bit for bit.  Raises
     :class:`InsufficientSamples` when the standard error exceeds 10% of the
     bound; an estimate above bound + 3 stderr is returned as a report with
-    ``passed`` false.  A chart without an analytic frame (a loaded chart
-    file) is refused first (:func:`_require_chart_frame`).
+    ``passed`` false.
     """
     if field.kind != "inf":
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
-    _require_chart_frame(M)
     n = M.dimension
     if C_V is None:
         C_V = measure_volume_growth(M, metric=cover.metric)
@@ -899,8 +886,7 @@ def mr_quality_report(
     phi = 1 with zero derivatives and contributes an exact 0.0, the value
     the full evaluation gives there, so the estimates are unchanged bit for
     bit.  A non-Euclidean cover is refused (:class:`PreconditionViolated`)
-    before any integral runs, as in :func:`build_product_cutoff`, and so is
-    a chart without an analytic frame (:func:`_require_chart_frame`).
+    before any integral runs, as in :func:`build_product_cutoff`.
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -913,7 +899,6 @@ def mr_quality_report(
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
     _require_euclidean(field.cover)
-    _require_chart_frame(M)
     n = M.dimension
     N = n + 2
     if C_V is None:
@@ -992,14 +977,12 @@ def ibp_residual(
     the cutoff cross terms' cancellation quality.  The smooth global parts
     are integrated on the full chart; everything supported near the cover
     (the (1 - phi) corrections and the grad-phi term) uses deterministic
-    local polar patches, partitioned by the active ball.  A chart without
-    an analytic frame is refused first (:func:`_require_chart_frame`).
+    local polar patches, partitioned by the active ball.
     """
     if q is not None and cover.size and q != cover.exponent:
         raise PreconditionViolated(
             f"cover was budgeted at exponent {cover.exponent}, not {q}"
         )
-    _require_chart_frame(M)
     field = build_inf_cutoff(cover)
     chart = M.chart
     nodes, weights = chart_quadrature(chart, resolution)
@@ -1046,10 +1029,8 @@ def cutoff_cross_term(
     r_i + r_j for product ramps); where the mask holds, no other ramp
     differs from 1 with zero slope, so the integrand is that of the full
     field (for product ramps, up to the rounding of the gradient's sum over
-    fewer balls).  A chart without an analytic frame is refused first
-    (:func:`_require_chart_frame`).
+    fewer balls).
     """
-    _require_chart_frame(M)
     cover = field.cover
 
     def integrand(i, nb, U, X):

@@ -23,6 +23,7 @@ Three families of checks live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,8 +91,10 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
     centres at one radius computes that area once and passes it as
     ``ball_area``.  Other surfaces raise :class:`UnsupportedFamily`, and a
     ``p`` farther than 1e-9 from M (checked through the chart inverse)
-    raises :class:`PreconditionViolated`.  ``C_V`` defaults to the geodesic
-    :func:`measure_volume_growth`, exact on the same families.
+    raises :class:`PreconditionViolated`, as does a left side that is
+    negative or not finite (a failed ball-area quadrature).  ``C_V``
+    defaults to the geodesic :func:`measure_volume_growth`, exact on the
+    same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
@@ -108,6 +111,8 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
         raise PreconditionViolated(f"ball centre lies {off:.3g} off the surface")
     a2 = float(_norm_A_sq(M, u[None])[0])
     lhs = a2 * ball
+    if not 0.0 <= lhs < math.inf:
+        raise PreconditionViolated(f"curvature energy {lhs!r} on the ball is negative or not finite")
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
     return EstimateReport(
         "local_A_bound",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedFamily
 from .geometry import ParametrizedHypersurface, _central_diff, shape_at
 
 
@@ -75,17 +74,12 @@ class AmbientCoordinateField(SurfaceField):
     def chart_gradient(self, M, U, jac=None):
         """Chart partials d_a f; ``jac`` is the chart Jacobian at U if the caller has it."""
         if jac is None:
-            if M.chart.jacobian is None:
-                raise UnsupportedFamily("coordinate field gradients need an analytic jacobian")
             jac = M.chart.jacobian(np.asarray(U, dtype=float))
         return self.scale * jac[..., self.index, :]
 
     def gradient_sq(self, M, U):
-        chart = M.chart
-        if chart.jacobian is None or chart.metric_diag is None:
-            return None
         df = self.chart_gradient(M, U)
-        gdiag = chart.metric_diag(np.asarray(U, dtype=float))
+        gdiag = M.chart.metric_diag(np.asarray(U, dtype=float))
         return np.sum(df * df / gdiag, axis=-1)
 
     def laplacian(self, M, U):

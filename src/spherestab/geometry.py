@@ -20,20 +20,19 @@ Charts use hyperspherical coordinates.  Polar axes span [0, pi] and carry
 a sampling margin (default 1e-3) so random evaluation never touches a
 coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
-integrals accurate.  User-supplied surfaces are loaded from plain-text
-chart files (one chart per file) and interpolated with C^2 splines; they
-carry no analytic Jacobian or metric, and their geometry is computed by
-central finite differences (step 1e-5 for first derivatives, 1e-3 for
-the curvature stencils, where smaller steps lose to roundoff).
+integrals accurate.  Every chart carries its analytic frame: Jacobian,
+metric diagonal, per-axis density factors and nearest-point inverse.
+:func:`shape_at` also offers finite-difference second fundamental forms
+(step 1e-3), an oracle independent of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,10 +42,10 @@ POLE_MARGIN = 1e-3
 DRIFT_TOL = 1e-8
 COND_LIMIT = 1e12
 _HOMOGENEOUS = ("equator", "clifford")  # ball area independent of the center
-FD_STEP = 1e-5    # first-derivative stencils (jacobians, metric densities)
-SHAPE_STEP = 1e-3  # second-fundamental-form stencils; smaller steps are
-                   # roundoff-dominated through the SVD normal (measured:
-                   # |A|^2 error 2e-10 at 1e-3 vs 2e-7 at 1e-5)
+SHAPE_STEP = 1e-3  # second-fundamental-form stencils of both methods (measured
+                   # |A|^2 error on the products: 1e-6 normal derivative and
+                   # 5e-7 hessian at 1e-3; at 1e-5 the hessian's second
+                   # differences lose to roundoff, 1e-5)
 
 
 def chord_distance(x, p):
@@ -215,31 +214,27 @@ class Chart:
     """One parametrization chart: a coordinate box plus an immersion map.
 
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
-    Optional analytic accessories (``jacobian``, ``metric_diag``,
-    ``axis_density``, ``inverse``) enable the exact fast paths.  A chart
-    without them (a loaded chart file) is served by central finite
-    differences of ``embed`` in :func:`area`, the volume-growth constant
-    C_V (:func:`measure_volume_growth`) and :func:`shape_at`, and by a grid
-    scan for the nearest chart point; pencil assembly refuses it with
-    :class:`AssemblyFailure`, and the Simons check, the closed-form ball
-    areas and the cutoff integrals with :class:`UnsupportedFamily`.
-    ``inverse`` maps ambient points (..., n+2) to the chart coordinates of
-    their nearest surface points.  ``metric_diag`` maps points (..., n) to
-    the metric diagonal (..., n), and an open grid (a tuple of n per-axis
-    coordinate arrays that broadcast against each other, as from
-    ``np.ix_``) to a tuple of n diagonal entries that broadcast to that
-    grid, bit for bit the values of the stacked form at the grid points.
+    The four analytic accessories are required.  ``jacobian`` maps points
+    (..., n) to the tangent frame (..., n+2, n).  ``metric_diag`` maps
+    points (..., n) to the metric diagonal (..., n), and an open grid (a
+    tuple of n per-axis coordinate arrays that broadcast against each
+    other, as from ``np.ix_``) to a tuple of n diagonal entries that
+    broadcast to that grid, bit for bit the values of the stacked form at
+    the grid points.  ``axis_density`` holds one callable per axis whose
+    product, times ``density_const``, is sqrt(det g).  ``inverse`` maps
+    ambient points (..., n+2) to the chart coordinates of their nearest
+    surface points.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
     periodic: tuple
     embed: Callable
-    jacobian: Optional[Callable] = None
-    metric_diag: Optional[Callable] = None
-    axis_density: Optional[list] = None  # per-axis factors of sqrt(det g)
+    jacobian: Callable
+    metric_diag: Callable
+    axis_density: list                   # per-axis factors of sqrt(det g)
+    inverse: Callable
     density_const: float = 1.0
     margin: float = POLE_MARGIN
-    inverse: Optional[Callable] = None
 
     @property
     def dim(self):
@@ -379,7 +374,7 @@ def equator(n):
         # are scale-invariant, so no normalization is needed)
         return sphere_angles(np.asarray(X, dtype=float)[..., : n + 1])
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, 1.0, inverse=inverse)
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse)
     return ParametrizedHypersurface(n, chart, "equator", (n,), closed_form)
 
 
@@ -452,9 +447,7 @@ def clifford_hypersurface(spec):
             [sphere_angles(X[..., : k + 1]), sphere_angles(X[..., k + 1 :])], axis=-1
         )
 
-    chart = Chart(
-        box, periodic, embed, jacobian, metric_diag, density, density_const, inverse=inverse
-    )
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const)
     return ParametrizedHypersurface(n, chart, "clifford", (k, l), closed_form)
 
 
@@ -505,7 +498,7 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
     x = chart.embed(u)
     if abs(np.linalg.norm(x) - 1.0) > DRIFT_TOL:
         raise ImmersionDrift(f"|x(u)| - 1 = {np.linalg.norm(x) - 1.0:.3e} exceeds {DRIFT_TOL}")
-    jac = _chart_jacobian(chart, u, fd_step)
+    jac = chart.jacobian(u)
     g = jac.T @ jac
     _check_metric(g)
     nu = _unit_normal(jac, x)
@@ -516,8 +509,8 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
         for a in range(n):
             e = np.zeros(n)
             e[a] = fd_step
-            nu_p = _unit_normal(_chart_jacobian(chart, u + e, fd_step), chart.embed(u + e))
-            nu_m = _unit_normal(_chart_jacobian(chart, u - e, fd_step), chart.embed(u - e))
+            nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
+            nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
             if nu_p @ nu < 0:
                 nu_p = -nu_p
             if nu_m @ nu < 0:
@@ -566,12 +559,6 @@ def _check_metric(g):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
         raise DegenerateChart(f"metric condition number {eig[-1] / max(eig[0], 1e-300):.3e}")
-
-
-def _chart_jacobian(chart, u, h):
-    if chart.jacobian is not None:
-        return chart.jacobian(u)
-    return _central_diff(chart.embed, u, h)
 
 
 def _second_partial(embed, u, a, b, h):
@@ -638,37 +625,24 @@ def _per_axis(resolution, n):
     return res
 
 
-def sqrt_det_metric(chart, nodes, fd_step=FD_STEP):
-    """sqrt(det g) at parameter nodes, analytic when available."""
-    if chart.metric_diag is not None:
-        return np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5
-    jac = _central_diff(chart.embed, nodes, fd_step)
-    g = np.einsum("...ia,...ib->...ab", jac, jac)
-    det = np.linalg.det(g)
-    if np.any(det <= 0):
-        raise DegenerateChart("non-positive metric determinant at a quadrature node")
-    return np.sqrt(det)
+def sqrt_det_metric(chart, nodes):
+    """sqrt(det g) at parameter nodes, from the chart's metric diagonal."""
+    return np.prod(chart.metric_diag(nodes), axis=-1) ** 0.5
 
 
 def area(M, resolution=256):
     """Total area by chart quadrature of sqrt(det g).
 
-    Built-in families use the separable closed form (the density factors
-    across axes), so any dimension is cheap; generic charts integrate on a
-    full tensor grid and are practical for n <= 3.
+    The density factors across axes (``axis_density``), so the area is a
+    product of one-axis rules and any dimension is cheap.
     """
     chart = M.chart
-    if chart.axis_density is not None:
-        res = _per_axis(resolution, chart.dim)
-        total = chart.density_const
-        for a in range(chart.dim):
-            nodes, weights = axis_rule(chart, a, res[a])
-            total *= float(weights @ chart.axis_density[a](nodes))
-        return total
-    if chart.dim > 3:
-        raise UnsupportedFamily("full-grid quadrature is limited to n <= 3 charts")
-    nodes, weights = chart_quadrature(chart, resolution)
-    return float(weights @ sqrt_det_metric(chart, nodes))
+    res = _per_axis(resolution, chart.dim)
+    total = chart.density_const
+    for a in range(chart.dim):
+        nodes, weights = axis_rule(chart, a, res[a])
+        total *= float(weights @ chart.axis_density[a](nodes))
+    return total
 
 
 def sample_points(M, count, seed=0, pad=0.0):
@@ -682,15 +656,7 @@ def sample_points(M, count, seed=0, pad=0.0):
     return U, M.chart.embed(U)
 
 
-def measure_volume_growth(
-    M,
-    metric="geodesic",
-    n_centers=20,
-    radii=None,
-    resolution=128,
-    seed=0,
-    safety=1.1,
-):
+def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
     """Area-growth constant C_V with sup area(M cap B_r(x)) / r^n <= C_V.
 
     The sup runs over centers x in M and a log-spaced radius grid, then
@@ -701,38 +667,16 @@ def measure_volume_growth(
     The built-in families (``equator``, ``clifford``) are homogeneous, so
     the ball area does not depend on the center; it is evaluated exactly
     (to quadrature rounding) by :func:`_ball_area`, in any dimension.
-    Other surfaces (chart files) take the sup over ``n_centers`` sampled
-    centers (drawn with ``seed``) of the ball mass of a ``resolution``
-    tensor quadrature, for n <= 3 charts; ``n_centers``, ``resolution``
-    and ``seed`` apply only to that branch.
+    Other families raise :class:`UnsupportedFamily`.
     """
     n = M.dimension
     dist = _distance(metric)
     if radii is None:
         radii = np.geomspace(0.05, 1.9, 12)
     radii = np.asarray(radii, dtype=float)
-    if M.family in _HOMOGENEOUS:
-        # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
-        levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
-        return safety * float(np.max(_homogeneous_ball_area(M, levels) / radii**n))
-    _, centers = sample_points(M, n_centers, seed=seed, pad=0.0)
-    chart = M.chart
-    if chart.dim > 3:
-        raise UnsupportedFamily("volume-growth quadrature is limited to n <= 3 charts")
-    nodes, weights = chart_quadrature(chart, resolution)
-    mass = weights * sqrt_det_metric(chart, nodes)
-    X = chart.embed(nodes)
-    del nodes, weights  # only X and mass are needed over the centers
-    best = 0.0
-    for c in centers:
-        # ball mass of every radius from one sort: the cumulative mass up
-        # to the last node with d <= r
-        d = dist(X, c)
-        order = np.argsort(d)
-        cum = np.concatenate([[0.0], np.cumsum(mass[order])])
-        ball = cum[np.searchsorted(d[order], radii, side="right")]
-        best = max(best, float(np.max(ball / radii**n)))
-    return safety * best
+    # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
+    levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
+    return safety * float(np.max(_homogeneous_ball_area(M, levels) / radii**n))
 
 
 def _homogeneous_ball_area(M, level):
@@ -750,7 +694,8 @@ def _homogeneous_ball_area(M, level):
 
 @lru_cache(maxsize=1)
 def _ball_rule():
-    """48-node Gauss-Legendre rule of the :func:`_ball_area` theta integral.
+    """48-node Gauss-Legendre rule of the :func:`_ball_area` theta integral
+    and of :func:`_sin_power_integral`.
 
     Built on first use and kept: building it costs more than the integral.
     Callers must not write to the returned arrays.
@@ -792,127 +737,20 @@ def _sphere_area(m):
 
 
 def _sin_power_integral(m, a):
-    """J_m(a) = int_0^a sin^m, by J_m = -sin^(m-1)(a) cos(a) / m + (m-1)/m J_(m-2)."""
+    """J_m(a) = int_0^a sin^m for 0 <= a <= pi; ``a`` may be an array.
+
+    m = 0 and 1 are closed forms.  For m >= 2, Gauss-Legendre on [0, a]
+    (:func:`_ball_rule`) sums positive terms, so small caps keep their
+    relative accuracy: within 3e-14 of a 1024-node composite rule for
+    m <= 14 and a in [1e-4, pi].  The reduction formula
+    J_m = -sin^(m-1)(a) cos(a) / m + (m-1)/m J_(m-2) cancels there (a
+    relative error of 0.5 at m = 8, a = 0.01, and negative values at
+    m = 10-12).
+    """
     if m == 0:
         return a
     if m == 1:
         return 1.0 - np.cos(a)
-    return -np.sin(a) ** (m - 1) * np.cos(a) / m + (m - 1) / m * _sin_power_integral(m - 2, a)
-
-
-# ---------------------------------------------------------------------------
-# plain-text chart files (user-supplied surfaces)
-# ---------------------------------------------------------------------------
-
-def save_chart_file(M, path, grid):
-    """Write sampled ambient points of the chart in the plain-text format.
-
-    Format: header ``dim n charts 1``, a ``box`` line (lo hi per axis), a
-    ``periodic`` line (0/1 per axis), a ``grid`` line (points per axis),
-    then the row-major grid of ambient points, n+2 floats per line.
-    Non-periodic axes include both endpoints; periodic axes omit the wrap
-    point.
-    """
-    grid = _per_axis(grid, M.dimension)
-    chart = M.chart
-    with open(path, "w") as fh:
-        fh.write(f"dim {M.dimension} charts 1\n")
-        fh.write("box " + " ".join(repr(float(v)) for v in np.ravel(chart.box)) + "\n")
-        fh.write("periodic " + " ".join(str(int(p)) for p in chart.periodic) + "\n")
-        fh.write("grid " + " ".join(str(g) for g in grid) + "\n")
-        pts = chart.embed(_tensor_grid(_file_axes(chart.box, chart.periodic, grid)))
-        for row in pts:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_chart_file(path):
-    """Read a plain-text chart file and build a spline-interpolated surface.
-
-    The sampled grid is interpolated per ambient coordinate with C^2 cubic
-    splines (periodic axes are wrap-padded), currently for n in {1, 2} and
-    one chart per file; all geometry then runs through the
-    finite-difference backend.
-    """
-    with open(path) as fh:
-        tokens = fh.readline().split()
-        if len(tokens) != 4 or tokens[0] != "dim" or tokens[2] != "charts":
-            raise ValueError("chart file must start with 'dim n charts 1'")
-        n, n_charts = int(tokens[1]), int(tokens[3])
-        if n not in (1, 2):
-            raise UnsupportedFamily("spline chart interpolation supports n in {1, 2}")
-        if n_charts != 1:
-            raise UnsupportedFamily(f"a chart file holds one chart, not {n_charts}")
-        box = np.array([float(v) for v in fh.readline().split()[1:]]).reshape(n, 2)
-        periodic = tuple(bool(int(v)) for v in fh.readline().split()[1:])
-        grid = [int(v) for v in fh.readline().split()[1:]]
-        rows = np.array(
-            [[float(v) for v in fh.readline().split()] for _ in range(int(np.prod(grid)))]
-        )
-        if rows.shape[1] != n + 2:
-            raise ValueError(f"expected {n + 2} floats per grid line")
-        values = rows.reshape(grid + [n + 2])
-    return ParametrizedHypersurface(n, _spline_chart(box, periodic, grid, values), family="chartfile")
-
-
-_PAD = 3  # wrap columns appended on each side of a periodic axis
-
-
-def _file_axes(box, periodic, grid):
-    """Chart-file sample axes: both endpoints on polar axes, no wrap point on periodic ones."""
-    return [
-        np.linspace(lo, hi, g, endpoint=not per)
-        for (lo, hi), per, g in zip(box, periodic, grid)
-    ]
-
-
-def _spline_chart(box, periodic, grid, values):
-    n = len(grid)
-    axes = _file_axes(box, periodic, grid)
-    for a, per in enumerate(periodic):
-        if not per:
-            continue
-        left = axes[a][:_PAD] + (box[a, 1] - box[a, 0])
-        right = axes[a][-_PAD:] - (box[a, 1] - box[a, 0])
-        axes[a] = np.concatenate([right, axes[a], left])
-        values = np.concatenate(
-            [
-                np.take(values, range(grid[a] - _PAD, grid[a]), axis=a),
-                values,
-                np.take(values, range(_PAD), axis=a),
-            ],
-            axis=a,
-        )
-
-    if n == 1:
-        from scipy.interpolate import CubicSpline
-
-        splines = [CubicSpline(axes[0], values[:, j]) for j in range(values.shape[-1])]
-
-        def embed(U):
-            U = np.asarray(U, dtype=float)
-            t = _wrap_axis(U[..., 0], box[0], periodic[0])
-            return np.stack([s(t) for s in splines], axis=-1)
-
-    else:
-        from scipy.interpolate import RectBivariateSpline
-
-        splines = [
-            RectBivariateSpline(axes[0], axes[1], values[:, :, j], kx=3, ky=3)
-            for j in range(values.shape[-1])
-        ]
-
-        def embed(U):
-            U = np.asarray(U, dtype=float)
-            t0 = _wrap_axis(U[..., 0], box[0], periodic[0])
-            t1 = _wrap_axis(U[..., 1], box[1], periodic[1])
-            flat = [s(t0.ravel(), t1.ravel(), grid=False) for s in splines]
-            return np.stack(flat, axis=-1).reshape(U.shape[:-1] + (values.shape[-1],))
-
-    return Chart(np.array(box, dtype=float), tuple(periodic), embed)
-
-
-def _wrap_axis(t, bounds, per):
-    if not per:
-        return t
-    lo, hi = bounds
-    return lo + np.mod(t - lo, hi - lo)
+    t, w = _ball_rule()
+    half = np.asarray(a, dtype=float)[..., None] / 2.0
+    return np.sum(w * np.sin(half * (t + 1.0)) ** m, axis=-1) * half[..., 0]

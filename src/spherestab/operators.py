@@ -141,8 +141,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     V are diagonal CSR.
     """
     chart = M.chart
-    if chart.metric_diag is None:
-        raise AssemblyFailure("assembly needs an analytic diagonal metric (orthogonal chart)")
     res = _per_axis(resolution, chart.dim)
     if min(res) < 8:
         raise ValueError("resolution must be >= 8 per axis")

@@ -24,7 +24,6 @@ from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
     ParametrizedHypersurface,
     _per_axis,
-    _tensor_grid,
     geodesic_distance,
     sqrt_det_metric,
 )
@@ -144,47 +143,21 @@ def stratified_integral(
 # deterministic local polar patches
 # ---------------------------------------------------------------------------
 
-_PATCH_SAFETY = 1.4   # first patch radius, in units of reach + gap
+_PATCH_SAFETY = 1.4   # patch radius, in units of reach + gap
 
 
-def nearest_chart_point(M, x, resolution=96, zoom=3):
+def nearest_chart_point(M, x):
     """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
 
-    ``x`` is one ambient point or an array of them (..., n+2).  Charts with
-    a closed-form ``inverse`` (the built-in families) use it, with polar
-    axes clipped into the sample box.  Other charts (chart files) take, per
-    point, a coarse grid argmin over the sample box followed by ``zoom``
-    grid refinements, accurate to a tiny fraction of the coarse spacing,
-    which is all the local patches need (their coverage is verified
-    separately).  That scan evaluates ``resolution``^n points per pass, so
-    it is limited to n <= 3 charts and raises :class:`UnsupportedFamily`
-    above.
+    ``x`` is one ambient point or an array of them (..., n+2).  The chart's
+    closed-form ``inverse`` gives the coordinates, with polar axes clipped
+    into the sample box.
     """
     chart = M.chart
     sample = chart.sample_box()
     polar = ~np.asarray(chart.periodic, dtype=bool)
-    if chart.inverse is not None:
-        u = chart.inverse(x)
-        return np.where(polar, np.clip(u, sample[:, 0], sample[:, 1]), u)
-    if chart.dim > 3:
-        raise UnsupportedFamily("the nearest-point grid scan is limited to n <= 3 charts")
-    x = np.asarray(x, dtype=float)
-    rows = [_scan_nearest(chart, p, sample, polar, resolution, zoom)
-            for p in x.reshape(-1, x.shape[-1])]
-    return np.reshape(rows, x.shape[:-1] + (chart.dim,))
-
-
-def _scan_nearest(chart, x, sample, polar, resolution, zoom):
-    box = sample
-    u = None
-    for _ in range(zoom + 1):
-        pts = _tensor_grid([np.linspace(lo, hi, resolution) for lo, hi in box])
-        d = np.linalg.norm(chart.embed(pts) - x, axis=-1)
-        u = pts[int(np.argmin(d))]
-        width = (box[:, 1] - box[:, 0]) / resolution * 2.0
-        box = np.stack([u - width, u + width], axis=-1)
-        box[polar] = np.clip(box[polar], sample[polar, :1], sample[polar, 1:])
-    return u
+    u = chart.inverse(x)
+    return np.where(polar, np.clip(u, sample[:, 0], sample[:, 1]), u)
 
 
 def _unit_directions(n, n_angular):
@@ -238,16 +211,14 @@ def local_polar_integral(
     """Deterministic integral of ``fn`` over M within geodesic distance ``reach``.
 
     Builds a chart-polar patch around the closest surface point, verifies
-    that its rim lies beyond ``reach``, and integrates with radial Gauss
+    that its rim lies in the chart box and beyond ``reach`` (else raises
+    :class:`PreconditionViolated`), and integrates with radial Gauss
     segments split at ``breaks`` (geodesic radii where the integrand may
     kink).  ``fn(U, X)`` must vanish at distance >= ``reach`` from the
     center; returns 0 when the ball does not meet the surface.  The patch
-    frame is the chart's analytic ``metric_diag`` at the patch centre; a
-    chart without one (a loaded chart file) raises :class:`UnsupportedFamily`.
+    frame is the chart's ``metric_diag`` at the patch centre.
     """
     chart = M.chart
-    if chart.metric_diag is None:
-        raise UnsupportedFamily("local patches need an analytic chart metric")
     n = chart.dim
     center_ambient = np.asarray(center_ambient, dtype=float)
     u0 = nearest_chart_point(M, center_ambient)
@@ -259,16 +230,12 @@ def local_polar_integral(
     dirs, dir_w = _unit_directions(n, n_angular)
 
     s_max = _PATCH_SAFETY * (reach + gap)
-    for _ in range(5):
-        rim = u0 + s_max * dirs * E
-        if not _inside_box(chart, rim):
-            raise PreconditionViolated(
-                "local patch leaves the chart box; move the ball away from a pole"
-            )
-        if np.all(geodesic_distance(chart.embed(rim), center_ambient) > reach):
-            break
-        s_max *= 1.3
-    else:
+    rim = u0 + s_max * dirs * E
+    if not _inside_box(chart, rim):
+        raise PreconditionViolated(
+            "local patch leaves the chart box; move the ball away from a pole"
+        )
+    if not np.all(geodesic_distance(chart.embed(rim), center_ambient) > reach):
         raise PreconditionViolated("could not enclose the ball in a chart patch")
 
     # kink loci in patch-radius terms; both the on-surface (s ~ b) and the

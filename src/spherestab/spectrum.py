@@ -234,8 +234,6 @@ def christoffel_fd(M: ParametrizedHypersurface, U, step=2e-3):
     Returns (gdiag, ginv_diag, gamma) with gamma[:, d, c, a] = Gamma^d_{ca}.
     """
     chart = M.chart
-    if chart.metric_diag is None:
-        raise UnsupportedFamily("covariant stencils need an analytic diagonal metric")
     U = np.asarray(U, dtype=float)
     m, n = U.shape
     gdiag = chart.metric_diag(U)
@@ -276,12 +274,9 @@ def surface_laplacian_fd(M, U, fn, step=2e-3, parts=None):
 
 def surface_gradient_sq_fd(M, U, fn, step=2e-3):
     """|grad f|^2 = g^{cc} (d_c f)^2 by central differences (diagonal metric)."""
-    chart = M.chart
-    if chart.metric_diag is None:
-        raise UnsupportedFamily("finite-difference gradients need an analytic metric")
     U = np.asarray(U, dtype=float)
     df = _central_diff(fn, U, step)
-    return np.sum(df * df / chart.metric_diag(U), axis=-1)
+    return np.sum(df * df / M.chart.metric_diag(U), axis=-1)
 
 
 def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) -> SimonsReport:

@@ -20,10 +20,10 @@ def clifford_families():
 
 @pytest.fixture(scope="session")
 def torus_cv_geodesic(torus):
-    return geo.measure_volume_growth(torus, metric="geodesic", resolution=128)
+    return geo.measure_volume_growth(torus, metric="geodesic")
 
 
 @pytest.fixture(scope="session")
 def torus_cv_chord(torus):
-    return geo.measure_volume_growth(torus, metric="chord", resolution=128)
+    return geo.measure_volume_growth(torus, metric="chord")
 

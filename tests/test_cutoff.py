@@ -524,7 +524,7 @@ def m12():
 
 @pytest.fixture(scope="module")
 def m12_cv(m12):
-    return geo.measure_volume_growth(m12, resolution=64)
+    return geo.measure_volume_growth(m12)
 
 
 def test_gradient_estimate_feasible_case(m12, m12_cv):
@@ -896,36 +896,6 @@ def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
     monkeypatch.setattr(cut, "stratified_integral", no_integral)
     with pytest.raises(PreconditionViolated):
         cut.mr_quality_report(torus, field, C_V=1.0)
-
-
-def test_cutoff_integrals_refuse_chart_file(tmp_path, torus, monkeypatch):
-    # a loaded chart file has no analytic jacobian or metric; each cutoff
-    # integral refuses it before any integral or volume-growth run starts
-    path = tmp_path / "torus.chart"
-    geo.save_chart_file(torus, path, 32)
-    loaded = geo.load_chart_file(path)
-    _, pts = geo.sample_points(torus, 1, seed=5)
-    geodesic = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.1)
-    euclidean = cut.cover_singular_set(pts, n=2, q=0.0, epsilon=0.5, metric="euclidean",
-                                       containment="sixth")
-    u = AmbientCoordinateField(0)
-
-    def no_integral(*args, **kwargs):
-        raise AssertionError("an integral ran before the chart check")
-
-    for name in ("stratified_integral", "local_polar_integral", "measure_volume_growth",
-                 "chart_quadrature"):
-        monkeypatch.setattr(cut, name, no_integral)
-    calls = [
-        lambda: cut.gradient_integral_estimate(loaded, geodesic, cut.build_inf_cutoff(geodesic), 1),
-        lambda: cut.mr_quality_report(loaded, cut.build_product_cutoff(euclidean)),
-        lambda: cut.ibp_residual(loaded, geodesic, u, u),
-        lambda: cut.ibp_residual(loaded, cut.empty_cover(2, 1, 0.1, ambient_dim=4), u, u),
-        lambda: cut.cutoff_cross_term(loaded, cut.build_inf_cutoff(geodesic), u),
-    ]
-    for call in calls:
-        with pytest.raises(UnsupportedFamily):
-            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Curvature-energy bounds, absorption constants and the cone threshold."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from spherestab import estimates as est
 from spherestab import geometry as geo
+from spherestab.cli import main
 from spherestab.errors import PreconditionViolated, UnsupportedFamily
 
 
@@ -129,13 +133,40 @@ def test_local_A_bound_refuses_off_surface_centre(torus):
         est.local_A_bound(torus, np.array([1.0, 0, 0, 0]), 0.25, -4.0, C_V=4.4)
 
 
-def test_local_A_bound_refuses_chart_files(tmp_path, torus):
-    path = tmp_path / "torus.chart"
-    geo.save_chart_file(torus, path, 48)
-    loaded = geo.load_chart_file(path)
+def test_local_A_bound_refuses_chart_files(torus):
+    # a surface outside the built-in families (here the torus chart without its
+    # closed-form geometry) has no closed-form ball area and is refused
+    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
     _, P = geo.sample_points(torus, 1, seed=2)
     with pytest.raises(UnsupportedFamily):
-        est.local_A_bound(loaded, P[0], 0.25, -4.0, C_V=4.4)
+        est.local_A_bound(custom, P[0], 0.25, -4.0, C_V=4.4)
+
+
+@pytest.mark.parametrize("area", [-1e-21, math.nan, math.inf])
+def test_local_A_bound_refuses_a_negative_or_non_finite_lhs(tmp_path, torus, monkeypatch, area):
+    _, P = geo.sample_points(torus, 1, seed=2)
+    with pytest.raises(PreconditionViolated, match="negative or not finite"):
+        est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=4.4, ball_area=area)
+    monkeypatch.setattr(est, "geodesic_ball_area", lambda M, r: area)
+    with pytest.raises(PreconditionViolated):
+        est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=4.4)
+    code = main(["estimates", "--family", "clifford", "--k", "1", "--l", "1", "--points", "1",
+                 "--radii", "0.25", "--format", "json", "--out", str(tmp_path)])
+    assert code == 3
+    doc = json.loads((tmp_path / "estimates_clifford_1_1.json").read_text())
+    assert doc["failure"].startswith("PreconditionViolated: curvature energy")
+
+
+def test_local_A_bound_small_cap_in_thirteen_dimensions(tmp_path):
+    # clifford(1, 12) at r = 0.01: the curvature energy is n times the ball
+    # area, a flat 13-disc up to O(r^2); the cap integral J_11 once went negative here
+    code = main(["estimates", "--family", "clifford", "--k", "1", "--l", "12", "--points", "1",
+                 "--radii", "0.01", "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "estimates_clifford_1_12.json").read_text())
+    lhs = doc["rows"][0]["lhs"]
+    disc = 13 * math.pi**6.5 / math.gamma(7.5) * 0.01**13
+    assert lhs > 0.0 and abs(lhs / disc - 1.0) <= 1e-3
 
 
 def test_local_A_bound_rejects_bad_radius(torus):

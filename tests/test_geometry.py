@@ -1,4 +1,4 @@
-"""Geometry backends: closed forms, finite differences, areas, chart files."""
+"""Geometry backends: closed forms, finite differences, areas, ball areas."""
 
 import dataclasses
 import math
@@ -146,13 +146,34 @@ def test_chart_invariance_reparametrized_torus(torus):
     # same surface under a shifted chart: |A|^2 and H agree where charts overlap
     base = torus.chart
     off = np.array([0.7, 1.3])
-    chart2 = geo.Chart(base.box.copy(), base.periodic, lambda U: base.embed(np.asarray(U) + off))
+    chart2 = geo.Chart(
+        base.box.copy(), base.periodic,
+        lambda U: base.embed(np.asarray(U) + off),
+        lambda U: base.jacobian(np.asarray(U) + off),
+        lambda U: base.metric_diag(np.asarray(U) + off),
+        [lambda t, a=a: base.axis_density[a](t + off[a]) for a in range(2)],
+        lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
+        base.density_const,
+    )
     M2 = geo.ParametrizedHypersurface(2, chart2, family="custom")
+    assert abs(geo.area(M2) - geo.area(torus)) <= 1e-12
     U, _ = geo.sample_points(torus, 5, seed=8)
     for u in U:
         sd2 = geo.shape_at(M2, u - off)       # same ambient point
-        assert abs(sd2.norm_A_sq - 2.0) <= 1e-8
+        sd = geo.shape_at(torus, u, method="normal-derivative")
+        assert abs(sd2.norm_A_sq - sd.norm_A_sq) <= 1e-10
         assert abs(sd2.mean_curvature) <= 1e-8
+        # O(h^2) truncation with h = 1e-3, as in the comparison with the closed form
+        assert abs(sd2.norm_A_sq - 2.0) <= 5e-6
+
+
+def test_chart_requires_its_analytic_frame(torus):
+    base = torus.chart
+    with pytest.raises(TypeError):
+        geo.Chart(base.box, base.periodic, base.embed)
+    with pytest.raises(TypeError):
+        geo.Chart(base.box, base.periodic, base.embed, base.jacobian, base.metric_diag,
+                  base.axis_density)
 
 
 def test_degenerate_chart_raises():
@@ -163,7 +184,13 @@ def test_degenerate_chart_raises():
 
 def test_immersion_drift_raises(torus):
     base = torus.chart
-    bad = geo.Chart(base.box.copy(), base.periodic, lambda U: 1.001 * base.embed(U))
+    bad = dataclasses.replace(
+        base,
+        embed=lambda U: 1.001 * base.embed(U),
+        jacobian=lambda U: 1.001 * base.jacobian(U),
+        metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
+        density_const=1.001**2 * base.density_const,
+    )
     M = geo.ParametrizedHypersurface(2, bad, family="custom")
     with pytest.raises(ImmersionDrift):
         geo.shape_at(M, np.array([0.3, 0.4]))
@@ -182,10 +209,20 @@ def _family(kind, arg):
     return geo.equator(arg) if kind == "equator" else geo.clifford_hypersurface(arg)
 
 
-def _scan_only(M):
-    """The same surface with its closed-form inverse removed (grid-scan path)."""
-    chart = dataclasses.replace(M.chart, inverse=None)
-    return geo.ParametrizedHypersurface(M.dimension, chart, family="custom")
+def _scan_nearest(M, x, resolution=96, zoom=3):
+    """Oracle of the closed-form inverse: a grid argmin of |embed(u) - x| over
+    the sample box, followed by ``zoom`` refinements around the best node."""
+    chart = M.chart
+    sample = chart.sample_box()
+    polar = ~np.asarray(chart.periodic, dtype=bool)
+    box = sample
+    for _ in range(zoom + 1):
+        pts = geo._tensor_grid([np.linspace(lo, hi, resolution) for lo, hi in box])
+        u = pts[int(np.argmin(np.linalg.norm(chart.embed(pts) - x, axis=-1)))]
+        width = (box[:, 1] - box[:, 0]) / resolution * 2.0
+        box = np.stack([u - width, u + width], axis=-1)
+        box[polar] = np.clip(box[polar], sample[polar, :1], sample[polar, 1:])
+    return u
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -288,7 +325,6 @@ def test_nearest_chart_point_round_trip(kind, arg):
 @pytest.mark.parametrize("kind, arg", [("equator", 2), ("clifford", (1, 2))])
 def test_nearest_chart_point_clips_poles_like_scan(kind, arg):
     M = _family(kind, arg)
-    scan = _scan_only(M)
     chart = M.chart
     sample = chart.sample_box()
     a = chart.periodic.index(False)       # first polar axis
@@ -296,7 +332,7 @@ def test_nearest_chart_point_clips_poles_like_scan(kind, arg):
     for pole, bound in ((0.0, sample[a, 0]), (math.pi, sample[a, 1])):
         u[a] = pole
         x = chart.embed(u)
-        fast, slow = nearest_chart_point(M, x), nearest_chart_point(scan, x)
+        fast, slow = nearest_chart_point(M, x), _scan_nearest(M, x)
         assert fast[a] == bound and abs(slow[a] - bound) <= 1e-12
         gap_fast = np.linalg.norm(chart.embed(fast) - x)
         assert gap_fast <= np.linalg.norm(chart.embed(slow) - x) + 1e-12
@@ -308,35 +344,27 @@ def test_nearest_chart_point_clips_poles_like_scan(kind, arg):
 def test_nearest_chart_point_beats_scan_off_surface(kind, arg, count):
     # the scan costs ~0.8 s per call at n = 3, so only a few points there
     M = _family(kind, arg)
-    scan = _scan_only(M)
     embed = M.chart.embed
     rng = np.random.default_rng(21)
     X = rng.normal(size=(count, M.dimension + 2))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     for x in X:
         fast = np.linalg.norm(embed(nearest_chart_point(M, x)) - x)
-        slow = np.linalg.norm(embed(nearest_chart_point(scan, x)) - x)
+        slow = np.linalg.norm(embed(_scan_nearest(M, x)) - x)
         assert fast <= slow + 1e-12
 
 
 def test_nearest_chart_point_takes_a_batch():
-    # an (..., n+2) array of points gives, on both paths, exactly the
-    # per-point answers in the same layout
+    # an (..., n+2) array of points gives exactly the per-point answers in
+    # the same layout
     M = geo.clifford_hypersurface((1, 1))
     rng = np.random.default_rng(22)
     X = rng.normal(size=(2, 3, 4))
     X /= np.linalg.norm(X, axis=-1, keepdims=True)
-    for surface in (M, _scan_only(M)):
-        batch = nearest_chart_point(surface, X)
-        assert batch.shape == (2, 3, 2)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(batch[idx], nearest_chart_point(surface, X[idx]))
-
-
-@pytest.mark.parametrize("M", [geo.equator(4), geo.clifford_hypersurface((2, 2))])
-def test_nearest_chart_point_scan_refused_above_three(M):
-    with pytest.raises(UnsupportedFamily):
-        nearest_chart_point(_scan_only(M), M.chart.embed(M.chart.sample_box().mean(axis=1)))
+    batch = nearest_chart_point(M, X)
+    assert batch.shape == (2, 3, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(batch[idx], nearest_chart_point(M, X[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +394,7 @@ def test_area_clifford33():
 
 
 def test_volume_growth_bounds(torus):
-    cv = geo.measure_volume_growth(torus, resolution=128)
+    cv = geo.measure_volume_growth(torus)
     # flat density ~ pi at small radii, total-area ratio ~ 5.5 near r = 2
     assert math.pi < cv < 10.0
 
@@ -387,9 +415,8 @@ def ball_area(M, r, metric="geodesic"):
 ])
 def test_volume_growth_exact_values(kl, geodesic, chord):
     M = geo.clifford_hypersurface(kl)
-    for seed in (0, 1, 7):
-        assert abs(geo.measure_volume_growth(M, seed=seed) - geodesic) <= 1e-4
-        assert abs(geo.measure_volume_growth(M, metric="chord", seed=seed) - chord) <= 1e-4
+    assert abs(geo.measure_volume_growth(M) - geodesic) <= 1e-4
+    assert abs(geo.measure_volume_growth(M, metric="chord") - chord) <= 1e-4
 
 
 @pytest.mark.parametrize("M", BUILT_IN, ids=repr)
@@ -424,107 +451,84 @@ def test_ball_area_against_chart_quadrature(kl, res):
             assert abs(float(mass[d <= r].sum()) / ball_area(M, r) - 1.0) <= 0.01, (c, r)
 
 
-def test_chart_file_volume_growth(tmp_path, torus):
-    path = tmp_path / "torus.chart"
-    geo.save_chart_file(torus, path, 128)
-    loaded = geo.load_chart_file(path)  # family "chartfile": the quadrature branch
-    built_in = geo.measure_volume_growth(torus)
-    assert abs(geo.measure_volume_growth(loaded) / built_in - 1.0) <= 0.005
-
-
-@pytest.mark.parametrize("metric", ["geodesic", "chord"])
-def test_chart_file_volume_growth_matches_radius_loop(tmp_path, torus, metric):
-    # reference: the ball mass of every centre x radius pair by its own mask
-    path = tmp_path / "torus.chart"
-    geo.save_chart_file(torus, path, 128)
-    loaded = geo.load_chart_file(path)
-    chart = loaded.chart
-    nodes, weights = geo.chart_quadrature(chart, 128)
-    mass = weights * geo.sqrt_det_metric(chart, nodes)
-    X = chart.embed(nodes)
-    _, centers = geo.sample_points(loaded, 20, seed=0)
-    dist = geo._distance(metric)
-    radii = np.geomspace(0.05, 1.9, 12)
-    best = 0.0
-    for c in centers:
-        d = dist(X, c)
-        for r in radii:
-            best = max(best, float(mass[d <= r].sum()) / r**2)
-    got = geo.measure_volume_growth(loaded, metric=metric)
-    assert abs(got / (1.1 * best) - 1.0) <= 1e-12
-
-
 def test_volume_growth_rejects_unknown_metric(torus):
     with pytest.raises(ValueError):
         geo.measure_volume_growth(torus, metric="geodesc")
 
 
-# ---------------------------------------------------------------------------
-# chart files
-# ---------------------------------------------------------------------------
-
-def test_chart_file_roundtrip(tmp_path, torus):
-    path = tmp_path / "torus.chart"
-    U, X = geo.sample_points(torus, 6, seed=11)
-    errs = []
-    for res in (128, 192):
-        geo.save_chart_file(torus, path, res)
-        loaded = geo.load_chart_file(path)
-        assert loaded.dimension == 2
-        assert np.abs(loaded.chart.embed(U) - X).max() < 1e-7
-        sd = geo.shape_at(loaded, U[0])
-        errs.append(abs(sd.norm_A_sq - 2.0))
-        assert abs(sd.mean_curvature) < 1e-3
-    assert errs[1] < errs[0]  # spline geometry converges under grid refinement
-
-
-def test_chart_file_coarse_grid_drifts(tmp_path, torus):
-    path = tmp_path / "coarse.chart"
-    geo.save_chart_file(torus, path, 48)
-    loaded = geo.load_chart_file(path)
-    u = geo.sample_points(torus, 1, seed=12)[0][0]
-    with pytest.raises(ImmersionDrift):
-        geo.shape_at(loaded, u)
-
-
-def test_chart_file_polar_axis(tmp_path, equator2):
-    path = tmp_path / "s2.chart"
-    geo.save_chart_file(equator2, path, 128)
-    loaded = geo.load_chart_file(path)
-    assert abs(geo.area(loaded, 96) - 4.0 * math.pi) < 1e-5
-    sd = geo.shape_at(loaded, np.array([1.0, 2.0]))
-    assert sd.norm_A_sq < 1e-6
-
-
-def test_chart_file_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.chart"
-    path.write_text("charts 1 dim 2\n")
-    with pytest.raises(ValueError):
-        geo.load_chart_file(path)
-
-
-def test_chart_file_refuses_several_charts(tmp_path):
-    # a surface has one chart: a file that splits the circle into two
-    # half-circle charts is refused, while the same data as one chart loads
-    circle = geo.equator(1)
-    path = tmp_path / "circle.chart"
-    geo.save_chart_file(circle, path, 64)
-    assert geo.load_chart_file(path).dimension == 1
-    header, *_ = path.read_text().splitlines()
-    assert header == "dim 1 charts 1"
-    half = math.pi
-    lines = ["dim 1 charts 2"]
-    for lo in (0.0, half):
-        t = np.linspace(lo, lo + half, 33)
-        lines += [f"box {lo!r} {lo + half!r}", "periodic 0", "grid 33"]
-        lines += [" ".join(repr(float(v)) for v in row) for row in circle.embed(t[:, None])]
-    path.write_text("\n".join(lines) + "\n")
+def test_volume_growth_refuses_a_custom_family(torus):
+    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
     with pytest.raises(UnsupportedFamily):
-        geo.load_chart_file(path)
+        geo.measure_volume_growth(custom)
 
 
-def test_chart_file_dimension_limit(tmp_path):
-    path = tmp_path / "big.chart"
-    path.write_text("dim 3 charts 1\n")
-    with pytest.raises(UnsupportedFamily):
-        geo.load_chart_file(path)
+# ---------------------------------------------------------------------------
+# small caps: int_0^a sin^m
+# ---------------------------------------------------------------------------
+
+def _sin_power_reference(m, a):
+    """int_0^a sin^m by a 32-panel, 32-node composite Gauss-Legendre rule:
+    positive terms, so no cancellation at small a."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, a, 33)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    return math.fsum((half[:, None] * w * np.sin(mid[:, None] + half[:, None] * x) ** m).ravel())
+
+
+CAP_ANGLES = np.concatenate([np.geomspace(1e-4, math.pi, 41), [math.pi / 2]])
+
+
+@pytest.mark.parametrize("m", [0] + list(range(2, 15)))
+def test_sin_power_integral_small_caps(m):
+    got = geo._sin_power_integral(m, CAP_ANGLES)
+    ref = np.array([_sin_power_reference(m, a) for a in CAP_ANGLES])
+    assert np.all(got > 0.0)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+    # independent anchors: J_m(pi) = 2 J_m(pi/2) = sqrt(pi) Gamma((m+1)/2) / Gamma(m/2 + 1),
+    # and the series a^(m+1) (1/(m+1) - m a^2 / (6 (m+3)) + (m^2/72 - m/180) a^4 / (m+5))
+    exact = math.sqrt(math.pi) * math.gamma((m + 1) / 2) / math.gamma(m / 2 + 1)
+    assert abs(float(geo._sin_power_integral(m, math.pi)) / exact - 1.0) <= 1e-13
+    assert abs(float(geo._sin_power_integral(m, math.pi / 2)) / (exact / 2) - 1.0) <= 1e-13
+    for a in (1e-4, 1e-3):
+        series = a ** (m + 1) * (1 / (m + 1) - m * a**2 / (6 * (m + 3))
+                                 + (m**2 / 72 - m / 180) * a**4 / (m + 5))
+        assert abs(float(geo._sin_power_integral(m, a)) / series - 1.0) <= 1e-12
+
+
+def test_sin_power_integral_m1_closed_form():
+    # 1 - cos a cancels at small a: 9e-9 relative at a = 1e-4, 1e-12 from a = 1e-2
+    got = geo._sin_power_integral(1, CAP_ANGLES)
+    ref = 2.0 * np.sin(CAP_ANGLES / 2.0) ** 2
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-8
+    assert np.max(np.abs(got / ref - 1.0)[CAP_ANGLES >= 1e-2]) <= 1e-12
+
+
+def _swapped_ball_area(l, r, panels=64):
+    """area of B_r(x) on S^1(sqrt(1/n)) x S^l(sqrt(l/n)), n = l + 1, integrating
+    the S^l polar angle phi outside and the circle angle in closed form:
+    |theta| <= theta*(phi) with sin^2(theta*/2) = (sin^2(r/2) - wl sin^2(phi/2)) / wk,
+    up to phi_max where that vanishes; phi = phi_max (1 - (1 - s)^2) keeps the
+    square-root edge smooth."""
+    n = l + 1
+    wk, wl = 1.0 / n, l / n
+    phi_max = 2.0 * math.asin(math.sin(r / 2.0) / math.sqrt(wl))
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    s = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + (np.diff(edges) / 2.0)[:, None] * x
+    ws = (np.diff(edges) / 2.0)[:, None] * w
+    phi = phi_max * (1.0 - (1.0 - s) ** 2)
+    dphi = 2.0 * phi_max * (1.0 - s) * ws
+    q = (math.sin(r / 2.0) ** 2 - wl * np.sin(phi / 2.0) ** 2) / wk
+    theta = 2.0 * np.arcsin(np.sqrt(np.clip(q, 0.0, 1.0)))
+    total = math.fsum((2.0 * theta * np.sin(phi) ** (l - 1) * dphi).ravel())
+    return math.sqrt(wk) * wl ** (l / 2) * geo._sphere_area(l - 1) * total
+
+
+@pytest.mark.parametrize("l", [2, 5, 8, 12])
+@pytest.mark.parametrize("r", [0.01, 0.05, 0.3])
+def test_small_ball_area_against_swapped_integral(l, r):
+    # the cap integrals J_(l-1) of clifford(1, l) at small radii, where the
+    # reduction formula went negative for l = 12, r = 0.01
+    got = float(geo._ball_area(1, l, np.cos(r)))
+    assert got > 0.0
+    assert abs(got / _swapped_ball_area(l, r) - 1.0) <= 1e-10

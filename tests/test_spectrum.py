@@ -9,7 +9,7 @@ from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
 from spherestab.errors import NonMinimal, ZeroTestFunction
-from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceField
+from spherestab.fields import AmbientCoordinateField, ConstantField, ShapeNormField, SurfaceField
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +239,13 @@ def test_test_function_A_values(clifford_families, equator2):
     assert spec.test_function_A(equator2).constant == 0.0
 
 
-def test_test_function_A_generic_surface(tmp_path, torus):
+def test_test_function_A_generic_surface(torus):
     # surfaces without closed-form geometry fall back to pointwise |A|
-    path = tmp_path / "torus.chart"
-    geo.save_chart_file(torus, path, 192)
-    loaded = geo.load_chart_file(path)
-    field = spec.test_function_A(loaded)
-    U, _ = geo.sample_points(loaded, 4, seed=1)
-    vals = field.value(loaded, U)
+    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
+    field = spec.test_function_A(custom)
+    assert isinstance(field, ShapeNormField)
+    U, _ = geo.sample_points(custom, 4, seed=1)
+    vals = field.value(custom, U)
     assert np.abs(vals - np.sqrt(2.0)).max() <= 1e-3
 
 
