@@ -26,9 +26,9 @@ from .errors import (
 from .geometry import (
     AmbientPoint,
     Chart,
-    CliffordSpec,
     ParametrizedHypersurface,
     ShapeData,
+    SphereProduct,
     area,
     chord_distance,
     clifford_hypersurface,
@@ -78,7 +78,6 @@ from .estimates import (
     cone_stability_table,
     l4_identity_check,
     local_A_bound,
-    reports_to_csv,
     ssy_constants,
 )
 from .fields import AmbientCoordinateField, ConstantField, ShapeNormField, SurfaceField

@@ -195,8 +195,8 @@ def _run_spectrum(config: RunConfig):
 
 
 def _analytic_eigenvalue(M):
-    """Exact lambda_1 of a built-in family from its (axisymmetric) analytic spectrum."""
-    return spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M, axisymmetric=True))
+    """Exact lambda_1 of a built-in family from its analytic spectrum."""
+    return spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
 
 
 def _run_simons(config: RunConfig):

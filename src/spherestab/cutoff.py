@@ -688,7 +688,7 @@ def gradient_integral_estimate(
             chunk = balls[lo:lo + per_chunk]
             for est in stratified_integral(
                 M,
-                lambda U, X, which, chunk=chunk: integrand(U, X, chunk),
+                lambda U, X, chunk=chunk: integrand(U, X, chunk),
                 box=boxes[chunk],
                 strata=strata,
                 samples_per_cell=samples_per_cell,
@@ -902,7 +902,7 @@ def mr_quality_report(
     n = M.dimension
     N = n + 2
     if C_V is None:
-        C_V = measure_volume_growth(M, metric="chord")
+        C_V = measure_volume_growth(M, metric="euclidean")
     eps = field.cover.epsilon
     c0 = field.C0
     c_h = float(n)  # |H_vec| of a minimal hypersurface of the unit sphere

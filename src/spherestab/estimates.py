@@ -36,7 +36,6 @@ from .geometry import (
     _norm_A_sq,
     area,
     measure_volume_growth,
-    sample_points,
 )
 
 
@@ -72,8 +71,9 @@ class EstimateReport:
 def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
     """Area of M cap B_r(p) for a geodesic radius r, the same at every p of M.
 
-    That holds on the built-in families (``equator``, ``clifford``); other
-    surfaces raise :class:`UnsupportedFamily`.
+    That holds on the built-in surfaces, homogeneous products of round
+    spheres whose factors give the area; other surfaces raise
+    :class:`UnsupportedFamily`.
     """
     return float(_homogeneous_ball_area(M, np.cos(r)))
 
@@ -84,9 +84,9 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
 
     ``p`` is a point of M, ``r`` a geodesic radius in (0, 2) and
     ``lambda1`` the first stability eigenvalue that feeds
-    ``alpha = |-lambda_1 - n|``.  On the built-in families (``equator``,
-    ``clifford``) |A|^2 is constant and the ball area does not depend on
-    the centre, so the left side is |A|^2(p) times
+    ``alpha = |-lambda_1 - n|``.  On the built-in surfaces, products of
+    round spheres, |A|^2 is the constant of the sphere factors and the ball
+    area does not depend on the centre, so the left side is |A|^2(p) times
     :func:`geodesic_ball_area`, with stderr 0; a caller that bounds many
     centres at one radius computes that area once and passes it as
     ``ball_area``.  Other surfaces raise :class:`UnsupportedFamily`, and a
@@ -156,17 +156,14 @@ def ssy_constants(n, a, alpha=0.0) -> SSYConstants:
 def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateReport:
     """int |A|^4 == n int |A|^2 on the product families (both sides by quadrature).
 
-    |A|^2 is constant there, so the identity is exact up to quadrature
+    |A|^2 is the constant of the surface's sphere factors (n on the
+    products, 0 on equators), so the identity is exact up to quadrature
     rounding; the report's lhs/rhs are the two integrals.
     """
-    if M.family not in ("equator", "clifford"):
+    if M.product is None:
         raise UnsupportedFamily("identity is verified on the built-in families")
     n = M.dimension
-    U, _ = sample_points(M, 64, seed=0)
-    a2 = M.shape_batch(U)[4]
-    if np.ptp(a2) > 1e-12:
-        raise UnsupportedFamily("|A|^2 is not constant; no closed-form identity")
-    const = float(a2[0])
+    const = float(M.product.norm_A_sq)
     total = area(M, resolution)
     lhs = const**2 * total
     rhs = n * const * total
@@ -198,15 +195,3 @@ def cone_stability_table(n_max) -> list:
         stable = 8 * n <= (n + 1) ** 2   # -2n >= -(n+1)^2/4 in integers
         out.append(ConeVerdict(n, -2.0 * n, -((n + 1) ** 2) / 4.0, stable))
     return out
-
-
-def reports_to_csv(reports) -> str:
-    """CSV text for a list of EstimateReport rows (name, n, lhs, rhs, margin, stderr)."""
-    lines = ["name,n,lhs,rhs,margin,stderr"]
-    for rep in reports:
-        row = rep.row()
-        lines.append(
-            "%s,%s,%r,%r,%r,%r"
-            % (row["name"], row["n"], row["lhs"], row["rhs"], row["margin"], row["stderr"])
-        )
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,10 @@ with exact closed-form geometry:
 * ``clifford(k, l)`` -- S^k(sqrt(k/n)) x S^l(sqrt(l/n)) with k + l = n,
   the minimal product of round spheres (|A|^2 == n, H == 0).
 
+Each carries a :class:`SphereProduct`, its round-sphere factors with exact
+squared radii (the equator is the one-factor case); its curvatures, ball
+areas and spectrum are all derived from that one description.
+
 Conventions.  The unit normal nu is tangent to the ambient sphere and
 normal to M; the second fundamental form is the tangential derivative of
 nu, ``A_ab = <d_a nu, d_b x>``, so ``H = trace_g A = div_M nu``.  On the
@@ -41,7 +45,6 @@ from .errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
 POLE_MARGIN = 1e-3
 DRIFT_TOL = 1e-8
 COND_LIMIT = 1e12
-_HOMOGENEOUS = ("equator", "clifford")  # ball area independent of the center
 SHAPE_STEP = 1e-3  # second-fundamental-form stencils of both methods (measured
                    # |A|^2 error on the products: 1e-6 normal derivative and
                    # 5e-7 hessian at 1e-3; at 1e-5 the hessian's second
@@ -64,12 +67,12 @@ def _chord_to_arc(c):
 
 
 def _distance(metric):
-    """Distance function of a metric name: "geodesic", or "chord" / "euclidean"."""
+    """Distance function of a metric name: "geodesic" or "euclidean" (the chord)."""
     if metric == "geodesic":
         return geodesic_distance
-    if metric in ("chord", "euclidean"):
+    if metric == "euclidean":
         return chord_distance
-    raise ValueError(f"unknown metric {metric!r}; use 'geodesic', 'chord' or 'euclidean'")
+    raise ValueError(f"unknown metric {metric!r}; use 'geodesic' or 'euclidean'")
 
 
 @dataclass(frozen=True)
@@ -250,35 +253,56 @@ class Chart:
         return box
 
 
-@dataclass
-class CliffordSpec:
-    """Exact description of S^k(sqrt(k/n)) x S^l(sqrt(l/n)), k + l = n."""
+@dataclass(frozen=True)
+class SphereProduct:
+    """Exact description of a built-in surface: its round-sphere factors.
 
-    k: int
-    l: int
+    ``factors`` holds one (dimension d_i, squared radius r_i^2) pair per
+    factor, the squared radius a ``Fraction``.  One factor of radius 1 is
+    the equator S^n; two factors are S^k(sqrt(k/n)) x S^l(sqrt(l/n)).
+    Every built-in surface is minimal, r_i^2 = d_i / n, so the squared
+    radii sum to 1 and H = 0.  ``family`` names the surface in reports.
+    """
+
+    family: str
+    factors: tuple
 
     def __post_init__(self):
-        if self.k < 1 or self.l < 1:
-            raise ValueError("factor dimensions must be >= 1")
+        if not 1 <= len(self.factors) <= 2:
+            raise ValueError("a built-in surface has one or two sphere factors")
+        if any(r2 != Fraction(d, self.dimension) for d, r2 in self.factors):
+            raise ValueError("a minimal product has squared radii d_i / n")
 
     @property
-    def n(self):
-        return self.k + self.l
+    def dims(self):
+        return tuple(d for d, _ in self.factors)
+
+    @property
+    def dimension(self):
+        return sum(self.dims)
 
     @property
     def radius_sq(self):
-        """Exact squared radii (Fraction(k, n), Fraction(l, n)); they sum to 1."""
-        return Fraction(self.k, self.n), Fraction(self.l, self.n)
+        return tuple(r2 for _, r2 in self.factors)
 
     @property
     def radii(self):
-        rk2, rl2 = self.radius_sq
-        return math.sqrt(rk2), math.sqrt(rl2)
+        return tuple(math.sqrt(r2) for r2 in self.radius_sq)
+
+    @property
+    def curvature_sq(self):
+        """Exact squared principal curvature 1/r_i^2 - 1 of each factor (l/k and k/l)."""
+        return tuple(1 / r2 - 1 for r2 in self.radius_sq)
 
     @property
     def principal_curvatures(self):
-        """(sqrt(l/k) with multiplicity k, -sqrt(k/l) with multiplicity l)."""
-        return math.sqrt(Fraction(self.l, self.k)), -math.sqrt(Fraction(self.k, self.l))
+        """kappa_i, multiplicity d_i: positive on the first factor, negative after."""
+        return tuple((1 if i == 0 else -1) * math.sqrt(q) for i, q in enumerate(self.curvature_sq))
+
+    @property
+    def norm_A_sq(self):
+        """Exact |A|^2 = sum d_i kappa_i^2 (0 on the equator, n on the products)."""
+        return sum(d * q for d, q in zip(self.dims, self.curvature_sq))
 
 
 @dataclass(frozen=True)
@@ -293,14 +317,25 @@ class ShapeData:
 
 
 class ParametrizedHypersurface:
-    """A closed n-dimensional hypersurface of S^(n+1) given by one chart."""
+    """A closed n-dimensional hypersurface of S^(n+1) given by one chart.
 
-    def __init__(self, dimension, chart, family="custom", params=(), closed_form=None):
+    ``product`` is the :class:`SphereProduct` of a built-in surface and
+    None otherwise; ``family`` and ``params`` are read from it.
+    """
+
+    def __init__(self, dimension, chart, product=None, closed_form=None):
         self.dimension = dimension
         self.chart = chart
-        self.family = family
-        self.params = tuple(params)
+        self.product = product
         self._closed_form = closed_form  # U -> batched shape arrays
+
+    @property
+    def family(self):
+        return "custom" if self.product is None else self.product.family
+
+    @property
+    def params(self):
+        return () if self.product is None else self.product.dims
 
     def __repr__(self):
         tag = self.family + (str(self.params) if self.params else "")
@@ -323,12 +358,12 @@ class ParametrizedHypersurface:
         """Delta_M applied to an ambient coordinate x_j is -c * x_j on these surfaces.
 
         For a minimal hypersurface of the unit sphere the tension field of the
-        inclusion into R^(n+2) is -n x, so c = n.  Raises for surfaces without
-        that guarantee.
+        inclusion into R^(n+2) is -n x, so c = n on every built-in surface.
+        Raises for surfaces without that guarantee.
         """
-        if self.family in ("equator", "clifford"):
-            return float(self.dimension)
-        raise UnsupportedFamily("coordinate Laplacian shortcut requires a built-in minimal family")
+        if self.product is None:
+            raise UnsupportedFamily("coordinate Laplacian shortcut requires a built-in minimal family")
+        return float(self.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -339,116 +374,91 @@ def equator(n):
     """The totally geodesic S^n in S^(n+1): intersection with a coordinate hyperplane."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    box, periodic = _sphere_axes(n)
+    return _product_surface(SphereProduct("equator", ((n, Fraction(1)),)))
+
+
+def clifford_hypersurface(kl):
+    """The minimal product S^k(sqrt(k/n)) x S^l(sqrt(l/n)) in S^(n+1), from a (k, l) pair.
+
+    Axes belonging to a circle factor (k == 1 or l == 1) are periodic.
+    """
+    k, l = kl
+    if k < 1 or l < 1:
+        raise ValueError("factor dimensions must be >= 1")
+    n = k + l
+    return _product_surface(SphereProduct("clifford", ((k, Fraction(k, n)), (l, Fraction(l, n)))))
+
+
+def _product_surface(product):
+    """The surface of a :class:`SphereProduct`, with its chart and closed form.
+
+    The chart is the product of the factors' hyperspherical charts: factor
+    S^d(r) takes the next d chart axes and the next d + 1 ambient
+    coordinates.  The equator's one factor leaves the last coordinate,
+    which is its normal.  The closed form has A = diag(kappa_i g_aa), each
+    factor's curvature on its own axes, H = 0 and the exact |A|^2 of the
+    factors.
+    """
+    dims, radii, n = product.dims, product.radii, product.dimension
+    starts = np.cumsum((0,) + dims)
+    # (chart axes, ambient coordinates, radius) of each factor
+    blocks = [(slice(c, c + d), slice(c + i, c + i + d + 1), r)
+              for i, (c, d, r) in enumerate(zip(starts, dims, radii))]
+    axes = [_sphere_axes(d) for d in dims]
+    box = np.vstack([box for box, _ in axes])
+    periodic = sum((per for _, per in axes), ())
 
     def embed(U):
         U = np.asarray(U, dtype=float)
         out = np.zeros(U.shape[:-1] + (n + 2,))
-        _write_sphere_point(out[..., : n + 1], U)
+        for ax, amb, r in blocks:
+            _write_sphere_point(out[..., amb], U[..., ax], r)
         return out
 
     def jacobian(U):
         U = np.asarray(U, dtype=float)
         jac = np.zeros(U.shape[:-1] + (n + 2, n))
-        _write_sphere_jacobian(jac[..., : n + 1, :], U)
-        return jac
-
-    def metric_diag(U):
-        return _sphere_metric_diag(U)
-
-    density = [_axis_sin_power(n - 1 - a) for a in range(n)]
-
-    def closed_form(U):
-        U = np.asarray(U, dtype=float)
-        base = U.shape[:-1]
-        gdiag = metric_diag(U)
-        nu = np.zeros(base + (n + 2,))
-        nu[..., n + 1] = 1.0
-        A = np.zeros(base + (n, n))
-        H = np.zeros(base)
-        a2 = np.zeros(base)
-        return gdiag, nu, A, H, a2
-
-    def inverse(X):
-        # nearest point of the equator: drop the normal coordinate (angles
-        # are scale-invariant, so no normalization is needed)
-        return sphere_angles(np.asarray(X, dtype=float)[..., : n + 1])
-
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse)
-    return ParametrizedHypersurface(n, chart, "equator", (n,), closed_form)
-
-
-def clifford_hypersurface(spec):
-    """The minimal product S^k(sqrt(k/n)) x S^l(sqrt(l/n)) in S^(n+1).
-
-    Accepts a :class:`CliffordSpec` or a (k, l) pair.  The chart is the
-    product of the two factor hyperspherical charts; axes belonging to a
-    circle factor (k == 1 or l == 1) are periodic.
-    """
-    if not isinstance(spec, CliffordSpec):
-        spec = CliffordSpec(*spec)
-    k, l, n = spec.k, spec.l, spec.n
-    rk, rl = spec.radii
-    kap_k, kap_l = spec.principal_curvatures
-
-    box_k, per_k = _sphere_axes(k)
-    box_l, per_l = _sphere_axes(l)
-    box = np.vstack([box_k, box_l])
-    periodic = per_k + per_l
-
-    def embed(U):
-        U = np.asarray(U, dtype=float)
-        out = np.empty(U.shape[:-1] + (n + 2,))
-        _write_sphere_point(out[..., : k + 1], U[..., :k], rk)
-        _write_sphere_point(out[..., k + 1 :], U[..., k:], rl)
-        return out
-
-    def jacobian(U):
-        U = np.asarray(U, dtype=float)
-        jac = np.zeros(U.shape[:-1] + (n + 2, n))
-        _write_sphere_jacobian(jac[..., : k + 1, :k], U[..., :k], rk)
-        _write_sphere_jacobian(jac[..., k + 1 :, k:], U[..., k:], rl)
+        for ax, amb, r in blocks:
+            _write_sphere_jacobian(jac[..., amb, ax], U[..., ax], r)
         return jac
 
     def metric_diag(U):
         if isinstance(U, tuple):  # open grid: one tuple entry per axis
-            dk = _sphere_metric_diag(U[:k])
-            dl = _sphere_metric_diag(U[k:])
-            return tuple(g * rk**2 for g in dk) + tuple(g * rl**2 for g in dl)
+            return sum((tuple(g * r**2 for g in _sphere_metric_diag(U[ax])) for ax, _, r in blocks), ())
         U = np.asarray(U, dtype=float)
-        dk = _sphere_metric_diag(U[..., :k]) * rk**2
-        dl = _sphere_metric_diag(U[..., k:]) * rl**2
-        return np.concatenate([dk, dl], axis=-1)
+        return np.concatenate([_sphere_metric_diag(U[..., ax]) * r**2 for ax, _, r in blocks], axis=-1)
 
-    density = [_axis_sin_power(k - 1 - a) for a in range(k)]
-    density += [_axis_sin_power(l - 1 - a) for a in range(l)]
-    density_const = rk**k * rl**l
+    density = [_axis_sin_power(d - 1 - a) for d in dims for a in range(d)]
+    density_const = math.prod(r**d for r, d in zip(radii, dims))
+
+    def normal(U):
+        nu = np.zeros(U.shape[:-1] + (n + 2,))
+        if len(blocks) == 1:
+            nu[..., n + 1] = 1.0
+        else:  # (r_l p, -r_k q) at the point (r_k p, r_l q)
+            (ax_k, amb_k, rk), (ax_l, amb_l, rl) = blocks
+            _write_sphere_point(nu[..., amb_k], U[..., ax_k], rl)
+            _write_sphere_point(nu[..., amb_l], U[..., ax_l], -rk)
+        return nu
+
+    def inverse(X):
+        # the nearest point to (a, b) is (r_k a/|a|, r_l b/|b|), and that of
+        # the equator drops the normal coordinate: each factor block maps to
+        # its own angles, which are scale-invariant
+        X = np.asarray(X, dtype=float)
+        return np.concatenate([sphere_angles(X[..., amb]) for _, amb, _ in blocks], axis=-1)
+
+    kappa = np.repeat(product.principal_curvatures, dims)
+    a2 = float(product.norm_A_sq)
 
     def closed_form(U):
         U = np.asarray(U, dtype=float)
         base = U.shape[:-1]
         gdiag = metric_diag(U)
-        nu = np.concatenate(
-            [sphere_point(U[..., :k]) * rl, -sphere_point(U[..., k:]) * rk], axis=-1
-        )
-        kappa = np.concatenate(
-            [np.full(base + (k,), kap_k), np.full(base + (l,), kap_l)], axis=-1
-        )
-        A = _diag_embed(kappa * gdiag)
-        H = np.zeros(base)             # k*sqrt(l/k) - l*sqrt(k/l) == 0 exactly
-        a2 = np.full(base, float(n))   # sum of squared curvatures == k*(l/k) + l*(k/l)
-        return gdiag, nu, A, H, a2
-
-    def inverse(X):
-        # the nearest point to (a, b) is (r_k a/|a|, r_l b/|b|): each factor
-        # block maps to its own angles
-        X = np.asarray(X, dtype=float)
-        return np.concatenate(
-            [sphere_angles(X[..., : k + 1]), sphere_angles(X[..., k + 1 :])], axis=-1
-        )
+        return gdiag, normal(U), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
 
     chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const)
-    return ParametrizedHypersurface(n, chart, "clifford", (k, l), closed_form)
+    return ParametrizedHypersurface(n, chart, product, closed_form)
 
 
 def _axis_sin_power(p):
@@ -533,14 +543,14 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
 
 
 def _norm_A_sq(M, U):
-    """|A|^2 at chart points (m, n); pointwise :func:`shape_at` without a closed form.
+    """|A|^2 at chart points (m, n); pointwise :func:`shape_at` off the built-ins.
 
-    Every closed-form family has constant |A|^2 (0 on the equator, n on the
-    products), so no normal or (m, n, n) second fundamental form is built;
-    the values are those of ``M.shape_batch(U)[4]``.
+    A built-in surface has the constant |A|^2 of its :class:`SphereProduct`,
+    so no normal or (m, n, n) second fundamental form is built; the values
+    are those of ``M.shape_batch(U)[4]``.
     """
-    if M.has_closed_form:
-        return np.full(np.shape(U)[:-1], float(M.dimension) if M.family == "clifford" else 0.0)
+    if M.product is not None:
+        return np.full(np.shape(U)[:-1], float(M.product.norm_A_sq))
     return np.array([shape_at(M, u).norm_A_sq for u in U])
 
 
@@ -661,13 +671,13 @@ def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
 
     The sup runs over centers x in M and a log-spaced radius grid, then
     takes a 10% safety factor.  ``metric`` selects geodesic balls of
-    S^(n+1) ("geodesic") or Euclidean balls of R^(n+2) ("chord" or
-    "euclidean"); any other name raises ``ValueError``.
+    S^(n+1) ("geodesic") or Euclidean balls of R^(n+2) ("euclidean"); any
+    other name raises ``ValueError``.
 
-    The built-in families (``equator``, ``clifford``) are homogeneous, so
-    the ball area does not depend on the center; it is evaluated exactly
-    (to quadrature rounding) by :func:`_ball_area`, in any dimension.
-    Other families raise :class:`UnsupportedFamily`.
+    The built-in surfaces are homogeneous products of spheres, so the ball
+    area does not depend on the center; it is evaluated exactly (to
+    quadrature rounding) from the sphere factors by :func:`_ball_area`, in
+    any dimension.  Other surfaces raise :class:`UnsupportedFamily`.
     """
     n = M.dimension
     dist = _distance(metric)
@@ -680,16 +690,17 @@ def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
 
 
 def _homogeneous_ball_area(M, level):
-    """area{y in M : <x, y> >= level} for any x in M, on a homogeneous built-in family.
+    """area{y in M : <x, y> >= level} for any x in M, on a built-in surface.
 
-    The ball area of ``equator`` and ``clifford`` does not depend on its
-    center; ``level`` may be an array.  Other families raise
-    :class:`UnsupportedFamily`.
+    The ball area of a product of round spheres does not depend on its
+    center; ``level`` may be an array.  The factor dimensions (k,) or
+    (k, l) give :func:`_ball_area`'s (k, 0) or (k, l).  Other surfaces
+    raise :class:`UnsupportedFamily`.
     """
-    if M.family not in _HOMOGENEOUS:
-        raise UnsupportedFamily(f"family {M.family!r} has no closed-form ball area")
-    k, l = M.params if M.family == "clifford" else (M.dimension, 0)
-    return _ball_area(k, l, level)
+    if M.product is None:
+        raise UnsupportedFamily(f"{M!r} has no closed-form ball area")
+    dims = M.product.dims
+    return _ball_area(dims[0], sum(dims[1:]), level)
 
 
 @lru_cache(maxsize=1)

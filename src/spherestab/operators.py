@@ -30,7 +30,7 @@ the product runs over the axes in order, then ``** 0.5``, then
 round it again, so every grid value goes through the same roundings on
 the same operands and the weights are bit for bit those of a per-node
 evaluation; only the final stencil arrays have the grid's size.  |A|^2 is
-constant on every built-in family and is read as that constant.
+constant on every built-in surface and is read from its sphere factors.
 
 The grid fixes the sparsity, so S is written straight into canonical CSR:
 row i holds the (2d + 1)-point stencil of node i in the slot order
@@ -47,23 +47,24 @@ off-diagonals and zero row sums (a weighted graph Laplacian), so when V = c B
 -- as on every built-in family, where |A|^2 is constant -- the smallest
 eigenvalue is -c with the constant eigenvector.
 
-An analytic backend covers the closed-form families: round spheres
-(eigenvalues j(j+n-1)/r^2 with the usual multiplicities), the flat product
-torus (2(j^2+m^2) over integer pairs) and, restricted to axisymmetric
-modes, general products of spheres.
+An analytic backend covers every built-in surface, a product of round
+spheres S^(d_i)(r_i) (the equator has one factor): its -Delta eigenvalues
+are the sums of one factor eigenvalue j (j + d_i - 1) / r_i^2 per factor,
+with the product of their multiplicities C(d+j, d) - C(d+j-2, d).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
-from .geometry import ParametrizedHypersurface, _norm_A_sq, _per_axis, _tensor_grid
+from .geometry import ParametrizedHypersurface, SphereProduct, _norm_A_sq, _per_axis, _tensor_grid
 
 
 @dataclass
@@ -225,82 +226,52 @@ def _sqrt_det(gdiag):
 # analytic backend
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticSpectrum:
-    """Exact -Delta eigenvalues of a closed-form family plus its constant potential."""
+    """Exact -Delta eigenvalues of a product of round spheres plus its constant potential."""
 
-    family: str
-    params: tuple
-    potential: float               # |A|^2 + n, exact for these families
-    dimension: int
-    axisymmetric: bool = False
-    _values: list = field(default_factory=list, repr=False)
+    product: SphereProduct
+
+    @property
+    def potential(self):
+        """|A|^2 + n, exact for these surfaces."""
+        return float(self.product.norm_A_sq + self.product.dimension)
 
     def eigenvalues(self, count):
-        """First ``count`` eigenvalues of -Delta, sorted, multiplicity-expanded."""
-        while len(self._values) < count:
-            self._extend(count)
-        return np.array(self._values[:count], dtype=float)
+        """First ``count`` eigenvalues of -Delta, sorted, multiplicity-expanded.
 
-    def _extend(self, count):
-        fam, par = self.family, self.params
-        if fam == "equator":
-            vals = _sphere_spectrum(par[0], Fraction(1), count)
-        elif fam == "clifford" and par == (1, 1):
-            vals = _torus_spectrum(count)
-        elif fam == "clifford":
-            vals = _zonal_product_spectrum(par[0], par[1], count)
-        else:  # pragma: no cover - constructor forbids this
-            raise UnsupportedFamily(fam)
-        self._values = sorted(vals)[: max(count, len(self._values))]
+        A product eigenvalue is a sum of one eigenvalue j_i (j_i + d_i - 1) / r_i^2
+        of each factor S^(d_i)(r_i), with the product of their multiplicities.
+        The sums are visited in increasing exact (``Fraction``) order from a
+        heap of degree tuples, and a multiplicity is expanded only up to
+        ``count``, so high-dimensional factors cost nothing extra.
+        """
+        dims, radius_sq = self.product.dims, self.product.radius_sq
 
+        def value(js):
+            return sum(Fraction(j * (j + d - 1)) / r2 for j, d, r2 in zip(js, dims, radius_sq))
 
-def _sphere_spectrum(n, r_sq, count):
-    """j(j+n-1)/r^2 with multiplicity C(n+j, n) - C(n+j-2, n) on S^n(r)."""
-    vals = []
-    j = 0
-    while len(vals) < count:
-        mult = math.comb(n + j, n) - (math.comb(n + j - 2, n) if j >= 2 else 0)
-        vals += [float(Fraction(j * (j + n - 1)) / r_sq)] * mult
-        j += 1
-    return vals
+        start = (0,) * len(dims)
+        heap, seen, vals = [(Fraction(0), start)], {start}, []
+        while len(vals) < count:
+            val, js = heapq.heappop(heap)
+            mult = math.prod(_harmonic_count(d, j) for d, j in zip(dims, js))
+            vals += [float(val)] * min(mult, count - len(vals))
+            for i in range(len(js)):
+                nxt = js[:i] + (js[i] + 1,) + js[i + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (value(nxt), nxt))
+        return np.array(vals, dtype=float)
 
 
-def _torus_spectrum(count):
-    """2(j^2 + m^2) over integer pairs for the flat Clifford torus."""
-    J = int(math.isqrt(count)) + 2
-    vals = [2.0 * (j * j + m * m) for j in range(-J, J + 1) for m in range(-J, J + 1)]
-    return sorted(vals)[:count]
+def _harmonic_count(d, j):
+    """Multiplicity C(d+j, d) - C(d+j-2, d) of the degree-j eigenvalue of S^d."""
+    return math.comb(d + j, d) - (math.comb(d + j - 2, d) if j >= 2 else 0)
 
 
-def _zonal_product_spectrum(k, l, count):
-    """Axisymmetric modes of S^k(sqrt(k/n)) x S^l(sqrt(l/n)): zonal sums."""
-    n = k + l
-    J = count + 1
-    vals = []
-    for j in range(J):
-        for m in range(J):
-            v = Fraction(j * (j + k - 1) * n, k) + Fraction(m * (m + l - 1) * n, l)
-            vals.append(float(v))
-    return sorted(vals)[:count]
-
-
-def analytic_laplace_spectrum(M: ParametrizedHypersurface, axisymmetric=False) -> AnalyticSpectrum:
-    """Exact -Delta spectrum enumerator for a built-in family.
-
-    Supported: any equator, the (1, 1) product torus, and general (k, l)
-    products restricted to axisymmetric modes (pass ``axisymmetric=True``).
-    """
-    if M.family == "equator":
-        n = M.params[0]
-        return AnalyticSpectrum("equator", (n,), float(n), n)
-    if M.family == "clifford":
-        k, l = M.params
-        if (k, l) != (1, 1) and not axisymmetric:
-            raise UnsupportedFamily(
-                f"clifford{(k, l)} has no full analytic enumeration; "
-                "restrict to axisymmetric modes or use the numeric backend"
-            )
-        n = k + l
-        return AnalyticSpectrum("clifford", (k, l), float(2 * n), n, axisymmetric=(k, l) != (1, 1))
-    raise UnsupportedFamily(f"no analytic spectrum for family {M.family!r}")
+def analytic_laplace_spectrum(M: ParametrizedHypersurface) -> AnalyticSpectrum:
+    """Exact -Delta spectrum enumerator of a built-in surface, from its sphere factors."""
+    if M.product is None:
+        raise UnsupportedFamily(f"no analytic spectrum for {M!r}")
+    return AnalyticSpectrum(M.product)

@@ -82,9 +82,8 @@ def stratified_integral(
     A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
     box in one pass and returns their estimates as :class:`BoxEstimates`;
     each box gets exactly the samples and the estimate that a call with
-    that box and its seed alone would give.  ``fn(U, X, which)`` then also
-    receives the box index of each row; the rows come box by box,
-    :func:`_stratified_rows` of them per box.
+    that box and its seed alone would give.  ``fn(U, X)`` then receives the
+    rows of every box, box by box, :func:`_stratified_rows` of them per box.
     """
     chart = M.chart
     n = chart.dim
@@ -120,8 +119,7 @@ def stratified_integral(
     pts = lows[:, :, None, :] + draws * sides[:, :, None, :]
     flat = pts.reshape(-1, n)
     X = chart.embed(flat)
-    vals = fn(flat, X) if single else fn(flat, X, np.repeat(np.arange(len(boxes)), cells * k))
-    vals = np.asarray(vals, dtype=float).reshape(len(boxes), cells, k)
+    vals = np.asarray(fn(flat, X), dtype=float).reshape(len(boxes), cells, k)
     live = vals != 0.0  # negative values count
     # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
     busy = functools.reduce(np.logical_or, np.moveaxis(live, -1, 0))

@@ -21,6 +21,7 @@ differences with covariant (Christoffel) corrections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -206,12 +207,11 @@ def rayleigh_quotient(
 
 
 def test_function_A(M: ParametrizedHypersurface) -> SurfaceField:
-    """The |A| test field; constant sqrt(n) on the product families, zero on equators."""
-    if M.family == "equator":
-        return ConstantField(0.0)
-    if M.family == "clifford":
-        return ConstantField(float(np.sqrt(M.dimension)))
-    return ShapeNormField()
+    """The |A| test field: on a built-in surface the constant sqrt of its
+    exact |A|^2 (sqrt(n) on the products, zero on equators), else pointwise."""
+    if M.product is None:
+        return ShapeNormField()
+    return ConstantField(math.sqrt(M.product.norm_A_sq))
 
 
 # ---------------------------------------------------------------------------

@@ -25,5 +25,5 @@ def torus_cv_geodesic(torus):
 
 @pytest.fixture(scope="session")
 def torus_cv_chord(torus):
-    return geo.measure_volume_growth(torus, metric="chord")
+    return geo.measure_volume_growth(torus, metric="euclidean")
 

@@ -223,7 +223,7 @@ def test_criterion_07_intersection_bound_suite():
 
 def test_criterion_08_smooth_cutoff_report():
     torus = geo.clifford_hypersurface((1, 1))
-    c_v = geo.measure_volume_growth(torus, metric="chord")
+    c_v = geo.measure_volume_growth(torus, metric="euclidean")
     _, pts = geo.sample_points(torus, 1, seed=5)
     eps = 0.05
     r = math.sqrt(0.8 * eps)  # area-budget radius: sum r^k = 0.8 eps < eps (k = 2)

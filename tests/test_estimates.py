@@ -136,7 +136,7 @@ def test_local_A_bound_refuses_off_surface_centre(torus):
 def test_local_A_bound_refuses_chart_files(torus):
     # a surface outside the built-in families (here the torus chart without its
     # closed-form geometry) has no closed-form ball area and is refused
-    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
+    custom = geo.ParametrizedHypersurface(2, torus.chart)
     _, P = geo.sample_points(torus, 1, seed=2)
     with pytest.raises(UnsupportedFamily):
         est.local_A_bound(custom, P[0], 0.25, -4.0, C_V=4.4)
@@ -173,10 +173,3 @@ def test_local_A_bound_rejects_bad_radius(torus):
     with pytest.raises(ValueError):
         est.local_A_bound(torus, np.array([1.0, 0, 0, 0]), 2.5, -4.0, C_V=4.0)
 
-
-def test_reports_csv_shape():
-    rep = est.EstimateReport("demo", 1.0, 2.0, 0.1, {"n": 2})
-    text = est.reports_to_csv([rep])
-    lines = text.strip().splitlines()
-    assert lines[0] == "name,n,lhs,rhs,margin,stderr"
-    assert lines[1].startswith("demo,2,1.0,2.0,1.0,0.1")

@@ -25,9 +25,20 @@ def test_product_family_symbolic_oracle(k, l):
     n = k + l
     assert Fraction(k) ** 2 * Fraction(l, k) == Fraction(l) ** 2 * Fraction(k, l)
     assert Fraction(k) * Fraction(l, k) + Fraction(l) * Fraction(k, l) == n
-    spec = geo.CliffordSpec(k, l)
-    rk2, rl2 = spec.radius_sq
+    product = geo.clifford_hypersurface((k, l)).product
+    rk2, rl2 = product.radius_sq
     assert rk2 + rl2 == 1  # exact rational identity
+    # the curvatures, |A|^2 and the family name all come from the factors
+    assert product.curvature_sq == (Fraction(l, k), Fraction(k, l))
+    assert product.norm_A_sq == n and product.dims == (k, l) and product.family == "clifford"
+
+
+def test_sphere_product_refuses_what_is_not_a_minimal_hypersurface():
+    # radii off d_i / n (not minimal), and three factors (codimension 2)
+    with pytest.raises(ValueError, match="minimal"):
+        geo.SphereProduct("clifford", ((1, Fraction(1, 3)), (1, Fraction(2, 3))))
+    with pytest.raises(ValueError, match="two sphere factors"):
+        geo.SphereProduct("clifford", ((1, Fraction(1, 3)),) * 3)
 
 
 def test_ambient_point_validation():
@@ -101,8 +112,7 @@ def test_clifford_minimality_invariants(clifford_families):
 
 
 def test_clifford12_radii():
-    spec = geo.CliffordSpec(1, 2)
-    rk, rl = spec.radii
+    rk, rl = geo.clifford_hypersurface((1, 2)).product.radii
     assert rk == math.sqrt(1.0 / 3.0) and rl == math.sqrt(2.0 / 3.0)
 
 
@@ -155,7 +165,7 @@ def test_chart_invariance_reparametrized_torus(torus):
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
         base.density_const,
     )
-    M2 = geo.ParametrizedHypersurface(2, chart2, family="custom")
+    M2 = geo.ParametrizedHypersurface(2, chart2)
     assert abs(geo.area(M2) - geo.area(torus)) <= 1e-12
     U, _ = geo.sample_points(torus, 5, seed=8)
     for u in U:
@@ -191,7 +201,7 @@ def test_immersion_drift_raises(torus):
         metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
         density_const=1.001**2 * base.density_const,
     )
-    M = geo.ParametrizedHypersurface(2, bad, family="custom")
+    M = geo.ParametrizedHypersurface(2, bad)
     with pytest.raises(ImmersionDrift):
         geo.shape_at(M, np.array([0.3, 0.4]))
 
@@ -288,7 +298,7 @@ def test_embed_and_jacobian_match_former_loops(k, l):
             assert _same_bits(geo.sphere_jacobian(U), jac[..., :-1, :])
             x = np.concatenate([x, np.zeros(base + (1,))], axis=-1)
         else:
-            rk, rl = geo.CliffordSpec(k, l).radii
+            rk, rl = M.product.radii
             x = np.concatenate([_former_sphere_point(U[..., :k]) * rk,
                                 _former_sphere_point(U[..., k:]) * rl], axis=-1)
             jac[..., : k + 1, :k] = _former_sphere_jacobian(U[..., :k]) * rk
@@ -416,14 +426,14 @@ def ball_area(M, r, metric="geodesic"):
 def test_volume_growth_exact_values(kl, geodesic, chord):
     M = geo.clifford_hypersurface(kl)
     assert abs(geo.measure_volume_growth(M) - geodesic) <= 1e-4
-    assert abs(geo.measure_volume_growth(M, metric="chord") - chord) <= 1e-4
+    assert abs(geo.measure_volume_growth(M, metric="euclidean") - chord) <= 1e-4
 
 
 @pytest.mark.parametrize("M", BUILT_IN, ids=repr)
 def test_ball_area_limits(M):
     n = M.dimension
     # the chord ball of radius 2 is all of M
-    assert abs(ball_area(M, 2.0, "chord") / geo.area(M) - 1.0) <= 1e-12
+    assert abs(ball_area(M, 2.0, "euclidean") / geo.area(M) - 1.0) <= 1e-12
     # a small ball is a flat n-disc
     r = 1e-3
     assert abs(ball_area(M, r) / (math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n) - 1.0) <= 1e-5
@@ -432,7 +442,7 @@ def test_ball_area_limits(M):
 @pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3)])
 def test_ball_area_factor_order(k, l):
     a, b = geo.clifford_hypersurface((k, l)), geo.clifford_hypersurface((l, k))
-    for metric in ("geodesic", "chord"):
+    for metric in ("geodesic", "euclidean"):
         for r in np.geomspace(0.05, 1.9, 12):
             assert abs(ball_area(a, r, metric) / ball_area(b, r, metric) - 1.0) <= 1e-10
 
@@ -452,12 +462,14 @@ def test_ball_area_against_chart_quadrature(kl, res):
 
 
 def test_volume_growth_rejects_unknown_metric(torus):
-    with pytest.raises(ValueError):
-        geo.measure_volume_growth(torus, metric="geodesc")
+    # "euclidean" is the one name of the chord metric, as in BallCover
+    for metric in ("geodesc", "chord"):
+        with pytest.raises(ValueError):
+            geo.measure_volume_growth(torus, metric=metric)
 
 
 def test_volume_growth_refuses_a_custom_family(torus):
-    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
+    custom = geo.ParametrizedHypersurface(2, torus.chart)
     with pytest.raises(UnsupportedFamily):
         geo.measure_volume_growth(custom)
 

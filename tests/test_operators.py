@@ -1,6 +1,7 @@
 """Discrete assembly and the analytic spectrum backend."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,28 +77,56 @@ def test_analytic_spectra_values():
 
 
 def test_analytic_spectrum_monotone_nonnegative():
-    for M, kw in [
-        (geo.equator(3), {}),
-        (geo.clifford_hypersurface((1, 1)), {}),
-        (geo.clifford_hypersurface((2, 2)), {"axisymmetric": True}),
-    ]:
-        vals = ops.analytic_laplace_spectrum(M, **kw).eigenvalues(25)
+    for M in [geo.equator(3), geo.clifford_hypersurface((1, 1)), geo.clifford_hypersurface((2, 2))]:
+        vals = ops.analytic_laplace_spectrum(M).eigenvalues(25)
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all(vals >= 0.0)
 
 
-def test_zonal_values_appear_in_numeric_spectrum():
-    # dual route for the axisymmetric enumeration: every zonal eigenvalue
-    # must show up in the assembled full spectrum of the product surface
+@pytest.mark.parametrize("kl", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (1, 12)])
+def test_product_spectrum_morse_index_and_nullity(kl):
+    # stability eigenvalues mu - 2n: -2n once, -n from the n + 2 coordinate
+    # functions, so Morse index n + 3, then 0 from the (k+1)(l+1) products
+    # of the factors' first harmonics, and nothing else up to 0
+    k, l = kl
+    n = k + l
+    count = n + 3 + (k + 1) * (l + 1) + 1
+    vals = ops.analytic_laplace_spectrum(geo.clifford_hypersurface(kl)).eigenvalues(count) - 2 * n
+    assert np.count_nonzero(vals < 0) == n + 3
+    assert np.count_nonzero(vals == 0) == (k + 1) * (l + 1)
+    assert vals[0] == -2 * n and np.count_nonzero(vals == -n) == n + 2 and vals[-1] > 0
+
+
+@pytest.mark.parametrize("kl", [(1, 1), (2, 1), (2, 2), (1, 3), (3, 3)])
+def test_product_spectrum_matches_brute_force_sums(kl):
+    # every pair of factor degrees up to 8, fully expanded and sorted
+    k, l = kl
+    n = k + l
+    factor = [[(Fraction(j * (j + d - 1) * n, d), ops._harmonic_count(d, j)) for j in range(9)]
+              for d in kl]
+    sums = sorted(a + b for a, ma in factor[0] for b, mb in factor[1] for _ in range(ma * mb))
+    count = 60
+    assert sums[count - 1] < min(f[-1][0] for f in factor)  # degree 9 cannot reach the first 60
+    got = ops.analytic_laplace_spectrum(geo.clifford_hypersurface(kl)).eigenvalues(count)
+    assert np.array_equal(got, np.array([float(v) for v in sums[:count]]))
+
+
+def _cluster_sizes(vals, gap=1.0):
+    return [len(c) for c in np.split(vals, np.flatnonzero(np.diff(vals) > gap) + 1)]
+
+
+def test_product_spectrum_clusters_match_dense_pencil():
+    # the bottom of clifford(2,1)'s stability spectrum, -6 (1), -3 (5) and
+    # 0 (6), against dense eigh of the assembled pencil at resolution 10:
+    # the discretization splits each cluster by O(h^2) and moves the nullity
+    # cluster below 0, so clusters are counted, not signs
     M = geo.clifford_hypersurface((2, 1))
-    zonal = ops.analytic_laplace_spectrum(M, axisymmetric=True).eigenvalues(5)
-    op = ops.assemble_jacobi(M, 24)
-    numeric = np.sort(
-        eigsh(op.stiffness.tocsc(), k=16, M=op.mass, sigma=-0.5, which="LM")[0]
-    )
-    for val in zonal:
-        assert np.min(np.abs(numeric - val)) <= 0.08  # O(h^2) at resolution 24
+    exact = ops.analytic_laplace_spectrum(M).eigenvalues(13) - 6.0
+    A, B = ops.assemble_jacobi(M, 10).pencil()
+    numeric = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 12])
+    assert _cluster_sizes(exact) == _cluster_sizes(numeric) == [1, 5, 6, 1]
+    assert np.abs(numeric[:12] - exact[:12]).max() <= 0.25
 
 
 def test_sphere_spectrum_against_assembled_oracle(equator2):
@@ -324,7 +353,7 @@ def test_stacked_metric_matches_former_loop(k, l):
             former = _former_sphere_metric_diag(U)
             assert np.array_equal(geo._sphere_metric_diag(U), former)
         else:
-            rk, rl = geo.CliffordSpec(k, l).radii
+            rk, rl = M.product.radii
             former = np.concatenate([_former_sphere_metric_diag(U[..., :k]) * rk**2,
                                      _former_sphere_metric_diag(U[..., k:]) * rl**2], axis=-1)
         got = chart.metric_diag(U)
@@ -395,6 +424,6 @@ def test_assembly_preconditions(torus):
         ops.assemble_jacobi(torus, 4)
 
 
-def test_unsupported_analytic_family():
+def test_analytic_spectrum_refuses_a_custom_surface(torus):
     with pytest.raises(UnsupportedFamily):
-        ops.analytic_laplace_spectrum(geo.clifford_hypersurface((2, 2)))
+        ops.analytic_laplace_spectrum(geo.ParametrizedHypersurface(2, torus.chart))

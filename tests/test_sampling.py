@@ -12,14 +12,15 @@ from spherestab.errors import PreconditionViolated
 from spherestab.sampling import BoxEstimates, MCEstimate, local_polar_integral, stratified_integral
 
 
-def _dense_reference(M, fn, boxes, seeds, strata, samples_per_cell):
+def _dense_reference(M, fns, boxes, seeds, strata, samples_per_cell):
     # every row weighted by its density and every cell reduced, as the
-    # sampler did before it skipped the rows where fn is zero
+    # sampler did before it skipped the rows where fn is zero; fns holds
+    # one integrand of (U, X) per box
     chart = M.chart
     n = chart.dim
     k = max(2, int(samples_per_cell))
     out = []
-    for b, (box, seed) in enumerate(zip(boxes, seeds)):
+    for fn, box, seed in zip(fns, boxes, seeds):
         edges = [np.linspace(lo, hi, strata + 1) for lo, hi in box]
         lows = geo._tensor_grid([e[:-1] for e in edges])
         sides = geo._tensor_grid([np.diff(e) for e in edges])
@@ -27,8 +28,7 @@ def _dense_reference(M, fn, boxes, seeds, strata, samples_per_cell):
         draws = np.random.default_rng(seed).random((len(lows), k, n))
         flat = (lows[:, None, :] + draws * sides[:, None, :]).reshape(-1, n)
         X = chart.embed(flat)
-        which = np.full(len(flat), b)
-        vals = np.asarray(fn(flat, X, which), dtype=float) * geo.sqrt_det_metric(chart, flat)
+        vals = np.asarray(fn(flat, X), dtype=float) * geo.sqrt_det_metric(chart, flat)
         vals = vals.reshape(len(lows), k)
         mean, var = vals.mean(axis=-1), vals.var(axis=-1, ddof=1)
         out.append(MCEstimate(float(np.sum(vols * mean)),
@@ -37,7 +37,7 @@ def _dense_reference(M, fn, boxes, seeds, strata, samples_per_cell):
 
 
 def _signed_sparse(U, X, which):
-    # zero on most rows, of either sign on the rest, and box-dependent
+    # zero on most rows, of either sign on the rest, and shifted by the box index
     return np.where(X[:, 0] > 0.4, np.cos(3.0 * U[:, -1]) - 0.1 * which, 0.0)
 
 
@@ -54,23 +54,28 @@ def _cases():
 
 @pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
 def test_live_row_density_matches_dense_reference(case):
-    # bit for bit: value, stderr and samples of each box, stacked or alone
+    # bit for bit: value, stderr and samples of each box, stacked or alone;
+    # the stacked integrand reads each row's box from the documented layout
+    # (box by box, _stratified_rows rows each)
     M, boxes = _cases()[case]
     strata, per_cell = 6, 3
     seeds = np.random.SeedSequence(17).spawn(len(boxes))
+    fns = [lambda U, X, b=b: _signed_sparse(U, X, b) for b in range(len(boxes))]
     seen = []
-    expected = _dense_reference(M, lambda U, X, w: seen.append(_signed_sparse(U, X, w)) or seen[-1],
+    expected = _dense_reference(M, [lambda U, X, fn=fn: seen.append(fn(U, X)) or seen[-1] for fn in fns],
                                 boxes, seeds, strata, per_cell)
     seen = np.concatenate(seen)
     assert (seen < 0).any() and (seen > 0).any() and (seen == 0).mean() > 0.3
-    stacked = stratified_integral(M, _signed_sparse, box=np.array(boxes, dtype=float),
-                                  strata=strata, samples_per_cell=per_cell, seed=seeds)
+    rows = smp._stratified_rows(M.dimension, strata, per_cell)
+    stacked = stratified_integral(M, lambda U, X: _signed_sparse(U, X, np.arange(len(U)) // rows),
+                                  box=np.array(boxes, dtype=float), strata=strata,
+                                  samples_per_cell=per_cell, seed=seeds)
     assert isinstance(stacked, BoxEstimates)
     assert list(stacked) == expected
-    for b, (box, seed) in enumerate(zip(boxes, seeds)):
-        alone = stratified_integral(M, lambda U, X, b=b: _signed_sparse(U, X, b), box=box,
-                                    strata=strata, samples_per_cell=per_cell, seed=seed)
-        assert alone == expected[b]
+    for fn, box, seed, ref in zip(fns, boxes, seeds, expected):
+        alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
+                                    seed=seed)
+        assert alone == ref
 
 
 def test_rows_on_a_pole_match_dense_reference():
@@ -80,7 +85,7 @@ def test_rows_on_a_pole_match_dense_reference():
     box = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
     seed = np.random.SeedSequence(5)
     fn = lambda U, X: _signed_sparse(U, X, 0)  # noqa: E731
-    expected = _dense_reference(M, lambda U, X, w: fn(U, X), [box], [seed], 4, 2)[0]
+    expected = _dense_reference(M, [fn], [box], [seed], 4, 2)[0]
     u = np.array([[0.0, 1.0, 2.0]])
     assert fn(u, M.chart.embed(u))[0] != 0.0 and geo.sqrt_det_metric(M.chart, u)[0] == 0.0
     assert stratified_integral(M, fn, box=box, strata=4, seed=seed) == expected
@@ -99,7 +104,7 @@ def test_zero_width_box_leaves_stacked_boxes_unchanged():
     M = geo.clifford_hypersurface((2, 1))
     box = [[0.0, 0.4], [0.5, 2.0], [1.0, 3.0]]
     pole = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
-    fn = lambda U, X, *which: X[:, 0]  # noqa: E731
+    fn = lambda U, X: X[:, 0]  # noqa: E731
     alone = stratified_integral(M, fn, box=box, strata=6, samples_per_cell=3, seed=11)
     stacked = stratified_integral(M, fn, box=np.array([box, pole]), strata=6,
                                   samples_per_cell=3, seed=[11, 11])

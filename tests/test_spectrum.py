@@ -31,7 +31,7 @@ def test_torus_lambda1_analytic_exact(torus):
 
 def test_clifford22_lambda1_analytic():
     M = geo.clifford_hypersurface((2, 2))
-    res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M, axisymmetric=True))
+    res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
     assert res.lambda1 == -8.0
 
 
@@ -55,9 +55,7 @@ def test_theorem_bound_all_families(clifford_families):
     # every non-totally-geodesic built-in family: lambda_1 <= -2n
     for (k, l), M in clifford_families.items():
         n = k + l
-        res = spec.first_stability_eigenvalue(
-            ops.analytic_laplace_spectrum(M, axisymmetric=(k, l) != (1, 1))
-        )
+        res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
         assert res.lambda1 <= -2.0 * n + 1e-12
 
 
@@ -87,7 +85,7 @@ def sphere_factor(d, r, res):
 def test_assembled_pencil_is_kronecker_sum_of_factors(kl, res):
     op = ops.assemble_jacobi(geo.clifford_hypersurface(kl), res)
     k, l = kl
-    rk, rl = geo.CliffordSpec(k, l).radii
+    rk, rl = geo.clifford_hypersurface(kl).product.radii
     (S_k, B_k), (S_l, B_l) = sphere_factor(k, rk, op.resolution[:k]), sphere_factor(l, rl, op.resolution[k:])
     assert S_k.shape[0] * S_l.shape[0] == op.size
     S = sp.kron(S_k, B_l) + sp.kron(B_k, S_l)
@@ -241,7 +239,7 @@ def test_test_function_A_values(clifford_families, equator2):
 
 def test_test_function_A_generic_surface(torus):
     # surfaces without closed-form geometry fall back to pointwise |A|
-    custom = geo.ParametrizedHypersurface(2, torus.chart, family="custom")
+    custom = geo.ParametrizedHypersurface(2, torus.chart)
     field = spec.test_function_A(custom)
     assert isinstance(field, ShapeNormField)
     U, _ = geo.sample_points(custom, 4, seed=1)
@@ -296,7 +294,7 @@ def test_simons_nonminimal_rejected(torus):
         gdiag, nu, A, H, a2 = torus.shape_batch(U)
         return gdiag, nu, A, H + 0.5, a2  # fake mean curvature
 
-    M = geo.ParametrizedHypersurface(2, base, "custom", (), bad_closed_form)
+    M = geo.ParametrizedHypersurface(2, base, closed_form=bad_closed_form)
     with pytest.raises(NonMinimal):
         spec.simons_check(M, samples=10)
 
