@@ -16,6 +16,14 @@ from flags or from a JSON config file; flags override the file.  The
 default output directory is $SPHERESTAB_OUTDIR, falling back to the
 current directory.
 
+``--family`` names an entry of ``FAMILIES``, which builds the run's surface
+once through its ``geometry`` constructor: ``equator`` reads ``--n``;
+``clifford`` reads ``--k`` and ``--l``, and an ``--n`` given with them must
+equal the surface's dimension k + l.  The constructors hold the parameter
+rules; a parameter they refuse is a configuration error.  Reports are named
+after the surface's family and factor dimensions (``clifford_2_1``,
+``equator_4``).
+
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error, 3 numerical failure (infeasible
 budget, insufficient samples, no convergence; the report is still written,
@@ -46,10 +54,18 @@ class ConfigError(Exception):
     pass
 
 
+# --family name -> the built-in surface of a config; the constructor checks
+# the parameters.  The first entry is the default family.
+FAMILIES = {
+    "clifford": lambda c: geo.clifford_hypersurface((c.k, c.l)),
+    "equator": lambda c: geo.equator(c.n),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
-    family: str = "clifford"
+    family: str = next(iter(FAMILIES))
     k: int = 1
     l: int = 1
     n: int = 2
@@ -67,12 +83,6 @@ class RunConfig:
     format: str = "csv"
 
     def validate(self):
-        if self.family not in ("equator", "clifford"):
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.family == "clifford" and (self.k < 1 or self.l < 1):
-            raise ConfigError("clifford factors k, l must be >= 1")
-        if self.family == "equator" and self.n < 1:
-            raise ConfigError("equator dimension n must be >= 1")
         if any(r < 8 for r in self.resolutions):
             raise ConfigError("resolutions must be >= 8")
         if self.epsilon <= 0:
@@ -84,17 +94,22 @@ class RunConfig:
         return self
 
     def surface(self):
-        if self.family == "equator":
-            return geo.equator(self.n)
-        return geo.clifford_hypersurface((self.k, self.l))
+        build = FAMILIES.get(self.family)
+        if build is None:
+            raise ConfigError(f"unknown family {self.family!r}")
+        try:
+            return build(self)
+        except ValueError as exc:
+            raise ConfigError(f"{self.family}: {exc}") from None
 
-    def tag(self):
-        if self.family == "equator":
-            return f"equator_{self.n}"
-        return f"clifford_{self.k}_{self.l}"
+
+def _tag(M):
+    """Report name of a built-in surface: family and factor dimensions, e.g. clifford_2_1."""
+    return "_".join([M.family, *map(str, M.params)])
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args):
+    """(config, surface) from a config file and flags; flags override the file."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -108,18 +123,16 @@ def _build_config(args) -> RunConfig:
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if (
-        values.get("family", "clifford") == "clifford"
-        and "n" in values
-        and values.get("k", 1) + values.get("l", 1) != values["n"]
-    ):
-        raise ConfigError("clifford parameters must satisfy k + l = n")
-    return RunConfig(**values).validate()
+    config = RunConfig(**values).validate()
+    M = config.surface()
+    if "n" in values and values["n"] != M.dimension:
+        raise ConfigError(f"n = {values['n']}, but {_tag(M)} has dimension {M.dimension}")
+    return config, M
 
 
-def _write_report(config: RunConfig, payload: dict, rows=None, columns=None) -> str:
+def _write_report(config: RunConfig, M, payload: dict, rows=None, columns=None) -> str:
     os.makedirs(config.out, exist_ok=True)
-    stem = config.command if config.command == "cone-table" else f"{config.command}_{config.tag()}"
+    stem = config.command if config.command == "cone-table" else f"{config.command}_{_tag(M)}"
     path = os.path.join(config.out, f"{stem}.{config.format}")
     doc = {"config": asdict(config), **payload}
     if config.format == "json":
@@ -162,23 +175,22 @@ def _csv_cell(v):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_spectrum(config: RunConfig):
-    M = config.surface()
+def _run_spectrum(config: RunConfig, M):
     analytic = _analytic_eigenvalue(M)
-    rows = [analytic.record(config.tag())]
+    rows = [analytic.record(_tag(M))]
     rows[-1]["abs_err"] = 0.0
     errors = []
     columns = ["surface", "backend", "resolution", "lambda1", "residual", "abs_err"]
     for res in config.resolutions:
         result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
-        row = result.record(config.tag(), res)
+        row = result.record(_tag(M), res)
         row["abs_err"] = abs(result.lambda1 - analytic.lambda1)
         errors.append(row["abs_err"])
         rows.append(row)
         if not result.converged:
             failure = f"NoConvergence: eigensolver did not converge at resolution {res}"
             payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}
-            path = _write_report(config, payload, rows, columns)
+            path = _write_report(config, M, payload, rows, columns)
             print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
             return 3
     order = spec.observed_order(errors) if len(errors) >= 2 else float("inf")
@@ -187,9 +199,9 @@ def _run_spectrum(config: RunConfig):
         "analytic_lambda1": analytic.lambda1,
         "observed_order": order if np.isfinite(order) else "inf",
     }
-    path = _write_report(config, payload, rows, columns)
+    path = _write_report(config, M, payload, rows, columns)
     ok = errors[-1] <= 1e-6 and all(r["residual"] <= 1e-8 for r in rows[1:]) and order >= 2
-    print(f"spectrum {config.tag()}: lambda1 = {rows[-1]['lambda1']:.9f} "
+    print(f"spectrum {_tag(M)}: lambda1 = {rows[-1]['lambda1']:.9f} "
           f"(analytic {analytic.lambda1}), err {errors[-1]:.2e}, order {order} -> {path}")
     return 0 if ok else 1
 
@@ -199,8 +211,7 @@ def _analytic_eigenvalue(M):
     return spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
 
 
-def _run_simons(config: RunConfig):
-    M = config.surface()
+def _run_simons(config: RunConfig, M):
     report = spec.simons_check(M, samples=config.samples, seed=config.seed)
     steps = (0.08, 0.04, 0.02)
     ladder = spec.simons_refinement(M, steps=steps, samples=min(config.samples, 100), seed=config.seed)
@@ -213,13 +224,13 @@ def _run_simons(config: RunConfig):
         "step_residuals": ladder,
         "observed_order": order if np.isfinite(order) else "inf",
     }
-    path = _write_report(config, payload)
+    path = _write_report(config, M, payload)
     ok = (
         report.max_identity_residual <= 1e-6
         and report.max_inequality_violation == 0.0
         and order >= 2
     )
-    print(f"simons {config.tag()}: residual {report.max_identity_residual:.2e}, "
+    print(f"simons {_tag(M)}: residual {report.max_identity_residual:.2e}, "
           f"violation {report.max_inequality_violation}, order {order} -> {path}")
     return 0 if ok else 1
 
@@ -236,8 +247,7 @@ def _radius_floor(count, n, q, epsilon):
     return 0.5 * (epsilon / count) ** (1.0 / (n - q))
 
 
-def _run_cutoff(config: RunConfig):
-    M = config.surface()
+def _run_cutoff(config: RunConfig, M):
     n = M.dimension
     if config.singular_set:
         pts = cut.load_point_cloud(config.singular_set)
@@ -283,15 +293,14 @@ def _run_cutoff(config: RunConfig):
             "passed": report.passed,
         }
         ok = report.passed
-    path = _write_report(config, payload)
-    print(f"cutoff {config.tag()} kind={config.kind}: "
+    path = _write_report(config, M, payload)
+    print(f"cutoff {_tag(M)} kind={config.kind}: "
           + ", ".join(f"{k}={v:.4g}" for k, v in payload.items() if isinstance(v, float))
           + f" -> {path}")
     return 0 if ok else 1
 
 
-def _run_estimates(config: RunConfig):
-    M = config.surface()
+def _run_estimates(config: RunConfig, M):
     lam1 = _analytic_eigenvalue(M).lambda1
     c_v = geo.measure_volume_growth(M)
     _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
@@ -304,15 +313,15 @@ def _run_estimates(config: RunConfig):
     reports = bounds + [est.l4_identity_check(M)]
     rows = [rep.row() for rep in reports]
     payload = {"rows": rows, "lambda1": lam1, "C_V": c_v}
-    path = _write_report(config, payload, rows, ["name", "n", "lhs", "rhs", "margin", "stderr"])
+    path = _write_report(config, M, payload, rows, ["name", "n", "lhs", "rhs", "margin", "stderr"])
     ok = all(rep.passed for rep in reports)
     margin = min((rep.margin for rep in bounds), default=float("inf"))
-    print(f"estimates {config.tag()}: {len(reports)} reports, "
+    print(f"estimates {_tag(M)}: {len(reports)} reports, "
           f"min bound margin {margin:.3g} -> {path}")
     return 0 if ok else 1
 
 
-def _run_cone_table(config: RunConfig):
+def _run_cone_table(config: RunConfig, M):
     table = est.cone_stability_table(config.n_max)
     rows = [
         {
@@ -326,7 +335,7 @@ def _run_cone_table(config: RunConfig):
     ]
     payload = {"rows": rows}
     path = _write_report(
-        config, payload, rows, ["n", "link_bound", "threshold", "stable_possible", "margin"]
+        config, M, payload, rows, ["n", "link_bound", "threshold", "stable_possible", "margin"]
     )
     ok = all(v.stable_possible == (v.n >= 6) for v in table)
     first_true = next((v.n for v in table if v.stable_possible), None)
@@ -364,7 +373,7 @@ def build_parser():
         p.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         if surface:
-            p.add_argument("--family", choices=("equator", "clifford"), default=None)
+            p.add_argument("--family", choices=FAMILIES, default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--l", type=int, default=None)
             p.add_argument("--n", type=int, default=None)
@@ -402,12 +411,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
+        config, M = _build_config(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command](config, M)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -416,7 +425,7 @@ def main(argv=None):
         return 1
     except SpherestabError as exc:
         failure = f"{type(exc).__name__}: {exc}"
-        path = _write_report(config, {"failure": failure})
+        path = _write_report(config, M, {"failure": failure})
         print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
         return 3
 

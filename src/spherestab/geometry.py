@@ -45,10 +45,8 @@ from .errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
 POLE_MARGIN = 1e-3
 DRIFT_TOL = 1e-8
 COND_LIMIT = 1e12
-SHAPE_STEP = 1e-3  # second-fundamental-form stencils of both methods (measured
-                   # |A|^2 error on the products: 1e-6 normal derivative and
-                   # 5e-7 hessian at 1e-3; at 1e-5 the hessian's second
-                   # differences lose to roundoff, 1e-5)
+SHAPE_STEP = 1e-3  # central-difference step of the normal-derivative method
+                   # (|A|^2 error on the products: 1e-6 at 1e-3, 6e-10 at 1e-5)
 
 
 def chord_distance(x, p):
@@ -484,10 +482,11 @@ def _diag_embed(diag):
 def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
     """First and second fundamental forms of M at a chart parameter point.
 
-    ``method`` selects the backend: "closed-form" (built-in families),
-    "normal-derivative" (A_ab = <d_a nu, d_b x> by finite differences of the
-    unit normal) or "hessian" (A_ab = -<nu, d^2_ab x>).  "auto" prefers the
-    closed form and otherwise differentiates the normal.
+    ``method`` selects the backend: "closed-form" (built-in families) or
+    "normal-derivative" (A_ab = <d_a nu, d_b x> by central differences of
+    the unit normal, step ``fd_step``), the independent check of the closed
+    form.  "auto" prefers the closed form and otherwise differentiates the
+    normal.
 
     Raises :class:`DegenerateChart` when cond(g) > 1e12 and
     :class:`ImmersionDrift` when the image leaves the sphere by > 1e-8.
@@ -503,6 +502,8 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
         g = _diag_embed(gdiag)[0]
         _check_metric(g)
         return ShapeData(g, nu[0], A[0], float(H[0]), float(a2[0]))
+    if method != "normal-derivative":
+        raise ValueError(f"unknown method {method!r}")
 
     chart = M.chart
     x = chart.embed(u)
@@ -514,27 +515,19 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
     nu = _unit_normal(jac, x)
 
     n = chart.dim
-    if method == "normal-derivative":
-        dnu = np.empty((n + 2, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = fd_step
-            nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
-            nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
-            if nu_p @ nu < 0:
-                nu_p = -nu_p
-            if nu_m @ nu < 0:
-                nu_m = -nu_m
-            dnu[:, a] = (nu_p - nu_m) / (2.0 * fd_step)
-        A = dnu.T @ jac
-        A = 0.5 * (A + A.T)
-    elif method == "hessian":
-        A = np.empty((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                A[a, b] = A[b, a] = -nu @ _second_partial(chart.embed, u, a, b, fd_step)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    dnu = np.empty((n + 2, n))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = fd_step
+        nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
+        nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
+        if nu_p @ nu < 0:
+            nu_p = -nu_p
+        if nu_m @ nu < 0:
+            nu_m = -nu_m
+        dnu[:, a] = (nu_p - nu_m) / (2.0 * fd_step)
+    A = dnu.T @ jac
+    A = 0.5 * (A + A.T)
 
     ginv = np.linalg.inv(g)
     H = float(np.trace(ginv @ A))
@@ -569,17 +562,6 @@ def _check_metric(g):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
         raise DegenerateChart(f"metric condition number {eig[-1] / max(eig[0], 1e-300):.3e}")
-
-
-def _second_partial(embed, u, a, b, h):
-    ea, eb = np.zeros_like(u), np.zeros_like(u)
-    ea[a] = h
-    eb[b] = h
-    if a == b:
-        return (embed(u + ea) - 2.0 * embed(u) + embed(u - ea)) / h**2
-    return (
-        embed(u + ea + eb) - embed(u + ea - eb) - embed(u - ea + eb) + embed(u - ea - eb)
-    ) / (4.0 * h**2)
 
 
 def _unit_normal(jac, x):

@@ -76,9 +76,7 @@ class DiscreteOperator:
     potential: sp.csr_matrix       # diagonal, (|A|^2 + n) mass-weighted
     dimension: int
     resolution: list
-    periodic: tuple
     nodes: np.ndarray              # (m, n) chart coordinates of the grid nodes
-    surface: str = "custom"
 
     @property
     def size(self):
@@ -204,9 +202,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         potential=sp.csr_matrix((pot, diagonal[:-1], diagonal), shape=S.shape),
         dimension=M.dimension,
         resolution=res,
-        periodic=chart.periodic,
         nodes=nodes,
-        surface=M.family + str(M.params),
     )
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import spherestab.cli as cli
 import spherestab.cutoff as cut
 import spherestab.estimates as est
@@ -110,9 +112,13 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
 def test_config_errors_exit_2(tmp_path):
     assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "0", "--l", "1") == 2
     assert run(tmp_path, "spectrum", "--resolutions", "4") == 2
+    assert run(tmp_path, "spectrum", "--family", "equator", "--n", "0") == 2
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"who": 1}))
     assert main(["cone-table", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg.write_text(json.dumps({"family": "sphere"}))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
 
 
 def test_infeasible_budget_exits_3(tmp_path):
@@ -253,6 +259,23 @@ def test_estimates_summary_reports_bound_margin(tmp_path, capsys):
     summary = capsys.readouterr().out
     margin = float(summary.split("min bound margin ")[1].split()[0])
     assert margin > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "3", "--k", "0", "--resolutions", "8,12"),  # k is no equator parameter
+    ("simons", "3", "--samples", "50"),
+    ("estimates", "3"),
+    ("cutoff", "3"),
+    ("cutoff", "2"),
+])
+def test_equator_reports_named_by_dimension(tmp_path, argv):
+    command, n, *rest = argv
+    assert run(tmp_path, command, "--family", "equator", "--n", n, *rest, "--format", "json") == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}_equator_{n}.json"]
+    doc = json.loads((tmp_path / f"{command}_equator_{n}.json").read_text())
+    assert "failure" not in doc
+    if command == "spectrum":
+        assert {r["surface"] for r in doc["rows"]} == {f"equator_{n}"}
 
 
 def test_inconsistent_clifford_n_rejected(tmp_path):
