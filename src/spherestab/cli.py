@@ -69,14 +69,14 @@ class RunConfig:
     k: int = 1
     l: int = 1
     n: int = 2
-    resolutions: list = field(default_factory=lambda: [32, 64, 128])
+    resolutions: list[int] = field(default_factory=lambda: [32, 64, 128])
     epsilon: float = 0.05
     exponent: float = 1.0
     kind: str = "inf"
     points: int = 1
     singular_set: str = ""
     n_max: int = 10
-    radii: list = field(default_factory=lambda: [0.1, 0.25, 0.5, 1.0])
+    radii: list[float] = field(default_factory=lambda: [0.1, 0.25, 0.5, 1.0])
     samples: int = 200
     seed: int = 0
     out: str = "."
@@ -111,16 +111,19 @@ def _tag(M):
 def _build_config(args):
     """(config, surface) from a config file and flags; flags override the file."""
     values = {}
+    fields = RunConfig.__dataclass_fields__
     if getattr(args, "config", None):
         with open(args.config) as fh:
             values.update(json.load(fh))
+        for key, val in values.items():
+            if key in fields and not _has_type(val, fields[key].type):
+                raise ConfigError(f"{key} = {val!r} in {args.config} is not {fields[key].type}")
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
         values[key] = val
     values.setdefault("out", os.environ.get(OUTDIR_ENV, "."))
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(values) - known
+    unknown = set(values) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig(**values).validate()
@@ -128,6 +131,15 @@ def _build_config(args):
     if "n" in values and values["n"] != M.dimension:
         raise ConfigError(f"n = {values['n']}, but {_tag(M)} has dimension {M.dimension}")
     return config, M
+
+
+def _has_type(value, kind):
+    """Whether a JSON value fits a ``RunConfig`` annotation: int, float, str, list[int] or list[float]."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    # JSON true and false load as bool, a subclass of int
+    types = {"int": int, "float": (int, float), "str": str}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _write_report(config: RunConfig, M, payload: dict, rows=None, columns=None) -> str:

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BoundViolation,
@@ -267,6 +265,9 @@ def _single_linkage(points, link, dist):
     The link matrix is broadcast 256 rows at a time, so the pairwise
     differences never hold more than 256 x m points.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     linked = sp.vstack([
         sp.csr_matrix(dist(points[lo:lo + 256, None, :], points[None, :, :]) <= link)
         for lo in range(0, len(points), 256)

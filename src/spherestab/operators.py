@@ -7,15 +7,31 @@ computed here from the generalized pencil
 
     (S - V) x = lambda B x,
 
-where S is the weak-form stiffness matrix (Dirichlet energy), B the lumped
-mass matrix and V the potential ``(|A|^2 + n)`` weighted by the mass.  The
+where S is the weak-form stiffness (Dirichlet energy), B the lumped mass
+and V the potential ``(|A|^2 + n)`` weighted by the mass.  The
 discretization is second-order finite volumes in chart coordinates with
 metric-density weights: one node per cell, periodic axes wrap, and polar
 axes need no boundary rows because the density ``sqrt(det g)`` vanishes at
-the poles (the flux through a pole is zero).  By construction S is
-symmetric positive semidefinite with the constant vector in its kernel, so
-on a surface with constant potential the constant function is an exact
-discrete eigenvector -- mirroring the continuous situation.
+the poles (the flux through a pole is zero).
+
+The pencil is held in edge form (:class:`DiscreteOperator`): per axis a,
+the flux weight ``w_a = sqrt(det g) / g_aa * cell / h_a^2`` of the edge
+from each node to its neighbour one step up axis a, at the edge midpoint,
+with the edge through the box end of a polar axis set to exactly 0; and
+the node values of B and V.  Each is an array on the open grid, one that
+broadcasts to the grid's shape.  ``DiscreteOperator.apply`` computes
+(S - V) x from them as per-axis fluxes on the tensor array,
+
+    flux = w_a * (roll(x, -1, a) - x),    S x += roll(flux, 1, a) - flux,
+
+so S is symmetric by construction, positive semidefinite whenever every
+weight is >= 0, and S 1 is exactly 0: on a surface with constant
+potential the constant function is an exact discrete eigenvector,
+mirroring the continuous situation.  That structure is what
+:func:`spherestab.spectrum.first_stability_eigenvalue` certifies before
+it solves anything: when the weights are >= 0 and V = c B -- as on every
+built-in family, where |A|^2 is constant -- the smallest eigenvalue is -c
+with the constant eigenvector.
 
 The geometry is evaluated on the grid axes, not on the full grid.  A
 diagonal chart metric is asked for on an open grid (the per-axis node
@@ -29,23 +45,20 @@ the product runs over the axes in order, then ``** 0.5``, then
 ``/ g_aa * cell / h^2``.  Broadcasting only repeats a value, it does not
 round it again, so every grid value goes through the same roundings on
 the same operands and the weights are bit for bit those of a per-node
-evaluation; only the final stencil arrays have the grid's size.  |A|^2 is
-constant on every built-in surface and is read from its sphere factors.
+evaluation.  |A|^2 is constant on every built-in surface and is read from
+its sphere factors, so V stays on the open grid too.
 
-The grid fixes the sparsity, so S is written straight into canonical CSR:
-row i holds the (2d + 1)-point stencil of node i in the slot order
+The matrices S, B and V, and the (m, n) node array, are views built on
+demand from the edge form, for the shift-invert fallback, ``pencil``,
+``export_coo`` and oracle checks.  S is canonical CSR: row i holds the
+(2d + 1)-point stencil of node i in the slot order
 ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
 neighbours one step down and up axis a), which is ascending column order
 except on the rows that wrap on a periodic axis.  Each off-diagonal is the
 negated flux weight of its edge, and the diagonal is their negated sum
 taken in one fixed order: axis by axis, the flux to lo_a before the flux
-to hi_a.
-
-That structure is what :func:`spherestab.spectrum.first_stability_eigenvalue`
-certifies before it solves anything: S is symmetric with nonpositive
-off-diagonals and zero row sums (a weighted graph Laplacian), so when V = c B
--- as on every built-in family, where |A|^2 is constant -- the smallest
-eigenvalue is -c with the constant eigenvector.
+to hi_a.  The two slots through the box ends of a polar axis are not
+stored.  B and V are diagonal CSR.
 
 An analytic backend covers every built-in surface, a product of round
 spheres S^(d_i)(r_i) (the equator has one factor): its -Delta eigenvalues
@@ -59,28 +72,78 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
 from .geometry import ParametrizedHypersurface, SphereProduct, _norm_A_sq, _per_axis, _tensor_grid
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteOperator:
-    """Assembled weak-form matrices of the stability pencil on one chart grid."""
+    """The stability pencil on one chart grid, in edge form.
 
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix            # diagonal, positive
-    potential: sp.csr_matrix       # diagonal, (|A|^2 + n) mass-weighted
+    ``weights[a]`` holds the flux weight of the edge from each node to its
+    neighbour one step up axis a (0 through the box end of a polar axis),
+    ``node_mass`` the lumped mass B_ii and ``node_potential`` V_ii; each
+    broadcasts to ``shape``.  ``stiffness``, ``mass``, ``potential`` and
+    ``nodes`` are views built from these on first use.
+    """
+
+    weights: tuple                 # per axis, >= 0 on an assembled grid
+    node_mass: np.ndarray          # positive
+    node_potential: np.ndarray     # (|A|^2 + n) * node_mass
+    periodic: tuple                # per axis
+    coords: tuple                  # per-axis node coordinates
     dimension: int
     resolution: list
-    nodes: np.ndarray              # (m, n) chart coordinates of the grid nodes
+
+    @property
+    def shape(self):
+        return tuple(len(c) for c in self.coords)
 
     @property
     def size(self):
-        return self.stiffness.shape[0]
+        return math.prod(self.shape)
+
+    def apply(self, x):
+        """(S - V) x for a vector x of length ``size``, as per-axis fluxes on the grid."""
+        u = np.reshape(x, self.shape)
+        out = -(self.node_potential * u)
+        for a, w in enumerate(self.weights):
+            flux = w * (np.roll(u, -1, axis=a) - u)
+            out += np.roll(flux, 1, axis=a) - flux
+        return out.ravel()
+
+    @cached_property
+    def mass_diagonal(self):
+        """B_ii, one per node in row-major order."""
+        return np.broadcast_to(self.node_mass, self.shape).ravel()
+
+    @cached_property
+    def _csr(self):
+        return _csr_views(self)
+
+    @property
+    def stiffness(self):
+        """S as canonical CSR."""
+        return self._csr[0]
+
+    @property
+    def mass(self):
+        """B as diagonal CSR."""
+        return self._csr[1]
+
+    @property
+    def potential(self):
+        """V as diagonal CSR."""
+        return self._csr[2]
+
+    @cached_property
+    def nodes(self):
+        """(m, n) chart coordinates of the grid nodes, row-major."""
+        return _tensor_grid(self.coords)
 
     def pencil(self):
         """(S - V, B) of the generalized eigenproblem."""
@@ -115,7 +178,7 @@ def grid_axes(chart, resolution):
 
 
 def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator:
-    """Assemble the stability pencil of M on a tensor grid.
+    """Assemble the stability pencil of M on a tensor grid, in edge form.
 
     Requires a chart with diagonal (orthogonal-coordinate) metric, which
     covers every built-in family.  ``resolution`` is the node count
@@ -128,16 +191,10 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     ``sqrt(det g) / g_aa * cell / h_a^2`` of each edge, at the edge
     midpoint, are broadcast products of those per-axis entries, multiplied
     in the order ``np.prod`` uses on a stacked (m, d) metric, so they round
-    as a per-node evaluation would; they reach the grid's full size only
-    when written into the stencil.
-
-    Every node gets one (2d + 1)-slot stencil row, columns and values in the
-    order ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]``.  The two slots
-    through the box ends of a polar axis are dropped by position; the
-    density vanishes there, so no flux crosses.  The diagonal sums the kept
-    weights axis by axis, lo_a before hi_a, so no sort decides its rounding.
-    One ``sort_indices`` orders the rows that wrap on a periodic axis; B and
-    V are diagonal CSR.
+    as a per-node evaluation would.  On a polar axis the last edge ends at
+    the box end, where the density vanishes; its weight is set to 0, so no
+    flux crosses.  Nothing of the grid's full size is built here unless
+    |A|^2 has to be evaluated node by node (a surface that is not built in).
     """
     chart = M.chart
     res = _per_axis(resolution, chart.dim)
@@ -145,10 +202,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         raise ValueError("resolution must be >= 8 per axis")
 
     axes = grid_axes(chart, resolution)
-    coords = [ax[0] for ax in axes]
-    shapes = [len(c) for c in coords]
-    n_nodes = int(np.prod(shapes))
-    nodes = _tensor_grid(coords)
+    coords = tuple(ax[0] for ax in axes)
     cell = float(np.prod([ax[1] for ax in axes]))
 
     # metric on the open grid: one broadcastable entry per axis
@@ -159,35 +213,62 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     mass = _sqrt_det(gdiag) * cell
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
-    mass = np.broadcast_to(mass, shapes).ravel()
 
-    a2 = _norm_A_sq(M, nodes)
-    pot = (a2 + M.dimension) * mass
+    # |A|^2 is the constant of a built-in surface's sphere factors
+    if M.product is not None:
+        a2 = float(M.product.norm_A_sq)
+    else:
+        a2 = _norm_A_sq(M, _tensor_grid(coords)).reshape(res)
 
-    # one stencil row per node, slots in the order of the docstring
-    ndim = chart.dim
+    weights = []
+    for a, (_, h) in enumerate(axes):
+        # flux weight of the edge from each node to its hi neighbour, at the
+        # edge midpoint; on a polar axis the last one is the box end
+        gd = chart.metric_diag(grid[:a] + (grid[a] + h / 2.0,) + grid[a + 1 :])
+        up = _sqrt_det(gd) / gd[a] * cell / h**2
+        if not chart.periodic[a]:
+            up = np.array(np.broadcast_to(up, up.shape[:a] + (res[a],) + up.shape[a + 1 :]))
+            np.moveaxis(up, a, 0)[-1] = 0.0
+        weights.append(up)
+
+    return DiscreteOperator(
+        weights=tuple(weights),
+        node_mass=mass,
+        node_potential=(a2 + M.dimension) * mass,
+        periodic=tuple(chart.periodic),
+        coords=coords,
+        dimension=M.dimension,
+        resolution=res,
+    )
+
+
+def _csr_views(op):
+    """(S, B, V) of an edge-form pencil as CSR, in the layout of the module docstring.
+
+    The slots through the box ends of a polar axis are dropped by position;
+    their weight is 0, so the diagonal can add every slot, axis by axis,
+    lo_a before hi_a, and no sort decides its rounding.  One
+    ``sort_indices`` orders the rows that wrap on a periodic axis.
+    """
+    import scipy.sparse as sp
+
+    shapes, n_nodes, ndim = op.shape, op.size, len(op.shape)
     idx = np.arange(n_nodes, dtype=np.int32).reshape(shapes)
     cols = np.empty((*shapes, 2 * ndim + 1), dtype=np.int32)
     vals = np.empty((*shapes, 2 * ndim + 1))
     keep = np.ones((*shapes, 2 * ndim + 1), dtype=bool)
     diag = np.zeros(shapes)
-    for a in range(ndim):
-        h = axes[a][1]
-        # flux weight of the edge from each node to its hi neighbour, at the
-        # edge midpoint; on a polar axis the last one is the box end
-        gd = chart.metric_diag(grid[:a] + (grid[a] + h / 2.0,) + grid[a + 1 :])
-        up = _sqrt_det(gd) / gd[a] * cell / h**2
+    for a, up in enumerate(op.weights):
         lo = np.roll(up, 1, axis=a)
         cols[..., a] = np.roll(idx, 1, axis=a)
         cols[..., -1 - a] = np.roll(idx, -1, axis=a)
         vals[..., a] = -lo
         vals[..., -1 - a] = -up
-        if not chart.periodic[a]:
-            # no flux through the vanishing-density box ends of a polar axis
+        if not op.periodic[a]:
             np.moveaxis(keep[..., a], a, 0)[0] = False
             np.moveaxis(keep[..., -1 - a], a, 0)[-1] = False
-        diag += np.where(keep[..., a], lo, 0.0)
-        diag += np.where(keep[..., -1 - a], up, 0.0)
+        diag += lo
+        diag += up
     cols[..., ndim] = idx
     vals[..., ndim] = diag
 
@@ -196,14 +277,12 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     S = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_nodes, n_nodes))
     S.sort_indices()  # the rows that wrap on a periodic axis
     diagonal = np.arange(n_nodes + 1, dtype=np.int32)
-    return DiscreteOperator(
-        stiffness=S,
-        mass=sp.csr_matrix((mass, diagonal[:-1], diagonal), shape=S.shape),
-        potential=sp.csr_matrix((pot, diagonal[:-1], diagonal), shape=S.shape),
-        dimension=M.dimension,
-        resolution=res,
-        nodes=nodes,
-    )
+
+    def diagonal_csr(values):
+        values = np.broadcast_to(values, shapes).ravel()
+        return sp.csr_matrix((values, diagonal[:-1], diagonal), shape=S.shape)
+
+    return S, diagonal_csr(op.node_mass), diagonal_csr(op.node_potential)
 
 
 def _sqrt_det(gdiag):

@@ -9,8 +9,10 @@ equators attain lambda_1 = -n with the constant eigenfunction; the minimal
 products of spheres attain lambda_1 = -2n, again with constant first
 eigenfunction, and |A| = sqrt(n) is the natural test field that exhibits
 the value.  On an assembled pencil both values are certified from its
-Laplacian structure (a bound on |lambda_1 + c| with V = c B) before any
-eigensolve, which then runs only for pencils that fail the check.  The pointwise identity
+edge form (non-negative edge weights and a bound ptp(V_ii / B_ii) on the
+distance to the constant vector's Rayleigh quotient) before any
+eigensolve, which then runs only for pencils that fail the check.  The
+pointwise identity
 
     Delta |A|^2 = 2 |grad A|^2 + 2 n |A|^2 - 2 |A|^4
 
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .errors import NonMinimal, UnsupportedFamily, ZeroTestFunction
+from .errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
 from .fields import ConstantField, ShapeNormField, SurfaceField
 from .geometry import (
     ParametrizedHypersurface,
@@ -69,79 +70,70 @@ class EigenResult:
 def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) -> EigenResult:
     """Smallest eigenvalue of the stability pencil.
 
-    A numeric operator is first certified in O(nnz): when S is a weighted
-    graph Laplacian and V = c B, the smallest eigenvalue is -c with the
-    constant eigenvector.  When :func:`_constant_mode_gap` bounds
-    |lambda_1 + c| by at most ``CERT_TOL``, lambda_1 is the constant
-    vector's Rayleigh quotient and nothing is solved.  An operator that
-    fails the certificate is solved whole by
-    shift-invert Lanczos with the shift sigma = -(2n + 1), safely below the
-    target window [-2n, -n], from the deterministic all-ones start vector.
-    Either way the eigenvector is normalized and its residual is measured
-    against the full assembled pencil.  The analytic backend minimizes
-    (enumerated -Delta eigenvalue) - (|A|^2 + n) exactly.
+    A numeric operator is first certified on its edge form, in O(size):
+    when every edge weight is >= 0, S is positive semidefinite with the
+    constants as its kernel, and :func:`_constant_mode_gap` bounds the
+    distance from lambda_1 to the constant vector's Rayleigh quotient by
+    ptp(V_ii / B_ii).  When that is at most ``CERT_TOL``, lambda_1 is the
+    Rayleigh quotient and nothing is solved or built beyond
+    ``DiscreteOperator.apply``.  An operator that fails the certificate is
+    solved whole by shift-invert Lanczos on its CSR pencil, with the shift
+    sigma = -(2n + 1), safely below the target window [-2n, -n], from the
+    deterministic all-ones start vector; a pencil with a non-finite entry
+    raises :class:`AssemblyFailure` instead.  Either way the eigenvector is
+    B-normalized and its residual is measured with ``apply`` on the edge
+    form.  The analytic backend minimizes (enumerated -Delta eigenvalue) -
+    (|A|^2 + n) exactly.
     """
     if isinstance(op, AnalyticSpectrum):
         lam = float(np.min(op.eigenvalues(8)) - op.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
-    B = op.mass
+    b = op.mass_diagonal
     if _constant_mode_gap(op) <= CERT_TOL:
         x = np.ones(op.size)
-        lam, converged = float(x @ _apply(op, x)) / float(x @ (B @ x)), True
+        lam, converged = float(x @ op.apply(x)) / float(x @ (b * x)), True
     else:
-        lam, x, converged = _smallest(*op.pencil(), -(2.0 * op.dimension + 1.0))
-    x = x / np.sqrt(float(x @ (B @ x)))
+        A, B = op.pencil()
+        if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
+            raise AssemblyFailure("stability pencil has a non-finite entry")
+        lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
+    x = x / np.sqrt(float(x @ (b * x)))
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
     if x[nz[0]] < 0:
         x = -x
-    Bx = B @ x
-    residual = float(np.linalg.norm(_apply(op, x) - lam * Bx) / np.linalg.norm(Bx))
+    Bx = b * x
+    residual = float(np.linalg.norm(op.apply(x) - lam * Bx) / np.linalg.norm(Bx))
     return EigenResult(lam, x, residual, "numeric", converged)
 
 
-def _apply(op, x):
-    """(S - V) x, without assembling S - V."""
-    return op.stiffness @ x - op.potential @ x
-
-
 def _constant_mode_gap(op):
-    """Bound on |lambda_1 + c| from the Laplacian structure of the pencil; inf if it fails.
+    """Bound on |lambda_1 - R(1)| from the edge form of the pencil; inf if it fails.
 
-    If B and V are diagonal and S is symmetric with off-diagonals <= 0,
-    then S - diag(S 1) is positive semidefinite with the constants as its
-    kernel, and Weyl's inequality for the pencil gives
+    R(1) = -sum(V_ii) / sum(B_ii) is the Rayleigh quotient of the constant
+    vector.  S is the sum over edges ij of w_ij (e_i - e_j)(e_i - e_j)^T,
+    so with finite weights w_ij >= 0 it is positive semidefinite with
+    S 1 = 0, and for B_ii > 0
 
-        |lambda_1 + c| <= max_i |(S 1)_i| / B_ii + ptp(V_ii / B_ii)
+        -max(V_ii / B_ii) <= lambda_1 <= R(1) <= -min(V_ii / B_ii),
 
-    for any c between the extremes of V_ii / B_ii.  Every check runs on the
-    stored arrays; the only matrix-sized temporary is the transpose of S.
+    and the bound is ptp(V_ii / B_ii).  Symmetry, the diagonal form of B
+    and V and the zero row sums hold by construction of the edge form;
+    what is checked is the sign and finiteness of the stored arrays.
     """
-    b, v = _diagonal(op.mass), _diagonal(op.potential)
-    S = op.stiffness.tocsr()
-    if b is None or v is None or np.any(b <= 0) or not S.has_canonical_format:
+    if not all(np.all(np.isfinite(w)) and np.all(w >= 0) for w in op.weights):
         return np.inf
-    T = S.T.tocsr()
-    if not all(np.array_equal(p, q) for p, q in
-               zip((S.indptr, S.indices, S.data), (T.indptr, T.indices, T.data))):
+    b = op.node_mass
+    if not (np.all(np.isfinite(b)) and np.all(b > 0)):
         return np.inf
-    del T
-    # a positive diagonal sum needs a positive stored entry on the diagonal,
-    # so equal counts leave no positive entry off it
-    if np.count_nonzero(S.data > 0) != np.count_nonzero(S.diagonal() > 0):
-        return np.inf
-    defect = np.abs(S @ np.ones(op.size)) / b
-    return float(defect.max() + np.ptp(v / b))
-
-
-def _diagonal(mat):
-    """The diagonal of a sparse matrix, or None if it stores a nonzero off the diagonal."""
-    d = mat.diagonal()
-    return d if mat.count_nonzero() == np.count_nonzero(d) else None
+    gap = float(np.ptp(op.node_potential / b))
+    return gap if np.isfinite(gap) else np.inf
 
 
 def _smallest(A, B, sigma):
     """(eigenvalue, eigenvector, converged) of the pencil (A, B) nearest sigma."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     try:
         vals, vecs = eigsh(
             A, k=1, M=B, sigma=sigma, which="LM", v0=np.ones(A.shape[0]),
@@ -163,7 +155,8 @@ def rayleigh_quotient(
     """Stability Rayleigh quotient of a test field.
 
     ``method="operator"`` evaluates x^T (S - V) x / x^T B x on the assembled
-    grid (so the value is always >= the numeric lambda_1 of that grid);
+    grid with ``DiscreteOperator.apply`` (so the value is always >= the
+    numeric lambda_1 of that grid);
     ``method="quadrature"`` integrates |grad f|^2 - (|A|^2 + n) f^2 with the
     chart quadrature, using the field's analytic gradient when it has one
     and central differences otherwise.  ``"auto"`` picks quadrature when an
@@ -176,12 +169,11 @@ def rayleigh_quotient(
     if method == "operator":
         op = assemble_jacobi(M, resolution)
         x = np.asarray(f.value(M, op.nodes), dtype=float)
-        B = op.mass
-        denom = float(x @ (B @ x))
-        if denom <= 1e-28 * B.diagonal().sum():
+        b = op.mass_diagonal
+        denom = float(x @ (b * x))
+        if denom <= 1e-28 * b.sum():
             raise ZeroTestFunction("test field vanishes identically on the grid")
-        num = float(x @ (op.stiffness @ x) - x @ (op.potential @ x))
-        return num / denom
+        return float(x @ op.apply(x)) / denom
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")

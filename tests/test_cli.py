@@ -1,6 +1,10 @@
 """Command-line interface: reports, determinism, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ import spherestab.cli as cli
 import spherestab.cutoff as cut
 import spherestab.estimates as est
 import spherestab.geometry as geo
+import spherestab.operators as ops
 import spherestab.spectrum as spec
 from spherestab.cli import main
 
@@ -119,6 +124,46 @@ def test_config_errors_exit_2(tmp_path):
     cfg.write_text(json.dumps({"family": "sphere"}))
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "none")]) == 2
     assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("values", [{"k": 1.5}, {"resolutions": "16"}, {"radii": [0.1, "x"]},
+                                    {"seed": True}])
+def test_config_file_value_types_exit_2(tmp_path, values, capsys):
+    # a mistyped config-file value is a configuration error, not a crash
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(values))
+    command = "estimates" if "radii" in values else "spectrum"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "none")]) == 2
+    assert f"{next(iter(values))} = " in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+
+
+def test_config_file_accepts_int_for_float(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"radii": [1, 0.5], "points": 1}))
+    assert main(["estimates", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_spectrum_builds_no_csr_matrix(tmp_path, monkeypatch):
+    # every rung of a built-in family is certified and measured on the edge
+    # form, with neither a CSR view nor the (m, n) node array
+    def refuse(*args):
+        raise AssertionError("the spectrum run built a full-grid view")
+
+    monkeypatch.setattr(ops, "_csr_views", refuse)
+    monkeypatch.setattr(ops, "_tensor_grid", refuse)
+    assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "2", "--l", "1",
+               "--resolutions", "16,20") == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the code that uses it: the CSR views, the
+    # shift-invert fallback and the ball clustering
+    code = "import sys, spherestab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_infeasible_budget_exits_3(tmp_path):

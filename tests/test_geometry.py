@@ -507,11 +507,14 @@ def test_sin_power_integral_small_caps(m):
 
 
 def test_sin_power_integral_m1_closed_form():
-    # 1 - cos a cancels at small a: 9e-9 relative at a = 1e-4, 1e-12 from a = 1e-2
-    got = geo._sin_power_integral(1, CAP_ANGLES)
-    ref = 2.0 * np.sin(CAP_ANGLES / 2.0) ** 2
-    assert np.max(np.abs(got / ref - 1.0)) <= 1e-8
-    assert np.max(np.abs(got / ref - 1.0)[CAP_ANGLES >= 1e-2]) <= 1e-12
+    # J_1(a) = 1 - cos a, written 2 sin^2(a/2) because 1 - cos a cancels at
+    # small a (9e-9 relative at a = 1e-4); against its Taylor series, whose
+    # first omitted term is below 1e-16 relative for a <= 1e-2
+    a = np.concatenate([np.geomspace(1e-8, 1e-2, 25), [1e-4]])
+    series = a**2 / 2 - a**4 / 24 + a**6 / 720
+    assert np.max(np.abs(geo._sin_power_integral(1, a) / series - 1.0)) <= 1e-15
+    assert abs(float(geo._sin_power_integral(1, math.pi)) - 2.0) <= 4e-16
+    assert abs(float(geo._sin_power_integral(1, math.pi / 2)) - 1.0) <= 4e-16
 
 
 def _swapped_ball_area(l, r, panels=64):

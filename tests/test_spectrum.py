@@ -1,5 +1,7 @@
 """Stability eigenvalues, Rayleigh quotients and the curvature identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ import scipy.sparse as sp
 from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
-from spherestab.errors import NonMinimal, ZeroTestFunction
+from spherestab.errors import AssemblyFailure, NonMinimal, ZeroTestFunction
 from spherestab.fields import AmbientCoordinateField, ConstantField, ShapeNormField, SurfaceField
 
 
@@ -109,50 +111,88 @@ def test_factorized_lambda1_matches_whole_pencil_solve(kl, res):
     assert result.residual <= 1e-12
 
 
-def _edge(S, i):
-    cols = S.indices[S.indptr[i]:S.indptr[i + 1]]
-    return int(cols[cols != i][0])
+def _full(values, op):
+    return np.array(np.broadcast_to(values, op.shape))
 
 
-def _positive_pair(op, i):
-    # flip one edge weight, keeping S symmetric with zero row sums
-    S = op.stiffness.tolil()
-    j = _edge(op.stiffness, i)
-    w = S[i, j]
-    S[i, j] = S[j, i] = -w
-    S[i, i] += 2.0 * w
-    S[j, j] += 2.0 * w
-    op.stiffness = S.tocsr()
-
-
-def _scale_entry(name, factor, off_diagonal=False):
+def _set_weight(axis, new):
     def corrupt(op, i):
-        M = getattr(op, name).tolil()
-        j = _edge(op.stiffness, i) if off_diagonal else i
-        M[i, j] *= factor
-        setattr(op, name, M.tocsr())
+        weights = [_full(w, op) for w in op.weights]
+        weights[axis][i] = new(weights[axis][i])
+        return dataclasses.replace(op, weights=tuple(weights))
+    return corrupt
+
+
+def _scale_node(name, factor):
+    def corrupt(op, i):
+        values = _full(getattr(op, name), op)
+        values[i] *= factor
+        return dataclasses.replace(op, **{name: values})
     return corrupt
 
 
 @pytest.mark.parametrize("corrupt", [
-    _positive_pair,
-    _scale_entry("stiffness", 1.01),                 # one diagonal entry +1 %
-    _scale_entry("potential", 1.01),                 # one potential entry x 1.01
-    _scale_entry("stiffness", 1.0 + 1e-9, True),     # S_ij != S_ji, row sums ~ 0
-], ids=["positive-off-diagonal", "stiffness-diagonal", "potential-entry", "asymmetric-entry"])
+    _set_weight(0, lambda w: -w),                    # a positive off-diagonal in S
+    _scale_node("node_potential", 1.01),             # one potential entry x 1.01
+    _scale_node("node_mass", 0.0),                   # one zero mass entry
+], ids=["negative-weight", "potential-entry", "zero-mass"])
 def test_certificate_refuses_corrupted_pencil(corrupt):
-    # each corruption breaks one hypothesis of the certificate; the fallback
-    # whole-pencil solve must then find the smallest eigenvalue of the pencil
+    # each corruption of the edge form breaks one hypothesis of the
+    # certificate; the fallback whole-pencil solve must then find the
+    # smallest eigenvalue of the pencil
     op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
     assert spec._constant_mode_gap(op) <= spec.CERT_TOL
-    corrupt(op, op.size // 2 + 3)
+    op = corrupt(op, np.unravel_index(op.size // 2 + 3, op.shape))
     assert spec._constant_mode_gap(op) > spec.CERT_TOL
-    dense = scipy.linalg.eigh(
-        (op.stiffness - op.potential).toarray(), op.mass.toarray(), eigvals_only=True
-    )
+    A, B = (op.stiffness - op.potential).toarray(), op.mass.toarray()
+    if np.all(B.diagonal() > 0):
+        smallest = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+    else:  # eigh needs B positive definite; a zero mass makes one eigenvalue infinite
+        dense = scipy.linalg.eigvals(A, B)
+        smallest = dense[np.isfinite(dense)].real.min()
     result = spec.first_stability_eigenvalue(op)
     assert result.converged
-    assert abs(result.lambda1 - dense.min()) <= 1e-10
+    assert abs(result.lambda1 - smallest) <= 1e-10
+
+
+def test_certificate_refuses_nan_weight():
+    # a NaN edge weight is refused, and the fallback names the cause instead
+    # of solving a non-finite pencil
+    op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
+    op = _set_weight(1, lambda w: np.nan)(op, np.unravel_index(op.size // 2 + 3, op.shape))
+    assert spec._constant_mode_gap(op) == np.inf
+    with pytest.raises(AssemblyFailure, match="non-finite"):
+        spec.first_stability_eigenvalue(op)
+
+
+@pytest.mark.parametrize("M", [geo.clifford_hypersurface((1, 1)), geo.clifford_hypersurface((2, 1)),
+                               geo.clifford_hypersurface((2, 2)), geo.equator(3)],
+                         ids=["torus", "clifford21", "clifford22", "equator3"])
+def test_apply_matches_csr_pencil(M):
+    # the matrix-free fluxes against the CSR views, on uneven grids
+    op = ops.assemble_jacobi(M, [9, 12, 10, 8][: M.dimension])
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.normal(size=op.size)
+        ref = (op.stiffness - op.potential) @ x
+        assert np.linalg.norm(op.apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, res", [(2, 512), (3, 48)])
+def test_certificate_holds_on_fine_equator_grids(n, res, monkeypatch):
+    # fine polar grids: the pole rows have B_ii ~ h^3, so a bound that divides
+    # row-sum rounding by B_ii would refuse them; ptp(V / B) does not, and
+    # no solve runs
+    op = ops.assemble_jacobi(geo.equator(n), res)
+    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
+
+    def refuse(*args):
+        raise AssertionError("the certified pencil was solved")
+
+    monkeypatch.setattr(spec, "_smallest", refuse)
+    result = spec.first_stability_eigenvalue(op)
+    assert abs(result.lambda1 + n) <= 1e-12
+    assert result.residual <= 1e-14
 
 
 @pytest.mark.parametrize("kl, res", [((3, 3), 8), ((2, 2), 16)])
