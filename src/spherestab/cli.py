@@ -262,11 +262,18 @@ def _radius_floor(count, n, q, epsilon):
 def _run_cutoff(config: RunConfig, M):
     n = M.dimension
     if config.singular_set:
-        pts = cut.load_point_cloud(config.singular_set)
+        try:
+            pts = cut.load_point_cloud(config.singular_set)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"singular set {config.singular_set}: {exc}") from None
         if pts.size and pts.shape[1] != n + 2:
             raise ConfigError(
                 f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}"
             )
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError("singular-set points must have finite coordinates")
+        if pts.size and np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
+            raise ConfigError("singular-set points must lie on the unit sphere (|x| = 1 within 1e-9)")
     else:
         _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
     metric = "geodesic" if config.kind == "inf" else "euclidean"

@@ -262,21 +262,35 @@ def cover_singular_set(
 def _single_linkage(points, link, dist):
     """Connected components of the graph dist <= link, ordered by smallest member.
 
-    The link matrix is broadcast 256 rows at a time, so the pairwise
-    differences never hold more than 256 x m points.
+    The linked pairs (i, j) are found 256 rows at a time, so the pairwise
+    differences never hold more than 256 x m points; both orders of a pair
+    are found, as ``dist`` is symmetric.  Every point starts labelled with
+    its own index.  Each round lowers the label of i, and the label of i's
+    label, to the label of j across every link, then jumps each label to its
+    label's label.  Labels only fall and always name a member of the same
+    component, whose smallest member keeps its own index; so when a round
+    changes nothing, every point carries the smallest index of its
+    component, and sorting by label lists the components in that order.
+    Lowering the label's label too merges whole labelled groups at once: a
+    shuffled chain of m points takes about log m rounds instead of m / 3.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    linked = sp.vstack([
-        sp.csr_matrix(dist(points[lo:lo + 256, None, :], points[None, :, :]) <= link)
+    i, j = np.concatenate([
+        np.argwhere(dist(points[lo:lo + 256, None, :], points[None, :, :]) <= link)
+        + (lo, 0)
         for lo in range(0, len(points), 256)
-    ])
-    _, labels = connected_components(linked, directed=False)
+    ]).T
+    labels = np.arange(len(points))
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, labels[i], labels[j])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
     order = np.argsort(labels, kind="stable")  # each component's members, ascending
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    components = np.split(order, starts[1:])
-    return [components[i] for i in np.argsort(order[starts])]
+    return np.split(order, starts[1:])
 
 
 def vitali_discard(cover: BallCover) -> BallCover:

@@ -588,7 +588,7 @@ def axis_rule(chart, axis, count):
     if chart.periodic[axis]:
         h = (hi - lo) / count
         return lo + h * np.arange(count), np.full(count, h)
-    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = _gauss_rule(count)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     return mid + half * nodes, half * weights
 
@@ -685,15 +685,17 @@ def _homogeneous_ball_area(M, level):
     return _ball_area(dims[0], sum(dims[1:]), level)
 
 
-@lru_cache(maxsize=1)
-def _ball_rule():
-    """48-node Gauss-Legendre rule of the :func:`_ball_area` theta integral
-    and of :func:`_sin_power_integral`.
+@lru_cache(maxsize=None)
+def _gauss_rule(count):
+    """``count``-node Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
-    Built on first use and kept: building it costs more than the integral.
-    Callers must not write to the returned arrays.
+    Built on first use of each count and kept: building a rule costs more
+    than most of the integrals it serves.
     """
-    return np.polynomial.legendre.leggauss(48)
+    rule = np.polynomial.legendre.leggauss(count)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _ball_area(k, l, c):
@@ -716,7 +718,7 @@ def _ball_area(k, l, c):
     kinks = np.arccos(np.clip([(c + wl) / wk, (c - wl) / wk], -1.0, 1.0))
     edges = np.concatenate([np.zeros((1,) + c.shape), kinks, np.full((1,) + c.shape, np.pi)])
     lo, width = edges[:-1, ..., None], np.diff(edges, axis=0)[..., None]
-    t, w = _ball_rule()
+    t, w = _gauss_rule(48)
     theta = lo + width * (1.0 - np.cos(np.pi * (t + 1.0) / 2.0)) / 2.0
     dtheta = width * (np.pi / 4.0) * np.sin(np.pi * (t + 1.0) / 2.0) * w
     phi = np.arccos(np.clip((c[..., None] - wk * np.cos(theta)) / wl, -1.0, 1.0))
@@ -734,7 +736,7 @@ def _sin_power_integral(m, a):
 
     m = 0 and 1 are closed forms, J_1 written 2 sin^2(a/2) because 1 - cos a
     cancels at small a (9e-9 relative at a = 1e-4).  For m >= 2,
-    Gauss-Legendre on [0, a] (:func:`_ball_rule`) sums positive terms, so
+    Gauss-Legendre on [0, a] (48 nodes) sums positive terms, so
     small caps keep their relative accuracy: within 3e-14 of a 1024-node
     composite rule for m <= 14 and a in [1e-4, pi].  The reduction formula
     J_m = -sin^(m-1)(a) cos(a) / m + (m-1)/m J_(m-2) cancels there (a
@@ -745,6 +747,6 @@ def _sin_power_integral(m, a):
         return a
     if m == 1:
         return 2.0 * np.sin(np.asarray(a) / 2.0) ** 2
-    t, w = _ball_rule()
+    t, w = _gauss_rule(48)
     half = np.asarray(a, dtype=float)[..., None] / 2.0
     return np.sum(w * np.sin(half * (t + 1.0)) ** m, axis=-1) * half[..., 0]

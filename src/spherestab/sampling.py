@@ -23,6 +23,7 @@ import numpy as np
 from .errors import PreconditionViolated, UnsupportedFamily
 from .geometry import (
     ParametrizedHypersurface,
+    _gauss_rule,
     _per_axis,
     geodesic_distance,
     sqrt_det_metric,
@@ -168,7 +169,7 @@ def _unit_directions(n, n_angular):
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(n_angular, w)
     if n == 3:
         half = max(4, n_angular // 2)
-        xi, wxi = np.polynomial.legendre.leggauss(half)
+        xi, wxi = _gauss_rule(half)
         xi = np.pi / 2.0 * (xi + 1.0)
         wxi = np.pi / 2.0 * wxi * np.sin(xi)
         wom = 2.0 * np.pi / n_angular
@@ -189,7 +190,7 @@ def _unit_directions(n, n_angular):
 def _radial_rule(breaks, s_max, nodes_per_segment=24):
     pts = sorted({0.0, s_max, *[b for b in breaks if 0.0 < b < s_max]})
     xs, ws = [], []
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(nodes_per_segment)
+    gauss_x, gauss_w = _gauss_rule(nodes_per_segment)
     for lo, hi in zip(pts, pts[1:]):
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         xs.append(mid + half * gauss_x)

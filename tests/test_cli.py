@@ -124,6 +124,22 @@ def test_config_errors_exit_2(tmp_path):
     cfg.write_text(json.dumps({"family": "sphere"}))
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "none")]) == 2
     assert not (tmp_path / "none").exists()
+    # a singular-set file that cannot be read, or points off the unit sphere
+    bad_clouds = {
+        "missing": None,
+        "non-numeric": "1 0 abc 0\n",
+        "ragged": "1 0 0 0\n0 1 0\n",
+        "nan": "1 0 0 0\nnan 1 0 0\n",
+        "norm-2": "1 0 0 0\n2 0 0 0\n",
+    }
+    for case, text in bad_clouds.items():
+        cloud = tmp_path / f"{case}.txt"
+        if text is not None:
+            cloud.write_text(text)
+        argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--singular-set",
+                str(cloud), "--epsilon", "0.1", "--exponent", "1", "--kind", "inf"]
+        assert main([*argv, "--out", str(tmp_path / "none")]) == 2, case
+        assert not (tmp_path / "none").exists(), case
 
 
 @pytest.mark.parametrize("values", [{"k": 1.5}, {"resolutions": "16"}, {"radii": [0.1, "x"]},
@@ -156,14 +172,31 @@ def test_spectrum_builds_no_csr_matrix(tmp_path, monkeypatch):
                "--resolutions", "16,20") == 0
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the code that uses it: the CSR views, the
-    # shift-invert fallback and the ball clustering
-    code = "import sys, spherestab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is imported only by the code that uses it: the CSR views and the
+    # shift-invert fallback, which no built-in family reaches.  With scipy
+    # made unimportable, every subcommand still runs on a built-in family.
+    code = """
+import sys, spherestab.cli
+print([m for m in sys.modules if m.startswith('scipy')])
+sys.modules['scipy'] = None
+surface = ['--family', 'clifford', '--k', '1', '--l', '1']
+runs = [
+    ['spectrum', *surface, '--resolutions', '16,32'],
+    ['simons', *surface, '--samples', '20'],
+    ['estimates', *surface, '--radii', '0.25', '--points', '1'],
+    ['cone-table', '--n-max', '6'],
+    ['cutoff', *surface, '--points', '20', '--epsilon', '0.01', '--exponent', '1', '--kind', 'inf'],
+    ['cutoff', *surface, '--points', '1', '--epsilon', '0.05', '--exponent', '0', '--kind', 'product'],
+]
+print([spherestab.cli.main([*argv, '--out', sys.argv[1]]) for argv in runs])
+"""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[0, 0, 0, 0, 0, 0]")
 
 
 def test_infeasible_budget_exits_3(tmp_path):

@@ -197,6 +197,22 @@ def test_linkage_and_discard_match_loop_reference():
             kept = discard_loop(cut.BallCover(pts, radii, 2, 1, 1e9, metric), dist)
             assert np.array_equal(out.radii, radii[kept])
 
+    def arc(order, step=0.01):
+        # points on a great circle, step apart in the given index order
+        t = np.empty(len(order))
+        t[order] = step * np.arange(len(order))
+        return np.column_stack([np.cos(t), np.sin(t), np.zeros((len(t), 2))])
+
+    for pts, link in [
+        (sphere_cloud(300, seed=12), 0.3),  # components across the 256-row chunks
+        (arc(np.arange(60)[::-1]), 0.015),  # a chain linked in decreasing index order
+        (np.vstack([arc(rng.permutation(150)), -arc(rng.permutation(150))]), 0.015),
+    ]:
+        for metric in ("geodesic", "euclidean"):
+            dist = geo._distance(metric)
+            got = [list(ix) for ix in cut._single_linkage(pts, link, dist)]
+            assert got == linkage_loop(pts, link, dist)
+
 
 # ---------------------------------------------------------------------------
 # packing bounds
