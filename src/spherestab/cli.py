@@ -26,8 +26,9 @@ after the surface's family and factor dimensions (``clifford_2_1``,
 
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error, 3 numerical failure (infeasible
-budget, insufficient samples, no convergence; the report is still written,
-with a ``failure`` field naming the cause).
+budget, insufficient samples, no convergence, a ``spectrum`` rung out of
+memory; the report is still written, with a ``failure`` field naming the
+cause).
 """
 
 from __future__ import annotations
@@ -193,18 +194,26 @@ def _run_spectrum(config: RunConfig, M):
     rows[-1]["abs_err"] = 0.0
     errors = []
     columns = ["surface", "backend", "resolution", "lambda1", "residual", "abs_err"]
+    failure = None
     for res in config.resolutions:
-        result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
+        try:
+            result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
+        except MemoryError:
+            failure = f"MemoryError: out of memory at resolution {res}"
+            break
         row = result.record(_tag(M), res)
         row["abs_err"] = abs(result.lambda1 - analytic.lambda1)
         errors.append(row["abs_err"])
         rows.append(row)
         if not result.converged:
             failure = f"NoConvergence: eigensolver did not converge at resolution {res}"
-            payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}
-            path = _write_report(config, M, payload, rows, columns)
-            print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
-            return 3
+            break
+    if failure is not None:
+        # the rows computed before the failing rung are kept
+        payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}
+        path = _write_report(config, M, payload, rows, columns)
+        print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
+        return 3
     order = spec.observed_order(errors) if len(errors) >= 2 else float("inf")
     payload = {
         "rows": rows,

@@ -31,7 +31,9 @@ mirroring the continuous situation.  That structure is what
 :func:`spherestab.spectrum.first_stability_eigenvalue` certifies before
 it solves anything: when the weights are >= 0 and V = c B -- as on every
 built-in family, where |A|^2 is constant -- the smallest eigenvalue is -c
-with the constant eigenvector.
+with the constant eigenvector.  As (S - V) 1 = -V, that eigenvalue and
+its residual are sums over the open-grid B and V, so the certified path
+builds nothing of the grid's size.
 
 The geometry is evaluated on the grid axes, not on the full grid.  A
 diagonal chart metric is asked for on an open grid (the per-axis node

@@ -52,7 +52,8 @@ class EigenResult:
     """Smallest stability eigenvalue with its eigenvector and solve diagnostics."""
 
     lambda1: float
-    eigenvector: Optional[np.ndarray]   # B-normalized, first nonzero entry positive
+    eigenvector: Optional[np.ndarray]   # B-normalized, first nonzero entry positive;
+                                        # read-only when certified (a broadcast constant)
     residual: float                     # ||(S-V)x - lambda B x|| / ||B x||
     backend: str                        # "analytic" | "numeric"
     converged: bool = True
@@ -75,29 +76,38 @@ def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) ->
     constants as its kernel, and :func:`_constant_mode_gap` bounds the
     distance from lambda_1 to the constant vector's Rayleigh quotient by
     ptp(V_ii / B_ii).  When that is at most ``CERT_TOL``, lambda_1 is the
-    Rayleigh quotient and nothing is solved or built beyond
-    ``DiscreteOperator.apply``.  An operator that fails the certificate is
-    solved whole by shift-invert Lanczos on its CSR pencil, with the shift
-    sigma = -(2n + 1), safely below the target window [-2n, -n], from the
-    deterministic all-ones start vector; a pencil with a non-finite entry
-    raises :class:`AssemblyFailure` instead.  Either way the eigenvector is
-    B-normalized and its residual is measured with ``apply`` on the edge
-    form.  The analytic backend minimizes (enumerated -Delta eigenvalue) -
-    (|A|^2 + n) exactly.
+    Rayleigh quotient, and it is read off the open-grid arrays of B and V
+    with nothing of the grid's size built: S 1 = 0 exactly for finite
+    weights, so (S - V) 1 = -V, and each sum over the grid is an open-grid
+    sum times the number of nodes each open-grid entry stands for.  The
+    eigenvector is then the B-normalized constant as a read-only
+    ``np.broadcast_to`` view, and the residual is ||V + lambda_1 B|| / ||B||.
+    An operator that fails the certificate is solved whole by shift-invert
+    Lanczos on its CSR pencil, with the shift sigma = -(2n + 1), safely
+    below the target window [-2n, -n], from the deterministic all-ones
+    start vector; a pencil with a non-finite entry raises
+    :class:`AssemblyFailure` instead.  Its eigenvector is B-normalized and
+    its residual is measured with ``apply`` on the edge form.  The analytic
+    backend minimizes (enumerated -Delta eigenvalue) - (|A|^2 + n) exactly.
     """
     if isinstance(op, AnalyticSpectrum):
         lam = float(np.min(op.eigenvalues(8)) - op.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
-    b = op.mass_diagonal
     if _constant_mode_gap(op) <= CERT_TOL:
-        x = np.ones(op.size)
-        lam, converged = float(x @ op.apply(x)) / float(x @ (b * x)), True
-    else:
-        A, B = op.pencil()
-        if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
-            raise AssemblyFailure("stability pencil has a non-finite entry")
-        lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
+        b, v = np.broadcast_arrays(op.node_mass, op.node_potential)
+        copies = op.size // b.size
+        mass = float(np.sum(b)) * copies
+        lam = -float(np.sum(v)) * copies / mass
+        residual = math.sqrt(float(np.sum((v + lam * b) ** 2)) / float(np.sum(b * b)))
+        x = np.broadcast_to(1.0 / math.sqrt(mass), (op.size,))
+        return EigenResult(lam, x, residual, "numeric")
+
+    A, B = op.pencil()
+    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
+        raise AssemblyFailure("stability pencil has a non-finite entry")
+    lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
+    b = op.mass_diagonal
     x = x / np.sqrt(float(x @ (b * x)))
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
     if x[nz[0]] < 0:

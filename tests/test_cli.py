@@ -236,6 +236,27 @@ def test_unconverged_spectrum_writes_rows_and_failure(tmp_path, monkeypatch):
     assert len(lines) == 5 and lines[4].startswith("# failure: NoConvergence: ")
 
 
+def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
+    # a rung whose grid does not fit: the assembly is made to raise, no
+    # large grid is allocated; the earlier rows are kept and the exit is 3
+    original = ops.assemble_jacobi
+
+    def out_of_memory_at_32(M, resolution):
+        if resolution == 32:
+            raise MemoryError("Unable to allocate 8.00 GiB")
+        return original(M, resolution)
+
+    monkeypatch.setattr(ops, "assemble_jacobi", out_of_memory_at_32)
+    argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32,64"]
+    assert run(tmp_path, *argv, "--format", "json") == 3
+    doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
+    assert doc["failure"] == "MemoryError: out of memory at resolution 32"
+    assert [(r["backend"], r["resolution"]) for r in doc["rows"]] == [("analytic", None), ("numeric", 16)]
+    assert run(tmp_path, *argv) == 3
+    lines = (tmp_path / "spectrum_clifford_1_1.csv").read_text().strip().splitlines()
+    assert len(lines) == 5 and lines[4] == "# failure: MemoryError: out of memory at resolution 32"
+
+
 def test_estimates_cli(tmp_path):
     assert run(tmp_path, "estimates", "--family", "clifford", "--k", "1", "--l", "1",
                "--points", "1", "--radii", "0.25,0.5") == 0

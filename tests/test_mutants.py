@@ -5,14 +5,17 @@ un-mutated run of the same command line must pass, the mutated one must
 not.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from spherestab import geometry as geo
+from spherestab import operators as ops
 from spherestab.cli import main
 
 SIMONS_21 = ["simons", "--family", "clifford", "--k", "2", "--l", "1", "--samples", "200"]
+SPECTRUM_21 = ["spectrum", "--family", "clifford", "--k", "2", "--l", "1", "--resolutions", "16,20,24"]
 
 
 def _scale_curvature_sq(monkeypatch, factor):
@@ -36,3 +39,20 @@ def test_curvature_mutant_flips_simons(tmp_path, monkeypatch, factor):
     M = geo.clifford_hypersurface((2, 1))
     assert M.product.norm_A_sq == 3 * factor
     assert main(SIMONS_21 + ["--out", str(tmp_path)]) == 1
+
+
+def test_spectrum_passes_unmutated(tmp_path):
+    assert main(SPECTRUM_21 + ["--out", str(tmp_path)]) == 0
+
+
+def test_potential_mutant_flips_spectrum(tmp_path, monkeypatch):
+    # V + 0.5 B: V / B is still constant, so the pencil is certified, and
+    # lambda_1 moves by exactly -0.5 from the analytic -2n
+    original = ops.assemble_jacobi
+
+    def shifted_potential(M, resolution):
+        op = original(M, resolution)
+        return dataclasses.replace(op, node_potential=op.node_potential + 0.5 * op.node_mass)
+
+    monkeypatch.setattr(ops, "assemble_jacobi", shifted_potential)
+    assert main(SPECTRUM_21 + ["--out", str(tmp_path)]) == 1

@@ -1,6 +1,7 @@
 """Stability eigenvalues, Rayleigh quotients and the curvature identity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,42 @@ def test_factorized_reach(kl, res):
     assert result.converged
     assert abs(result.lambda1 + 2.0 * n) <= 1e-6
     assert result.residual <= 1e-8
+
+
+OPEN_GRID_CASES = [
+    *[(kl, res) for kl in [(1, 1), (2, 1), (1, 2), (2,), (3,)] for res in (8, 16, 24)],
+    ((2, 2), 8), ((2, 2), 16), ((4,), 8), ((4,), 16), ((2, 1), [8, 12, 10]),
+]
+
+
+@pytest.mark.parametrize("kl, res", OPEN_GRID_CASES)
+def test_certified_values_match_full_grid_oracle(kl, res):
+    # the certified branch reads lambda_1, the eigenvector and the residual
+    # off the open-grid B and V; the full-grid apply-based values are the oracle
+    op = ops.assemble_jacobi(surface(kl), res)
+    ones = np.ones(op.size)
+    assert np.array_equal(op.apply(ones), -np.broadcast_to(op.node_potential, op.shape).ravel())
+    result = spec.first_stability_eigenvalue(op)
+    b = op.mass_diagonal
+    assert abs(result.lambda1 - ones @ op.apply(ones) / (ones @ (b * ones))) <= 1e-13
+    assert result.residual <= 1e-14
+    x = result.eigenvector
+    assert x.shape == (op.size,) and not x.flags.writeable
+    assert abs(x @ (b * x) - 1.0) <= 1e-13
+
+
+def test_certified_rung_allocates_no_grid_array():
+    # clifford(3, 3) at 16^6 nodes: one float array of the grid is 134 MB
+    tracemalloc.start()
+    try:
+        op = ops.assemble_jacobi(geo.clifford_hypersurface((3, 3)), 16)
+        result = spec.first_stability_eigenvalue(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.size == 16**6
+    assert abs(result.lambda1 + 12.0) <= 1e-13 and result.residual <= 1e-14
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
