@@ -9,7 +9,7 @@ satisfy the budget ``sum_i r_i^(n-q) < epsilon``:
 * the *product* cutoff: a C^2 quintic ramp per ball vanishing on
   B(p_i, r_i/2), equal to 1 outside B(p_i, r_i), multiplied together.  The
   profile constant C0 with ``|D phi|^2 + |D^2 phi| <= C0 r^-2`` is computed
-  from the quintic once and carried on the field.
+  from the quintic once, on first use, and carried on the field.
 
 The quantitative facts verified numerically: the gradient estimate
 ``int_M |grad phi|^q <= 2^(n+q) C_V epsilon``; the Vitali-style discard
@@ -26,6 +26,7 @@ uses plain Euclidean balls of R^(n+2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,6 +54,7 @@ from .geometry import (
 from .sampling import (
     MCEstimate,
     ZERO_ESTIMATE,
+    _cell_grid,
     _stratified_rows,
     local_polar_integral,
     nearest_chart_point,
@@ -85,17 +87,19 @@ def _quintic_d2(t):
     return np.where(inside, 60.0 * t * (2.0 * t - 1.0) * (t - 1.0), 0.0)
 
 
+@functools.cache
 def _profile_c0():
-    """sup over the unit ramp of |D phi|^2 + |D^2 phi| (radius-1 ball)."""
+    """sup over the unit ramp of |D phi|^2 + |D^2 phi| (radius-1 ball).
+
+    A 200,001-point sweep, run once, on the first product field rather
+    than at import.
+    """
     s = np.linspace(0.5, 1.0, 200_001)
     t = 2.0 * s - 1.0
     d1 = 2.0 * _quintic_d1(t)
     d2 = 4.0 * _quintic_d2(t)
     val = d1**2 + np.maximum(np.abs(d2), d1 / s)
     return float(val.max()) * (1.0 + 1e-9)
-
-
-PRODUCT_C0 = _profile_c0()
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +395,20 @@ class CutoffField:
     product kind:  phi = prod_i rho(d_i / r_i) with the C^2 quintic ramp
     rho supported on [1/2, 1]; vanishes on every B(p_i, r_i/2), equals 1
     outside the union of B(p_i, r_i), and each factor obeys
-    |D phi_i|^2 + |D^2 phi_i| <= C0 r_i^-2 with the stored C0.
+    |D phi_i|^2 + |D^2 phi_i| <= C0 r_i^-2 with the stored C0 (the
+    quintic's profile constant unless given).  Its value and derivatives
+    at a point take only the balls that may hold the point
+    (:meth:`_ball_table`); every other ramp is exactly 1 there with zero
+    derivatives.
     """
 
     cover: BallCover
     kind: str
-    C0: float = PRODUCT_C0
+    C0: Optional[float] = None
+
+    def __post_init__(self):
+        if self.C0 is None and self.kind == "product":
+            self.C0 = _profile_c0()
 
     # -- distances ---------------------------------------------------------
     def _dist_grad(self, X, centers=None):
@@ -422,31 +434,61 @@ class CutoffField:
         slope = _quintic_d1(t) * 2.0 / r
         return vals, slope
 
-    def _inside_some_ball(self, X):
-        """Rows of X within some ball B(p_i, r_i), screened conservatively.
+    def _ball_table(self, X):
+        """Per row of X, the balls B(p_i, r_i) that may hold it: (table, pad), both (rows, width).
 
         A product ramp is exactly 1 with zero derivatives wherever d >= r
-        (t >= 1 in :meth:`_ramps`), so the rows left out read phi = 1 with
-        zero gradient and Hessian.  The squared chord comes from the Gram
-        form (:func:`_gram_chord_sq`, laid out balls x points so the
-        broadcasts run along long rows) and is compared with
+        (t >= 1 in :meth:`_ramps`), so the balls left out of a row's list
+        cannot change its phi or derivatives.  The squared chord comes from
+        the Gram form (:func:`_gram_chord_sq`, laid out balls x points so
+        the broadcasts run along long rows) and is compared with
         :func:`_chord_sq_bound`, whose slack covers its rounding, so every
-        row whose computed distance is below r is kept.
+        ball whose computed distance from the row is below r is listed.
+        Each row lists its balls in ascending order, then pads to the
+        widest row's count; ``pad`` marks the padded slots, whose index is
+        0.  A row of pads only lies in no ball.  Needs a nonempty cover.
         """
+        bound = _chord_sq_bound(self.cover.radii, self.cover.metric)
+        holds = _gram_chord_sq(self.cover.centers, X) < bound[:, None]
+        count = holds.sum(axis=0)
+        pad = np.arange(count.max(initial=0)) >= count[:, None]
+        table = np.zeros(pad.shape, dtype=int)
+        table[~pad] = np.nonzero(holds.T)[1]  # row by row, each row's balls ascending
+        return table, pad
+
+    def _inside_some_ball(self, X):
+        """Rows of X within some ball B(p_i, r_i), screened conservatively
+        (:meth:`_ball_table`); the other rows read phi = 1 with zero gradient
+        and Hessian."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.zeros(X.shape[0], dtype=bool)
-        bound = _chord_sq_bound(self.cover.radii, self.cover.metric)
-        return np.any(_gram_chord_sq(self.cover.centers, X) < bound[:, None], axis=0)
+        return ~self._ball_table(X)[1].all(axis=1)
+
+    def _table_ramps(self, X):
+        """Product kind: per row of X and slot of its :meth:`_ball_table`,
+        the distance, its gradient, the ball radius, the ramp value and slope.
+
+        A pad reads distance inf: its ramp is exactly 1 with zero slope and
+        curvature, so it is neutral in every product and sum.
+        """
+        table, pad = self._ball_table(X)
+        d, grad_d = self._dist_grad(X, self.cover.centers[table])
+        d[pad] = np.inf
+        r = self.cover.radii[table]
+        vals, slope = self._ramps(d, r)
+        return d, grad_d, r, vals, slope
 
     # -- evaluation --------------------------------------------------------
     def value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.ones(X.shape[0])
+        if self.kind == "product":
+            return self._table_ramps(X)[3].prod(axis=1)
         d, _ = self._dist_grad(X)
         vals, _ = self._ramps(d)
-        return vals.min(axis=1) if self.kind == "inf" else vals.prod(axis=1)
+        return vals.min(axis=1)
 
     def _active_ramp(self, X, balls=None):
         """Inf kind: per point the active ball (lowest index on ties), phi (its
@@ -482,8 +524,7 @@ class CutoffField:
         if self.kind == "inf":
             _, _, slope, grad_d = self._active_ramp(X)
             return slope[:, None] * grad_d
-        d, grad_d = self._dist_grad(X)
-        vals, slope = self._ramps(d)
+        _, grad_d, _, vals, slope = self._table_ramps(X)
         return _product_gradient(_product_excluding_one(vals), slope, grad_d)
 
     def ambient_hessian(self, X):
@@ -491,7 +532,8 @@ class CutoffField:
         return self._product_derivatives(X)[1]
 
     def _product_derivatives(self, X):
-        """Product kind: (gradient, Hessian) from one distance evaluation, O(balls) per point.
+        """Product kind: (gradient, Hessian) from one distance evaluation per
+        listed ball, O(balls holding the point) per point (:meth:`_ball_table`).
 
         With v_i the ramp values, g_i = slope_i grad d_i, other_i =
         prod_{k != i} v_k and S = sum_{v_j > 0} g_j / v_j, the i != j cross
@@ -499,7 +541,7 @@ class CutoffField:
         ``grad phi S^T - sum_{v_i > 0} other_i g_i g_i^T / v_i`` (v_i = 0
         forces g_i = 0).  Its diagonal part joins the per-ball Hessians, whose
         radial parts are grad d_i grad d_i^T terms, in one batched
-        (dim, balls) @ (balls, dim) product per point.
+        (dim, width) @ (width, dim) product per point.
         """
         if self.kind != "product":
             raise UnsupportedFamily("the inf cutoff is Lipschitz only; no Hessian")
@@ -509,11 +551,9 @@ class CutoffField:
         p, dim = X.shape
         if self.cover.size == 0:
             return np.zeros((p, dim)), np.zeros((p, dim, dim))
-        d, grad_d = self._dist_grad(X)
-        vals, slope = self._ramps(d)
+        d, grad_d, r, vals, slope = self._table_ramps(X)
         other = _product_excluding_one(vals)
         grad = _product_gradient(other, slope, grad_d)
-        r = self.cover.radii[None, :]
         curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
         tangential = slope / np.where(d > 1e-300, d, 1.0)   # Hess d_i = (I - grad d_i grad d_i^T) / d_i
         live = vals > 0.0
@@ -591,7 +631,7 @@ def build_product_cutoff(cover: BallCover) -> CutoffField:
     if cover.size and not cover.satisfied:
         raise PreconditionViolated("cover budget not satisfied")
     _require_euclidean(cover)
-    return CutoffField(cover, "product", PRODUCT_C0)
+    return CutoffField(cover, "product")
 
 
 def _require_euclidean(cover: BallCover):
@@ -896,12 +936,17 @@ def mr_quality_report(
 ) -> MRQualityReport:
     """Measure (area{phi != 1}, int |grad phi|^2, int |Delta phi|) for a product cutoff.
 
-    Each integrand is evaluated only on the sample rows inside some ball of
-    the cover (:meth:`CutoffField._inside_some_ball`); every other row has
-    phi = 1 with zero derivatives and contributes an exact 0.0, the value
-    the full evaluation gives there, so the estimates are unchanged bit for
-    bit.  A non-Euclidean cover is refused (:class:`PreconditionViolated`)
-    before any integral runs, as in :func:`build_product_cutoff`.
+    Work is done only where phi may differ from 1.  The three integrals
+    share the chart box and the strata, so one cell mask
+    (:func:`_cells_meeting_balls`) serves all three: the rows of a cell
+    that meets no ball are drawn but never embedded.  Within the kept
+    cells each integrand is evaluated only on the sample rows inside some
+    ball of the cover (:meth:`CutoffField._inside_some_ball`).  Every other
+    row has phi = 1 with zero derivatives and contributes an exact 0.0, the
+    value the full evaluation gives there, so the estimates are those of
+    evaluating every row bit for bit.  A non-Euclidean cover is refused
+    (:class:`PreconditionViolated`) before any integral runs, as in
+    :func:`build_product_cutoff`.
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -928,11 +973,12 @@ def mr_quality_report(
         (c1 + 8.0 * 108.0**N * c0) * C_V * eps,
     )
     seeds = np.random.SeedSequence(seed).spawn(3)
+    cells = _cells_meeting_balls(M, field.cover, strata)
     area, grad, lap = [
         stratified_integral(
             M, _inside_balls_only(field, integrand),
             strata=strata, samples_per_cell=samples_per_cell,
-            seed=child,
+            seed=child, cells=cells,
         )
         for integrand, child in zip(_quality_integrands(M, field), seeds)
     ]
@@ -940,6 +986,31 @@ def mr_quality_report(
         if est.stderr > 0.1 * bnd:
             raise InsufficientSamples(f"{name} stderr {est.stderr:.3g} > 10% of {bnd:.3g}")
     return MRQualityReport(area, grad, lap, bounds, eps, C_V, c0, c1, N)
+
+
+def _cells_meeting_balls(M, cover: BallCover, strata):
+    """Mask of the cells of :func:`stratified_integral` over the whole chart
+    box whose image may meet a ball of a Euclidean cover; None (every cell)
+    on a chart without a ``speed_bound``.
+
+    A point u of a cell with centre c and sides s is reached from c by a
+    chart segment whose image has length at most the half-diagonal
+    rho = sqrt(sum_a B_a^2 (s_a / 2)^2), B the chart's speed bound, so
+    |x(u) - x(c)| <= rho, and a point within r_i of p_i lies in a cell whose
+    centre is within r_i + rho of p_i.  A cell is kept when the Gram squared
+    chord from x(c) to some centre is below (r_i + rho)^2, widened by the
+    slack of :func:`_chord_sq_bound`, which also covers the rounding of the
+    centres and of the sample rows' images.
+    """
+    chart = M.chart
+    if chart.speed_bound is None:
+        return None
+    lows, sides = (a[0] for a in _cell_grid(np.asarray(chart.box, dtype=float)[None], strata))
+    if cover.size == 0:
+        return np.zeros(len(lows), dtype=bool)
+    rho = math.sqrt(float(np.max(np.sum((chart.speed_bound * sides / 2.0) ** 2, axis=-1))))
+    sq = _gram_chord_sq(cover.centers, chart.embed(lows + sides / 2.0))
+    return np.any(sq < _chord_sq_bound(cover.radii + rho, "euclidean")[:, None], axis=0)
 
 
 def _quality_integrands(M, field: CutoffField):

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -225,6 +225,13 @@ class Chart:
     product, times ``density_const``, is sqrt(det g).  ``inverse`` maps
     ambient points (..., n+2) to the chart coordinates of their nearest
     surface points.
+
+    ``speed_bound`` holds per axis an upper bound on sqrt(g_aa) over the
+    whole box, or is None when none is known.  It bounds the ambient length
+    of a chart path: a chart step of side s_a on each axis moves the image
+    by at most sqrt(sum_a speed_bound_a^2 s_a^2).  On a built-in chart it is
+    the radius of the sphere factor the axis belongs to, since there
+    g_aa = r^2 prod sin^2 <= r^2.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
@@ -236,6 +243,7 @@ class Chart:
     inverse: Callable
     density_const: float = 1.0
     margin: float = POLE_MARGIN
+    speed_bound: Optional[np.ndarray] = None   # (n,) bound on sqrt(g_aa), None if unknown
 
     @property
     def dim(self):
@@ -455,7 +463,8 @@ def _product_surface(product):
         gdiag = metric_diag(U)
         return gdiag, normal(U), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const)
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const,
+                  speed_bound=np.repeat(radii, dims))
     return ParametrizedHypersurface(n, chart, product, closed_form)
 
 
@@ -547,15 +556,23 @@ def _norm_A_sq(M, U):
     return np.array([shape_at(M, u).norm_A_sq for u in U])
 
 
+def _stencil(U, h):
+    """The points U + h e_a and U - h e_a of each chart axis a, as two lists."""
+    U = np.asarray(U, dtype=float)
+    steps = np.eye(U.shape[-1]) * h
+    return [U + e for e in steps], [U - e for e in steps]
+
+
+def _difference(plus, minus, h):
+    """(f(U + h e_a) - f(U - h e_a)) / 2h from the values at :func:`_stencil`'s
+    points, stacked on a last axis."""
+    return np.stack([(p - m) / (2.0 * h) for p, m in zip(plus, minus)], axis=-1)
+
+
 def _central_diff(fn, U, h):
     """(fn(U + h e_a) - fn(U - h e_a)) / 2h for each chart axis a, stacked on a last axis."""
-    n = np.shape(U)[-1]
-    cols = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        cols.append((fn(U + e) - fn(U - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    plus, minus = _stencil(U, h)
+    return _difference([fn(P) for P in plus], [fn(P) for P in minus], h)
 
 
 def _check_metric(g):

@@ -60,6 +60,31 @@ def _stratified_rows(n, strata, samples_per_cell):
     return int(np.prod(_per_axis(strata, n))) * max(2, int(samples_per_cell))
 
 
+def _cell_grid(boxes, strata):
+    """Low corners and sides (boxes, cells, n) of the cells of each box of a stack (boxes, n, 2).
+
+    Each box is cut into ``strata`` cells per axis, listed row-major.  The
+    edges take linspace's arithmetic box by box: a stacked linspace rounds
+    every box another way once any box has zero width.
+    """
+    b, n = boxes.shape[:2]
+    counts = _per_axis(strata, n)
+    grid = (b, *counts)
+
+    def cell_grid(per_axis):
+        # per box, the row-major tensor grid of per-axis cell values (boxes, cells, n)
+        shapes = [grid[:1] + tuple(-1 if j == a else 1 for j in range(n)) for a in range(n)]
+        return np.stack([
+            np.broadcast_to(v.reshape(shape), grid) for v, shape in zip(per_axis, shapes)
+        ], axis=-1).reshape(b, -1, n)
+
+    edges = []
+    for a, c in enumerate(counts):
+        lo, hi = boxes[:, a, :1], boxes[:, a, 1:]
+        edges.append(np.concatenate([lo + np.arange(c) * ((hi - lo) / c), hi], axis=-1))
+    return cell_grid([e[:, :-1] for e in edges]), cell_grid([np.diff(e, axis=-1) for e in edges])
+
+
 def stratified_integral(
     M: ParametrizedHypersurface,
     fn,
@@ -67,12 +92,22 @@ def stratified_integral(
     strata=24,
     samples_per_cell=2,
     seed=0,
+    cells=None,
 ) -> MCEstimate:
     """Stratified Monte-Carlo integral of ``fn`` against the area measure.
 
     ``fn(U, X)`` receives chart parameters and ambient points and returns
     the integrand values (without the metric density; the density is part
     of the measure).  ``box`` restricts integration to a chart sub-box.
+
+    ``cells`` is an optional boolean mask over the cell grid (the row-major
+    cells of :func:`_cell_grid`), of shape (cells,) or (boxes, cells).  The
+    rows of every cell are drawn, so the random stream does not depend on
+    the mask, but the rows of a False cell are neither embedded nor passed
+    to ``fn``: they read an exact 0.0.  When ``fn`` vanishes on those rows
+    the estimate is therefore bit for bit that of the unmasked call.
+    ``None`` keeps every cell.  ``fn`` receives the kept rows in their
+    row-major order.
 
     The density sqrt(det g) is taken only on the rows where ``fn`` is
     non-zero (negative values count), and the cell mean and variance only
@@ -84,7 +119,8 @@ def stratified_integral(
     box in one pass and returns their estimates as :class:`BoxEstimates`;
     each box gets exactly the samples and the estimate that a call with
     that box and its seed alone would give.  ``fn(U, X)`` then receives the
-    rows of every box, box by box, :func:`_stratified_rows` of them per box.
+    rows of every box, box by box, :func:`_stratified_rows` of them per box
+    (with no ``cells`` mask).
     """
     chart = M.chart
     n = chart.dim
@@ -92,35 +128,21 @@ def stratified_integral(
     single = boxes.ndim == 2
     if single:
         boxes, seed = boxes[None], [seed]
-    counts = _per_axis(strata, n)
-    grid = (len(boxes), *counts)
-
-    def cell_grid(per_axis):
-        # per box, the row-major tensor grid of per-axis cell values (boxes, cells, n)
-        shapes = [grid[:1] + tuple(-1 if b == a else 1 for b in range(n)) for a in range(n)]
-        return np.stack([
-            np.broadcast_to(v.reshape(shape), grid) for v, shape in zip(per_axis, shapes)
-        ], axis=-1).reshape(len(boxes), -1, n)
-
-    # per box, linspace's arithmetic for a non-degenerate interval; a stacked
-    # linspace rounds every box another way once any box has zero width
-    edges = []
-    for a, c in enumerate(counts):
-        lo, hi = boxes[:, a, :1], boxes[:, a, 1:]
-        edges.append(np.concatenate([lo + np.arange(c) * ((hi - lo) / c), hi], axis=-1))
-    lows = cell_grid([e[:, :-1] for e in edges])
-    sides = cell_grid([np.diff(e, axis=-1) for e in edges])
+    lows, sides = _cell_grid(boxes, strata)
     vols = np.prod(sides, axis=-1)
-    cells = lows.shape[1]
+    count = lows.shape[1]
     k = max(2, int(samples_per_cell))
 
-    draws = np.empty((len(boxes), cells, k, n))
+    draws = np.empty((len(boxes), count, k, n))
     for out, s in zip(draws, seed):
         np.random.default_rng(s).random(out=out)  # int, SeedSequence or Generator all work
     pts = lows[:, :, None, :] + draws * sides[:, :, None, :]
     flat = pts.reshape(-1, n)
-    X = chart.embed(flat)
-    vals = np.asarray(fn(flat, X), dtype=float).reshape(len(boxes), cells, k)
+    kept = np.repeat(np.broadcast_to(True if cells is None else cells, vols.shape).ravel(), k)
+    U = np.compress(kept, flat, axis=0)  # a boolean row index is ~10x slower
+    vals = np.zeros(len(flat))
+    vals[kept] = fn(U, chart.embed(U))
+    vals = vals.reshape(len(boxes), count, k)
     live = vals != 0.0  # negative values count
     # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
     busy = functools.reduce(np.logical_or, np.moveaxis(live, -1, 0))
@@ -134,7 +156,7 @@ def stratified_integral(
     var[busy] = weighted.var(axis=-1, ddof=1)
     value = np.sum(vols * mean, axis=-1)
     stderr = np.sqrt(np.sum(vols**2 * var / k, axis=-1))
-    ests = BoxEstimates(MCEstimate(float(v), float(e), cells * k) for v, e in zip(value, stderr))
+    ests = BoxEstimates(MCEstimate(float(v), float(e), count * k) for v, e in zip(value, stderr))
     return ests[0] if single else ests
 
 

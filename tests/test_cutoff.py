@@ -1,12 +1,18 @@
 """Covers, discard, packing bounds, cutoff fields and their integrals."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spherestab import cutoff as cut
 from spherestab import geometry as geo
+from spherestab import sampling as smp
 from spherestab.errors import (
     BudgetInfeasible,
     PreconditionViolated,
@@ -897,6 +903,121 @@ def test_quality_integrands_on_screened_rows_match_all_rows(torus):
     # nonzero ramp derivatives, so a screen that drops them is caught above
     lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
     assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3])) > 0.0) >= 10
+
+
+def _mask_covers():
+    """(surface, Euclidean cover) pairs for the cell-mask checks: the
+    benchmark's 20-point torus cover, the crowded torus cover, a ball on
+    the equator S^2 that holds a coordinate pole, and a torus ball that
+    straddles the periodic seam of both angles."""
+    torus, eq2 = geo.clifford_hypersurface((1, 1)), geo.equator(2)
+    _, pts = geo.sample_points(torus, 20, seed=40001, pad=0.05)
+    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
+    base, radii, _ = _crowded_torus_cover()
+    crowded = cut.BallCover(torus.chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
+    pole = cut.BallCover(eq2.chart.embed(np.array([[0.05, 1.0]])), np.array([0.2]), 2, 0.0, 0.5,
+                         "euclidean")
+    seam = cut.BallCover(torus.chart.embed(np.array([[0.02, 6.27]])), np.array([0.2]), 2, 0.0, 0.5,
+                         "euclidean")
+    return [(torus, workload), (torus, crowded), (eq2, pole), (torus, seam)]
+
+
+def _rows_in_dropped_cells(M, cover, strata=96, per_cell=12, seed=0):
+    """(rows within some ball, those of them in a cell the mask drops), with
+    ``per_cell`` random rows in each cell of the chart box."""
+    chart = M.chart
+    cells = cut._cells_meeting_balls(M, cover, strata)
+    lows, sides = (a[0] for a in smp._cell_grid(np.asarray(chart.box, dtype=float)[None], strata))
+    U = lows[:, None, :] + np.random.default_rng(seed).random((len(lows), per_cell, 2)) * sides[:, None, :]
+    X = chart.embed(U.reshape(-1, 2))
+    inside = np.any(geo.chord_distance(X[:, None, :], cover.centers) < cover.radii, axis=1)
+    return int(inside.sum()), int(np.sum(inside & ~np.repeat(cells, per_cell)))
+
+
+def test_cell_mask_keeps_every_row_inside_a_ball():
+    for M, cover in _mask_covers():
+        cells = cut._cells_meeting_balls(M, cover, 96)
+        inside, lost = _rows_in_dropped_cells(M, cover)
+        assert inside > 0 and lost == 0
+        assert cells.mean() < 0.25  # the mask does drop cells
+
+
+def test_cell_mask_with_halved_speed_bound_loses_rows():
+    # the enclosure radius is no larger than it must be: with half the
+    # chart's bound on sqrt(g_aa), some row inside a ball falls in a dropped cell
+    lost = []
+    for M, cover in _mask_covers():
+        half = dataclasses.replace(M.chart, speed_bound=M.chart.speed_bound / 2.0)
+        lost.append(_rows_in_dropped_cells(geo.ParametrizedHypersurface(2, half), cover)[1])
+    assert max(lost) > 0
+
+
+def test_cell_mask_is_every_cell_without_a_speed_bound(torus):
+    _, radii, _ = _crowded_torus_cover()
+    cover = cut.BallCover(torus.chart.embed(np.array([[1.0, 2.0]])), radii[:1], 2, 0.0, 0.5, "euclidean")
+    unbounded = dataclasses.replace(torus.chart, speed_bound=None)
+    assert cut._cells_meeting_balls(geo.ParametrizedHypersurface(2, unbounded), cover, 8) is None
+    empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean")
+    assert not cut._cells_meeting_balls(torus, empty, 8).any()
+
+
+def _all_balls_product(field, X):
+    # the product field over every ball of the cover: value, gradient and
+    # Hessian as in _product_derivatives, with each row's largest term
+    # magnitude for the gradient and for the Hessian
+    d, grad_d = field._dist_grad(X)
+    vals, slope = field._ramps(d)
+    other = cut._product_excluding_one(vals)
+    grad = cut._product_gradient(other, slope, grad_d)
+    r = field.cover.radii[None, :]
+    curv = cut._quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
+    tangential = slope / np.where(d > 1e-300, d, 1.0)
+    live = vals > 0.0
+    rate = np.where(live, slope / np.where(live, vals, 1.0), 0.0)
+    coef = other * (curv - tangential - slope * rate)
+    hess = np.matmul(grad_d.transpose(0, 2, 1), coef[..., None] * grad_d)
+    S = np.matmul(rate[:, None, :], grad_d)[:, 0]
+    hess += grad[:, :, None] * S[:, None, :]
+    idx = np.arange(X.shape[1])
+    hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
+    grad_scale = np.max(np.abs(other * slope), axis=1)
+    hess_scale = np.max(np.abs(np.concatenate(
+        [coef, other * tangential, np.abs(grad) * np.abs(S).max(axis=1, keepdims=True)], axis=1)), axis=1)
+    return vals.prod(axis=1), grad, hess, grad_scale, hess_scale
+
+
+def test_ball_tables_match_all_balls_reference(torus):
+    # value bit for bit, gradient and Hessian within 4 ulps of each row's
+    # largest term; rows lie in up to 5 balls of the crowded cover
+    chart = torus.chart
+    base, radii, U_edge = _crowded_torus_cover()
+    U = np.concatenate([U_edge, np.random.default_rng(5).uniform((0.75, 1.7), (1.45, 2.3), size=(4000, 2))])
+    field = cut.build_product_cutoff(cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean"))
+    X = chart.embed(U)
+    table, pad = field._ball_table(X)
+    assert table.shape[1] == 5 and (~pad).sum(axis=1).min() == 0
+    # each row's balls ascending, then the pads
+    assert np.all(np.diff(pad.astype(int), axis=1) >= 0)
+    assert np.all((np.diff(table, axis=1) > 0) | pad[:, 1:])
+    value, grad, hess, grad_scale, hess_scale = _all_balls_product(field, X)
+    assert np.array_equal(field.value(X), value)
+    assert np.sum((value > 0.0) & (value < 1.0)) > 1000
+    tol = 4.0 * np.finfo(float).eps
+    assert np.all(np.abs(field.ambient_gradient(X) - grad) <= tol * grad_scale[:, None])
+    new_grad, new_hess = field._product_derivatives(X)
+    assert np.all(np.abs(new_grad - grad) <= tol * grad_scale[:, None])
+    assert np.all(np.abs(new_hess - hess) <= tol * hess_scale[:, None, None])
+
+
+def test_product_c0_is_computed_on_first_use():
+    # importing the CLI does not run the 200,001-point profile sweep
+    code = "import spherestab.cli, spherestab.cutoff as c; print(c._profile_c0.cache_info().currsize)"
+    src = str(Path(cut.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+    field = cut.build_product_cutoff(cut.empty_cover(2, 0.0, 0.05, metric="euclidean", ambient_dim=4))
+    assert field.C0 == 27.23795013167537
 
 
 def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):

@@ -364,6 +364,50 @@ def test_simons_refinement_order(clifford_families):
     assert spec.observed_order(ladder) >= 2.0
 
 
+def _simons_reference(M, samples, seed, step):
+    # the check composed from the public difference operators, each
+    # evaluating the shape arrays at its own stencil (8n + 3 calls)
+    n = M.dimension
+    U, _ = geo.sample_points(M, samples, seed=seed, pad=2.0 * step)
+    _, _, A0, _, a2_0 = M.shape_batch(U)
+    parts = spec.christoffel_fd(M, U, step)
+    _, ginv, gamma = parts
+    dA = np.moveaxis(geo._central_diff(lambda P: M.shape_batch(P)[2], U, step), -1, 1)
+    nabla = (dA - np.einsum("mdca,mdb->mcab", gamma, A0, optimize=True)
+             - np.einsum("mdcb,mad->mcab", gamma, A0, optimize=True))
+    grad_A_sq = np.einsum("mc,ma,mb,mcab,mcab->m", ginv, ginv, ginv, nabla, nabla, optimize=True)
+    a2_fn = lambda pts: M.shape_batch(pts)[4]  # noqa: E731
+    norm_fn = lambda pts: np.sqrt(M.shape_batch(pts)[4])  # noqa: E731
+    lap_a2 = spec.surface_laplacian_fd(M, U, a2_fn, step, parts=parts)
+    lap_norm = spec.surface_laplacian_fd(M, U, norm_fn, step, parts=parts)
+    grad_norm_sq = spec.surface_gradient_sq_fd(M, U, norm_fn, step)
+    identity = np.abs(lap_a2 - (2 * grad_A_sq + 2 * n * a2_0 - 2 * a2_0**2))
+    violation = np.maximum(0.0, (2.0 / n) * grad_norm_sq + n * a2_0 - a2_0**2
+                           - np.sqrt(a2_0) * lap_norm)
+    return spec.SimonsReport(float(identity.max()), float(violation.max()), len(U), step)
+
+
+def test_simons_check_one_shape_evaluation_per_stencil_point(torus, monkeypatch):
+    # 2n + 1 shape evaluations per check, and the report of the composed
+    # reference bit for bit; the warped closed form (A and |A|^2 varying
+    # over the chart, H = 0) makes every difference quotient non-trivial
+    def warped(U):
+        gdiag, nu, A, H, a2 = torus.shape_batch(U)
+        return gdiag, nu, A * (1.0 + 0.3 * np.sin(U[..., :1, None])), H, a2 * (2.0 + np.cos(U[..., 1]))
+
+    warped_torus = geo.ParametrizedHypersurface(2, torus.chart, closed_form=warped)
+    assert _simons_reference(warped_torus, 60, 3, 2e-3).max_identity_residual > 1e-3
+    for M in (geo.clifford_hypersurface((2, 1)), warped_torus):
+        for step in (2e-3, 0.04):
+            expected = _simons_reference(M, 60, 3, step)
+            calls = []
+            original = M.shape_batch
+            monkeypatch.setattr(M, "shape_batch", lambda U: calls.append(1) or original(U))
+            assert spec.simons_check(M, samples=60, seed=3, step=step) == expected
+            assert len(calls) == 2 * M.dimension + 1
+            monkeypatch.undo()
+
+
 def test_simons_nonminimal_rejected(torus):
     base = torus.chart
 
