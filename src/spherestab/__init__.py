@@ -80,6 +80,6 @@ from .estimates import (
     local_A_bound,
     ssy_constants,
 )
-from .fields import AmbientCoordinateField, ConstantField, ShapeNormField, SurfaceField
+from .fields import AmbientCoordinateField, ConstantField, SurfaceField
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from . import cutoff as cut
 from . import geometry as geo
 from . import operators as ops
 from . import spectrum as spec
-from .errors import BoundViolation, SpherestabError
+from .errors import SpherestabError
 
 OUTDIR_ENV = "SPHERESTAB_OUTDIR"
 
@@ -448,9 +448,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 1
     except SpherestabError as exc:
         failure = f"{type(exc).__name__}: {exc}"
         path = _write_report(config, M, {"failure": failure})

@@ -662,7 +662,7 @@ def surface_laplacian_of_cutoff(M, U, X, field: CutoffField):
     vector of M in R^(n+2); for the built-in minimal families that vector
     is -n x.
     """
-    n = M.minimal_immersion_laplacian_factor()
+    n = M.dimension  # Delta x = -n x on a minimal hypersurface of the unit sphere
     chart = M.chart
     jac = chart.jacobian(np.asarray(U, dtype=float))
     gdiag = chart.metric_diag(np.asarray(U, dtype=float))

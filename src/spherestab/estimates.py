@@ -29,14 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionViolated, UnsupportedFamily
-from .geometry import (
-    ParametrizedHypersurface,
-    _homogeneous_ball_area,
-    _norm_A_sq,
-    area,
-    measure_volume_growth,
-)
+from .errors import PreconditionViolated
+from .geometry import ParametrizedHypersurface, _norm_A_sq, area, measure_volume_growth
 
 
 @dataclass
@@ -71,11 +65,10 @@ class EstimateReport:
 def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
     """Area of M cap B_r(p) for a geodesic radius r, the same at every p of M.
 
-    That holds on the built-in surfaces, homogeneous products of round
-    spheres whose factors give the area; other surfaces raise
-    :class:`UnsupportedFamily`.
+    That holds on every surface, a homogeneous product of round spheres
+    whose factors give the area (:meth:`SphereProduct.ball_area`).
     """
-    return float(_homogeneous_ball_area(M, np.cos(r)))
+    return float(M.product.ball_area(np.cos(r)))
 
 
 def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
@@ -84,17 +77,16 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
 
     ``p`` is a point of M, ``r`` a geodesic radius in (0, 2) and
     ``lambda1`` the first stability eigenvalue that feeds
-    ``alpha = |-lambda_1 - n|``.  On the built-in surfaces, products of
-    round spheres, |A|^2 is the constant of the sphere factors and the ball
-    area does not depend on the centre, so the left side is |A|^2(p) times
+    ``alpha = |-lambda_1 - n|``.  On a product of round spheres |A|^2 is
+    the constant of the sphere factors and the ball area does not depend on
+    the centre, so the left side is |A|^2(p) times
     :func:`geodesic_ball_area`, with stderr 0; a caller that bounds many
     centres at one radius computes that area once and passes it as
-    ``ball_area``.  Other surfaces raise :class:`UnsupportedFamily`, and a
-    ``p`` farther than 1e-9 from M (checked through the chart inverse)
-    raises :class:`PreconditionViolated`, as does a left side that is
-    negative or not finite (a failed ball-area quadrature).  ``C_V``
-    defaults to the geodesic :func:`measure_volume_growth`, exact on the
-    same families.
+    ``ball_area``.  A ``p`` farther than 1e-9 from M (checked through the
+    chart inverse) raises :class:`PreconditionViolated`, as does a left
+    side that is negative or not finite (a failed ball-area quadrature).
+    ``C_V`` defaults to the geodesic :func:`measure_volume_growth`, exact
+    on the same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
@@ -160,8 +152,6 @@ def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateRep
     products, 0 on equators), so the identity is exact up to quadrature
     rounding; the report's lhs/rhs are the two integrals.
     """
-    if M.product is None:
-        raise UnsupportedFamily("identity is verified on the built-in families")
     n = M.dimension
     const = float(M.product.norm_A_sq)
     total = area(M, resolution)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ParametrizedHypersurface, _central_diff, shape_at
+from .geometry import ParametrizedHypersurface, _central_diff
 
 
 class SurfaceField:
@@ -83,21 +83,8 @@ class AmbientCoordinateField(SurfaceField):
         return np.sum(df * df / gdiag, axis=-1)
 
     def laplacian(self, M, U):
-        factor = M.minimal_immersion_laplacian_factor()
-        return -factor * self.value(M, U)
-
-
-@dataclass
-class ShapeNormField(SurfaceField):
-    """|A| evaluated pointwise through :func:`spherestab.geometry.shape_at`."""
-
-    method: str = "auto"
-
-    def value(self, M, U):
-        U = np.asarray(U, dtype=float)
-        flat = U.reshape(-1, U.shape[-1])
-        vals = np.array([np.sqrt(shape_at(M, u, method=self.method).norm_A_sq) for u in flat])
-        return vals.reshape(U.shape[:-1])
+        # Delta x = -n x on a minimal hypersurface of the unit sphere
+        return -M.dimension * self.value(M, U)
 
 
 def grad_inner(

@@ -310,6 +310,15 @@ class SphereProduct:
         """Exact |A|^2 = sum d_i kappa_i^2 (0 on the equator, n on the products)."""
         return sum(d * q for d, q in zip(self.dims, self.curvature_sq))
 
+    def ball_area(self, level):
+        """area{y in M : <x, y> >= level}, the same for every x in M; ``level`` may be an array.
+
+        A product of round spheres is homogeneous, so the ball area does not
+        depend on its centre; the factor dimensions (k,) or (k, l) give
+        :func:`_ball_area`'s (k, 0) or (k, l).
+        """
+        return _ball_area(self.dims[0], sum(self.dims[1:]), level)
+
 
 @dataclass(frozen=True)
 class ShapeData:
@@ -325,27 +334,31 @@ class ShapeData:
 class ParametrizedHypersurface:
     """A closed n-dimensional hypersurface of S^(n+1) given by one chart.
 
-    ``product`` is the :class:`SphereProduct` of a built-in surface and
-    None otherwise; ``family`` and ``params`` are read from it.
+    ``product`` is the surface's exact description, a :class:`SphereProduct`
+    of the chart's dimension; ``dimension``, ``family`` and ``params`` are
+    read from it.  Anything else raises :class:`UnsupportedFamily`.
+    ``closed_form`` maps chart points to batched shape arrays; without it
+    :func:`shape_at` differentiates the chart's unit normal.
     """
 
-    def __init__(self, dimension, chart, product=None, closed_form=None):
-        self.dimension = dimension
+    def __init__(self, chart, product, closed_form=None):
+        if not isinstance(product, SphereProduct) or product.dimension != chart.dim:
+            raise UnsupportedFamily(f"{product!r} is not the SphereProduct of a {chart.dim}-dimensional chart")
+        self.dimension = product.dimension
         self.chart = chart
         self.product = product
         self._closed_form = closed_form  # U -> batched shape arrays
 
     @property
     def family(self):
-        return "custom" if self.product is None else self.product.family
+        return self.product.family
 
     @property
     def params(self):
-        return () if self.product is None else self.product.dims
+        return self.product.dims
 
     def __repr__(self):
-        tag = self.family + (str(self.params) if self.params else "")
-        return f"ParametrizedHypersurface(n={self.dimension}, {tag})"
+        return f"ParametrizedHypersurface(n={self.dimension}, {self.family}{self.params})"
 
     @property
     def has_closed_form(self):
@@ -359,17 +372,6 @@ class ParametrizedHypersurface:
 
     def embed(self, U):
         return self.chart.embed(np.asarray(U, dtype=float))
-
-    def minimal_immersion_laplacian_factor(self):
-        """Delta_M applied to an ambient coordinate x_j is -c * x_j on these surfaces.
-
-        For a minimal hypersurface of the unit sphere the tension field of the
-        inclusion into R^(n+2) is -n x, so c = n on every built-in surface.
-        Raises for surfaces without that guarantee.
-        """
-        if self.product is None:
-            raise UnsupportedFamily("coordinate Laplacian shortcut requires a built-in minimal family")
-        return float(self.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +467,7 @@ def _product_surface(product):
 
     chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const,
                   speed_bound=np.repeat(radii, dims))
-    return ParametrizedHypersurface(n, chart, product, closed_form)
+    return ParametrizedHypersurface(chart, product, closed_form)
 
 
 def _axis_sin_power(p):
@@ -545,15 +547,12 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
 
 
 def _norm_A_sq(M, U):
-    """|A|^2 at chart points (m, n); pointwise :func:`shape_at` off the built-ins.
+    """|A|^2 at chart points (m, n): the constant of M's :class:`SphereProduct`.
 
-    A built-in surface has the constant |A|^2 of its :class:`SphereProduct`,
-    so no normal or (m, n, n) second fundamental form is built; the values
-    are those of ``M.shape_batch(U)[4]``.
+    No normal or (m, n, n) second fundamental form is built; the values are
+    those of ``M.shape_batch(U)[4]``.
     """
-    if M.product is not None:
-        return np.full(np.shape(U)[:-1], float(M.product.norm_A_sq))
-    return np.array([shape_at(M, u).norm_A_sq for u in U])
+    return np.full(np.shape(U)[:-1], float(M.product.norm_A_sq))
 
 
 def _stencil(U, h):
@@ -673,10 +672,10 @@ def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
     S^(n+1) ("geodesic") or Euclidean balls of R^(n+2) ("euclidean"); any
     other name raises ``ValueError``.
 
-    The built-in surfaces are homogeneous products of spheres, so the ball
-    area does not depend on the center; it is evaluated exactly (to
-    quadrature rounding) from the sphere factors by :func:`_ball_area`, in
-    any dimension.  Other surfaces raise :class:`UnsupportedFamily`.
+    The surfaces are homogeneous products of spheres, so the ball area
+    does not depend on the center; it is evaluated exactly (to quadrature
+    rounding) from the sphere factors by :meth:`SphereProduct.ball_area`,
+    in any dimension.
     """
     n = M.dimension
     dist = _distance(metric)
@@ -685,21 +684,7 @@ def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
     radii = np.asarray(radii, dtype=float)
     # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
     levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
-    return safety * float(np.max(_homogeneous_ball_area(M, levels) / radii**n))
-
-
-def _homogeneous_ball_area(M, level):
-    """area{y in M : <x, y> >= level} for any x in M, on a built-in surface.
-
-    The ball area of a product of round spheres does not depend on its
-    center; ``level`` may be an array.  The factor dimensions (k,) or
-    (k, l) give :func:`_ball_area`'s (k, 0) or (k, l).  Other surfaces
-    raise :class:`UnsupportedFamily`.
-    """
-    if M.product is None:
-        raise UnsupportedFamily(f"{M!r} has no closed-form ball area")
-    dims = M.product.dims
-    return _ball_area(dims[0], sum(dims[1:]), level)
+    return safety * float(np.max(M.product.ball_area(levels) / radii**n))
 
 
 @lru_cache(maxsize=None)

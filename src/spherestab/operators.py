@@ -47,8 +47,8 @@ the product runs over the axes in order, then ``** 0.5``, then
 ``/ g_aa * cell / h^2``.  Broadcasting only repeats a value, it does not
 round it again, so every grid value goes through the same roundings on
 the same operands and the weights are bit for bit those of a per-node
-evaluation.  |A|^2 is constant on every built-in surface and is read from
-its sphere factors, so V stays on the open grid too.
+evaluation.  |A|^2 is the constant of the surface's sphere factors, so V
+stays on the open grid too.
 
 The matrices S, B and V, and the (m, n) node array, are views built on
 demand from the edge form, for the shift-invert fallback, ``pencil``,
@@ -62,8 +62,8 @@ taken in one fixed order: axis by axis, the flux to lo_a before the flux
 to hi_a.  The two slots through the box ends of a polar axis are not
 stored.  B and V are diagonal CSR.
 
-An analytic backend covers every built-in surface, a product of round
-spheres S^(d_i)(r_i) (the equator has one factor): its -Delta eigenvalues
+An analytic backend covers every surface, a product of round spheres
+S^(d_i)(r_i) (the equator has one factor): its -Delta eigenvalues
 are the sums of one factor eigenvalue j (j + d_i - 1) / r_i^2 per factor,
 with the product of their multiplicities C(d+j, d) - C(d+j-2, d).
 """
@@ -78,8 +78,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
-from .geometry import ParametrizedHypersurface, SphereProduct, _norm_A_sq, _per_axis, _tensor_grid
+from .errors import AssemblyFailure, DegenerateChart
+from .geometry import ParametrizedHypersurface, SphereProduct, _per_axis, _tensor_grid
 
 
 @dataclass(eq=False)
@@ -195,8 +195,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     in the order ``np.prod`` uses on a stacked (m, d) metric, so they round
     as a per-node evaluation would.  On a polar axis the last edge ends at
     the box end, where the density vanishes; its weight is set to 0, so no
-    flux crosses.  Nothing of the grid's full size is built here unless
-    |A|^2 has to be evaluated node by node (a surface that is not built in).
+    flux crosses.  Nothing of the grid's full size is built here.
     """
     chart = M.chart
     res = _per_axis(resolution, chart.dim)
@@ -216,11 +215,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
 
-    # |A|^2 is the constant of a built-in surface's sphere factors
-    if M.product is not None:
-        a2 = float(M.product.norm_A_sq)
-    else:
-        a2 = _norm_A_sq(M, _tensor_grid(coords)).reshape(res)
+    a2 = float(M.product.norm_A_sq)  # the constant of the sphere factors
 
     weights = []
     for a, (_, h) in enumerate(axes):
@@ -348,7 +343,5 @@ def _harmonic_count(d, j):
 
 
 def analytic_laplace_spectrum(M: ParametrizedHypersurface) -> AnalyticSpectrum:
-    """Exact -Delta spectrum enumerator of a built-in surface, from its sphere factors."""
-    if M.product is None:
-        raise UnsupportedFamily(f"no analytic spectrum for {M!r}")
+    """Exact -Delta spectrum enumerator of a surface, from its sphere factors."""
     return AnalyticSpectrum(M.product)

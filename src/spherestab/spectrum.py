@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
-from .fields import ConstantField, ShapeNormField, SurfaceField
+from .fields import ConstantField, SurfaceField
 from .geometry import (
     ParametrizedHypersurface,
     _diag_embed,
@@ -210,10 +210,8 @@ def rayleigh_quotient(
 
 
 def test_function_A(M: ParametrizedHypersurface) -> SurfaceField:
-    """The |A| test field: on a built-in surface the constant sqrt of its
-    exact |A|^2 (sqrt(n) on the products, zero on equators), else pointwise."""
-    if M.product is None:
-        return ShapeNormField()
+    """The |A| test field: the constant sqrt of the surface's exact |A|^2
+    (sqrt(n) on the products, zero on equators)."""
     return ConstantField(math.sqrt(M.product.norm_A_sq))
 
 

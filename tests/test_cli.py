@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,18 @@ import spherestab.geometry as geo
 import spherestab.operators as ops
 import spherestab.spectrum as spec
 from spherestab.cli import main
+from spherestab.errors import BoundViolation
 
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def _readme_command_lines():
+    """The argv of each command in README.md's "Command line" block, "spherestab" dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
 
 def test_cone_table_report(tmp_path):
@@ -214,6 +223,18 @@ def test_infeasible_budget_writes_failure_report(tmp_path):
     assert json.loads(lines[1])["failure"].startswith("BudgetInfeasible: ")
 
 
+def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
+    # no subcommand raises BoundViolation; one that did would get the
+    # failure report and exit 3 of every other SpherestabError
+    def violate(config, M):
+        raise BoundViolation("class count 109 exceeds 108^3")
+
+    monkeypatch.setitem(cli._COMMANDS, "cone-table", violate)
+    assert run(tmp_path, "cone-table", "--n-max", "3", "--format", "json") == 3
+    doc = json.loads((tmp_path / "cone-table.json").read_text())
+    assert doc["failure"] == "BoundViolation: class count 109 exceeds 108^3"
+
+
 def test_unconverged_spectrum_writes_rows_and_failure(tmp_path, monkeypatch):
     original = spec.first_stability_eigenvalue
 
@@ -283,6 +304,13 @@ def test_estimates_ball_area_once_per_radius(tmp_path, monkeypatch):
                 for r in (0.1, 0.5, 1.0) for c in centers]
     assert len(calls) == 3 + len(expected)
     assert doc["rows"][:-1] == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_verdicts_do_not_depend_on_the_seed(tmp_path, argv):
+    # an appended --seed overrides one the line sets itself
+    codes = [main([*argv, "--seed", str(seed), "--out", str(tmp_path / str(seed))]) for seed in range(5)]
+    assert len(set(codes)) == 1, codes
 
 
 def test_estimates_volume_growth_is_seed_independent(tmp_path):

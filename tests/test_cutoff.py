@@ -948,7 +948,7 @@ def test_cell_mask_with_halved_speed_bound_loses_rows():
     lost = []
     for M, cover in _mask_covers():
         half = dataclasses.replace(M.chart, speed_bound=M.chart.speed_bound / 2.0)
-        lost.append(_rows_in_dropped_cells(geo.ParametrizedHypersurface(2, half), cover)[1])
+        lost.append(_rows_in_dropped_cells(geo.ParametrizedHypersurface(half, M.product), cover)[1])
     assert max(lost) > 0
 
 
@@ -956,7 +956,7 @@ def test_cell_mask_is_every_cell_without_a_speed_bound(torus):
     _, radii, _ = _crowded_torus_cover()
     cover = cut.BallCover(torus.chart.embed(np.array([[1.0, 2.0]])), radii[:1], 2, 0.0, 0.5, "euclidean")
     unbounded = dataclasses.replace(torus.chart, speed_bound=None)
-    assert cut._cells_meeting_balls(geo.ParametrizedHypersurface(2, unbounded), cover, 8) is None
+    assert cut._cells_meeting_balls(geo.ParametrizedHypersurface(unbounded, torus.product), cover, 8) is None
     empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean")
     assert not cut._cells_meeting_balls(torus, empty, 8).any()
 

@@ -9,7 +9,7 @@ import pytest
 from spherestab import estimates as est
 from spherestab import geometry as geo
 from spherestab.cli import main
-from spherestab.errors import PreconditionViolated, UnsupportedFamily
+from spherestab.errors import PreconditionViolated
 
 
 def test_ssy_examples():
@@ -131,15 +131,6 @@ def test_local_A_bound_refuses_off_surface_centre(torus):
         est.local_A_bound(torus, 1.01 * P[0], 0.25, -4.0, C_V=4.4)
     with pytest.raises(PreconditionViolated):
         est.local_A_bound(torus, np.array([1.0, 0, 0, 0]), 0.25, -4.0, C_V=4.4)
-
-
-def test_local_A_bound_refuses_chart_files(torus):
-    # a surface outside the built-in families (here the torus chart without its
-    # closed-form geometry) has no closed-form ball area and is refused
-    custom = geo.ParametrizedHypersurface(2, torus.chart)
-    _, P = geo.sample_points(torus, 1, seed=2)
-    with pytest.raises(UnsupportedFamily):
-        est.local_A_bound(custom, P[0], 0.25, -4.0, C_V=4.4)
 
 
 @pytest.mark.parametrize("area", [-1e-21, math.nan, math.inf])

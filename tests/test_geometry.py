@@ -164,7 +164,7 @@ def test_chart_invariance_reparametrized_torus(torus):
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
         base.density_const,
     )
-    M2 = geo.ParametrizedHypersurface(2, chart2)
+    M2 = geo.ParametrizedHypersurface(chart2, torus.product)
     assert abs(geo.area(M2) - geo.area(torus)) <= 1e-12
     U, _ = geo.sample_points(torus, 5, seed=8)
     for u in U:
@@ -185,6 +185,17 @@ def test_chart_requires_its_analytic_frame(torus):
                   base.axis_density)
 
 
+@pytest.mark.parametrize("product, error, match", [
+    ((), TypeError, "product"),
+    ((None,), UnsupportedFamily, "SphereProduct"),
+    ((geo.SphereProduct("equator", ((3, Fraction(1)),)),), UnsupportedFamily, "SphereProduct"),
+], ids=["no product", "None", "other dimension"])
+def test_surface_refuses_a_chart_without_its_product(torus, product, error, match):
+    # a surface is built once from its exact description, of its chart's dimension
+    with pytest.raises(error, match=match):
+        geo.ParametrizedHypersurface(torus.chart, *product)
+
+
 def test_degenerate_chart_raises():
     M = geo.clifford_hypersurface((2, 1))
     with pytest.raises(DegenerateChart):
@@ -200,7 +211,7 @@ def test_immersion_drift_raises(torus):
         metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
         density_const=1.001**2 * base.density_const,
     )
-    M = geo.ParametrizedHypersurface(2, bad)
+    M = geo.ParametrizedHypersurface(bad, torus.product)
     with pytest.raises(ImmersionDrift):
         geo.shape_at(M, np.array([0.3, 0.4]))
 
@@ -465,12 +476,6 @@ def test_volume_growth_rejects_unknown_metric(torus):
     for metric in ("geodesc", "chord"):
         with pytest.raises(ValueError):
             geo.measure_volume_growth(torus, metric=metric)
-
-
-def test_volume_growth_refuses_a_custom_family(torus):
-    custom = geo.ParametrizedHypersurface(2, torus.chart)
-    with pytest.raises(UnsupportedFamily):
-        geo.measure_volume_growth(custom)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import eigsh
 
 from spherestab import geometry as geo
 from spherestab import operators as ops
-from spherestab.errors import AssemblyFailure, DegenerateChart, UnsupportedFamily
+from spherestab.errors import AssemblyFailure, DegenerateChart
 
 
 def lowest_pencil_eigs(op, k=6):
@@ -394,10 +394,10 @@ def _sphere_chart_on_box(box):
     return dataclasses.replace(geo.equator(2).chart, box=np.array(box, dtype=float))
 
 
-def test_assembly_refuses_degenerate_open_grid():
+def test_assembly_refuses_degenerate_open_grid(equator2):
     # polar nodes at -0.5 + (i + 1/2) * 1 = i: the node t = 0 has g_11 = sin^2 0 = 0
     degenerate = _sphere_chart_on_box([[-0.5, 7.5], [0.0, 2.0 * np.pi]])
-    M = geo.ParametrizedHypersurface(2, degenerate)
+    M = geo.ParametrizedHypersurface(degenerate, equator2.product)
     assert np.any(geo._tensor_grid([ops.grid_axes(degenerate, 8)[0][0]]) == 0.0)
     with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
         ops.assemble_jacobi(M, 8)
@@ -407,23 +407,18 @@ def test_assembly_refuses_degenerate_open_grid():
     assert all(np.all(g > 0) for g in gdiag)
 
 
-def test_assembly_refuses_vanishing_mass():
+def test_assembly_refuses_vanishing_mass(equator2):
     # every metric entry positive, but their product underflows to 0
     def tiny(U):
         if isinstance(U, tuple):
             return tuple(np.full(np.shape(t), 1e-200) for t in U)
         return np.full(np.shape(U), 1e-200)
 
-    chart = dataclasses.replace(geo.equator(2).chart, metric_diag=tiny)
+    chart = dataclasses.replace(equator2.chart, metric_diag=tiny)
     with pytest.raises(AssemblyFailure):
-        ops.assemble_jacobi(geo.ParametrizedHypersurface(2, chart), 8)
+        ops.assemble_jacobi(geo.ParametrizedHypersurface(chart, equator2.product), 8)
 
 
 def test_assembly_preconditions(torus):
     with pytest.raises(ValueError):
         ops.assemble_jacobi(torus, 4)
-
-
-def test_analytic_spectrum_refuses_a_custom_surface(torus):
-    with pytest.raises(UnsupportedFamily):
-        ops.analytic_laplace_spectrum(geo.ParametrizedHypersurface(2, torus.chart))

@@ -12,7 +12,7 @@ from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
 from spherestab.errors import AssemblyFailure, NonMinimal, ZeroTestFunction
-from spherestab.fields import AmbientCoordinateField, ConstantField, ShapeNormField, SurfaceField
+from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceField
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +314,6 @@ def test_test_function_A_values(clifford_families, equator2):
     assert spec.test_function_A(equator2).constant == 0.0
 
 
-def test_test_function_A_generic_surface(torus):
-    # surfaces without closed-form geometry fall back to pointwise |A|
-    custom = geo.ParametrizedHypersurface(2, torus.chart)
-    field = spec.test_function_A(custom)
-    assert isinstance(field, ShapeNormField)
-    U, _ = geo.sample_points(custom, 4, seed=1)
-    vals = field.value(custom, U)
-    assert np.abs(vals - np.sqrt(2.0)).max() <= 1e-3
-
-
 # ---------------------------------------------------------------------------
 # curvature identity (finite differences with Christoffel correction)
 # ---------------------------------------------------------------------------
@@ -395,7 +385,7 @@ def test_simons_check_one_shape_evaluation_per_stencil_point(torus, monkeypatch)
         gdiag, nu, A, H, a2 = torus.shape_batch(U)
         return gdiag, nu, A * (1.0 + 0.3 * np.sin(U[..., :1, None])), H, a2 * (2.0 + np.cos(U[..., 1]))
 
-    warped_torus = geo.ParametrizedHypersurface(2, torus.chart, closed_form=warped)
+    warped_torus = geo.ParametrizedHypersurface(torus.chart, torus.product, closed_form=warped)
     assert _simons_reference(warped_torus, 60, 3, 2e-3).max_identity_residual > 1e-3
     for M in (geo.clifford_hypersurface((2, 1)), warped_torus):
         for step in (2e-3, 0.04):
@@ -415,7 +405,7 @@ def test_simons_nonminimal_rejected(torus):
         gdiag, nu, A, H, a2 = torus.shape_batch(U)
         return gdiag, nu, A, H + 0.5, a2  # fake mean curvature
 
-    M = geo.ParametrizedHypersurface(2, base, closed_form=bad_closed_form)
+    M = geo.ParametrizedHypersurface(base, torus.product, closed_form=bad_closed_form)
     with pytest.raises(NonMinimal):
         spec.simons_check(M, samples=10)
 
