@@ -16,7 +16,6 @@ from .errors import (
     DegenerateChart,
     ImmersionDrift,
     InsufficientSamples,
-    NoConvergence,
     NonMinimal,
     PreconditionViolated,
     SpherestabError,

@@ -26,9 +26,10 @@ after the surface's family and factor dimensions (``clifford_2_1``,
 
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error, 3 numerical failure (infeasible
-budget, insufficient samples, no convergence, a ``spectrum`` rung out of
-memory; the report is still written, with a ``failure`` field naming the
-cause).
+budget, insufficient samples, a stability pencil that fails its
+certificate, a ``spectrum`` rung out of memory; the report is still
+written, with a ``failure`` field naming the cause, and a failing
+``spectrum`` rung keeps the rows of the rungs before it).
 """
 
 from __future__ import annotations
@@ -198,16 +199,14 @@ def _run_spectrum(config: RunConfig, M):
     for res in config.resolutions:
         try:
             result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
-        except MemoryError:
-            failure = f"MemoryError: out of memory at resolution {res}"
+        except (MemoryError, SpherestabError) as exc:
+            failure = (f"MemoryError: out of memory at resolution {res}"
+                       if isinstance(exc, MemoryError) else f"{type(exc).__name__}: {exc}")
             break
         row = result.record(_tag(M), res)
         row["abs_err"] = abs(result.lambda1 - analytic.lambda1)
         errors.append(row["abs_err"])
         rows.append(row)
-        if not result.converged:
-            failure = f"NoConvergence: eigensolver did not converge at resolution {res}"
-            break
     if failure is not None:
         # the rows computed before the failing rung are kept
         payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}

@@ -14,19 +14,12 @@ class ImmersionDrift(SpherestabError):
 
 
 class AssemblyFailure(SpherestabError):
-    """Discrete operator assembly produced an invalid matrix."""
+    """Discrete operator assembly produced an invalid matrix, or a stability
+    pencil failed its certificate."""
 
 
 class UnsupportedFamily(SpherestabError):
     """No closed-form backend exists for the requested surface family."""
-
-
-class NoConvergence(SpherestabError):
-    """Iterative eigensolver hit its iteration cap.
-
-    Raised nowhere in the package: a spectrum report names it in its
-    ``failure`` field; callers may raise it on an unconverged result.
-    """
 
 
 class ZeroTestFunction(SpherestabError):

@@ -28,12 +28,13 @@ so S is symmetric by construction, positive semidefinite whenever every
 weight is >= 0, and S 1 is exactly 0: on a surface with constant
 potential the constant function is an exact discrete eigenvector,
 mirroring the continuous situation.  That structure is what
-:func:`spherestab.spectrum.first_stability_eigenvalue` certifies before
-it solves anything: when the weights are >= 0 and V = c B -- as on every
-built-in family, where |A|^2 is constant -- the smallest eigenvalue is -c
-with the constant eigenvector.  As (S - V) 1 = -V, that eigenvalue and
-its residual are sums over the open-grid B and V, so the certified path
-builds nothing of the grid's size.
+:func:`spherestab.spectrum.first_stability_eigenvalue` certifies, and it
+refuses a pencil without it: when the weights are >= 0 and V = c B -- as
+on every surface, where |A|^2 is the constant of its sphere factors --
+the smallest eigenvalue is -c with the constant eigenvector.  As
+(S - V) 1 = -V, that eigenvalue and its residual are sums over the
+open-grid B and V, so the certified path builds nothing of the grid's
+size.
 
 The geometry is evaluated on the grid axes, not on the full grid.  A
 diagonal chart metric is asked for on an open grid (the per-axis node
@@ -51,9 +52,9 @@ evaluation.  |A|^2 is the constant of the surface's sphere factors, so V
 stays on the open grid too.
 
 The matrices S, B and V, and the (m, n) node array, are views built on
-demand from the edge form, for the shift-invert fallback, ``pencil``,
-``export_coo`` and oracle checks.  S is canonical CSR: row i holds the
-(2d + 1)-point stencil of node i in the slot order
+demand from the edge form, for ``export_coo`` and oracle checks.  S is
+canonical CSR: row i holds the (2d + 1)-point stencil of node i in the
+slot order
 ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
 neighbours one step down and up axis a), which is ascending column order
 except on the rows that wrap on a periodic axis.  Each off-diagonal is the
@@ -98,7 +99,6 @@ class DiscreteOperator:
     node_potential: np.ndarray     # (|A|^2 + n) * node_mass
     periodic: tuple                # per axis
     coords: tuple                  # per-axis node coordinates
-    dimension: int
     resolution: list
 
     @property
@@ -146,10 +146,6 @@ class DiscreteOperator:
     def nodes(self):
         """(m, n) chart coordinates of the grid nodes, row-major."""
         return _tensor_grid(self.coords)
-
-    def pencil(self):
-        """(S - V, B) of the generalized eigenproblem."""
-        return (self.stiffness - self.potential).tocsc(), self.mass
 
     def export_coo(self, which="stiffness", path=None):
         """Matrix in text triplet form, one ``row col value`` line per entry."""
@@ -234,7 +230,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         node_potential=(a2 + M.dimension) * mass,
         periodic=tuple(chart.periodic),
         coords=coords,
-        dimension=M.dimension,
         resolution=res,
     )
 

@@ -10,9 +10,8 @@ products of spheres attain lambda_1 = -2n, again with constant first
 eigenfunction, and |A| = sqrt(n) is the natural test field that exhibits
 the value.  On an assembled pencil both values are certified from its
 edge form (non-negative edge weights and a bound ptp(V_ii / B_ii) on the
-distance to the constant vector's Rayleigh quotient) before any
-eigensolve, which then runs only for pencils that fail the check.  The
-pointwise identity
+distance to the constant vector's Rayleigh quotient); a pencil that fails
+the check is refused, not solved.  The pointwise identity
 
     Delta |A|^2 = 2 |grad A|^2 + 2 n |A|^2 - 2 |A|^4
 
@@ -43,21 +42,19 @@ from .geometry import (
 )
 from .operators import AnalyticSpectrum, DiscreteOperator, assemble_jacobi
 
-EIG_TOL = 1e-10
-EIG_MAXITER = 10_000
 CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 
 
 @dataclass
 class EigenResult:
-    """Smallest stability eigenvalue with its eigenvector and solve diagnostics."""
+    """Smallest stability eigenvalue with its eigenvector and residual."""
 
     lambda1: float
-    eigenvector: Optional[np.ndarray]   # B-normalized, first nonzero entry positive;
-                                        # read-only when certified (a broadcast constant)
+    eigenvector: Optional[np.ndarray]   # the B-normalized constant, read-only
+                                        # (a broadcast view); None when analytic
     residual: float                     # ||(S-V)x - lambda B x|| / ||B x||
     backend: str                        # "analytic" | "numeric"
-    converged: bool = True
+    converged: bool = True              # always: every result is certified or exact
 
     def record(self, surface, resolution=None):
         return {
@@ -83,39 +80,29 @@ def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) ->
     sum times the number of nodes each open-grid entry stands for.  The
     eigenvector is then the B-normalized constant as a read-only
     ``np.broadcast_to`` view, and the residual is ||V + lambda_1 B|| / ||B||.
-    An operator that fails the certificate is solved whole by shift-invert
-    Lanczos on its CSR pencil, with the shift sigma = -(2n + 1), safely
-    below the target window [-2n, -n], from the deterministic all-ones
-    start vector; a pencil with a non-finite entry raises
-    :class:`AssemblyFailure` instead.  Its eigenvector is B-normalized and
-    its residual is measured with ``apply`` on the edge form.  The analytic
-    backend minimizes (enumerated -Delta eigenvalue) - (|A|^2 + n) exactly.
+    An operator that fails the certificate -- a negative or non-finite
+    weight, a mass entry that is not positive, or V / B off a constant by
+    more than ``CERT_TOL`` -- raises :class:`AssemblyFailure` with the gap,
+    and nothing is solved: no surface the library builds produces one.
+    The analytic backend minimizes (enumerated -Delta eigenvalue) -
+    (|A|^2 + n) exactly.
     """
     if isinstance(op, AnalyticSpectrum):
         lam = float(np.min(op.eigenvalues(8)) - op.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
-    if _constant_mode_gap(op) <= CERT_TOL:
-        b, v = np.broadcast_arrays(op.node_mass, op.node_potential)
-        copies = op.size // b.size
-        mass = float(np.sum(b)) * copies
-        lam = -float(np.sum(v)) * copies / mass
-        residual = math.sqrt(float(np.sum((v + lam * b) ** 2)) / float(np.sum(b * b)))
-        x = np.broadcast_to(1.0 / math.sqrt(mass), (op.size,))
-        return EigenResult(lam, x, residual, "numeric")
-
-    A, B = op.pencil()
-    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
-        raise AssemblyFailure("stability pencil has a non-finite entry")
-    lam, x, converged = _smallest(A, B, -(2.0 * op.dimension + 1.0))
-    b = op.mass_diagonal
-    x = x / np.sqrt(float(x @ (b * x)))
-    nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
-    if x[nz[0]] < 0:
-        x = -x
-    Bx = b * x
-    residual = float(np.linalg.norm(op.apply(x) - lam * Bx) / np.linalg.norm(Bx))
-    return EigenResult(lam, x, residual, "numeric", converged)
+    gap = _constant_mode_gap(op)
+    if gap > CERT_TOL:
+        raise AssemblyFailure(
+            f"stability pencil fails the constant-mode certificate: gap {gap:.3e} > {CERT_TOL:g}"
+        )
+    b, v = np.broadcast_arrays(op.node_mass, op.node_potential)
+    copies = op.size // b.size
+    mass = float(np.sum(b)) * copies
+    lam = -float(np.sum(v)) * copies / mass
+    residual = math.sqrt(float(np.sum((v + lam * b) ** 2)) / float(np.sum(b * b)))
+    x = np.broadcast_to(1.0 / math.sqrt(mass), (op.size,))
+    return EigenResult(lam, x, residual, "numeric")
 
 
 def _constant_mode_gap(op):
@@ -139,22 +126,6 @@ def _constant_mode_gap(op):
         return np.inf
     gap = float(np.ptp(op.node_potential / b))
     return gap if np.isfinite(gap) else np.inf
-
-
-def _smallest(A, B, sigma):
-    """(eigenvalue, eigenvector, converged) of the pencil (A, B) nearest sigma."""
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    try:
-        vals, vecs = eigsh(
-            A, k=1, M=B, sigma=sigma, which="LM", v0=np.ones(A.shape[0]),
-            tol=EIG_TOL, maxiter=EIG_MAXITER,
-        )
-        return float(vals[0]), vecs[:, 0], True
-    except ArpackNoConvergence as exc:  # report what we have; caller decides
-        if len(exc.eigenvalues) == 0:
-            raise
-        return float(exc.eigenvalues[0]), exc.eigenvectors[:, 0], False
 
 
 def rayleigh_quotient(

@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, config handling, exit codes."""
 
+import dataclasses
 import json
 import os
 import shlex
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spherestab.cli as cli
@@ -14,7 +16,6 @@ import spherestab.cutoff as cut
 import spherestab.estimates as est
 import spherestab.geometry as geo
 import spherestab.operators as ops
-import spherestab.spectrum as spec
 from spherestab.cli import main
 from spherestab.errors import BoundViolation
 
@@ -182,9 +183,9 @@ def test_spectrum_builds_no_csr_matrix(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported only by the code that uses it: the CSR views and the
-    # shift-invert fallback, which no built-in family reaches.  With scipy
-    # made unimportable, every subcommand still runs on a built-in family.
+    # scipy is imported only by the code that uses it, the CSR views, which
+    # no subcommand builds.  With scipy made unimportable, every subcommand
+    # still runs.
     code = """
 import sys, spherestab.cli
 print([m for m in sys.modules if m.startswith('scipy')])
@@ -235,28 +236,6 @@ def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
     assert doc["failure"] == "BoundViolation: class count 109 exceeds 108^3"
 
 
-def test_unconverged_spectrum_writes_rows_and_failure(tmp_path, monkeypatch):
-    original = spec.first_stability_eigenvalue
-
-    def unconverged(op):
-        result = original(op)
-        if result.backend == "numeric":
-            result.converged = False
-        return result
-
-    monkeypatch.setattr(spec, "first_stability_eigenvalue", unconverged)
-    argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32"]
-    assert run(tmp_path, *argv, "--format", "json") == 3
-    doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
-    assert doc["failure"].startswith("NoConvergence: ")
-    assert [r["backend"] for r in doc["rows"]] == ["analytic", "numeric"]
-    assert doc["rows"][1]["resolution"] == 16
-    assert run(tmp_path, *argv) == 3
-    lines = (tmp_path / "spectrum_clifford_1_1.csv").read_text().strip().splitlines()
-    assert lines[1] == "surface,backend,resolution,lambda1,residual,abs_err"
-    assert len(lines) == 5 and lines[4].startswith("# failure: NoConvergence: ")
-
-
 def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
     # a rung whose grid does not fit: the assembly is made to raise, no
     # large grid is allocated; the earlier rows are kept and the exit is 3
@@ -276,6 +255,32 @@ def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
     assert run(tmp_path, *argv) == 3
     lines = (tmp_path / "spectrum_clifford_1_1.csv").read_text().strip().splitlines()
     assert len(lines) == 5 and lines[4] == "# failure: MemoryError: out of memory at resolution 32"
+
+
+def test_refused_rung_writes_rows_and_failure(tmp_path, monkeypatch):
+    # a rung whose pencil fails the certificate (one negative edge weight)
+    # is refused like a rung out of memory: the earlier rows are kept, the
+    # failure names the refusal and the exit is 3
+    original = ops.assemble_jacobi
+
+    def negative_weight_at_32(M, resolution):
+        op = original(M, resolution)
+        if resolution == 32:
+            weights = [np.array(np.broadcast_to(w, op.shape)) for w in op.weights]
+            weights[0][0, 0] = -1.0
+            op = dataclasses.replace(op, weights=tuple(weights))
+        return op
+
+    monkeypatch.setattr(ops, "assemble_jacobi", negative_weight_at_32)
+    argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32,64"]
+    assert run(tmp_path, *argv, "--format", "json") == 3
+    doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
+    assert doc["failure"].startswith("AssemblyFailure: ")
+    assert [(r["backend"], r["resolution"]) for r in doc["rows"]] == [("analytic", None), ("numeric", 16)]
+    assert run(tmp_path, *argv) == 3
+    lines = (tmp_path / "spectrum_clifford_1_1.csv").read_text().strip().splitlines()
+    assert lines[1] == "surface,backend,resolution,lambda1,residual,abs_err"
+    assert len(lines) == 5 and lines[4].startswith("# failure: AssemblyFailure: ")
 
 
 def test_estimates_cli(tmp_path):

@@ -15,9 +15,8 @@ from spherestab.errors import AssemblyFailure, DegenerateChart
 
 
 def lowest_pencil_eigs(op, k=6):
-    A, B = op.pencil()
-    # pencil here is S - V; add V back to study the bare Laplacian when needed
-    vals = eigsh(op.stiffness.tocsc(), k=k, M=B, sigma=-0.5, which="LM")[0]
+    # the bare Laplacian: S alone, without the potential V
+    vals = eigsh(op.stiffness.tocsc(), k=k, M=op.mass, sigma=-0.5, which="LM")[0]
     return np.sort(vals)
 
 
@@ -123,7 +122,8 @@ def test_product_spectrum_clusters_match_dense_pencil():
     # cluster below 0, so clusters are counted, not signs
     M = geo.clifford_hypersurface((2, 1))
     exact = ops.analytic_laplace_spectrum(M).eigenvalues(13) - 6.0
-    A, B = ops.assemble_jacobi(M, 10).pencil()
+    op = ops.assemble_jacobi(M, 10)
+    A, B = (op.stiffness - op.potential).tocsc(), op.mass
     numeric = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 12])
     assert _cluster_sizes(exact) == _cluster_sizes(numeric) == [1, 5, 6, 1]
     assert np.abs(numeric[:12] - exact[:12]).max() <= 0.25

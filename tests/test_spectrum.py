@@ -5,8 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from spherestab import geometry as geo
 from spherestab import operators as ops
@@ -101,13 +101,17 @@ def test_assembled_pencil_is_kronecker_sum_of_factors(kl, res):
 @pytest.mark.parametrize("kl, res", FACTORED_GRIDS + EQUATOR_GRIDS)
 def test_factorized_lambda1_matches_whole_pencil_solve(kl, res):
     # the certified lambda_1 against the oracle: shift-invert Lanczos on the
-    # assembled pencil, sigma = -(2n + 1)
-    op = ops.assemble_jacobi(surface(kl), res)
+    # assembled CSR pencil, sigma = -(2n + 1), from the all-ones start vector
+    # (eigsh raises if it does not converge)
+    M = surface(kl)
+    op = ops.assemble_jacobi(M, res)
     assert spec._constant_mode_gap(op) <= spec.CERT_TOL
-    A, B = op.pencil()
-    oracle, _, converged = spec._smallest(A, B, -(2.0 * op.dimension + 1.0))
+    oracle = eigsh(
+        (op.stiffness - op.potential).tocsc(), k=1, M=op.mass, sigma=-(2.0 * M.dimension + 1.0),
+        which="LM", v0=np.ones(op.size), tol=1e-10, maxiter=10_000,
+    )[0][0]
     result = spec.first_stability_eigenvalue(op)
-    assert converged and result.converged
+    assert result.converged
     assert abs(result.lambda1 - oracle) <= 1e-12
     assert result.residual <= 1e-12
 
@@ -132,37 +136,23 @@ def _scale_node(name, factor):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [
-    _set_weight(0, lambda w: -w),                    # a positive off-diagonal in S
-    _scale_node("node_potential", 1.01),             # one potential entry x 1.01
-    _scale_node("node_mass", 0.0),                   # one zero mass entry
-], ids=["negative-weight", "potential-entry", "zero-mass"])
-def test_certificate_refuses_corrupted_pencil(corrupt):
+@pytest.mark.parametrize("corrupt, gap", [
+    (_set_weight(0, lambda w: -w), np.inf),                         # a positive off-diagonal in S
+    (_scale_node("node_potential", 1.01), pytest.approx(0.06)),     # one potential entry x 1.01
+    (_scale_node("node_mass", 0.0), np.inf),                        # one zero mass entry
+    (_set_weight(1, lambda w: np.nan), np.inf),                     # one NaN edge weight
+], ids=["negative-weight", "potential-entry", "zero-mass", "nan-weight"])
+def test_certificate_refuses_corrupted_pencil(corrupt, gap, monkeypatch):
     # each corruption of the edge form breaks one hypothesis of the
-    # certificate; the fallback whole-pencil solve must then find the
-    # smallest eigenvalue of the pencil
+    # certificate; the pencil is then refused, with its gap, and no matrix
+    # is built to solve it
     op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
     assert spec._constant_mode_gap(op) <= spec.CERT_TOL
     op = corrupt(op, np.unravel_index(op.size // 2 + 3, op.shape))
-    assert spec._constant_mode_gap(op) > spec.CERT_TOL
-    A, B = (op.stiffness - op.potential).toarray(), op.mass.toarray()
-    if np.all(B.diagonal() > 0):
-        smallest = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
-    else:  # eigh needs B positive definite; a zero mass makes one eigenvalue infinite
-        dense = scipy.linalg.eigvals(A, B)
-        smallest = dense[np.isfinite(dense)].real.min()
-    result = spec.first_stability_eigenvalue(op)
-    assert result.converged
-    assert abs(result.lambda1 - smallest) <= 1e-10
-
-
-def test_certificate_refuses_nan_weight():
-    # a NaN edge weight is refused, and the fallback names the cause instead
-    # of solving a non-finite pencil
-    op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
-    op = _set_weight(1, lambda w: np.nan)(op, np.unravel_index(op.size // 2 + 3, op.shape))
-    assert spec._constant_mode_gap(op) == np.inf
-    with pytest.raises(AssemblyFailure, match="non-finite"):
+    refused = spec._constant_mode_gap(op)
+    assert refused > spec.CERT_TOL and refused == gap
+    monkeypatch.setattr(ops, "_csr_views", None)
+    with pytest.raises(AssemblyFailure, match=f"certificate: gap {refused:.3e}"):
         spec.first_stability_eigenvalue(op)
 
 
@@ -183,14 +173,14 @@ def test_apply_matches_csr_pencil(M):
 def test_certificate_holds_on_fine_equator_grids(n, res, monkeypatch):
     # fine polar grids: the pole rows have B_ii ~ h^3, so a bound that divides
     # row-sum rounding by B_ii would refuse them; ptp(V / B) does not, and
-    # no solve runs
+    # no matrix is built
     op = ops.assemble_jacobi(geo.equator(n), res)
     assert spec._constant_mode_gap(op) <= spec.CERT_TOL
 
     def refuse(*args):
-        raise AssertionError("the certified pencil was solved")
+        raise AssertionError("the certified pencil was built as CSR")
 
-    monkeypatch.setattr(spec, "_smallest", refuse)
+    monkeypatch.setattr(ops, "_csr_views", refuse)
     result = spec.first_stability_eigenvalue(op)
     assert abs(result.lambda1 + n) <= 1e-12
     assert result.residual <= 1e-14
