@@ -1,20 +1,18 @@
 """Command-line entry point: reproducible experiments with file reports.
 
-Subcommands
------------
-spectrum    analytic + numeric first stability eigenvalues over a resolution
-            ladder, with residuals and the observed convergence order
-simons      curvature-identity residuals with a step-refinement ladder
-cutoff      synthetic singular set -> ball cover -> cutoff field -> measured
-            gradient integral (inf kind) or quality triple (product kind)
-estimates   local curvature-energy bounds plus the L^4 identity
-cone-table  cone stability verdicts for links of dimension 1..n_max
+The subcommands are the entries of ``COMMANDS`` (``spherestab --help``
+lists them).  Every run is deterministic for a fixed seed and writes a
+self-describing report (the config is embedded) as CSV or JSON.  Config
+values may come from flags or from a JSON config file; flags override the
+file.  The default output directory is $SPHERESTAB_OUTDIR, falling back to
+the current directory.
 
-Every run is deterministic for a fixed seed and writes a self-describing
-report (the config is embedded) as CSV or JSON.  Config values may come
-from flags or from a JSON config file; flags override the file.  The
-default output directory is $SPHERESTAB_OUTDIR, falling back to the
-current directory.
+Each option is declared once, as a ``RunConfig`` field with its help,
+choices and range; the parser and ``validate`` read it, and a value of the
+wrong type or out of range, from a flag or a file, is a configuration
+error.  Adding a subcommand is one ``COMMANDS`` entry (runner, help line,
+own options) plus a runner that returns a ``Result``: ``main`` alone
+writes the report, prints the summary and picks the exit code.
 
 ``--family`` names an entry of ``FAMILIES``, which builds the run's surface
 once through its ``geometry`` constructor: ``equator`` reads ``--n``;
@@ -25,8 +23,8 @@ after the surface's family and factor dimensions (``clifford_2_1``,
 ``equator_4``).
 
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
-still written), 2 configuration error, 3 numerical failure (infeasible
-budget, insufficient samples, a stability pencil that fails its
+still written), 2 configuration error (no report), 3 numerical failure
+(infeasible budget, insufficient samples, a stability pencil that fails its
 certificate, a ``spectrum`` rung out of memory; the report is still
 written, with a ``failure`` field naming the cause, and a failing
 ``spectrum`` rung keeps the rows of the rungs before it).
@@ -36,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,45 +64,80 @@ FAMILIES = {
 }
 
 
+def _option(default, help, choices=None, check=None, text=None):
+    """A CLI option: ``check`` is true on its range (false on NaN), which ``text`` states."""
+    kind = {"default_factory": lambda: list(default)} if isinstance(default, list) else {"default": default}
+    meta = {"help": help, "choices": choices, "check": check, "text": text}
+    return field(**kind, metadata=meta)
+
+
 @dataclass
 class RunConfig:
     command: str
-    family: str = next(iter(FAMILIES))
-    k: int = 1
-    l: int = 1
-    n: int = 2
-    resolutions: list[int] = field(default_factory=lambda: [32, 64, 128])
-    epsilon: float = 0.05
-    exponent: float = 1.0
-    kind: str = "inf"
-    points: int = 1
-    singular_set: str = ""
-    n_max: int = 10
-    radii: list[float] = field(default_factory=lambda: [0.1, 0.25, 0.5, 1.0])
-    samples: int = 200
-    seed: int = 0
-    out: str = "."
-    format: str = "csv"
+    family: str = _option(next(iter(FAMILIES)), "built-in surface family", tuple(FAMILIES))
+    k: int = _option(1, "first clifford factor dimension")
+    l: int = _option(1, "second clifford factor dimension")
+    n: int = _option(2, "surface dimension")
+    resolutions: list[int] = _option([32, 64, 128], "comma-separated grid resolutions",
+                                     check=lambda v: v and min(v) >= 8, text="at least one, each >= 8")
+    epsilon: float = _option(0.05, "cover budget", check=lambda v: 0 < v < math.inf,
+                             text="finite and > 0")
+    exponent: float = _option(1.0, "budget/integrand exponent q", check=math.isfinite, text="finite")
+    kind: str = _option("inf", "cutoff construction", ("inf", "product"))
+    points: int = _option(1, "sampled singular-set points (cutoff) or ball centres (estimates)",
+                          check=lambda v: v >= 0, text=">= 0")
+    singular_set: str = _option("", "plain-text point cloud (one point per line) instead of sampled points")
+    n_max: int = _option(10, "largest link dimension", check=lambda v: v >= 1, text=">= 1")
+    radii: list[float] = _option([0.1, 0.25, 0.5, 1.0], "comma-separated ball radii",
+                                 check=lambda v: all(0 < r < 2 for r in v), text="each in (0, 2)")
+    samples: int = _option(200, "Monte-Carlo samples", check=lambda v: v >= 1, text=">= 1")
+    seed: int = _option(0, "random seed", check=lambda v: v >= 0, text=">= 0")
+    out: str = _option(".", f"output directory (default ${OUTDIR_ENV} or .)")
+    format: str = _option("csv", "report format", ("csv", "json"))
 
     def validate(self):
-        if any(r < 8 for r in self.resolutions):
-            raise ConfigError("resolutions must be >= 8")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.kind not in ("inf", "product"):
-            raise ConfigError("kind must be 'inf' or 'product'")
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
+        """Refuse an option value of the wrong type, outside its choices or out of range."""
+        for name, f in OPTIONS.items():
+            value, meta = getattr(self, name), f.metadata
+            if not _fits(value, f.type):
+                raise ConfigError(f"{name} = {value!r} is not {f.type}")
+            if meta["choices"] and value not in meta["choices"]:
+                raise ConfigError(f"{name} = {value!r} is not one of {', '.join(meta['choices'])}")
+            if meta["check"] and not meta["check"](value):
+                raise ConfigError(f"{name} = {value!r} is out of range: {meta['text']}")
         return self
 
     def surface(self):
-        build = FAMILIES.get(self.family)
-        if build is None:
-            raise ConfigError(f"unknown family {self.family!r}")
         try:
-            return build(self)
+            return FAMILIES[self.family](self)
         except ValueError as exc:
             raise ConfigError(f"{self.family}: {exc}") from None
+
+
+OPTIONS = {f.name: f for f in fields(RunConfig) if f.metadata}
+
+# an option's type -> (converter of its flag text, JSON types of a config
+# value); a list option is a comma-separated list of its item type
+_SCALARS = {"int": (int, int), "float": (float, (int, float)), "str": (str, str)}
+
+
+def _fits(value, kind):
+    """Whether a value fits an option's type; JSON true and false load as bool and fit none."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, kind[5:-1]) for v in value)
+    return isinstance(value, _SCALARS[kind][1]) and not isinstance(value, bool)
+
+
+def _converter(kind):
+    if not kind.startswith("list["):
+        return _SCALARS[kind][0]
+    item = _SCALARS[kind[5:-1]][0]
+
+    def convert(text):
+        return [item(v) for v in text.split(",") if v]
+
+    convert.__name__ = kind  # argparse names it in "invalid list[int] value"
+    return convert
 
 
 def _tag(M):
@@ -113,19 +148,14 @@ def _tag(M):
 def _build_config(args):
     """(config, surface) from a config file and flags; flags override the file."""
     values = {}
-    fields = RunConfig.__dataclass_fields__
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
-        for key, val in values.items():
-            if key in fields and not _has_type(val, fields[key].type):
-                raise ConfigError(f"{key} = {val!r} in {args.config} is not {fields[key].type}")
-    for key, val in vars(args).items():
-        if key in ("config", "func") or val is None:
-            continue
-        values[key] = val
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ConfigError(f"{args.config} does not hold a JSON object")
+    values.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
     values.setdefault("out", os.environ.get(OUTDIR_ENV, "."))
-    unknown = set(values) - set(fields)
+    unknown = set(values) - set(OPTIONS) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig(**values).validate()
@@ -135,28 +165,30 @@ def _build_config(args):
     return config, M
 
 
-def _has_type(value, kind):
-    """Whether a JSON value fits a ``RunConfig`` annotation: int, float, str, list[int] or list[float]."""
-    if kind.startswith("list["):
-        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
-    # JSON true and false load as bool, a subclass of int
-    types = {"int": int, "float": (int, float), "str": str}[kind]
-    return isinstance(value, types) and not isinstance(value, bool)
+@dataclass
+class Result:
+    """A runner's report payload (``payload["failure"]`` names a numerical
+    failure), verdict, summary line and the CSV columns of ``payload["rows"]``."""
+    payload: dict
+    summary: str = ""
+    passed: bool = True
+    columns: list[str] | None = None
 
 
-def _write_report(config: RunConfig, M, payload: dict, rows=None, columns=None) -> str:
+def _write_report(config: RunConfig, M, result: Result) -> str:
     os.makedirs(config.out, exist_ok=True)
     stem = config.command if config.command == "cone-table" else f"{config.command}_{_tag(M)}"
     path = os.path.join(config.out, f"{stem}.{config.format}")
+    payload = result.payload
     doc = {"config": asdict(config), **payload}
     if config.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
     else:
         lines = ["# config: " + json.dumps(asdict(config), sort_keys=True)]
-        if rows is not None:
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
+        if result.columns is not None:
+            lines.append(",".join(result.columns))
+            for row in payload["rows"]:
+                lines.append(",".join(_csv_cell(row.get(c)) for c in result.columns))
             if "failure" in payload:
                 lines.append("# failure: " + payload["failure"])
         else:
@@ -194,36 +226,30 @@ def _run_spectrum(config: RunConfig, M):
     rows = [analytic.record(_tag(M))]
     rows[-1]["abs_err"] = 0.0
     errors = []
-    columns = ["surface", "backend", "resolution", "lambda1", "residual", "abs_err"]
-    failure = None
+    result = Result({"rows": rows, "analytic_lambda1": analytic.lambda1},
+                    columns=["surface", "backend", "resolution", "lambda1", "residual", "abs_err"])
     for res in config.resolutions:
         try:
-            result = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
+            rung = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
         except (MemoryError, SpherestabError) as exc:
-            failure = (f"MemoryError: out of memory at resolution {res}"
-                       if isinstance(exc, MemoryError) else f"{type(exc).__name__}: {exc}")
-            break
-        row = result.record(_tag(M), res)
-        row["abs_err"] = abs(result.lambda1 - analytic.lambda1)
+            # the rows computed before the failing rung are kept
+            result.payload["failure"] = (f"MemoryError: out of memory at resolution {res}"
+                                         if isinstance(exc, MemoryError) else _failure(exc))
+            return result
+        row = rung.record(_tag(M), res)
+        row["abs_err"] = abs(rung.lambda1 - analytic.lambda1)
         errors.append(row["abs_err"])
         rows.append(row)
-    if failure is not None:
-        # the rows computed before the failing rung are kept
-        payload = {"rows": rows, "analytic_lambda1": analytic.lambda1, "failure": failure}
-        path = _write_report(config, M, payload, rows, columns)
-        print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
-        return 3
     order = spec.observed_order(errors) if len(errors) >= 2 else float("inf")
-    payload = {
-        "rows": rows,
-        "analytic_lambda1": analytic.lambda1,
-        "observed_order": order if np.isfinite(order) else "inf",
-    }
-    path = _write_report(config, M, payload, rows, columns)
-    ok = errors[-1] <= 1e-6 and all(r["residual"] <= 1e-8 for r in rows[1:]) and order >= 2
-    print(f"spectrum {_tag(M)}: lambda1 = {rows[-1]['lambda1']:.9f} "
-          f"(analytic {analytic.lambda1}), err {errors[-1]:.2e}, order {order} -> {path}")
-    return 0 if ok else 1
+    result.payload["observed_order"] = order if np.isfinite(order) else "inf"
+    result.passed = errors[-1] <= 1e-6 and all(r["residual"] <= 1e-8 for r in rows[1:]) and order >= 2
+    result.summary = (f"spectrum {_tag(M)}: lambda1 = {rows[-1]['lambda1']:.9f} "
+                      f"(analytic {analytic.lambda1}), err {errors[-1]:.2e}, order {order}")
+    return result
+
+
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _analytic_eigenvalue(M):
@@ -244,15 +270,13 @@ def _run_simons(config: RunConfig, M):
         "step_residuals": ladder,
         "observed_order": order if np.isfinite(order) else "inf",
     }
-    path = _write_report(config, M, payload)
-    ok = (
+    passed = (
         report.max_identity_residual <= 1e-6
         and report.max_inequality_violation == 0.0
         and order >= 2
     )
-    print(f"simons {_tag(M)}: residual {report.max_identity_residual:.2e}, "
-          f"violation {report.max_inequality_violation}, order {order} -> {path}")
-    return 0 if ok else 1
+    return Result(payload, f"simons {_tag(M)}: residual {report.max_identity_residual:.2e}, "
+                           f"violation {report.max_inequality_violation}, order {order}", passed)
 
 
 def _radius_floor(count, n, q, epsilon):
@@ -275,9 +299,7 @@ def _run_cutoff(config: RunConfig, M):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"singular set {config.singular_set}: {exc}") from None
         if pts.size and pts.shape[1] != n + 2:
-            raise ConfigError(
-                f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}"
-            )
+            raise ConfigError(f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("singular-set points must have finite coordinates")
         if pts.size and np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
@@ -304,7 +326,6 @@ def _run_cutoff(config: RunConfig, M):
             "radii": list(cover.radii),
             "passed": report.passed,
         }
-        ok = report.passed
     else:
         fld = cut.build_product_cutoff(cover)
         report = cut.mr_quality_report(M, fld, seed=config.seed)
@@ -319,12 +340,9 @@ def _run_cutoff(config: RunConfig, M):
             "C1": report.c1,
             "passed": report.passed,
         }
-        ok = report.passed
-    path = _write_report(config, M, payload)
-    print(f"cutoff {_tag(M)} kind={config.kind}: "
-          + ", ".join(f"{k}={v:.4g}" for k, v in payload.items() if isinstance(v, float))
-          + f" -> {path}")
-    return 0 if ok else 1
+    summary = (f"cutoff {_tag(M)} kind={config.kind}: "
+               + ", ".join(f"{k}={v:.4g}" for k, v in payload.items() if isinstance(v, float)))
+    return Result(payload, summary, report.passed)
 
 
 def _run_estimates(config: RunConfig, M):
@@ -338,53 +356,56 @@ def _run_estimates(config: RunConfig, M):
     # the l4 identity holds with equality, so its margin is 0 by construction
     # and stays out of the summary's minimum
     reports = bounds + [est.l4_identity_check(M)]
-    rows = [rep.row() for rep in reports]
-    payload = {"rows": rows, "lambda1": lam1, "C_V": c_v}
-    path = _write_report(config, M, payload, rows, ["name", "n", "lhs", "rhs", "margin", "stderr"])
-    ok = all(rep.passed for rep in reports)
     margin = min((rep.margin for rep in bounds), default=float("inf"))
-    print(f"estimates {_tag(M)}: {len(reports)} reports, "
-          f"min bound margin {margin:.3g} -> {path}")
-    return 0 if ok else 1
+    return Result({"rows": [rep.row() for rep in reports], "lambda1": lam1, "C_V": c_v},
+                  f"estimates {_tag(M)}: {len(reports)} reports, min bound margin {margin:.3g}",
+                  all(rep.passed for rep in reports),
+                  ["name", "n", "lhs", "rhs", "margin", "stderr"])
 
 
 def _run_cone_table(config: RunConfig, M):
     table = est.cone_stability_table(config.n_max)
-    rows = [
-        {
-            "n": v.n,
-            "link_bound": v.link_bound,
-            "threshold": v.threshold,
-            "stable_possible": v.stable_possible,
-            "margin": v.margin,
-        }
-        for v in table
-    ]
-    payload = {"rows": rows}
-    path = _write_report(
-        config, M, payload, rows, ["n", "link_bound", "threshold", "stable_possible", "margin"]
-    )
-    ok = all(v.stable_possible == (v.n >= 6) for v in table)
+    columns = ["n", "link_bound", "threshold", "stable_possible", "margin"]
+    rows = [{c: getattr(v, c) for c in columns} for v in table]
     first_true = next((v.n for v in table if v.stable_possible), None)
-    print(f"cone-table: first stable-possible link dimension {first_true} -> {path}")
-    return 0 if ok else 1
+    return Result({"rows": rows}, f"cone-table: first stable-possible link dimension {first_true}",
+                  all(v.stable_possible == (v.n >= 6) for v in table), columns)
 
 
-_COMMANDS = {
-    "spectrum": _run_spectrum,
-    "simons": _run_simons,
-    "cutoff": _run_cutoff,
-    "estimates": _run_estimates,
-    "cone-table": _run_cone_table,
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[RunConfig, object], Result]
+    help: str
+    options: tuple[str, ...]
+    surface: bool = True  # also reads --family, --k, --l and --n
+
+
+_COMMON = ("seed", "out", "format")
+_SURFACE = ("family", "k", "l", "n")
+
+COMMANDS = {
+    "spectrum": Command(_run_spectrum, "analytic and numeric first stability eigenvalues over a "
+                        "resolution ladder, with residuals and the observed order", ("resolutions",)),
+    "simons": Command(_run_simons, "curvature-identity residuals with a step-refinement ladder",
+                      ("samples",)),
+    "cutoff": Command(_run_cutoff, "synthetic singular set -> ball cover -> cutoff field -> "
+                      "gradient integral (inf kind) or quality triple (product kind)",
+                      ("points", "singular_set", "epsilon", "exponent", "kind")),
+    "estimates": Command(_run_estimates, "local curvature-energy bounds plus the L^4 identity",
+                         ("radii", "points")),
+    "cone-table": Command(_run_cone_table, "cone stability verdicts for links of dimension "
+                          "1..n_max", ("n_max",), surface=False),
 }
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
+def _add_options(parser, names):
+    for name in names:
+        f = OPTIONS[name]
+        meta = f.metadata
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_converter(f.type),
+                            choices=meta["choices"], default=None,
+                            help="; ".join(filter(None, (meta["help"], meta["text"]))))
+    return parser
 
 
 def build_parser():
@@ -393,65 +414,33 @@ def build_parser():
         description="stability spectra and cutoff estimates for minimal hypersurfaces of the sphere",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, surface=True):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        if surface:
-            p.add_argument("--family", choices=FAMILIES, default=None)
-            p.add_argument("--k", type=int, default=None)
-            p.add_argument("--l", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("spectrum", help="first stability eigenvalue, analytic and numeric")
-    common(p)
-    p.add_argument("--resolutions", type=_int_list, default=None)
-
-    p = sub.add_parser("simons", help="curvature identity residuals")
-    common(p)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("cutoff", help="cover a synthetic singular set and measure the cutoff")
-    common(p)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--singular-set", dest="singular_set", default=None,
-                   help="plain-text point cloud (one point per line) instead of sampled points")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--exponent", type=float, default=None, help="budget/integrand exponent q")
-    p.add_argument("--kind", choices=("inf", "product"), default=None)
-
-    p = sub.add_parser("estimates", help="local curvature-energy bounds and the L4 identity")
-    common(p)
-    p.add_argument("--radii", type=_float_list, default=None)
-    p.add_argument("--points", type=int, default=None, help="number of ball centers")
-
-    p = sub.add_parser("cone-table", help="cone stability verdicts for n = 1..n_max")
-    common(p, surface=False)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    _add_options(common, _COMMON)
+    surface = _add_options(argparse.ArgumentParser(add_help=False), _SURFACE)
+    for name, command in COMMANDS.items():
+        parents = [common, surface] if command.surface else [common]
+        _add_options(sub.add_parser(name, help=command.help, parents=parents), command.options)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config, M = _build_config(args)
+        try:
+            result = COMMANDS[config.command].run(config, M)
+        except SpherestabError as exc:
+            result = Result({"failure": _failure(exc)})
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[config.command](config, M)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SpherestabError as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-        path = _write_report(config, M, {"failure": failure})
-        print(f"numerical failure: {failure} -> {path}", file=sys.stderr)
+    path = _write_report(config, M, result)
+    if "failure" in result.payload:
+        print(f"numerical failure: {result.payload['failure']} -> {path}", file=sys.stderr)
         return 3
+    print(f"{result.summary} -> {path}")
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

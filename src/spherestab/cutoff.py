@@ -607,7 +607,10 @@ def _chord_sq_bound(radius, metric, lower=False):
 
 def _product_gradient(other, slope, grad_d):
     """grad prod_i v_i = sum_i other_i slope_i grad d_i, other_i = prod_{k != i} v_k."""
-    return np.einsum("pi,pi,pij->pj", other, slope, grad_d, optimize=True)
+    # the path optimize=True finds at every shape, given as a literal because
+    # optimize=True searches for it again on every call
+    return np.einsum("pi,pi,pij->pj", other, slope, grad_d,
+                     optimize=["einsum_path", (0, 1), (0, 1)])
 
 
 def _product_excluding_one(vals):
@@ -667,7 +670,8 @@ def surface_laplacian_of_cutoff(M, U, X, field: CutoffField):
     jac = chart.jacobian(np.asarray(U, dtype=float))
     gdiag = chart.metric_diag(np.asarray(U, dtype=float))
     grad, hess = field._product_derivatives(X)
-    trace = np.einsum("pia,pij,pja,pa->p", jac, hess, jac, 1.0 / gdiag, optimize=True)
+    trace = np.einsum("pia,pij,pja,pa->p", jac, hess, jac, 1.0 / gdiag,
+                      optimize=["einsum_path", (0, 1), (0, 2), (0, 1)])  # as in _product_gradient
     drift = -n * np.einsum("pj,pj->p", grad, X)
     return trace + drift
 

@@ -302,8 +302,12 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
         - np.einsum("mdca,mdb->mcab", gamma, A0, optimize=True)
         - np.einsum("mdcb,mad->mcab", gamma, A0, optimize=True)
     )
+    # the path optimize=True finds at every n >= 2 (at n = 1, A = 0 and any
+    # order gives 0), given as a literal because optimize=True searches for
+    # it again on every call
     grad_A_sq = np.einsum(
-        "mc,ma,mb,mcab,mcab->m", ginv, ginv, ginv, nabla, nabla, optimize=True
+        "mc,ma,mb,mcab,mcab->m", ginv, ginv, ginv, nabla, nabla,
+        optimize=["einsum_path", (3, 4), (0, 3), (0, 2), (0, 1)],
     )
 
     a2_plus, a2_minus = at_stencil(4)

@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, config handling, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -164,6 +165,83 @@ def test_config_file_value_types_exit_2(tmp_path, values, capsys):
     assert not (tmp_path / "none").exists()
 
 
+# (command, key, flag text, config-file value) out of the option's range:
+# unchecked, each one crashes its run or ends in a numerical failure
+_OUT_OF_RANGE = [
+    ("cone-table", "n_max", "0", 0),
+    ("simons", "samples", "0", 0),
+    ("simons", "samples", "-3", -3),
+    ("cutoff", "points", "-2", -2),
+    ("estimates", "radii", "0", [0]),
+    ("estimates", "radii", "3", [3]),
+    ("estimates", "radii", "nan", [float("nan")]),
+    ("spectrum", "resolutions", ",", []),
+    ("cutoff", "epsilon", "nan", float("nan")),
+    ("cutoff", "exponent", "nan", float("nan")),
+    ("simons", "seed", "-1", -1),
+    ("cutoff", "seed", "-1", -1),
+]
+
+
+@pytest.mark.parametrize("command,argv,config", [
+    *[(command, ["--" + key.replace("_", "-"), text], None) for command, key, text, _ in _OUT_OF_RANGE],
+    *[(command, [], {key: value}) for command, key, _, value in _OUT_OF_RANGE],
+    ("spectrum", [], [1, 2]),  # a config file that holds no JSON object
+    ("spectrum", [], "x"),
+], ids=str)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))  # NaN is written as the literal json.load reads
+        argv = ["--config", str(cfg)]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+# the flags of every subcommand: (flag, dest, choices, or the repr of what
+# its converter makes of "2")
+_COMMON_FLAGS = {("--config", "config", "'2'"), ("--seed", "seed", "2"), ("--out", "out", "'2'"),
+                 ("--format", "format", ("csv", "json"))}
+_SURFACE_FLAGS = {("--family", "family", ("clifford", "equator")), ("--k", "k", "2"),
+                  ("--l", "l", "2"), ("--n", "n", "2")}
+CLI_SURFACE = {
+    "spectrum": _COMMON_FLAGS | _SURFACE_FLAGS | {("--resolutions", "resolutions", "[2]")},
+    "simons": _COMMON_FLAGS | _SURFACE_FLAGS | {("--samples", "samples", "2")},
+    "cutoff": _COMMON_FLAGS | _SURFACE_FLAGS | {
+        ("--points", "points", "2"), ("--singular-set", "singular_set", "'2'"),
+        ("--epsilon", "epsilon", "2.0"), ("--exponent", "exponent", "2.0"),
+        ("--kind", "kind", ("inf", "product")),
+    },
+    "estimates": _COMMON_FLAGS | _SURFACE_FLAGS | {("--radii", "radii", "[2.0]"),
+                                                   ("--points", "points", "2")},
+    "cone-table": _COMMON_FLAGS | {("--n-max", "n_max", "2")},
+}
+
+
+def test_cli_surface_is_pinned():
+    # a flag dropped, renamed or retyped by the option table fails here; no
+    # flag has a default, so a config-file value is overridden only by a flag
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.dest != "help"]
+        assert all(a.default is None for a in actions), name
+        surface[name] = {(" ".join(a.option_strings), a.dest,
+                          tuple(a.choices) if a.choices else repr((a.type or str)("2")))
+                         for a in actions}
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in CLI_SURFACE)], ids=" ".join)
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spherestab")
+
+
 def test_config_file_accepts_int_for_float(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"radii": [1, 0.5], "points": 1}))
@@ -230,7 +308,8 @@ def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
     def violate(config, M):
         raise BoundViolation("class count 109 exceeds 108^3")
 
-    monkeypatch.setitem(cli._COMMANDS, "cone-table", violate)
+    monkeypatch.setitem(cli.COMMANDS, "cone-table",
+                        dataclasses.replace(cli.COMMANDS["cone-table"], run=violate))
     assert run(tmp_path, "cone-table", "--n-max", "3", "--format", "json") == 3
     doc = json.loads((tmp_path / "cone-table.json").read_text())
     assert doc["failure"] == "BoundViolation: class count 109 exceeds 108^3"
