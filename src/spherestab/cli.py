@@ -12,7 +12,10 @@ choices and range; the parser and ``validate`` read it, and a value of the
 wrong type or out of range, from a flag or a file, is a configuration
 error.  Adding a subcommand is one ``COMMANDS`` entry (runner, help line,
 own options) plus a runner that returns a ``Result``: ``main`` alone
-writes the report, prints the summary and picks the exit code.
+writes the report, prints the summary and picks the exit code.  The parser
+is built on the first ``main`` call and reused by every later call in the
+process, so ``OPTIONS`` and ``COMMANDS`` are read into it once, at the
+first parse; ``main`` still looks each runner up in ``COMMANDS`` per call.
 
 ``--family`` names an entry of ``FAMILIES``, which builds the run's surface
 once through its ``geometry`` constructor: ``equator`` reads ``--n``;
@@ -33,6 +36,7 @@ written, with a ``failure`` field naming the cause, and a failing
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,11 +89,12 @@ class RunConfig:
     exponent: float = _option(1.0, "budget/integrand exponent q", check=math.isfinite, text="finite")
     kind: str = _option("inf", "cutoff construction", ("inf", "product"))
     points: int = _option(1, "sampled singular-set points (cutoff) or ball centres (estimates)",
-                          check=lambda v: v >= 0, text=">= 0")
+                          check=lambda v: v >= 1, text=">= 1")
     singular_set: str = _option("", "plain-text point cloud (one point per line) instead of sampled points")
     n_max: int = _option(10, "largest link dimension", check=lambda v: v >= 1, text=">= 1")
     radii: list[float] = _option([0.1, 0.25, 0.5, 1.0], "comma-separated ball radii",
-                                 check=lambda v: all(0 < r < 2 for r in v), text="each in (0, 2)")
+                                 check=lambda v: v and all(0 < r < 2 for r in v),
+                                 text="at least one, each in (0, 2)")
     samples: int = _option(200, "Monte-Carlo samples", check=lambda v: v >= 1, text=">= 1")
     seed: int = _option(0, "random seed", check=lambda v: v >= 0, text=">= 0")
     out: str = _option(".", f"output directory (default ${OUTDIR_ENV} or .)")
@@ -179,12 +184,12 @@ def _write_report(config: RunConfig, M, result: Result) -> str:
     os.makedirs(config.out, exist_ok=True)
     stem = config.command if config.command == "cone-table" else f"{config.command}_{_tag(M)}"
     path = os.path.join(config.out, f"{stem}.{config.format}")
-    payload = result.payload
-    doc = {"config": asdict(config), **payload}
+    payload, embedded = result.payload, asdict(config)
     if config.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
+        text = json.dumps({"config": embedded, **payload}, indent=2, sort_keys=True,
+                          default=_jsonable) + "\n"
     else:
-        lines = ["# config: " + json.dumps(asdict(config), sort_keys=True)]
+        lines = ["# config: " + json.dumps(embedded, sort_keys=True)]
         if result.columns is not None:
             lines.append(",".join(result.columns))
             for row in payload["rows"]:
@@ -298,11 +303,13 @@ def _run_cutoff(config: RunConfig, M):
             pts = cut.load_point_cloud(config.singular_set)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"singular set {config.singular_set}: {exc}") from None
-        if pts.size and pts.shape[1] != n + 2:
+        if not pts.size:
+            raise ConfigError(f"singular set {config.singular_set} holds no points")
+        if pts.shape[1] != n + 2:
             raise ConfigError(f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("singular-set points must have finite coordinates")
-        if pts.size and np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
             raise ConfigError("singular-set points must lie on the unit sphere (|x| = 1 within 1e-9)")
     else:
         _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
@@ -348,7 +355,7 @@ def _run_cutoff(config: RunConfig, M):
 def _run_estimates(config: RunConfig, M):
     lam1 = _analytic_eigenvalue(M).lambda1
     c_v = geo.measure_volume_growth(M)
-    _, centers = geo.sample_points(M, max(config.points, 1), seed=config.seed)
+    _, centers = geo.sample_points(M, config.points, seed=config.seed)
     bounds = []
     for r in config.radii:
         ball = est.geodesic_ball_area(M, r)  # the same at every centre of these families
@@ -356,7 +363,7 @@ def _run_estimates(config: RunConfig, M):
     # the l4 identity holds with equality, so its margin is 0 by construction
     # and stays out of the summary's minimum
     reports = bounds + [est.l4_identity_check(M)]
-    margin = min((rep.margin for rep in bounds), default=float("inf"))
+    margin = min(rep.margin for rep in bounds)
     return Result({"rows": [rep.row() for rep in reports], "lambda1": lam1, "C_V": c_v},
                   f"estimates {_tag(M)}: {len(reports)} reports, min bound margin {margin:.3g}",
                   all(rep.passed for rep in reports),
@@ -408,7 +415,9 @@ def _add_options(parser, names):
     return parser
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built at the first call and shared, unchanged, by every later one."""
     parser = argparse.ArgumentParser(
         prog="spherestab",
         description="stability spectra and cutoff estimates for minimal hypersurfaces of the sphere",

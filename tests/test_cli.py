@@ -32,6 +32,12 @@ def _readme_command_lines():
     return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's spherestab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cone_table_report(tmp_path):
     assert run(tmp_path, "cone-table", "--n-max", "10") == 0
     text = (tmp_path / "cone-table.csv").read_text()
@@ -142,6 +148,8 @@ def test_config_errors_exit_2(tmp_path):
         "ragged": "1 0 0 0\n0 1 0\n",
         "nan": "1 0 0 0\nnan 1 0 0\n",
         "norm-2": "1 0 0 0\n2 0 0 0\n",
+        "empty": "",  # no point: a cover of nothing would pass vacuously
+        "comments only": "# no points\n",
     }
     for case, text in bad_clouds.items():
         cloud = tmp_path / f"{case}.txt"
@@ -166,15 +174,19 @@ def test_config_file_value_types_exit_2(tmp_path, values, capsys):
 
 
 # (command, key, flag text, config-file value) out of the option's range:
-# unchecked, each one crashes its run or ends in a numerical failure
+# unchecked, each one crashes its run, ends in a numerical failure or
+# passes vacuously on an empty input
 _OUT_OF_RANGE = [
     ("cone-table", "n_max", "0", 0),
     ("simons", "samples", "0", 0),
     ("simons", "samples", "-3", -3),
     ("cutoff", "points", "-2", -2),
+    ("cutoff", "points", "0", 0),
+    ("estimates", "points", "0", 0),
     ("estimates", "radii", "0", [0]),
     ("estimates", "radii", "3", [3]),
     ("estimates", "radii", "nan", [float("nan")]),
+    ("estimates", "radii", ",", []),
     ("spectrum", "resolutions", ",", []),
     ("cutoff", "epsilon", "nan", float("nan")),
     ("cutoff", "exponent", "nan", float("nan")),
@@ -242,6 +254,58 @@ def test_help_exits_0(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: spherestab")
 
 
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # after a first call has built the parser, later calls construct none
+    assert run(tmp_path, "cone-table", "--n-max", "3") == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "1", "--l", "1",
+               "--resolutions", "16") == 0
+    assert run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "2",
+               "--epsilon", "0.05", "--exponent", "1", "--kind", "inf") == 0
+    assert run(tmp_path, "cone-table", "--n-max", "4") == 0
+    assert built == []
+
+
+def _config_line(path):
+    return json.loads(path.read_text().splitlines()[0].removeprefix("# config: "))
+
+
+def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
+    # a flag of one call does not reach the next
+    argv = ["cone-table", "--n-max", "4", "--out", str(tmp_path / "format")]
+    assert main([*argv, "--format", "json"]) == 0
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path / "format")) == ["cone-table.csv", "cone-table.json"]
+    assert _config_line(tmp_path / "format" / "cone-table.csv")["format"] == "csv"
+    # nor does a config-file value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_max": 3}))
+    assert main(["cone-table", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert run(tmp_path / "after", "cone-table") == 0
+    assert _config_line(tmp_path / "after" / "cone-table.csv")["n_max"] == 10
+    # a call refused by argparse leaves the next one as a fresh process runs it
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "refused", "spectrum", "--k", "x")
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32",
+            "--out", str(tmp_path / "good")]
+    assert main(argv) == 0
+    report = tmp_path / "good" / "spectrum_clifford_1_1.csv"
+    in_process = report.read_bytes()
+    report.unlink()
+    subprocess.run([sys.executable, "-m", "spherestab.cli", *argv], env=_child_env(),
+                   capture_output=True, check=True)
+    assert report.read_bytes() == in_process
+
+
 def test_config_file_accepts_int_for_float(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"radii": [1, 0.5], "points": 1}))
@@ -279,9 +343,7 @@ runs = [
 ]
 print([spherestab.cli.main([*argv, '--out', sys.argv[1]]) for argv in runs])
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=_child_env(),
                          capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[0, 0, 0, 0, 0, 0]")
