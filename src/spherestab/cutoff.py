@@ -942,8 +942,9 @@ def mr_quality_report(
 
     Work is done only where phi may differ from 1.  The three integrals
     share the chart box and the strata, so one cell mask
-    (:func:`_cells_meeting_balls`) serves all three: the rows of a cell
-    that meets no ball are drawn but never embedded.  Within the kept
+    (:func:`_cells_meeting_balls`) serves all three: the random draws of
+    a cell that meets no ball are taken, so the stream does not change,
+    but its points are never formed, embedded or evaluated.  Within the kept
     cells each integrand is evaluated only on the sample rows inside some
     ball of the cover (:meth:`CutoffField._inside_some_ball`).  Every other
     row has phi = 1 with zero derivatives and contributes an exact 0.0, the

@@ -71,18 +71,19 @@ def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
     return float(M.product.ball_area(np.cos(r)))
 
 
-def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
-                  ball_area=None) -> EstimateReport:
+def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     """Exact int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
 
-    ``p`` is a point of M, ``r`` a geodesic radius in (0, 2) and
-    ``lambda1`` the first stability eigenvalue that feeds
-    ``alpha = |-lambda_1 - n|``.  On a product of round spheres |A|^2 is
-    the constant of the sphere factors and the ball area does not depend on
-    the centre, so the left side is |A|^2(p) times
-    :func:`geodesic_ball_area`, with stderr 0; a caller that bounds many
-    centres at one radius computes that area once and passes it as
-    ``ball_area``.  A ``p`` farther than 1e-9 from M (checked through the
+    ``p`` is a point of M or an (m, n+2) array of centres, ``r`` a geodesic
+    radius in (0, 2) and ``lambda1`` the first stability eigenvalue that
+    feeds ``alpha = |-lambda_1 - n|``.  On a product of round spheres |A|^2
+    is the constant of the sphere factors and the ball area does not depend
+    on the centre, so the left side is |A|^2(p) times
+    :func:`geodesic_ball_area`, with stderr 0.  A point gives one
+    :class:`EstimateReport`, an array a list with one report per centre,
+    in order: a caller that bounds many centres at one radius passes them
+    as one array, which takes one ball area, one chart inverse and one
+    embedding.  A centre farther than 1e-9 from M (checked through the
     chart inverse) raises :class:`PreconditionViolated`, as does a left
     side that is negative or not finite (a failed ball-area quadrature).
     ``C_V`` defaults to the geodesic :func:`measure_volume_growth`, exact
@@ -90,29 +91,36 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None,
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
-    ball = geodesic_ball_area(M, r) if ball_area is None else ball_area
+    ball = geodesic_ball_area(M, r)
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:
         C_V = measure_volume_growth(M)
     p = np.asarray(p, dtype=float)
+    centres = np.atleast_2d(p)
     chart = M.chart
-    u = chart.inverse(p)
-    off = float(np.linalg.norm(chart.embed(u) - p))
-    if not off <= 1e-9:
-        raise PreconditionViolated(f"ball centre lies {off:.3g} off the surface")
-    a2 = float(_norm_A_sq(M, u[None])[0])
-    lhs = a2 * ball
-    if not 0.0 <= lhs < math.inf:
-        raise PreconditionViolated(f"curvature energy {lhs!r} on the ball is negative or not finite")
+    u = chart.inverse(centres)
+    off = np.linalg.norm(chart.embed(u) - centres, axis=-1)
+    far = ~(off <= 1e-9)
+    if far.any():
+        raise PreconditionViolated(f"ball centre lies {off[far][0]:.3g} off the surface")
+    lhs = [float(a2) * ball for a2 in _norm_A_sq(M, u)]
+    for v in lhs:
+        if not 0.0 <= v < math.inf:
+            raise PreconditionViolated(
+                f"curvature energy {v!r} on the ball is negative or not finite")
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
-    return EstimateReport(
-        "local_A_bound",
-        lhs,
-        rhs,
-        0.0,
-        {"n": n, "r": r, "alpha": alpha, "C_V": C_V, "lambda1": lambda1},
-    )
+    reports = [
+        EstimateReport(
+            "local_A_bound",
+            v,
+            rhs,
+            0.0,
+            {"n": n, "r": r, "alpha": alpha, "C_V": C_V, "lambda1": lambda1},
+        )
+        for v in lhs
+    ]
+    return reports[0] if p.ndim == 1 else reports
 
 
 @dataclass

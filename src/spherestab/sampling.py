@@ -25,6 +25,7 @@ from .geometry import (
     ParametrizedHypersurface,
     _gauss_rule,
     _per_axis,
+    _row_product,
     geodesic_distance,
     sqrt_det_metric,
 )
@@ -102,25 +103,27 @@ def stratified_integral(
 
     ``cells`` is an optional boolean mask over the cell grid (the row-major
     cells of :func:`_cell_grid`), of shape (cells,) or (boxes, cells).  The
-    rows of every cell are drawn, so the random stream does not depend on
-    the mask, but the rows of a False cell are neither embedded nor passed
-    to ``fn``: they read an exact 0.0.  When ``fn`` vanishes on those rows
-    the estimate is therefore bit for bit that of the unmasked call.
-    ``None`` keeps every cell.  ``fn`` receives the kept rows in their
-    row-major order.
+    random block of every box is drawn whole, so the stream does not depend
+    on the mask, but the points of a False cell are never formed: only the
+    kept cells' low corners, sides and draws are gathered into sample rows,
+    and only those rows are embedded and passed to ``fn``, in their
+    row-major order.  A dropped cell contributes an exact 0, so when ``fn``
+    vanishes on its rows the estimate is bit for bit that of the unmasked
+    call.  ``None`` keeps every cell, through the same code.
 
     The density sqrt(det g) is taken only on the rows where ``fn`` is
     non-zero (negative values count), and the cell mean and variance only
-    for the cells that hold such a row; every other cell contributes
-    exactly 0, which is what the dense computation gives, so the estimate
-    is bit for bit that of weighting every row.
+    for the cells that hold such a row.  They are scattered into zero
+    arrays over every cell before the sums, so the summation order is that
+    of the dense computation, and the estimate is bit for bit that of
+    weighting every row.
 
     A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
     box in one pass and returns their estimates as :class:`BoxEstimates`;
     each box gets exactly the samples and the estimate that a call with
     that box and its seed alone would give.  ``fn(U, X)`` then receives the
-    rows of every box, box by box, :func:`_stratified_rows` of them per box
-    (with no ``cells`` mask).
+    kept rows of every box, box by box, :func:`_stratified_rows` of them
+    per box when no cell is dropped.
     """
     chart = M.chart
     n = chart.dim
@@ -129,31 +132,34 @@ def stratified_integral(
     if single:
         boxes, seed = boxes[None], [seed]
     lows, sides = _cell_grid(boxes, strata)
-    vols = np.prod(sides, axis=-1)
+    vols = _row_product(sides)
     count = lows.shape[1]
     k = max(2, int(samples_per_cell))
 
     draws = np.empty((len(boxes), count, k, n))
     for out, s in zip(draws, seed):
         np.random.default_rng(s).random(out=out)  # int, SeedSequence or Generator all work
-    pts = lows[:, :, None, :] + draws * sides[:, :, None, :]
-    flat = pts.reshape(-1, n)
-    kept = np.repeat(np.broadcast_to(True if cells is None else cells, vols.shape).ravel(), k)
-    U = np.compress(kept, flat, axis=0)  # a boolean row index is ~10x slower
-    vals = np.zeros(len(flat))
-    vals[kept] = fn(U, chart.embed(U))
-    vals = vals.reshape(len(boxes), count, k)
+    keep = np.broadcast_to(True if cells is None else cells, vols.shape).ravel()
+    # the kept cells of the whole stack, row-major; compress beats a boolean index ~10x
+    low, side, draw = (np.compress(keep, a.reshape(len(keep), -1, n), axis=0)
+                       for a in (lows, sides, draws))
+    U = (low + draw * side).reshape(-1, n)
+    vals = np.empty(len(U))
+    vals[:] = fn(U, chart.embed(U))
+    vals = vals.reshape(-1, k)
     live = vals != 0.0  # negative values count
     # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
-    busy = functools.reduce(np.logical_or, np.moveaxis(live, -1, 0))
-    dens = sqrt_det_metric(chart, flat[live.ravel()])
+    busy = functools.reduce(np.logical_or, live.T)
+    dens = sqrt_det_metric(chart, np.compress(live.ravel(), U, axis=0))
     # the live rows of the busy cells, in the same row-major order as dens
     weighted, busy_live = vals[busy], live[busy]
     weighted[busy_live] *= dens
-    mean = np.zeros(busy.shape)
-    var = np.zeros(busy.shape)
-    mean[busy] = weighted.mean(axis=-1)
-    var[busy] = weighted.var(axis=-1, ddof=1)
+    mean = np.zeros(vols.size)
+    var = np.zeros(vols.size)
+    cells_busy = np.flatnonzero(keep)[busy]
+    mean[cells_busy] = weighted.mean(axis=-1)
+    var[cells_busy] = weighted.var(axis=-1, ddof=1)
+    mean, var = mean.reshape(vols.shape), var.reshape(vols.shape)
     value = np.sum(vols * mean, axis=-1)
     stderr = np.sqrt(np.sum(vols**2 * var / k, axis=-1))
     ests = BoxEstimates(MCEstimate(float(v), float(e), count * k) for v, e in zip(value, stderr))

@@ -269,13 +269,14 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     Derivatives of A use central differences of its chart components with
     Christoffel corrections (Christoffels themselves from differences of the
     metric); Laplacians of |A|^2 and |A| use the same stencils.  The
-    closed-form shape arrays are evaluated once at the sample points and
-    once at each stencil point U +/- step e_a, 2n + 1 calls in all, and the
-    metric, A, |A|^2 and |A| are all read from those.  The inequality form
-    is scored one-sidedly as max(0, RHS - LHS).
+    closed-form shape arrays are evaluated twice: once at the sample
+    points, and once at the 2n stencil point sets U +/- step e_a stacked
+    into one batch, whatever n is.  The metric, A, |A|^2 and |A| are all
+    read from those.  The inequality form is scored one-sidedly as
+    max(0, RHS - LHS).
 
-    Raises :class:`NonMinimal` if |H| > 1e-6 at any sample: the identity is
-    only claimed for minimal surfaces.
+    Raises :class:`NonMinimal` if |H| > 1e-6 at any sample, before any
+    stencil work: the identity is only claimed for minimal surfaces.
     """
     if not M.has_closed_form:
         raise UnsupportedFamily("identity check needs the closed-form geometry backend")
@@ -287,11 +288,14 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     if np.any(np.abs(H0) > 1e-6):
         raise NonMinimal(f"|H| up to {np.abs(H0).max():.3e} at samples; identity needs H = 0")
 
-    plus, minus = (list(map(M.shape_batch, points)) for points in _stencil(U, step))
+    plus, minus = _stencil(U, step)
+    # one batch for all 2n point sets; stencil[i][j] is array i at point set j
+    stencil = [a.reshape(2 * n, m, *a.shape[1:])
+               for a in M.shape_batch(np.concatenate(plus + minus))]
 
     def at_stencil(i):
         # array i of shape_batch at the plus and at the minus points
-        return [s[i] for s in plus], [s[i] for s in minus]
+        return stencil[i][:n], stencil[i][n:]
 
     _, ginv, gamma = _christoffel(gdiag0, *at_stencil(0), step)
     # dA[:, c, a, b] = d_c A_ab

@@ -125,6 +125,36 @@ def test_local_A_bound_small_ball_is_exact():
         assert rep.stderr == 0.0 and rep.passed
 
 
+@pytest.mark.parametrize("make", [lambda: geo.clifford_hypersurface((1, 1)),
+                                  lambda: geo.clifford_hypersurface((1, 2)),
+                                  lambda: geo.equator(3)], ids=["torus", "clifford12", "equator3"])
+def test_local_A_bound_batch_matches_each_centre(make):
+    # an (m, n+2) array of centres gives one report per centre, each with
+    # the row of a single-centre call bit for bit
+    M = make()
+    n = M.dimension
+    c_v = geo.measure_volume_growth(M)
+    _, centers = geo.sample_points(M, 7, seed=12)
+    for r in (0.1, 0.5, 1.5):
+        batch = est.local_A_bound(M, centers, r, -2.0 * n, C_V=c_v)
+        assert isinstance(batch, list) and len(batch) == len(centers)
+        assert [rep.row() for rep in batch] == [
+            est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v).row() for c in centers
+        ]
+    single = est.local_A_bound(M, centers[0], 0.5, -2.0 * n, C_V=c_v)
+    assert isinstance(single, est.EstimateReport)
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_local_A_bound_batch_refuses_any_off_surface_centre(torus, where):
+    _, centers = geo.sample_points(torus, 7, seed=12)
+    centers[where] *= 1.01
+    with pytest.raises(PreconditionViolated, match="off the surface"):
+        est.local_A_bound(torus, centers, 0.25, -4.0, C_V=4.4)
+    with pytest.raises(ValueError):
+        est.local_A_bound(torus, centers, 2.5, -4.0, C_V=4.4)
+
+
 def test_local_A_bound_refuses_off_surface_centre(torus):
     _, P = geo.sample_points(torus, 1, seed=2)
     with pytest.raises(PreconditionViolated):
@@ -136,10 +166,8 @@ def test_local_A_bound_refuses_off_surface_centre(torus):
 @pytest.mark.parametrize("area", [-1e-21, math.nan, math.inf])
 def test_local_A_bound_refuses_a_negative_or_non_finite_lhs(tmp_path, torus, monkeypatch, area):
     _, P = geo.sample_points(torus, 1, seed=2)
-    with pytest.raises(PreconditionViolated, match="negative or not finite"):
-        est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=4.4, ball_area=area)
     monkeypatch.setattr(est, "geodesic_ball_area", lambda M, r: area)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="negative or not finite"):
         est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=4.4)
     code = main(["estimates", "--family", "clifford", "--k", "1", "--l", "1", "--points", "1",
                  "--radii", "0.25", "--format", "json", "--out", str(tmp_path)])

@@ -551,3 +551,14 @@ def test_small_ball_area_against_swapped_integral(l, r):
     got = float(geo._ball_area(1, l, np.cos(r)))
     assert got > 0.0
     assert abs(got / _swapped_ball_area(l, r) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_product_is_np_prod_bit_for_bit(n):
+    # the left-to-right product over a short last axis, on a stacked (boxes,
+    # cells, n) layout and on magnitudes whose products round differently
+    # in another order
+    rng = np.random.default_rng(n)
+    a = rng.random((3, 257, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 257, n))
+    assert np.array_equal(geo._row_product(a), np.prod(a, axis=-1))
+    assert np.array_equal(geo._row_product(a[0]), np.prod(a[0], axis=-1))

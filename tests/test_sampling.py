@@ -159,6 +159,40 @@ def test_cell_mask_dropping_a_live_cell_changes_the_estimate():
     assert dropped.samples == full.samples
 
 
+def test_all_false_mask_forms_no_row(monkeypatch):
+    # every cell dropped: an exact 0.0 +- 0.0 over the full sample count,
+    # and neither fn nor the embedding receives a row
+    M = geo.clifford_hypersurface((1, 2))
+    seen = []
+    embed = M.chart.embed
+    monkeypatch.setattr(M.chart, "embed", lambda U: seen.append(("embed", len(U))) or embed(U))
+    fn = lambda U, X: seen.append(("fn", len(U))) or 1.0 + X[:, 0] ** 2  # noqa: E731
+    est = stratified_integral(M, fn, strata=4, seed=7, cells=np.zeros(4**3, dtype=bool))
+    assert (est.value, est.stderr, est.samples) == (0.0, 0.0, 4**3 * 2)
+    assert sum(rows for _, rows in seen) == 0
+
+
+@pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
+def test_stacked_mask_dropping_a_whole_box(case):
+    # the dropped box reads 0 over its full sample count; every other box
+    # gets its single-box, unmasked estimate bit for bit
+    M, boxes = _cases()[case]
+    strata, per_cell = 5, 3
+    boxes = np.array(boxes, dtype=float)
+    fn = lambda U, X: 1.0 + X[:, 0] ** 2  # noqa: E731
+    seeds = np.random.SeedSequence(29).spawn(len(boxes))
+    mask = np.ones((len(boxes), strata**M.dimension), dtype=bool)
+    mask[0] = False
+    stacked = stratified_integral(M, fn, box=boxes, strata=strata, samples_per_cell=per_cell,
+                                  seed=seeds, cells=mask)
+    rows = smp._stratified_rows(M.dimension, strata, per_cell)
+    assert stacked[0] == MCEstimate(0.0, 0.0, rows)
+    for est, box, seed in zip(stacked[1:], boxes[1:], seeds[1:]):
+        alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
+                                    seed=seed)
+        assert alone.value != 0.0 and est == alone
+
+
 # ---------------------------------------------------------------------------
 # local polar patches
 # ---------------------------------------------------------------------------
