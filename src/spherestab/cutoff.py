@@ -9,7 +9,7 @@ satisfy the budget ``sum_i r_i^(n-q) < epsilon``:
 * the *product* cutoff: a C^2 quintic ramp per ball vanishing on
   B(p_i, r_i/2), equal to 1 outside B(p_i, r_i), multiplied together.  The
   profile constant C0 with ``|D phi|^2 + |D^2 phi| <= C0 r^-2`` is computed
-  from the quintic once, on first use, and carried on the field.
+  from the quintic once, on first use, and read from the field.
 
 The quantitative facts verified numerically: the gradient estimate
 ``int_M |grad phi|^q <= 2^(n+q) C_V epsilon``; the Vitali-style discard
@@ -64,6 +64,8 @@ from .spectrum import surface_laplacian_fd
 
 BUDGET_SHARE = 0.9   # fraction of epsilon the greedy cover actually spends
 _CHUNK_ROWS = 8192   # sample rows per batched pass of gradient_integral_estimate
+_BOX_SAFETY = 1.5    # first chart box of a ball: this many reaches over the axis speed
+_FACE_SAMPLES = 7    # samples per axis of a chart-box face tested against its ball
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +229,16 @@ def cover_singular_set(
         )
 
     factor = 6.0 if containment == "sixth" else 1.0
-    centers = np.empty((m, points.shape[1]))
-    spread = np.empty(m)
-    single = np.array([len(idx) == 1 for idx in clusters])
-    # singleton clusters all at once, with the loop's arithmetic: the mean of
-    # one row, and the norm of a 1-D vector, which is its dot product
-    lone = points[[idx[0] for idx in clusters if len(idx) == 1]]
-    c = lone[:, None, :].mean(axis=1)
+    # every cluster's members in cluster order; each cluster is summed in
+    # member order, as ``mean`` sums, and + 0.0 gives the +0.0 that ``mean``'s
+    # sum from the identity gives on an all -0.0 coordinate
+    sizes = np.array([len(idx) for idx in clusters])
+    starts = np.cumsum(sizes) - sizes
+    members = points[np.concatenate(clusters)]
+    centers = (np.add.reduceat(members, starts, axis=0) + 0.0) / sizes[:, None]
     if metric == "geodesic":
-        c = c / np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0])
-    centers[single] = c
-    spread[single] = dist(lone, c)
-    for i in np.flatnonzero(~single):
-        idx = clusters[i]
-        c = points[idx].mean(axis=0)
-        if metric == "geodesic":
-            c = c / np.linalg.norm(c)
-        centers[i] = c
-        spread[i] = np.max(dist(points[idx], c))
+        centers = centers / np.sqrt(np.matmul(centers[:, None, :], centers[:, :, None])[:, 0])
+    spread = np.maximum.reduceat(dist(members, np.repeat(centers, sizes, axis=0)), starts)
     need = factor * spread * (1.0 + 1e-9)
 
     radii = np.maximum(need, r_min)
@@ -395,8 +389,8 @@ class CutoffField:
     product kind:  phi = prod_i rho(d_i / r_i) with the C^2 quintic ramp
     rho supported on [1/2, 1]; vanishes on every B(p_i, r_i/2), equals 1
     outside the union of B(p_i, r_i), and each factor obeys
-    |D phi_i|^2 + |D^2 phi_i| <= C0 r_i^-2 with the stored C0 (the
-    quintic's profile constant unless given).  Its value and derivatives
+    |D phi_i|^2 + |D^2 phi_i| <= C0 r_i^-2 with C0 the quintic's profile
+    constant (:func:`_profile_c0`).  Its value and derivatives
     at a point take only the balls that may hold the point
     (:meth:`_ball_table`); every other ramp is exactly 1 there with zero
     derivatives.
@@ -404,11 +398,11 @@ class CutoffField:
 
     cover: BallCover
     kind: str
-    C0: Optional[float] = None
 
-    def __post_init__(self):
-        if self.C0 is None and self.kind == "product":
-            self.C0 = _profile_c0()
+    @property
+    def C0(self):
+        """The product ramps' profile constant; None on the inf kind."""
+        return _profile_c0() if self.kind == "product" else None
 
     # -- distances ---------------------------------------------------------
     def _dist_grad(self, X, centers=None):
@@ -456,15 +450,6 @@ class CutoffField:
         table[~pad] = np.nonzero(holds.T)[1]  # row by row, each row's balls ascending
         return table, pad
 
-    def _inside_some_ball(self, X):
-        """Rows of X within some ball B(p_i, r_i), screened conservatively
-        (:meth:`_ball_table`); the other rows read phi = 1 with zero gradient
-        and Hessian."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.cover.size == 0:
-            return np.zeros(X.shape[0], dtype=bool)
-        return ~self._ball_table(X)[1].all(axis=1)
-
     def _table_ramps(self, X):
         """Product kind: per row of X and slot of its :meth:`_ball_table`,
         the distance, its gradient, the ball radius, the ramp value and slope.
@@ -486,13 +471,11 @@ class CutoffField:
             return np.ones(X.shape[0])
         if self.kind == "product":
             return self._table_ramps(X)[3].prod(axis=1)
-        d, _ = self._dist_grad(X)
-        vals, _ = self._ramps(d)
-        return vals.min(axis=1)
+        return self._active_ramp(X)[1]
 
     def _active_ramp(self, X, balls=None):
         """Inf kind: per point the active ball (lowest index on ties), phi (its
-        ramp value, equal to ``value`` bit for bit), its ramp slope and the
+        ramp value, which ``value`` returns), its ramp slope and the
         gradient of its distance, from one distance evaluation.
 
         ``balls`` restricts the inf to some balls: a sorted index list for
@@ -843,11 +826,12 @@ def _annulus_gradient_integrand(M, field, q):
     return integrand
 
 
-def _ball_chart_boxes(M, centers, reach, metric, safety=1.5):
+def _ball_chart_boxes(M, centers, reach, metric):
     """Chart boxes (balls, n, 2) guaranteed to contain M cap B(center, reach), and the
     mask of the balls that meet M (the other rows are unset).
 
-    One nearest-point call and one gap test serve every ball.  A box grows
+    One nearest-point call and one gap test serve every ball.  A box starts
+    at ``_BOX_SAFETY`` times the reach over each axis's speed and grows
     by 1.4 until every face that bounds its image lies outside its ball;
     faces clipped onto a polar face of the chart do not count (see
     :func:`_boxes_exclude_balls`), so balls at a coordinate pole are
@@ -861,7 +845,7 @@ def _ball_chart_boxes(M, centers, reach, metric, safety=1.5):
     boxes = np.empty(u0.shape + (2,))
     todo = np.flatnonzero(hit)
     width = np.zeros_like(u0)
-    width[todo] = safety * reach_geo[todo, None] / np.sqrt(chart.metric_diag(u0[todo]))
+    width[todo] = _BOX_SAFETY * reach_geo[todo, None] / np.sqrt(chart.metric_diag(u0[todo]))
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     periodic = np.asarray(chart.periodic, dtype=bool)
     dist = _distance(metric)
@@ -881,21 +865,21 @@ def _ball_chart_boxes(M, centers, reach, metric, safety=1.5):
     return boxes, hit
 
 
-def _boxes_exclude_balls(chart, boxes, centers, reach, dist, face_samples=7):
+def _boxes_exclude_balls(chart, boxes, centers, reach, dist):
     """Per box, every face that bounds its image lies outside its ball.
 
     A full periodic axis has no face, and a face clipped onto a polar face
     of the chart collapses inside M (the density vanishes there), so
     neither is checked; the box then covers M cap B(center, reach).  Each
-    face is a ``face_samples``^(n-1) grid.
+    face is a ``_FACE_SAMPLES``^(n-1) grid.
     """
     count, n = boxes.shape[:2]
-    axes = np.linspace(boxes[..., 0], boxes[..., 1], face_samples, axis=-1)  # (boxes, n, samples)
+    axes = np.linspace(boxes[..., 0], boxes[..., 1], _FACE_SAMPLES, axis=-1)  # (boxes, n, samples)
     excluded = np.ones(count, dtype=bool)
     for a in range(n):
         lo, hi = chart.box[a]
         other = [b for b in range(n) if b != a]
-        grid = _tensor_grid([np.arange(face_samples)] * len(other)) if other else np.zeros((1, 0), int)
+        grid = _tensor_grid([np.arange(_FACE_SAMPLES)] * len(other)) if other else np.zeros((1, 0), int)
         pts = np.empty((count, grid.shape[0], n))
         pts[..., other] = axes[:, other, grid]
         full = chart.periodic[a] & np.isclose(boxes[:, a, 0], lo) & np.isclose(boxes[:, a, 1], hi)
@@ -944,14 +928,12 @@ def mr_quality_report(
     share the chart box and the strata, so one cell mask
     (:func:`_cells_meeting_balls`) serves all three: the random draws of
     a cell that meets no ball are taken, so the stream does not change,
-    but its points are never formed, embedded or evaluated.  Within the kept
-    cells each integrand is evaluated only on the sample rows inside some
-    ball of the cover (:meth:`CutoffField._inside_some_ball`).  Every other
-    row has phi = 1 with zero derivatives and contributes an exact 0.0, the
-    value the full evaluation gives there, so the estimates are those of
-    evaluating every row bit for bit.  A non-Euclidean cover is refused
-    (:class:`PreconditionViolated`) before any integral runs, as in
-    :func:`build_product_cutoff`.
+    but its points are never formed, embedded or evaluated.  A row of a
+    kept cell that lies in no ball reads an exact 0.0 in all three
+    integrands, as its :meth:`CutoffField._ball_table` row is all pads, so
+    the estimates are those of evaluating every cell bit for bit.  A
+    non-Euclidean cover is refused (:class:`PreconditionViolated`) before
+    any integral runs, as in :func:`build_product_cutoff`.
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -981,8 +963,7 @@ def mr_quality_report(
     cells = _cells_meeting_balls(M, field.cover, strata)
     area, grad, lap = [
         stratified_integral(
-            M, _inside_balls_only(field, integrand),
-            strata=strata, samples_per_cell=samples_per_cell,
+            M, integrand, strata=strata, samples_per_cell=samples_per_cell,
             seed=child, cells=cells,
         )
         for integrand, child in zip(_quality_integrands(M, field), seeds)
@@ -1025,19 +1006,6 @@ def _quality_integrands(M, field: CutoffField):
         lambda U, X: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
         lambda U, X: np.abs(surface_laplacian_of_cutoff(M, U, X, field)),
     )
-
-
-def _inside_balls_only(field: CutoffField, integrand):
-    """``integrand`` on the rows inside some ball of a product field, 0.0 on the rest."""
-
-    def restricted(U, X):
-        rows = field._inside_some_ball(X)
-        out = np.zeros(X.shape[0])
-        if rows.any():
-            out[rows] = integrand(U[rows], X[rows])
-        return out
-
-    return restricted
 
 
 # ---------------------------------------------------------------------------

@@ -74,18 +74,18 @@ def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
 def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     """Exact int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
 
-    ``p`` is a point of M or an (m, n+2) array of centres, ``r`` a geodesic
-    radius in (0, 2) and ``lambda1`` the first stability eigenvalue that
-    feeds ``alpha = |-lambda_1 - n|``.  On a product of round spheres |A|^2
-    is the constant of the sphere factors and the ball area does not depend
-    on the centre, so the left side is |A|^2(p) times
-    :func:`geodesic_ball_area`, with stderr 0.  A point gives one
-    :class:`EstimateReport`, an array a list with one report per centre,
-    in order: a caller that bounds many centres at one radius passes them
-    as one array, which takes one ball area, one chart inverse and one
-    embedding.  A centre farther than 1e-9 from M (checked through the
-    chart inverse) raises :class:`PreconditionViolated`, as does a left
-    side that is negative or not finite (a failed ball-area quadrature).
+    ``p`` is an (m, n+2) array of centres on M, or one point (a batch of
+    one), ``r`` a geodesic radius in (0, 2) and ``lambda1`` the first
+    stability eigenvalue that feeds ``alpha = |-lambda_1 - n|``.  On a
+    product of round spheres |A|^2 is the constant of the sphere factors and
+    the ball area does not depend on the centre, so the left side is
+    |A|^2(p) times :func:`geodesic_ball_area`, with stderr 0.  Returns a
+    list with one :class:`EstimateReport` per centre, in order: a caller
+    that bounds many centres at one radius passes them as one array, which
+    takes one ball area, one chart inverse and one embedding.  A centre
+    farther than 1e-9 from M (checked through the chart inverse) raises
+    :class:`PreconditionViolated`, as does a left side that is negative or
+    not finite (a failed ball-area quadrature).
     ``C_V`` defaults to the geodesic :func:`measure_volume_growth`, exact
     on the same families.
     """
@@ -96,8 +96,7 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     alpha = abs(-lambda1 - n)
     if C_V is None:
         C_V = measure_volume_growth(M)
-    p = np.asarray(p, dtype=float)
-    centres = np.atleast_2d(p)
+    centres = np.atleast_2d(np.asarray(p, dtype=float))
     chart = M.chart
     u = chart.inverse(centres)
     off = np.linalg.norm(chart.embed(u) - centres, axis=-1)
@@ -110,7 +109,7 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
             raise PreconditionViolated(
                 f"curvature energy {v!r} on the ball is negative or not finite")
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
-    reports = [
+    return [
         EstimateReport(
             "local_A_bound",
             v,
@@ -120,7 +119,6 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
         )
         for v in lhs
     ]
-    return reports[0] if p.ndim == 1 else reports
 
 
 @dataclass

@@ -21,7 +21,7 @@ product family nu is oriented so the S^k-factor principal curvatures
 -sqrt(k/l) with multiplicity l.
 
 Charts use hyperspherical coordinates.  Polar axes span [0, pi] and carry
-a sampling margin (default 1e-3) so random evaluation never touches a
+a sampling margin (``POLE_MARGIN``, 1e-3) so random evaluation never touches a
 coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
 integrals accurate.  Every chart carries its analytic frame: Jacobian,
@@ -242,7 +242,6 @@ class Chart:
     axis_density: list                   # per-axis factors of sqrt(det g)
     inverse: Callable
     density_const: float = 1.0
-    margin: float = POLE_MARGIN
     speed_bound: Optional[np.ndarray] = None   # (n,) bound on sqrt(g_aa), None if unknown
 
     @property
@@ -254,8 +253,8 @@ class Chart:
         box = np.array(self.box, dtype=float)
         for a, per in enumerate(self.periodic):
             if not per:
-                box[a, 0] += self.margin + pad
-                box[a, 1] -= self.margin + pad
+                box[a, 0] += POLE_MARGIN + pad
+                box[a, 1] -= POLE_MARGIN + pad
         return box
 
 
@@ -633,18 +632,22 @@ def _per_axis(resolution, n):
     return res
 
 
-def _row_product(a):
-    """``np.prod(a, axis=-1)`` bit for bit, as a reduce of ``np.multiply`` over the last axis.
+def _row_product(entries):
+    """The product of a sequence of entries, left to right, as a reduce of ``np.multiply``.
 
-    Both multiply the entries of a row left to right, but ``np.prod`` pays a
-    reduction per row: over a short last axis this is about 10x faster.
+    A stacked array ``a`` (..., n) passes ``np.moveaxis(a, -1, 0)`` and gets
+    ``np.prod(a, axis=-1)`` bit for bit: both multiply the entries of a row
+    left to right, but ``np.prod`` pays a reduction per row, so over a short
+    last axis this is about 10x faster.  It is the one product of metric
+    diagonals behind sqrt(det g), on stacked nodes (:func:`sqrt_det_metric`)
+    and on an open grid (the pencil weights of :mod:`operators`).
     """
-    return reduce(np.multiply, np.moveaxis(a, -1, 0))
+    return reduce(np.multiply, entries)
 
 
 def sqrt_det_metric(chart, nodes):
     """sqrt(det g) at parameter nodes, from the chart's metric diagonal."""
-    return _row_product(chart.metric_diag(nodes)) ** 0.5
+    return _row_product(np.moveaxis(chart.metric_diag(nodes), -1, 0)) ** 0.5
 
 
 def area(M, resolution=256):

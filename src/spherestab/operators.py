@@ -80,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyFailure, DegenerateChart
-from .geometry import ParametrizedHypersurface, SphereProduct, _per_axis, _tensor_grid
+from .geometry import ParametrizedHypersurface, SphereProduct, _per_axis, _row_product, _tensor_grid
 
 
 @dataclass(eq=False)
@@ -207,7 +207,11 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     gdiag = chart.metric_diag(grid)
     if any(np.any(g <= 0) for g in gdiag):
         raise DegenerateChart("metric degenerates at a grid node")
-    mass = _sqrt_det(gdiag) * cell
+    # the products of the diagonal entries start from ones with an axis per
+    # chart axis (1.0 * g_0 is exact), so mass and weights are arrays even
+    # where every entry is a scalar (the circle factors of S^1 and the torus)
+    ones = (np.ones((1,) * len(gdiag)),)
+    mass = _row_product(ones + gdiag) ** 0.5 * cell
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
 
@@ -218,7 +222,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         # flux weight of the edge from each node to its hi neighbour, at the
         # edge midpoint; on a polar axis the last one is the box end
         gd = chart.metric_diag(grid[:a] + (grid[a] + h / 2.0,) + grid[a + 1 :])
-        up = _sqrt_det(gd) / gd[a] * cell / h**2
+        up = _row_product(ones + gd) ** 0.5 / gd[a] * cell / h**2
         if not chart.periodic[a]:
             up = np.array(np.broadcast_to(up, up.shape[:a] + (res[a],) + up.shape[a + 1 :]))
             np.moveaxis(up, a, 0)[-1] = 0.0
@@ -275,18 +279,6 @@ def _csr_views(op):
         return sp.csr_matrix((values, diagonal[:-1], diagonal), shape=S.shape)
 
     return S, diagonal_csr(op.node_mass), diagonal_csr(op.node_potential)
-
-
-def _sqrt_det(gdiag):
-    """sqrt(det g) from open-grid diagonal entries, multiplied in ``np.prod``'s order.
-
-    The product starts from ones with one dimension per axis (1.0 * g_0 is
-    exact), so it is an array even when every entry is a scalar.
-    """
-    det = np.ones((1,) * len(gdiag))
-    for g in gdiag:
-        det = det * g
-    return det ** 0.5
 
 
 # ---------------------------------------------------------------------------

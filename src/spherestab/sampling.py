@@ -132,7 +132,7 @@ def stratified_integral(
     if single:
         boxes, seed = boxes[None], [seed]
     lows, sides = _cell_grid(boxes, strata)
-    vols = _row_product(sides)
+    vols = _row_product(np.moveaxis(sides, -1, 0))
     count = lows.shape[1]
     k = max(2, int(samples_per_cell))
 

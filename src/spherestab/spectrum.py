@@ -43,6 +43,7 @@ from .geometry import (
 from .operators import AnalyticSpectrum, DiscreteOperator, assemble_jacobi
 
 CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
+ORDER_FLOOR = 1e-9  # errors below it sit at the solver floor (observed_order)
 
 
 @dataclass
@@ -333,19 +334,20 @@ def simons_refinement(M, steps=(0.08, 0.04, 0.02), samples=100, seed=0):
     return [simons_check(M, samples=samples, seed=seed, step=h).max_identity_residual for h in steps]
 
 
-def observed_order(errors, floor=1e-9):
-    """Least log2 ratio of successive errors; inf when all sit at the solver floor.
+def observed_order(errors):
+    """Least log2 ratio of successive errors; inf when all sit at the solver floor
+    (``ORDER_FLOOR``).
 
     An error sequence already at the floor (constant eigenvectors are exact
     discrete eigenvectors, so lambda_1 carries no discretization error on
     the product families) is reported as converged beyond measurement.
     """
     errors = [abs(e) for e in errors]
-    if max(errors) < floor:
+    if max(errors) < ORDER_FLOOR:
         return float("inf")
     rates = []
     for a, b in zip(errors, errors[1:]):
-        if b < floor and a < floor:
+        if b < ORDER_FLOOR and a < ORDER_FLOOR:
             continue
-        rates.append(np.log2(max(a, floor) / max(b, floor)))
+        rates.append(np.log2(max(a, ORDER_FLOOR) / max(b, ORDER_FLOOR)))
     return float(min(rates)) if rates else float("inf")

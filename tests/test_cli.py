@@ -446,7 +446,7 @@ def test_estimates_ball_area_once_per_radius(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "estimates_clifford_1_2.json").read_text())
     M = geo.clifford_hypersurface((1, 2))
     _, centers = geo.sample_points(M, 4, seed=3)
-    expected = [est.local_A_bound(M, c, r, doc["lambda1"], C_V=doc["C_V"]).row()
+    expected = [est.local_A_bound(M, c, r, doc["lambda1"], C_V=doc["C_V"])[0].row()
                 for r in (0.1, 0.5, 1.0) for c in centers]
     assert len(calls) == 3 + len(expected)
     assert doc["rows"][:-1] == json.loads(json.dumps(expected))

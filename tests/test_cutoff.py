@@ -325,22 +325,27 @@ def _cover_centers_loop(points, clusters, metric, factor):
 
 @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
 def test_singleton_cover_matches_cluster_loop(metric):
-    # the batched singleton clusters give the loop's centres and radii bit for
-    # bit (signs of zero included), next to multi-point clusters
+    # the batched cluster sums give the loop's centres and radii bit for bit
+    # (signs of zero included), on singleton and multi-point clusters
     torus = geo.clifford_hypersurface((1, 1))
     U = np.random.default_rng(61).uniform(0.0, 2 * math.pi, size=(150, 2))
     U[:20, 0] = 0.0                      # exact zero coordinates
     U[20:30, 0] = -0.0                   # ... and negative zeros
     U[30:40, 1] = math.pi
+    pair = torus.chart.embed(np.array([[-0.0, 1.0], [-0.0, 1.001]]))
+    assert np.all(np.signbit(pair[:, 1]) & (pair[:, 1] == 0.0))   # a shared -0.0 coordinate
     pts = torus.chart.embed(U)
-    pts = np.vstack([pts, pts[40:46] + 2e-4])  # six two-point clusters
+    pts = np.vstack([pts, pts[40:46] + 2e-4, pair])  # seven two-point clusters
     for containment, factor in (("full", 1.0), ("sixth", 6.0)):
         cover = cut.cover_singular_set(pts, 2, 1, 10.0, r_min=1e-3, metric=metric,
                                        containment=containment)
         clusters = cut._single_linkage(pts, 2e-3, geo._distance(metric))
-        assert sum(len(idx) == 1 for idx in clusters) == 144 and len(clusters) == 150
+        assert sum(len(idx) == 1 for idx in clusters) == 144 and len(clusters) == 151
         centers, need = _cover_centers_loop(pts, clusters, metric, factor)
-        radii = np.maximum(np.maximum(need, 1e-3), min(cut.BUDGET_SHARE * 10.0 / 150, 0.95))
+        pair_at = next(i for i, idx in enumerate(clusters) if 156 in idx)
+        assert list(clusters[pair_at]) == [156, 157]
+        assert centers[pair_at, 1] == 0.0 and not np.signbit(centers[pair_at, 1])  # mean's +0.0
+        radii = np.maximum(np.maximum(need, 1e-3), min(cut.BUDGET_SHARE * 10.0 / 151, 0.95))
         assert np.array_equal(cover.centers, centers)
         assert np.array_equal(np.signbit(cover.centers), np.signbit(centers))
         assert np.array_equal(cover.radii, radii)
@@ -877,9 +882,11 @@ def _crowded_torus_cover():
     return base, np.full(5, r), U
 
 
-def test_quality_integrands_on_screened_rows_match_all_rows(torus):
-    # the rows left out by the ball screen read exactly 0.0 in all three
-    # integrands, and the kept rows equal the all-rows evaluation bit for bit
+def test_quality_integrands_read_zero_outside_every_ball(torus):
+    # brute force: a row with |x - p_i| >= r_i for every ball reads exactly
+    # 0.0 in all three integrands, and there every ramp of the whole cover
+    # (the all-balls oracle) is exactly 1 with zero slope, so the 0.0 is the
+    # cutoff's value and not an artefact of the field's ball table
     chart = torus.chart
     U_bg = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(3000, 2))
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
@@ -890,17 +897,15 @@ def test_quality_integrands_on_screened_rows_match_all_rows(torus):
     for cover, U in ((workload, U_bg), (crowded, np.concatenate([U_edge, U_bg])), (empty, U_bg)):
         field = cut.build_product_cutoff(cover)
         X = chart.embed(U)
-        kept = field._inside_some_ball(X)
-        if cover.size:
-            assert 0 < kept.sum() < len(U)
-        else:
-            assert not kept.any()
+        outside = np.all(np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) >= cover.radii, axis=1)
+        assert 0 < outside.sum() < len(U) if cover.size else outside.all()
         for integrand in cut._quality_integrands(torus, field):
-            full = integrand(U, X)
-            assert np.array_equal(cut._inside_balls_only(field, integrand)(U, X), full)
-            assert np.all(full[~kept] == 0.0)
+            assert np.all(integrand(U, X)[outside] == 0.0)
+        if cover.size:
+            vals, slope = field._ramps(field._dist_grad(X[outside])[0])
+            assert np.all(vals == 1.0) and np.all(slope == 0.0)
     # points just inside a ball (and off the other balls' zero sets) carry
-    # nonzero ramp derivatives, so a screen that drops them is caught above
+    # nonzero ramp derivatives
     lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
     assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3])) > 0.0) >= 10
 

@@ -74,7 +74,7 @@ def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
     # oracle: the ball area by an independent quadrature of the indicator
     _, P = geo.sample_points(torus, 1, seed=9)
     p, r = P[0], 0.5
-    rep = est.local_A_bound(torus, p, r, -4.0, C_V=torus_cv_geodesic)
+    rep = est.local_A_bound(torus, p, r, -4.0, C_V=torus_cv_geodesic)[0]
     from spherestab.geometry import chart_quadrature, sqrt_det_metric, geodesic_distance
 
     chart = torus.chart
@@ -88,8 +88,8 @@ def test_local_A_bound_constant_reduction(torus, torus_cv_geodesic):
 
 def test_local_A_bound_radius_scaling(torus, torus_cv_geodesic):
     _, P = geo.sample_points(torus, 1, seed=9)
-    big = est.local_A_bound(torus, P[0], 0.5, -4.0, C_V=torus_cv_geodesic)
-    small = est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=torus_cv_geodesic)
+    big = est.local_A_bound(torus, P[0], 0.5, -4.0, C_V=torus_cv_geodesic)[0]
+    small = est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=torus_cv_geodesic)[0]
     # lhs shrinks ~quadratically while the r^(n-2) term of the bound is flat (n = 2)
     assert 3.0 <= big.lhs / small.lhs <= 5.0
     assert big.rhs > small.rhs  # only through the alpha r^n term
@@ -97,7 +97,7 @@ def test_local_A_bound_radius_scaling(torus, torus_cv_geodesic):
 
 def test_local_A_bound_equator_zero(equator2):
     _, P = geo.sample_points(equator2, 1, seed=1)
-    rep = est.local_A_bound(equator2, P[0], 0.5, -2.0)
+    rep = est.local_A_bound(equator2, P[0], 0.5, -2.0)[0]
     assert rep.lhs == 0.0 and rep.passed
 
 
@@ -109,7 +109,7 @@ def test_local_A_bound_family_sweep(kl, clifford_families):
     _, centers = geo.sample_points(M, 20, seed=4)
     for r in (0.1, 0.25, 0.5, 1.0):
         for c in centers:
-            rep = est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v)
+            rep = est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v)[0]
             assert rep.passed, (kl, r)
 
 
@@ -120,7 +120,7 @@ def test_local_A_bound_small_ball_is_exact():
     expect = 4.0 * float(geo._ball_area(2, 2, np.cos(0.1)))
     assert expect > 0.0
     for c in centers:
-        rep = est.local_A_bound(M, c, 0.1, -8.0)
+        rep = est.local_A_bound(M, c, 0.1, -8.0)[0]
         assert abs(rep.lhs - expect) <= 1e-12 * expect
         assert rep.stderr == 0.0 and rep.passed
 
@@ -130,7 +130,8 @@ def test_local_A_bound_small_ball_is_exact():
                                   lambda: geo.equator(3)], ids=["torus", "clifford12", "equator3"])
 def test_local_A_bound_batch_matches_each_centre(make):
     # an (m, n+2) array of centres gives one report per centre, each with
-    # the row of a single-centre call bit for bit
+    # the row of a single-centre call bit for bit; a single centre is a
+    # batch of one
     M = make()
     n = M.dimension
     c_v = geo.measure_volume_growth(M)
@@ -139,10 +140,11 @@ def test_local_A_bound_batch_matches_each_centre(make):
         batch = est.local_A_bound(M, centers, r, -2.0 * n, C_V=c_v)
         assert isinstance(batch, list) and len(batch) == len(centers)
         assert [rep.row() for rep in batch] == [
-            est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v).row() for c in centers
+            rep.row() for c in centers for rep in est.local_A_bound(M, c, r, -2.0 * n, C_V=c_v)
         ]
     single = est.local_A_bound(M, centers[0], 0.5, -2.0 * n, C_V=c_v)
-    assert isinstance(single, est.EstimateReport)
+    assert isinstance(single, list) and len(single) == 1
+    assert isinstance(single[0], est.EstimateReport)
 
 
 @pytest.mark.parametrize("where", [0, 3, 6])

@@ -560,5 +560,5 @@ def test_row_product_is_np_prod_bit_for_bit(n):
     # in another order
     rng = np.random.default_rng(n)
     a = rng.random((3, 257, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 257, n))
-    assert np.array_equal(geo._row_product(a), np.prod(a, axis=-1))
-    assert np.array_equal(geo._row_product(a[0]), np.prod(a[0], axis=-1))
+    assert np.array_equal(geo._row_product(np.moveaxis(a, -1, 0)), np.prod(a, axis=-1))
+    assert np.array_equal(geo._row_product(np.moveaxis(a[0], -1, 0)), np.prod(a[0], axis=-1))

@@ -307,7 +307,7 @@ def test_open_grid_metric_matches_stacked(M, resolutions):
             for b, entry in enumerate(open_grid):
                 full = np.broadcast_to(entry, shapes).ravel()
                 assert np.array_equal(full, stacked[:, b])
-            sqrt_det = np.broadcast_to(ops._sqrt_det(open_grid), shapes).ravel()
+            sqrt_det = np.broadcast_to(geo._row_product(open_grid) ** 0.5, shapes).ravel()
             assert np.array_equal(sqrt_det, np.prod(stacked, axis=-1) ** 0.5)
 
 
