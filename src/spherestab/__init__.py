@@ -23,7 +23,6 @@ from .errors import (
     ZeroTestFunction,
 )
 from .geometry import (
-    AmbientPoint,
     Chart,
     ParametrizedHypersurface,
     ShapeData,

@@ -60,7 +60,6 @@ from .sampling import (
     nearest_chart_point,
     stratified_integral,
 )
-from .spectrum import surface_laplacian_fd
 
 BUDGET_SHARE = 0.9   # fraction of epsilon the greedy cover actually spends
 _CHUNK_ROWS = 8192   # sample rows per batched pass of gradient_integral_estimate
@@ -141,7 +140,6 @@ class BallCover:
     epsilon: float
     metric: str = "geodesic"
     points: Optional[np.ndarray] = None
-    containment: str = "full"     # input points lie in B(p, r) ("full") or B(p, r/6)
 
     def __post_init__(self):
         if self.metric not in ("geodesic", "euclidean"):
@@ -182,7 +180,6 @@ class BallCover:
             self.epsilon,
             self.metric,
             self.points,
-            self.containment,
         )
 
 
@@ -207,7 +204,8 @@ def cover_singular_set(
     Points closer than 2*r_min are clustered (single linkage); each cluster
     gets a ball at its (sphere-projected) centroid.  Radii default to the
     uniform budget split ``(0.9 epsilon / m)^(1/(n-q))`` and never drop
-    below the cluster containment radius or r_min.
+    below the cluster containment radius or r_min; ``containment="sixth"``
+    takes six times that radius, so the points lie in B(p, r/6).
 
     Raises :class:`BudgetInfeasible` when ``m * r_min^(n-q) >= epsilon`` (in
     particular whenever q >= n and the set is nonempty with epsilon <= m):
@@ -248,8 +246,7 @@ def cover_singular_set(
             radii = np.maximum(radii, min(r_star, 0.95))
     if np.any(radii >= 1.0):
         raise BudgetInfeasible("a cluster needs radius >= 1; the set is not coverable")
-    cover = BallCover(centers, radii, n, q, epsilon, metric, points=points,
-                      containment=containment)
+    cover = BallCover(centers, radii, n, q, epsilon, metric, points=points)
     if not cover.satisfied:
         raise BudgetInfeasible(
             f"sum r^(n-q) = {cover.budget_sum:.3g} >= epsilon = {epsilon}"
@@ -902,11 +899,9 @@ class MRQualityReport:
     grad_l2: MCEstimate
     lap_l1: MCEstimate
     bounds: tuple
-    epsilon: float
     c_v: float
     c0: float
     c1: float
-    ambient_dim: int
 
     @property
     def passed(self):
@@ -919,7 +914,6 @@ def mr_quality_report(
     field: CutoffField,
     C_V=None,
     strata=96,
-    samples_per_cell=2,
     seed=0,
 ) -> MRQualityReport:
     """Measure (area{phi != 1}, int |grad phi|^2, int |Delta phi|) for a product cutoff.
@@ -963,21 +957,19 @@ def mr_quality_report(
     cells = _cells_meeting_balls(M, field.cover, strata)
     area, grad, lap = [
         stratified_integral(
-            M, integrand, strata=strata, samples_per_cell=samples_per_cell,
-            seed=child, cells=cells,
+            M, integrand, strata=strata, samples_per_cell=2, seed=child, cells=cells,
         )
         for integrand, child in zip(_quality_integrands(M, field), seeds)
     ]
     for est, bnd, name in zip((area, grad, lap), bounds, ("area", "grad", "lap")):
         if est.stderr > 0.1 * bnd:
             raise InsufficientSamples(f"{name} stderr {est.stderr:.3g} > 10% of {bnd:.3g}")
-    return MRQualityReport(area, grad, lap, bounds, eps, C_V, c0, c1, N)
+    return MRQualityReport(area, grad, lap, bounds, C_V, c0, c1)
 
 
 def _cells_meeting_balls(M, cover: BallCover, strata):
     """Mask of the cells of :func:`stratified_integral` over the whole chart
-    box whose image may meet a ball of a Euclidean cover; None (every cell)
-    on a chart without a ``speed_bound``.
+    box whose image may meet a ball of a Euclidean cover.
 
     A point u of a cell with centre c and sides s is reached from c by a
     chart segment whose image has length at most the half-diagonal
@@ -989,8 +981,6 @@ def _cells_meeting_balls(M, cover: BallCover, strata):
     centres and of the sample rows' images.
     """
     chart = M.chart
-    if chart.speed_bound is None:
-        return None
     lows, sides = (a[0] for a in _cell_grid(np.asarray(chart.box, dtype=float)[None], strata))
     if cover.size == 0:
         return np.zeros(len(lows), dtype=bool)
@@ -1012,19 +1002,11 @@ def _quality_integrands(M, field: CutoffField):
 # integration by parts across the covered set
 # ---------------------------------------------------------------------------
 
-def _field_laplacian(M, U, f):
-    lap = f.laplacian(M, U)
-    if lap is not None:
-        return lap
-    return surface_laplacian_fd(M, U, lambda pts: f.value(M, pts))
-
-
 def ibp_residual(
     M: ParametrizedHypersurface,
     cover: BallCover,
     u,
     v,
-    q=None,
     resolution=128,
     n_angular=128,
     nodes_per_segment=24,
@@ -1038,16 +1020,12 @@ def ibp_residual(
     (the (1 - phi) corrections and the grad-phi term) uses deterministic
     local polar patches, partitioned by the active ball.
     """
-    if q is not None and cover.size and q != cover.exponent:
-        raise PreconditionViolated(
-            f"cover was budgeted at exponent {cover.exponent}, not {q}"
-        )
     field = build_inf_cutoff(cover)
     chart = M.chart
     nodes, weights = chart_quadrature(chart, resolution)
     w = weights * sqrt_det_metric(chart, nodes)
     u_vals = np.asarray(u.value(M, nodes), dtype=float)
-    lap_v = _field_laplacian(M, nodes, v)
+    lap_v = v.laplacian(M, nodes)
     inner = grad_inner(M, nodes, u, v)
 
     def correction(i, nb, U, X):
@@ -1061,7 +1039,7 @@ def ibp_residual(
         # one chart frame of the patch rows serves every derivative below
         jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
         uu = np.asarray(u.value(M, U), dtype=float)
-        lap = _field_laplacian(M, U, v)
+        lap = v.laplacian(M, U)
         inn = grad_inner(M, U, u, v, jac, gdiag)
         dv = v.chart_gradient(M, U, jac=jac)
         dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
@@ -1077,8 +1055,6 @@ def cutoff_cross_term(
     M: ParametrizedHypersurface,
     field: CutoffField,
     u,
-    n_angular=128,
-    nodes_per_segment=24,
 ) -> float:
     """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
 
@@ -1110,7 +1086,7 @@ def cutoff_cross_term(
         gsq = tangential_gradient_sq(M, U, grad)
         return np.where(mask, uu * np.sqrt(gsq), 0.0)
 
-    return _patch_sum(M, field, integrand, n_angular, nodes_per_segment)
+    return _patch_sum(M, field, integrand, n_angular=128, nodes_per_segment=24)
 
 
 def _patch_sum(M, field: CutoffField, integrand, n_angular, nodes_per_segment, total=0.0):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .geometry import ParametrizedHypersurface, _norm_A_sq, area, measure_volume_growth
+from .geometry import ParametrizedHypersurface, _norm_A_sq, area, ball_area, measure_volume_growth
 
 
 @dataclass
@@ -62,15 +62,6 @@ class EstimateReport:
         }
 
 
-def geodesic_ball_area(M: ParametrizedHypersurface, r) -> float:
-    """Area of M cap B_r(p) for a geodesic radius r, the same at every p of M.
-
-    That holds on every surface, a homogeneous product of round spheres
-    whose factors give the area (:meth:`SphereProduct.ball_area`).
-    """
-    return float(M.product.ball_area(np.cos(r)))
-
-
 def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     """Exact int_{M cap B_r(p)} |A|^2 against 2^(n+3) C_V r^(n-2) (+ alpha term).
 
@@ -79,19 +70,19 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     stability eigenvalue that feeds ``alpha = |-lambda_1 - n|``.  On a
     product of round spheres |A|^2 is the constant of the sphere factors and
     the ball area does not depend on the centre, so the left side is
-    |A|^2(p) times :func:`geodesic_ball_area`, with stderr 0.  Returns a
-    list with one :class:`EstimateReport` per centre, in order: a caller
-    that bounds many centres at one radius passes them as one array, which
-    takes one ball area, one chart inverse and one embedding.  A centre
-    farther than 1e-9 from M (checked through the chart inverse) raises
-    :class:`PreconditionViolated`, as does a left side that is negative or
-    not finite (a failed ball-area quadrature).
+    |A|^2(p) times the geodesic :func:`ball_area` of radius r, with stderr
+    0.  Returns a list with one :class:`EstimateReport` per centre, in
+    order: a caller that bounds many centres at one radius passes them as
+    one array, which takes one ball area, one chart inverse and one
+    embedding.  A centre farther than 1e-9 from M (checked through the
+    chart inverse) raises :class:`PreconditionViolated`, as does a left
+    side that is negative or not finite (a failed ball-area quadrature).
     ``C_V`` defaults to the geodesic :func:`measure_volume_growth`, exact
     on the same families.
     """
     if not 0.0 < r < 2.0:
         raise ValueError("radius must lie in (0, 2)")
-    ball = geodesic_ball_area(M, r)
+    ball = float(ball_area(M, r))
     n = M.dimension
     alpha = abs(-lambda1 - n)
     if C_V is None:
@@ -129,9 +120,6 @@ class SSYConstants:
     admissible: bool            # coefficient < 1, i.e. a < 1/n
     absorbed: Optional[float]   # C(n, a, alpha) once the left side absorbs
 
-    def __iter__(self):
-        return iter((self.coefficient, self.admissible))
-
 
 def ssy_constants(n, a, alpha=0.0) -> SSYConstants:
     """Coefficient (1+a)/(1+2/n-a) and its admissibility (a < 1/n, strictly).
@@ -151,7 +139,7 @@ def ssy_constants(n, a, alpha=0.0) -> SSYConstants:
     return SSYConstants(coefficient, admissible, absorbed)
 
 
-def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateReport:
+def l4_identity_check(M: ParametrizedHypersurface) -> EstimateReport:
     """int |A|^4 == n int |A|^2 on the product families (both sides by quadrature).
 
     |A|^2 is the constant of the surface's sphere factors (n on the
@@ -160,7 +148,7 @@ def l4_identity_check(M: ParametrizedHypersurface, resolution=96) -> EstimateRep
     """
     n = M.dimension
     const = float(M.product.norm_A_sq)
-    total = area(M, resolution)
+    total = area(M, 96)
     lhs = const**2 * total
     rhs = n * const * total
     return EstimateReport(

@@ -1,9 +1,8 @@
 """Scalar fields on a parametrized hypersurface.
 
-A field knows its values at chart parameter points, its chart gradient
-(central differences of the values unless the field knows it exactly) and,
-when analytically available, its squared tangential gradient and its
-surface Laplacian.
+A field knows its values at chart parameter points, its chart gradient,
+its surface Laplacian and, when analytically available, its squared
+tangential gradient.  The base class leaves all but the last abstract.
 """
 
 from __future__ import annotations
@@ -12,27 +11,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ParametrizedHypersurface, _central_diff
+from .geometry import ParametrizedHypersurface
 
 
 class SurfaceField:
-    """Base field: subclasses override ``value`` and, if they can, derivatives."""
+    """Base field: subclasses override ``value``, ``chart_gradient`` and ``laplacian``."""
 
     def value(self, M, U):
         raise NotImplementedError
 
     def chart_gradient(self, M, U, jac=None):
-        """Chart partials d_a f by central differences (step 1e-5); ``jac``
-        (the chart Jacobian at U) serves subclasses with exact partials."""
-        return _central_diff(lambda pts: self.value(M, pts), U, 1e-5)
+        """Chart partials d_a f; ``jac`` is the chart Jacobian at U if the caller has it."""
+        raise NotImplementedError
 
     def gradient_sq(self, M, U):
         """|grad f|^2 at the points, or None when not analytically known."""
         return None
 
     def laplacian(self, M, U):
-        """Delta_M f at the points, or None when not analytically known."""
-        return None
+        """Delta_M f at the points."""
+        raise NotImplementedError
 
 
 @dataclass

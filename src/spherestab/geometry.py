@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -71,22 +71,6 @@ def _distance(metric):
     if metric == "euclidean":
         return chord_distance
     raise ValueError(f"unknown metric {metric!r}; use 'geodesic' or 'euclidean'")
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point of the unit sphere S^(n+1) in R^(n+2)."""
-
-    coords: np.ndarray
-    dimension: int
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        if coords.shape != (self.dimension + 2,):
-            raise ValueError(f"expected {self.dimension + 2} coordinates, got {coords.shape}")
-        if abs(np.linalg.norm(coords) - 1.0) > 1e-12:
-            raise ImmersionDrift(f"|coords| = {np.linalg.norm(coords)!r} is not 1 within 1e-12")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +199,7 @@ class Chart:
     """One parametrization chart: a coordinate box plus an immersion map.
 
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
-    The four analytic accessories are required.  ``jacobian`` maps points
+    Every field is required.  ``jacobian`` maps points
     (..., n) to the tangent frame (..., n+2, n).  ``metric_diag`` maps
     points (..., n) to the metric diagonal (..., n), and an open grid (a
     tuple of n per-axis coordinate arrays that broadcast against each
@@ -227,10 +211,10 @@ class Chart:
     surface points.
 
     ``speed_bound`` holds per axis an upper bound on sqrt(g_aa) over the
-    whole box, or is None when none is known.  It bounds the ambient length
-    of a chart path: a chart step of side s_a on each axis moves the image
-    by at most sqrt(sum_a speed_bound_a^2 s_a^2).  On a built-in chart it is
-    the radius of the sphere factor the axis belongs to, since there
+    whole box.  It bounds the ambient length of a chart path: a chart step
+    of side s_a on each axis moves the image by at most
+    sqrt(sum_a speed_bound_a^2 s_a^2).  On a built-in chart it is the
+    radius of the sphere factor the axis belongs to, since there
     g_aa = r^2 prod sin^2 <= r^2.
     """
 
@@ -241,8 +225,8 @@ class Chart:
     metric_diag: Callable
     axis_density: list                   # per-axis factors of sqrt(det g)
     inverse: Callable
-    density_const: float = 1.0
-    speed_bound: Optional[np.ndarray] = None   # (n,) bound on sqrt(g_aa), None if unknown
+    density_const: float
+    speed_bound: np.ndarray              # (n,) bound on sqrt(g_aa)
 
     @property
     def dim(self):
@@ -676,27 +660,30 @@ def sample_points(M, count, seed=0, pad=0.0):
     return U, M.chart.embed(U)
 
 
-def measure_volume_growth(M, metric="geodesic", radii=None, safety=1.1):
+def ball_area(M, r, metric="geodesic"):
+    """area(M cap B_r(x)), the same for every x in M; ``r`` may be an array.
+
+    ``metric`` selects geodesic balls of S^(n+1) ("geodesic"; from r = pi
+    on, the whole sphere) or Euclidean balls of R^(n+2) ("euclidean"); any
+    other name raises ``ValueError``.  The surfaces are homogeneous products
+    of spheres, so the area is evaluated exactly (to quadrature rounding)
+    from the sphere factors by :meth:`SphereProduct.ball_area`, in any
+    dimension.
+    """
+    r = np.asarray(r, dtype=float)
+    # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
+    geodesic = _distance(metric) is geodesic_distance
+    return M.product.ball_area(np.cos(np.minimum(r, np.pi)) if geodesic else 1.0 - r**2 / 2.0)
+
+
+def measure_volume_growth(M, metric="geodesic"):
     """Area-growth constant C_V with sup area(M cap B_r(x)) / r^n <= C_V.
 
-    The sup runs over centers x in M and a log-spaced radius grid, then
-    takes a 10% safety factor.  ``metric`` selects geodesic balls of
-    S^(n+1) ("geodesic") or Euclidean balls of R^(n+2) ("euclidean"); any
-    other name raises ``ValueError``.
-
-    The surfaces are homogeneous products of spheres, so the ball area
-    does not depend on the center; it is evaluated exactly (to quadrature
-    rounding) from the sphere factors by :meth:`SphereProduct.ball_area`,
-    in any dimension.
+    The sup runs over a log-spaced radius grid of :func:`ball_area` (which
+    does not depend on the centre x), then takes a 10% safety factor.
     """
-    n = M.dimension
-    dist = _distance(metric)
-    if radii is None:
-        radii = np.geomspace(0.05, 1.9, 12)
-    radii = np.asarray(radii, dtype=float)
-    # <x, y> >= cos r on geodesic balls; |x - y|^2 = 2 - 2 <x, y> on chord balls
-    levels = np.cos(radii) if dist is geodesic_distance else 1.0 - radii**2 / 2.0
-    return safety * float(np.max(M.product.ball_area(levels) / radii**n))
+    radii = np.geomspace(0.05, 1.9, 12)
+    return 1.1 * float(np.max(ball_area(M, radii, metric) / radii**M.dimension))
 
 
 @lru_cache(maxsize=None)

@@ -99,7 +99,6 @@ class DiscreteOperator:
     node_potential: np.ndarray     # (|A|^2 + n) * node_mass
     periodic: tuple                # per axis
     coords: tuple                  # per-axis node coordinates
-    resolution: list
 
     @property
     def shape(self):
@@ -234,7 +233,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
         node_potential=(a2 + M.dimension) * mass,
         periodic=tuple(chart.periodic),
         coords=coords,
-        resolution=res,
     )
 
 

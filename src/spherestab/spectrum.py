@@ -198,7 +198,6 @@ class SimonsReport:
     max_identity_residual: float
     max_inequality_violation: float
     sample_count: int
-    step: float
 
 
 def christoffel_fd(M: ParametrizedHypersurface, U, step=2e-3):
@@ -326,7 +325,7 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     rhs9 = (2.0 / n) * grad_norm_sq + n * a2_0 - a2_0**2
     lhs9 = normA0 * lap_norm
     violation = np.maximum(0.0, rhs9 - lhs9)
-    return SimonsReport(float(identity.max()), float(violation.max()), m, step)
+    return SimonsReport(float(identity.max()), float(violation.max()), m)
 
 
 def simons_refinement(M, steps=(0.08, 0.04, 0.02), samples=100, seed=0):

@@ -227,8 +227,7 @@ def test_criterion_08_smooth_cutoff_report():
     _, pts = geo.sample_points(torus, 1, seed=5)
     eps = 0.05
     r = math.sqrt(0.8 * eps)  # area-budget radius: sum r^k = 0.8 eps < eps (k = 2)
-    cover = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean",
-                          points=pts, containment="sixth")
+    cover = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean", points=pts)
     field = cut.build_product_cutoff(cover)
     rep = cut.mr_quality_report(torus, field, C_V=c_v, seed=0)
     area_ok = rep.area_not_one.value < rep.bounds[0]

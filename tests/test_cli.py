@@ -148,6 +148,7 @@ def test_config_errors_exit_2(tmp_path):
         "ragged": "1 0 0 0\n0 1 0\n",
         "nan": "1 0 0 0\nnan 1 0 0\n",
         "norm-2": "1 0 0 0\n2 0 0 0\n",
+        "width 5": "1 0 0 0 0\n0 1 0 0 0\n",  # the torus lies in R^4
         "empty": "",  # no point: a cover of nothing would pass vacuously
         "comments only": "# no points\n",
     }
@@ -437,8 +438,8 @@ def test_estimates_ball_area_once_per_radius(tmp_path, monkeypatch):
     # one ball area per radius within a run, and the rows of a per-centre
     # local_A_bound that computes its own area
     calls = []
-    area = est.geodesic_ball_area
-    monkeypatch.setattr(est, "geodesic_ball_area", lambda M, r: calls.append(r) or area(M, r))
+    area = est.ball_area
+    monkeypatch.setattr(est, "ball_area", lambda M, r: calls.append(r) or area(M, r))
     argv = ["estimates", "--family", "clifford", "--k", "1", "--l", "2", "--points", "4",
             "--radii", "0.1,0.5,1.0", "--seed", "3", "--format", "json"]
     assert run(tmp_path, *argv) == 0

@@ -63,6 +63,26 @@ def test_cover_budget_infeasible():
         cut.cover_singular_set(pts, n=2, q=2, epsilon=0.1)
 
 
+def _arc(count, step):
+    """``count`` points of a great circle of S^3, ``step`` radians apart: one linked chain."""
+    t = step * np.arange(count)
+    return np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=-1)
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"epsilon": 0.0}, ValueError, "epsilon must be positive"),
+    ({"epsilon": -1.0}, ValueError, "epsilon must be positive"),
+    # a chain 0.735 rad long: its one ball alone spends the budget
+    ({"points": _arc(50, 0.015)}, BudgetInfeasible, r"^sum r\^\(n-q\) = "),
+    # a chain 2.2 rad long: its one ball needs radius >= 1
+    ({"points": _arc(150, 0.015)}, BudgetInfeasible, "radius >= 1"),
+], ids=["epsilon 0", "epsilon < 0", "budget spent", "radius >= 1"])
+def test_cover_refusals(kwargs, error, match):
+    args = {"points": np.eye(4)[:1], "n": 2, "q": 1, "epsilon": 0.1, "r_min": 0.01, **kwargs}
+    with pytest.raises(error, match=match):
+        cut.cover_singular_set(**args)
+
+
 def test_cover_budget_invariant_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -125,8 +145,7 @@ def test_vitali_random_family_disjoint_and_covering():
     rng = np.random.default_rng(3)
     centers = rng.random((50, 3))
     radii = rng.uniform(0.02, 0.3, 50)
-    cov = cut.BallCover(centers, radii, 3, 1, 1e9, "euclidean",
-                        points=centers, containment="sixth")
+    cov = cut.BallCover(centers, radii, 3, 1, 1e9, "euclidean", points=centers)
     out = cut.vitali_discard(cov)
     d = np.linalg.norm(out.centers[:, None] - out.centers[None], axis=-1)
     off = ~np.eye(out.size, dtype=bool)
@@ -272,7 +291,7 @@ def test_enlarged_class_count_after_discard():
     centers = rng.random((60, 2))
     radii = rng.uniform(0.01, 0.5, 60)
     out = cut.vitali_discard(
-        cut.BallCover(centers, radii, 2, 0, 1e9, "euclidean", containment="sixth")
+        cut.BallCover(centers, radii, 2, 0, 1e9, "euclidean")
     )
     worst, bound = cut.enlarged_class_count(out)
     assert worst <= bound
@@ -538,6 +557,27 @@ def test_unsatisfied_cover_rejected():
     assert not cov.satisfied
     with pytest.raises(PreconditionViolated):
         cut.build_inf_cutoff(cov)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda M, geodesic, euclidean: cut.build_product_cutoff(
+        cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "euclidean")),
+     PreconditionViolated, "budget not satisfied"),
+    (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
+        M, euclidean, cut.build_product_cutoff(euclidean), 1.0, C_V=1.0),
+     PreconditionViolated, "applies to the inf cutoff"),
+    (lambda M, geodesic, euclidean: cut.mr_quality_report(M, cut.build_inf_cutoff(geodesic), C_V=1.0),
+     PreconditionViolated, "applies to the product cutoff"),
+    (lambda M, geodesic, euclidean: cut.CutoffField(geodesic, "product").ambient_hessian(np.eye(4)),
+     UnsupportedFamily, "Euclidean-ball only"),
+], ids=["unsatisfied product cover", "estimate of a product field",
+        "quality of an inf field", "hessian on a geodesic cover"])
+def test_cutoff_refusals(torus, call, error, match):
+    _, pts = geo.sample_points(torus, 1, seed=5)
+    geodesic = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "geodesic")
+    euclidean = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "euclidean")
+    with pytest.raises(error, match=match):
+        call(torus, geodesic, euclidean)
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +868,7 @@ def test_mr_quality_report_one_ball(torus, torus_cv_chord):
     _, pts = geo.sample_points(torus, 1, seed=5)
     eps = 0.05
     r = math.sqrt(0.8 * eps)
-    cov = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean",
-                        points=pts, containment="sixth")
+    cov = cut.BallCover(pts, np.array([r]), 2, 0.0, eps, "euclidean", points=pts)
     field = cut.build_product_cutoff(cov)
     rep = cut.mr_quality_report(torus, field, C_V=torus_cv_chord, seed=0)
     assert rep.passed
@@ -843,8 +882,7 @@ def test_mr_area_against_quadrature_oracle(torus, torus_cv_chord):
     # quadrature of the ball region on a fine grid
     _, pts = geo.sample_points(torus, 1, seed=5)
     r = 0.25
-    cov = cut.BallCover(pts, np.array([r]), 2, 0.0, 0.1, "euclidean",
-                        points=pts, containment="sixth")
+    cov = cut.BallCover(pts, np.array([r]), 2, 0.0, 0.1, "euclidean", points=pts)
     field = cut.build_product_cutoff(cov)
     rep = cut.mr_quality_report(torus, field, C_V=torus_cv_chord, seed=1)
     from spherestab.geometry import chart_quadrature, chord_distance, sqrt_det_metric
@@ -957,11 +995,7 @@ def test_cell_mask_with_halved_speed_bound_loses_rows():
     assert max(lost) > 0
 
 
-def test_cell_mask_is_every_cell_without_a_speed_bound(torus):
-    _, radii, _ = _crowded_torus_cover()
-    cover = cut.BallCover(torus.chart.embed(np.array([[1.0, 2.0]])), radii[:1], 2, 0.0, 0.5, "euclidean")
-    unbounded = dataclasses.replace(torus.chart, speed_bound=None)
-    assert cut._cells_meeting_balls(geo.ParametrizedHypersurface(unbounded, torus.product), cover, 8) is None
+def test_cell_mask_is_empty_on_an_empty_cover(torus):
     empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean")
     assert not cut._cells_meeting_balls(torus, empty, 8).any()
 
@@ -1076,14 +1110,6 @@ def test_ibp_residual_small_at_tight_budget(torus):
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
     resid = cut.ibp_residual(torus, cov, u, u)
     assert resid <= 1e-4
-
-
-def test_ibp_exponent_consistency_guard(torus):
-    _, pts = geo.sample_points(torus, 1, seed=2)
-    cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.05)
-    u = ConstantField(1.0)
-    with pytest.raises(PreconditionViolated):
-        cut.ibp_residual(torus, cov, u, u, q=1.5)
 
 
 def _patch_reference(M, field, u, v, i, which):

@@ -13,15 +13,15 @@ from spherestab.errors import PreconditionViolated
 
 
 def test_ssy_examples():
-    coefficient, admissible = est.ssy_constants(2, 0.4)
-    assert abs(coefficient - 0.875) <= 1e-15 and admissible
+    first = est.ssy_constants(2, 0.4)
+    assert abs(first.coefficient - 0.875) <= 1e-15 and first.admissible
 
     boundary = est.ssy_constants(3, 1.0 / 3.0)
     assert boundary.coefficient == 1.0 and not boundary.admissible
 
-    c7, adm7 = est.ssy_constants(7, 0.1)
-    assert abs(c7 - 1.1 / (1.0 + 2.0 / 7.0 - 0.1)) <= 1e-15
-    assert abs(c7 - 0.928) <= 5e-4 and adm7
+    seventh = est.ssy_constants(7, 0.1)
+    assert abs(seventh.coefficient - 1.1 / (1.0 + 2.0 / 7.0 - 0.1)) <= 1e-15
+    assert abs(seventh.coefficient - 0.928) <= 5e-4 and seventh.admissible
 
 
 def test_ssy_admissibility_monotone():
@@ -38,6 +38,16 @@ def test_ssy_absorbed_constant():
     res = est.ssy_constants(3, 0.1, alpha=6.0)
     assert res.admissible and res.absorbed is not None and res.absorbed > 0.0
     assert est.ssy_constants(3, 0.5).absorbed is None
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: est.ssy_constants(2, 0.0), "a must be positive"),
+    (lambda: est.ssy_constants(2, -0.1), "a must be positive"),
+    (lambda: est.cone_stability_table(0), "n_max must be >= 1"),
+], ids=["a = 0", "a < 0", "n_max = 0"])
+def test_out_of_range_constants_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_cone_table_exact():
@@ -168,7 +178,7 @@ def test_local_A_bound_refuses_off_surface_centre(torus):
 @pytest.mark.parametrize("area", [-1e-21, math.nan, math.inf])
 def test_local_A_bound_refuses_a_negative_or_non_finite_lhs(tmp_path, torus, monkeypatch, area):
     _, P = geo.sample_points(torus, 1, seed=2)
-    monkeypatch.setattr(est, "geodesic_ball_area", lambda M, r: area)
+    monkeypatch.setattr(est, "ball_area", lambda M, r: area)
     with pytest.raises(PreconditionViolated, match="negative or not finite"):
         est.local_A_bound(torus, P[0], 0.25, -4.0, C_V=4.4)
     code = main(["estimates", "--family", "clifford", "--k", "1", "--l", "1", "--points", "1",

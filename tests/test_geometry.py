@@ -41,14 +41,6 @@ def test_sphere_product_refuses_what_is_not_a_minimal_hypersurface():
         geo.SphereProduct("clifford", ((1, Fraction(1, 3)),) * 3)
 
 
-def test_ambient_point_validation():
-    geo.AmbientPoint(np.array([1.0, 0.0, 0.0, 0.0]), 2)
-    with pytest.raises(ImmersionDrift):
-        geo.AmbientPoint(np.array([1.0 + 1e-11, 0.0, 0.0, 0.0]), 2)
-    with pytest.raises(ValueError):
-        geo.AmbientPoint(np.array([1.0, 0.0, 0.0]), 2)
-
-
 # ---------------------------------------------------------------------------
 # shape data
 # ---------------------------------------------------------------------------
@@ -163,6 +155,7 @@ def test_chart_invariance_reparametrized_torus(torus):
         [lambda t, a=a: base.axis_density[a](t + off[a]) for a in range(2)],
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
         base.density_const,
+        base.speed_bound,
     )
     M2 = geo.ParametrizedHypersurface(chart2, torus.product)
     assert abs(geo.area(M2) - geo.area(torus)) <= 1e-12
@@ -194,6 +187,16 @@ def test_surface_refuses_a_chart_without_its_product(torus, product, error, matc
     # a surface is built once from its exact description, of its chart's dimension
     with pytest.raises(error, match=match):
         geo.ParametrizedHypersurface(torus.chart, *product)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda M: geo.shape_at(M, np.full((2, 2), 0.3)), "single parameter point"),
+    (lambda M: geo.shape_at(M, np.array([0.3, 0.4]), method="closed"), "unknown method"),
+    (lambda M: geo.chart_quadrature(M.chart, [8, 8, 8]), "resolution list length"),
+], ids=["2-D point", "unknown method", "resolution list length"])
+def test_geometry_refuses_malformed_input(torus, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(torus)
 
 
 def test_degenerate_chart_raises():
@@ -424,11 +427,6 @@ BUILT_IN = [geo.equator(2), geo.equator(3)] + [
 ]
 
 
-def ball_area(M, r, metric="geodesic"):
-    """area(M cap B_r(x)) as measure_volume_growth reads it on one radius, without safety."""
-    return geo.measure_volume_growth(M, metric=metric, radii=[r], safety=1.0) * r**M.dimension
-
-
 @pytest.mark.parametrize("kl,geodesic,chord", [
     ((1, 1), 4.3991, 5.6215), ((1, 2), 4.6071, 5.8979), ((2, 1), 4.6071, 5.8979),
     ((2, 2), 5.4260, 5.4283), ((3, 3), 5.6783, 5.6818),
@@ -442,11 +440,13 @@ def test_volume_growth_exact_values(kl, geodesic, chord):
 @pytest.mark.parametrize("M", BUILT_IN, ids=repr)
 def test_ball_area_limits(M):
     n = M.dimension
-    # the chord ball of radius 2 is all of M
-    assert abs(ball_area(M, 2.0, "euclidean") / geo.area(M) - 1.0) <= 1e-12
+    # a chord ball of radius >= 2 and a geodesic ball of radius >= pi are all of M
+    for r, metric in [(2.0, "euclidean"), (3.0, "euclidean"),
+                      (math.pi, "geodesic"), (4.0, "geodesic"), (6.0, "geodesic")]:
+        assert abs(geo.ball_area(M, r, metric) / geo.area(M) - 1.0) <= 1e-12, (r, metric)
     # a small ball is a flat n-disc
     r = 1e-3
-    assert abs(ball_area(M, r) / (math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n) - 1.0) <= 1e-5
+    assert abs(geo.ball_area(M, r) / (math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n) - 1.0) <= 1e-5
 
 
 @pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3)])
@@ -454,7 +454,7 @@ def test_ball_area_factor_order(k, l):
     a, b = geo.clifford_hypersurface((k, l)), geo.clifford_hypersurface((l, k))
     for metric in ("geodesic", "euclidean"):
         for r in np.geomspace(0.05, 1.9, 12):
-            assert abs(ball_area(a, r, metric) / ball_area(b, r, metric) - 1.0) <= 1e-10
+            assert abs(geo.ball_area(a, r, metric) / geo.ball_area(b, r, metric) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("kl,res", [((1, 1), 256), ((1, 2), 96)])
@@ -468,7 +468,7 @@ def test_ball_area_against_chart_quadrature(kl, res):
     for c in centers:
         d = geo.geodesic_distance(X, c)
         for r in (0.5, 1.0, 1.5):
-            assert abs(float(mass[d <= r].sum()) / ball_area(M, r) - 1.0) <= 0.01, (c, r)
+            assert abs(float(mass[d <= r].sum()) / geo.ball_area(M, r) - 1.0) <= 0.01, (c, r)
 
 
 def test_volume_growth_rejects_unknown_metric(torus):

@@ -8,7 +8,7 @@ import pytest
 
 from spherestab import geometry as geo
 from spherestab import sampling as smp
-from spherestab.errors import PreconditionViolated
+from spherestab.errors import PreconditionViolated, UnsupportedFamily
 from spherestab.sampling import BoxEstimates, MCEstimate, local_polar_integral, stratified_integral
 
 
@@ -242,6 +242,12 @@ def test_polar_patch_refuses_a_pole():
         _patch_ball_area(M, M.chart.embed(np.array([0.0, 1.0, 2.0])), r)
     off_pole = _patch_ball_area(M, M.chart.embed(np.array([0.5, 1.0, 2.0])), r)
     assert abs(off_pole / float(geo._ball_area(2, 1, np.cos(r))) - 1.0) <= 5e-3
+
+
+def test_polar_patch_refuses_four_dimensional_charts():
+    M = geo.clifford_hypersurface((2, 2))
+    with pytest.raises(UnsupportedFamily, match="dimension <= 3"):
+        _patch_ball_area(M, M.chart.embed(np.array([1.0, 1.0, 1.0, 1.0])), 0.1)
 
 
 def test_polar_patch_rim_growth_gives_up(monkeypatch):

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import eigsh
 from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
-from spherestab.errors import AssemblyFailure, NonMinimal, ZeroTestFunction
+from spherestab.errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
 from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceField
 
 
@@ -89,7 +89,7 @@ def test_assembled_pencil_is_kronecker_sum_of_factors(kl, res):
     op = ops.assemble_jacobi(geo.clifford_hypersurface(kl), res)
     k, l = kl
     rk, rl = geo.clifford_hypersurface(kl).product.radii
-    (S_k, B_k), (S_l, B_l) = sphere_factor(k, rk, op.resolution[:k]), sphere_factor(l, rl, op.resolution[k:])
+    (S_k, B_k), (S_l, B_l) = sphere_factor(k, rk, op.shape[:k]), sphere_factor(l, rl, op.shape[k:])
     assert S_k.shape[0] * S_l.shape[0] == op.size
     S = sp.kron(S_k, B_l) + sp.kron(B_k, S_l)
     B = sp.kron(B_k, B_l)
@@ -252,6 +252,13 @@ def test_rayleigh_zero_field_rejected(equator2):
     field = spec.test_function_A(equator2)
     with pytest.raises(ZeroTestFunction):
         spec.rayleigh_quotient(equator2, field)
+    with pytest.raises(ZeroTestFunction):
+        spec.rayleigh_quotient(equator2, field, method="operator", resolution=16)
+
+
+def test_rayleigh_refuses_unknown_method(torus):
+    with pytest.raises(ValueError, match="unknown method"):
+        spec.rayleigh_quotient(torus, ConstantField(1.0), method="galerkin")
 
 
 def test_rayleigh_eigenfunction_value(torus):
@@ -364,7 +371,7 @@ def _simons_reference(M, samples, seed, step):
     identity = np.abs(lap_a2 - (2 * grad_A_sq + 2 * n * a2_0 - 2 * a2_0**2))
     violation = np.maximum(0.0, (2.0 / n) * grad_norm_sq + n * a2_0 - a2_0**2
                            - np.sqrt(a2_0) * lap_norm)
-    return spec.SimonsReport(float(identity.max()), float(violation.max()), len(U), step)
+    return spec.SimonsReport(float(identity.max()), float(violation.max()), len(U))
 
 
 def test_simons_check_one_shape_evaluation_per_stencil_point(torus, monkeypatch):
@@ -398,6 +405,12 @@ def test_simons_nonminimal_rejected(torus):
 
     M = geo.ParametrizedHypersurface(base, torus.product, closed_form=bad_closed_form)
     with pytest.raises(NonMinimal):
+        spec.simons_check(M, samples=10)
+
+
+def test_simons_needs_closed_form(torus):
+    M = geo.ParametrizedHypersurface(torus.chart, torus.product)
+    with pytest.raises(UnsupportedFamily, match="identity check needs"):
         spec.simons_check(M, samples=10)
 
 
