@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -251,6 +251,8 @@ class SphereProduct:
     the equator S^n; two factors are S^k(sqrt(k/n)) x S^l(sqrt(l/n)).
     Every built-in surface is minimal, r_i^2 = d_i / n, so the squared
     radii sum to 1 and H = 0.  ``family`` names the surface in reports.
+    The constants derived from the factors are computed once per instance,
+    on first use; ``potential`` is the one stability potential |A|^2 + n.
     """
 
     family: str
@@ -262,19 +264,19 @@ class SphereProduct:
         if any(r2 != Fraction(d, self.dimension) for d, r2 in self.factors):
             raise ValueError("a minimal product has squared radii d_i / n")
 
-    @property
+    @cached_property
     def dims(self):
         return tuple(d for d, _ in self.factors)
 
-    @property
+    @cached_property
     def dimension(self):
         return sum(self.dims)
 
-    @property
+    @cached_property
     def radius_sq(self):
         return tuple(r2 for _, r2 in self.factors)
 
-    @property
+    @cached_property
     def radii(self):
         return tuple(math.sqrt(r2) for r2 in self.radius_sq)
 
@@ -283,15 +285,20 @@ class SphereProduct:
         """Exact squared principal curvature 1/r_i^2 - 1 of each factor (l/k and k/l)."""
         return tuple(1 / r2 - 1 for r2 in self.radius_sq)
 
-    @property
+    @cached_property
     def principal_curvatures(self):
         """kappa_i, multiplicity d_i: positive on the first factor, negative after."""
         return tuple((1 if i == 0 else -1) * math.sqrt(q) for i, q in enumerate(self.curvature_sq))
 
-    @property
+    @cached_property
     def norm_A_sq(self):
         """Exact |A|^2 = sum d_i kappa_i^2 (0 on the equator, n on the products)."""
         return sum(d * q for d, q in zip(self.dims, self.curvature_sq))
+
+    @cached_property
+    def potential(self):
+        """Exact stability potential |A|^2 + n (n on the equator, 2n on the products)."""
+        return self.norm_A_sq + self.dimension
 
     def ball_area(self, level):
         """area{y in M : <x, y> >= level}, the same for every x in M; ``level`` may be an array.

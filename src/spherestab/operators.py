@@ -8,7 +8,8 @@ computed here from the generalized pencil
     (S - V) x = lambda B x,
 
 where S is the weak-form stiffness (Dirichlet energy), B the lumped mass
-and V the potential ``(|A|^2 + n)`` weighted by the mass.  The
+and V the potential ``|A|^2 + n`` weighted by the mass, the exact
+constant ``SphereProduct.potential`` of the surface's sphere factors.  The
 discretization is second-order finite volumes in chart coordinates with
 metric-density weights: one node per cell, periodic axes wrap, and polar
 axes need no boundary rows because the density ``sqrt(det g)`` vanishes at
@@ -214,8 +215,6 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     if np.any(mass <= 0):
         raise AssemblyFailure("mass matrix is not positive definite")
 
-    a2 = float(M.product.norm_A_sq)  # the constant of the sphere factors
-
     weights = []
     for a, (_, h) in enumerate(axes):
         # flux weight of the edge from each node to its hi neighbour, at the
@@ -230,7 +229,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     return DiscreteOperator(
         weights=tuple(weights),
         node_mass=mass,
-        node_potential=(a2 + M.dimension) * mass,
+        node_potential=float(M.product.potential) * mass,
         periodic=tuple(chart.periodic),
         coords=coords,
     )
@@ -288,11 +287,6 @@ class AnalyticSpectrum:
     """Exact -Delta eigenvalues of a product of round spheres plus its constant potential."""
 
     product: SphereProduct
-
-    @property
-    def potential(self):
-        """|A|^2 + n, exact for these surfaces."""
-        return float(self.product.norm_A_sq + self.product.dimension)
 
     def eigenvalues(self, count):
         """First ``count`` eigenvalues of -Delta, sorted, multiplicity-expanded.

@@ -34,7 +34,6 @@ from .geometry import (
     ParametrizedHypersurface,
     _diag_embed,
     _difference,
-    _norm_A_sq,
     _stencil,
     chart_quadrature,
     sample_points,
@@ -85,11 +84,11 @@ def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) ->
     weight, a mass entry that is not positive, or V / B off a constant by
     more than ``CERT_TOL`` -- raises :class:`AssemblyFailure` with the gap,
     and nothing is solved: no surface the library builds produces one.
-    The analytic backend minimizes (enumerated -Delta eigenvalue) -
-    (|A|^2 + n) exactly.
+    The analytic backend is exact: the bottom of the enumerated -Delta
+    spectrum (the constant mode's 0) minus ``SphereProduct.potential``.
     """
     if isinstance(op, AnalyticSpectrum):
-        lam = float(np.min(op.eigenvalues(8)) - op.potential)
+        lam = float(op.eigenvalues(1)[0]) - float(op.product.potential)
         return EigenResult(lam, None, 0.0, "analytic")
 
     gap = _constant_mode_gap(op)
@@ -173,8 +172,7 @@ def rayleigh_quotient(
     grads = f.gradient_sq(M, nodes)
     if grads is None:
         grads = surface_gradient_sq_fd(M, nodes, lambda pts: f.value(M, pts), step=1e-5)
-    a2 = _norm_A_sq(M, nodes)
-    num = float(w @ (grads - (a2 + M.dimension) * vals**2))
+    num = float(w @ (grads - float(M.product.potential) * vals**2))
     denom = float(w @ vals**2)
     if denom <= 1e-28 * float(w.sum()):
         raise ZeroTestFunction("test field vanishes identically at the quadrature nodes")

@@ -307,6 +307,29 @@ def test_parser_reuse_carries_nothing_between_calls(tmp_path, capsys):
     assert report.read_bytes() == in_process
 
 
+def test_numpy_typed_payload_is_written_as_plain_values(tmp_path):
+    # numpy scalars and arrays in a payload are written as the Python values
+    # they hold, in CSV cells and in JSON (a numpy.bool_ once crashed the CSV
+    # writer); a float32 is written at full double precision, not as str()
+    # shortens it
+    M = geo.clifford_hypersurface((1, 1))
+    row = {"flag": np.bool_(True), "count": np.int64(3), "x": np.float32(0.1)}
+    payload = {"rows": [row], "values": np.array([0.5, 2.0])}
+    plain = {"rows": [{"flag": True, "count": 3, "x": 0.10000000149011612}], "values": [0.5, 2.0]}
+    for fmt in ("csv", "json"):
+        config = cli.RunConfig(command="simons", out=str(tmp_path / fmt), format=fmt)
+        embedded = dataclasses.asdict(config)
+        result = cli.Result(payload, columns=["flag", "count", "x"])
+        text = Path(cli._write_report(config, M, result)).read_text()
+        if fmt == "json":
+            assert text == json.dumps({"config": embedded, **plain}, indent=2, sort_keys=True) + "\n"
+        else:
+            config_line = "# config: " + json.dumps(embedded, sort_keys=True)
+            assert text == f"{config_line}\nflag,count,x\nTrue,3,0.10000000149011612\n"
+            no_columns = Path(cli._write_report(config, M, cli.Result(payload))).read_text()
+            assert no_columns == f"{config_line}\n{json.dumps(plain, sort_keys=True)}\n"
+
+
 def test_config_file_accepts_int_for_float(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"radii": [1, 0.5], "points": 1}))

@@ -139,6 +139,8 @@ def test_vitali_identical_and_disjoint():
     far = cut.BallCover(np.array([[0.0, 0, 0], [9.0, 0, 0]]), np.array([0.1, 0.2]),
                         2, 1, 10, "euclidean")
     assert cut.vitali_discard(far).size == 2
+    empty = cut.empty_cover(2, 1, 10, "euclidean", ambient_dim=3)
+    assert cut.vitali_discard(empty) is empty
 
 
 def test_vitali_random_family_disjoint_and_covering():
@@ -247,6 +249,8 @@ def test_intersection_bound_tight_intervals():
     centers = np.array([[1.0], [3.0], [5.0]])
     max_degree, bound = cut.intersection_bound_check(centers, np.ones(3), 1, 1)
     assert max_degree == 2 and bound == 2.0
+    # no balls: degree 0 against (3 alpha beta)^N - 1 = 9^3 - 1
+    assert cut.intersection_bound_check(np.empty((0, 3)), np.empty(0), 2, 1.5) == (0, 728.0)
 
 
 def test_intersection_bound_preconditions():
@@ -326,6 +330,8 @@ def test_cover_checks_match_loop_reference():
     assert cut.covers_points(empty, 1.0)                        # no points to cover
     no_balls = cut.BallCover(empty.centers, empty.radii, 2, 1, 1.0, points=pts)
     assert not cut.covers_points(no_balls, 1.0)
+    unrecorded = cut.BallCover(empty.centers, empty.radii, 2, 1, 1.0)  # built without points
+    assert unrecorded.points is None and cut.covers_points(unrecorded, 1.0)
 
 
 def _cover_centers_loop(points, clusters, metric, factor):
@@ -421,8 +427,10 @@ def test_inf_cutoff_multi_ball_slope_bound(torus):
     X = sphere_cloud(5000, seed=2)
     grads = np.linalg.norm(field.ambient_gradient(X), axis=1)
     assert np.all(grads <= np.max(2.0 / cov.radii) + 1e-12)
-    # the active ramp's value is phi itself, bit for bit
+    # the active ramp's value is phi itself, bit for bit, and its ball is
+    # the active index
     assert np.array_equal(field._active_ramp(X)[1], field.value(X))
+    assert np.array_equal(field.active_index(X), field._active_ramp(X)[0])
 
 
 def test_product_cutoff_profile_sets():
@@ -434,6 +442,8 @@ def test_product_cutoff_profile_sets():
     assert np.all(vals[d <= r / 2] == 0.0)
     assert np.all(vals[d >= r] == 1.0)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
+    with pytest.raises(UnsupportedFamily, match="inf kind"):  # no single active ball
+        field.active_index(X)
 
 
 def test_product_cutoff_c0_bound():

@@ -72,6 +72,7 @@ def test_live_row_density_matches_dense_reference(case):
                                   samples_per_cell=per_cell, seed=seeds)
     assert isinstance(stacked, BoxEstimates)
     assert list(stacked) == expected
+    assert stacked.samples == sum(est.samples for est in expected) == len(boxes) * rows
     for fn, box, seed, ref in zip(fns, boxes, seeds, expected):
         alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
                                     seed=seed)
@@ -206,11 +207,13 @@ def _patch_ball_area(M, center, r):
                                 n_angular=64)
 
 
-@pytest.mark.parametrize("kl", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("kl", [(1, 1), (1, 2), (2, 1), (1, 0)])
 @pytest.mark.parametrize("r", [0.05, 0.1])
 def test_polar_patch_integrates_geodesic_ball_area(kl, r):
-    # the closed-form area of M cap B_r(x); centres 0.5 rad or more from a pole
-    M = geo.clifford_hypersurface(kl)
+    # the closed-form area of M cap B_r(x); centres 0.5 rad or more from a
+    # pole.  (1, 0) is the great circle equator(1), where the patch takes the
+    # two directions +-1 and the area is the arc length 2r
+    M = geo.clifford_hypersurface(kl) if kl[1] else geo.equator(1)
     _, centers = geo.sample_points(M, 2, seed=3, pad=0.5)
     exact = float(geo._ball_area(*kl, np.cos(r)))
     for center in centers:

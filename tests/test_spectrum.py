@@ -240,6 +240,8 @@ def test_certified_rung_allocates_no_grid_array():
 def test_rayleigh_constant_field(torus, equator2):
     assert abs(spec.rayleigh_quotient(torus, ConstantField(1.0)) + 4.0) <= 1e-12
     assert abs(spec.rayleigh_quotient(equator2, ConstantField(1.0)) + 2.0) <= 1e-12
+    U = geo.sample_points(torus, 4, seed=0)[0]
+    assert np.array_equal(ConstantField(1.0).laplacian(torus, U), np.zeros(4))  # harmonic
 
 
 def test_rayleigh_A_field_all_families(clifford_families):
@@ -418,3 +420,6 @@ def test_observed_order_floor_semantics():
     assert spec.observed_order([1e-13, 2e-13, 5e-14]) == float("inf")
     assert 1.9 <= spec.observed_order([4e-2, 1e-2, 2.5e-3]) <= 2.1
     assert spec.observed_order([1e-2, 1e-2]) < 1.0
+    # a pair with both errors below the floor is skipped; the one above it
+    # reads its ratio to the floor, log2(1e-3 / 1e-9)
+    assert spec.observed_order([1e-3, 1e-12, 1e-12]) == float(np.log2(1e-3 / spec.ORDER_FLOOR))
