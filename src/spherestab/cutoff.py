@@ -21,7 +21,8 @@ the vanishing of the cutoff cross term in integration by parts.
 
 Geodesic balls of the ambient sphere are used for the gradient estimate
 (radii converted by the chord-arc map); the smooth product construction
-uses plain Euclidean balls of R^(n+2).
+uses plain Euclidean balls of R^(n+2).  A field's kind, budget and ball
+metric are checked once, when it is built (:class:`CutoffField`).
 """
 
 from __future__ import annotations
@@ -391,10 +392,23 @@ class CutoffField:
     at a point take only the balls that may hold the point
     (:meth:`_ball_table`); every other ramp is exactly 1 there with zero
     derivatives.
+
+    Building a field is its only check: an unknown kind raises
+    :class:`ValueError`; a nonempty cover over its budget, or of
+    non-Euclidean balls under the product kind, raises
+    :class:`PreconditionViolated`.
     """
 
     cover: BallCover
     kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("inf", "product"):
+            raise ValueError(f"unknown cutoff kind {self.kind!r}; use 'inf' or 'product'")
+        if self.cover.size and not self.cover.satisfied:
+            raise PreconditionViolated("cover budget not satisfied")
+        if self.cover.size and self.kind == "product" and self.cover.metric != "euclidean":
+            raise PreconditionViolated("the product construction uses Euclidean balls")
 
     @property
     def C0(self):
@@ -525,8 +539,6 @@ class CutoffField:
         """
         if self.kind != "product":
             raise UnsupportedFamily("the inf cutoff is Lipschitz only; no Hessian")
-        if self.cover.metric != "euclidean":
-            raise UnsupportedFamily("product-cutoff Hessians are Euclidean-ball only")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         p, dim = X.shape
         if self.cover.size == 0:
@@ -603,23 +615,13 @@ def _product_excluding_one(vals):
 
 
 def build_inf_cutoff(cover: BallCover) -> CutoffField:
-    """Infimum-of-ramps cutoff over a satisfied cover."""
-    if cover.size and not cover.satisfied:
-        raise PreconditionViolated("cover budget not satisfied")
+    """Infimum-of-ramps cutoff over a satisfied cover (checked by :class:`CutoffField`)."""
     return CutoffField(cover, "inf")
 
 
 def build_product_cutoff(cover: BallCover) -> CutoffField:
-    """Smooth product cutoff (C^2 quintic ramps) over a satisfied Euclidean cover."""
-    if cover.size and not cover.satisfied:
-        raise PreconditionViolated("cover budget not satisfied")
-    _require_euclidean(cover)
+    """C^2 product cutoff over a satisfied Euclidean cover (checked by :class:`CutoffField`)."""
     return CutoffField(cover, "product")
-
-
-def _require_euclidean(cover: BallCover):
-    if cover.size and cover.metric != "euclidean":
-        raise PreconditionViolated("the product construction uses Euclidean balls")
 
 
 # ---------------------------------------------------------------------------
@@ -925,9 +927,7 @@ def mr_quality_report(
     but its points are never formed, embedded or evaluated.  A row of a
     kept cell that lies in no ball reads an exact 0.0 in all three
     integrands, as its :meth:`CutoffField._ball_table` row is all pads, so
-    the estimates are those of evaluating every cell bit for bit.  A
-    non-Euclidean cover is refused (:class:`PreconditionViolated`) before
-    any integral runs, as in :func:`build_product_cutoff`.
+    the estimates are those of evaluating every cell bit for bit.
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -939,7 +939,6 @@ def mr_quality_report(
     """
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
-    _require_euclidean(field.cover)
     n = M.dimension
     N = n + 2
     if C_V is None:

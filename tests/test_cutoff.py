@@ -578,16 +578,32 @@ def test_unsatisfied_cover_rejected():
      PreconditionViolated, "applies to the inf cutoff"),
     (lambda M, geodesic, euclidean: cut.mr_quality_report(M, cut.build_inf_cutoff(geodesic), C_V=1.0),
      PreconditionViolated, "applies to the product cutoff"),
+    # refused when the field is built, so no Hessian can run
     (lambda M, geodesic, euclidean: cut.CutoffField(geodesic, "product").ambient_hessian(np.eye(4)),
-     UnsupportedFamily, "Euclidean-ball only"),
+     PreconditionViolated, "uses Euclidean balls"),
+    # a misspelt kind would mix the inf and product ramps in one field
+    (lambda M, geodesic, euclidean: cut.CutoffField(euclidean, "Inf"), ValueError, "unknown cutoff kind"),
+    (lambda M, geodesic, euclidean: cut.CutoffField(euclidean, ""), ValueError, "unknown cutoff kind"),
+    (lambda M, geodesic, euclidean: cut.CutoffField(
+        cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "geodesic"), "inf"),
+     PreconditionViolated, "cover budget not satisfied"),
 ], ids=["unsatisfied product cover", "estimate of a product field",
-        "quality of an inf field", "hessian on a geodesic cover"])
+        "quality of an inf field", "hessian on a geodesic cover",
+        "kind Inf", "empty kind", "unsatisfied cover, direct field"])
 def test_cutoff_refusals(torus, call, error, match):
     _, pts = geo.sample_points(torus, 1, seed=5)
     geodesic = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "geodesic")
     euclidean = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "euclidean")
     with pytest.raises(error, match=match):
         call(torus, geodesic, euclidean)
+
+
+def test_product_field_on_empty_geodesic_cover():
+    # no ball, so no ball metric to refuse: phi is 1 and its Hessian 0
+    field = cut.CutoffField(cut.empty_cover(2, 0.0, 0.05, ambient_dim=4), "product")
+    X = np.eye(4)
+    assert np.all(field.value(X) == 1.0)
+    assert np.all(field.ambient_hessian(X) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -837,14 +853,26 @@ def test_batched_gradient_estimate_matches_per_ball_loop(case, monkeypatch):
     assert expected.value > 0.0
 
 
+def _pole_cover():
+    # balls at both poles of the polar axes of clifford(2,2)
+    M22 = geo.clifford_hypersurface((2, 2))
+    poles = M22.chart.embed(np.array([[0.0, 1.0, 0.5, 2.0], [math.pi, 1.0, 0.5, 2.0],
+                                      [1.0, 1.0, math.pi, 2.0], [0.02, 1.0, 0.03, 2.0]]))
+    return M22, cut.BallCover(poles, np.array([0.1, 0.2, 0.3, 0.15]), 4, 1, 1e9, "geodesic")
+
+
+def _cutoff_balls_cover(kl, points, epsilon, q):
+    # the cover `spherestab cutoff --kind inf` builds at seed 0; its radius
+    # floor is the default 1e-3 for both benchmark configs
+    M = geo.clifford_hypersurface(kl)
+    _, pts = geo.sample_points(M, points, seed=0, pad=0.05)
+    return M, cut.cover_singular_set(pts, M.dimension, q, epsilon)
+
+
 def test_batched_chart_boxes_match_per_ball_search():
     # every cover of the identity test, plus balls at both poles of the
     # polar axes of clifford(2,2): the same boxes and the same misses
-    covers = [(M, cover) for _, M, cover, _ in _identity_covers()]
-    M22 = geo.clifford_hypersurface((2, 2))
-    poles = M22.chart.embed(np.array([[0.0, 1.0, 0.5, 2.0], [math.pi, 1.0, 0.5, 2.0],
-                                          [1.0, 1.0, math.pi, 2.0], [0.02, 1.0, 0.03, 2.0]]))
-    covers.append((M22, cut.BallCover(poles, np.array([0.1, 0.2, 0.3, 0.15]), 4, 1, 1e9, "geodesic")))
+    covers = [(M, cover) for _, M, cover, _ in _identity_covers()] + [_pole_cover()]
     for M, cover in covers:
         boxes, hit = cut._ball_chart_boxes(M, cover.centers, 2.0 * cover.radii, cover.metric)
         for i in range(cover.size):
@@ -852,6 +880,45 @@ def test_batched_chart_boxes_match_per_ball_search():
             assert hit[i] == (box is not None)
             if box is not None:
                 assert np.array_equal(boxes[i], box)
+
+
+def test_chart_boxes_contain_every_sample_within_reach():
+    # an oracle that runs no face search: chart-uniform samples, over the
+    # whole chart box and over a window three box widths wide around each
+    # box, that lie within reach of a ball lie in that ball's box (periodic
+    # axes mod their period), and a ball that misses M has no such sample
+    covers = [(M, cover) for _, M, cover, _ in _identity_covers()]
+    covers += [_pole_cover(), _cutoff_balls_cover((1, 1), 150, 1.0, 1),
+               _cutoff_balls_cover((1, 2), 5, 0.05, 2)]
+    rng = np.random.default_rng(61)
+    within = 0
+    for M, cover in covers:
+        chart = M.chart
+        lo, hi = chart.box[:, 0], chart.box[:, 1]
+        periodic = np.asarray(chart.periodic, dtype=bool)
+        reach = 2.0 * cover.radii
+        boxes, hit = cut._ball_chart_boxes(M, cover.centers, reach, cover.metric)
+        U_all = rng.uniform(lo, hi, size=(20_000, chart.dim))
+        X_all = chart.embed(U_all)
+        dist = geo._distance(cover.metric)
+        for i in range(cover.size):
+            near = dist(X_all, cover.centers[i]) < reach[i]
+            if not hit[i]:
+                assert not near.any()
+                continue
+            mid, width = boxes[i].mean(axis=1), boxes[i, :, 1] - boxes[i, :, 0]
+            w_lo = np.where(periodic, mid - 1.5 * width, np.maximum(mid - 1.5 * width, lo))
+            w_hi = np.where(periodic, mid + 1.5 * width, np.minimum(mid + 1.5 * width, hi))
+            window = rng.uniform(w_lo, w_hi, size=(4_000, chart.dim))
+            window[:, periodic] = lo[periodic] + (window[:, periodic] - lo[periodic]) % (hi - lo)[periodic]
+            U = np.vstack([U_all[near], window])
+            U = U[dist(chart.embed(U), cover.centers[i]) < reach[i]]
+            assert len(U) > 0
+            offset = U - boxes[i, :, 0]
+            offset[:, periodic] %= (hi - lo)[periodic]
+            assert np.all((offset >= 0.0) & (offset <= width)), (M.family, i)
+            within += len(U)
+    assert within > 50_000
 
 
 def test_gradient_estimate_empty_cover(torus, torus_cv_geodesic):
@@ -1070,18 +1137,17 @@ def test_product_c0_is_computed_on_first_use():
 
 
 def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
-    # a product field built directly on a geodesic cover is refused before
-    # any integral runs
+    # a product field on a geodesic cover is refused when it is built, so
+    # no quality report, and no integral, can run on it
     _, pts = geo.sample_points(torus, 1, seed=5)
     cov = cut.BallCover(pts, np.array([0.2]), 2, 0.0, 0.1, "geodesic")
-    field = cut.CutoffField(cov, "product")
 
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran before the cover check")
 
     monkeypatch.setattr(cut, "stratified_integral", no_integral)
-    with pytest.raises(PreconditionViolated):
-        cut.mr_quality_report(torus, field, C_V=1.0)
+    with pytest.raises(PreconditionViolated, match="uses Euclidean balls"):
+        cut.mr_quality_report(torus, cut.CutoffField(cov, "product"), C_V=1.0)
 
 
 # ---------------------------------------------------------------------------
