@@ -320,8 +320,7 @@ def _run_cutoff(config: RunConfig, M):
         containment="full" if config.kind == "inf" else "sixth",
     )
     if config.kind == "inf":
-        fld = cut.build_inf_cutoff(cover)
-        report = cut.gradient_integral_estimate(M, cover, fld, config.exponent, seed=config.seed)
+        report = cut.gradient_integral_estimate(M, cut.build_inf_cutoff(cover), seed=config.seed)
         payload = {
             "integral": report.integral,
             "stderr": report.stderr,

@@ -21,8 +21,8 @@ the vanishing of the cutoff cross term in integration by parts.
 
 Geodesic balls of the ambient sphere are used for the gradient estimate
 (radii converted by the chord-arc map); the smooth product construction
-uses plain Euclidean balls of R^(n+2).  A field's kind, budget and ball
-metric are checked once, when it is built (:class:`CutoffField`).
+uses plain Euclidean balls of R^(n+2).  A field is checked once, when built
+(:class:`CutoffField`); each check reads cover, epsilon and q from the field.
 """
 
 from __future__ import annotations
@@ -311,11 +311,11 @@ def vitali_discard(cover: BallCover) -> BallCover:
 
 
 def covers_points(cover: BallCover, factor) -> bool:
-    """Every input point within factor * r_i of some center (brute force)."""
+    """Every input point within factor * r_i of some center (widened Gram screen)."""
     if cover.points is None:
         return True
-    d = _distance(cover.metric)(cover.points[:, None, :], cover.centers[None, :, :])
-    return bool(np.all(np.any(d <= factor * cover.radii + 1e-12, axis=1)))
+    bound = _chord_sq_bound(factor * cover.radii, cover.metric)[:, None]
+    return bool(np.all(np.any(_gram_chord_sq(cover.centers, cover.points) < bound, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +394,9 @@ class CutoffField:
     derivatives.
 
     Building a field is its only check: an unknown kind raises
-    :class:`ValueError`; a nonempty cover over its budget, or of
-    non-Euclidean balls under the product kind, raises
+    :class:`ValueError`; a nonempty cover over its budget, of non-Euclidean
+    balls under the product kind, or with a recorded point where phi does
+    not vanish (:func:`covers_points` at r_i inf, r_i/2 product) raises
     :class:`PreconditionViolated`.
     """
 
@@ -409,6 +410,8 @@ class CutoffField:
             raise PreconditionViolated("cover budget not satisfied")
         if self.cover.size and self.kind == "product" and self.cover.metric != "euclidean":
             raise PreconditionViolated("the product construction uses Euclidean balls")
+        if self.cover.size and not covers_points(self.cover, 1.0 if self.kind == "inf" else 0.5):
+            raise PreconditionViolated(f"the {self.kind} cutoff does not vanish at every cover point")
 
     @property
     def C0(self):
@@ -680,9 +683,8 @@ class GradientIntegralReport:
 
 def gradient_integral_estimate(
     M: ParametrizedHypersurface,
-    cover: BallCover,
     field: CutoffField,
-    q,
+    *,
     C_V=None,
     strata=14,
     samples_per_cell=3,
@@ -690,6 +692,7 @@ def gradient_integral_estimate(
 ) -> GradientIntegralReport:
     """Monte-Carlo  int_M |grad phi|^q  against the bound 2^(n+q) C_V epsilon.
 
+    The cover, its epsilon and its exponent q are the field's (``field.cover``).
     The integral runs over supp grad phi, the points where the active ramp
     has nonzero slope; so at q = 0 it is the area of that support, not of
     the whole chart box (where |grad phi|^0 would read 1 on phi == 1).
@@ -711,6 +714,7 @@ def gradient_integral_estimate(
     """
     if field.kind != "inf":
         raise PreconditionViolated("the gradient estimate applies to the inf cutoff")
+    cover, q = field.cover, field.cover.exponent
     n = M.dimension
     if C_V is None:
         C_V = measure_volume_growth(M, metric=cover.metric)
@@ -932,17 +936,17 @@ def mr_quality_report(
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
     ambient mean-curvature bound (n for minimal hypersurfaces of the unit
-    sphere) and N the Euclidean dimension.  Raises
-    :class:`InsufficientSamples` when a standard error exceeds 10% of its
-    bound; a measured value above bound + 3 stderr is returned as a report
-    with ``passed`` false.
+    sphere), N the Euclidean dimension, eps and the default C_V's metric
+    those of ``field.cover``.  Raises :class:`InsufficientSamples` when a
+    standard error exceeds 10% of its bound; a measured value above bound +
+    3 stderr is returned as a report with ``passed`` false.
     """
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
     n = M.dimension
     N = n + 2
     if C_V is None:
-        C_V = measure_volume_growth(M, metric="euclidean")
+        C_V = measure_volume_growth(M, metric=field.cover.metric)
     eps = field.cover.epsilon
     c0 = field.C0
     c_h = float(n)  # |H_vec| of a minimal hypersurface of the unit sphere
@@ -1003,7 +1007,7 @@ def _quality_integrands(M, field: CutoffField):
 
 def ibp_residual(
     M: ParametrizedHypersurface,
-    cover: BallCover,
+    field: CutoffField,
     u,
     v,
     resolution=128,
@@ -1017,9 +1021,11 @@ def ibp_residual(
     the cutoff cross terms' cancellation quality.  The smooth global parts
     are integrated on the full chart; everything supported near the cover
     (the (1 - phi) corrections and the grad-phi term) uses deterministic
-    local polar patches, partitioned by the active ball.
+    local polar patches, partitioned by the active ball of the inf field (a
+    product field raises :class:`PreconditionViolated`).
     """
-    field = build_inf_cutoff(cover)
+    if field.kind != "inf":
+        raise PreconditionViolated("the integration-by-parts residual applies to the inf cutoff")
     chart = M.chart
     nodes, weights = chart_quadrature(chart, resolution)
     w = weights * sqrt_det_metric(chart, nodes)

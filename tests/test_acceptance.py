@@ -166,7 +166,7 @@ def test_criterion_06_cutoff_gradient_estimate():
             try:
                 cover = cut.cover_singular_set(pts, n=2, q=1, epsilon=eps, r_min=1e-4)
                 field = cut.build_inf_cutoff(cover)
-                rep = cut.gradient_integral_estimate(torus, cover, field, 1, C_V=c_v)
+                rep = cut.gradient_integral_estimate(torus, field, C_V=c_v)
                 ratios.append(rep.integral / rep.bound)
                 if not rep.passed:
                     failures.append((count, eps, f"integral {rep.integral:.3g} > {rep.bound:.3g}"))
@@ -264,7 +264,7 @@ def test_criterion_10_ibp_residual():
         crosses.append(cut.cutoff_cross_term(torus, cut.build_inf_cutoff(cover), u))
     monotone = crosses[0] > crosses[1] > crosses[2]
     cover = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
-    residual = cut.ibp_residual(torus, cover, u, u)
+    residual = cut.ibp_residual(torus, cut.build_inf_cutoff(cover), u, u)
     verdict(
         10,
         monotone and residual <= 1e-4,

@@ -1,6 +1,7 @@
 """Covers, discard, packing bounds, cutoff fields and their integrals."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -569,12 +570,20 @@ def test_unsatisfied_cover_rejected():
         cut.build_inf_cutoff(cov)
 
 
+def _half_radius_cover(M):
+    # two chart points of clifford(1,1) about 0.0218 from their centroid,
+    # one ball of radius r_min = 0.022: inside the ball, outside its half-ball
+    pts = M.chart.embed(np.array([[0.3, 1.0], [0.3, 1.0618]]))
+    return pts, cut.cover_singular_set(pts, n=2, q=0, epsilon=5e-4, r_min=0.022,
+                                       metric="euclidean", containment="full")
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda M, geodesic, euclidean: cut.build_product_cutoff(
         cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "euclidean")),
      PreconditionViolated, "budget not satisfied"),
     (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
-        M, euclidean, cut.build_product_cutoff(euclidean), 1.0, C_V=1.0),
+        M, cut.build_product_cutoff(euclidean), C_V=1.0),
      PreconditionViolated, "applies to the inf cutoff"),
     (lambda M, geodesic, euclidean: cut.mr_quality_report(M, cut.build_inf_cutoff(geodesic), C_V=1.0),
      PreconditionViolated, "applies to the product cutoff"),
@@ -587,15 +596,46 @@ def test_unsatisfied_cover_rejected():
     (lambda M, geodesic, euclidean: cut.CutoffField(
         cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "geodesic"), "inf"),
      PreconditionViolated, "cover budget not satisfied"),
+    # a cover and q beside the field are refused: the estimate reads both
+    # from the field, and takes C_V only by keyword
+    (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
+        M, geodesic, cut.build_inf_cutoff(geodesic), 1.0, C_V=1.0),
+     TypeError, "takes 2 positional arguments"),
+    (lambda M, geodesic, euclidean: cut.ibp_residual(
+        M, cut.build_product_cutoff(euclidean), ConstantField(1.0), ConstantField(1.0)),
+     PreconditionViolated, "applies to the inf cutoff"),
+    # the product ramps read about 1 at points outside the half-balls
+    (lambda M, geodesic, euclidean: cut.build_product_cutoff(_half_radius_cover(M)[1]),
+     PreconditionViolated, "does not vanish at every cover point"),
 ], ids=["unsatisfied product cover", "estimate of a product field",
         "quality of an inf field", "hessian on a geodesic cover",
-        "kind Inf", "empty kind", "unsatisfied cover, direct field"])
+        "kind Inf", "empty kind", "unsatisfied cover, direct field",
+        "estimate with a cover beside its field", "ibp of a product field",
+        "product field missing its points"])
 def test_cutoff_refusals(torus, call, error, match):
     _, pts = geo.sample_points(torus, 1, seed=5)
     geodesic = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "geodesic")
     euclidean = cut.BallCover(pts, np.array([0.2]), 2, 1.0, 0.5, "euclidean")
     with pytest.raises(error, match=match):
         call(torus, geodesic, euclidean)
+
+
+def test_inf_field_vanishes_at_the_points_of_a_half_radius_cover(torus):
+    # the cover the product kind refuses holds its points within r, where
+    # the inf ramps vanish
+    pts, cov = _half_radius_cover(torus)
+    assert cov.size == 1 and cov.radii[0] == 0.022
+    assert np.all(cut.build_inf_cutoff(cov).value(pts) == 0.0)
+
+
+def test_no_cutoff_check_takes_a_cover_beside_its_field():
+    # every check reads the cover from its field, so the two cannot disagree
+    for name, fn in vars(cut).items():
+        if inspect.isfunction(fn) and fn.__module__ == cut.__name__ and not name.startswith("_"):
+            assert not {"cover", "field"} <= set(inspect.signature(fn).parameters), name
+    for check in (cut.gradient_integral_estimate, cut.ibp_residual, cut.cutoff_cross_term,
+                  cut.mr_quality_report):
+        assert list(inspect.signature(check).parameters)[:2] == ["M", "field"], check.__name__
 
 
 def test_product_field_on_empty_geodesic_cover():
@@ -624,10 +664,19 @@ def test_gradient_estimate_feasible_case(m12, m12_cv):
     _, pts = geo.sample_points(m12, 5, seed=7, pad=0.05)
     cov = cut.cover_singular_set(pts, n=3, q=2, epsilon=0.05)
     field = cut.build_inf_cutoff(cov)
-    rep = cut.gradient_integral_estimate(m12, cov, field, 2, C_V=m12_cv)
+    rep = cut.gradient_integral_estimate(m12, field, C_V=m12_cv)
     assert rep.passed
     assert rep.stderr <= 0.1 * rep.bound
     assert rep.integral <= rep.bound + 3 * rep.stderr
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_gradient_estimate_reads_q_and_epsilon_from_its_field(m12, m12_cv, q):
+    _, pts = geo.sample_points(m12, 5, seed=7, pad=0.05)
+    cov = cut.cover_singular_set(pts, n=3, q=q, epsilon=0.05)
+    rep = cut.gradient_integral_estimate(m12, cut.build_inf_cutoff(cov), C_V=m12_cv)
+    assert (rep.q, rep.epsilon) == (q, 0.05)
+    assert rep.bound == 2 ** (3 + q) * m12_cv * 0.05
 
 
 def test_gradient_estimate_epsilon_linearity(m12, m12_cv):
@@ -636,7 +685,7 @@ def test_gradient_estimate_epsilon_linearity(m12, m12_cv):
     for eps in (0.05, 0.025):
         cov = cut.cover_singular_set(pts, n=3, q=2, epsilon=eps)
         field = cut.build_inf_cutoff(cov)
-        rep = cut.gradient_integral_estimate(m12, cov, field, 2, C_V=m12_cv, seed=1)
+        rep = cut.gradient_integral_estimate(m12, field, C_V=m12_cv, seed=1)
         values[eps] = rep
     assert abs(values[0.025].bound - values[0.05].bound / 2.0) <= 1e-12
     # integral scales ~linearly in the budget (within Monte-Carlo error)
@@ -648,7 +697,7 @@ def test_gradient_estimate_torus_q1(torus, torus_cv_geodesic):
     _, pts = geo.sample_points(torus, 3, seed=2)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.1)
     field = cut.build_inf_cutoff(cov)
-    rep = cut.gradient_integral_estimate(torus, cov, field, 1, C_V=torus_cv_geodesic)
+    rep = cut.gradient_integral_estimate(torus, field, C_V=torus_cv_geodesic)
     assert rep.passed
 
 
@@ -662,7 +711,7 @@ def test_gradient_estimate_ball_at_coordinate_pole():
     for u in ([0.0, 0.0, 0.0], [math.pi / 2, 0.0, 0.0]):
         cov = cut.cover_singular_set(M.chart.embed(np.array([u])), n=3, q=1, epsilon=0.1)
         field = cut.build_inf_cutoff(cov)
-        reports.append(cut.gradient_integral_estimate(M, cov, field, 1, C_V=C_V, seed=3))
+        reports.append(cut.gradient_integral_estimate(M, field, C_V=C_V, seed=3))
     pole, equator_point = reports
     assert pole.passed and equator_point.passed
     assert pole.integral > 0.2 * pole.bound
@@ -821,7 +870,7 @@ def _identity_covers():
     doubled = cut.BallCover(np.vstack([c11, c11[:1]]), np.append(radii, radii[0]), 2, 1, 1e9, "geodesic")
     return [
         ("geodesic", torus, doubled, 1),
-        ("euclidean", torus, cut.BallCover(c11, rng.uniform(0.05, 0.3, 24), 2, 1, 1e9, "euclidean"), 2),
+        ("euclidean", torus, cut.BallCover(c11, rng.uniform(0.05, 0.3, 24), 2, 2, 1e9, "euclidean"), 2),
         ("pole", m21, pole, 1),
         ("off-surface", torus, cut.BallCover(np.vstack([c11[:3], off, c11[3:6]]),
                                              np.full(7, 0.1), 2, 1, 1e9, "geodesic"), 1),
@@ -845,7 +894,7 @@ def test_batched_gradient_estimate_matches_per_ball_loop(case, monkeypatch):
     reports = []
     for chunk_rows in (cut._CHUNK_ROWS, _stratified_rows(M.dimension, strata, per_cell), 10**9):
         monkeypatch.setattr(cut, "_CHUNK_ROWS", chunk_rows)
-        rep = cut.gradient_integral_estimate(M, cover, field, q, C_V=5.0, strata=strata,
+        rep = cut.gradient_integral_estimate(M, field, C_V=5.0, strata=strata,
                                              samples_per_cell=per_cell, seed=5)
         assert (rep.integral, rep.stderr, rep.samples) == (expected.value, expected.stderr, expected.samples)
         reports.append(rep)
@@ -924,7 +973,7 @@ def test_chart_boxes_contain_every_sample_within_reach():
 def test_gradient_estimate_empty_cover(torus, torus_cv_geodesic):
     cov = cut.empty_cover(2, 1, 0.05, ambient_dim=4)
     field = cut.build_inf_cutoff(cov)
-    rep = cut.gradient_integral_estimate(torus, cov, field, 1, C_V=torus_cv_geodesic)
+    rep = cut.gradient_integral_estimate(torus, field, C_V=torus_cv_geodesic)
     assert rep.integral == 0.0 and rep.stderr == 0.0
 
 
@@ -933,7 +982,7 @@ def test_gradient_estimate_off_surface_ball_skipped(torus, torus_cv_geodesic):
     center = np.array([[0.0, 0.0, 1.0, 0.0]])  # on S^3 but max-distance from the torus? close enough
     cov = cut.BallCover(center, np.array([0.01]), 2, 1.0, 0.1, "geodesic")
     field = cut.build_inf_cutoff(cov)
-    rep = cut.gradient_integral_estimate(torus, cov, field, 1, C_V=torus_cv_geodesic)
+    rep = cut.gradient_integral_estimate(torus, field, C_V=torus_cv_geodesic)
     assert rep.integral == 0.0
 
 
@@ -1156,7 +1205,8 @@ def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
 
 def test_ibp_empty_cover_equator(equator2):
     u = AmbientCoordinateField(0)
-    resid = cut.ibp_residual(equator2, cut.empty_cover(2, 1, 0.1, ambient_dim=4), u, u)
+    field = cut.build_inf_cutoff(cut.empty_cover(2, 1, 0.1, ambient_dim=4))
+    resid = cut.ibp_residual(equator2, field, u, u)
     assert resid <= 1e-8
 
 
@@ -1165,7 +1215,8 @@ def test_ibp_empty_cover_torus_coordinates(torus, index):
     # the quadrature's periodic nodes include angle 0, where the chart
     # derivatives of x_1 and x_3 go through a vanishing sine
     u = AmbientCoordinateField(index, scale=math.sqrt(2.0))
-    resid = cut.ibp_residual(torus, cut.empty_cover(2, 1, 0.1, ambient_dim=4), u, u)
+    field = cut.build_inf_cutoff(cut.empty_cover(2, 1, 0.1, ambient_dim=4))
+    resid = cut.ibp_residual(torus, field, u, u)
     assert resid <= 1e-8
 
 
@@ -1184,7 +1235,7 @@ def test_ibp_residual_small_at_tight_budget(torus):
     _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
-    resid = cut.ibp_residual(torus, cov, u, u)
+    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cov), u, u)
     assert resid <= 1e-4
 
 
@@ -1238,7 +1289,8 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
                         lambda M, center, fn, reach, **kw: patches.append((center, fn, reach)) or 0.0)
     U_bg = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=(1500, 2))
     cases = (
-        ("ibp", inf_cover, lambda: cut.ibp_residual(torus, inf_cover, u, v, resolution=16)),
+        ("ibp", inf_cover,
+         lambda: cut.ibp_residual(torus, cut.build_inf_cutoff(inf_cover), u, v, resolution=16)),
         ("cross", inf_cover, lambda: cut.cutoff_cross_term(torus, cut.build_inf_cutoff(inf_cover), u)),
         ("cross", product_cover, lambda: cut.cutoff_cross_term(torus, cut.CutoffField(product_cover, "product"), u)),
     )
@@ -1293,7 +1345,8 @@ def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
     cover = cut.BallCover(centers, np.full(4, 0.05), 2, 1, 1e9, "geodesic")
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
-    resid = cut.ibp_residual(torus, cover, u, v, resolution=16, n_angular=16, nodes_per_segment=8)
+    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cover), u, v, resolution=16, n_angular=16,
+                             nodes_per_segment=8)
     assert np.isfinite(resid)
     assert per_patch == [1] * cover.size
 
@@ -1303,7 +1356,7 @@ def test_ibp_constant_u_divergence_form(torus):
     _, pts = geo.sample_points(torus, 1, seed=4)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
-    resid = cut.ibp_residual(torus, cov, ConstantField(1.0), v)
+    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cov), ConstantField(1.0), v)
     assert resid <= 1e-6
 
 
