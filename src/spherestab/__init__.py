@@ -36,12 +36,7 @@ from .geometry import (
     sample_points,
     shape_at,
 )
-from .operators import (
-    AnalyticSpectrum,
-    DiscreteOperator,
-    analytic_laplace_spectrum,
-    assemble_jacobi,
-)
+from .operators import DiscreteOperator, assemble_jacobi
 from .spectrum import (
     EigenResult,
     SimonsReport,

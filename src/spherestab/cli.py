@@ -22,8 +22,9 @@ once through its ``geometry`` constructor: ``equator`` reads ``--n``;
 ``clifford`` reads ``--k`` and ``--l``, and an ``--n`` given with them must
 equal the surface's dimension k + l.  The constructors hold the parameter
 rules; a parameter they refuse is a configuration error.  Reports are named
-after the surface's family and factor dimensions (``clifford_2_1``,
-``equator_4``).
+after the command and the surface's family and factor dimensions
+(``spectrum_clifford_2_1``, ``simons_equator_4``); a command that reads no
+surface (``cone-table``) builds none, and its report is named after it alone.
 
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error (no report), 3 numerical failure
@@ -151,7 +152,9 @@ def _tag(M):
 
 
 def _build_config(args):
-    """(config, surface) from a config file and flags; flags override the file."""
+    """(config, surface) from a config file and flags; flags override the file.
+
+    The surface is None for a command that reads none."""
     values = {}
     if args.config:
         with open(args.config) as fh:
@@ -164,6 +167,8 @@ def _build_config(args):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = RunConfig(**values).validate()
+    if not COMMANDS[config.command].surface:
+        return config, None
     M = config.surface()
     if "n" in values and values["n"] != M.dimension:
         raise ConfigError(f"n = {values['n']}, but {_tag(M)} has dimension {M.dimension}")
@@ -182,7 +187,7 @@ class Result:
 
 def _write_report(config: RunConfig, M, result: Result) -> str:
     os.makedirs(config.out, exist_ok=True)
-    stem = config.command if config.command == "cone-table" else f"{config.command}_{_tag(M)}"
+    stem = f"{config.command}_{_tag(M)}" if COMMANDS[config.command].surface else config.command
     path = os.path.join(config.out, f"{stem}.{config.format}")
     payload, embedded = result.payload, asdict(config)
     if config.format == "json":
@@ -258,8 +263,8 @@ def _failure(exc):
 
 
 def _analytic_eigenvalue(M):
-    """Exact lambda_1 of a built-in family from its analytic spectrum."""
-    return spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
+    """Exact lambda_1 = -(|A|^2 + n) of a built-in family, as the report's analytic row."""
+    return spec.EigenResult(-float(M.potential), None, 0.0, "analytic")
 
 
 def _run_simons(config: RunConfig, M):

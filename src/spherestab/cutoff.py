@@ -206,7 +206,8 @@ def cover_singular_set(
     gets a ball at its (sphere-projected) centroid.  Radii default to the
     uniform budget split ``(0.9 epsilon / m)^(1/(n-q))`` and never drop
     below the cluster containment radius or r_min; ``containment="sixth"``
-    takes six times that radius, so the points lie in B(p, r/6).
+    takes six times that radius, so the points lie in B(p, r/6); any other
+    ``containment`` than "full" or "sixth" raises ``ValueError``.
 
     Raises :class:`BudgetInfeasible` when ``m * r_min^(n-q) >= epsilon`` (in
     particular whenever q >= n and the set is nonempty with epsilon <= m):
@@ -214,6 +215,9 @@ def cover_singular_set(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    factor = {"full": 1.0, "sixth": 6.0}.get(containment)
+    if factor is None:
+        raise ValueError(f"unknown containment {containment!r}; use 'full' or 'sixth'")
     points = np.atleast_2d(np.asarray(points, dtype=float)) if points is not None else None
     if points is None or points.size == 0:
         return empty_cover(n, q, epsilon, metric)
@@ -227,7 +231,6 @@ def cover_singular_set(
             f" >= epsilon={epsilon}; lower r_min or raise epsilon"
         )
 
-    factor = 6.0 if containment == "sixth" else 1.0
     # every cluster's members in cluster order; each cluster is summed in
     # member order, as ``mean`` sums, and + 0.0 gives the +0.0 that ``mean``'s
     # sum from the identity gives on an all -0.0 coordinate

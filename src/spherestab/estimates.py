@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .geometry import ParametrizedHypersurface, _norm_A_sq, area, ball_area, measure_volume_growth
+from .geometry import ParametrizedHypersurface, area, ball_area, measure_volume_growth
 
 
 @dataclass
@@ -94,21 +94,19 @@ def local_A_bound(M: ParametrizedHypersurface, p, r, lambda1, C_V=None):
     far = ~(off <= 1e-9)
     if far.any():
         raise PreconditionViolated(f"ball centre lies {off[far][0]:.3g} off the surface")
-    lhs = [float(a2) * ball for a2 in _norm_A_sq(M, u)]
-    for v in lhs:
-        if not 0.0 <= v < math.inf:
-            raise PreconditionViolated(
-                f"curvature energy {v!r} on the ball is negative or not finite")
+    lhs = float(M.norm_A_sq) * ball
+    if not 0.0 <= lhs < math.inf:
+        raise PreconditionViolated(f"curvature energy {lhs!r} on the ball is negative or not finite")
     rhs = 2.0 * 2.0 ** (n + 2) * C_V * r ** (n - 2) + alpha * 2.0**n * C_V * r**n
     return [
         EstimateReport(
             "local_A_bound",
-            v,
+            lhs,
             rhs,
             0.0,
             {"n": n, "r": r, "alpha": alpha, "C_V": C_V, "lambda1": lambda1},
         )
-        for v in lhs
+        for _ in centres
     ]
 
 
@@ -147,7 +145,7 @@ def l4_identity_check(M: ParametrizedHypersurface) -> EstimateReport:
     rounding; the report's lhs/rhs are the two integrals.
     """
     n = M.dimension
-    const = float(M.product.norm_A_sq)
+    const = float(M.norm_A_sq)
     total = area(M, 96)
     lhs = const**2 * total
     rhs = n * const * total

@@ -32,6 +32,7 @@ metric diagonal, per-axis density factors and nearest-point inverse.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,8 +298,41 @@ class SphereProduct:
 
     @cached_property
     def potential(self):
-        """Exact stability potential |A|^2 + n (n on the equator, 2n on the products)."""
+        """Exact stability potential |A|^2 + n (n on the equator, 2n on the products).
+
+        The constant functions are the bottom (0) of the -Delta spectrum, so
+        the first stability eigenvalue is exactly -potential.
+        """
         return self.norm_A_sq + self.dimension
+
+    def laplace_eigenvalues(self, count):
+        """First ``count`` eigenvalues of -Delta, sorted, multiplicity-expanded.
+
+        A product eigenvalue is a sum of one eigenvalue j_i (j_i + d_i - 1) / r_i^2
+        of each factor S^(d_i)(r_i), with the product of their multiplicities
+        C(d+j, d) - C(d+j-2, d).  The sums are visited in increasing exact
+        (``Fraction``) order from a heap of degree tuples, and a multiplicity
+        is expanded only up to ``count``, so high-dimensional factors cost
+        nothing extra.
+        """
+        def value(js):
+            return sum(Fraction(j * (j + d - 1)) / r2 for j, d, r2 in zip(js, self.dims, self.radius_sq))
+
+        def multiplicity(d, j):
+            return math.comb(d + j, d) - (math.comb(d + j - 2, d) if j >= 2 else 0)
+
+        start = (0,) * len(self.dims)
+        heap, seen, vals = [(Fraction(0), start)], {start}, []
+        while len(vals) < count:
+            val, js = heapq.heappop(heap)
+            mult = math.prod(multiplicity(d, j) for d, j in zip(self.dims, js))
+            vals += [float(val)] * min(mult, count - len(vals))
+            for i in range(len(js)):
+                nxt = js[:i] + (js[i] + 1,) + js[i + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (value(nxt), nxt))
+        return np.array(vals, dtype=float)
 
     def ball_area(self, level):
         """area{y in M : <x, y> >= level}, the same for every x in M; ``level`` may be an array.
@@ -325,8 +359,9 @@ class ParametrizedHypersurface:
     """A closed n-dimensional hypersurface of S^(n+1) given by one chart.
 
     ``product`` is the surface's exact description, a :class:`SphereProduct`
-    of the chart's dimension; ``dimension``, ``family`` and ``params`` are
-    read from it.  Anything else raises :class:`UnsupportedFamily`.
+    of the chart's dimension; ``dimension``, ``family``, ``params`` and the
+    exact constants ``norm_A_sq`` and ``potential`` are read from it.
+    Anything else raises :class:`UnsupportedFamily`.
     ``closed_form`` maps chart points to batched shape arrays; without it
     :func:`shape_at` differentiates the chart's unit normal.
     """
@@ -346,6 +381,14 @@ class ParametrizedHypersurface:
     @property
     def params(self):
         return self.product.dims
+
+    @property
+    def norm_A_sq(self):
+        return self.product.norm_A_sq
+
+    @property
+    def potential(self):
+        return self.product.potential
 
     def __repr__(self):
         return f"ParametrizedHypersurface(n={self.dimension}, {self.family}{self.params})"
@@ -534,15 +577,6 @@ def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
     H = float(np.trace(ginv @ A))
     a2 = float(np.trace(ginv @ A @ ginv @ A))
     return ShapeData(g, nu, A, H, a2)
-
-
-def _norm_A_sq(M, U):
-    """|A|^2 at chart points (m, n): the constant of M's :class:`SphereProduct`.
-
-    No normal or (m, n, n) second fundamental form is built; the values are
-    those of ``M.shape_batch(U)[4]``.
-    """
-    return np.full(np.shape(U)[:-1], float(M.product.norm_A_sq))
 
 
 def _stencil(U, h):

@@ -1,4 +1,4 @@
-"""Discrete and analytic stability operators on chart grids.
+"""Discrete stability operators on chart grids.
 
 The stability operator of a minimal hypersurface M^n of the unit sphere is
 ``L = Delta_M + |A|^2 + n`` (the ambient Ricci curvature of S^(n+1) is the
@@ -9,7 +9,7 @@ computed here from the generalized pencil
 
 where S is the weak-form stiffness (Dirichlet energy), B the lumped mass
 and V the potential ``|A|^2 + n`` weighted by the mass, the exact
-constant ``SphereProduct.potential`` of the surface's sphere factors.  The
+constant ``M.potential`` of the surface's sphere factors.  The
 discretization is second-order finite volumes in chart coordinates with
 metric-density weights: one node per cell, periodic axes wrap, and polar
 axes need no boundary rows because the density ``sqrt(det g)`` vanishes at
@@ -63,25 +63,18 @@ negated flux weight of its edge, and the diagonal is their negated sum
 taken in one fixed order: axis by axis, the flux to lo_a before the flux
 to hi_a.  The two slots through the box ends of a polar axis are not
 stored.  B and V are diagonal CSR.
-
-An analytic backend covers every surface, a product of round spheres
-S^(d_i)(r_i) (the equator has one factor): its -Delta eigenvalues
-are the sums of one factor eigenvalue j (j + d_i - 1) / r_i^2 per factor,
-with the product of their multiplicities C(d+j, d) - C(d+j-2, d).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AssemblyFailure, DegenerateChart
-from .geometry import ParametrizedHypersurface, SphereProduct, _per_axis, _row_product, _tensor_grid
+from .geometry import ParametrizedHypersurface, _per_axis, _row_product, _tensor_grid
 
 
 @dataclass(eq=False)
@@ -229,7 +222,7 @@ def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator
     return DiscreteOperator(
         weights=tuple(weights),
         node_mass=mass,
-        node_potential=float(M.product.potential) * mass,
+        node_potential=float(M.potential) * mass,
         periodic=tuple(chart.periodic),
         coords=coords,
     )
@@ -277,50 +270,3 @@ def _csr_views(op):
 
     return S, diagonal_csr(op.node_mass), diagonal_csr(op.node_potential)
 
-
-# ---------------------------------------------------------------------------
-# analytic backend
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalyticSpectrum:
-    """Exact -Delta eigenvalues of a product of round spheres plus its constant potential."""
-
-    product: SphereProduct
-
-    def eigenvalues(self, count):
-        """First ``count`` eigenvalues of -Delta, sorted, multiplicity-expanded.
-
-        A product eigenvalue is a sum of one eigenvalue j_i (j_i + d_i - 1) / r_i^2
-        of each factor S^(d_i)(r_i), with the product of their multiplicities.
-        The sums are visited in increasing exact (``Fraction``) order from a
-        heap of degree tuples, and a multiplicity is expanded only up to
-        ``count``, so high-dimensional factors cost nothing extra.
-        """
-        dims, radius_sq = self.product.dims, self.product.radius_sq
-
-        def value(js):
-            return sum(Fraction(j * (j + d - 1)) / r2 for j, d, r2 in zip(js, dims, radius_sq))
-
-        start = (0,) * len(dims)
-        heap, seen, vals = [(Fraction(0), start)], {start}, []
-        while len(vals) < count:
-            val, js = heapq.heappop(heap)
-            mult = math.prod(_harmonic_count(d, j) for d, j in zip(dims, js))
-            vals += [float(val)] * min(mult, count - len(vals))
-            for i in range(len(js)):
-                nxt = js[:i] + (js[i] + 1,) + js[i + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (value(nxt), nxt))
-        return np.array(vals, dtype=float)
-
-
-def _harmonic_count(d, j):
-    """Multiplicity C(d+j, d) - C(d+j-2, d) of the degree-j eigenvalue of S^d."""
-    return math.comb(d + j, d) - (math.comb(d + j - 2, d) if j >= 2 else 0)
-
-
-def analytic_laplace_spectrum(M: ParametrizedHypersurface) -> AnalyticSpectrum:
-    """Exact -Delta spectrum enumerator of a surface, from its sphere factors."""
-    return AnalyticSpectrum(M.product)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .geometry import (
     sample_points,
     sqrt_det_metric,
 )
-from .operators import AnalyticSpectrum, DiscreteOperator, assemble_jacobi
+from .operators import DiscreteOperator, assemble_jacobi
 
 CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 ORDER_FLOOR = 1e-9  # errors below it sit at the solver floor (observed_order)
@@ -66,10 +66,10 @@ class EigenResult:
         }
 
 
-def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) -> EigenResult:
+def first_stability_eigenvalue(op: DiscreteOperator) -> EigenResult:
     """Smallest eigenvalue of the stability pencil.
 
-    A numeric operator is first certified on its edge form, in O(size):
+    The operator is first certified on its edge form, in O(size):
     when every edge weight is >= 0, S is positive semidefinite with the
     constants as its kernel, and :func:`_constant_mode_gap` bounds the
     distance from lambda_1 to the constant vector's Rayleigh quotient by
@@ -84,13 +84,7 @@ def first_stability_eigenvalue(op: Union[DiscreteOperator, AnalyticSpectrum]) ->
     weight, a mass entry that is not positive, or V / B off a constant by
     more than ``CERT_TOL`` -- raises :class:`AssemblyFailure` with the gap,
     and nothing is solved: no surface the library builds produces one.
-    The analytic backend is exact: the bottom of the enumerated -Delta
-    spectrum (the constant mode's 0) minus ``SphereProduct.potential``.
     """
-    if isinstance(op, AnalyticSpectrum):
-        lam = float(op.eigenvalues(1)[0]) - float(op.product.potential)
-        return EigenResult(lam, None, 0.0, "analytic")
-
     gap = _constant_mode_gap(op)
     if gap > CERT_TOL:
         raise AssemblyFailure(
@@ -172,7 +166,7 @@ def rayleigh_quotient(
     grads = f.gradient_sq(M, nodes)
     if grads is None:
         grads = surface_gradient_sq_fd(M, nodes, lambda pts: f.value(M, pts), step=1e-5)
-    num = float(w @ (grads - float(M.product.potential) * vals**2))
+    num = float(w @ (grads - float(M.potential) * vals**2))
     denom = float(w @ vals**2)
     if denom <= 1e-28 * float(w.sum()):
         raise ZeroTestFunction("test field vanishes identically at the quadrature nodes")
@@ -182,7 +176,7 @@ def rayleigh_quotient(
 def test_function_A(M: ParametrizedHypersurface) -> SurfaceField:
     """The |A| test field: the constant sqrt of the surface's exact |A|^2
     (sqrt(n) on the products, zero on equators)."""
-    return ConstantField(math.sqrt(M.product.norm_A_sq))
+    return ConstantField(math.sqrt(M.norm_A_sq))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -25,9 +26,12 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_command_lines():
     """The argv of each command in README.md's "Command line" block, "spherestab" dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
@@ -123,6 +127,25 @@ def test_config_file_and_flag_override(tmp_path):
                  "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "spectrum_equator_2.json").read_text())
     assert doc["config"]["resolutions"] == [16]
+
+
+def test_cone_table_config_builds_no_surface(tmp_path):
+    # cone-table reads no surface, so the surface keys of a config file are
+    # not checked against one: n = 5 against the default clifford_1_1, or an
+    # equator of dimension 0, still give the table
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "n_max": 8}))
+    assert main(["cone-table", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert run(tmp_path / "flag", "cone-table", "--n-max", "8") == 0
+    file, flag = (tmp_path / "file" / "cone-table.csv", tmp_path / "flag" / "cone-table.csv")
+    assert file.read_text().splitlines()[1:] == flag.read_text().splitlines()[1:]
+    # the embedded configs differ in the config's own n and the out path alone
+    assert _config_line(file)["n"] == 5
+    assert ({**_config_line(file), "n": None, "out": None}
+            == {**_config_line(flag), "n": None, "out": None})
+    cfg.write_text(json.dumps({"family": "equator", "n": 0}))
+    assert main(["cone-table", "--config", str(cfg), "--out", str(tmp_path / "equator")]) == 0
+    assert os.listdir(tmp_path / "equator") == ["cone-table.csv"]
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):
@@ -481,6 +504,15 @@ def test_readme_verdicts_do_not_depend_on_the_seed(tmp_path, argv):
     # an appended --seed overrides one the line sets itself
     codes = [main([*argv, "--seed", str(seed), "--out", str(tmp_path / str(seed))]) for seed in range(5)]
     assert len(set(codes)) == 1, codes
+
+
+def test_readme_python_blocks_run():
+    # every python block of README.md runs as written, so the documented API
+    # cannot drift from the code; a warning is an error here, as everywhere
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_estimates_volume_growth_is_seed_independent(tmp_path):

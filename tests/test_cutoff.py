@@ -382,6 +382,18 @@ def test_cover_rejects_unknown_metric():
         cut.BallCover(np.zeros((1, 4)), np.array([0.1]), 2, 1, 1.0, "chord")
 
 
+def test_cover_rejects_unknown_containment():
+    # two torus points 1.5e-3 apart in the chart: the sixth cover holds them
+    # in B(p, r/6), and a misspelt containment must not quietly build the
+    # full cover (radius 0.00306, and the points leave the sixth-balls)
+    pts = geo.clifford_hypersurface((1, 1)).embed([[0.3, 1.0], [0.3, 1.0015]])
+    cover = cut.cover_singular_set(pts, 2, 1, 0.0034, metric="euclidean", containment="sixth")
+    assert abs(cover.radii[0] - 0.003182) <= 1e-6 and cut.covers_points(cover, 1 / 6)
+    for containment in ("Sixth", "half", ""):
+        with pytest.raises(ValueError, match="unknown containment"):
+            cut.cover_singular_set(pts, 2, 1, 0.0034, metric="euclidean", containment=containment)
+
+
 # ---------------------------------------------------------------------------
 # cutoff fields
 # ---------------------------------------------------------------------------

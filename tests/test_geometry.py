@@ -1,8 +1,10 @@
 """Geometry backends: closed forms, finite differences, areas, ball areas."""
 
+import ast
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,20 @@ from spherestab.errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
 from spherestab.sampling import nearest_chart_point
 
 RNG = np.random.default_rng(42)
+
+
+def test_only_geometry_reads_the_sphere_product():
+    # a surface answers its own exact constants (M.norm_A_sq, M.potential,
+    # M.dimension, ...), so no module but geometry reads the ``product``
+    # description behind them, and a surface of another kind can join there
+    package = Path(geo.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "geometry.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "product"
+    ]
+    assert readers == []
 
 
 # ---------------------------------------------------------------------------

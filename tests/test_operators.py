@@ -1,6 +1,7 @@
-"""Discrete assembly and the analytic spectrum backend."""
+"""Discrete assembly and the exact -Delta spectra of the sphere products."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,17 +68,17 @@ def test_torus_spectrum_matches_fft_oracle(torus):
 
 
 def test_analytic_spectra_values():
-    s2 = ops.analytic_laplace_spectrum(geo.equator(2))
-    assert np.allclose(s2.eigenvalues(6), [0, 2, 2, 2, 6, 6])
-    s1 = ops.analytic_laplace_spectrum(geo.equator(1))
-    assert np.allclose(s1.eigenvalues(5), [0, 1, 1, 4, 4])
-    t = ops.analytic_laplace_spectrum(geo.clifford_hypersurface((1, 1)))
-    assert np.allclose(t.eigenvalues(7), [0, 2, 2, 2, 2, 4, 4])
+    s2 = geo.equator(2).product
+    assert np.allclose(s2.laplace_eigenvalues(6), [0, 2, 2, 2, 6, 6])
+    s1 = geo.equator(1).product
+    assert np.allclose(s1.laplace_eigenvalues(5), [0, 1, 1, 4, 4])
+    t = geo.clifford_hypersurface((1, 1)).product
+    assert np.allclose(t.laplace_eigenvalues(7), [0, 2, 2, 2, 2, 4, 4])
 
 
 def test_analytic_spectrum_monotone_nonnegative():
     for M in [geo.equator(3), geo.clifford_hypersurface((1, 1)), geo.clifford_hypersurface((2, 2))]:
-        vals = ops.analytic_laplace_spectrum(M).eigenvalues(25)
+        vals = M.product.laplace_eigenvalues(25)
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all(vals >= 0.0)
@@ -91,10 +92,15 @@ def test_product_spectrum_morse_index_and_nullity(kl):
     k, l = kl
     n = k + l
     count = n + 3 + (k + 1) * (l + 1) + 1
-    vals = ops.analytic_laplace_spectrum(geo.clifford_hypersurface(kl)).eigenvalues(count) - 2 * n
+    vals = geo.clifford_hypersurface(kl).product.laplace_eigenvalues(count) - 2 * n
     assert np.count_nonzero(vals < 0) == n + 3
     assert np.count_nonzero(vals == 0) == (k + 1) * (l + 1)
     assert vals[0] == -2 * n and np.count_nonzero(vals == -n) == n + 2 and vals[-1] > 0
+
+
+def _harmonic_count(d, j):
+    """Dimension C(d+j, d) - C(d+j-2, d) of the degree-j spherical harmonics on S^d."""
+    return math.comb(d + j, d) - (math.comb(d + j - 2, d) if j >= 2 else 0)
 
 
 @pytest.mark.parametrize("kl", [(1, 1), (2, 1), (2, 2), (1, 3), (3, 3)])
@@ -102,12 +108,12 @@ def test_product_spectrum_matches_brute_force_sums(kl):
     # every pair of factor degrees up to 8, fully expanded and sorted
     k, l = kl
     n = k + l
-    factor = [[(Fraction(j * (j + d - 1) * n, d), ops._harmonic_count(d, j)) for j in range(9)]
+    factor = [[(Fraction(j * (j + d - 1) * n, d), _harmonic_count(d, j)) for j in range(9)]
               for d in kl]
     sums = sorted(a + b for a, ma in factor[0] for b, mb in factor[1] for _ in range(ma * mb))
     count = 60
     assert sums[count - 1] < min(f[-1][0] for f in factor)  # degree 9 cannot reach the first 60
-    got = ops.analytic_laplace_spectrum(geo.clifford_hypersurface(kl)).eigenvalues(count)
+    got = geo.clifford_hypersurface(kl).product.laplace_eigenvalues(count)
     assert np.array_equal(got, np.array([float(v) for v in sums[:count]]))
 
 
@@ -121,7 +127,7 @@ def test_product_spectrum_clusters_match_dense_pencil():
     # the discretization splits each cluster by O(h^2) and moves the nullity
     # cluster below 0, so clusters are counted, not signs
     M = geo.clifford_hypersurface((2, 1))
-    exact = ops.analytic_laplace_spectrum(M).eigenvalues(13) - 6.0
+    exact = M.product.laplace_eigenvalues(13) - 6.0
     op = ops.assemble_jacobi(M, 10)
     A, B = (op.stiffness - op.potential).tocsc(), op.mass
     numeric = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 12])
@@ -136,13 +142,13 @@ def test_sphere_spectrum_against_assembled_oracle(equator2):
     v128 = lowest_pencil_eigs(ops.assemble_jacobi(equator2, 128), k=5)
     v256 = lowest_pencil_eigs(ops.assemble_jacobi(equator2, 256), k=5)
     extrapolated = (4.0 * v256 - v128) / 3.0
-    exact = ops.analytic_laplace_spectrum(equator2).eigenvalues(5)
+    exact = equator2.product.laplace_eigenvalues(5)
     assert np.abs(extrapolated - exact).max() <= 1e-4
 
 
 def test_discrete_spectrum_convergence_order(torus, equator2):
     for M in (torus, equator2):
-        exact = ops.analytic_laplace_spectrum(M).eigenvalues(4)
+        exact = M.product.laplace_eigenvalues(4)
         errs = []
         for res in (32, 64, 128):
             vals = lowest_pencil_eigs(ops.assemble_jacobi(M, res), k=4)
@@ -368,7 +374,8 @@ def test_norm_A_sq_matches_shape_batch(M):
     chart = M.chart
     U = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(64, M.dimension))
     for pts in (U, U[:1], U[0:0]):
-        got, ref = geo._norm_A_sq(M, pts), M.shape_batch(pts)[4]
+        # the surface's exact |A|^2, on the points' batch shape
+        got, ref = np.full(pts.shape[:-1], float(M.norm_A_sq)), M.shape_batch(pts)[4]
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 

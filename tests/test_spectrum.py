@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from spherestab import cli
 from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
@@ -19,23 +20,30 @@ from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceFiel
 # first stability eigenvalue
 # ---------------------------------------------------------------------------
 
+def _exact_lambda1(M):
+    """The bottom of the exact -Delta spectrum (the constants' 0) minus the potential."""
+    lam = float(M.product.laplace_eigenvalues(1)[0]) - float(M.potential)
+    assert lam == -float(M.potential)
+    return lam
+
+
 def test_equator_lambda1_analytic_exact():
     for n in range(1, 7):
-        res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(geo.equator(n)))
+        M = geo.equator(n)
+        assert _exact_lambda1(M) == -float(n)
+        res = cli._analytic_eigenvalue(M)  # the analytic row of a spectrum report
         assert res.lambda1 == -float(n)
         assert res.residual == 0.0
         assert res.backend == "analytic"
 
 
 def test_torus_lambda1_analytic_exact(torus):
-    res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(torus))
-    assert res.lambda1 == -4.0
+    assert _exact_lambda1(torus) == -4.0
 
 
 def test_clifford22_lambda1_analytic():
     M = geo.clifford_hypersurface((2, 2))
-    res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
-    assert res.lambda1 == -8.0
+    assert _exact_lambda1(M) == -8.0
 
 
 def test_torus_lambda1_numeric(torus):
@@ -58,8 +66,7 @@ def test_theorem_bound_all_families(clifford_families):
     # every non-totally-geodesic built-in family: lambda_1 <= -2n
     for (k, l), M in clifford_families.items():
         n = k + l
-        res = spec.first_stability_eigenvalue(ops.analytic_laplace_spectrum(M))
-        assert res.lambda1 <= -2.0 * n + 1e-12
+        assert _exact_lambda1(M) <= -2.0 * n + 1e-12
 
 
 # per-axis resolutions, so the split res[:k], res[k:] is exercised too; the
