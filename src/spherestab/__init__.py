@@ -73,6 +73,6 @@ from .estimates import (
     local_A_bound,
     ssy_constants,
 )
-from .fields import AmbientCoordinateField, ConstantField, SurfaceField
+from .fields import AmbientCoordinateField, ConstantField
 
 __version__ = "0.1.0"

@@ -23,6 +23,8 @@ Geodesic balls of the ambient sphere are used for the gradient estimate
 (radii converted by the chord-arc map); the smooth product construction
 uses plain Euclidean balls of R^(n+2).  A field is checked once, when built
 (:class:`CutoffField`); each check reads cover, epsilon and q from the field.
+A cutoff is an ambient field like those of :mod:`.fields`, and its surface
+gradient and Laplacian come from the calculus there.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedFamily,
 )
-from .fields import grad_inner
+from .fields import chart_gradient, surface_laplacian, tangential_gradient_sq
 from .geometry import (
     ParametrizedHypersurface,
     _chord_to_arc,
@@ -631,40 +633,6 @@ def build_product_cutoff(cover: BallCover) -> CutoffField:
 
 
 # ---------------------------------------------------------------------------
-# surface calculus of ambient fields
-# ---------------------------------------------------------------------------
-
-def tangential_gradient_sq(M, U, ambient_grad):
-    """|grad_M phi|^2 from an ambient gradient via the chart frame."""
-    chart = M.chart
-    U = np.asarray(U, dtype=float)
-    grad = np.asarray(ambient_grad, dtype=float)
-    # J^T grad per row as one batched matmul, in the operand layout that
-    # einsum("pia,pi->pa", optimize=True) hands to matmul: the same rounding,
-    # without a contraction-path search on every call
-    comps = np.matmul(chart.jacobian(U).swapaxes(-1, -2), grad.reshape(grad.shape + (1,)))[..., 0]
-    return np.sum(comps**2 / chart.metric_diag(U), axis=-1)
-
-
-def surface_laplacian_of_cutoff(M, U, X, field: CutoffField):
-    """Delta_Sigma phi = tr_Sigma Hess phi + <grad phi, H_vec> at surface points.
-
-    Needs the Euclidean Hessian (product kind) and the mean curvature
-    vector of M in R^(n+2); for the built-in minimal families that vector
-    is -n x.
-    """
-    n = M.dimension  # Delta x = -n x on a minimal hypersurface of the unit sphere
-    chart = M.chart
-    jac = chart.jacobian(np.asarray(U, dtype=float))
-    gdiag = chart.metric_diag(np.asarray(U, dtype=float))
-    grad, hess = field._product_derivatives(X)
-    trace = np.einsum("pia,pij,pja,pa->p", jac, hess, jac, 1.0 / gdiag,
-                      optimize=["einsum_path", (0, 1), (0, 2), (0, 1)])  # as in _product_gradient
-    drift = -n * np.einsum("pj,pj->p", grad, X)
-    return trace + drift
-
-
-# ---------------------------------------------------------------------------
 # quantitative reports
 # ---------------------------------------------------------------------------
 
@@ -1000,7 +968,7 @@ def _quality_integrands(M, field: CutoffField):
     return (
         lambda U, X: (field.value(X) < 1.0 - 1e-12).astype(float),
         lambda U, X: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
-        lambda U, X: np.abs(surface_laplacian_of_cutoff(M, U, X, field)),
+        lambda U, X: np.abs(surface_laplacian(M, U, X, *field._product_derivatives(X))),
     )
 
 
@@ -1030,11 +998,17 @@ def ibp_residual(
     if field.kind != "inf":
         raise PreconditionViolated("the integration-by-parts residual applies to the inf cutoff")
     chart = M.chart
-    nodes, weights = chart_quadrature(chart, resolution)
-    w = weights * sqrt_det_metric(chart, nodes)
-    u_vals = np.asarray(u.value(M, nodes), dtype=float)
-    lap_v = v.laplacian(M, nodes)
-    inner = grad_inner(M, nodes, u, v)
+
+    def terms(U, X):
+        # u, u Delta v + <grad u, grad v>, d_a v and the chart frame at the
+        # rows: one chart Jacobian serves every derivative
+        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        grad_v = v.ambient_gradient(X)
+        du = chart_gradient(M, U, u.ambient_gradient(X), jac)
+        dv = chart_gradient(M, U, grad_v, jac)
+        uu = np.asarray(u.value(X), dtype=float)
+        lap = surface_laplacian(M, U, X, grad_v, v.ambient_hessian(X), jac)
+        return uu, uu * lap + np.sum(du * dv / gdiag, axis=-1), dv, jac, gdiag
 
     def correction(i, nb, U, X):
         # 0 wherever another ball is active, so evaluate only where ball i is
@@ -1043,19 +1017,15 @@ def ibp_residual(
         out = np.zeros(len(U))
         if not rows.any():
             return out
-        U, phi, slope, grad_d = U[rows], phi[rows], slope[rows], grad_d[rows]
-        # one chart frame of the patch rows serves every derivative below
-        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
-        uu = np.asarray(u.value(M, U), dtype=float)
-        lap = v.laplacian(M, U)
-        inn = grad_inner(M, U, u, v, jac, gdiag)
-        dv = v.chart_gradient(M, U, jac=jac)
-        dphi = np.einsum("pia,pi->pa", jac, slope[:, None] * grad_d, optimize=True)
-        cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
-        out[rows] = -(1.0 - phi) * (uu * lap + inn) + cross
+        U, X, phi, slope, grad_d = U[rows], X[rows], phi[rows], slope[rows], grad_d[rows]
+        uu, smooth, dv, jac, gdiag = terms(U, X)
+        dphi = chart_gradient(M, U, slope[:, None] * grad_d, jac)
+        out[rows] = -(1.0 - phi) * smooth + uu * np.sum(dv * dphi / gdiag, axis=-1)
         return out
 
-    total = float(w @ (u_vals * lap_v + inner))
+    nodes, weights = chart_quadrature(chart, resolution)
+    w = weights * sqrt_det_metric(chart, nodes)
+    total = float(w @ terms(nodes, chart.embed(nodes))[1])
     return abs(_patch_sum(M, field, correction, n_angular, nodes_per_segment, total))
 
 
@@ -1090,7 +1060,7 @@ def cutoff_cross_term(
             first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
             mask = first == i
             grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
-        uu = np.abs(np.asarray(u.value(M, U), dtype=float))
+        uu = np.abs(np.asarray(u.value(X), dtype=float))
         gsq = tangential_gradient_sq(M, U, grad)
         return np.where(mask, uu * np.sqrt(gsq), 0.0)
 

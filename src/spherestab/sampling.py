@@ -56,20 +56,35 @@ class BoxEstimates(list):
         return sum(est.samples for est in self)
 
 
+_MAX_CELLS = 96**3   # cells per box: the largest grid a report draws, the n = 3 product's
+
+
+def _strata_counts(strata, n):
+    """Cells per axis of :func:`stratified_integral`: ``strata`` per axis, each
+    count capped at the largest s with s^n <= ``_MAX_CELLS`` (30 at n = 4,
+    15 at n = 5, 9 at n = 6), so that no box holds more cells in high
+    dimension than the n = 3 product report's 96^3."""
+    cap = round(_MAX_CELLS ** (1.0 / n))
+    while cap**n > _MAX_CELLS:
+        cap -= 1
+    return [min(c, cap) for c in _per_axis(strata, n)]
+
+
 def _stratified_rows(n, strata, samples_per_cell):
     """Sample rows per box of :func:`stratified_integral`: cells times samples per cell."""
-    return int(np.prod(_per_axis(strata, n))) * max(2, int(samples_per_cell))
+    return int(np.prod(_strata_counts(strata, n))) * max(2, int(samples_per_cell))
 
 
 def _cell_grid(boxes, strata):
     """Low corners and sides (boxes, cells, n) of the cells of each box of a stack (boxes, n, 2).
 
-    Each box is cut into ``strata`` cells per axis, listed row-major.  The
-    edges take linspace's arithmetic box by box: a stacked linspace rounds
-    every box another way once any box has zero width.
+    Each box is cut into ``strata`` cells per axis (:func:`_strata_counts`),
+    listed row-major.  The edges take linspace's arithmetic box by box: a
+    stacked linspace rounds every box another way once any box has zero
+    width.
     """
     b, n = boxes.shape[:2]
-    counts = _per_axis(strata, n)
+    counts = _strata_counts(strata, n)
     grid = (b, *counts)
 
     def cell_grid(per_axis):

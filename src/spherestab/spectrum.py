@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
-from .fields import ConstantField, SurfaceField
+from .fields import ConstantField, tangential_gradient_sq
 from .geometry import (
     ParametrizedHypersurface,
     _diag_embed,
@@ -124,27 +124,22 @@ def _constant_mode_gap(op):
 
 def rayleigh_quotient(
     M: ParametrizedHypersurface,
-    f: SurfaceField,
+    f,
     resolution=48,
-    method="auto",
+    method="quadrature",
 ) -> float:
-    """Stability Rayleigh quotient of a test field.
+    """Stability Rayleigh quotient of a test field (an ambient field of :mod:`.fields`).
 
-    ``method="operator"`` evaluates x^T (S - V) x / x^T B x on the assembled
-    grid with ``DiscreteOperator.apply`` (so the value is always >= the
-    numeric lambda_1 of that grid);
     ``method="quadrature"`` integrates |grad f|^2 - (|A|^2 + n) f^2 with the
-    chart quadrature, using the field's analytic gradient when it has one
-    and central differences otherwise.  ``"auto"`` picks quadrature when an
-    analytic gradient exists, otherwise the operator path.
+    chart quadrature, |grad f|^2 from the field's ambient gradient through
+    :func:`.fields.tangential_gradient_sq`; ``method="operator"`` evaluates
+    x^T (S - V) x / x^T B x on the assembled grid with
+    ``DiscreteOperator.apply`` (so the value is always >= the numeric
+    lambda_1 of that grid).
     """
-    if method == "auto":
-        probe = f.gradient_sq(M, M.chart.sample_box().mean(axis=1)[None, :])
-        method = "quadrature" if probe is not None else "operator"
-
     if method == "operator":
         op = assemble_jacobi(M, resolution)
-        x = np.asarray(f.value(M, op.nodes), dtype=float)
+        x = np.asarray(f.value(M.embed(op.nodes)), dtype=float)
         b = op.mass_diagonal
         denom = float(x @ (b * x))
         if denom <= 1e-28 * b.sum():
@@ -162,10 +157,9 @@ def rayleigh_quotient(
         # high-dimensional charts: sampled quadrature with density weights
         nodes, _ = sample_points(M, max(2000, resolution), seed=0)
         w = sqrt_det_metric(chart, nodes)
-    vals = np.asarray(f.value(M, nodes), dtype=float)
-    grads = f.gradient_sq(M, nodes)
-    if grads is None:
-        grads = surface_gradient_sq_fd(M, nodes, lambda pts: f.value(M, pts), step=1e-5)
+    X = chart.embed(nodes)
+    vals = np.asarray(f.value(X), dtype=float)
+    grads = tangential_gradient_sq(M, nodes, f.ambient_gradient(X))
     num = float(w @ (grads - float(M.potential) * vals**2))
     denom = float(w @ vals**2)
     if denom <= 1e-28 * float(w.sum()):
@@ -173,7 +167,7 @@ def rayleigh_quotient(
     return num / denom
 
 
-def test_function_A(M: ParametrizedHypersurface) -> SurfaceField:
+def test_function_A(M: ParametrizedHypersurface) -> ConstantField:
     """The |A| test field: the constant sqrt of the surface's exact |A|^2
     (sqrt(n) on the products, zero on equators)."""
     return ConstantField(math.sqrt(M.norm_A_sq))

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -558,6 +559,27 @@ def test_cutoff_reaches_four_dimensional_products(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "cutoff_clifford_2_2.json").read_text())
     assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "2", "--l", "2", "--points", "3", "--kind", "product"],
+    ["--k", "3", "--l", "3", "--points", "1", "--kind", "inf"],
+], ids=" ".join)
+def test_high_dimensional_cutoff_fits_in_4_gib(tmp_path, argv):
+    # 96 strata per axis would make 96^4 = 85M cells in the n = 4 product
+    # report, and 14 strata 14^6 = 7.5M cells in one n = 6 ball box; the
+    # capped counts must pass in a child whose address space is 4 GiB,
+    # where an uncapped grid raises MemoryError instead of meeting the
+    # host's out-of-memory killer
+    limit = 4 << 30
+    argv = ["cutoff", "--family", "clifford", *argv, "--epsilon", "0.5", "--exponent", "1",
+            "--format", "json", "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-m", "spherestab.cli", *argv], env=_child_env(),
+                         capture_output=True, text=True,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 0, out.stderr[-2000:]
+    (report,) = tmp_path.iterdir()
+    assert json.loads(report.read_text())["passed"] is True
 
 
 def test_cutoff_lowers_radius_floor_for_many_points(tmp_path):

@@ -19,7 +19,7 @@ from spherestab.errors import (
     PreconditionViolated,
     UnsupportedFamily,
 )
-from spherestab.fields import AmbientCoordinateField, ConstantField, grad_inner
+from spherestab.fields import AmbientCoordinateField, ConstantField
 from spherestab.sampling import ZERO_ESTIMATE, _stratified_rows, nearest_chart_point, stratified_integral
 
 
@@ -1260,7 +1260,7 @@ def _patch_reference(M, field, u, v, i, which):
     def integrand(U, X):
         d, grad_d = field._dist_grad(X)
         vals, slope = field._ramps(d)
-        uu = np.asarray(u.value(M, U), dtype=float)
+        uu = np.asarray(u.value(X), dtype=float)
         if field.kind == "product":
             in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
             first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
@@ -1273,11 +1273,12 @@ def _patch_reference(M, field, u, v, i, which):
         if which == "cross":
             gsq = cut.tangential_gradient_sq(M, U, grad)
             return np.where(act == i, np.abs(uu) * np.sqrt(gsq), 0.0)
-        lap = v.laplacian(M, U)
-        inn = grad_inner(M, U, u, v)
-        dv = v.chart_gradient(M, U)
-        dphi = np.einsum("pia,pi->pa", chart.jacobian(U), grad, optimize=True)
-        cross = uu * np.sum(dv * dphi / chart.metric_diag(U), axis=-1)
+        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        du, dv, dphi = (np.einsum("pia,pi->pa", jac, g, optimize=True)
+                        for g in (u.ambient_gradient(X), v.ambient_gradient(X), grad))
+        lap = -M.dimension * v.value(X)  # Delta x_j = -n x_j
+        inn = np.sum(du * dv / gdiag, axis=-1)
+        cross = uu * np.sum(dv * dphi / gdiag, axis=-1)
         return np.where(act == i, -(1.0 - phi) * (uu * lap + inn) + cross, 0.0)
 
     return integrand
@@ -1409,5 +1410,5 @@ def test_product_cross_term_matches_chart_quadrature(torus):
     nodes, weights = geo.chart_quadrature(torus.chart, 384)
     gsq = cut.tangential_gradient_sq(torus, nodes, field.ambient_gradient(torus.chart.embed(nodes)))
     density = weights * geo.sqrt_det_metric(torus.chart, nodes)
-    quadrature = float(density @ (np.abs(u.value(torus, nodes)) * np.sqrt(gsq)))
+    quadrature = float(density @ (np.abs(u.value(torus.chart.embed(nodes))) * np.sqrt(gsq)))
     assert abs(patches / quadrature - 1.0) <= 1e-3

@@ -9,11 +9,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from spherestab import cli
+from spherestab import fields
 from spherestab import geometry as geo
 from spherestab import operators as ops
 from spherestab import spectrum as spec
 from spherestab.errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
-from spherestab.fields import AmbientCoordinateField, ConstantField, SurfaceField
+from spherestab.fields import AmbientCoordinateField, ConstantField
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +248,10 @@ def test_certified_rung_allocates_no_grid_array():
 def test_rayleigh_constant_field(torus, equator2):
     assert abs(spec.rayleigh_quotient(torus, ConstantField(1.0)) + 4.0) <= 1e-12
     assert abs(spec.rayleigh_quotient(equator2, ConstantField(1.0)) + 2.0) <= 1e-12
-    U = geo.sample_points(torus, 4, seed=0)[0]
-    assert np.array_equal(ConstantField(1.0).laplacian(torus, U), np.zeros(4))  # harmonic
+    U, X = geo.sample_points(torus, 4, seed=0)
+    one = ConstantField(1.0)
+    lap = fields.surface_laplacian(torus, U, X, one.ambient_gradient(X), one.ambient_hessian(X))
+    assert np.array_equal(lap, np.zeros(4))  # harmonic
 
 
 def test_rayleigh_A_field_all_families(clifford_families):
@@ -276,14 +279,6 @@ def test_rayleigh_eigenfunction_value(torus):
     f = AmbientCoordinateField(0, scale=np.sqrt(2.0))
     quad = spec.rayleigh_quotient(torus, f, method="quadrature", resolution=64)
     assert abs(quad + 2.0) <= 1e-9
-
-    # a value-only wrapper has no analytic gradient: finite-difference path
-    class ValueOnly(SurfaceField):
-        def value(self, M, U):
-            return f.value(M, U)
-
-    quad = spec.rayleigh_quotient(torus, ValueOnly(), method="quadrature", resolution=64)
-    assert abs(quad + 2.0) <= 1e-8
     oper = spec.rayleigh_quotient(torus, f, method="operator", resolution=64)
     assert abs(oper + 2.0) <= 5e-3  # discrete eigenvalue carries O(h^2)
 
