@@ -27,7 +27,6 @@ from .geometry import (
     ParametrizedHypersurface,
     ShapeData,
     SphereProduct,
-    area,
     chord_distance,
     clifford_hypersurface,
     equator,

@@ -211,15 +211,17 @@ def cover_singular_set(
     takes six times that radius, so the points lie in B(p, r/6); any other
     ``containment`` than "full" or "sixth" raises ``ValueError``.
 
-    Raises :class:`BudgetInfeasible` when ``m * r_min^(n-q) >= epsilon`` (in
-    particular whenever q >= n and the set is nonempty with epsilon <= m):
-    no admissible radii exist; lower r_min or raise epsilon.
+    Raises :class:`BudgetInfeasible` when q > n (r^(n-q) then grows as a ball
+    shrinks) and when ``m * r_min^(n-q) >= epsilon`` for the m clusters: at
+    q < n lower r_min or raise epsilon; at q = n epsilon must exceed m.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     factor = {"full": 1.0, "sixth": 6.0}.get(containment)
     if factor is None:
         raise ValueError(f"unknown containment {containment!r}; use 'full' or 'sixth'")
+    if q > n:
+        raise BudgetInfeasible(f"exponent q={q} > n={n}: sum r^(n-q) grows as the balls shrink; use q <= n")
     points = np.atleast_2d(np.asarray(points, dtype=float)) if points is not None else None
     if points is None or points.size == 0:
         return empty_cover(n, q, epsilon, metric)
@@ -228,9 +230,11 @@ def cover_singular_set(
     clusters = _single_linkage(points, 2.0 * r_min, dist)
     m = len(clusters)
     if m * r_min ** (n - q) >= epsilon:
+        advice = ("at q = n each ball costs 1, so epsilon must exceed the cluster count"
+                  if q == n else "lower r_min or raise epsilon")
         raise BudgetInfeasible(
             f"{m} cluster(s) with r_min={r_min} give sum r^(n-q) >= {m * r_min ** (n - q):.3g}"
-            f" >= epsilon={epsilon}; lower r_min or raise epsilon"
+            f" >= epsilon={epsilon}; {advice}"
         )
 
     # every cluster's members in cluster order; each cluster is summed in
@@ -246,10 +250,9 @@ def cover_singular_set(
     need = factor * spread * (1.0 + 1e-9)
 
     radii = np.maximum(need, r_min)
-    if n != q:
+    if n > q:
         r_star = (BUDGET_SHARE * epsilon / m) ** (1.0 / (n - q))
-        if n > q and r_star > 0:
-            radii = np.maximum(radii, min(r_star, 0.95))
+        radii = np.maximum(radii, min(r_star, 0.95))
     if np.any(radii >= 1.0):
         raise BudgetInfeasible("a cluster needs radius >= 1; the set is not coverable")
     cover = BallCover(centers, radii, n, q, epsilon, metric, points=points)

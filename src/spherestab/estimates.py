@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .geometry import ParametrizedHypersurface, area, ball_area, measure_volume_growth
+from .geometry import ParametrizedHypersurface, ball_area, measure_volume_growth
 
 
 @dataclass
@@ -138,15 +138,16 @@ def ssy_constants(n, a, alpha=0.0) -> SSYConstants:
 
 
 def l4_identity_check(M: ParametrizedHypersurface) -> EstimateReport:
-    """int |A|^4 == n int |A|^2 on the product families (both sides by quadrature).
+    """int |A|^4 == n int |A|^2 on the product families.
 
     |A|^2 is the constant of the surface's sphere factors (n on the
-    products, 0 on equators), so the identity is exact up to quadrature
-    rounding; the report's lhs/rhs are the two integrals.
+    products, 0 on equators), so both integrals are that constant's powers
+    times the area of M, read as the geodesic :func:`ball_area` of radius
+    pi (the whole surface); the report's lhs/rhs are the two integrals.
     """
     n = M.dimension
     const = float(M.norm_A_sq)
-    total = area(M, 96)
+    total = float(ball_area(M, math.pi))
     lhs = const**2 * total
     rhs = n * const * total
     return EstimateReport(

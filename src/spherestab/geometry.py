@@ -25,7 +25,7 @@ a sampling margin (``POLE_MARGIN``, 1e-3) so random evaluation never touches a
 coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
 integrals accurate.  Every chart carries its analytic frame: Jacobian,
-metric diagonal, per-axis density factors and nearest-point inverse.
+metric diagonal and nearest-point inverse.
 :func:`shape_at` also offers finite-difference second fundamental forms
 (step 1e-3), an oracle independent of the closed forms.
 """
@@ -206,10 +206,9 @@ class Chart:
     tuple of n per-axis coordinate arrays that broadcast against each
     other, as from ``np.ix_``) to a tuple of n diagonal entries that
     broadcast to that grid, bit for bit the values of the stacked form at
-    the grid points.  ``axis_density`` holds one callable per axis whose
-    product, times ``density_const``, is sqrt(det g).  ``inverse`` maps
-    ambient points (..., n+2) to the chart coordinates of their nearest
-    surface points.
+    the grid points; it is the one source of sqrt(det g)
+    (:func:`sqrt_det_metric`).  ``inverse`` maps ambient points (..., n+2)
+    to the chart coordinates of their nearest surface points.
 
     ``speed_bound`` holds per axis an upper bound on sqrt(g_aa) over the
     whole box.  It bounds the ambient length of a chart path: a chart step
@@ -224,9 +223,7 @@ class Chart:
     embed: Callable
     jacobian: Callable
     metric_diag: Callable
-    axis_density: list                   # per-axis factors of sqrt(det g)
     inverse: Callable
-    density_const: float
     speed_bound: np.ndarray              # (n,) bound on sqrt(g_aa)
 
     @property
@@ -469,9 +466,6 @@ def _product_surface(product):
         U = np.asarray(U, dtype=float)
         return np.concatenate([_sphere_metric_diag(U[..., ax]) * r**2 for ax, _, r in blocks], axis=-1)
 
-    density = [_axis_sin_power(d - 1 - a) for d in dims for a in range(d)]
-    density_const = math.prod(r**d for r, d in zip(radii, dims))
-
     def normal(U):
         nu = np.zeros(U.shape[:-1] + (n + 2,))
         if len(blocks) == 1:
@@ -498,15 +492,9 @@ def _product_surface(product):
         gdiag = metric_diag(U)
         return gdiag, normal(U), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, density, inverse, density_const,
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, inverse,
                   speed_bound=np.repeat(radii, dims))
     return ParametrizedHypersurface(chart, product, closed_form)
-
-
-def _axis_sin_power(p):
-    if p == 0:
-        return lambda t: np.ones_like(np.asarray(t, dtype=float))
-    return lambda t, _p=p: np.sin(np.asarray(t, dtype=float)) ** _p
 
 
 def _diag_embed(diag):
@@ -592,12 +580,6 @@ def _difference(plus, minus, h):
     return np.stack([(p - m) / (2.0 * h) for p, m in zip(plus, minus)], axis=-1)
 
 
-def _central_diff(fn, U, h):
-    """(fn(U + h e_a) - fn(U - h e_a)) / 2h for each chart axis a, stacked on a last axis."""
-    plus, minus = _stencil(U, h)
-    return _difference([fn(P) for P in plus], [fn(P) for P in minus], h)
-
-
 def _check_metric(g):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
@@ -673,21 +655,6 @@ def _row_product(entries):
 def sqrt_det_metric(chart, nodes):
     """sqrt(det g) at parameter nodes, from the chart's metric diagonal."""
     return _row_product(np.moveaxis(chart.metric_diag(nodes), -1, 0)) ** 0.5
-
-
-def area(M, resolution=256):
-    """Total area by chart quadrature of sqrt(det g).
-
-    The density factors across axes (``axis_density``), so the area is a
-    product of one-axis rules and any dimension is cheap.
-    """
-    chart = M.chart
-    res = _per_axis(resolution, chart.dim)
-    total = chart.density_const
-    for a in range(chart.dim):
-        nodes, weights = axis_rule(chart, a, res[a])
-        total *= float(weights @ chart.axis_density[a](nodes))
-    return total
 
 
 def sample_points(M, count, seed=0, pad=0.0):

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import resource
@@ -412,6 +413,19 @@ def test_infeasible_budget_writes_failure_report(tmp_path):
     assert json.loads(lines[1])["failure"].startswith("BudgetInfeasible: ")
 
 
+@pytest.mark.parametrize("epsilon", ["100", "5000"])
+def test_exponent_above_dimension_writes_failure_report(tmp_path, epsilon):
+    # at q > n the budget sum r^(n-q) grows as the balls shrink: the run is
+    # refused whatever epsilon (one ball of radius 0.5 would cost 2 < 100,
+    # and at 5000 the r = 1e-3 floor would cost 1,000), with the reason
+    argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "1",
+            "--epsilon", epsilon, "--exponent", "3", "--kind", "inf", "--format", "json"]
+    assert run(tmp_path, *argv) == 3
+    doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
+    assert doc["failure"].startswith("BudgetInfeasible: exponent q=3.0 > n=2: ")
+    assert "use q <= n" in doc["failure"]
+
+
 def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
     # no subcommand raises BoundViolation; one that did would get the
     # failure report and exit 3 of every other SpherestabError
@@ -482,21 +496,22 @@ def test_estimates_cli(tmp_path):
 
 
 def test_estimates_ball_area_once_per_radius(tmp_path, monkeypatch):
-    # one ball area per radius within a run, and the rows of a per-centre
-    # local_A_bound that computes its own area
+    # one ball area per radius within a run, plus the l4 row's whole-surface
+    # ball (radius pi), and the rows of a per-centre local_A_bound that
+    # computes its own area
     calls = []
     area = est.ball_area
     monkeypatch.setattr(est, "ball_area", lambda M, r: calls.append(r) or area(M, r))
     argv = ["estimates", "--family", "clifford", "--k", "1", "--l", "2", "--points", "4",
             "--radii", "0.1,0.5,1.0", "--seed", "3", "--format", "json"]
     assert run(tmp_path, *argv) == 0
-    assert calls == [0.1, 0.5, 1.0]
+    assert calls == [0.1, 0.5, 1.0, math.pi]
     doc = json.loads((tmp_path / "estimates_clifford_1_2.json").read_text())
     M = geo.clifford_hypersurface((1, 2))
     _, centers = geo.sample_points(M, 4, seed=3)
     expected = [est.local_A_bound(M, c, r, doc["lambda1"], C_V=doc["C_V"])[0].row()
                 for r in (0.1, 0.5, 1.0) for c in centers]
-    assert len(calls) == 3 + len(expected)
+    assert len(calls) == 4 + len(expected)
     assert doc["rows"][:-1] == json.loads(json.dumps(expected))
 
 

@@ -60,8 +60,14 @@ def test_cover_budget_infeasible():
     pts = np.eye(4)[:3]
     with pytest.raises(BudgetInfeasible):
         cut.cover_singular_set(pts, n=2, q=1, epsilon=0.001, r_min=0.01)
-    with pytest.raises(BudgetInfeasible):  # q = n: sum r^0 = count >= epsilon
-        cut.cover_singular_set(pts, n=2, q=2, epsilon=0.1)
+    with pytest.raises(BudgetInfeasible, match="epsilon must exceed the cluster count"):
+        cut.cover_singular_set(pts, n=2, q=2, epsilon=0.1)  # q = n: sum r^0 = count >= epsilon
+    with pytest.raises(BudgetInfeasible, match="epsilon must exceed the cluster count"):
+        cut.cover_singular_set(pts, n=2, q=2, epsilon=3.0, r_min=1e-9)  # r_min cannot help
+    assert cut.cover_singular_set(pts, n=2, q=2, epsilon=3.5).budget_sum == 3.0
+    for points in (pts, None):  # q > n: refused up front, the empty set too
+        with pytest.raises(BudgetInfeasible, match=r"^exponent q=3 > n=2: "):
+            cut.cover_singular_set(points, n=2, q=3, epsilon=100.0)
 
 
 def _arc(count, step):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spherestab import estimates as est
 from spherestab import geometry as geo
 from spherestab.errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
 from spherestab.sampling import nearest_chart_point
@@ -160,7 +161,8 @@ def test_normal_derivative_refinement():
 
 
 def test_chart_invariance_reparametrized_torus(torus):
-    # same surface under a shifted chart: |A|^2 and H agree where charts overlap
+    # same surface under a shifted chart: sqrt(det g), |A|^2 and H agree
+    # where charts overlap
     base = torus.chart
     off = np.array([0.7, 1.3])
     chart2 = geo.Chart(
@@ -168,14 +170,15 @@ def test_chart_invariance_reparametrized_torus(torus):
         lambda U: base.embed(np.asarray(U) + off),
         lambda U: base.jacobian(np.asarray(U) + off),
         lambda U: base.metric_diag(np.asarray(U) + off),
-        [lambda t, a=a: base.axis_density[a](t + off[a]) for a in range(2)],
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
-        base.density_const,
         base.speed_bound,
     )
     M2 = geo.ParametrizedHypersurface(chart2, torus.product)
-    assert abs(geo.area(M2) - geo.area(torus)) <= 1e-12
-    U, _ = geo.sample_points(torus, 5, seed=8)
+    U, X = geo.sample_points(torus, 5, seed=8)
+    U2 = chart2.inverse(X)                    # the same ambient points in the shifted chart
+    assert np.max(np.abs(chart2.embed(U2) - X)) <= 1e-12
+    density = geo.sqrt_det_metric(base, U)
+    assert np.max(np.abs(geo.sqrt_det_metric(chart2, U2) / density - 1.0)) <= 1e-12
     for u in U:
         sd2 = geo.shape_at(M2, u - off)       # same ambient point
         sd = geo.shape_at(torus, u, method="normal-derivative")
@@ -191,7 +194,7 @@ def test_chart_requires_its_analytic_frame(torus):
         geo.Chart(base.box, base.periodic, base.embed)
     with pytest.raises(TypeError):
         geo.Chart(base.box, base.periodic, base.embed, base.jacobian, base.metric_diag,
-                  base.axis_density)
+                  base.inverse)
 
 
 @pytest.mark.parametrize("product, error, match", [
@@ -228,7 +231,6 @@ def test_immersion_drift_raises(torus):
         embed=lambda U: 1.001 * base.embed(U),
         jacobian=lambda U: 1.001 * base.jacobian(U),
         metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
-        density_const=1.001**2 * base.density_const,
     )
     M = geo.ParametrizedHypersurface(bad, torus.product)
     with pytest.raises(ImmersionDrift):
@@ -346,7 +348,8 @@ def test_jacobian_at_zero_angles_matches_central_differences(M):
     U = rng.uniform(0.3, 2.8, size=(2**n, n))
     for row, zeros in enumerate(np.ndindex(*(2,) * n)):
         U[row, np.flatnonzero(zeros)] = 0.0
-    fd = geo._central_diff(M.chart.embed, U, 1e-6)
+    fd = np.stack([(M.chart.embed(U + e) - M.chart.embed(U - e)) / 2e-6
+                   for e in np.eye(n) * 1e-6], axis=-1)
     assert np.max(np.abs(M.chart.jacobian(U) - fd)) <= 1e-9
 
 
@@ -410,26 +413,40 @@ def test_nearest_chart_point_takes_a_batch():
 # areas
 # ---------------------------------------------------------------------------
 
+def _assert_whole_area(M, expected):
+    # the geodesic ball of radius pi is all of M, and the l4 row reads its area
+    for got in (float(geo.ball_area(M, math.pi)), est.l4_identity_check(M).params["area"]):
+        assert abs(got / expected - 1.0) <= 1e-13, (got, expected)
+
+
+def _exact_area(M):
+    """prod |S^d| r^d over the sphere factors S^d(r), r^2 = d/n (r = 1 on an
+    equator), with |S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
+    n = M.dimension
+    return math.prod(2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2) * (d / n) ** (d / 2)
+                     for d in M.product.dims)
+
+
 def test_area_equator2(equator2):
-    assert abs(geo.area(equator2, 256) - 4.0 * math.pi) <= 1e-6
+    _assert_whole_area(equator2, 4.0 * math.pi)
 
 
 def test_area_torus(torus):
     # product of circumferences (2 pi / sqrt 2)^2 = 2 pi^2
-    assert abs(geo.area(torus, 256) - 2.0 * math.pi**2) <= 1e-8
+    _assert_whole_area(torus, 2.0 * math.pi**2)
 
 
 def test_area_clifford12():
     M = geo.clifford_hypersurface((1, 2))
     expected = (2.0 * math.pi / math.sqrt(3.0)) * (4.0 * math.pi * 2.0 / 3.0)
-    assert abs(geo.area(M, 256) - expected) <= 1e-6
+    _assert_whole_area(M, expected)
 
 
 def test_area_clifford33():
     # each factor S^3(sqrt(1/2)) has volume (1/2)^{3/2} * 2 pi^2
     M = geo.clifford_hypersurface((3, 3))
     expected = (0.5**1.5 * 2.0 * math.pi**2) ** 2
-    assert abs(geo.area(M, 128) - expected) <= 1e-8
+    _assert_whole_area(M, expected)
 
 
 def test_volume_growth_bounds(torus):
@@ -438,8 +455,8 @@ def test_volume_growth_bounds(torus):
     assert math.pi < cv < 10.0
 
 
-BUILT_IN = [geo.equator(2), geo.equator(3)] + [
-    geo.clifford_hypersurface(kl) for kl in [(1, 1), (1, 2), (2, 2), (3, 3)]
+BUILT_IN = [geo.equator(2), geo.equator(3), geo.equator(4)] + [
+    geo.clifford_hypersurface(kl) for kl in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 ]
 
 
@@ -456,10 +473,12 @@ def test_volume_growth_exact_values(kl, geodesic, chord):
 @pytest.mark.parametrize("M", BUILT_IN, ids=repr)
 def test_ball_area_limits(M):
     n = M.dimension
+    area = _exact_area(M)
+    _assert_whole_area(M, area)
     # a chord ball of radius >= 2 and a geodesic ball of radius >= pi are all of M
     for r, metric in [(2.0, "euclidean"), (3.0, "euclidean"),
                       (math.pi, "geodesic"), (4.0, "geodesic"), (6.0, "geodesic")]:
-        assert abs(geo.ball_area(M, r, metric) / geo.area(M) - 1.0) <= 1e-12, (r, metric)
+        assert abs(geo.ball_area(M, r, metric) / area - 1.0) <= 1e-13, (r, metric)
     # a small ball is a flat n-disc
     r = 1e-3
     assert abs(geo.ball_area(M, r) / (math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n) - 1.0) <= 1e-5
