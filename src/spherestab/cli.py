@@ -172,6 +172,7 @@ def _build_config(args):
     M = config.surface()
     if "n" in values and values["n"] != M.dimension:
         raise ConfigError(f"n = {values['n']}, but {_tag(M)} has dimension {M.dimension}")
+    config.n = M.dimension  # the embedded config replays to the same surface
     return config, M
 
 
@@ -289,41 +290,21 @@ def _run_simons(config: RunConfig, M):
                            f"violation {report.max_inequality_violation}, order {order}", passed)
 
 
-def _radius_floor(count, n, q, epsilon):
-    """Smallest cover radius: 1e-3 unless ``count`` balls of it spend the budget.
-
-    ``count * r_min^(n-q) < epsilon`` is needed for a cover of ``count``
-    points; when 1e-3 misses it, the floor drops to half the uniform share
-    ``(epsilon / count)^(1/(n-q))``, which meets it.
-    """
-    if q >= n or count * 1e-3 ** (n - q) < epsilon:
-        return 1e-3
-    return 0.5 * (epsilon / count) ** (1.0 / (n - q))
-
-
 def _run_cutoff(config: RunConfig, M):
-    n = M.dimension
-    if config.singular_set:
-        try:
+    try:  # a file that cannot be read, or points the library's rules refuse
+        if config.singular_set:
             pts = cut.load_point_cloud(config.singular_set)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"singular set {config.singular_set}: {exc}") from None
-        if not pts.size:
-            raise ConfigError(f"singular set {config.singular_set} holds no points")
-        if pts.shape[1] != n + 2:
-            raise ConfigError(f"singular-set points need {n + 2} coordinates, got {pts.shape[1]}")
-        if not np.all(np.isfinite(pts)):
-            raise ConfigError("singular-set points must have finite coordinates")
-        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9):
-            raise ConfigError("singular-set points must lie on the unit sphere (|x| = 1 within 1e-9)")
-    else:
-        _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
-    metric = "geodesic" if config.kind == "inf" else "euclidean"
-    cover = cut.cover_singular_set(
-        pts, n, config.exponent, config.epsilon,
-        r_min=_radius_floor(len(pts), n, config.exponent, config.epsilon), metric=metric,
-        containment="full" if config.kind == "inf" else "sixth",
-    )
+            if not pts.size:  # a cover of nothing would pass vacuously
+                raise ValueError("holds no points")
+        else:
+            _, pts = geo.sample_points(M, config.points, seed=config.seed, pad=0.05)
+        cover = cut.cover_singular_set(
+            pts, M.dimension, config.exponent, config.epsilon,
+            metric="geodesic" if config.kind == "inf" else "euclidean",
+            containment="full" if config.kind == "inf" else "sixth",
+        )
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"singular set {config.singular_set}: {exc}") from None
     if config.kind == "inf":
         report = cut.gradient_integral_estimate(M, cut.build_inf_cutoff(cover), seed=config.seed)
         payload = {

@@ -119,21 +119,26 @@ def load_point_cloud(path):
             if not line or line.startswith("#"):
                 continue
             rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        return np.empty((0, 1))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("inconsistent coordinate count across point-cloud lines")
-    return np.array(rows)
+    return _point_array(rows) if rows else np.empty((0, 1))
+
+
+def _point_array(points):
+    """Points as a 2-D float array; rows of unequal length raise ValueError."""
+    try:
+        points = np.asarray(points)
+    except ValueError:
+        raise ValueError("inconsistent coordinate count across points") from None
+    return np.atleast_2d(points.astype(float, copy=False))
 
 
 @dataclass
 class BallCover:
-    """Finite ball family with its Hausdorff-budget bookkeeping.
+    """Finite ball family under the Hausdorff budget ``sum r_i^(n-q) < epsilon``.
 
-    ``dimension`` is the surface dimension n and ``exponent`` the q of the
-    budget ``sum r_i^(n-q) < epsilon``.  ``points`` keeps the covered input
-    set so discard operations can re-verify coverage.
+    ``dimension`` is n, ``exponent`` q, and ``points`` the covered input set
+    (discards re-verify coverage).  Built only within budget: an unknown
+    metric or epsilon <= 0 raises ``ValueError``; q > n (r^(n-q) grows as a
+    ball shrinks) or a sum >= epsilon raises :class:`BudgetInfeasible`.
     """
 
     centers: np.ndarray
@@ -147,10 +152,17 @@ class BallCover:
     def __post_init__(self):
         if self.metric not in ("geodesic", "euclidean"):
             raise ValueError(f"unknown cover metric {self.metric!r}; use 'geodesic' or 'euclidean'")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        if self.exponent > self.dimension:
+            raise BudgetInfeasible(f"exponent q={self.exponent} > n={self.dimension}: "
+                                   "sum r^(n-q) grows as the balls shrink; use q <= n")
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if self.centers.size == 0:
             self.centers = self.centers.reshape(0, max(self.centers.shape[-1], 1))
+        if not self.budget_sum < self.epsilon:
+            raise BudgetInfeasible(f"sum r^(n-q) = {self.budget_sum:.3g} >= epsilon = {self.epsilon}")
 
     @property
     def size(self):
@@ -158,13 +170,7 @@ class BallCover:
 
     @property
     def budget_sum(self):
-        if self.size == 0:
-            return 0.0
         return float(np.sum(self.radii ** (self.dimension - self.exponent)))
-
-    @property
-    def satisfied(self):
-        return self.budget_sum < self.epsilon
 
     @property
     def dyadic_classes(self):
@@ -198,7 +204,7 @@ def cover_singular_set(
     n,
     q,
     epsilon,
-    r_min=1e-3,
+    r_min=None,
     metric="geodesic",
     containment="full",
 ):
@@ -207,24 +213,32 @@ def cover_singular_set(
     Points closer than 2*r_min are clustered (single linkage); each cluster
     gets a ball at its (sphere-projected) centroid.  Radii default to the
     uniform budget split ``(0.9 epsilon / m)^(1/(n-q))`` and never drop
-    below the cluster containment radius or r_min; ``containment="sixth"``
-    takes six times that radius, so the points lie in B(p, r/6); any other
-    ``containment`` than "full" or "sixth" raises ``ValueError``.
+    below the cluster containment radius or r_min (``None``: 1e-3, or
+    ``0.5 (epsilon / k)^(1/(n-q))`` if k points of radius 1e-3 would spend
+    the budget); ``containment="sixth"`` takes six times that radius.
 
-    Raises :class:`BudgetInfeasible` when q > n (r^(n-q) then grows as a ball
-    shrinks) and when ``m * r_min^(n-q) >= epsilon`` for the m clusters: at
-    q < n lower r_min or raise epsilon; at q = n epsilon must exceed m.
+    :class:`BallCover` refuses a bad epsilon or q > n before any work.
+    ``ValueError`` names the rule an unknown ``containment`` or the points
+    break: an (m, n+2) array of finite unit vectors (|x| = 1 within 1e-9).
+    :class:`BudgetInfeasible`, with advice: ``m * r_min^(n-q) >= epsilon``
+    for m clusters, or a cluster needs radius >= 1.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    empty = empty_cover(n, q, epsilon, metric)
     factor = {"full": 1.0, "sixth": 6.0}.get(containment)
     if factor is None:
         raise ValueError(f"unknown containment {containment!r}; use 'full' or 'sixth'")
-    if q > n:
-        raise BudgetInfeasible(f"exponent q={q} > n={n}: sum r^(n-q) grows as the balls shrink; use q <= n")
-    points = np.atleast_2d(np.asarray(points, dtype=float)) if points is not None else None
-    if points is None or points.size == 0:
-        return empty_cover(n, q, epsilon, metric)
+    points = _point_array([] if points is None else points)
+    if points.size == 0:
+        return empty
+    if points.ndim != 2 or points.shape[1] != n + 2:
+        raise ValueError(f"singular-set points need {n + 2} coordinates, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("singular-set points must have finite coordinates")
+    if np.any(np.abs(np.linalg.norm(points, axis=1) - 1.0) > 1e-9):
+        raise ValueError("singular-set points must lie on the unit sphere (|x| = 1 within 1e-9)")
+    if r_min is None:  # 1e-3, unless that many balls of it would spend the budget
+        spent = q < n and len(points) * 1e-3 ** (n - q) >= epsilon
+        r_min = 0.5 * (epsilon / len(points)) ** (1.0 / (n - q)) if spent else 1e-3
     dist = _distance(metric)
 
     clusters = _single_linkage(points, 2.0 * r_min, dist)
@@ -255,12 +269,7 @@ def cover_singular_set(
         radii = np.maximum(radii, min(r_star, 0.95))
     if np.any(radii >= 1.0):
         raise BudgetInfeasible("a cluster needs radius >= 1; the set is not coverable")
-    cover = BallCover(centers, radii, n, q, epsilon, metric, points=points)
-    if not cover.satisfied:
-        raise BudgetInfeasible(
-            f"sum r^(n-q) = {cover.budget_sum:.3g} >= epsilon = {epsilon}"
-        )
-    return cover
+    return BallCover(centers, radii, n, q, epsilon, metric, points=points)
 
 
 def _single_linkage(points, link, dist):
@@ -401,11 +410,11 @@ class CutoffField:
     (:meth:`_ball_table`); every other ramp is exactly 1 there with zero
     derivatives.
 
-    Building a field is its only check: an unknown kind raises
-    :class:`ValueError`; a nonempty cover over its budget, of non-Euclidean
-    balls under the product kind, or with a recorded point where phi does
-    not vanish (:func:`covers_points` at r_i inf, r_i/2 product) raises
-    :class:`PreconditionViolated`.
+    Building a field is its only check (its cover met its budget when
+    built): an unknown kind raises :class:`ValueError`; a nonempty cover of
+    non-Euclidean balls under the product kind, or with a recorded point
+    where phi does not vanish (:func:`covers_points` at r_i inf, r_i/2
+    product), raises :class:`PreconditionViolated`.
     """
 
     cover: BallCover
@@ -414,8 +423,6 @@ class CutoffField:
     def __post_init__(self):
         if self.kind not in ("inf", "product"):
             raise ValueError(f"unknown cutoff kind {self.kind!r}; use 'inf' or 'product'")
-        if self.cover.size and not self.cover.satisfied:
-            raise PreconditionViolated("cover budget not satisfied")
         if self.cover.size and self.kind == "product" and self.cover.metric != "euclidean":
             raise PreconditionViolated("the product construction uses Euclidean balls")
         if self.cover.size and not covers_points(self.cover, 1.0 if self.kind == "inf" else 0.5):
@@ -626,12 +633,12 @@ def _product_excluding_one(vals):
 
 
 def build_inf_cutoff(cover: BallCover) -> CutoffField:
-    """Infimum-of-ramps cutoff over a satisfied cover (checked by :class:`CutoffField`)."""
+    """Infimum-of-ramps cutoff over a cover (checked by :class:`CutoffField`)."""
     return CutoffField(cover, "inf")
 
 
 def build_product_cutoff(cover: BallCover) -> CutoffField:
-    """C^2 product cutoff over a satisfied Euclidean cover (checked by :class:`CutoffField`)."""
+    """C^2 product cutoff over a Euclidean cover (checked by :class:`CutoffField`)."""
     return CutoffField(cover, "product")
 
 

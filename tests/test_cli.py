@@ -21,7 +21,7 @@ import spherestab.estimates as est
 import spherestab.geometry as geo
 import spherestab.operators as ops
 from spherestab.cli import main
-from spherestab.errors import BoundViolation
+from spherestab.errors import BoundViolation, BudgetInfeasible
 
 
 def run(tmp_path, *argv):
@@ -156,6 +156,16 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "cone-table.csv").exists()
 
 
+# singular-set files whose points break a rule of cover_singular_set, with
+# the reason that both the CLI's config error and the library's ValueError name
+BAD_POINT_CLOUDS = {
+    "ragged": ("1 0 0 0\n0 1 0\n", "inconsistent coordinate count"),
+    "nan": ("1 0 0 0\nnan 1 0 0\n", "must have finite coordinates"),
+    "norm-2": ("1 0 0 0\n2 0 0 0\n", r"must lie on the unit sphere \(\|x\| = 1 within 1e-9\)"),
+    "width 5": ("1 0 0 0 0\n0 1 0 0 0\n", r"need 4 coordinates, got shape \(2, 5\)"),  # the torus lies in R^4
+}
+
+
 def test_config_errors_exit_2(tmp_path):
     assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "0", "--l", "1") == 2
     assert run(tmp_path, "spectrum", "--resolutions", "4") == 2
@@ -170,10 +180,7 @@ def test_config_errors_exit_2(tmp_path):
     bad_clouds = {
         "missing": None,
         "non-numeric": "1 0 abc 0\n",
-        "ragged": "1 0 0 0\n0 1 0\n",
-        "nan": "1 0 0 0\nnan 1 0 0\n",
-        "norm-2": "1 0 0 0\n2 0 0 0\n",
-        "width 5": "1 0 0 0 0\n0 1 0 0 0\n",  # the torus lies in R^4
+        **{case: text for case, (text, _) in BAD_POINT_CLOUDS.items()},
         "empty": "",  # no point: a cover of nothing would pass vacuously
         "comments only": "# no points\n",
     }
@@ -185,6 +192,24 @@ def test_config_errors_exit_2(tmp_path):
                 str(cloud), "--epsilon", "0.1", "--exponent", "1", "--kind", "inf"]
         assert main([*argv, "--out", str(tmp_path / "none")]) == 2, case
         assert not (tmp_path / "none").exists(), case
+
+
+@pytest.mark.parametrize("case", BAD_POINT_CLOUDS)
+def test_point_rules_are_the_librarys(tmp_path, capsys, case):
+    # one refusal table for both entry points: the library refuses the
+    # points with a ValueError, and the CLI turns the same reason into a
+    # configuration error (exit 2, no report)
+    text, reason = BAD_POINT_CLOUDS[case]
+    rows = [[float(v) for v in line.split()] for line in text.splitlines()]
+    with pytest.raises(ValueError, match=reason):
+        cut.cover_singular_set(rows, 2, 1, 0.1)
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text(text)
+    argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--singular-set", str(cloud),
+            "--epsilon", "0.1", "--exponent", "1", "--kind", "inf", "--out", str(tmp_path / "none")]
+    assert main(argv) == 2
+    assert re.search(reason, capsys.readouterr().err)
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("values", [{"k": 1.5}, {"resolutions": "16"}, {"radii": [0.1, "x"]},
@@ -598,10 +623,18 @@ def test_high_dimensional_cutoff_fits_in_4_gib(tmp_path, argv):
 
 
 def test_cutoff_lowers_radius_floor_for_many_points(tmp_path):
-    # twenty clusters at the library's r_min = 1e-3 spend 0.02 >= epsilon = 0.01;
-    # the CLI lowers the floor to 0.5 * (0.01 / 20) = 2.5e-4 instead of refusing
-    assert cli._radius_floor(20, 2, 1, 0.01) == 0.5 * (0.01 / 20)
-    assert cli._radius_floor(150, 2, 1, 1.0) == 1e-3
+    # twenty clusters at r_min = 1e-3 spend 0.02 >= epsilon = 0.01; the
+    # library's automatic floor drops to 0.5 * (0.01 / 20) = 2.5e-4 instead
+    # of refusing, and stays at 1e-3 where 150 such balls fit in epsilon = 1.0
+    torus = geo.clifford_hypersurface((1, 1))
+    for count, epsilon, floor in ((20, 0.01, 0.5 * (0.01 / 20)), (150, 1.0, 1e-3)):
+        _, pts = geo.sample_points(torus, count, seed=0, pad=0.05)
+        auto = cut.cover_singular_set(pts, 2, 1, epsilon)
+        fixed = cut.cover_singular_set(pts, 2, 1, epsilon, r_min=floor)
+        assert np.array_equal(auto.centers, fixed.centers) and np.array_equal(auto.radii, fixed.radii)
+    _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
+    with pytest.raises(BudgetInfeasible, match="lower r_min or raise epsilon"):
+        cut.cover_singular_set(pts, 2, 1, 0.01, r_min=1e-3)
     argv = ["cutoff", "--family", "clifford", "--k", "1", "--l", "1", "--points", "20",
             "--epsilon", "0.01", "--exponent", "1", "--kind", "inf", "--format", "json"]
     assert run(tmp_path, *argv) == 0
@@ -642,6 +675,31 @@ def test_equator_reports_named_by_dimension(tmp_path, argv):
     assert "failure" not in doc
     if command == "spectrum":
         assert {r["surface"] for r in doc["rows"]} == {f"equator_{n}"}
+
+
+@pytest.mark.parametrize("surface, n", [(["clifford", "--k", "2", "--l", "1"], 3),
+                                        (["clifford", "--k", "2", "--l", "2"], 4),
+                                        (["equator", "--n", "3"], 3)],
+                         ids=["clifford_2_1", "clifford_2_2", "equator_3"])
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_embedded_config_replays_to_the_same_report(tmp_path, surface, n, format):
+    # a report's embedded config, fed back through --config, writes the same
+    # report to the same path; its n is the surface's dimension, so a
+    # clifford config with k + l != 2 is not refused as n = 2
+    assert run(tmp_path / "out", "spectrum", "--family", *surface, "--resolutions", "8,10",
+               "--format", format) == 0
+    (report,) = (tmp_path / "out").iterdir()
+    text = report.read_text()
+    if format == "json":
+        config = json.loads(text)["config"]
+    else:
+        config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+    assert config["n"] == n
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(config))
+    report.unlink()
+    assert main(["spectrum", "--config", str(replay)]) == 0
+    assert report.read_text() == text
 
 
 def test_inconsistent_clifford_n_rejected(tmp_path):

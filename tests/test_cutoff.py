@@ -33,12 +33,12 @@ def test_cover_single_point_uses_budget():
     assert cov.size == 1
     assert abs(cov.radii[0] - 0.3) <= 1e-12
     assert cov.radii[0] ** 2 < 0.1
-    assert cov.satisfied
+    assert cov.budget_sum < 0.1
 
 
 def test_cover_empty_set():
     cov = cut.cover_singular_set(None, 2, 1, 0.1)
-    assert cov.size == 0 and cov.satisfied
+    assert cov.size == 0 and cov.budget_sum < 0.1
     field = cut.build_inf_cutoff(cov)
     X = np.eye(4)
     assert np.all(field.value(X) == 1.0)
@@ -53,7 +53,7 @@ def test_cover_ten_separated_points():
     assert cov.size == 10
     assert np.all(cov.radii**3 < 1e-3)
     assert np.all(cov.radii < 0.1)
-    assert cov.satisfied
+    assert cov.budget_sum < 0.01
 
 
 def test_cover_budget_infeasible():
@@ -367,7 +367,9 @@ def test_singleton_cover_matches_cluster_loop(metric):
     pair = torus.chart.embed(np.array([[-0.0, 1.0], [-0.0, 1.001]]))
     assert np.all(np.signbit(pair[:, 1]) & (pair[:, 1] == 0.0))   # a shared -0.0 coordinate
     pts = torus.chart.embed(U)
-    pts = np.vstack([pts, pts[40:46] + 2e-4, pair])  # seven two-point clusters
+    near = pts[40:46] + 2e-4
+    near /= np.linalg.norm(near, axis=1, keepdims=True)  # back onto the sphere
+    pts = np.vstack([pts, near, pair])  # seven two-point clusters
     for containment, factor in (("full", 1.0), ("sixth", 6.0)):
         cover = cut.cover_singular_set(pts, 2, 1, 10.0, r_min=1e-3, metric=metric,
                                        containment=containment)
@@ -581,11 +583,26 @@ def test_inf_cutoff_has_no_hessian():
         field.ambient_hessian(np.eye(4))
 
 
+@pytest.mark.parametrize("q, epsilon, error, match", [
+    (3, 100.0, BudgetInfeasible, r"^exponent q=3 > n=2: "),  # one ball costs 0.5^-1 = 2 < 100
+    (1, 0.0, ValueError, "epsilon must be positive"),
+    (1, -1.0, ValueError, "epsilon must be positive"),
+    (1, math.nan, ValueError, "epsilon must be positive"),
+], ids=["q > n", "epsilon 0", "epsilon < 0", "epsilon nan"])
+def test_ball_cover_refuses_budget_hypotheses(torus, q, epsilon, error, match):
+    # a hand-built cover meets the same budget rules as cover_singular_set's,
+    # so no field, and no gradient estimate, can be built over one at q > n
+    _, x = geo.sample_points(torus, 1, seed=5)
+    with pytest.raises(error, match=match):
+        cut.BallCover(x, [0.5], 2, q, epsilon, points=x)
+    with pytest.raises(error, match=match):
+        cut.BallCover(np.empty((0, 4)), np.empty(0), 2, q, epsilon)
+
+
 def test_unsatisfied_cover_rejected():
-    cov = cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "geodesic")
-    assert not cov.satisfied
-    with pytest.raises(PreconditionViolated):
-        cut.build_inf_cutoff(cov)
+    # refused when the cover is built, so no field can be built over it
+    with pytest.raises(BudgetInfeasible, match=r"^sum r\^\(n-q\) = 0.5 >= epsilon = 0.1$"):
+        cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "geodesic")
 
 
 def _half_radius_cover(M):
@@ -599,7 +616,7 @@ def _half_radius_cover(M):
 @pytest.mark.parametrize("call, error, match", [
     (lambda M, geodesic, euclidean: cut.build_product_cutoff(
         cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "euclidean")),
-     PreconditionViolated, "budget not satisfied"),
+     BudgetInfeasible, r"^sum r\^\(n-q\) = 0.5 >= epsilon = 0.1$"),
     (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
         M, cut.build_product_cutoff(euclidean), C_V=1.0),
      PreconditionViolated, "applies to the inf cutoff"),
@@ -613,7 +630,7 @@ def _half_radius_cover(M):
     (lambda M, geodesic, euclidean: cut.CutoffField(euclidean, ""), ValueError, "unknown cutoff kind"),
     (lambda M, geodesic, euclidean: cut.CutoffField(
         cut.BallCover(np.eye(4)[:1], np.array([0.5]), 2, 1.0, 0.1, "geodesic"), "inf"),
-     PreconditionViolated, "cover budget not satisfied"),
+     BudgetInfeasible, r"^sum r\^\(n-q\) = 0.5 >= epsilon = 0.1$"),
     # a cover and q beside the field are refused: the estimate reads both
     # from the field, and takes C_V only by keyword
     (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
