@@ -53,12 +53,9 @@ from .cutoff import (
     build_product_cutoff,
     cover_singular_set,
     covers_points,
-    cutoff_cross_term,
     empty_cover,
     enlarged_class_count,
     gradient_integral_estimate,
-    ibp_residual,
-    intersection_bound_check,
     load_point_cloud,
     mr_quality_report,
     vitali_discard,

@@ -29,7 +29,7 @@ surface (``cone-table``) builds none, and its report is named after it alone.
 Exit codes: 0 all asserted bounds pass, 1 a bound failed (its report is
 still written), 2 configuration error (no report), 3 numerical failure
 (infeasible budget, insufficient samples, a stability pencil that fails its
-certificate, a ``spectrum`` rung out of memory; the report is still
+certificate, any command that runs out of memory; the report is still
 written, with a ``failure`` field naming the cause, and a failing
 ``spectrum`` rung keeps the rows of the rungs before it).
 """
@@ -260,7 +260,9 @@ def _run_spectrum(config: RunConfig, M):
 
 
 def _failure(exc):
-    return f"{type(exc).__name__}: {exc}"
+    # numpy raises a private MemoryError subclass; the report names the builtin
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return f"{name}: {exc}"
 
 
 def _analytic_eigenvalue(M):
@@ -421,7 +423,7 @@ def main(argv=None):
         config, M = _build_config(args)
         try:
             result = COMMANDS[config.command].run(config, M)
-        except SpherestabError as exc:
+        except (MemoryError, SpherestabError) as exc:
             result = Result({"failure": _failure(exc)})
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,11 +13,9 @@ satisfy the budget ``sum_i r_i^(n-q) < epsilon``:
 
 The quantitative facts verified numerically: the gradient estimate
 ``int_M |grad phi|^q <= 2^(n+q) C_V epsilon``; the Vitali-style discard
-(sixth-balls pairwise disjoint, half-balls still cover); the packing bound
-``max degree <= (3 alpha beta)^N - 1`` for balls with disjoint sub-balls
-and beta-comparable radii; the smooth-cutoff quality triple (area of
-{phi != 1}, grad L^2, Laplacian L^1) against its proof-side constants; and
-the vanishing of the cutoff cross term in integration by parts.
+(sixth-balls pairwise disjoint, half-balls still cover); and the
+smooth-cutoff quality triple (area of {phi != 1}, grad L^2, Laplacian L^1)
+against its proof-side constants.
 
 Geodesic balls of the ambient sphere are used for the gradient estimate
 (radii converted by the chord-arc map); the smooth product construction
@@ -43,23 +41,20 @@ from .errors import (
     PreconditionViolated,
     UnsupportedFamily,
 )
-from .fields import chart_gradient, surface_laplacian, tangential_gradient_sq
+from .fields import surface_laplacian, tangential_gradient_sq
 from .geometry import (
     ParametrizedHypersurface,
     _chord_to_arc,
     _distance,
     _tensor_grid,
-    chart_quadrature,
     geodesic_distance,
     measure_volume_growth,
-    sqrt_det_metric,
 )
 from .sampling import (
     MCEstimate,
     ZERO_ESTIMATE,
     _cell_grid,
     _stratified_rows,
-    local_polar_integral,
     nearest_chart_point,
     stratified_integral,
 )
@@ -336,39 +331,8 @@ def covers_points(cover: BallCover, factor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# packing / intersection bounds
+# class counts of enlarged balls
 # ---------------------------------------------------------------------------
-
-def intersection_bound_check(centers, radii, alpha, beta):
-    """Max intersection degree of a ball family against (3 alpha beta)^N - 1.
-
-    Preconditions (checked): the sub-balls B(p_i, r_i/alpha) are pairwise
-    disjoint and the radii are beta-comparable (sup r <= beta inf r).
-    Euclidean balls in R^N.  Raises :class:`BoundViolation` if the packing
-    bound fails -- it cannot, the point of the check is the verification.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    m, N = centers.shape
-    if m == 0:
-        return 0, (3.0 * alpha * beta) ** N - 1
-    if radii.max() > beta * radii.min() * (1.0 + 1e-12):
-        raise PreconditionViolated(
-            f"radii not {beta}-comparable: sup/inf = {radii.max() / radii.min():.3f}"
-        )
-    diff = centers[:, None, :] - centers[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    rsum = radii[:, None] + radii[None, :]
-    off = ~np.eye(m, dtype=bool)
-    if np.any(d[off] < (rsum[off] / alpha) * (1.0 - 1e-12)):
-        raise PreconditionViolated("sub-balls B(p_i, r_i/alpha) are not pairwise disjoint")
-    degrees = np.sum((d <= rsum) & off, axis=1)
-    max_degree = int(degrees.max())
-    bound = (3.0 * alpha * beta) ** N - 1
-    if max_degree > bound:
-        raise BoundViolation(f"degree {max_degree} exceeds ({3 * alpha * beta})^{N} - 1")
-    return max_degree, bound
-
 
 def enlarged_class_count(cover: BallCover):
     """Per dyadic class, max count of enlarged balls B(p_i, r_i + r_j) containing p_j.
@@ -980,122 +944,3 @@ def _quality_integrands(M, field: CutoffField):
         lambda U, X: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
         lambda U, X: np.abs(surface_laplacian(M, U, X, *field._product_derivatives(X))),
     )
-
-
-# ---------------------------------------------------------------------------
-# integration by parts across the covered set
-# ---------------------------------------------------------------------------
-
-def ibp_residual(
-    M: ParametrizedHypersurface,
-    field: CutoffField,
-    u,
-    v,
-    resolution=128,
-    n_angular=128,
-    nodes_per_segment=24,
-) -> float:
-    """| int phi u Delta v + int phi <grad u, grad v> + int u <grad v, grad phi> |.
-
-    The identity holds exactly in the continuum for any Lipschitz cutoff on
-    a closed surface, so the returned number measures quadrature error plus
-    the cutoff cross terms' cancellation quality.  The smooth global parts
-    are integrated on the full chart; everything supported near the cover
-    (the (1 - phi) corrections and the grad-phi term) uses deterministic
-    local polar patches, partitioned by the active ball of the inf field (a
-    product field raises :class:`PreconditionViolated`).
-    """
-    if field.kind != "inf":
-        raise PreconditionViolated("the integration-by-parts residual applies to the inf cutoff")
-    chart = M.chart
-
-    def terms(U, X):
-        # u, u Delta v + <grad u, grad v>, d_a v and the chart frame at the
-        # rows: one chart Jacobian serves every derivative
-        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
-        grad_v = v.ambient_gradient(X)
-        du = chart_gradient(M, U, u.ambient_gradient(X), jac)
-        dv = chart_gradient(M, U, grad_v, jac)
-        uu = np.asarray(u.value(X), dtype=float)
-        lap = surface_laplacian(M, U, X, grad_v, v.ambient_hessian(X), jac)
-        return uu, uu * lap + np.sum(du * dv / gdiag, axis=-1), dv, jac, gdiag
-
-    def correction(i, nb, U, X):
-        # 0 wherever another ball is active, so evaluate only where ball i is
-        act, phi, slope, grad_d = field._active_ramp(X, nb)
-        rows = act == i
-        out = np.zeros(len(U))
-        if not rows.any():
-            return out
-        U, X, phi, slope, grad_d = U[rows], X[rows], phi[rows], slope[rows], grad_d[rows]
-        uu, smooth, dv, jac, gdiag = terms(U, X)
-        dphi = chart_gradient(M, U, slope[:, None] * grad_d, jac)
-        out[rows] = -(1.0 - phi) * smooth + uu * np.sum(dv * dphi / gdiag, axis=-1)
-        return out
-
-    nodes, weights = chart_quadrature(chart, resolution)
-    w = weights * sqrt_det_metric(chart, nodes)
-    total = float(w @ terms(nodes, chart.embed(nodes))[1])
-    return abs(_patch_sum(M, field, correction, n_angular, nodes_per_segment, total))
-
-
-def cutoff_cross_term(
-    M: ParametrizedHypersurface,
-    field: CutoffField,
-    u,
-) -> float:
-    """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
-
-    Each patch integrand takes its partition mask and grad phi from one
-    distance evaluation against the patch ball's neighbours
-    (:func:`_ramp_neighbours`, reach 2 (r_i + r_j) for inf ramps and
-    r_i + r_j for product ramps); where the mask holds, no other ramp
-    differs from 1 with zero slope, so the integrand is that of the full
-    field (for product ramps, up to the rounding of the gradient's sum over
-    fewer balls).
-    """
-    cover = field.cover
-
-    def integrand(i, nb, U, X):
-        if field.kind == "inf":
-            act, _, slope, grad_d = field._active_ramp(X, nb)
-            mask = act == i
-            grad = slope[:, None] * grad_d
-        else:
-            r = cover.radii[nb]
-            d, grad_d = field._dist_grad(X, cover.centers[nb])
-            vals, slope = field._ramps(d, r)
-            # partition supp(grad phi) by the first annulus containing the point
-            in_ann = (d > r / 2.0) & (d < r)
-            first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
-            mask = first == i
-            grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
-        uu = np.abs(np.asarray(u.value(X), dtype=float))
-        gsq = tangential_gradient_sq(M, U, grad)
-        return np.where(mask, uu * np.sqrt(gsq), 0.0)
-
-    return _patch_sum(M, field, integrand, n_angular=128, nodes_per_segment=24)
-
-
-def _patch_sum(M, field: CutoffField, integrand, n_angular, nodes_per_segment, total=0.0):
-    """``total`` plus, in ball order, the patch integral (:func:`local_polar_integral`)
-    of ``integrand(i, neighbours_i, U, X)`` around each ball i of the cover.
-
-    ``neighbours_i`` comes from :func:`_ramp_neighbours`.  A patch reaches
-    as far as ramp i differs from 1, with radial breaks at the ramp ends:
-    reach 2 r and breaks (r, 2 r) inf, reach r and breaks (r/2, r) product;
-    a Euclidean cover's chords become geodesic radii by :func:`_chord_to_arc`.
-    """
-    cover = field.cover
-    inf = field.kind == "inf"
-    neighbours = _ramp_neighbours(cover, 2.0 if inf else 1.0)
-    for i in range(cover.size):
-        r = cover.radii[i]
-        reach, breaks = (2.0 * r, (r, 2.0 * r)) if inf else (r, (r / 2.0, r))
-        if cover.metric == "euclidean":
-            reach, breaks = _chord_to_arc(reach), [_chord_to_arc(b) for b in breaks]
-        total += local_polar_integral(
-            M, cover.centers[i], lambda U, X, i=i: integrand(i, neighbours[i], U, X), reach,
-            breaks=breaks, n_angular=n_angular, nodes_per_segment=nodes_per_segment,
-        )
-    return total

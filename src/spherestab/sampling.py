@@ -1,12 +1,10 @@
-"""Measure-aware integration utilities: stratified Monte Carlo and local patches.
+"""Measure-aware integration: stratified Monte Carlo over chart boxes.
 
-Integrals over a surface come in two flavours here.  Diffuse integrands use
-stratified Monte Carlo over a chart cell grid with metric-density weights
-(every cell contributes its volume times the cell sample mean, which makes
-the estimator unbiased and gives an honest per-cell variance).  Integrands
-concentrated on thin annuli around small balls use a deterministic local
-polar patch around the ball center with radial Gauss segments split at the
-profile breakpoints; global sampling would essentially never hit them.
+Integrals over a surface use stratified Monte Carlo over a chart cell grid
+with metric-density weights (every cell contributes its volume times the
+cell sample mean, which makes the estimator unbiased and gives an honest
+per-cell variance).  Integrands concentrated on thin annuli around small
+balls are integrated the same way, over a chart box around each ball.
 
 All randomness is driven by ``numpy.random.SeedSequence`` spawns, so
 partial sums are reproducible and independent streams combine
@@ -20,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated, UnsupportedFamily
-from .geometry import (
-    ParametrizedHypersurface,
-    _gauss_rule,
-    _per_axis,
-    _row_product,
-    geodesic_distance,
-    sqrt_det_metric,
-)
+from .geometry import ParametrizedHypersurface, _per_axis, _row_product, sqrt_det_metric
 
 
 @dataclass
@@ -182,11 +172,8 @@ def stratified_integral(
 
 
 # ---------------------------------------------------------------------------
-# deterministic local polar patches
+# chart inversion
 # ---------------------------------------------------------------------------
-
-_PATCH_SAFETY = 1.4   # patch radius, in units of reach + gap
-
 
 def nearest_chart_point(M, x):
     """Chart coordinates of the closest surface point to x, inside ``sample_box()``.
@@ -200,106 +187,3 @@ def nearest_chart_point(M, x):
     polar = ~np.asarray(chart.periodic, dtype=bool)
     u = chart.inverse(x)
     return np.where(polar, np.clip(u, sample[:, 0], sample[:, 1]), u)
-
-
-def _unit_directions(n, n_angular):
-    """Quadrature on S^(n-1): directions (m, n) and weights (m,)."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if n == 2:
-        w = 2.0 * np.pi / n_angular
-        ang = (np.arange(n_angular) + 0.5) * w
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(n_angular, w)
-    if n == 3:
-        half = max(4, n_angular // 2)
-        xi, wxi = _gauss_rule(half)
-        xi = np.pi / 2.0 * (xi + 1.0)
-        wxi = np.pi / 2.0 * wxi * np.sin(xi)
-        wom = 2.0 * np.pi / n_angular
-        om = (np.arange(n_angular) + 0.5) * wom
-        dirs = np.stack(
-            [
-                np.repeat(np.cos(xi), n_angular),
-                np.repeat(np.sin(xi), n_angular) * np.tile(np.cos(om), half),
-                np.repeat(np.sin(xi), n_angular) * np.tile(np.sin(om), half),
-            ],
-            axis=-1,
-        )
-        w = np.repeat(wxi, n_angular) * wom
-        return dirs, w
-    raise UnsupportedFamily("local patches support chart dimension <= 3")
-
-
-def _radial_rule(breaks, s_max, nodes_per_segment=24):
-    pts = sorted({0.0, s_max, *[b for b in breaks if 0.0 < b < s_max]})
-    xs, ws = [], []
-    gauss_x, gauss_w = _gauss_rule(nodes_per_segment)
-    for lo, hi in zip(pts, pts[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        xs.append(mid + half * gauss_x)
-        ws.append(half * gauss_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def local_polar_integral(
-    M: ParametrizedHypersurface,
-    center_ambient,
-    fn,
-    reach,
-    breaks=(),
-    n_angular=96,
-    nodes_per_segment=24,
-):
-    """Deterministic integral of ``fn`` over M within geodesic distance ``reach``.
-
-    Builds a chart-polar patch around the closest surface point, verifies
-    that its rim lies in the chart box and beyond ``reach`` (else raises
-    :class:`PreconditionViolated`), and integrates with radial Gauss
-    segments split at ``breaks`` (geodesic radii where the integrand may
-    kink).  ``fn(U, X)`` must vanish at distance >= ``reach`` from the
-    center; returns 0 when the ball does not meet the surface.  The patch
-    frame is the chart's ``metric_diag`` at the patch centre.
-    """
-    chart = M.chart
-    n = chart.dim
-    center_ambient = np.asarray(center_ambient, dtype=float)
-    u0 = nearest_chart_point(M, center_ambient)
-    gap = geodesic_distance(chart.embed(u0), center_ambient)
-    if gap >= reach:
-        return 0.0
-
-    E = 1.0 / np.sqrt(chart.metric_diag(u0))
-    dirs, dir_w = _unit_directions(n, n_angular)
-
-    s_max = _PATCH_SAFETY * (reach + gap)
-    rim = u0 + s_max * dirs * E
-    if not _inside_box(chart, rim):
-        raise PreconditionViolated(
-            "local patch leaves the chart box; move the ball away from a pole"
-        )
-    if not np.all(geodesic_distance(chart.embed(rim), center_ambient) > reach):
-        raise PreconditionViolated("could not enclose the ball in a chart patch")
-
-    # kink loci in patch-radius terms; both the on-surface (s ~ b) and the
-    # offset-center (s ~ sqrt(b^2 - gap^2)) placements are included so every
-    # Gauss segment sees a smooth integrand up to a negligible sliver
-    s_breaks = []
-    for b in breaks:
-        s_breaks += [b, gap + b, float(np.sqrt(max(b * b - gap * gap, 0.0)))]
-    s, w_s = _radial_rule(s_breaks, s_max, nodes_per_segment)
-    U = u0[None, None, :] + s[:, None, None] * dirs[None, :, :] * E[None, None, :]
-    flat = U.reshape(-1, n)
-    dens = sqrt_det_metric(chart, flat)
-    vals = np.asarray(fn(flat, chart.embed(flat)), dtype=float)
-    jac = (s[:, None] ** (n - 1) * np.prod(E)) * (w_s[:, None] * dir_w[None, :])
-    return float(np.sum(vals * dens * jac.ravel()))
-
-
-def _inside_box(chart, pts):
-    for a, per in enumerate(chart.periodic):
-        if per:
-            continue
-        lo, hi = chart.box[a]
-        if np.any(pts[..., a] <= lo + 1e-9) or np.any(pts[..., a] >= hi - 1e-9):
-            return False
-    return True

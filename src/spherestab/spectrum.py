@@ -186,20 +186,13 @@ class SimonsReport:
     sample_count: int
 
 
-def christoffel_fd(M: ParametrizedHypersurface, U, step=2e-3):
-    """Christoffel symbols from central differences of the (diagonal) metric.
-
-    Returns (gdiag, ginv_diag, gamma) with gamma[:, d, c, a] = Gamma^d_{ca}.
-    """
-    metric = M.chart.metric_diag
-    U = np.asarray(U, dtype=float)
-    plus, minus = _stencil(U, step)
-    return _christoffel(metric(U), [metric(P) for P in plus], [metric(P) for P in minus], step)
-
-
 def _christoffel(gdiag, g_plus, g_minus, step):
-    """:func:`christoffel_fd`'s triple from the metric diagonal at U and at the
-    :func:`_stencil` points U +/- step e_a."""
+    """Christoffel symbols of a diagonal metric by central differences.
+
+    From the metric diagonal g_aa at U and at the :func:`_stencil` points
+    U +/- step e_a, returns (gdiag, ginv_diag, gamma) with
+    gamma[:, d, c, a] = Gamma^d_{ca} = 1/2 g^{dd} (d_c g_da + d_a g_dc - d_d g_ca).
+    """
     m, n = gdiag.shape
     # dg[:, c, a, b] = d_c g_ab
     dg = np.moveaxis(
@@ -215,36 +208,19 @@ def _christoffel(gdiag, g_plus, g_minus, step):
     return gdiag, ginv, gamma
 
 
-def surface_laplacian_fd(M, U, fn, step=2e-3, parts=None):
-    """Laplace-Beltrami of a chart-parameter callable by central differences.
-
-    ``Delta f = g^{cc} (d^2_cc f - Gamma^e_{cc} d_e f)`` on the diagonal-metric
-    charts of the built-in families.  ``parts`` may carry a precomputed
-    (gdiag, ginv, gamma) triple from :func:`christoffel_fd`.
-    """
-    U = np.asarray(U, dtype=float)
-    _, ginv, gamma = parts if parts is not None else christoffel_fd(M, U, step)
-    plus, minus = _stencil(U, step)
-    return _laplacian(fn(U), [fn(P) for P in plus], [fn(P) for P in minus], step, ginv, gamma)
-
-
 def _laplacian(f0, f_plus, f_minus, step, ginv, gamma):
-    """:func:`surface_laplacian_fd` from the values at U and at the :func:`_stencil` points."""
+    """Laplace-Beltrami ``Delta f = g^{cc} (d^2_cc f - Gamma^e_{cc} d_e f)`` of a
+    diagonal metric by central differences, from the values of f at U and at
+    the :func:`_stencil` points and the ``ginv``, ``gamma`` of :func:`_christoffel`."""
     df = _difference(f_plus, f_minus, step)
     ddf = np.stack([(fp - 2 * f0 + fm) / step**2 for fp, fm in zip(f_plus, f_minus)], axis=-1)
     corr = np.einsum("mc,mecc->me", ginv, gamma, optimize=True)
     return np.einsum("mc,mc->m", ginv, ddf) - np.einsum("me,me->m", corr, df)
 
 
-def surface_gradient_sq_fd(M, U, fn, step=2e-3):
-    """|grad f|^2 = g^{cc} (d_c f)^2 by central differences (diagonal metric)."""
-    U = np.asarray(U, dtype=float)
-    plus, minus = _stencil(U, step)
-    return _gradient_sq([fn(P) for P in plus], [fn(P) for P in minus], step, M.chart.metric_diag(U))
-
-
 def _gradient_sq(f_plus, f_minus, step, gdiag):
-    """:func:`surface_gradient_sq_fd` from the values at the :func:`_stencil` points."""
+    """``|grad f|^2 = g^{cc} (d_c f)^2`` of a diagonal metric by central
+    differences, from the values of f at the :func:`_stencil` points."""
     df = _difference(f_plus, f_minus, step)
     return np.sum(df * df / gdiag, axis=-1)
 

@@ -1,0 +1,346 @@
+"""Test oracles: deterministic integrals and checks the acceptance suite runs.
+
+No report of the library calls these; the tests do.  They hold the facts
+the cutoff step of the paper rests on, checked numerically:
+
+* the local polar patch integrator (:func:`local_polar_integral`), a
+  deterministic integral over a geodesic ball with radial Gauss segments
+  split at the profile breakpoints, for integrands concentrated on thin
+  annuli that global sampling would essentially never hit;
+* the vanishing of the cutoff cross term int u <grad v, grad phi> in
+  integration by parts (:func:`ibp_residual`, :func:`cutoff_cross_term`,
+  acceptance criterion 10).  Both evaluate each ball's patch against the
+  ball's neighbours only (:func:`spherestab.cutoff._ramp_neighbours`);
+* the packing bound ``max degree <= (3 alpha beta)^N - 1`` for balls with
+  disjoint sub-balls and beta-comparable radii
+  (:func:`intersection_bound_check`, acceptance criterion 7);
+* central-difference Christoffel symbols, Laplace-Beltrami operators and
+  squared gradients of chart-parameter callables, built from the stencil
+  helpers that :func:`spherestab.spectrum.simons_check` runs.
+
+The tests import this module as ``oracles``: ``tests/`` has no
+``__init__.py``, so pytest puts it on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from spherestab.cutoff import (
+    CutoffField,
+    _product_excluding_one,
+    _product_gradient,
+    _ramp_neighbours,
+)
+from spherestab.errors import BoundViolation, PreconditionViolated, UnsupportedFamily
+from spherestab.fields import chart_gradient, surface_laplacian, tangential_gradient_sq
+from spherestab.geometry import (
+    ParametrizedHypersurface,
+    _chord_to_arc,
+    _gauss_rule,
+    _stencil,
+    chart_quadrature,
+    geodesic_distance,
+    sqrt_det_metric,
+)
+from spherestab.sampling import nearest_chart_point
+from spherestab.spectrum import _christoffel, _gradient_sq, _laplacian
+
+
+# ---------------------------------------------------------------------------
+# deterministic local polar patches
+# ---------------------------------------------------------------------------
+
+_PATCH_SAFETY = 1.4   # patch radius, in units of reach + gap
+
+
+def _unit_directions(n, n_angular):
+    """Quadrature on S^(n-1): directions (m, n) and weights (m,)."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if n == 2:
+        w = 2.0 * np.pi / n_angular
+        ang = (np.arange(n_angular) + 0.5) * w
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(n_angular, w)
+    if n == 3:
+        half = max(4, n_angular // 2)
+        xi, wxi = _gauss_rule(half)
+        xi = np.pi / 2.0 * (xi + 1.0)
+        wxi = np.pi / 2.0 * wxi * np.sin(xi)
+        wom = 2.0 * np.pi / n_angular
+        om = (np.arange(n_angular) + 0.5) * wom
+        dirs = np.stack(
+            [
+                np.repeat(np.cos(xi), n_angular),
+                np.repeat(np.sin(xi), n_angular) * np.tile(np.cos(om), half),
+                np.repeat(np.sin(xi), n_angular) * np.tile(np.sin(om), half),
+            ],
+            axis=-1,
+        )
+        w = np.repeat(wxi, n_angular) * wom
+        return dirs, w
+    raise UnsupportedFamily("local patches support chart dimension <= 3")
+
+
+def _radial_rule(breaks, s_max, nodes_per_segment=24):
+    pts = sorted({0.0, s_max, *[b for b in breaks if 0.0 < b < s_max]})
+    xs, ws = [], []
+    gauss_x, gauss_w = _gauss_rule(nodes_per_segment)
+    for lo, hi in zip(pts, pts[1:]):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        xs.append(mid + half * gauss_x)
+        ws.append(half * gauss_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def local_polar_integral(
+    M: ParametrizedHypersurface,
+    center_ambient,
+    fn,
+    reach,
+    breaks=(),
+    n_angular=96,
+    nodes_per_segment=24,
+):
+    """Deterministic integral of ``fn`` over M within geodesic distance ``reach``.
+
+    Builds a chart-polar patch around the closest surface point, verifies
+    that its rim lies in the chart box and beyond ``reach`` (else raises
+    :class:`PreconditionViolated`), and integrates with radial Gauss
+    segments split at ``breaks`` (geodesic radii where the integrand may
+    kink).  ``fn(U, X)`` must vanish at distance >= ``reach`` from the
+    center; returns 0 when the ball does not meet the surface.  The patch
+    frame is the chart's ``metric_diag`` at the patch centre.
+    """
+    chart = M.chart
+    n = chart.dim
+    center_ambient = np.asarray(center_ambient, dtype=float)
+    u0 = nearest_chart_point(M, center_ambient)
+    gap = geodesic_distance(chart.embed(u0), center_ambient)
+    if gap >= reach:
+        return 0.0
+
+    E = 1.0 / np.sqrt(chart.metric_diag(u0))
+    dirs, dir_w = _unit_directions(n, n_angular)
+
+    s_max = _PATCH_SAFETY * (reach + gap)
+    rim = u0 + s_max * dirs * E
+    if not _inside_box(chart, rim):
+        raise PreconditionViolated(
+            "local patch leaves the chart box; move the ball away from a pole"
+        )
+    if not np.all(geodesic_distance(chart.embed(rim), center_ambient) > reach):
+        raise PreconditionViolated("could not enclose the ball in a chart patch")
+
+    # kink loci in patch-radius terms; both the on-surface (s ~ b) and the
+    # offset-center (s ~ sqrt(b^2 - gap^2)) placements are included so every
+    # Gauss segment sees a smooth integrand up to a negligible sliver
+    s_breaks = []
+    for b in breaks:
+        s_breaks += [b, gap + b, float(np.sqrt(max(b * b - gap * gap, 0.0)))]
+    s, w_s = _radial_rule(s_breaks, s_max, nodes_per_segment)
+    U = u0[None, None, :] + s[:, None, None] * dirs[None, :, :] * E[None, None, :]
+    flat = U.reshape(-1, n)
+    dens = sqrt_det_metric(chart, flat)
+    vals = np.asarray(fn(flat, chart.embed(flat)), dtype=float)
+    jac = (s[:, None] ** (n - 1) * np.prod(E)) * (w_s[:, None] * dir_w[None, :])
+    return float(np.sum(vals * dens * jac.ravel()))
+
+
+def _inside_box(chart, pts):
+    for a, per in enumerate(chart.periodic):
+        if per:
+            continue
+        lo, hi = chart.box[a]
+        if np.any(pts[..., a] <= lo + 1e-9) or np.any(pts[..., a] >= hi - 1e-9):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# packing bound
+# ---------------------------------------------------------------------------
+
+def intersection_bound_check(centers, radii, alpha, beta):
+    """Max intersection degree of a ball family against (3 alpha beta)^N - 1.
+
+    Preconditions (checked): the sub-balls B(p_i, r_i/alpha) are pairwise
+    disjoint and the radii are beta-comparable (sup r <= beta inf r).
+    Euclidean balls in R^N.  Raises :class:`BoundViolation` if the packing
+    bound fails -- it cannot, the point of the check is the verification.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    m, N = centers.shape
+    if m == 0:
+        return 0, (3.0 * alpha * beta) ** N - 1
+    if radii.max() > beta * radii.min() * (1.0 + 1e-12):
+        raise PreconditionViolated(
+            f"radii not {beta}-comparable: sup/inf = {radii.max() / radii.min():.3f}"
+        )
+    diff = centers[:, None, :] - centers[None, :, :]
+    d = np.linalg.norm(diff, axis=-1)
+    rsum = radii[:, None] + radii[None, :]
+    off = ~np.eye(m, dtype=bool)
+    if np.any(d[off] < (rsum[off] / alpha) * (1.0 - 1e-12)):
+        raise PreconditionViolated("sub-balls B(p_i, r_i/alpha) are not pairwise disjoint")
+    degrees = np.sum((d <= rsum) & off, axis=1)
+    max_degree = int(degrees.max())
+    bound = (3.0 * alpha * beta) ** N - 1
+    if max_degree > bound:
+        raise BoundViolation(f"degree {max_degree} exceeds ({3 * alpha * beta})^{N} - 1")
+    return max_degree, bound
+
+
+# ---------------------------------------------------------------------------
+# integration by parts across the covered set
+# ---------------------------------------------------------------------------
+
+def ibp_residual(
+    M: ParametrizedHypersurface,
+    field: CutoffField,
+    u,
+    v,
+    resolution=128,
+    n_angular=128,
+    nodes_per_segment=24,
+) -> float:
+    """| int phi u Delta v + int phi <grad u, grad v> + int u <grad v, grad phi> |.
+
+    The identity holds exactly in the continuum for any Lipschitz cutoff on
+    a closed surface, so the returned number measures quadrature error plus
+    the cutoff cross terms' cancellation quality.  The smooth global parts
+    are integrated on the full chart; everything supported near the cover
+    (the (1 - phi) corrections and the grad-phi term) uses deterministic
+    local polar patches, partitioned by the active ball of the inf field (a
+    product field raises :class:`PreconditionViolated`).
+    """
+    if field.kind != "inf":
+        raise PreconditionViolated("the integration-by-parts residual applies to the inf cutoff")
+    chart = M.chart
+
+    def terms(U, X):
+        # u, u Delta v + <grad u, grad v>, d_a v and the chart frame at the
+        # rows: one chart Jacobian serves every derivative
+        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        grad_v = v.ambient_gradient(X)
+        du = chart_gradient(M, U, u.ambient_gradient(X), jac)
+        dv = chart_gradient(M, U, grad_v, jac)
+        uu = np.asarray(u.value(X), dtype=float)
+        lap = surface_laplacian(M, U, X, grad_v, v.ambient_hessian(X), jac)
+        return uu, uu * lap + np.sum(du * dv / gdiag, axis=-1), dv, jac, gdiag
+
+    def correction(i, nb, U, X):
+        # 0 wherever another ball is active, so evaluate only where ball i is
+        act, phi, slope, grad_d = field._active_ramp(X, nb)
+        rows = act == i
+        out = np.zeros(len(U))
+        if not rows.any():
+            return out
+        U, X, phi, slope, grad_d = U[rows], X[rows], phi[rows], slope[rows], grad_d[rows]
+        uu, smooth, dv, jac, gdiag = terms(U, X)
+        dphi = chart_gradient(M, U, slope[:, None] * grad_d, jac)
+        out[rows] = -(1.0 - phi) * smooth + uu * np.sum(dv * dphi / gdiag, axis=-1)
+        return out
+
+    nodes, weights = chart_quadrature(chart, resolution)
+    w = weights * sqrt_det_metric(chart, nodes)
+    total = float(w @ terms(nodes, chart.embed(nodes))[1])
+    return abs(_patch_sum(M, field, correction, n_angular, nodes_per_segment, total))
+
+
+def cutoff_cross_term(
+    M: ParametrizedHypersurface,
+    field: CutoffField,
+    u,
+) -> float:
+    """int_M |u| |grad_M phi| by local patches (the vanishing cross term).
+
+    Each patch integrand takes its partition mask and grad phi from one
+    distance evaluation against the patch ball's neighbours
+    (:func:`_ramp_neighbours`, reach 2 (r_i + r_j) for inf ramps and
+    r_i + r_j for product ramps); where the mask holds, no other ramp
+    differs from 1 with zero slope, so the integrand is that of the full
+    field (for product ramps, up to the rounding of the gradient's sum over
+    fewer balls).
+    """
+    cover = field.cover
+
+    def integrand(i, nb, U, X):
+        if field.kind == "inf":
+            act, _, slope, grad_d = field._active_ramp(X, nb)
+            mask = act == i
+            grad = slope[:, None] * grad_d
+        else:
+            r = cover.radii[nb]
+            d, grad_d = field._dist_grad(X, cover.centers[nb])
+            vals, slope = field._ramps(d, r)
+            # partition supp(grad phi) by the first annulus containing the point
+            in_ann = (d > r / 2.0) & (d < r)
+            first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
+            mask = first == i
+            grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
+        uu = np.abs(np.asarray(u.value(X), dtype=float))
+        gsq = tangential_gradient_sq(M, U, grad)
+        return np.where(mask, uu * np.sqrt(gsq), 0.0)
+
+    return _patch_sum(M, field, integrand, n_angular=128, nodes_per_segment=24)
+
+
+def _patch_sum(M, field: CutoffField, integrand, n_angular, nodes_per_segment, total=0.0):
+    """``total`` plus, in ball order, the patch integral (:func:`local_polar_integral`)
+    of ``integrand(i, neighbours_i, U, X)`` around each ball i of the cover.
+
+    ``neighbours_i`` comes from :func:`_ramp_neighbours`.  A patch reaches
+    as far as ramp i differs from 1, with radial breaks at the ramp ends:
+    reach 2 r and breaks (r, 2 r) inf, reach r and breaks (r/2, r) product;
+    a Euclidean cover's chords become geodesic radii by :func:`_chord_to_arc`.
+    """
+    cover = field.cover
+    inf = field.kind == "inf"
+    neighbours = _ramp_neighbours(cover, 2.0 if inf else 1.0)
+    for i in range(cover.size):
+        r = cover.radii[i]
+        reach, breaks = (2.0 * r, (r, 2.0 * r)) if inf else (r, (r / 2.0, r))
+        if cover.metric == "euclidean":
+            reach, breaks = _chord_to_arc(reach), [_chord_to_arc(b) for b in breaks]
+        total += local_polar_integral(
+            M, cover.centers[i], lambda U, X, i=i: integrand(i, neighbours[i], U, X), reach,
+            breaks=breaks, n_angular=n_angular, nodes_per_segment=nodes_per_segment,
+        )
+    return total
+
+
+# ---------------------------------------------------------------------------
+# finite-difference operators on chart-parameter callables
+# ---------------------------------------------------------------------------
+
+def christoffel_fd(M: ParametrizedHypersurface, U, step=2e-3):
+    """Christoffel symbols from central differences of the (diagonal) metric.
+
+    Returns (gdiag, ginv_diag, gamma) with gamma[:, d, c, a] = Gamma^d_{ca}.
+    """
+    metric = M.chart.metric_diag
+    U = np.asarray(U, dtype=float)
+    plus, minus = _stencil(U, step)
+    return _christoffel(metric(U), [metric(P) for P in plus], [metric(P) for P in minus], step)
+
+
+def surface_laplacian_fd(M, U, fn, step=2e-3, parts=None):
+    """Laplace-Beltrami of a chart-parameter callable by central differences.
+
+    ``Delta f = g^{cc} (d^2_cc f - Gamma^e_{cc} d_e f)`` on the diagonal-metric
+    charts of the built-in families.  ``parts`` may carry a precomputed
+    (gdiag, ginv, gamma) triple from :func:`christoffel_fd`.
+    """
+    U = np.asarray(U, dtype=float)
+    _, ginv, gamma = parts if parts is not None else christoffel_fd(M, U, step)
+    plus, minus = _stencil(U, step)
+    return _laplacian(fn(U), [fn(P) for P in plus], [fn(P) for P in minus], step, ginv, gamma)
+
+
+def surface_gradient_sq_fd(M, U, fn, step=2e-3):
+    """|grad f|^2 = g^{cc} (d_c f)^2 by central differences (diagonal metric)."""
+    U = np.asarray(U, dtype=float)
+    plus, minus = _stencil(U, step)
+    return _gradient_sq([fn(P) for P in plus], [fn(P) for P in minus], step, M.chart.metric_diag(U))

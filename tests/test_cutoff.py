@@ -22,6 +22,8 @@ from spherestab.errors import (
 from spherestab.fields import AmbientCoordinateField, ConstantField
 from spherestab.sampling import ZERO_ESTIMATE, _stratified_rows, nearest_chart_point, stratified_integral
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # cover construction
@@ -254,17 +256,17 @@ def test_linkage_and_discard_match_loop_reference():
 
 def test_intersection_bound_tight_intervals():
     centers = np.array([[1.0], [3.0], [5.0]])
-    max_degree, bound = cut.intersection_bound_check(centers, np.ones(3), 1, 1)
+    max_degree, bound = oracles.intersection_bound_check(centers, np.ones(3), 1, 1)
     assert max_degree == 2 and bound == 2.0
     # no balls: degree 0 against (3 alpha beta)^N - 1 = 9^3 - 1
-    assert cut.intersection_bound_check(np.empty((0, 3)), np.empty(0), 2, 1.5) == (0, 728.0)
+    assert oracles.intersection_bound_check(np.empty((0, 3)), np.empty(0), 2, 1.5) == (0, 728.0)
 
 
 def test_intersection_bound_preconditions():
     with pytest.raises(PreconditionViolated):  # overlapping sub-balls
-        cut.intersection_bound_check(np.array([[0.0], [0.5]]), np.ones(2), 1, 1)
+        oracles.intersection_bound_check(np.array([[0.0], [0.5]]), np.ones(2), 1, 1)
     with pytest.raises(PreconditionViolated):  # radii not comparable
-        cut.intersection_bound_check(np.array([[0.0], [9.0]]), np.array([1.0, 3.0]), 1, 2)
+        oracles.intersection_bound_check(np.array([[0.0], [9.0]]), np.array([1.0, 3.0]), 1, 2)
 
 
 def random_admissible_family(rng, N, alpha, beta, max_balls=12):
@@ -291,7 +293,7 @@ def test_intersection_bound_random_sample():
             for beta in (1, 2):
                 for _ in range(40):
                     centers, radii = random_admissible_family(rng, N, alpha, beta)
-                    deg, bound = cut.intersection_bound_check(centers, radii, alpha, beta)
+                    deg, bound = oracles.intersection_bound_check(centers, radii, alpha, beta)
                     assert deg <= bound
                     if (N, alpha, beta) == (2, 3, 2):
                         assert bound == 323.0  # 18^2 - 1
@@ -636,7 +638,7 @@ def _half_radius_cover(M):
     (lambda M, geodesic, euclidean: cut.gradient_integral_estimate(
         M, geodesic, cut.build_inf_cutoff(geodesic), 1.0, C_V=1.0),
      TypeError, "takes 2 positional arguments"),
-    (lambda M, geodesic, euclidean: cut.ibp_residual(
+    (lambda M, geodesic, euclidean: oracles.ibp_residual(
         M, cut.build_product_cutoff(euclidean), ConstantField(1.0), ConstantField(1.0)),
      PreconditionViolated, "applies to the inf cutoff"),
     # the product ramps read about 1 at points outside the half-balls
@@ -668,7 +670,7 @@ def test_no_cutoff_check_takes_a_cover_beside_its_field():
     for name, fn in vars(cut).items():
         if inspect.isfunction(fn) and fn.__module__ == cut.__name__ and not name.startswith("_"):
             assert not {"cover", "field"} <= set(inspect.signature(fn).parameters), name
-    for check in (cut.gradient_integral_estimate, cut.ibp_residual, cut.cutoff_cross_term,
+    for check in (cut.gradient_integral_estimate, oracles.ibp_residual, oracles.cutoff_cross_term,
                   cut.mr_quality_report):
         assert list(inspect.signature(check).parameters)[:2] == ["M", "field"], check.__name__
 
@@ -1241,7 +1243,7 @@ def test_mr_quality_report_refuses_geodesic_cover(torus, monkeypatch):
 def test_ibp_empty_cover_equator(equator2):
     u = AmbientCoordinateField(0)
     field = cut.build_inf_cutoff(cut.empty_cover(2, 1, 0.1, ambient_dim=4))
-    resid = cut.ibp_residual(equator2, field, u, u)
+    resid = oracles.ibp_residual(equator2, field, u, u)
     assert resid <= 1e-8
 
 
@@ -1251,7 +1253,7 @@ def test_ibp_empty_cover_torus_coordinates(torus, index):
     # derivatives of x_1 and x_3 go through a vanishing sine
     u = AmbientCoordinateField(index, scale=math.sqrt(2.0))
     field = cut.build_inf_cutoff(cut.empty_cover(2, 1, 0.1, ambient_dim=4))
-    resid = cut.ibp_residual(torus, field, u, u)
+    resid = oracles.ibp_residual(torus, field, u, u)
     assert resid <= 1e-8
 
 
@@ -1262,7 +1264,7 @@ def test_ibp_cross_term_decreases(torus):
     for eps in (0.1, 0.05, 0.025):
         cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=eps)
         field = cut.build_inf_cutoff(cov)
-        crosses.append(cut.cutoff_cross_term(torus, field, u))
+        crosses.append(oracles.cutoff_cross_term(torus, field, u))
     assert crosses[0] > crosses[1] > crosses[2] > 0.0
 
 
@@ -1270,7 +1272,7 @@ def test_ibp_residual_small_at_tight_budget(torus):
     _, pts = geo.sample_points(torus, 1, seed=2)
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
-    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cov), u, u)
+    resid = oracles.ibp_residual(torus, cut.build_inf_cutoff(cov), u, u)
     assert resid <= 1e-4
 
 
@@ -1321,14 +1323,14 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
     inf_cover = cut.BallCover(centers, rng.uniform(0.05, 0.3, 30), 2, 1, 1e9, "geodesic")
     product_cover = cut.BallCover(centers, rng.uniform(0.1, 0.6, 30), 2, 0.0, 1e9, "euclidean")
     patches = []
-    monkeypatch.setattr(cut, "local_polar_integral",
+    monkeypatch.setattr(oracles, "local_polar_integral",
                         lambda M, center, fn, reach, **kw: patches.append((center, fn, reach)) or 0.0)
     U_bg = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=(1500, 2))
     cases = (
         ("ibp", inf_cover,
-         lambda: cut.ibp_residual(torus, cut.build_inf_cutoff(inf_cover), u, v, resolution=16)),
-        ("cross", inf_cover, lambda: cut.cutoff_cross_term(torus, cut.build_inf_cutoff(inf_cover), u)),
-        ("cross", product_cover, lambda: cut.cutoff_cross_term(torus, cut.CutoffField(product_cover, "product"), u)),
+         lambda: oracles.ibp_residual(torus, cut.build_inf_cutoff(inf_cover), u, v, resolution=16)),
+        ("cross", inf_cover, lambda: oracles.cutoff_cross_term(torus, cut.build_inf_cutoff(inf_cover), u)),
+        ("cross", product_cover, lambda: oracles.cutoff_cross_term(torus, cut.CutoffField(product_cover, "product"), u)),
     )
     for which, cover, run in cases:
         field = cut.CutoffField(cover, "inf" if cover is inf_cover else "product")
@@ -1365,7 +1367,7 @@ def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
     jacobian = chart.jacobian
     monkeypatch.setattr(chart, "jacobian", lambda U: calls.append(len(U)) or jacobian(U))
     per_patch = []
-    polar = cut.local_polar_integral
+    polar = oracles.local_polar_integral
 
     def counted(M, center, fn, reach, **kw):
         def patch(U, X):
@@ -1376,12 +1378,12 @@ def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
 
         return polar(M, center, patch, reach, **kw)
 
-    monkeypatch.setattr(cut, "local_polar_integral", counted)
+    monkeypatch.setattr(oracles, "local_polar_integral", counted)
     _, centers = geo.sample_points(torus, 4, seed=11)
     cover = cut.BallCover(centers, np.full(4, 0.05), 2, 1, 1e9, "geodesic")
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
-    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cover), u, v, resolution=16, n_angular=16,
+    resid = oracles.ibp_residual(torus, cut.build_inf_cutoff(cover), u, v, resolution=16, n_angular=16,
                              nodes_per_segment=8)
     assert np.isfinite(resid)
     assert per_patch == [1] * cover.size
@@ -1392,7 +1394,7 @@ def test_ibp_constant_u_divergence_form(torus):
     _, pts = geo.sample_points(torus, 1, seed=4)
     cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.01)
     v = AmbientCoordinateField(2, scale=math.sqrt(2.0))
-    resid = cut.ibp_residual(torus, cut.build_inf_cutoff(cov), ConstantField(1.0), v)
+    resid = oracles.ibp_residual(torus, cut.build_inf_cutoff(cov), ConstantField(1.0), v)
     assert resid <= 1e-6
 
 
@@ -1404,18 +1406,18 @@ def test_patch_sum_takes_arc_radii_of_a_euclidean_cover(torus, monkeypatch):
     radii = np.array([0.1, 0.2, 0.3])
     field = cut.CutoffField(cut.BallCover(centers, radii, 2, 0.0, 1e9, "euclidean"), "product")
     seen = []
-    polar = cut.local_polar_integral
+    polar = oracles.local_polar_integral
 
     def recorded(M, center, fn, reach, breaks=(), **kw):
         seen.append((reach, list(breaks)))
         return polar(M, center, fn, reach, breaks=breaks, **kw)
 
-    monkeypatch.setattr(cut, "local_polar_integral", recorded)
+    monkeypatch.setattr(oracles, "local_polar_integral", recorded)
 
     def chord_ball(i, nb, U, X):
         return (np.linalg.norm(X - centers[i], axis=-1) < radii[i]).astype(float)
 
-    total = cut._patch_sum(torus, field, chord_ball, 64, 24)
+    total = oracles._patch_sum(torus, field, chord_ball, 64, 24)
     arc = geo._chord_to_arc
     assert seen == [(arc(r), [arc(r / 2.0), arc(r)]) for r in radii]
     exact = sum(float(geo._ball_area(1, 1, 1.0 - r**2 / 2.0)) for r in radii)
@@ -1429,7 +1431,7 @@ def test_product_cross_term_matches_chart_quadrature(torus):
     field = cut.CutoffField(cut.BallCover(centers, np.full(5, 0.3), 2, 0.0, 1e9, "euclidean"),
                             "product")
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
-    patches = cut.cutoff_cross_term(torus, field, u)
+    patches = oracles.cutoff_cross_term(torus, field, u)
     nodes, weights = geo.chart_quadrature(torus.chart, 384)
     gsq = cut.tangential_gradient_sq(torus, nodes, field.ambient_gradient(torus.chart.embed(nodes)))
     density = weights * geo.sqrt_det_metric(torus.chart, nodes)

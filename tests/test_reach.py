@@ -1,0 +1,140 @@
+"""Reach: every function of ``src/spherestab`` runs in what the reports run, or
+has a recorded reason to stay.
+
+A fresh interpreter starts ``sys.settrace`` before ``import spherestab``
+(so functions that run at import count as called), runs every command line
+of README.md's "Command line" block and every ``perfbench/workloads.py``
+config through ``cli.main`` in CSV and in JSON at seed 0, then README's
+python blocks.  Every function and method defined under ``src/spherestab``
+(found by ``ast``, nested ones included) that never ran must be in
+``UNREACHED``, and every name there must be one that never ran, so that
+code only the tests call cannot creep back into the library unnoticed.
+Test oracles live in ``tests/oracles.py``.
+"""
+
+import ast
+import json
+import os
+import re
+import runpy
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spherestab"
+
+_ITEM_12 = "ROADMAP item 12: the product cutoff bounds take the cover's class count K from it"
+_CSR = "benchmark read: perfbench/spans.py reads the CSR view (op.stiffness.nnz); ROADMAP item 17"
+_OPERATOR_RQ = "rayleigh_quotient(method='operator'), the grid oracle of the stability quotient"
+_FIELD = ("ROADMAP item 11: the spectrum report's Rayleigh quotient of the ambient "
+          "coordinates x_j (-> -n)")
+_HESSIAN = ("the field protocol (value, gradient, Hessian) that fields.surface_laplacian "
+            "reads; no report takes the Laplacian of a constant or coordinate field")
+
+# qualified name -> why it stays in the library although no report runs it
+UNREACHED = {
+    "cli._failure": "error path: the report of a numerical failure",
+    "cli._jsonable": "error path: json.dumps fallback for a numpy value in a payload",
+    "cutoff.BallCover.dyadic_classes": _ITEM_12,
+    "cutoff.BallCover.subset": _ITEM_12,
+    "cutoff.enlarged_class_count": _ITEM_12,
+    "cutoff.vitali_discard": _ITEM_12,
+    "cutoff.CutoffField.active_index": "benchmark read: perfbench/spans.py wraps it (FIELD_METHODS)",
+    "cutoff.CutoffField.ambient_hessian": "benchmark read: perfbench/spans.py wraps it (FIELD_METHODS)",
+    "cutoff.load_point_cloud": "CLI option: cutoff --singular-set FILE; no README line passes a file",
+    "estimates.ssy_constants": "ROADMAP item 7: the improved Kato bound 1 + 2/n",
+    "fields.AmbientCoordinateField.value": _FIELD,
+    "fields.AmbientCoordinateField.ambient_gradient": _FIELD,
+    "fields.AmbientCoordinateField.ambient_hessian": _HESSIAN,
+    "fields.ConstantField.ambient_hessian": _HESSIAN,
+    "fields._zero_hessian": _HESSIAN,
+    "geometry.ParametrizedHypersurface.__repr__": "error path: names the surface in shape_batch's refusal",
+    "geometry.ParametrizedHypersurface.embed": _OPERATOR_RQ,
+    "geometry._unit_normal": ("shape_at(method='normal-derivative'), the oracle of the closed "
+                              "form; ROADMAP items 2 and 18(c)"),
+    "geometry.sphere_point": ("public hyperspherical coordinates: the allocating form of the "
+                              "in-place writer the charts run"),
+    "geometry.sphere_jacobian": ("public hyperspherical coordinates: the allocating form of the "
+                                 "in-place writer the charts run"),
+    "operators.DiscreteOperator._csr": _CSR,
+    "operators.DiscreteOperator.stiffness": _CSR,
+    "operators.DiscreteOperator.mass": _CSR,
+    "operators.DiscreteOperator.potential": _CSR,
+    "operators.DiscreteOperator.export_coo": "README File formats: the matrix export of a CSR view",
+    "operators._csr_views": _CSR,
+    "operators._csr_views.diagonal_csr": _CSR,
+    "operators.DiscreteOperator.apply": _OPERATOR_RQ,
+    "operators.DiscreteOperator.mass_diagonal": _OPERATOR_RQ,
+    "operators.DiscreteOperator.nodes": _OPERATOR_RQ,
+    "sampling.BoxEstimates.samples": "benchmark read: perfbench/spans.py counts sampling.samples",
+}
+
+# run in a fresh interpreter: argv is the package directory, the CLI runs
+# (JSON) and the python blocks (JSON); prints the (file, first line) of
+# every package code object that ran, and the runs' exit codes
+TRACE = r"""
+import json, os, sys
+package, runs, blocks = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+ran = set()
+sys.settrace(lambda frame, event, arg: ran.add(frame.f_code))
+from spherestab import cli
+codes = [cli.main(argv) for argv in runs]
+for block in blocks:
+    exec(compile(block, "README.md", "exec"), {})
+sys.settrace(None)
+ran = {(os.path.relpath(c.co_filename, package), c.co_firstlineno)
+       for c in ran if c.co_filename.startswith(package + os.sep)}
+print(json.dumps({"codes": codes, "ran": sorted(ran)}))
+"""
+
+
+def _command_lines():
+    """README's "Command line" block and the benchmark configs, as argv lists."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return lines + [config.split() for configs in workloads.values() for config in configs]
+
+
+def _defined():
+    """(file, first line) -> qualified name of every function under the package.
+
+    The first line is a code object's: the first decorator's, else the def's."""
+    names = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                names[(path.name, first)] = f"{prefix}.{child.name}"
+                walk(child, path, f"{prefix}.{child.name}")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}.{child.name}")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, path.stem)
+    return names
+
+
+def test_every_unreached_function_has_a_recorded_reason(tmp_path):
+    runs = [[*argv, "--seed", "0", "--format", fmt, "--out", str(tmp_path / f"{i}-{fmt}")]
+            for i, argv in enumerate(_command_lines()) for fmt in ("csv", "json")]
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert runs and blocks
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", TRACE, str(PACKAGE), json.dumps(runs),
+                            json.dumps(blocks)],
+                           capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    doc = json.loads(child.stdout.splitlines()[-1])
+    assert doc["codes"] == [0] * len(runs)
+    ran = {tuple(key) for key in doc["ran"]}
+    unreached = {name for key, name in _defined().items() if key not in ran}
+    missing = sorted(unreached - set(UNREACHED))  # never run, and no recorded reason
+    stale = sorted(set(UNREACHED) - unreached)    # recorded, but it ran or is gone
+    assert (missing, stale) == ([], [])
