@@ -14,7 +14,6 @@ from .errors import (
     BoundViolation,
     BudgetInfeasible,
     DegenerateChart,
-    ImmersionDrift,
     InsufficientSamples,
     NonMinimal,
     PreconditionViolated,

@@ -9,10 +9,6 @@ class DegenerateChart(SpherestabError):
     """Chart metric is numerically singular (condition number > 1e12)."""
 
 
-class ImmersionDrift(SpherestabError):
-    """Immersion image left the unit sphere by more than the tolerance."""
-
-
 class AssemblyFailure(SpherestabError):
     """Discrete operator assembly produced an invalid matrix, or a stability
     pencil failed its certificate."""

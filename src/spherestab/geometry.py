@@ -26,8 +26,6 @@ coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
 integrals accurate.  Every chart carries its analytic frame: Jacobian,
 metric diagonal and nearest-point inverse.
-:func:`shape_at` also offers finite-difference second fundamental forms
-(step 1e-3), an oracle independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -41,13 +39,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
+from .errors import DegenerateChart, UnsupportedFamily
 
 POLE_MARGIN = 1e-3
-DRIFT_TOL = 1e-8
 COND_LIMIT = 1e12
-SHAPE_STEP = 1e-3  # central-difference step of the normal-derivative method
-                   # (|A|^2 error on the products: 1e-6 at 1e-3, 6e-10 at 1e-5)
 
 
 def chord_distance(x, p):
@@ -78,42 +73,27 @@ def _distance(metric):
 # hyperspherical coordinate helpers for a unit S^k
 # ---------------------------------------------------------------------------
 
-def sphere_point(angles):
-    """Embed hyperspherical angles (..., k) into the unit S^k subset R^(k+1).
+def _write_hyperspherical_point(out, angles, scale):
+    """Write the point of the unit S^k subset R^(k+1) at hyperspherical
+    ``angles`` (..., k), times ``scale``, into ``out`` (..., k+1).
 
     x_0 = cos t_0, x_i = sin t_0 ... sin t_(i-1) cos t_i, x_k = sin t_0 ... sin t_(k-1).
     Axes 0..k-2 are polar ([0, pi]); the last axis is periodic ([0, 2pi)).
+    Each coordinate is multiplied by ``scale`` straight into ``out``.
     """
-    angles = np.asarray(angles, dtype=float)
-    out = np.empty(angles.shape[:-1] + (angles.shape[-1] + 1,))
-    _write_sphere_point(out, angles)
-    return out
-
-
-def _store(out, x, scale):
-    """``out[...] = x * scale`` (``x`` if ``scale`` is None), without a temporary."""
-    if scale is None:
-        out[...] = x
-    else:
-        np.multiply(x, scale, out=out)
-
-
-def _write_sphere_point(out, angles, scale=None):
-    """Write :func:`sphere_point` of ``angles`` (..., k), times ``scale`` if
-    given, into ``out`` (..., k+1), with the products of
-    ``sphere_point(angles) * scale``."""
     k = angles.shape[-1]
     run = None  # the product of the sines so far; None stands for 1.0
     for i in range(k):
         x = np.cos(angles[..., i]) if run is None else run * np.cos(angles[..., i])
-        _store(out[..., i], x, scale)
+        np.multiply(x, scale, out=out[..., i])
         sin = np.sin(angles[..., i])
         run = sin if run is None else run * sin
-    _store(out[..., k], run, scale)
+    np.multiply(run, scale, out=out[..., k])
 
 
 def sphere_angles(x):
-    """Hyperspherical angles (..., k) of points x (..., k+1); inverse of :func:`sphere_point`.
+    """Hyperspherical angles (..., k) of points x (..., k+1); inverse of
+    :func:`_write_hyperspherical_point`.
 
     Polar angles are t_i = atan2(|x_(i+1:)|, x_i) in [0, pi]; the last angle
     is atan2(x_k, x_(k-1)) mod 2 pi.  Every angle is invariant under positive
@@ -128,34 +108,24 @@ def sphere_angles(x):
     return out
 
 
-def sphere_jacobian(angles):
-    """Analytic Jacobian of :func:`sphere_point`, shape (..., k+1, k).
+def _write_hyperspherical_jacobian(out, angles, scale):
+    """Write the analytic Jacobian of :func:`_write_hyperspherical_point` at
+    ``angles`` (..., k), times ``scale``, into the zeroed ``out`` (..., k+1, k).
 
     Column a is d/dt_a: row a is -prod_(m<a) sin t_m * sin t_a, and each
     later row is its coordinate's product with sin t_a swapped for cos t_a,
     built as a running product, so it holds where sin t_a == 0 too.
     """
-    angles = np.asarray(angles, dtype=float)
-    k = angles.shape[-1]
-    jac = np.zeros(angles.shape[:-1] + (k + 1, k))
-    _write_sphere_jacobian(jac, angles)
-    return jac
-
-
-def _write_sphere_jacobian(out, angles, scale=None):
-    """Write :func:`sphere_jacobian` of ``angles`` (..., k), times ``scale``
-    if given, into the zeroed ``out`` (..., k+1, k), with the products of
-    ``sphere_jacobian(angles) * scale``."""
     k = angles.shape[-1]
     s, c = np.sin(angles), np.cos(angles)
     prefix = None  # prod_(m<a) sin t_m; None stands for 1.0
     for a in range(k):
-        _store(out[..., a, a], -s[..., a] if prefix is None else -prefix * s[..., a], scale)
+        np.multiply(-s[..., a] if prefix is None else -prefix * s[..., a], scale, out=out[..., a, a])
         run = c[..., a] if prefix is None else prefix * c[..., a]
         for i in range(a + 1, k):
-            _store(out[..., i, a], run * c[..., i], scale)
+            np.multiply(run * c[..., i], scale, out=out[..., i, a])
             run = run * s[..., i]
-        _store(out[..., k, a], run, scale)
+        np.multiply(run, scale, out=out[..., k, a])
         prefix = s[..., a] if prefix is None else prefix * s[..., a]
 
 
@@ -359,11 +329,11 @@ class ParametrizedHypersurface:
     of the chart's dimension; ``dimension``, ``family``, ``params`` and the
     exact constants ``norm_A_sq`` and ``potential`` are read from it.
     Anything else raises :class:`UnsupportedFamily`.
-    ``closed_form`` maps chart points to batched shape arrays; without it
-    :func:`shape_at` differentiates the chart's unit normal.
+    ``closed_form`` maps chart points to batched shape arrays
+    (:meth:`shape_batch`).
     """
 
-    def __init__(self, chart, product, closed_form=None):
+    def __init__(self, chart, product, closed_form):
         if not isinstance(product, SphereProduct) or product.dimension != chart.dim:
             raise UnsupportedFamily(f"{product!r} is not the SphereProduct of a {chart.dim}-dimensional chart")
         self.dimension = product.dimension
@@ -387,21 +357,9 @@ class ParametrizedHypersurface:
     def potential(self):
         return self.product.potential
 
-    def __repr__(self):
-        return f"ParametrizedHypersurface(n={self.dimension}, {self.family}{self.params})"
-
-    @property
-    def has_closed_form(self):
-        return self._closed_form is not None
-
     def shape_batch(self, U):
-        """Batched (metric diag or full, normal, A, H, |A|^2) arrays; closed form only."""
-        if self._closed_form is None:
-            raise UnsupportedFamily(f"{self!r} has no closed-form geometry")
+        """Batched (metric diag, normal, A, H, |A|^2) arrays of the closed form."""
         return self._closed_form(U)
-
-    def embed(self, U):
-        return self.chart.embed(np.asarray(U, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +408,14 @@ def _product_surface(product):
         U = np.asarray(U, dtype=float)
         out = np.zeros(U.shape[:-1] + (n + 2,))
         for ax, amb, r in blocks:
-            _write_sphere_point(out[..., amb], U[..., ax], r)
+            _write_hyperspherical_point(out[..., amb], U[..., ax], r)
         return out
 
     def jacobian(U):
         U = np.asarray(U, dtype=float)
         jac = np.zeros(U.shape[:-1] + (n + 2, n))
         for ax, amb, r in blocks:
-            _write_sphere_jacobian(jac[..., amb, ax], U[..., ax], r)
+            _write_hyperspherical_jacobian(jac[..., amb, ax], U[..., ax], r)
         return jac
 
     def metric_diag(U):
@@ -472,8 +430,8 @@ def _product_surface(product):
             nu[..., n + 1] = 1.0
         else:  # (r_l p, -r_k q) at the point (r_k p, r_l q)
             (ax_k, amb_k, rk), (ax_l, amb_l, rl) = blocks
-            _write_sphere_point(nu[..., amb_k], U[..., ax_k], rl)
-            _write_sphere_point(nu[..., amb_l], U[..., ax_l], -rk)
+            _write_hyperspherical_point(nu[..., amb_k], U[..., ax_k], rl)
+            _write_hyperspherical_point(nu[..., amb_l], U[..., ax_l], -rk)
         return nu
 
     def inverse(X):
@@ -511,60 +469,21 @@ def _diag_embed(diag):
 # pointwise shape data
 # ---------------------------------------------------------------------------
 
-def shape_at(M, u, method="auto", fd_step=SHAPE_STEP):
-    """First and second fundamental forms of M at a chart parameter point.
+def shape_at(M, u):
+    """First and second fundamental forms of M at a chart parameter point,
+    read from the surface's closed form.
 
-    ``method`` selects the backend: "closed-form" (built-in families) or
-    "normal-derivative" (A_ab = <d_a nu, d_b x> by central differences of
-    the unit normal, step ``fd_step``), the independent check of the closed
-    form.  "auto" prefers the closed form and otherwise differentiates the
-    normal.
-
-    Raises :class:`DegenerateChart` when cond(g) > 1e12 and
-    :class:`ImmersionDrift` when the image leaves the sphere by > 1e-8.
+    Raises ``ValueError`` unless ``u`` is one point of shape (n,), and
+    :class:`DegenerateChart` when cond(g) > 1e12.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("shape_at expects a single parameter point")
-    if method == "auto":
-        method = "closed-form" if M.has_closed_form else "normal-derivative"
-
-    if method == "closed-form":
-        gdiag, nu, A, H, a2 = M.shape_batch(u[None, :])
-        g = _diag_embed(gdiag)[0]
-        _check_metric(g)
-        return ShapeData(g, nu[0], A[0], float(H[0]), float(a2[0]))
-    if method != "normal-derivative":
-        raise ValueError(f"unknown method {method!r}")
-
-    chart = M.chart
-    x = chart.embed(u)
-    if abs(np.linalg.norm(x) - 1.0) > DRIFT_TOL:
-        raise ImmersionDrift(f"|x(u)| - 1 = {np.linalg.norm(x) - 1.0:.3e} exceeds {DRIFT_TOL}")
-    jac = chart.jacobian(u)
-    g = jac.T @ jac
+    if u.shape != (M.dimension,):
+        raise ValueError(f"shape_at expects a single parameter point of length {M.dimension}, "
+                         f"not an array of shape {u.shape}")
+    gdiag, nu, A, H, a2 = M.shape_batch(u[None, :])
+    g = _diag_embed(gdiag)[0]
     _check_metric(g)
-    nu = _unit_normal(jac, x)
-
-    n = chart.dim
-    dnu = np.empty((n + 2, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = fd_step
-        nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
-        nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
-        if nu_p @ nu < 0:
-            nu_p = -nu_p
-        if nu_m @ nu < 0:
-            nu_m = -nu_m
-        dnu[:, a] = (nu_p - nu_m) / (2.0 * fd_step)
-    A = dnu.T @ jac
-    A = 0.5 * (A + A.T)
-
-    ginv = np.linalg.inv(g)
-    H = float(np.trace(ginv @ A))
-    a2 = float(np.trace(ginv @ A @ ginv @ A))
-    return ShapeData(g, nu, A, H, a2)
+    return ShapeData(g, nu[0], A[0], float(H[0]), float(a2[0]))
 
 
 def _stencil(U, h):
@@ -584,15 +503,6 @@ def _check_metric(g):
     eig = np.linalg.eigvalsh(g)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
         raise DegenerateChart(f"metric condition number {eig[-1] / max(eig[0], 1e-300):.3e}")
-
-
-def _unit_normal(jac, x):
-    """Unit vector orthogonal to the chart tangents and to the sphere radius."""
-    span = np.column_stack([jac, x])
-    u_svd, s, _ = np.linalg.svd(span, full_matrices=True)
-    nu = u_svd[:, -1]
-    pivot = np.argmax(np.abs(nu))
-    return nu if nu[pivot] > 0 else -nu
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +541,11 @@ def _tensor_grid(axes):
 
 
 def _per_axis(resolution, n):
-    if np.isscalar(resolution):
-        return [int(resolution)] * n
-    res = [int(r) for r in resolution]
+    res = [int(resolution)] * n if np.isscalar(resolution) else [int(r) for r in resolution]
     if len(res) != n:
         raise ValueError("resolution list length must match the chart dimension")
+    if min(res) < 1:
+        raise ValueError(f"resolution must be >= 1 per axis, got {resolution}")
     return res
 
 

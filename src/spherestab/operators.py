@@ -20,8 +20,8 @@ the flux weight ``w_a = sqrt(det g) / g_aa * cell / h_a^2`` of the edge
 from each node to its neighbour one step up axis a, at the edge midpoint,
 with the edge through the box end of a polar axis set to exactly 0; and
 the node values of B and V.  Each is an array on the open grid, one that
-broadcasts to the grid's shape.  ``DiscreteOperator.apply`` computes
-(S - V) x from them as per-axis fluxes on the tensor array,
+broadcasts to the grid's shape.  They define (S - V) x as per-axis fluxes
+on the tensor array,
 
     flux = w_a * (roll(x, -1, a) - x),    S x += roll(flux, 1, a) - flux,
 
@@ -52,10 +52,9 @@ the same operands and the weights are bit for bit those of a per-node
 evaluation.  |A|^2 is the constant of the surface's sphere factors, so V
 stays on the open grid too.
 
-The matrices S, B and V, and the (m, n) node array, are views built on
-demand from the edge form, for ``export_coo`` and oracle checks.  S is
-canonical CSR: row i holds the (2d + 1)-point stencil of node i in the
-slot order
+The matrices S, B and V are views built on demand from the edge form,
+for ``export_coo`` and oracle checks.  S is canonical CSR: row i holds
+the (2d + 1)-point stencil of node i in the slot order
 ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
 neighbours one step down and up axis a), which is ascending column order
 except on the rows that wrap on a periodic axis.  Each off-diagonal is the
@@ -74,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyFailure, DegenerateChart
-from .geometry import ParametrizedHypersurface, _per_axis, _row_product, _tensor_grid
+from .geometry import ParametrizedHypersurface, _per_axis, _row_product
 
 
 @dataclass(eq=False)
@@ -84,8 +83,8 @@ class DiscreteOperator:
     ``weights[a]`` holds the flux weight of the edge from each node to its
     neighbour one step up axis a (0 through the box end of a polar axis),
     ``node_mass`` the lumped mass B_ii and ``node_potential`` V_ii; each
-    broadcasts to ``shape``.  ``stiffness``, ``mass``, ``potential`` and
-    ``nodes`` are views built from these on first use.
+    broadcasts to ``shape``.  ``stiffness``, ``mass`` and ``potential`` are
+    CSR views built from these on first use.
     """
 
     weights: tuple                 # per axis, >= 0 on an assembled grid
@@ -101,20 +100,6 @@ class DiscreteOperator:
     @property
     def size(self):
         return math.prod(self.shape)
-
-    def apply(self, x):
-        """(S - V) x for a vector x of length ``size``, as per-axis fluxes on the grid."""
-        u = np.reshape(x, self.shape)
-        out = -(self.node_potential * u)
-        for a, w in enumerate(self.weights):
-            flux = w * (np.roll(u, -1, axis=a) - u)
-            out += np.roll(flux, 1, axis=a) - flux
-        return out.ravel()
-
-    @cached_property
-    def mass_diagonal(self):
-        """B_ii, one per node in row-major order."""
-        return np.broadcast_to(self.node_mass, self.shape).ravel()
 
     @cached_property
     def _csr(self):
@@ -134,11 +119,6 @@ class DiscreteOperator:
     def potential(self):
         """V as diagonal CSR."""
         return self._csr[2]
-
-    @cached_property
-    def nodes(self):
-        """(m, n) chart coordinates of the grid nodes, row-major."""
-        return _tensor_grid(self.coords)
 
     def export_coo(self, which="stiffness", path=None):
         """Matrix in text triplet form, one ``row col value`` line per entry."""

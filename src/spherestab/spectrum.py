@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssemblyFailure, NonMinimal, UnsupportedFamily, ZeroTestFunction
+from .errors import AssemblyFailure, NonMinimal, ZeroTestFunction
 from .fields import ConstantField, tangential_gradient_sq
 from .geometry import (
     ParametrizedHypersurface,
@@ -39,7 +39,7 @@ from .geometry import (
     sample_points,
     sqrt_det_metric,
 )
-from .operators import DiscreteOperator, assemble_jacobi
+from .operators import DiscreteOperator
 
 CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 ORDER_FLOOR = 1e-9  # errors below it sit at the solver floor (observed_order)
@@ -122,33 +122,14 @@ def _constant_mode_gap(op):
     return gap if np.isfinite(gap) else np.inf
 
 
-def rayleigh_quotient(
-    M: ParametrizedHypersurface,
-    f,
-    resolution=48,
-    method="quadrature",
-) -> float:
+def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:
     """Stability Rayleigh quotient of a test field (an ambient field of :mod:`.fields`).
 
-    ``method="quadrature"`` integrates |grad f|^2 - (|A|^2 + n) f^2 with the
-    chart quadrature, |grad f|^2 from the field's ambient gradient through
-    :func:`.fields.tangential_gradient_sq`; ``method="operator"`` evaluates
-    x^T (S - V) x / x^T B x on the assembled grid with
-    ``DiscreteOperator.apply`` (so the value is always >= the numeric
-    lambda_1 of that grid).
+    Integrates |grad f|^2 - (|A|^2 + n) f^2 and f^2 with the chart
+    quadrature of ``resolution`` nodes per axis (on charts of dimension > 3,
+    at ``max(2000, resolution)`` sampled points), |grad f|^2 from the
+    field's ambient gradient through :func:`.fields.tangential_gradient_sq`.
     """
-    if method == "operator":
-        op = assemble_jacobi(M, resolution)
-        x = np.asarray(f.value(M.embed(op.nodes)), dtype=float)
-        b = op.mass_diagonal
-        denom = float(x @ (b * x))
-        if denom <= 1e-28 * b.sum():
-            raise ZeroTestFunction("test field vanishes identically on the grid")
-        return float(x @ op.apply(x)) / denom
-
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-
     chart = M.chart
     if chart.dim <= 3:
         nodes, weights = chart_quadrature(chart, resolution)
@@ -240,8 +221,6 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     Raises :class:`NonMinimal` if |H| > 1e-6 at any sample, before any
     stencil work: the identity is only claimed for minimal surfaces.
     """
-    if not M.has_closed_form:
-        raise UnsupportedFamily("identity check needs the closed-form geometry backend")
     n = M.dimension
     U, _ = sample_points(M, samples, seed=seed, pad=2.0 * step)
     m = U.shape[0]

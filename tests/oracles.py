@@ -16,7 +16,14 @@ the cutoff step of the paper rests on, checked numerically:
   (:func:`intersection_bound_check`, acceptance criterion 7);
 * central-difference Christoffel symbols, Laplace-Beltrami operators and
   squared gradients of chart-parameter callables, built from the stencil
-  helpers that :func:`spherestab.spectrum.simons_check` runs.
+  helpers that :func:`spherestab.spectrum.simons_check` runs;
+* the second fundamental form by central differences of the unit normal
+  (:func:`shape_by_normal_derivative`), independent of the closed forms
+  that :func:`spherestab.shape_at` reads;
+* the stability pencil applied matrix-free as per-axis fluxes
+  (:func:`apply_pencil`), and the grid Rayleigh quotient
+  x^T (S - V) x / x^T B x it gives (:func:`operator_rayleigh_quotient`),
+  which is always >= the certified lambda_1 of that grid.
 
 The tests import this module as ``oracles``: ``tests/`` has no
 ``__init__.py``, so pytest puts it on ``sys.path``.
@@ -32,17 +39,21 @@ from spherestab.cutoff import (
     _product_gradient,
     _ramp_neighbours,
 )
-from spherestab.errors import BoundViolation, PreconditionViolated, UnsupportedFamily
+from spherestab.errors import BoundViolation, PreconditionViolated, UnsupportedFamily, ZeroTestFunction
 from spherestab.fields import chart_gradient, surface_laplacian, tangential_gradient_sq
 from spherestab.geometry import (
     ParametrizedHypersurface,
+    ShapeData,
+    _check_metric,
     _chord_to_arc,
     _gauss_rule,
     _stencil,
+    _tensor_grid,
     chart_quadrature,
     geodesic_distance,
     sqrt_det_metric,
 )
+from spherestab.operators import assemble_jacobi
 from spherestab.sampling import nearest_chart_point
 from spherestab.spectrum import _christoffel, _gradient_sq, _laplacian
 
@@ -344,3 +355,81 @@ def surface_gradient_sq_fd(M, U, fn, step=2e-3):
     U = np.asarray(U, dtype=float)
     plus, minus = _stencil(U, step)
     return _gradient_sq([fn(P) for P in plus], [fn(P) for P in minus], step, M.chart.metric_diag(U))
+
+
+# ---------------------------------------------------------------------------
+# the normal-derivative shape operator
+# ---------------------------------------------------------------------------
+
+def _unit_normal(jac, x):
+    """Unit vector orthogonal to the chart tangents and to the sphere radius."""
+    span = np.column_stack([jac, x])
+    u_svd, s, _ = np.linalg.svd(span, full_matrices=True)
+    nu = u_svd[:, -1]
+    pivot = np.argmax(np.abs(nu))
+    return nu if nu[pivot] > 0 else -nu
+
+
+def shape_by_normal_derivative(chart, u, step=1e-3):
+    """Shape data of a chart at one parameter point, with A_ab = <d_a nu, d_b x>
+    by central differences (step ``step``) of the unit normal.
+
+    Refuses (``ValueError``) a chart whose image leaves the unit sphere by
+    more than 1e-8 at u; raises ``DegenerateChart`` when cond(g) > 1e12.
+    """
+    u = np.asarray(u, dtype=float)
+    x = chart.embed(u)
+    drift = np.linalg.norm(x) - 1.0
+    if abs(drift) > 1e-8:
+        raise ValueError(f"the chart image leaves the unit sphere: |x(u)| - 1 = {drift:.3e}")
+    jac = chart.jacobian(u)
+    g = jac.T @ jac
+    _check_metric(g)
+    nu = _unit_normal(jac, x)
+
+    n = chart.dim
+    dnu = np.empty((n + 2, n))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = step
+        nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
+        nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
+        if nu_p @ nu < 0:
+            nu_p = -nu_p
+        if nu_m @ nu < 0:
+            nu_m = -nu_m
+        dnu[:, a] = (nu_p - nu_m) / (2.0 * step)
+    A = dnu.T @ jac
+    A = 0.5 * (A + A.T)
+
+    ginv = np.linalg.inv(g)
+    H = float(np.trace(ginv @ A))
+    a2 = float(np.trace(ginv @ A @ ginv @ A))
+    return ShapeData(g, nu, A, H, a2)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free pencil and its grid Rayleigh quotient
+# ---------------------------------------------------------------------------
+
+def apply_pencil(op, x):
+    """(S - V) x for a vector x of length ``op.size``, as per-axis fluxes on
+    the grid: flux = w_a * (roll(x, -1, a) - x), S x += roll(flux, 1, a) - flux."""
+    u = np.reshape(x, op.shape)
+    out = -(op.node_potential * u)
+    for a, w in enumerate(op.weights):
+        flux = w * (np.roll(u, -1, axis=a) - u)
+        out += np.roll(flux, 1, axis=a) - flux
+    return out.ravel()
+
+
+def operator_rayleigh_quotient(M, f, resolution):
+    """x^T (S - V) x / x^T B x of an ambient field f sampled at the nodes of
+    the pencil assembled at ``resolution``."""
+    op = assemble_jacobi(M, resolution)
+    x = np.asarray(f.value(M.chart.embed(_tensor_grid(op.coords))), dtype=float)
+    b = np.broadcast_to(op.node_mass, op.shape).ravel()
+    denom = float(x @ (b * x))
+    if denom <= 1e-28 * b.sum():
+        raise ZeroTestFunction("test field vanishes identically on the grid")
+    return float(x @ apply_pencil(op, x)) / denom

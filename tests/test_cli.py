@@ -393,7 +393,7 @@ def test_spectrum_builds_no_csr_matrix(tmp_path, monkeypatch):
         raise AssertionError("the spectrum run built a full-grid view")
 
     monkeypatch.setattr(ops, "_csr_views", refuse)
-    monkeypatch.setattr(ops, "_tensor_grid", refuse)
+    monkeypatch.setattr(geo, "_tensor_grid", refuse)
     assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "2", "--l", "1",
                "--resolutions", "16,20") == 0
 

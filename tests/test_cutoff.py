@@ -396,7 +396,7 @@ def test_cover_rejects_unknown_containment():
     # two torus points 1.5e-3 apart in the chart: the sixth cover holds them
     # in B(p, r/6), and a misspelt containment must not quietly build the
     # full cover (radius 0.00306, and the points leave the sixth-balls)
-    pts = geo.clifford_hypersurface((1, 1)).embed([[0.3, 1.0], [0.3, 1.0015]])
+    pts = geo.clifford_hypersurface((1, 1)).chart.embed([[0.3, 1.0], [0.3, 1.0015]])
     cover = cut.cover_singular_set(pts, 2, 1, 0.0034, metric="euclidean", containment="sixth")
     assert abs(cover.radii[0] - 0.003182) <= 1e-6 and cut.covers_points(cover, 1 / 6)
     for containment in ("Sixth", "half", ""):
@@ -1154,7 +1154,8 @@ def test_cell_mask_with_halved_speed_bound_loses_rows():
     lost = []
     for M, cover in _mask_covers():
         half = dataclasses.replace(M.chart, speed_bound=M.chart.speed_bound / 2.0)
-        lost.append(_rows_in_dropped_cells(geo.ParametrizedHypersurface(half, M.product), cover)[1])
+        M_half = geo.ParametrizedHypersurface(half, M.product, M.shape_batch)
+        lost.append(_rows_in_dropped_cells(M_half, cover)[1])
     assert max(lost) > 0
 
 

@@ -11,10 +11,19 @@ import pytest
 
 from spherestab import estimates as est
 from spherestab import geometry as geo
-from spherestab.errors import DegenerateChart, ImmersionDrift, UnsupportedFamily
+from spherestab import spectrum as spec
+from spherestab.errors import DegenerateChart, UnsupportedFamily
+from spherestab.fields import ConstantField
 from spherestab.sampling import nearest_chart_point
 
+import oracles
+
 RNG = np.random.default_rng(42)
+
+
+def _surface_id(M):
+    """Test id of a parametrized surface, e.g. ``ParametrizedHypersurface(n=2, clifford(1, 1))``."""
+    return f"ParametrizedHypersurface(n={M.dimension}, {M.family}{M.params})"
 
 
 def test_only_geometry_reads_the_sphere_product():
@@ -130,7 +139,7 @@ def test_generic_backends_match_closed_form():
     U, _ = geo.sample_points(M, 5, seed=6, pad=0.05)
     for u in U:
         cf = geo.shape_at(M, u)
-        nd = geo.shape_at(M, u, method="normal-derivative")
+        nd = oracles.shape_by_normal_derivative(M.chart, u)
         # O(h^2) truncation with h = 1e-3 on a curved chart
         assert abs(nd.norm_A_sq - cf.norm_A_sq) <= 5e-6
         assert abs(nd.mean_curvature) <= 5e-6
@@ -147,10 +156,10 @@ def test_normal_derivative_refinement():
     # errors shrink ~4x per halving
     M = geo.clifford_hypersurface((1, 2))
     u = geo.sample_points(M, 1, seed=7, pad=0.05)[0][0]
-    cf = geo.shape_at(M, u, method="closed-form")
+    cf = geo.shape_at(M, u)
     errs = []
     for h in (2e-3, 1e-3, 5e-4):
-        nd = geo.shape_at(M, u, method="normal-derivative", fd_step=h)
+        nd = oracles.shape_by_normal_derivative(M.chart, u, step=h)
         diff = min(
             np.abs(nd.second_fundamental - cf.second_fundamental).max(),
             np.abs(nd.second_fundamental + cf.second_fundamental).max(),
@@ -173,15 +182,14 @@ def test_chart_invariance_reparametrized_torus(torus):
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
         base.speed_bound,
     )
-    M2 = geo.ParametrizedHypersurface(chart2, torus.product)
     U, X = geo.sample_points(torus, 5, seed=8)
     U2 = chart2.inverse(X)                    # the same ambient points in the shifted chart
     assert np.max(np.abs(chart2.embed(U2) - X)) <= 1e-12
     density = geo.sqrt_det_metric(base, U)
     assert np.max(np.abs(geo.sqrt_det_metric(chart2, U2) / density - 1.0)) <= 1e-12
     for u in U:
-        sd2 = geo.shape_at(M2, u - off)       # same ambient point
-        sd = geo.shape_at(torus, u, method="normal-derivative")
+        sd2 = oracles.shape_by_normal_derivative(chart2, u - off)   # same ambient point
+        sd = oracles.shape_by_normal_derivative(base, u)
         assert abs(sd2.norm_A_sq - sd.norm_A_sq) <= 1e-10
         assert abs(sd2.mean_curvature) <= 1e-8
         # O(h^2) truncation with h = 1e-3, as in the comparison with the closed form
@@ -205,14 +213,18 @@ def test_chart_requires_its_analytic_frame(torus):
 def test_surface_refuses_a_chart_without_its_product(torus, product, error, match):
     # a surface is built once from its exact description, of its chart's dimension
     with pytest.raises(error, match=match):
-        geo.ParametrizedHypersurface(torus.chart, *product)
+        geo.ParametrizedHypersurface(torus.chart, *product, closed_form=torus.shape_batch)
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda M: geo.shape_at(M, np.full((2, 2), 0.3)), "single parameter point"),
-    (lambda M: geo.shape_at(M, np.array([0.3, 0.4]), method="closed"), "unknown method"),
+    (lambda M: geo.shape_at(M, [0.3, 1.2, 5.0]), "of length 2"),
+    (lambda M: geo.shape_at(M, [0.3]), "of length 2"),
     (lambda M: geo.chart_quadrature(M.chart, [8, 8, 8]), "resolution list length"),
-], ids=["2-D point", "unknown method", "resolution list length"])
+    (lambda M: geo.chart_quadrature(M.chart, [8, 0]), "resolution must be >= 1"),
+    (lambda M: spec.rayleigh_quotient(M, ConstantField(1.0), resolution=-3), "resolution must be >= 1"),
+], ids=["2-D point", "3-coordinate point", "1-coordinate point", "resolution list length",
+        "zero resolution", "negative resolution"])
 def test_geometry_refuses_malformed_input(torus, call, match):
     with pytest.raises(ValueError, match=match):
         call(torus)
@@ -232,9 +244,8 @@ def test_immersion_drift_raises(torus):
         jacobian=lambda U: 1.001 * base.jacobian(U),
         metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
     )
-    M = geo.ParametrizedHypersurface(bad, torus.product)
-    with pytest.raises(ImmersionDrift):
-        geo.shape_at(M, np.array([0.3, 0.4]))
+    with pytest.raises(ValueError, match="leaves the unit sphere"):
+        oracles.shape_by_normal_derivative(bad, np.array([0.3, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def test_sphere_angles_inverts_sphere_point(k):
     box, _ = geo._sphere_axes(k)
     rng = np.random.default_rng(k)
     t = rng.uniform(box[:, 0] + 0.01, box[:, 1] - 0.01, size=(50, k))
-    x = geo.sphere_point(t)
+    x = geo.equator(k).chart.embed(t)[..., :-1]
     assert np.max(np.abs(geo.sphere_angles(x) - t)) <= 1e-12
     assert np.max(np.abs(geo.sphere_angles(3.0 * x) - t)) <= 1e-12  # scale-free
 
@@ -313,9 +324,8 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (4, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 4)])
 def test_embed_and_jacobian_match_former_loops(k, l):
-    # bit for bit, signs of zero included: sphere_point and sphere_jacobian,
-    # and the equator and clifford embed and jacobian, which write each
-    # (scaled) factor straight into one output
+    # bit for bit, signs of zero included: the equator and clifford embed
+    # and jacobian, which write each (scaled) factor straight into one output
     M = geo.equator(k) if l == 0 else geo.clifford_hypersurface((k, l))
     rng = np.random.default_rng(7 * k + l)
     for base in [(), (1,), (300,), (6, 7)]:
@@ -325,8 +335,6 @@ def test_embed_and_jacobian_match_former_loops(k, l):
         jac = np.zeros(base + (M.dimension + 2, M.dimension))
         if l == 0:
             x, jac[..., :-1, :] = _former_sphere_point(U), _former_sphere_jacobian(U)
-            assert _same_bits(geo.sphere_point(U), x)
-            assert _same_bits(geo.sphere_jacobian(U), jac[..., :-1, :])
             x = np.concatenate([x, np.zeros(base + (1,))], axis=-1)
         else:
             rk, rl = M.product.radii
@@ -339,7 +347,7 @@ def test_embed_and_jacobian_match_former_loops(k, l):
 
 
 @pytest.mark.parametrize("M", [geo.equator(3), geo.clifford_hypersurface((1, 1)),
-                               geo.clifford_hypersurface((2, 1))], ids=repr)
+                               geo.clifford_hypersurface((2, 1))], ids=_surface_id)
 def test_jacobian_at_zero_angles_matches_central_differences(M):
     # every combination of exactly-zero angles among random ones: the
     # derivative through a vanishing sin t_a must not be dropped
@@ -470,7 +478,7 @@ def test_volume_growth_exact_values(kl, geodesic, chord):
     assert abs(geo.measure_volume_growth(M, metric="euclidean") - chord) <= 1e-4
 
 
-@pytest.mark.parametrize("M", BUILT_IN, ids=repr)
+@pytest.mark.parametrize("M", BUILT_IN, ids=_surface_id)
 def test_ball_area_limits(M):
     n = M.dimension
     area = _exact_area(M)

@@ -404,7 +404,7 @@ def _sphere_chart_on_box(box):
 def test_assembly_refuses_degenerate_open_grid(equator2):
     # polar nodes at -0.5 + (i + 1/2) * 1 = i: the node t = 0 has g_11 = sin^2 0 = 0
     degenerate = _sphere_chart_on_box([[-0.5, 7.5], [0.0, 2.0 * np.pi]])
-    M = geo.ParametrizedHypersurface(degenerate, equator2.product)
+    M = geo.ParametrizedHypersurface(degenerate, equator2.product, equator2.shape_batch)
     assert np.any(geo._tensor_grid([ops.grid_axes(degenerate, 8)[0][0]]) == 0.0)
     with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
         ops.assemble_jacobi(M, 8)
@@ -423,7 +423,7 @@ def test_assembly_refuses_vanishing_mass(equator2):
 
     chart = dataclasses.replace(equator2.chart, metric_diag=tiny)
     with pytest.raises(AssemblyFailure):
-        ops.assemble_jacobi(geo.ParametrizedHypersurface(chart, equator2.product), 8)
+        ops.assemble_jacobi(geo.ParametrizedHypersurface(chart, equator2.product, equator2.shape_batch), 8)
 
 
 def test_assembly_preconditions(torus):

@@ -9,7 +9,10 @@ python blocks.  Every function and method defined under ``src/spherestab``
 (found by ``ast``, nested ones included) that never ran must be in
 ``UNREACHED``, and every name there must be one that never ran, so that
 code only the tests call cannot creep back into the library unnoticed.
-Test oracles live in ``tests/oracles.py``.
+Test oracles live in ``tests/oracles.py``.  A reason that starts with
+``benchmark read:`` quotes, in backticks, the expression by which
+``perfbench/spans.py`` reads the function, and that expression must occur
+there, so the reason goes stale with the benchmark.
 """
 
 import ast
@@ -24,10 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spherestab"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 _ITEM_12 = "ROADMAP item 12: the product cutoff bounds take the cover's class count K from it"
-_CSR = "benchmark read: perfbench/spans.py reads the CSR view (op.stiffness.nnz); ROADMAP item 17"
-_OPERATOR_RQ = "rayleigh_quotient(method='operator'), the grid oracle of the stability quotient"
+_CSR = "benchmark read: perfbench/spans.py reads the CSR view as `op.stiffness.nnz`; ROADMAP item 17"
+_FIELD_METHOD = "benchmark read: perfbench/spans.py wraps it as {} in FIELD_METHODS"
+_EXPORT = ("README File formats: export_coo(which=...) reads the {} CSR view; "
+           "no benchmark reads it")
 _FIELD = ("ROADMAP item 11: the spectrum report's Rayleigh quotient of the ambient "
           "coordinates x_j (-> -n)")
 _HESSIAN = ("the field protocol (value, gradient, Hessian) that fields.surface_laplacian "
@@ -41,8 +47,8 @@ UNREACHED = {
     "cutoff.BallCover.subset": _ITEM_12,
     "cutoff.enlarged_class_count": _ITEM_12,
     "cutoff.vitali_discard": _ITEM_12,
-    "cutoff.CutoffField.active_index": "benchmark read: perfbench/spans.py wraps it (FIELD_METHODS)",
-    "cutoff.CutoffField.ambient_hessian": "benchmark read: perfbench/spans.py wraps it (FIELD_METHODS)",
+    "cutoff.CutoffField.active_index": _FIELD_METHOD.format('`"active_index"`'),
+    "cutoff.CutoffField.ambient_hessian": _FIELD_METHOD.format('`"ambient_hessian"`'),
     "cutoff.load_point_cloud": "CLI option: cutoff --singular-set FILE; no README line passes a file",
     "estimates.ssy_constants": "ROADMAP item 7: the improved Kato bound 1 + 2/n",
     "fields.AmbientCoordinateField.value": _FIELD,
@@ -50,25 +56,15 @@ UNREACHED = {
     "fields.AmbientCoordinateField.ambient_hessian": _HESSIAN,
     "fields.ConstantField.ambient_hessian": _HESSIAN,
     "fields._zero_hessian": _HESSIAN,
-    "geometry.ParametrizedHypersurface.__repr__": "error path: names the surface in shape_batch's refusal",
-    "geometry.ParametrizedHypersurface.embed": _OPERATOR_RQ,
-    "geometry._unit_normal": ("shape_at(method='normal-derivative'), the oracle of the closed "
-                              "form; ROADMAP items 2 and 18(c)"),
-    "geometry.sphere_point": ("public hyperspherical coordinates: the allocating form of the "
-                              "in-place writer the charts run"),
-    "geometry.sphere_jacobian": ("public hyperspherical coordinates: the allocating form of the "
-                                 "in-place writer the charts run"),
     "operators.DiscreteOperator._csr": _CSR,
     "operators.DiscreteOperator.stiffness": _CSR,
-    "operators.DiscreteOperator.mass": _CSR,
-    "operators.DiscreteOperator.potential": _CSR,
+    "operators.DiscreteOperator.mass": _EXPORT.format("B"),
+    "operators.DiscreteOperator.potential": _EXPORT.format("V"),
     "operators.DiscreteOperator.export_coo": "README File formats: the matrix export of a CSR view",
     "operators._csr_views": _CSR,
     "operators._csr_views.diagonal_csr": _CSR,
-    "operators.DiscreteOperator.apply": _OPERATOR_RQ,
-    "operators.DiscreteOperator.mass_diagonal": _OPERATOR_RQ,
-    "operators.DiscreteOperator.nodes": _OPERATOR_RQ,
-    "sampling.BoxEstimates.samples": "benchmark read: perfbench/spans.py counts sampling.samples",
+    "sampling.BoxEstimates.samples": ("benchmark read: perfbench/spans.py counts sampling.samples "
+                                      "from `estimate.samples`"),
 }
 
 # run in a fresh interpreter: argv is the package directory, the CLI runs
@@ -138,3 +134,25 @@ def test_every_unreached_function_has_a_recorded_reason(tmp_path):
     missing = sorted(unreached - set(UNREACHED))  # never run, and no recorded reason
     stale = sorted(set(UNREACHED) - unreached)    # recorded, but it ran or is gone
     assert (missing, stale) == ([], [])
+
+
+def _stale_benchmark_reads(reasons, spans):
+    """The ``benchmark read:`` reasons that quote no expression, or quote one
+    that the benchmark source ``spans`` does not contain."""
+    stale = []
+    for name, reason in sorted(reasons.items()):
+        if reason.startswith("benchmark read:"):
+            quoted = re.findall(r"`([^`]+)`", reason)
+            if not quoted or any(expr not in spans for expr in quoted):
+                stale.append(name)
+    return stale
+
+
+def test_benchmark_reads_are_quoted_from_the_benchmark():
+    spans = SPANS.read_text()
+    assert sum(reason.startswith("benchmark read:") for reason in UNREACHED.values()) == 7
+    assert _stale_benchmark_reads(UNREACHED, spans) == []
+    # a benchmark that stops reading an expression leaves its entries stale
+    for expr, names in [("op.stiffness.nnz", 4), ("estimate.samples", 1), ('"active_index"', 1)]:
+        assert len(_stale_benchmark_reads(UNREACHED, spans.replace(expr, "0"))) == names
+    assert _stale_benchmark_reads({"f": "benchmark read: no quoted expression"}, spans) == ["f"]
