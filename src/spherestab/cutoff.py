@@ -54,13 +54,11 @@ from .sampling import (
     MCEstimate,
     ZERO_ESTIMATE,
     _cell_grid,
-    _stratified_rows,
     nearest_chart_point,
     stratified_integral,
 )
 
 BUDGET_SHARE = 0.9   # fraction of epsilon the greedy cover actually spends
-_CHUNK_ROWS = 8192   # sample rows per batched pass of gradient_integral_estimate
 _BOX_SAFETY = 1.5    # first chart box of a ball: this many reaches over the axis speed
 _FACE_SAMPLES = 7    # samples per axis of a chart-box face tested against its ball
 
@@ -645,14 +643,13 @@ def gradient_integral_estimate(
     thin annuli; global sampling would miss them), deduplicated by the
     active-ball partition, and the per-ball estimates are summed in ball
     order.  All balls' chart boxes come from one batched search
-    (:func:`_ball_chart_boxes`), and the boxes are sampled in chunks of at
-    most ``_CHUNK_ROWS`` rows (at least one ball each), so the transient
-    memory does not grow with the ball count.  Each row is first screened
-    by the distance to its own ball: only rows that may lie in its ramp
-    annulus evaluate the ramps, and only those of the ball's neighbours,
-    the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j; no other ramp can
-    drop below 1 where ball i's does, so the active ball and the integrand
-    equal those of the full field bit for bit.  Raises
+    (:func:`_ball_chart_boxes`) and are sampled in one stacked
+    :func:`stratified_integral` call, which bounds the rows in memory.
+    Each row is first screened by the distance to its own ball: only rows
+    that may lie in its ramp annulus evaluate the ramps, and only those of
+    the ball's neighbours, the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j;
+    no other ramp can drop below 1 where ball i's does, so the active ball
+    and the integrand equal those of the full field bit for bit.  Raises
     :class:`InsufficientSamples` when the standard error exceeds 10% of the
     bound; an estimate above bound + 3 stderr is returned as a report with
     ``passed`` false.
@@ -672,19 +669,10 @@ def gradient_integral_estimate(
         boxes, hit = _ball_chart_boxes(M, cover.centers, reach, cover.metric)
         integrand = _annulus_gradient_integrand(M, field, q)
         balls = np.flatnonzero(hit)
-        rows = _stratified_rows(M.chart.dim, strata, samples_per_cell)
-        per_chunk = max(1, _CHUNK_ROWS // rows)
-        for lo in range(0, len(balls), per_chunk):
-            chunk = balls[lo:lo + per_chunk]
-            for est in stratified_integral(
-                M,
-                lambda U, X, chunk=chunk: integrand(U, X, chunk),
-                box=boxes[chunk],
-                strata=strata,
-                samples_per_cell=samples_per_cell,
-                seed=[rng_children[i] for i in chunk],
-            ):
-                total = total + est
+        total = sum(stratified_integral(
+            M, lambda U, X, box: integrand(U, X, balls[box]), box=boxes[balls], strata=strata,
+            samples_per_cell=samples_per_cell, seed=[rng_children[i] for i in balls],
+        ), total)
 
     if total.stderr > 0.1 * bound:
         raise InsufficientSamples(
@@ -729,10 +717,9 @@ def _neighbour_table(neighbours):
 
 
 def _annulus_gradient_integrand(M, field, q):
-    """``integrand(U, X, balls)``: |grad phi|^q where the row's own ball holds
-    the active ramp with nonzero slope, else 0.  The rows come box by box,
-    the same number for each ball of ``balls``, as a stacked
-    :func:`stratified_integral` call lays them out.
+    """``integrand(U, X, own)``: |grad phi|^q where the row's own ball
+    ``own`` (one cover index per row) holds the active ramp with nonzero
+    slope, else 0.
 
     A row outside a conservative screen of its ball's open annulus
     r < d < 2 r (where the ramp slope is nonzero) reads an exact 0.0 without
@@ -749,15 +736,13 @@ def _annulus_gradient_integrand(M, field, q):
     inner_sq = _chord_sq_bound(cover.radii, cover.metric, lower=True)
     outer_sq = _chord_sq_bound(2.0 * cover.radii, cover.metric)
 
-    def integrand(U, X, balls):
-        dim = X.shape[-1]
-        diff = X.reshape(len(balls), -1, dim) - cover.centers[balls, None, :]
-        sq = np.einsum("bpj,bpj->bp", diff, diff)
-        screen = (sq > inner_sq[balls, None]) & (sq < outer_sq[balls, None])
-        rows = np.flatnonzero(screen)
-        own = balls[rows // screen.shape[1]]
+    def integrand(U, X, own):
+        diff = X - cover.centers[own]
+        sq = np.einsum("pj,pj->p", diff, diff)
+        rows = np.flatnonzero((sq > inner_sq[own]) & (sq < outer_sq[own]))
+        own = own[rows]
         # every row's own ramp, then the inf over the neighbours where there are any
-        d, grad_d = _distance_gradient(diff[screen], cover.metric)
+        d, grad_d = _distance_gradient(diff[rows], cover.metric)
         _, slope = field._ramps(d, cover.radii[own])
         keep = slope > 0.0
         grad = slope[:, None] * grad_d
@@ -929,7 +914,7 @@ def _cells_meeting_balls(M, cover: BallCover, strata):
     centres and of the sample rows' images.
     """
     chart = M.chart
-    lows, sides = (a[0] for a in _cell_grid(np.asarray(chart.box, dtype=float)[None], strata))
+    lows, sides = _cell_grid(np.asarray(chart.box, dtype=float)[None], strata)
     if cover.size == 0:
         return np.zeros(len(lows), dtype=bool)
     rho = math.sqrt(float(np.max(np.sum((chart.speed_bound * sides / 2.0) ** 2, axis=-1))))
@@ -940,7 +925,7 @@ def _cells_meeting_balls(M, cover: BallCover, strata):
 def _quality_integrands(M, field: CutoffField):
     """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|."""
     return (
-        lambda U, X: (field.value(X) < 1.0 - 1e-12).astype(float),
-        lambda U, X: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
-        lambda U, X: np.abs(surface_laplacian(M, U, X, *field._product_derivatives(X))),
+        lambda U, X, box: (field.value(X) < 1.0 - 1e-12).astype(float),
+        lambda U, X, box: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
+        lambda U, X, box: np.abs(surface_laplacian(M, U, X, *field._product_derivatives(X))),
     )

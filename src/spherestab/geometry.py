@@ -549,6 +549,21 @@ def _per_axis(resolution, n):
     return res
 
 
+_MAX_NODES = 96**3   # nodes of one capped grid: the largest a report draws, the n = 3 product's
+
+
+def _capped_per_axis(resolution, n):
+    """Per-axis counts of :func:`_per_axis`, each capped at the largest s with
+    s^n <= ``_MAX_NODES`` (30 at n = 4, 15 at n = 5, 9 at n = 6), so that no
+    grid holds more nodes in high dimension than the n = 3 product report's
+    96^3.  The cells of a stratified integral and the nodes of a Rayleigh
+    quotient's quadrature both take their counts from here."""
+    cap = round(_MAX_NODES ** (1.0 / n))
+    while cap**n > _MAX_NODES:
+        cap -= 1
+    return [min(c, cap) for c in _per_axis(resolution, n)]
+
+
 def _row_product(entries):
     """The product of a sequence of entries, left to right, as a reduce of ``np.multiply``.
 

@@ -32,6 +32,7 @@ from .errors import AssemblyFailure, NonMinimal, ZeroTestFunction
 from .fields import ConstantField, tangential_gradient_sq
 from .geometry import (
     ParametrizedHypersurface,
+    _capped_per_axis,
     _diag_embed,
     _difference,
     _stencil,
@@ -126,18 +127,14 @@ def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:
     """Stability Rayleigh quotient of a test field (an ambient field of :mod:`.fields`).
 
     Integrates |grad f|^2 - (|A|^2 + n) f^2 and f^2 with the chart
-    quadrature of ``resolution`` nodes per axis (on charts of dimension > 3,
-    at ``max(2000, resolution)`` sampled points), |grad f|^2 from the
-    field's ambient gradient through :func:`.fields.tangential_gradient_sq`.
+    quadrature of ``resolution`` nodes per axis, capped in high dimension
+    as the strata of a stratified integral are (9 per axis at n = 6),
+    |grad f|^2 from the field's ambient gradient through
+    :func:`.fields.tangential_gradient_sq`.
     """
     chart = M.chart
-    if chart.dim <= 3:
-        nodes, weights = chart_quadrature(chart, resolution)
-        w = weights * sqrt_det_metric(chart, nodes)
-    else:
-        # high-dimensional charts: sampled quadrature with density weights
-        nodes, _ = sample_points(M, max(2000, resolution), seed=0)
-        w = sqrt_det_metric(chart, nodes)
+    nodes, weights = chart_quadrature(chart, _capped_per_axis(resolution, chart.dim))
+    w = weights * sqrt_det_metric(chart, nodes)
     X = chart.embed(nodes)
     vals = np.asarray(f.value(X), dtype=float)
     grads = tangential_gradient_sq(M, nodes, f.ambient_gradient(X))

@@ -629,25 +629,37 @@ def test_cutoff_reaches_four_dimensional_products(tmp_path):
     assert doc["passed"] and 0.0 < doc["integral"] <= doc["bound"]
 
 
+def _limit_address_space_to_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize("argv", [
     ["--k", "2", "--l", "2", "--points", "3", "--kind", "product"],
     ["--k", "3", "--l", "3", "--points", "1", "--kind", "inf"],
 ], ids=" ".join)
-def test_high_dimensional_cutoff_fits_in_4_gib(tmp_path, argv):
+def test_high_dimensional_cutoff_fits_in_1_gib(tmp_path, argv):
     # 96 strata per axis would make 96^4 = 85M cells in the n = 4 product
     # report, and 14 strata 14^6 = 7.5M cells in one n = 6 ball box; the
-    # capped counts must pass in a child whose address space is 4 GiB,
-    # where an uncapped grid raises MemoryError instead of meeting the
-    # host's out-of-memory killer
-    limit = 4 << 30
+    # counts are capped (30^4 and 9^6 cells), and the n = 6 box's 1.6M
+    # sample rows are formed a chunk at a time.  A child whose address
+    # space is 1 GiB, with OpenBLAS on one thread (each thread's buffers
+    # reserve address space), must exit 0 and write the unlimited child's
+    # report and stdout byte for byte, where an uncapped grid or a box
+    # formed whole raises MemoryError instead of meeting the host's
+    # out-of-memory killer
     argv = ["cutoff", "--family", "clifford", *argv, "--epsilon", "0.5", "--exponent", "1",
             "--format", "json", "--out", str(tmp_path)]
-    out = subprocess.run([sys.executable, "-m", "spherestab.cli", *argv], env=_child_env(),
-                         capture_output=True, text=True,
-                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert out.returncode == 0, out.stderr[-2000:]
-    (report,) = tmp_path.iterdir()
-    assert json.loads(report.read_text())["passed"] is True
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1"}
+    runs = []
+    for preexec_fn in (None, _limit_address_space_to_1_gib):
+        out = subprocess.run([sys.executable, "-m", "spherestab.cli", *argv], env=env,
+                             capture_output=True, text=True, preexec_fn=preexec_fn)
+        assert out.returncode == 0, out.stderr[-2000:]
+        (report,) = tmp_path.iterdir()
+        runs.append((out.stdout, report.read_text()))
+        report.unlink()
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["passed"] is True
 
 
 def test_cutoff_lowers_radius_floor_for_many_points(tmp_path):

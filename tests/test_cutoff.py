@@ -20,7 +20,7 @@ from spherestab.errors import (
     UnsupportedFamily,
 )
 from spherestab.fields import AmbientCoordinateField, ConstantField
-from spherestab.sampling import ZERO_ESTIMATE, _stratified_rows, nearest_chart_point, stratified_integral
+from spherestab.sampling import ZERO_ESTIMATE, nearest_chart_point, stratified_integral
 
 import oracles
 
@@ -756,9 +756,10 @@ def test_gradient_estimate_ball_at_coordinate_pole():
 
 
 def _all_balls_integrand(M, field, i, q):
-    """|grad phi|^q where ball i holds the active ramp with nonzero slope, from every ball's ramp."""
+    """|grad phi|^q where ball i holds the active ramp with nonzero slope, from
+    every ball's ramp; the rows' box indices go unread."""
 
-    def integrand(U, X):
+    def integrand(U, X, box):
         d, grad_d = field._dist_grad(X)
         vals, slope = field._ramps(d)
         act = vals.argmin(axis=1)
@@ -820,16 +821,15 @@ def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
         edges = [_rows_straddling(M, field, i, target, 20, rng) for target in (cov.radii[i], 2.0 * cov.radii[i])]
         box = rng.uniform(boxes[i, :, 0], boxes[i, :, 1], size=(400, M.dimension))
         blocks.append(np.vstack([U_all, box, *edges]))
-    assert len({len(block) for block in blocks}) == 1  # the integrand's layout: equal blocks
     U = np.vstack(blocks)
     X = M.chart.embed(U)
     own = np.repeat(np.arange(count), [len(block) for block in blocks])
     nonzero = 0
     for q in (0, 1, 2):  # q = 0 reads 1 on the whole support of the slope
-        batched = cut._annulus_gradient_integrand(M, field, q)(U, X, np.arange(count))
+        batched = cut._annulus_gradient_integrand(M, field, q)(U, X, own)
         for i in range(count):
             rows = own == i
-            assert np.array_equal(batched[rows], _all_balls_integrand(M, field, i, q)(U[rows], X[rows]))
+            assert np.array_equal(batched[rows], _all_balls_integrand(M, field, i, q)(U[rows], X[rows], None))
         nonzero += int(np.count_nonzero(batched))
         edge_rows = np.concatenate([np.flatnonzero(own == i)[-80:] for i in range(count)])
         assert np.count_nonzero(batched[edge_rows]) > 10 * count  # the ulp rows inside the annulus
@@ -919,7 +919,8 @@ def _identity_covers():
 def test_batched_gradient_estimate_matches_per_ball_loop(case, monkeypatch):
     # the batched box search, stacked sampling and annulus integrand give
     # the per-ball loop's integral, stderr and samples bit for bit, and the
-    # chunk size (one ball per chunk, or every ball in one) changes nothing
+    # sampler's chunk size (7 rows, which splits every box, the default, or
+    # every ball in one chunk) changes nothing
     name, M, cover, q = _identity_covers()[case]
     field = cut.build_inf_cutoff(cover)
     strata, per_cell = (14, 3) if M.dimension == 2 else (8, 3)
@@ -929,8 +930,8 @@ def test_batched_gradient_estimate_matches_per_ball_loop(case, monkeypatch):
     if name == "growth":
         assert max(rounds) > 1
     reports = []
-    for chunk_rows in (cut._CHUNK_ROWS, _stratified_rows(M.dimension, strata, per_cell), 10**9):
-        monkeypatch.setattr(cut, "_CHUNK_ROWS", chunk_rows)
+    for chunk_rows in (7, smp._CHUNK_ROWS, 10**9):
+        monkeypatch.setattr(smp, "_CHUNK_ROWS", chunk_rows)
         rep = cut.gradient_integral_estimate(M, field, C_V=5.0, strata=strata,
                                              samples_per_cell=per_cell, seed=5)
         assert (rep.integral, rep.stderr, rep.samples) == (expected.value, expected.stderr, expected.samples)
@@ -1101,14 +1102,14 @@ def test_quality_integrands_read_zero_outside_every_ball(torus):
         outside = np.all(np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) >= cover.radii, axis=1)
         assert 0 < outside.sum() < len(U) if cover.size else outside.all()
         for integrand in cut._quality_integrands(torus, field):
-            assert np.all(integrand(U, X)[outside] == 0.0)
+            assert np.all(integrand(U, X, None)[outside] == 0.0)
         if cover.size:
             vals, slope = field._ramps(field._dist_grad(X[outside])[0])
             assert np.all(vals == 1.0) and np.all(slope == 0.0)
     # points just inside a ball (and off the other balls' zero sets) carry
     # nonzero ramp derivatives
     lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
-    assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3])) > 0.0) >= 10
+    assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3]), None) > 0.0) >= 10
 
 
 def _mask_covers():
@@ -1133,7 +1134,7 @@ def _rows_in_dropped_cells(M, cover, strata=96, per_cell=12, seed=0):
     ``per_cell`` random rows in each cell of the chart box."""
     chart = M.chart
     cells = cut._cells_meeting_balls(M, cover, strata)
-    lows, sides = (a[0] for a in smp._cell_grid(np.asarray(chart.box, dtype=float)[None], strata))
+    lows, sides = smp._cell_grid(np.asarray(chart.box, dtype=float)[None], strata)
     U = lows[:, None, :] + np.random.default_rng(seed).random((len(lows), per_cell, 2)) * sides[:, None, :]
     X = chart.embed(U.reshape(-1, 2))
     inside = np.any(geo.chord_distance(X[:, None, :], cover.centers) < cover.radii, axis=1)

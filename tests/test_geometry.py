@@ -223,8 +223,10 @@ def test_surface_refuses_a_chart_without_its_product(torus, product, error, matc
     (lambda M: geo.chart_quadrature(M.chart, [8, 8, 8]), "resolution list length"),
     (lambda M: geo.chart_quadrature(M.chart, [8, 0]), "resolution must be >= 1"),
     (lambda M: spec.rayleigh_quotient(M, ConstantField(1.0), resolution=-3), "resolution must be >= 1"),
+    (lambda M: spec.rayleigh_quotient(geo.clifford_hypersurface((2, 2)), ConstantField(1.0), resolution=-3),
+     "resolution must be >= 1"),
 ], ids=["2-D point", "3-coordinate point", "1-coordinate point", "resolution list length",
-        "zero resolution", "negative resolution"])
+        "zero resolution", "negative resolution", "negative resolution at n = 4"])
 def test_geometry_refuses_malformed_input(torus, call, match):
     with pytest.raises(ValueError, match=match):
         call(torus)

@@ -15,15 +15,15 @@ import oracles
 from oracles import local_polar_integral
 
 
-def _dense_reference(M, fns, boxes, seeds, strata, samples_per_cell):
+def _dense_reference(M, fn, boxes, seeds, strata, samples_per_cell):
     # every row weighted by its density and every cell reduced, as the
-    # sampler did before it skipped the rows where fn is zero; fns holds
-    # one integrand of (U, X) per box
+    # sampler did before it skipped the rows where fn is zero, box by box
+    # with all its rows at once; fn(U, X, box) gets the box index i
     chart = M.chart
     n = chart.dim
     k = max(2, int(samples_per_cell))
     out = []
-    for fn, box, seed in zip(fns, boxes, seeds):
+    for i, (box, seed) in enumerate(zip(boxes, seeds)):
         edges = [np.linspace(lo, hi, strata + 1) for lo, hi in box]
         lows = geo._tensor_grid([e[:-1] for e in edges])
         sides = geo._tensor_grid([np.diff(e) for e in edges])
@@ -31,7 +31,7 @@ def _dense_reference(M, fns, boxes, seeds, strata, samples_per_cell):
         draws = np.random.default_rng(seed).random((len(lows), k, n))
         flat = (lows[:, None, :] + draws * sides[:, None, :]).reshape(-1, n)
         X = chart.embed(flat)
-        vals = np.asarray(fn(flat, X), dtype=float) * geo.sqrt_det_metric(chart, flat)
+        vals = np.asarray(fn(flat, X, i), dtype=float) * geo.sqrt_det_metric(chart, flat)
         vals = vals.reshape(len(lows), k)
         mean, var = vals.mean(axis=-1), vals.var(axis=-1, ddof=1)
         out.append(MCEstimate(float(np.sum(vols * mean)),
@@ -56,30 +56,31 @@ def _cases():
 
 
 @pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
-def test_live_row_density_matches_dense_reference(case):
-    # bit for bit: value, stderr and samples of each box, stacked or alone;
-    # the stacked integrand reads each row's box from the documented layout
-    # (box by box, _stratified_rows rows each)
+def test_live_row_density_matches_dense_reference(case, monkeypatch):
+    # bit for bit: value, stderr and samples of each box, stacked or alone,
+    # whether a chunk of rows splits a box (7 rows), holds the default
+    # count or the whole stack; the stacked integrand reads each row's box
+    # from its third argument
     M, boxes = _cases()[case]
     strata, per_cell = 6, 3
     seeds = np.random.SeedSequence(17).spawn(len(boxes))
-    fns = [lambda U, X, b=b: _signed_sparse(U, X, b) for b in range(len(boxes))]
     seen = []
-    expected = _dense_reference(M, [lambda U, X, fn=fn: seen.append(fn(U, X)) or seen[-1] for fn in fns],
+    expected = _dense_reference(M, lambda U, X, i: seen.append(_signed_sparse(U, X, i)) or seen[-1],
                                 boxes, seeds, strata, per_cell)
     seen = np.concatenate(seen)
     assert (seen < 0).any() and (seen > 0).any() and (seen == 0).mean() > 0.3
-    rows = smp._stratified_rows(M.dimension, strata, per_cell)
-    stacked = stratified_integral(M, lambda U, X: _signed_sparse(U, X, np.arange(len(U)) // rows),
-                                  box=np.array(boxes, dtype=float), strata=strata,
-                                  samples_per_cell=per_cell, seed=seeds)
-    assert isinstance(stacked, BoxEstimates)
-    assert list(stacked) == expected
-    assert stacked.samples == sum(est.samples for est in expected) == len(boxes) * rows
-    for fn, box, seed, ref in zip(fns, boxes, seeds, expected):
-        alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
-                                    seed=seed)
-        assert alone == ref
+    for chunk_rows in (7, smp._CHUNK_ROWS, 10**9):
+        monkeypatch.setattr(smp, "_CHUNK_ROWS", chunk_rows)
+        stacked = stratified_integral(M, _signed_sparse, box=np.array(boxes, dtype=float),
+                                      strata=strata, samples_per_cell=per_cell, seed=seeds)
+        assert isinstance(stacked, BoxEstimates)
+        assert list(stacked) == expected
+        assert stacked.samples == sum(est.samples for est in expected)
+        assert stacked.samples == len(boxes) * strata**M.dimension * per_cell
+        for i, (box, seed, ref) in enumerate(zip(boxes, seeds, expected)):
+            alone = stratified_integral(M, lambda U, X, box, i=i: _signed_sparse(U, X, i), box=box,
+                                        strata=strata, samples_per_cell=per_cell, seed=seed)
+            assert alone == ref
 
 
 def test_rows_on_a_pole_match_dense_reference():
@@ -88,16 +89,16 @@ def test_rows_on_a_pole_match_dense_reference():
     M = geo.clifford_hypersurface((2, 1))
     box = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
     seed = np.random.SeedSequence(5)
-    fn = lambda U, X: _signed_sparse(U, X, 0)  # noqa: E731
-    expected = _dense_reference(M, [fn], [box], [seed], 4, 2)[0]
+    expected = _dense_reference(M, _signed_sparse, [box], [seed], 4, 2)[0]
     u = np.array([[0.0, 1.0, 2.0]])
-    assert fn(u, M.chart.embed(u))[0] != 0.0 and geo.sqrt_det_metric(M.chart, u)[0] == 0.0
-    assert stratified_integral(M, fn, box=box, strata=4, seed=seed) == expected
+    assert _signed_sparse(u, M.chart.embed(u), 0)[0] != 0.0
+    assert geo.sqrt_det_metric(M.chart, u)[0] == 0.0
+    assert stratified_integral(M, _signed_sparse, box=box, strata=4, seed=seed) == expected
 
 
 def test_all_zero_integrand_reads_exact_zero():
     M = geo.clifford_hypersurface((1, 2))
-    est = stratified_integral(M, lambda U, X: np.zeros(len(U)), strata=5, seed=3)
+    est = stratified_integral(M, lambda U, X, box: np.zeros(len(U)), strata=5, seed=3)
     assert (est.value, est.stderr, est.samples) == (0.0, 0.0, 5**3 * 2)
     assert not math.copysign(1.0, est.value) < 0
 
@@ -108,7 +109,7 @@ def test_zero_width_box_leaves_stacked_boxes_unchanged():
     M = geo.clifford_hypersurface((2, 1))
     box = [[0.0, 0.4], [0.5, 2.0], [1.0, 3.0]]
     pole = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
-    fn = lambda U, X: X[:, 0]  # noqa: E731
+    fn = lambda U, X, box: X[:, 0]  # noqa: E731
     alone = stratified_integral(M, fn, box=box, strata=6, samples_per_cell=3, seed=11)
     stacked = stratified_integral(M, fn, box=np.array([box, pole]), strata=6,
                                   samples_per_cell=3, seed=[11, 11])
@@ -118,7 +119,7 @@ def test_zero_width_box_leaves_stacked_boxes_unchanged():
 def _band_cells(boxes, strata, lo, hi):
     # the cells (boxes, cells) whose first-axis interval meets (lo, hi)
     lows, sides = smp._cell_grid(np.asarray(boxes, dtype=float), strata)
-    return (lows[..., 0] + sides[..., 0] > lo) & (lows[..., 0] < hi)
+    return ((lows[:, 0] + sides[:, 0] > lo) & (lows[:, 0] < hi)).reshape(len(boxes), -1)
 
 
 def _band(U, X, lo, hi):
@@ -129,12 +130,13 @@ def _band(U, X, lo, hi):
 @pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
 def test_cell_mask_matches_unmasked_call(case):
     # an integrand that vanishes off the kept cells gives the unmasked
-    # estimate bit for bit, single and stacked; fn sees only the kept rows
+    # estimate bit for bit, single and stacked; fn sees only the kept rows,
+    # and a box with no kept cell forms no row, so fn is not called on it
     M, boxes = _cases()[case]
     strata, per_cell = 6, 3
     boxes = np.array(boxes[:2], dtype=float)
     lo, hi = 1.0, 1.6
-    fn = lambda U, X: _band(U, X, lo, hi)  # noqa: E731
+    fn = lambda U, X, box: _band(U, X, lo, hi)  # noqa: E731
     mask = _band_cells(boxes, strata, lo, hi)
     assert 0 < mask.sum() < mask.size
     seeds = np.random.SeedSequence(23).spawn(len(boxes))
@@ -145,16 +147,16 @@ def test_cell_mask_matches_unmasked_call(case):
                                     seed=seeds, cells=mask)) == list(stacked)
     seen = []
     for box, seed, cells, full in zip(boxes, seeds, mask, stacked):
-        masked = stratified_integral(M, lambda U, X: seen.append(len(U)) or fn(U, X), box=box,
+        masked = stratified_integral(M, lambda U, X, b: seen.append(len(U)) or fn(U, X, b), box=box,
                                      strata=strata, samples_per_cell=per_cell, seed=seed, cells=cells)
         assert masked == full
-    assert seen == [int(c.sum()) * per_cell for c in mask]
+    assert seen == [int(c.sum()) * per_cell for c in mask if c.any()]
 
 
 def test_cell_mask_dropping_a_live_cell_changes_the_estimate():
     # the mask is honoured: a dropped cell's rows read 0 even where fn is not
     M = geo.clifford_hypersurface((1, 2))
-    fn = lambda U, X: 1.0 + X[:, 0] ** 2  # noqa: E731
+    fn = lambda U, X, box: 1.0 + X[:, 0] ** 2  # noqa: E731
     full = stratified_integral(M, fn, strata=4, seed=7)
     cells = np.ones(4**3, dtype=bool)
     cells[5] = False
@@ -170,7 +172,7 @@ def test_all_false_mask_forms_no_row(monkeypatch):
     seen = []
     embed = M.chart.embed
     monkeypatch.setattr(M.chart, "embed", lambda U: seen.append(("embed", len(U))) or embed(U))
-    fn = lambda U, X: seen.append(("fn", len(U))) or 1.0 + X[:, 0] ** 2  # noqa: E731
+    fn = lambda U, X, box: seen.append(("fn", len(U))) or 1.0 + X[:, 0] ** 2  # noqa: E731
     est = stratified_integral(M, fn, strata=4, seed=7, cells=np.zeros(4**3, dtype=bool))
     assert (est.value, est.stderr, est.samples) == (0.0, 0.0, 4**3 * 2)
     assert sum(rows for _, rows in seen) == 0
@@ -178,19 +180,21 @@ def test_all_false_mask_forms_no_row(monkeypatch):
 
 @pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
 def test_stacked_mask_dropping_a_whole_box(case):
-    # the dropped box reads 0 over its full sample count; every other box
-    # gets its single-box, unmasked estimate bit for bit
+    # the dropped box reads 0 over its full sample count and fn receives
+    # no row of it; every other box gets its single-box, unmasked estimate
+    # bit for bit
     M, boxes = _cases()[case]
     strata, per_cell = 5, 3
     boxes = np.array(boxes, dtype=float)
-    fn = lambda U, X: 1.0 + X[:, 0] ** 2  # noqa: E731
+    fn = lambda U, X, box: 1.0 + X[:, 0] ** 2  # noqa: E731
     seeds = np.random.SeedSequence(29).spawn(len(boxes))
     mask = np.ones((len(boxes), strata**M.dimension), dtype=bool)
     mask[0] = False
-    stacked = stratified_integral(M, fn, box=boxes, strata=strata, samples_per_cell=per_cell,
-                                  seed=seeds, cells=mask)
-    rows = smp._stratified_rows(M.dimension, strata, per_cell)
-    assert stacked[0] == MCEstimate(0.0, 0.0, rows)
+    seen = []
+    stacked = stratified_integral(M, lambda U, X, box: seen.append(box) or fn(U, X, box), box=boxes,
+                                  strata=strata, samples_per_cell=per_cell, seed=seeds, cells=mask)
+    assert stacked[0] == MCEstimate(0.0, 0.0, strata**M.dimension * per_cell)
+    assert set(np.concatenate(seen)) == set(range(1, len(boxes)))
     for est, box, seed in zip(stacked[1:], boxes[1:], seeds[1:]):
         alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
                                     seed=seed)

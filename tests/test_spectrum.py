@@ -281,6 +281,17 @@ def test_rayleigh_eigenfunction_value(torus):
     assert abs(oper + 2.0) <= 5e-3  # discrete eigenvalue carries O(h^2)
 
 
+@pytest.mark.parametrize("kl, tol", [((2, 2), 1e-8), ((2, 3), 1e-8), ((3, 3), 1e-5)],
+                         ids=["clifford22", "clifford23", "clifford33"])
+def test_rayleigh_coordinate_field_above_dimension_three(kl, tol):
+    # x_0 is a Laplace eigenfunction of eigenvalue n on clifford(k, l), so
+    # its quotient is n - 2n = -n; the chart quadrature at the default
+    # resolution, capped to 30, 15 and 9 nodes per axis, reaches it, where
+    # 2000 sampled chart points were off by 0.09 to 0.26
+    M = geo.clifford_hypersurface(kl)
+    assert abs(spec.rayleigh_quotient(M, AmbientCoordinateField(0)) + M.dimension) <= tol
+
+
 def test_rayleigh_scale_invariance(torus):
     f = AmbientCoordinateField(1, scale=1.0)
     base = spec.rayleigh_quotient(torus, f, resolution=32)
