@@ -50,13 +50,7 @@ from .geometry import (
     geodesic_distance,
     measure_volume_growth,
 )
-from .sampling import (
-    MCEstimate,
-    ZERO_ESTIMATE,
-    _cell_grid,
-    nearest_chart_point,
-    stratified_integral,
-)
+from .sampling import MCEstimate, ZERO_ESTIMATE, nearest_chart_point, stratified_integral
 
 BUDGET_SHARE = 0.9   # fraction of epsilon the greedy cover actually spends
 _BOX_SAFETY = 1.5    # first chart box of a ball: this many reaches over the axis speed
@@ -441,14 +435,15 @@ class CutoffField:
         table[~pad] = np.nonzero(holds.T)[1]  # row by row, each row's balls ascending
         return table, pad
 
-    def _table_ramps(self, X):
-        """Product kind: per row of X and slot of its :meth:`_ball_table`,
-        the distance, its gradient, the ball radius, the ramp value and slope.
-
-        A pad reads distance inf: its ramp is exactly 1 with zero slope and
-        curvature, so it is neutral in every product and sum.
+    def _table_ramps(self, X, table=None, pad=None):
+        """Product kind: per row of X and slot of its ball table (``table``, or
+        :meth:`_ball_table`; any table listing every ball that holds its row
+        gives the same phi), the distance, its gradient, the ball radius, the
+        ramp value and slope.  A ``pad`` slot reads distance inf: its ramp is
+        exactly 1 with zero slope and curvature, neutral in every product and sum.
         """
-        table, pad = self._ball_table(X)
+        if table is None:
+            table, pad = self._ball_table(X)
         d, grad_d = self._dist_grad(X, self.cover.centers[table])
         d[pad] = np.inf
         r = self.cover.radii[table]
@@ -505,9 +500,10 @@ class CutoffField:
         """Euclidean Hessian of the product cutoff (sum and cross terms)."""
         return self._product_derivatives(X)[1]
 
-    def _product_derivatives(self, X):
+    def _product_derivatives(self, X, ramps=None):
         """Product kind: (gradient, Hessian) from one distance evaluation per
-        listed ball, O(balls holding the point) per point (:meth:`_ball_table`).
+        listed ball, O(balls holding the point) per point (:meth:`_ball_table`;
+        ``ramps`` are the :meth:`_table_ramps` of X when already taken).
 
         With v_i the ramp values, g_i = slope_i grad d_i, other_i =
         prod_{k != i} v_k and S = sum_{v_j > 0} g_j / v_j, the i != j cross
@@ -523,7 +519,7 @@ class CutoffField:
         p, dim = X.shape
         if self.cover.size == 0:
             return np.zeros((p, dim)), np.zeros((p, dim, dim))
-        d, grad_d, r, vals, slope = self._table_ramps(X)
+        d, grad_d, r, vals, slope = self._table_ramps(X) if ramps is None else ramps
         other = _product_excluding_one(vals)
         grad = _product_gradient(other, slope, grad_d)
         curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
@@ -639,12 +635,9 @@ def gradient_integral_estimate(
     The integral runs over supp grad phi, the points where the active ramp
     has nonzero slope; so at q = 0 it is the area of that support, not of
     the whole chart box (where |grad phi|^0 would read 1 on phi == 1).
-    Integration is per ball on a chart box around it (the integrand lives on
-    thin annuli; global sampling would miss them), deduplicated by the
-    active-ball partition, and the per-ball estimates are summed in ball
-    order.  All balls' chart boxes come from one batched search
-    (:func:`_ball_chart_boxes`) and are sampled in one stacked
-    :func:`stratified_integral` call, which bounds the rows in memory.
+    Integration is per ball on a chart box around its reach 2 r_i
+    (:func:`_per_ball_integrals`; the integrand lives on thin annuli, which
+    global sampling would miss), deduplicated by the active-ball partition.
     Each row is first screened by the distance to its own ball: only rows
     that may lie in its ramp annulus evaluate the ramps, and only those of
     the ball's neighbours, the balls j with dist(p_i, p_j) < 2 r_i + 2 r_j;
@@ -662,18 +655,8 @@ def gradient_integral_estimate(
         C_V = measure_volume_growth(M, metric=cover.metric)
     bound = 2.0 ** (n + q) * C_V * cover.epsilon
 
-    total = ZERO_ESTIMATE
-    rng_children = np.random.SeedSequence(seed).spawn(max(cover.size, 1))
-    if cover.size:
-        reach = 2.0 * cover.radii
-        boxes, hit = _ball_chart_boxes(M, cover.centers, reach, cover.metric)
-        integrand = _annulus_gradient_integrand(M, field, q)
-        balls = np.flatnonzero(hit)
-        total = sum(stratified_integral(
-            M, lambda U, X, box: integrand(U, X, balls[box]), box=boxes[balls], strata=strata,
-            samples_per_cell=samples_per_cell, seed=[rng_children[i] for i in balls],
-        ), total)
-
+    [total] = _per_ball_integrals(M, cover, 2.0, [_annulus_gradient_integrand(M, field, q)],
+                                  [np.random.SeedSequence(seed)], strata, samples_per_cell)
     if total.stderr > 0.1 * bound:
         raise InsufficientSamples(
             f"stderr {total.stderr:.3g} exceeds 10% of the bound {bound:.3g}"
@@ -705,15 +688,20 @@ def _ramp_neighbours(cover: BallCover, reach=2.0):
 
 
 def _neighbour_table(neighbours):
-    """Neighbour lists as one (balls, width) table, each row padded with its own ball.
+    """Neighbour lists as one (balls, width) table, each row padded with its
+    own ball, and the (balls, width) mask of the pad slots.
 
     The pad comes after the sorted list, which holds the ball itself, so
-    an argmin over a table row picks the same ball as over the list.
+    an argmin over a table row picks the same ball as over the list; a
+    product must read the pad slots as neutral (``pad``), as a repeat would
+    count the ball twice.
     """
-    table = np.repeat(np.arange(len(neighbours))[:, None], max(map(len, neighbours)), axis=1)
+    counts = np.array([len(nb) for nb in neighbours])
+    pad = np.arange(counts.max(initial=0)) >= counts[:, None]
+    table = np.repeat(np.arange(len(neighbours))[:, None], pad.shape[1], axis=1)
     for row, nb in zip(table, neighbours):
         row[: len(nb)] = nb
-    return table
+    return table, pad
 
 
 def _annulus_gradient_integrand(M, field, q):
@@ -731,7 +719,7 @@ def _annulus_gradient_integrand(M, field, q):
     """
     cover = field.cover
     neighbours = _ramp_neighbours(cover)
-    table = _neighbour_table(neighbours)
+    table, _ = _neighbour_table(neighbours)
     alone = np.array([len(nb) == 1 for nb in neighbours])
     inner_sq = _chord_sq_bound(cover.radii, cover.metric, lower=True)
     outer_sq = _chord_sq_bound(2.0 * cover.radii, cover.metric)
@@ -757,6 +745,31 @@ def _annulus_gradient_integrand(M, field, q):
         return out
 
     return integrand
+
+
+def _per_ball_integrals(M, cover, reach, integrands, seeds, strata, samples_per_cell):
+    """Per integrand, the sum in ball order of its integrals over every ball's chart box.
+
+    ``integrand(U, X, own)`` reads each row's ball as a cover index and
+    must vanish on M outside B(p_own, reach r_own) and count each point in
+    at most one ball.  All balls' chart boxes come from one batched search
+    (:func:`_ball_chart_boxes`; a ball that misses M adds nothing), and
+    each integrand is one stacked :func:`stratified_integral` call, which
+    bounds the rows in memory, with ball i drawing from child i of the
+    integrand's ``SeedSequence`` in ``seeds``.
+    """
+    if not cover.size:
+        return [ZERO_ESTIMATE] * len(integrands)
+    boxes, hit = _ball_chart_boxes(M, cover.centers, reach * cover.radii, cover.metric)
+    balls = np.flatnonzero(hit)
+    totals = []
+    for integrand, seq in zip(integrands, seeds):
+        children = seq.spawn(cover.size)
+        totals.append(sum(stratified_integral(
+            M, lambda U, X, box, f=integrand: f(U, X, balls[box]), box=boxes[balls], strata=strata,
+            samples_per_cell=samples_per_cell, seed=[children[i] for i in balls],
+        ), ZERO_ESTIMATE))
+    return totals
 
 
 def _ball_chart_boxes(M, centers, reach, metric):
@@ -849,19 +862,18 @@ def mr_quality_report(
     M: ParametrizedHypersurface,
     field: CutoffField,
     C_V=None,
-    strata=96,
+    strata=10,
     seed=0,
 ) -> MRQualityReport:
     """Measure (area{phi != 1}, int |grad phi|^2, int |Delta phi|) for a product cutoff.
 
-    Work is done only where phi may differ from 1.  The three integrals
-    share the chart box and the strata, so one cell mask
-    (:func:`_cells_meeting_balls`) serves all three: the random draws of
-    a cell that meets no ball are taken, so the stream does not change,
-    but its points are never formed, embedded or evaluated.  A row of a
-    kept cell that lies in no ball reads an exact 0.0 in all three
-    integrands, as its :meth:`CutoffField._ball_table` row is all pads, so
-    the estimates are those of evaluating every cell bit for bit.
+    phi differs from 1 only inside the balls, so each integral runs ball
+    by ball (:func:`_per_ball_integrals`), on a chart box around
+    M cap B(p_i, r_i) cut into ``strata`` cells per axis with 2 samples
+    each, whatever the ball's size; a point counts only in the
+    lowest-index ball that holds it (:func:`_quality_integrands`), so an
+    overlap counts once.  The three integrals draw from the three children
+    of ``seed``, and ball i from child i of its integral's child.
 
     Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
     and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
@@ -886,46 +898,52 @@ def mr_quality_report(
         8.0 * 108.0**N * c0 * C_V * eps,
         (c1 + 8.0 * 108.0**N * c0) * C_V * eps,
     )
-    seeds = np.random.SeedSequence(seed).spawn(3)
-    cells = _cells_meeting_balls(M, field.cover, strata)
-    area, grad, lap = [
-        stratified_integral(
-            M, integrand, strata=strata, samples_per_cell=2, seed=child, cells=cells,
-        )
-        for integrand, child in zip(_quality_integrands(M, field), seeds)
-    ]
+    area, grad, lap = _per_ball_integrals(M, field.cover, 1.0, _quality_integrands(M, field),
+                                          np.random.SeedSequence(seed).spawn(3), strata, 2)
     for est, bnd, name in zip((area, grad, lap), bounds, ("area", "grad", "lap")):
         if est.stderr > 0.1 * bnd:
             raise InsufficientSamples(f"{name} stderr {est.stderr:.3g} > 10% of {bnd:.3g}")
     return MRQualityReport(area, grad, lap, bounds, C_V, c0, c1)
 
 
-def _cells_meeting_balls(M, cover: BallCover, strata):
-    """Mask of the cells of :func:`stratified_integral` over the whole chart
-    box whose image may meet a ball of a Euclidean cover.
-
-    A point u of a cell with centre c and sides s is reached from c by a
-    chart segment whose image has length at most the half-diagonal
-    rho = sqrt(sum_a B_a^2 (s_a / 2)^2), B the chart's speed bound, so
-    |x(u) - x(c)| <= rho, and a point within r_i of p_i lies in a cell whose
-    centre is within r_i + rho of p_i.  A cell is kept when the Gram squared
-    chord from x(c) to some centre is below (r_i + rho)^2, widened by the
-    slack of :func:`_chord_sq_bound`, which also covers the rounding of the
-    centres and of the sample rows' images.
-    """
-    chart = M.chart
-    lows, sides = _cell_grid(np.asarray(chart.box, dtype=float)[None], strata)
-    if cover.size == 0:
-        return np.zeros(len(lows), dtype=bool)
-    rho = math.sqrt(float(np.max(np.sum((chart.speed_bound * sides / 2.0) ** 2, axis=-1))))
-    sq = _gram_chord_sq(cover.centers, chart.embed(lows + sides / 2.0))
-    return np.any(sq < _chord_sq_bound(cover.radii + rho, "euclidean")[:, None], axis=0)
-
-
 def _quality_integrands(M, field: CutoffField):
-    """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|."""
+    """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|
+    as ``integrand(U, X, own)``: a row's value where its ball ``own`` (a cover
+    index per row) is the lowest-index ball j with d_j < r_j there, else 0,
+    so each point of the union of the balls, where phi < 1, counts once.
+
+    Only rows within a conservative screen of their own ball, and for the
+    derivatives outside B(p_own, r_own/2), where both are exactly 0, take
+    ramps, and only those of the ball's neighbours (:func:`_ramp_neighbours`
+    at reach 1), padded with neutral slots.
+    """
+    cover = field.cover
+    table, pad = _neighbour_table(_ramp_neighbours(cover, 1.0))
+    outer_sq = _chord_sq_bound(cover.radii, cover.metric)
+
+    def per_ball(quantity, inner):
+        inner_sq = _chord_sq_bound(inner * cover.radii, cover.metric, lower=True)
+
+        def integrand(U, X, own):
+            diff = X - cover.centers[own]
+            sq = np.einsum("pj,pj->p", diff, diff)
+            rows = np.flatnonzero((sq > inner_sq[own]) & (sq < outer_sq[own]))
+            balls = table[own[rows]]
+            ramps = field._table_ramps(X[rows], balls, pad[own[rows]])
+            holds = ramps[0] < ramps[2]
+            first = balls[np.arange(len(rows)), holds.argmax(axis=1)]
+            mine = holds.any(axis=1) & (first == own[rows])
+            rows = rows[mine]
+            out = np.zeros(X.shape[0])
+            out[rows] = quantity(U[rows], X[rows], tuple(a[mine] for a in ramps))
+            return out
+
+        return integrand
+
     return (
-        lambda U, X, box: (field.value(X) < 1.0 - 1e-12).astype(float),
-        lambda U, X, box: tangential_gradient_sq(M, U, field.ambient_gradient(X)),
-        lambda U, X, box: np.abs(surface_laplacian(M, U, X, *field._product_derivatives(X))),
+        per_ball(lambda U, X, ramps: 1.0, 0.0),
+        per_ball(lambda U, X, ramps: tangential_gradient_sq(
+            M, U, _product_gradient(_product_excluding_one(ramps[3]), ramps[4], ramps[1])), 0.5),
+        per_ball(lambda U, X, ramps: np.abs(surface_laplacian(
+            M, U, X, *field._product_derivatives(X, ramps))), 0.5),
     )

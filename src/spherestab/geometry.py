@@ -179,13 +179,6 @@ class Chart:
     the grid points; it is the one source of sqrt(det g)
     (:func:`sqrt_det_metric`).  ``inverse`` maps ambient points (..., n+2)
     to the chart coordinates of their nearest surface points.
-
-    ``speed_bound`` holds per axis an upper bound on sqrt(g_aa) over the
-    whole box.  It bounds the ambient length of a chart path: a chart step
-    of side s_a on each axis moves the image by at most
-    sqrt(sum_a speed_bound_a^2 s_a^2).  On a built-in chart it is the
-    radius of the sphere factor the axis belongs to, since there
-    g_aa = r^2 prod sin^2 <= r^2.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
@@ -194,7 +187,6 @@ class Chart:
     jacobian: Callable
     metric_diag: Callable
     inverse: Callable
-    speed_bound: np.ndarray              # (n,) bound on sqrt(g_aa)
 
     @property
     def dim(self):
@@ -450,8 +442,7 @@ def _product_surface(product):
         gdiag = metric_diag(U)
         return gdiag, normal(U), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, inverse,
-                  speed_bound=np.repeat(radii, dims))
+    chart = Chart(box, periodic, embed, jacobian, metric_diag, inverse)
     return ParametrizedHypersurface(chart, product, closed_form)
 
 

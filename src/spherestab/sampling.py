@@ -3,11 +3,12 @@
 Integrals over a surface use stratified Monte Carlo over a chart cell grid
 with metric-density weights (every cell contributes its volume times the
 cell sample mean, which makes the estimator unbiased and gives an honest
-per-cell variance).  Integrands concentrated on thin annuli around small
-balls are integrated the same way, over a chart box around each ball, all
-boxes in one stacked call.  The sampler alone decides how many sample rows
-exist at once: at most ``_CHUNK_ROWS``, whatever the box count, the
-dimension or the strata.
+per-cell variance).  Integrands concentrated on small balls or thin annuli
+around them are integrated the same way, over a chart box around each
+ball, all boxes in one stacked call, so a ball is sampled at its own scale
+however small it is.  The sampler alone decides how many sample rows exist
+at once: at most ``_CHUNK_ROWS``, whatever the box count, the dimension or
+the strata.
 
 All randomness is driven by ``numpy.random.SeedSequence`` spawns, so
 partial sums are reproducible and independent streams combine
@@ -53,13 +54,13 @@ class BoxEstimates(list):
 _CHUNK_ROWS = 32768   # sample rows formed at once by stratified_integral
 
 
-def _cell_grid(boxes, strata, index=None):
+def _cell_grid(boxes, strata, index):
     """Low corners and sides (cells, n) of cells of a stack of boxes (boxes, n, 2).
 
     Each box is cut into ``strata`` cells per axis (capped as
     :func:`.geometry._capped_per_axis` caps them), listed row-major, and
     the stack lists its boxes' cells box by box; ``index`` picks cells by
-    their position in that list, every cell when None.  The edges of an
+    their position in that list.  The edges of an
     axis are ``lo + j (hi - lo) / c`` and ``hi``, taken box by box: a
     stacked linspace rounds every box another way once any box has zero
     width.
@@ -67,7 +68,7 @@ def _cell_grid(boxes, strata, index=None):
     b, n = boxes.shape[:2]
     counts = _capped_per_axis(strata, n)
     count = math.prod(counts)
-    box, cell = np.divmod(np.arange(b * count) if index is None else index, count)
+    box, cell = np.divmod(index, count)
     lows, sides = np.empty((2, len(box), n))
     for a, (c, j) in enumerate(zip(counts, np.unravel_index(cell, counts))):
         lo, hi = boxes[:, a, :1], boxes[:, a, 1:]
@@ -84,7 +85,6 @@ def stratified_integral(
     strata=24,
     samples_per_cell=2,
     seed=0,
-    cells=None,
 ) -> MCEstimate:
     """Stratified Monte-Carlo integral of ``fn`` against the area measure.
 
@@ -102,14 +102,6 @@ def stratified_integral(
     0 on a single box.  Each box draws its rows from its own generator, in
     cell order, chunk after chunk, so the chunk size changes no bit.
 
-    ``cells`` is an optional boolean mask over the cells of
-    :func:`_cell_grid`, of shape (cells,) or (boxes, cells).  The draws of
-    a False cell are taken, so the stream does not depend on the mask, but
-    its points are never formed, embedded or passed to ``fn``; a chunk with
-    no kept cell calls nothing.  A dropped cell contributes an exact 0, so
-    when ``fn`` vanishes on its rows the estimate is bit for bit that of
-    the unmasked call.  ``None`` keeps every cell, through the same code.
-
     The density sqrt(det g) is taken only on the rows where ``fn`` is
     non-zero (negative values count), and the cell volume (its sides
     multiplied in axis order), mean and variance only for the cells that
@@ -126,39 +118,37 @@ def stratified_integral(
     count = math.prod(_capped_per_axis(strata, n))
     k = max(2, int(samples_per_cell))
     rngs = [np.random.default_rng(s) for s in seed]  # int, SeedSequence or Generator all work
-    keep = np.broadcast_to(True if cells is None else cells, (len(boxes), count)).reshape(-1)
-    step = max(1, min(_CHUNK_ROWS // k, keep.size))   # cells per chunk
+    total = len(boxes) * count
+    step = max(1, min(_CHUNK_ROWS // k, total))   # cells per chunk
     draws = np.empty((step, k, n))
     # per cell, vol * mean and vol^2 * var / k, from the first box not yet summed
     terms = np.zeros((2, count + step))
     sums = np.zeros((2, len(boxes)))
     start = 0
-    for lo in range(0, keep.size, step):
-        hi = min(lo + step, keep.size)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
         for b in range(lo // count, (hi - 1) // count + 1):
             # the chunk's cells of box b, from that box's own stream
             first, last = max(lo, b * count), min(hi, (b + 1) * count)
             rngs[b].random(out=draws[first - lo:last - lo])
         terms[:, lo - start:hi - start] = 0.0
-        kept = np.flatnonzero(keep[lo:hi])
-        if kept.size:
-            index = lo + kept
-            low, side = _cell_grid(boxes, strata, index)
-            U = (low[:, None, :] + draws[kept] * side[:, None, :]).reshape(-1, n)
-            vals = np.empty(len(U))
-            vals[:] = fn(U, chart.embed(U), np.repeat(index // count, k))
-            vals = vals.reshape(-1, k)
-            live = vals != 0.0  # negative values count
-            # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
-            busy = functools.reduce(np.logical_or, live.T)
-            dens = sqrt_det_metric(chart, np.compress(live.ravel(), U, axis=0))
-            # the live rows of the busy cells, in the same row-major order as dens
-            weighted, busy_live = vals[busy], live[busy]
-            weighted[busy_live] *= dens
-            vols = _row_product(side[busy].T)
-            at = index[busy] - start
-            terms[0, at] = vols * weighted.mean(axis=-1)
-            terms[1, at] = vols**2 * weighted.var(axis=-1, ddof=1) / k
+        index = np.arange(lo, hi)
+        low, side = _cell_grid(boxes, strata, index)
+        U = (low[:, None, :] + draws[:hi - lo] * side[:, None, :]).reshape(-1, n)
+        vals = np.empty(len(U))
+        vals[:] = fn(U, chart.embed(U), np.repeat(index // count, k))
+        vals = vals.reshape(-1, k)
+        live = vals != 0.0  # negative values count
+        # or of the k sample columns: cheaper than any(axis=-1) over so short an axis
+        busy = functools.reduce(np.logical_or, live.T)
+        dens = sqrt_det_metric(chart, np.compress(live.ravel(), U, axis=0))
+        # the live rows of the busy cells, in the same row-major order as dens
+        weighted, busy_live = vals[busy], live[busy]
+        weighted[busy_live] *= dens
+        vols = _row_product(side[busy].T)
+        at = index[busy] - start
+        terms[0, at] = vols * weighted.mean(axis=-1)
+        terms[1, at] = vols**2 * weighted.var(axis=-1, ddof=1) / k
         done = (hi // count) * count   # the boxes before it are complete
         if done > start:
             sums[:, start // count:hi // count] = terms[:, :done - start].reshape(2, -1, count).sum(axis=-1)

@@ -1,11 +1,11 @@
 """Covers, discard, packing bounds, cutoff fields and their integrals."""
 
-import dataclasses
 import inspect
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,12 @@ from spherestab.errors import (
     PreconditionViolated,
     UnsupportedFamily,
 )
-from spherestab.fields import AmbientCoordinateField, ConstantField
+from spherestab.fields import (
+    AmbientCoordinateField,
+    ConstantField,
+    surface_laplacian,
+    tangential_gradient_sq,
+)
 from spherestab.sampling import ZERO_ESTIMATE, nearest_chart_point, stratified_integral
 
 import oracles
@@ -1043,20 +1048,73 @@ def test_mr_quality_report_one_ball(torus, torus_cv_chord):
 
 def test_mr_area_against_quadrature_oracle(torus, torus_cv_chord):
     # independent oracle for H^2({phi != 1}): deterministic indicator
-    # quadrature of the ball region on a fine grid
+    # quadrature of the union of the balls on a fine grid.  The crowded
+    # cover's five overlapping balls have areas summing to 0.3544 and a
+    # union of 0.1046, so a point counted in every ball that holds it
+    # fails; the pole and seam balls need boxes clipped at a polar face and
+    # wrapped across both periodic seams
     _, pts = geo.sample_points(torus, 1, seed=5)
     r = 0.25
-    cov = cut.BallCover(pts, np.array([r]), 2, 0.0, 0.1, "euclidean", points=pts)
-    field = cut.build_product_cutoff(cov)
-    rep = cut.mr_quality_report(torus, field, C_V=torus_cv_chord, seed=1)
-    from spherestab.geometry import chart_quadrature, chord_distance, sqrt_det_metric
-
-    chart = torus.chart
-    nodes, weights = chart_quadrature(chart, 768)
-    w = weights * sqrt_det_metric(chart, nodes)
-    oracle = float(w[chord_distance(chart.embed(nodes), pts[0]) < r].sum())
-    assert abs(rep.area_not_one.value - oracle) <= 4.0 * rep.area_not_one.stderr + 1e-3
+    single = cut.BallCover(pts, np.array([r]), 2, 0.0, 0.1, "euclidean", points=pts)
+    oracle = _union_area(torus, single)
     assert oracle <= torus_cv_chord * r**2  # the area form of the growth bound
+    base, radii, _ = _crowded_torus_cover()
+    crowded = cut.BallCover(torus.chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
+    assert abs(_union_area(torus, crowded) - 0.1046) <= 1e-4
+    eq2 = geo.equator(2)
+    pole = cut.BallCover(eq2.chart.embed(np.array([[0.05, 1.0]])), np.array([0.2]), 2, 0.0, 0.5,
+                         "euclidean")
+    seam = cut.BallCover(torus.chart.embed(np.array([[0.02, 6.27]])), np.array([0.2]), 2, 0.0, 0.5,
+                         "euclidean")
+    for M, cover in ((torus, single), (torus, crowded), (eq2, pole), (torus, seam)):
+        rep = cut.mr_quality_report(M, cut.build_product_cutoff(cover), C_V=10.0, seed=1)
+        area = rep.area_not_one
+        assert abs(area.value - _union_area(M, cover)) <= 4.0 * area.stderr + 1e-3, (M.family, area)
+
+
+def _union_area(M, cover, resolution=768):
+    # chart quadrature of the points within r_i of some centre p_i
+    from spherestab.geometry import chart_quadrature, sqrt_det_metric
+
+    nodes, weights = chart_quadrature(M.chart, resolution)
+    X = M.chart.embed(nodes)
+    inside = np.any([geo.chord_distance(X, c) < r for c, r in zip(cover.centers, cover.radii)], axis=0)
+    return float(np.sum((weights * sqrt_det_metric(M.chart, nodes))[inside]))
+
+
+def test_mr_grad_l2_on_balls_smaller_than_a_cell(torus):
+    # 20 balls of radius 1e-3 on the torus: each ball sampled on its own
+    # box reads the quintic ramp's flat constant
+    # c_2 = |S^1| int_(1/2)^1 rho'(s)^2 s ds = 13.46397 (scale-free at n = 2),
+    # where one chart-wide grid of cells 65x wider reads 0 +- 0
+    _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
+    cover = cut.cover_singular_set(pts, 2, 2.0, 25.0, metric="euclidean", containment="sixth")
+    assert cover.size == 20 and np.all(cover.radii == 1e-3)
+    t, w = np.polynomial.legendre.leggauss(5)   # exact: the integrand is a degree-9 polynomial
+    s = 0.75 + 0.25 * t
+    flat = 2.0 * math.pi * 0.25 * np.sum(w * (2.0 * cut._quintic_d1(2.0 * s - 1.0)) ** 2 * s)
+    assert abs(flat - 13.46397) <= 1e-5
+    grad = cut.mr_quality_report(torus, cut.build_product_cutoff(cover), seed=0).grad_l2
+    assert grad.stderr > 0.0
+    assert abs(grad.value - 20 * flat) <= 3.0 * grad.stderr + 0.01 * 20 * flat, grad
+
+
+def test_mr_quality_report_memory_at_n3():
+    # clifford(1,2)'s 20-point product cover: the report's Python-heap peak
+    # stays under 32 MB (216 MB when one chart-wide cell grid of 96^3
+    # cells was masked against every ball at once)
+    M = geo.clifford_hypersurface((1, 2))
+    _, pts = geo.sample_points(M, 20, seed=0, pad=0.05)
+    cover = cut.cover_singular_set(pts, 3, 0.0, 0.5, metric="euclidean", containment="sixth")
+    field = cut.build_product_cutoff(cover)
+    tracemalloc.start()
+    try:
+        rep = cut.mr_quality_report(M, field, C_V=10.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.grad_l2.value > 0.0
+    assert peak < 32e6, peak / 1e6
 
 
 def test_mr_quality_report_empty(torus, torus_cv_chord):
@@ -1086,83 +1144,68 @@ def _crowded_torus_cover():
 
 def test_quality_integrands_read_zero_outside_every_ball(torus):
     # brute force: a row with |x - p_i| >= r_i for every ball reads exactly
-    # 0.0 in all three integrands, and there every ramp of the whole cover
-    # (the all-balls oracle) is exactly 1 with zero slope, so the 0.0 is the
-    # cutoff's value and not an artefact of the field's ball table
+    # 0.0 in all three integrands, whichever ball's box it is drawn in, and
+    # there every ramp of the whole cover (the all-balls oracle) is exactly
+    # 1 with zero slope, so the 0.0 is the cutoff's value and not an
+    # artefact of the neighbour table
     chart = torus.chart
     U_bg = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(3000, 2))
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
     workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
     base, radii, U_edge = _crowded_torus_cover()
     crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
-    empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean", ambient_dim=4)
-    for cover, U in ((workload, U_bg), (crowded, np.concatenate([U_edge, U_bg])), (empty, U_bg)):
+    for cover, U in ((workload, U_bg), (crowded, np.concatenate([U_edge, U_bg]))):
         field = cut.build_product_cutoff(cover)
         X = chart.embed(U)
         outside = np.all(np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) >= cover.radii, axis=1)
-        assert 0 < outside.sum() < len(U) if cover.size else outside.all()
+        assert 0 < outside.sum() < len(U)
+        own = np.random.default_rng(4).integers(cover.size, size=len(U))
         for integrand in cut._quality_integrands(torus, field):
-            assert np.all(integrand(U, X, None)[outside] == 0.0)
-        if cover.size:
-            vals, slope = field._ramps(field._dist_grad(X[outside])[0])
-            assert np.all(vals == 1.0) and np.all(slope == 0.0)
+            assert np.all(integrand(U, X, own)[outside] == 0.0)
+        vals, slope = field._ramps(field._dist_grad(X[outside])[0])
+        assert np.all(vals == 1.0) and np.all(slope == 0.0)
+
+
+def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
+    # on the crowded cover, where rows lie in up to 5 balls, and on the
+    # energy-integrals cover, whose neighbour table pads 14 of its 20 rows:
+    # each row reads its value only in the lowest-index ball that holds it,
+    # 0 in every other ball's box, and that value is the one the field's
+    # own ball table gives, to rounding (the area integrand is 1 on the
+    # union of the balls, where phi < 1)
+    chart = torus.chart
+    base, radii, U_edge = _crowded_torus_cover()
+    crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
+    _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
+    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
+    assert cut._neighbour_table(cut._ramp_neighbours(workload, 1.0))[1].sum() == 14
+    rng = np.random.default_rng(5)
+    U_crowded = np.concatenate([U_edge, rng.uniform((0.75, 1.7), (1.45, 2.3), size=(4000, 2))])
+    U_chart = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=(30000, 2))
+    for cover, U in ((crowded, U_crowded), (workload, U_chart)):
+        field = cut.build_product_cutoff(cover)
+        X = chart.embed(U)
+        holds = np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) < cover.radii
+        lowest = np.where(holds.any(axis=1), holds.argmax(axis=1), -1)
+        assert np.sum(holds.sum(axis=1) > 1) > (1000 if cover is crowded else 10)
+        grad, hess = field._product_derivatives(X)
+        reference = (
+            (lowest >= 0).astype(float),
+            tangential_gradient_sq(torus, U, field.ambient_gradient(X)),
+            np.abs(surface_laplacian(torus, U, X, grad, hess)),
+        )
+        balls = np.arange(cover.size)
+        for integrand, ref in zip(cut._quality_integrands(torus, field), reference):
+            per_ball = np.array([integrand(U, X, np.full(len(U), i)) for i in balls])
+            assert np.all(per_ball[balls[:, None] != lowest] == 0.0)
+            assert np.sum(ref > 0.0) > 1000
+            assert np.allclose(per_ball.sum(axis=0), ref, rtol=1e-12, atol=1e-12 * ref.max())
     # points just inside a ball (and off the other balls' zero sets) carry
     # nonzero ramp derivatives
+    X = chart.embed(U_edge[1::3])
+    lowest = np.argmax(np.linalg.norm(X[:, None, :] - crowded.centers, axis=-1) < radii, axis=1)
     lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
-    assert np.sum(lap(U_edge[1::3], chart.embed(U_edge[1::3]), None) > 0.0) >= 10
-
-
-def _mask_covers():
-    """(surface, Euclidean cover) pairs for the cell-mask checks: the
-    benchmark's 20-point torus cover, the crowded torus cover, a ball on
-    the equator S^2 that holds a coordinate pole, and a torus ball that
-    straddles the periodic seam of both angles."""
-    torus, eq2 = geo.clifford_hypersurface((1, 1)), geo.equator(2)
-    _, pts = geo.sample_points(torus, 20, seed=40001, pad=0.05)
-    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
-    base, radii, _ = _crowded_torus_cover()
-    crowded = cut.BallCover(torus.chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
-    pole = cut.BallCover(eq2.chart.embed(np.array([[0.05, 1.0]])), np.array([0.2]), 2, 0.0, 0.5,
-                         "euclidean")
-    seam = cut.BallCover(torus.chart.embed(np.array([[0.02, 6.27]])), np.array([0.2]), 2, 0.0, 0.5,
-                         "euclidean")
-    return [(torus, workload), (torus, crowded), (eq2, pole), (torus, seam)]
-
-
-def _rows_in_dropped_cells(M, cover, strata=96, per_cell=12, seed=0):
-    """(rows within some ball, those of them in a cell the mask drops), with
-    ``per_cell`` random rows in each cell of the chart box."""
-    chart = M.chart
-    cells = cut._cells_meeting_balls(M, cover, strata)
-    lows, sides = smp._cell_grid(np.asarray(chart.box, dtype=float)[None], strata)
-    U = lows[:, None, :] + np.random.default_rng(seed).random((len(lows), per_cell, 2)) * sides[:, None, :]
-    X = chart.embed(U.reshape(-1, 2))
-    inside = np.any(geo.chord_distance(X[:, None, :], cover.centers) < cover.radii, axis=1)
-    return int(inside.sum()), int(np.sum(inside & ~np.repeat(cells, per_cell)))
-
-
-def test_cell_mask_keeps_every_row_inside_a_ball():
-    for M, cover in _mask_covers():
-        cells = cut._cells_meeting_balls(M, cover, 96)
-        inside, lost = _rows_in_dropped_cells(M, cover)
-        assert inside > 0 and lost == 0
-        assert cells.mean() < 0.25  # the mask does drop cells
-
-
-def test_cell_mask_with_halved_speed_bound_loses_rows():
-    # the enclosure radius is no larger than it must be: with half the
-    # chart's bound on sqrt(g_aa), some row inside a ball falls in a dropped cell
-    lost = []
-    for M, cover in _mask_covers():
-        half = dataclasses.replace(M.chart, speed_bound=M.chart.speed_bound / 2.0)
-        M_half = geo.ParametrizedHypersurface(half, M.product, M.shape_batch)
-        lost.append(_rows_in_dropped_cells(M_half, cover)[1])
-    assert max(lost) > 0
-
-
-def test_cell_mask_is_empty_on_an_empty_cover(torus):
-    empty = cut.empty_cover(2, 0.0, 0.05, metric="euclidean")
-    assert not cut._cells_meeting_balls(torus, empty, 8).any()
+    assert np.sum(lap(U_edge[1::3], X, lowest) > 0.0) >= 10
 
 
 def _all_balls_product(field, X):

@@ -116,91 +116,6 @@ def test_zero_width_box_leaves_stacked_boxes_unchanged():
     assert stacked[0] == alone
 
 
-def _band_cells(boxes, strata, lo, hi):
-    # the cells (boxes, cells) whose first-axis interval meets (lo, hi)
-    lows, sides = smp._cell_grid(np.asarray(boxes, dtype=float), strata)
-    return ((lows[:, 0] + sides[:, 0] > lo) & (lows[:, 0] < hi)).reshape(len(boxes), -1)
-
-
-def _band(U, X, lo, hi):
-    # the signed sparse integrand on the band lo < u_0 < hi, exactly 0 off it
-    return np.where((U[:, 0] > lo) & (U[:, 0] < hi), _signed_sparse(U, X, 0), 0.0)
-
-
-@pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
-def test_cell_mask_matches_unmasked_call(case):
-    # an integrand that vanishes off the kept cells gives the unmasked
-    # estimate bit for bit, single and stacked; fn sees only the kept rows,
-    # and a box with no kept cell forms no row, so fn is not called on it
-    M, boxes = _cases()[case]
-    strata, per_cell = 6, 3
-    boxes = np.array(boxes[:2], dtype=float)
-    lo, hi = 1.0, 1.6
-    fn = lambda U, X, box: _band(U, X, lo, hi)  # noqa: E731
-    mask = _band_cells(boxes, strata, lo, hi)
-    assert 0 < mask.sum() < mask.size
-    seeds = np.random.SeedSequence(23).spawn(len(boxes))
-    stacked = stratified_integral(M, fn, box=boxes, strata=strata, samples_per_cell=per_cell,
-                                  seed=seeds)
-    assert any(est.value != 0.0 for est in stacked)
-    assert list(stratified_integral(M, fn, box=boxes, strata=strata, samples_per_cell=per_cell,
-                                    seed=seeds, cells=mask)) == list(stacked)
-    seen = []
-    for box, seed, cells, full in zip(boxes, seeds, mask, stacked):
-        masked = stratified_integral(M, lambda U, X, b: seen.append(len(U)) or fn(U, X, b), box=box,
-                                     strata=strata, samples_per_cell=per_cell, seed=seed, cells=cells)
-        assert masked == full
-    assert seen == [int(c.sum()) * per_cell for c in mask if c.any()]
-
-
-def test_cell_mask_dropping_a_live_cell_changes_the_estimate():
-    # the mask is honoured: a dropped cell's rows read 0 even where fn is not
-    M = geo.clifford_hypersurface((1, 2))
-    fn = lambda U, X, box: 1.0 + X[:, 0] ** 2  # noqa: E731
-    full = stratified_integral(M, fn, strata=4, seed=7)
-    cells = np.ones(4**3, dtype=bool)
-    cells[5] = False
-    dropped = stratified_integral(M, fn, strata=4, seed=7, cells=cells)
-    assert dropped.value < full.value
-    assert dropped.samples == full.samples
-
-
-def test_all_false_mask_forms_no_row(monkeypatch):
-    # every cell dropped: an exact 0.0 +- 0.0 over the full sample count,
-    # and neither fn nor the embedding receives a row
-    M = geo.clifford_hypersurface((1, 2))
-    seen = []
-    embed = M.chart.embed
-    monkeypatch.setattr(M.chart, "embed", lambda U: seen.append(("embed", len(U))) or embed(U))
-    fn = lambda U, X, box: seen.append(("fn", len(U))) or 1.0 + X[:, 0] ** 2  # noqa: E731
-    est = stratified_integral(M, fn, strata=4, seed=7, cells=np.zeros(4**3, dtype=bool))
-    assert (est.value, est.stderr, est.samples) == (0.0, 0.0, 4**3 * 2)
-    assert sum(rows for _, rows in seen) == 0
-
-
-@pytest.mark.parametrize("case", range(2), ids=["clifford21", "equator2"])
-def test_stacked_mask_dropping_a_whole_box(case):
-    # the dropped box reads 0 over its full sample count and fn receives
-    # no row of it; every other box gets its single-box, unmasked estimate
-    # bit for bit
-    M, boxes = _cases()[case]
-    strata, per_cell = 5, 3
-    boxes = np.array(boxes, dtype=float)
-    fn = lambda U, X, box: 1.0 + X[:, 0] ** 2  # noqa: E731
-    seeds = np.random.SeedSequence(29).spawn(len(boxes))
-    mask = np.ones((len(boxes), strata**M.dimension), dtype=bool)
-    mask[0] = False
-    seen = []
-    stacked = stratified_integral(M, lambda U, X, box: seen.append(box) or fn(U, X, box), box=boxes,
-                                  strata=strata, samples_per_cell=per_cell, seed=seeds, cells=mask)
-    assert stacked[0] == MCEstimate(0.0, 0.0, strata**M.dimension * per_cell)
-    assert set(np.concatenate(seen)) == set(range(1, len(boxes)))
-    for est, box, seed in zip(stacked[1:], boxes[1:], seeds[1:]):
-        alone = stratified_integral(M, fn, box=box, strata=strata, samples_per_cell=per_cell,
-                                    seed=seed)
-        assert alone.value != 0.0 and est == alone
-
-
 # ---------------------------------------------------------------------------
 # local polar patches
 # ---------------------------------------------------------------------------
