@@ -361,10 +361,12 @@ class CutoffField:
     rho supported on [1/2, 1]; vanishes on every B(p_i, r_i/2), equals 1
     outside the union of B(p_i, r_i), and each factor obeys
     |D phi_i|^2 + |D^2 phi_i| <= C0 r_i^-2 with C0 the quintic's profile
-    constant (:func:`_profile_c0`).  Its value and derivatives
-    at a point take only the balls that may hold the point
-    (:meth:`_ball_table`); every other ramp is exactly 1 there with zero
-    derivatives.
+    constant (:func:`_profile_c0`).
+
+    Both kinds evaluate ramps through one route, :meth:`_table_ramps`, over
+    a ball table per point.  The public methods pass every ball of the
+    cover; the reports pass each ball's neighbour table
+    (:func:`_neighbour_table`), whose pad slots are neutral.
 
     Building a field is its only check (its cover met its budget when
     built): an unknown kind raises :class:`ValueError`; a nonempty cover of
@@ -389,21 +391,9 @@ class CutoffField:
         """The product ramps' profile constant; None on the inf kind."""
         return _profile_c0() if self.kind == "product" else None
 
-    # -- distances ---------------------------------------------------------
-    def _dist_grad(self, X, centers=None):
-        """Distances (points, balls) from each row of X to the ball centres, and their gradients.
-
-        ``centers`` defaults to every ball of the cover; a (balls, dim) or
-        per-row (points, balls, dim) array evaluates a subset of them.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if centers is None:
-            centers = self.cover.centers
-        return _distance_gradient(X[:, None, :] - centers, self.cover.metric)
-
-    def _ramps(self, d, radii=None):
-        """Ramp values and slopes at distances d (``radii`` matching the centres of d)."""
-        r = self.cover.radii if radii is None else radii
+    # -- ramps -------------------------------------------------------------
+    def _ramps(self, d, r):
+        """Ramp values and slopes at distances d from the centres of balls of radii r."""
         if self.kind == "inf":
             vals = np.clip((d - r) / r, 0.0, 1.0)
             slope = np.where((d > r) & (d < 2.0 * r), 1.0 / r, 0.0)
@@ -413,126 +403,96 @@ class CutoffField:
         slope = _quintic_d1(t) * 2.0 / r
         return vals, slope
 
-    def _ball_table(self, X):
-        """Per row of X, the balls B(p_i, r_i) that may hold it: (table, pad), both (rows, width).
+    def _table_ramps(self, X, table, pad):
+        """Per row of X and slot of its ball table, the distance, its
+        gradient, the ball radius, the ramp value and slope.
 
-        A product ramp is exactly 1 with zero derivatives wherever d >= r
-        (t >= 1 in :meth:`_ramps`), so the balls left out of a row's list
-        cannot change its phi or derivatives.  The squared chord comes from
-        the Gram form (:func:`_gram_chord_sq`, laid out balls x points so
-        the broadcasts run along long rows) and is compared with
-        :func:`_chord_sq_bound`, whose slack covers its rounding, so every
-        ball whose computed distance from the row is below r is listed.
-        Each row lists its balls in ascending order, then pads to the
-        widest row's count; ``pad`` marks the padded slots, whose index is
-        0.  A row of pads only lies in no ball.  Needs a nonempty cover.
+        ``table`` holds cover indices, one list per row (rows, width) or
+        one list for every row (width,); ``pad`` is a mask broadcast to it.
+        A pad slot reads distance inf: its ramp is exactly 1 with zero slope
+        and curvature, so it is neutral in every product and sum, and it
+        never wins the inf's argmin over a listed ball.  Any table that
+        lists, at each row, every ball whose ramp differs from 1 there gives
+        that row's phi.
         """
-        bound = _chord_sq_bound(self.cover.radii, self.cover.metric)
-        holds = _gram_chord_sq(self.cover.centers, X) < bound[:, None]
-        count = holds.sum(axis=0)
-        pad = np.arange(count.max(initial=0)) >= count[:, None]
-        table = np.zeros(pad.shape, dtype=int)
-        table[~pad] = np.nonzero(holds.T)[1]  # row by row, each row's balls ascending
-        return table, pad
-
-    def _table_ramps(self, X, table=None, pad=None):
-        """Product kind: per row of X and slot of its ball table (``table``, or
-        :meth:`_ball_table`; any table listing every ball that holds its row
-        gives the same phi), the distance, its gradient, the ball radius, the
-        ramp value and slope.  A ``pad`` slot reads distance inf: its ramp is
-        exactly 1 with zero slope and curvature, neutral in every product and sum.
-        """
-        if table is None:
-            table, pad = self._ball_table(X)
-        d, grad_d = self._dist_grad(X, self.cover.centers[table])
-        d[pad] = np.inf
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        d, grad_d = _distance_gradient(X[:, None, :] - self.cover.centers[table], self.cover.metric)
+        d = np.where(pad, np.inf, d)
         r = self.cover.radii[table]
         vals, slope = self._ramps(d, r)
         return d, grad_d, r, vals, slope
 
-    # -- evaluation --------------------------------------------------------
+    def _active_ramp(self, X, table, pad):
+        """Inf kind: per point the active ball of its table row (the first
+        listed on ties, never a pad), phi (its ramp value), its ramp slope
+        and the gradient of its distance, from one :meth:`_table_ramps`."""
+        _, grad_d, _, vals, slope = self._table_ramps(X, table, pad)
+        act = vals.argmin(axis=1)
+        take = np.arange(act.shape[0])
+        ball = np.broadcast_to(table, vals.shape)[take, act]
+        return ball, vals[take, act], slope[take, act], grad_d[take, act]
+
+    # -- evaluation over every ball ----------------------------------------
     def value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.ones(X.shape[0])
         if self.kind == "product":
-            return self._table_ramps(X)[3].prod(axis=1)
-        return self._active_ramp(X)[1]
-
-    def _active_ramp(self, X, balls=None):
-        """Inf kind: per point the active ball (lowest index on ties), phi (its
-        ramp value, which ``value`` returns), its ramp slope and the
-        gradient of its distance, from one distance evaluation.
-
-        ``balls`` restricts the inf to some balls: a sorted index list for
-        every row, or one per row (points, k).  A row may repeat a ball
-        after its sorted list (see :func:`_neighbour_table`); the argmin
-        takes the first of equal values, so the repeat never changes it.
-        """
-        if balls is None:
-            d, grad_d = self._dist_grad(X)
-            vals, slope = self._ramps(d)
-        else:
-            d, grad_d = self._dist_grad(X, self.cover.centers[balls])
-            vals, slope = self._ramps(d, self.cover.radii[balls])
-        act = vals.argmin(axis=1)
-        take = np.arange(act.shape[0])
-        ball = act if balls is None else np.broadcast_to(balls, vals.shape)[take, act]
-        return ball, vals[take, act], slope[take, act], grad_d[take, act]
+            return self._table_ramps(X, np.arange(self.cover.size), False)[3].prod(axis=1)
+        return self._active_ramp(X, np.arange(self.cover.size), False)[1]
 
     def active_index(self, X):
         """Index of the ball whose ramp achieves the inf (lowest index on ties)."""
         if self.kind != "inf":
             raise UnsupportedFamily("active ball is only defined for the inf kind")
-        return self._active_ramp(X)[0]
+        return self._active_ramp(X, np.arange(self.cover.size), False)[0]
 
     def ambient_gradient(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.cover.size == 0:
             return np.zeros_like(X)
         if self.kind == "inf":
-            _, _, slope, grad_d = self._active_ramp(X)
+            _, _, slope, grad_d = self._active_ramp(X, np.arange(self.cover.size), False)
             return slope[:, None] * grad_d
-        _, grad_d, _, vals, slope = self._table_ramps(X)
+        _, grad_d, _, vals, slope = self._table_ramps(X, np.arange(self.cover.size), False)
         return _product_gradient(_product_excluding_one(vals), slope, grad_d)
 
     def ambient_hessian(self, X):
         """Euclidean Hessian of the product cutoff (sum and cross terms)."""
-        return self._product_derivatives(X)[1]
-
-    def _product_derivatives(self, X, ramps=None):
-        """Product kind: (gradient, Hessian) from one distance evaluation per
-        listed ball, O(balls holding the point) per point (:meth:`_ball_table`;
-        ``ramps`` are the :meth:`_table_ramps` of X when already taken).
-
-        With v_i the ramp values, g_i = slope_i grad d_i, other_i =
-        prod_{k != i} v_k and S = sum_{v_j > 0} g_j / v_j, the i != j cross
-        term sum_{i != j} other_i g_i g_j^T / v_j is
-        ``grad phi S^T - sum_{v_i > 0} other_i g_i g_i^T / v_i`` (v_i = 0
-        forces g_i = 0).  Its diagonal part joins the per-ball Hessians, whose
-        radial parts are grad d_i grad d_i^T terms, in one batched
-        (dim, width) @ (width, dim) product per point.
-        """
         if self.kind != "product":
             raise UnsupportedFamily("the inf cutoff is Lipschitz only; no Hessian")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        p, dim = X.shape
         if self.cover.size == 0:
-            return np.zeros((p, dim)), np.zeros((p, dim, dim))
-        d, grad_d, r, vals, slope = self._table_ramps(X) if ramps is None else ramps
-        other = _product_excluding_one(vals)
-        grad = _product_gradient(other, slope, grad_d)
-        curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
-        tangential = slope / np.where(d > 1e-300, d, 1.0)   # Hess d_i = (I - grad d_i grad d_i^T) / d_i
-        live = vals > 0.0
-        rate = np.where(live, slope / np.where(live, vals, 1.0), 0.0)   # |g_i| / v_i
-        coef = other * (curv - tangential - slope * rate)
-        hess = np.matmul(grad_d.transpose(0, 2, 1), coef[..., None] * grad_d)
-        S = np.matmul(rate[:, None, :], grad_d)[:, 0]
-        hess += grad[:, :, None] * S[:, None, :]
-        idx = np.arange(dim)
-        hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
-        return grad, hess
+            return np.zeros(X.shape + X.shape[-1:])
+        return _product_derivatives(self._table_ramps(X, np.arange(self.cover.size), False))[1]
+
+
+def _product_derivatives(ramps):
+    """Product kind: (gradient, Hessian) from the :meth:`CutoffField._table_ramps`
+    of a set of points, one distance evaluation per listed ball.
+
+    With v_i the ramp values, g_i = slope_i grad d_i, other_i =
+    prod_{k != i} v_k and S = sum_{v_j > 0} g_j / v_j, the i != j cross
+    term sum_{i != j} other_i g_i g_j^T / v_j is
+    ``grad phi S^T - sum_{v_i > 0} other_i g_i g_i^T / v_i`` (v_i = 0
+    forces g_i = 0).  Its diagonal part joins the per-ball Hessians, whose
+    radial parts are grad d_i grad d_i^T terms, in one batched
+    (dim, width) @ (width, dim) product per point.
+    """
+    d, grad_d, r, vals, slope = ramps
+    other = _product_excluding_one(vals)
+    grad = _product_gradient(other, slope, grad_d)
+    curv = _quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
+    tangential = slope / np.where(d > 1e-300, d, 1.0)   # Hess d_i = (I - grad d_i grad d_i^T) / d_i
+    live = vals > 0.0
+    rate = np.where(live, slope / np.where(live, vals, 1.0), 0.0)   # |g_i| / v_i
+    coef = other * (curv - tangential - slope * rate)
+    hess = np.matmul(grad_d.transpose(0, 2, 1), coef[..., None] * grad_d)
+    S = np.matmul(rate[:, None, :], grad_d)[:, 0]
+    hess += grad[:, :, None] * S[:, None, :]
+    idx = np.arange(grad.shape[1])
+    hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
+    return grad, hess
 
 
 def _distance_gradient(diff, metric):
@@ -666,8 +626,9 @@ def gradient_integral_estimate(
     )
 
 
-def _ramp_neighbours(cover: BallCover, reach=2.0):
-    """Per ball i, the sorted indices j (i included) with dist(p_i, p_j) < reach (r_i + r_j).
+def _neighbour_table(cover: BallCover, reach):
+    """Per ball i, its neighbours j (i included), with dist(p_i, p_j) < reach (r_i + r_j),
+    as one (balls, width) table and the (balls, width) mask of its pad slots.
 
     With ``reach`` 2 (inf ramps, below 1 within 2 r) a point with both
     ramps below 1 lies within 2 r_i of p_i and 2 r_j of p_j, so the triangle
@@ -676,31 +637,22 @@ def _ramp_neighbours(cover: BallCover, reach=2.0):
     squared-chord screen against that distance (:func:`_chord_sq_bound`;
     chord <= arc, so a Euclidean bound also holds for a geodesic cover).
     It may admit extra balls, which cannot change an argmin or a product.
-    Rows are screened 256 at a time, so the temporaries hold at most
-    256 x balls entries.
+    Each row lists its neighbours ascending, then pads to the widest row's
+    count with slots of index 0 that :meth:`CutoffField._table_ramps`
+    reads as neutral.  Balls are screened 256 at a time, so the
+    temporaries hold at most 256 x balls entries.
     """
     c, r = cover.centers, cover.radii
-    out = []
-    for lo in range(0, cover.size, 256):
-        bound = _chord_sq_bound(reach * (r[lo:lo + 256, None] + r[None, :]), "euclidean")
-        out += [np.flatnonzero(row) for row in _gram_chord_sq(c[lo:lo + 256], c) < bound]
-    return out
-
-
-def _neighbour_table(neighbours):
-    """Neighbour lists as one (balls, width) table, each row padded with its
-    own ball, and the (balls, width) mask of the pad slots.
-
-    The pad comes after the sorted list, which holds the ball itself, so
-    an argmin over a table row picks the same ball as over the list; a
-    product must read the pad slots as neutral (``pad``), as a repeat would
-    count the ball twice.
-    """
-    counts = np.array([len(nb) for nb in neighbours])
-    pad = np.arange(counts.max(initial=0)) >= counts[:, None]
-    table = np.repeat(np.arange(len(neighbours))[:, None], pad.shape[1], axis=1)
-    for row, nb in zip(table, neighbours):
-        row[: len(nb)] = nb
+    i, j = np.concatenate([np.empty((0, 2), dtype=int)] + [
+        np.argwhere(_gram_chord_sq(c[lo:lo + 256], c)
+                    < _chord_sq_bound(reach * (r[lo:lo + 256, None] + r[None, :]), "euclidean"))
+        + (lo, 0)
+        for lo in range(0, cover.size, 256)
+    ]).T
+    count = np.bincount(i, minlength=cover.size)
+    pad = np.arange(count.max(initial=0)) >= count[:, None]
+    table = np.zeros(pad.shape, dtype=int)
+    table[~pad] = j   # row by row, each row's balls ascending
     return table, pad
 
 
@@ -713,14 +665,12 @@ def _annulus_gradient_integrand(M, field, q):
     r < d < 2 r (where the ramp slope is nonzero) reads an exact 0.0 without
     evaluating any ramp.  The screen compares the squared chord to the
     ball's centre with the widened bounds of :func:`_chord_sq_bound`.  A
-    ball whose neighbour list holds no other ball reads its own ramp
-    directly, which is what the inf over its table row (that ball
-    repeated) gives.
+    ball whose neighbour table row lists no other ball reads its own ramp
+    directly, which is what the inf over that row gives.
     """
     cover = field.cover
-    neighbours = _ramp_neighbours(cover)
-    table, _ = _neighbour_table(neighbours)
-    alone = np.array([len(nb) == 1 for nb in neighbours])
+    table, pad = _neighbour_table(cover, 2.0)
+    alone = pad[:, 1:].all(axis=1)
     inner_sq = _chord_sq_bound(cover.radii, cover.metric, lower=True)
     outer_sq = _chord_sq_bound(2.0 * cover.radii, cover.metric)
 
@@ -736,8 +686,9 @@ def _annulus_gradient_integrand(M, field, q):
         grad = slope[:, None] * grad_d
         shared = ~alone[own]
         if shared.any():
-            act, _, slope, grad_d = field._active_ramp(X[rows[shared]], table[own[shared]])
-            keep[shared] = (act == own[shared]) & (slope > 0.0)
+            mine = own[shared]
+            act, _, slope, grad_d = field._active_ramp(X[rows[shared]], table[mine], pad[mine])
+            keep[shared] = (act == mine) & (slope > 0.0)
             grad[shared] = slope[:, None] * grad_d
         rows = rows[keep]
         out = np.zeros(X.shape[0])
@@ -766,8 +717,8 @@ def _per_ball_integrals(M, cover, reach, integrands, seeds, strata, samples_per_
     for integrand, seq in zip(integrands, seeds):
         children = seq.spawn(cover.size)
         totals.append(sum(stratified_integral(
-            M, lambda U, X, box, f=integrand: f(U, X, balls[box]), box=boxes[balls], strata=strata,
-            samples_per_cell=samples_per_cell, seed=[children[i] for i in balls],
+            M, lambda U, X, box, f=integrand: f(U, X, balls[box]), boxes[balls],
+            [children[i] for i in balls], strata=strata, samples_per_cell=samples_per_cell,
         ), ZERO_ESTIMATE))
     return totals
 
@@ -914,11 +865,11 @@ def _quality_integrands(M, field: CutoffField):
 
     Only rows within a conservative screen of their own ball, and for the
     derivatives outside B(p_own, r_own/2), where both are exactly 0, take
-    ramps, and only those of the ball's neighbours (:func:`_ramp_neighbours`
-    at reach 1), padded with neutral slots.
+    ramps, and only those of the ball's neighbours (:func:`_neighbour_table`
+    at reach 1).
     """
     cover = field.cover
-    table, pad = _neighbour_table(_ramp_neighbours(cover, 1.0))
+    table, pad = _neighbour_table(cover, 1.0)
     outer_sq = _chord_sq_bound(cover.radii, cover.metric)
 
     def per_ball(quantity, inner):
@@ -945,5 +896,5 @@ def _quality_integrands(M, field: CutoffField):
         per_ball(lambda U, X, ramps: tangential_gradient_sq(
             M, U, _product_gradient(_product_excluding_one(ramps[3]), ramps[4], ramps[1])), 0.5),
         per_ball(lambda U, X, ramps: np.abs(surface_laplacian(
-            M, U, X, *field._product_derivatives(X, ramps))), 0.5),
+            M, U, X, *_product_derivatives(ramps))), 0.5),
     )

@@ -3,12 +3,13 @@
 Integrals over a surface use stratified Monte Carlo over a chart cell grid
 with metric-density weights (every cell contributes its volume times the
 cell sample mean, which makes the estimator unbiased and gives an honest
-per-cell variance).  Integrands concentrated on small balls or thin annuli
-around them are integrated the same way, over a chart box around each
-ball, all boxes in one stacked call, so a ball is sampled at its own scale
-however small it is.  The sampler alone decides how many sample rows exist
-at once: at most ``_CHUNK_ROWS``, whatever the box count, the dimension or
-the strata.
+per-cell variance).  The sampler takes one form: a stack of chart boxes
+with one seed each, returning one estimate per box.  Integrands
+concentrated on small balls or thin annuli around them stack a chart box
+around each ball, so a ball is sampled at its own scale however small it
+is; a whole-chart integral is a stack of the chart box alone.  The sampler
+alone decides how many sample rows exist at once: at most ``_CHUNK_ROWS``,
+whatever the box count, the dimension or the strata.
 
 All randomness is driven by ``numpy.random.SeedSequence`` spawns, so
 partial sums are reproducible and independent streams combine
@@ -81,26 +82,24 @@ def _cell_grid(boxes, strata, index):
 def stratified_integral(
     M: ParametrizedHypersurface,
     fn,
-    box=None,
+    boxes,
+    seeds,
     strata=24,
     samples_per_cell=2,
-    seed=0,
-) -> MCEstimate:
-    """Stratified Monte-Carlo integral of ``fn`` against the area measure.
+) -> BoxEstimates:
+    """Stratified Monte-Carlo integrals of ``fn`` against the area measure
+    over a stack of chart boxes (b, n, 2), one seed per box in ``seeds``.
 
     ``fn(U, X, box)`` receives sample rows as chart parameters and ambient
     points, with the index of each row's box in the stack, and returns the
     integrand values (without the metric density; the density is part of
-    the measure).  ``box`` restricts integration to a chart sub-box.  The
-    rows come in chunks of at most ``_CHUNK_ROWS``, cut anywhere in the
-    stack's cell list, so ``fn`` must treat each row on its own.
-
-    A stack of boxes (b, n, 2) with a sequence of b seeds integrates every
-    box in one pass and returns their estimates as :class:`BoxEstimates`;
-    each box gets exactly the samples and the estimate that a call with
-    that box and its seed alone would give, and ``fn`` receives ``box`` all
-    0 on a single box.  Each box draws its rows from its own generator, in
-    cell order, chunk after chunk, so the chunk size changes no bit.
+    the measure).  The rows come in chunks of at most ``_CHUNK_ROWS``, cut
+    anywhere in the stack's cell list, so ``fn`` must treat each row on its
+    own.  The estimates come back box by box as :class:`BoxEstimates`.
+    Each box draws its rows from its own generator, in cell order, chunk
+    after chunk, so the chunk size changes no bit, and each box gets
+    exactly the samples and the estimate that a stack of that box alone
+    with its seed would give.
 
     The density sqrt(det g) is taken only on the rows where ``fn`` is
     non-zero (negative values count), and the cell volume (its sides
@@ -111,13 +110,10 @@ def stratified_integral(
     """
     chart = M.chart
     n = chart.dim
-    boxes = np.asarray(chart.box if box is None else box, dtype=float)
-    single = boxes.ndim == 2
-    if single:
-        boxes, seed = boxes[None], [seed]
+    boxes = np.asarray(boxes, dtype=float)
     count = math.prod(_capped_per_axis(strata, n))
     k = max(2, int(samples_per_cell))
-    rngs = [np.random.default_rng(s) for s in seed]  # int, SeedSequence or Generator all work
+    rngs = [np.random.default_rng(s) for s in seeds]  # int, SeedSequence or Generator all work
     total = len(boxes) * count
     step = max(1, min(_CHUNK_ROWS // k, total))   # cells per chunk
     draws = np.empty((step, k, n))
@@ -154,8 +150,7 @@ def stratified_integral(
             sums[:, start // count:hi // count] = terms[:, :done - start].reshape(2, -1, count).sum(axis=-1)
             terms[:, :hi - done] = terms[:, done - start:hi - start]
             start = done
-    ests = BoxEstimates(MCEstimate(float(v), math.sqrt(e), count * k) for v, e in sums.T)
-    return ests[0] if single else ests
+    return BoxEstimates(MCEstimate(float(v), math.sqrt(e), count * k) for v, e in sums.T)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .geometry import (
     sqrt_det_metric,
 )
 from .operators import DiscreteOperator
+from .sampling import _CHUNK_ROWS
 
 CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 ORDER_FLOOR = 1e-9  # errors below it sit at the solver floor (observed_order)
@@ -130,14 +131,19 @@ def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:
     quadrature of ``resolution`` nodes per axis, capped in high dimension
     as the strata of a stratified integral are (9 per axis at n = 6),
     |grad f|^2 from the field's ambient gradient through
-    :func:`.fields.tangential_gradient_sq`.
+    :func:`.fields.tangential_gradient_sq`.  The per-node density, f and
+    |grad f|^2 are taken ``_CHUNK_ROWS`` nodes at a time, so the metric,
+    the embedding and the chart frame never hold the whole grid.
     """
     chart = M.chart
     nodes, weights = chart_quadrature(chart, _capped_per_axis(resolution, chart.dim))
-    w = weights * sqrt_det_metric(chart, nodes)
-    X = chart.embed(nodes)
-    vals = np.asarray(f.value(X), dtype=float)
-    grads = tangential_gradient_sq(M, nodes, f.ambient_gradient(X))
+    w, vals, grads = np.empty((3, len(nodes)))
+    for lo in range(0, len(nodes), _CHUNK_ROWS):
+        U = nodes[lo:lo + _CHUNK_ROWS]
+        w[lo:lo + len(U)] = weights[lo:lo + len(U)] * sqrt_det_metric(chart, U)
+        X = chart.embed(U)
+        vals[lo:lo + len(U)] = f.value(X)
+        grads[lo:lo + len(U)] = tangential_gradient_sq(M, U, f.ambient_gradient(X))
     num = float(w @ (grads - float(M.potential) * vals**2))
     denom = float(w @ vals**2)
     if denom <= 1e-28 * float(w.sum()):

@@ -10,7 +10,7 @@ the cutoff step of the paper rests on, checked numerically:
 * the vanishing of the cutoff cross term int u <grad v, grad phi> in
   integration by parts (:func:`ibp_residual`, :func:`cutoff_cross_term`,
   acceptance criterion 10).  Both evaluate each ball's patch against the
-  ball's neighbours only (:func:`spherestab.cutoff._ramp_neighbours`);
+  ball's neighbours only (:func:`spherestab.cutoff._neighbour_table`);
 * the packing bound ``max degree <= (3 alpha beta)^N - 1`` for balls with
   disjoint sub-balls and beta-comparable radii
   (:func:`intersection_bound_check`, acceptance criterion 7);
@@ -35,9 +35,9 @@ import numpy as np
 
 from spherestab.cutoff import (
     CutoffField,
+    _neighbour_table,
     _product_excluding_one,
     _product_gradient,
-    _ramp_neighbours,
 )
 from spherestab.errors import BoundViolation, PreconditionViolated, UnsupportedFamily, ZeroTestFunction
 from spherestab.fields import chart_gradient, surface_laplacian, tangential_gradient_sq
@@ -243,7 +243,7 @@ def ibp_residual(
 
     def correction(i, nb, U, X):
         # 0 wherever another ball is active, so evaluate only where ball i is
-        act, phi, slope, grad_d = field._active_ramp(X, nb)
+        act, phi, slope, grad_d = field._active_ramp(X, *nb)
         rows = act == i
         out = np.zeros(len(U))
         if not rows.any():
@@ -269,26 +269,23 @@ def cutoff_cross_term(
 
     Each patch integrand takes its partition mask and grad phi from one
     distance evaluation against the patch ball's neighbours
-    (:func:`_ramp_neighbours`, reach 2 (r_i + r_j) for inf ramps and
+    (:func:`_neighbour_table`, reach 2 (r_i + r_j) for inf ramps and
     r_i + r_j for product ramps); where the mask holds, no other ramp
     differs from 1 with zero slope, so the integrand is that of the full
     field (for product ramps, up to the rounding of the gradient's sum over
     fewer balls).
     """
-    cover = field.cover
 
     def integrand(i, nb, U, X):
         if field.kind == "inf":
-            act, _, slope, grad_d = field._active_ramp(X, nb)
+            act, _, slope, grad_d = field._active_ramp(X, *nb)
             mask = act == i
             grad = slope[:, None] * grad_d
         else:
-            r = cover.radii[nb]
-            d, grad_d = field._dist_grad(X, cover.centers[nb])
-            vals, slope = field._ramps(d, r)
+            d, grad_d, r, vals, slope = field._table_ramps(X, *nb)
             # partition supp(grad phi) by the first annulus containing the point
             in_ann = (d > r / 2.0) & (d < r)
-            first = np.where(in_ann.any(axis=1), nb[in_ann.argmax(axis=1)], -1)
+            first = np.where(in_ann.any(axis=1), nb[0][in_ann.argmax(axis=1)], -1)
             mask = first == i
             grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
         uu = np.abs(np.asarray(u.value(X), dtype=float))
@@ -302,21 +299,22 @@ def _patch_sum(M, field: CutoffField, integrand, n_angular, nodes_per_segment, t
     """``total`` plus, in ball order, the patch integral (:func:`local_polar_integral`)
     of ``integrand(i, neighbours_i, U, X)`` around each ball i of the cover.
 
-    ``neighbours_i`` comes from :func:`_ramp_neighbours`.  A patch reaches
-    as far as ramp i differs from 1, with radial breaks at the ramp ends:
-    reach 2 r and breaks (r, 2 r) inf, reach r and breaks (r/2, r) product;
+    ``neighbours_i`` is ball i's row of :func:`_neighbour_table`, as the
+    pair (table row, pad row).  A patch reaches as far as ramp i differs
+    from 1, with radial breaks at the ramp ends: reach 2 r and breaks
+    (r, 2 r) inf, reach r and breaks (r/2, r) product;
     a Euclidean cover's chords become geodesic radii by :func:`_chord_to_arc`.
     """
     cover = field.cover
     inf = field.kind == "inf"
-    neighbours = _ramp_neighbours(cover, 2.0 if inf else 1.0)
+    table, pad = _neighbour_table(cover, 2.0 if inf else 1.0)
     for i in range(cover.size):
         r = cover.radii[i]
         reach, breaks = (2.0 * r, (r, 2.0 * r)) if inf else (r, (r / 2.0, r))
         if cover.metric == "euclidean":
             reach, breaks = _chord_to_arc(reach), [_chord_to_arc(b) for b in breaks]
         total += local_polar_integral(
-            M, cover.centers[i], lambda U, X, i=i: integrand(i, neighbours[i], U, X), reach,
+            M, cover.centers[i], lambda U, X, i=i: integrand(i, (table[i], pad[i]), U, X), reach,
             breaks=breaks, n_angular=n_angular, nodes_per_segment=nodes_per_segment,
         )
     return total

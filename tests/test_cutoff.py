@@ -426,6 +426,12 @@ def sphere_cloud(count, seed=0):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+def _every_ball(field, X):
+    # (d, grad d, r, ramp value, slope) over every ball of the cover, the
+    # table the field's public methods evaluate
+    return field._table_ramps(X, np.arange(field.cover.size), False)
+
+
 def test_inf_cutoff_one_ball_profile():
     field = cut.build_inf_cutoff(one_ball_cover(0.2, "geodesic"))
     t = 0.3  # geodesic distance = 1.5 r: midpoint of the ramp
@@ -457,8 +463,9 @@ def test_inf_cutoff_multi_ball_slope_bound(torus):
     assert np.all(grads <= np.max(2.0 / cov.radii) + 1e-12)
     # the active ramp's value is phi itself, bit for bit, and its ball is
     # the active index
-    assert np.array_equal(field._active_ramp(X)[1], field.value(X))
-    assert np.array_equal(field.active_index(X), field._active_ramp(X)[0])
+    every = np.arange(cov.size)
+    assert np.array_equal(field._active_ramp(X, every, False)[1], field.value(X))
+    assert np.array_equal(field.active_index(X), field._active_ramp(X, every, False)[0])
 
 
 def test_product_cutoff_profile_sets():
@@ -512,9 +519,7 @@ def test_product_cutoff_derivatives_match_fd():
 def _pairwise_product_hessian(field, X):
     """Reference: the product-cutoff Hessian by its explicit i != j double loop."""
     p, dim = X.shape
-    d, grad_d = field._dist_grad(X)
-    vals, slope = field._ramps(d)
-    r = field.cover.radii[None, :]
+    d, grad_d, r, vals, slope = _every_ball(field, X)
     curv = cut._quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
     other = cut._product_excluding_one(vals)
     safe_d = np.where(d > 1e-300, d, 1.0)
@@ -547,8 +552,7 @@ def test_product_hessian_matches_pairwise_loop_on_overlapping_balls():
         centers, np.array([0.3, 0.28, 0.32, 0.26, 0.3]), 2, 1.0, 10.0, "euclidean"
     ))
     X = np.array([1.0, 0, 0, 0]) + np.random.default_rng(11).normal(scale=0.15, size=(4000, 4))
-    d, _ = field._dist_grad(X)
-    vals, slope = field._ramps(d)
+    _, _, _, vals, slope = _every_ball(field, X)
     active = np.sum(slope > 0.0, axis=1)
     vanishing = np.any(vals == 0.0, axis=1)
     crowded = (active >= 3) & ~vanishing
@@ -765,8 +769,7 @@ def _all_balls_integrand(M, field, i, q):
     every ball's ramp; the rows' box indices go unread."""
 
     def integrand(U, X, box):
-        d, grad_d = field._dist_grad(X)
-        vals, slope = field._ramps(d)
+        _, grad_d, _, vals, slope = _every_ball(field, X)
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         grad = slope[take, act][:, None] * grad_d[take, act]
@@ -788,7 +791,7 @@ def _rows_straddling(M, field, i, target, count, rng):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     def dist(t):
-        return field._dist_grad(chart.embed(u0 + t[:, None] * dirs))[0][:, i]
+        return _every_ball(field, chart.embed(u0 + t[:, None] * dirs))[0][:, i]
 
     lo, hi = np.zeros(count), np.full(count, target)
     while np.any(dist(hi) <= target):
@@ -816,8 +819,8 @@ def test_local_gradient_integrand_matches_all_balls(kl, count, radius):
     rng = np.random.default_rng(32)
     cov = cut.BallCover(centers, rng.uniform(*radius, count), M.dimension, 1, 1e9, "geodesic")
     field = cut.build_inf_cutoff(cov)
-    neighbours = cut._ramp_neighbours(cov)
-    assert any(1 < len(nb) < count for nb in neighbours)  # overlapping, yet local
+    listed = np.sum(~cut._neighbour_table(cov, 2.0)[1], axis=1)
+    assert np.any((1 < listed) & (listed < count))  # overlapping, yet local
     boxes, hit = cut._ball_chart_boxes(M, cov.centers, 2.0 * cov.radii, "geodesic")
     assert hit.all()
     U_all, _ = geo.sample_points(M, 400, seed=33)
@@ -892,9 +895,9 @@ def _per_ball_reference(M, cover, field, q, strata, samples_per_cell, seed):
         rounds.append(grown)
         if box is not None:
             total = total + stratified_integral(
-                M, _all_balls_integrand(M, field, i, q), box=box, strata=strata,
-                samples_per_cell=samples_per_cell, seed=children[i],
-            )
+                M, _all_balls_integrand(M, field, i, q), box[None], [children[i]], strata=strata,
+                samples_per_cell=samples_per_cell,
+            )[0]
     return total, rounds
 
 
@@ -907,8 +910,8 @@ def _identity_covers():
     pole = cut.cover_singular_set(m21.chart.embed(np.array([[0.0, 0.0, 0.0]])), n=3, q=1, epsilon=0.1)
     radii = rng.uniform(0.05, 0.3, 24)
     # the last ball repeats ball 0, so every ramp ties with ball 0's and the
-    # lower index stays active: a table that put the pad before the sorted
-    # neighbours would make the repeat active
+    # lower index stays active: a table that listed the repeat before ball 0
+    # would make the repeat active
     doubled = cut.BallCover(np.vstack([c11, c11[:1]]), np.append(radii, radii[0]), 2, 1, 1e9, "geodesic")
     return [
         ("geodesic", torus, doubled, 1),
@@ -1162,7 +1165,7 @@ def test_quality_integrands_read_zero_outside_every_ball(torus):
         own = np.random.default_rng(4).integers(cover.size, size=len(U))
         for integrand in cut._quality_integrands(torus, field):
             assert np.all(integrand(U, X, own)[outside] == 0.0)
-        vals, slope = field._ramps(field._dist_grad(X[outside])[0])
+        _, _, _, vals, slope = _every_ball(field, X[outside])
         assert np.all(vals == 1.0) and np.all(slope == 0.0)
 
 
@@ -1171,14 +1174,14 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
     # energy-integrals cover, whose neighbour table pads 14 of its 20 rows:
     # each row reads its value only in the lowest-index ball that holds it,
     # 0 in every other ball's box, and that value is the one the field's
-    # own ball table gives, to rounding (the area integrand is 1 on the
-    # union of the balls, where phi < 1)
+    # public methods give over every ball, to rounding (the area integrand
+    # is 1 on the union of the balls, where phi < 1)
     chart = torus.chart
     base, radii, U_edge = _crowded_torus_cover()
     crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
     workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
-    assert cut._neighbour_table(cut._ramp_neighbours(workload, 1.0))[1].sum() == 14
+    assert cut._neighbour_table(workload, 1.0)[1].sum() == 14
     rng = np.random.default_rng(5)
     U_crowded = np.concatenate([U_edge, rng.uniform((0.75, 1.7), (1.45, 2.3), size=(4000, 2))])
     U_chart = rng.uniform(chart.box[:, 0], chart.box[:, 1], size=(30000, 2))
@@ -1188,10 +1191,10 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
         holds = np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) < cover.radii
         lowest = np.where(holds.any(axis=1), holds.argmax(axis=1), -1)
         assert np.sum(holds.sum(axis=1) > 1) > (1000 if cover is crowded else 10)
-        grad, hess = field._product_derivatives(X)
+        grad, hess = field.ambient_gradient(X), field.ambient_hessian(X)
         reference = (
             (lowest >= 0).astype(float),
-            tangential_gradient_sq(torus, U, field.ambient_gradient(X)),
+            tangential_gradient_sq(torus, U, grad),
             np.abs(surface_laplacian(torus, U, X, grad, hess)),
         )
         balls = np.arange(cover.size)
@@ -1208,52 +1211,50 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
     assert np.sum(lap(U_edge[1::3], X, lowest) > 0.0) >= 10
 
 
-def _all_balls_product(field, X):
-    # the product field over every ball of the cover: value, gradient and
-    # Hessian as in _product_derivatives, with each row's largest term
-    # magnitude for the gradient and for the Hessian
-    d, grad_d = field._dist_grad(X)
-    vals, slope = field._ramps(d)
-    other = cut._product_excluding_one(vals)
-    grad = cut._product_gradient(other, slope, grad_d)
-    r = field.cover.radii[None, :]
-    curv = cut._quintic_d2(2.0 * (d / r) - 1.0) * 4.0 / r**2
-    tangential = slope / np.where(d > 1e-300, d, 1.0)
-    live = vals > 0.0
-    rate = np.where(live, slope / np.where(live, vals, 1.0), 0.0)
-    coef = other * (curv - tangential - slope * rate)
-    hess = np.matmul(grad_d.transpose(0, 2, 1), coef[..., None] * grad_d)
-    S = np.matmul(rate[:, None, :], grad_d)[:, 0]
-    hess += grad[:, :, None] * S[:, None, :]
-    idx = np.arange(X.shape[1])
-    hess[:, idx, idx] += np.sum(other * tangential, axis=1)[:, None]
-    grad_scale = np.max(np.abs(other * slope), axis=1)
-    hess_scale = np.max(np.abs(np.concatenate(
-        [coef, other * tangential, np.abs(grad) * np.abs(S).max(axis=1, keepdims=True)], axis=1)), axis=1)
-    return vals.prod(axis=1), grad, hess, grad_scale, hess_scale
-
-
-def test_ball_tables_match_all_balls_reference(torus):
-    # value bit for bit, gradient and Hessian within 4 ulps of each row's
-    # largest term; rows lie in up to 5 balls of the crowded cover
+def test_inf_neighbour_table_pads_match_every_ball(torus):
+    # the crowded cover as a geodesic inf cover (rows in up to 5 balls),
+    # with a sixth ball that neighbours balls 2-4 only, so the table pads
+    # rows 0, 1 and 5.  On every row the report's screen keeps within 2 r of
+    # a ball, the inf over that ball's table row, neutral pads after the
+    # listed balls, equals the inf over its listed balls alone bit for bit
+    # (ball, phi, slope, distance gradient), and its phi and slope equal
+    # those over every ball; where phi < 1 the ball and gradient do too.
+    # Rows 2 r (1 + 1e-12) from a centre, off the others' annuli, read 1 on
+    # every listed ramp: the tie goes to the first listed ball, ball 2 for
+    # ball 5, where a pad (index 0) winning it would read ball 0
     chart = torus.chart
-    base, radii, U_edge = _crowded_torus_cover()
-    U = np.concatenate([U_edge, np.random.default_rng(5).uniform((0.75, 1.7), (1.45, 2.3), size=(4000, 2))])
-    field = cut.build_product_cutoff(cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean"))
+    base, radii, _ = _crowded_torus_cover()
+    base, radii = np.vstack([base, [1.95, 2.0]]), np.append(radii, radii[0])
+    field = cut.build_inf_cutoff(cut.BallCover(chart.embed(base), radii, 2, 1, 1e9, "geodesic"))
+    table, pad = cut._neighbour_table(field.cover, 2.0)
+    assert list(pad.sum(axis=1)) == [1, 1, 0, 0, 0, 2] and list(table[5, :4]) == [2, 3, 4, 5]
+    # a chart step (s, t) moves the chord sqrt(2) (sin^2(s/2) + sin^2(t/2))^(1/2)
+    chord = 2.0 * math.sin(radii[0] * (1.0 + 1e-12))   # of the arc 2 r (1 + 1e-12)
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    steps = 2.0 * np.arcsin(chord / math.sqrt(2.0) * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    ring = (base[:, None, :] + steps).reshape(-1, 2)
+    rng = np.random.default_rng(6)
+    U = np.concatenate([ring, rng.uniform((0.4, 1.4), (2.6, 2.6), size=(8000, 2))])
     X = chart.embed(U)
-    table, pad = field._ball_table(X)
-    assert table.shape[1] == 5 and (~pad).sum(axis=1).min() == 0
-    # each row's balls ascending, then the pads
-    assert np.all(np.diff(pad.astype(int), axis=1) >= 0)
-    assert np.all((np.diff(table, axis=1) > 0) | pad[:, 1:])
-    value, grad, hess, grad_scale, hess_scale = _all_balls_product(field, X)
-    assert np.array_equal(field.value(X), value)
-    assert np.sum((value > 0.0) & (value < 1.0)) > 1000
-    tol = 4.0 * np.finfo(float).eps
-    assert np.all(np.abs(field.ambient_gradient(X) - grad) <= tol * grad_scale[:, None])
-    new_grad, new_hess = field._product_derivatives(X)
-    assert np.all(np.abs(new_grad - grad) <= tol * grad_scale[:, None])
-    assert np.all(np.abs(new_hess - hess) <= tol * hess_scale[:, None, None])
+    every = field._active_ramp(X, np.arange(6), False)
+    outer_sq = cut._chord_sq_bound(2.0 * radii, "geodesic")
+    ties = first_not_zero = 0
+    for i in range(6):
+        rows = np.flatnonzero(np.sum((X - field.cover.centers[i]) ** 2, axis=1) < outer_sq[i])
+        own = np.full(len(rows), i)
+        local = field._active_ramp(X[rows], table[own], pad[own])
+        for a, b in zip(local, field._active_ramp(X[rows], table[i][~pad[i]], False)):
+            assert np.array_equal(a, b)
+        ball, phi, slope, grad = local
+        assert np.array_equal(phi, every[1][rows]) and np.array_equal(slope, every[2][rows])
+        below = phi < 1.0
+        assert np.array_equal(ball[below], every[0][rows][below])
+        assert np.array_equal(grad[below], every[3][rows][below])
+        tie = np.all(field._table_ramps(X[rows], table[i], pad[i])[3][:, ~pad[i]] == 1.0, axis=1)
+        assert np.all(ball[tie] == table[i, 0])
+        ties += int(tie.sum())
+        first_not_zero += int(tie.sum()) if table[i, 0] != 0 else 0
+    assert ties >= 100 and first_not_zero >= 10
 
 
 def test_product_c0_is_computed_on_first_use():
@@ -1328,8 +1329,7 @@ def _patch_reference(M, field, u, v, i, which):
     chart = M.chart
 
     def integrand(U, X):
-        d, grad_d = field._dist_grad(X)
-        vals, slope = field._ramps(d)
+        d, grad_d, _, vals, slope = _every_ball(field, X)
         uu = np.asarray(u.value(X), dtype=float)
         if field.kind == "product":
             in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
@@ -1380,7 +1380,8 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
     for which, cover, run in cases:
         field = cut.CutoffField(cover, "inf" if cover is inf_cover else "product")
         reach = 2.0 if field.kind == "inf" else 1.0
-        assert any(1 < len(nb) < cover.size for nb in cut._ramp_neighbours(cover, reach))
+        listed = np.sum(~cut._neighbour_table(cover, reach)[1], axis=1)
+        assert np.any((1 < listed) & (listed < cover.size))
         patches.clear()
         run()
         assert len(patches) == cover.size

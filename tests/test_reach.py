@@ -47,9 +47,6 @@ UNREACHED = {
     "cutoff.BallCover.subset": _ITEM_12,
     "cutoff.enlarged_class_count": _ITEM_12,
     "cutoff.vitali_discard": _ITEM_12,
-    "cutoff.CutoffField._ball_table": ("the field's own ball list at any point, behind its value, "
-                                       "gradient and Hessian; the reports evaluate each ball's "
-                                       "neighbour table instead"),
     "cutoff.CutoffField.active_index": _FIELD_METHOD.format('`"active_index"`'),
     "cutoff.CutoffField.ambient_gradient": _FIELD_METHOD.format('`"ambient_gradient"`'),
     "cutoff.CutoffField.ambient_hessian": _FIELD_METHOD.format('`"ambient_hessian"`'),

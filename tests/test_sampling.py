@@ -71,16 +71,17 @@ def test_live_row_density_matches_dense_reference(case, monkeypatch):
     assert (seen < 0).any() and (seen > 0).any() and (seen == 0).mean() > 0.3
     for chunk_rows in (7, smp._CHUNK_ROWS, 10**9):
         monkeypatch.setattr(smp, "_CHUNK_ROWS", chunk_rows)
-        stacked = stratified_integral(M, _signed_sparse, box=np.array(boxes, dtype=float),
-                                      strata=strata, samples_per_cell=per_cell, seed=seeds)
+        stacked = stratified_integral(M, _signed_sparse, np.array(boxes, dtype=float), seeds,
+                                      strata=strata, samples_per_cell=per_cell)
         assert isinstance(stacked, BoxEstimates)
         assert list(stacked) == expected
         assert stacked.samples == sum(est.samples for est in expected)
         assert stacked.samples == len(boxes) * strata**M.dimension * per_cell
         for i, (box, seed, ref) in enumerate(zip(boxes, seeds, expected)):
-            alone = stratified_integral(M, lambda U, X, box, i=i: _signed_sparse(U, X, i), box=box,
-                                        strata=strata, samples_per_cell=per_cell, seed=seed)
-            assert alone == ref
+            alone = stratified_integral(M, lambda U, X, box, i=i: _signed_sparse(U, X, i),
+                                        np.array(box, dtype=float)[None], [seed],
+                                        strata=strata, samples_per_cell=per_cell)
+            assert alone[0] == ref
 
 
 def test_rows_on_a_pole_match_dense_reference():
@@ -93,27 +94,26 @@ def test_rows_on_a_pole_match_dense_reference():
     u = np.array([[0.0, 1.0, 2.0]])
     assert _signed_sparse(u, M.chart.embed(u), 0)[0] != 0.0
     assert geo.sqrt_det_metric(M.chart, u)[0] == 0.0
-    assert stratified_integral(M, _signed_sparse, box=box, strata=4, seed=seed) == expected
+    assert stratified_integral(M, _signed_sparse, np.array(box)[None], [seed], strata=4)[0] == expected
 
 
 def test_all_zero_integrand_reads_exact_zero():
     M = geo.clifford_hypersurface((1, 2))
-    est = stratified_integral(M, lambda U, X, box: np.zeros(len(U)), strata=5, seed=3)
+    est = stratified_integral(M, lambda U, X, box: np.zeros(len(U)), M.chart.box[None], [3], strata=5)[0]
     assert (est.value, est.stderr, est.samples) == (0.0, 0.0, 5**3 * 2)
     assert not math.copysign(1.0, est.value) < 0
 
 
 def test_zero_width_box_leaves_stacked_boxes_unchanged():
     # a box stacked beside a zero-width pole box gets the cell edges, and so
-    # the estimate, that it gets alone
+    # the estimate, that it gets in a stack of its own
     M = geo.clifford_hypersurface((2, 1))
     box = [[0.0, 0.4], [0.5, 2.0], [1.0, 3.0]]
     pole = [[0.0, 0.0], [0.5, 2.0], [1.0, 3.0]]
     fn = lambda U, X, box: X[:, 0]  # noqa: E731
-    alone = stratified_integral(M, fn, box=box, strata=6, samples_per_cell=3, seed=11)
-    stacked = stratified_integral(M, fn, box=np.array([box, pole]), strata=6,
-                                  samples_per_cell=3, seed=[11, 11])
-    assert stacked[0] == alone
+    alone = stratified_integral(M, fn, np.array([box]), [11], strata=6, samples_per_cell=3)
+    stacked = stratified_integral(M, fn, np.array([box, pole]), [11, 11], strata=6, samples_per_cell=3)
+    assert stacked[0] == alone[0]
 
 
 # ---------------------------------------------------------------------------

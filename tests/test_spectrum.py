@@ -292,6 +292,22 @@ def test_rayleigh_coordinate_field_above_dimension_three(kl, tol):
     assert abs(spec.rayleigh_quotient(M, AmbientCoordinateField(0)) + M.dimension) <= tol
 
 
+def test_rayleigh_quotient_memory_on_clifford23():
+    # the x_0 quotient on clifford(2,3), 15^5 quadrature nodes: its
+    # Python-heap peak stays under 128 MB (401 MB when the density, the
+    # embedding, the chart frame and the gradients were formed over the
+    # whole grid at once)
+    M = geo.clifford_hypersurface((2, 3))
+    tracemalloc.start()
+    try:
+        value = spec.rayleigh_quotient(M, AmbientCoordinateField(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value + M.dimension) <= 1e-8
+    assert peak < 128e6, peak / 1e6
+
+
 def test_rayleigh_scale_invariance(torus):
     f = AmbientCoordinateField(1, scale=1.0)
     base = spec.rayleigh_quotient(torus, f, resolution=32)
