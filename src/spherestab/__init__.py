@@ -34,7 +34,6 @@ from .geometry import (
     sample_points,
     shape_at,
 )
-from .operators import DiscreteOperator, assemble_jacobi
 from .spectrum import (
     EigenResult,
     SimonsReport,

@@ -50,7 +50,6 @@ import numpy as np
 from . import estimates as est
 from . import cutoff as cut
 from . import geometry as geo
-from . import operators as ops
 from . import spectrum as spec
 from .errors import SpherestabError
 
@@ -241,7 +240,7 @@ def _run_spectrum(config: RunConfig, M):
                     columns=["surface", "backend", "resolution", "lambda1", "residual", "abs_err"])
     for res in config.resolutions:
         try:
-            rung = spec.first_stability_eigenvalue(ops.assemble_jacobi(M, res))
+            rung = spec.first_stability_eigenvalue(M, res)
         except (MemoryError, SpherestabError) as exc:
             # the rows computed before the failing rung are kept
             result.payload["failure"] = (f"MemoryError: out of memory at resolution {res}"

@@ -130,27 +130,13 @@ def _write_hyperspherical_jacobian(out, angles, scale):
 
 
 def _sphere_metric_diag(angles):
-    """Diagonal of the unit S^k round metric in hyperspherical coordinates.
-
-    The recurrence g_0 = 1, g_(i+1) = g_i sin^2 t_i runs on whatever the
-    angles are.  Points (..., k) get the stacked diagonal (..., k).  An open
-    grid -- a tuple of k per-axis arrays that broadcast against each other,
-    as from ``np.ix_`` -- gets a tuple of k entries that broadcast to the
-    grid; entry i varies only along axes < i, so the sines are taken once
-    per axis value.  Both forms round identically.
-    """
-    grid = isinstance(angles, tuple)
-    if not grid:
-        angles = np.asarray(angles, dtype=float)
-    k = len(angles) if grid else angles.shape[-1]
-    diag = [1.0]
-    for i in range(k - 1):  # the last angle's sine enters no entry
-        diag.append(diag[-1] * np.sin(angles[i] if grid else angles[..., i]) ** 2)
-    if grid:
-        return tuple(diag)
+    """Diagonal (..., k) of the unit S^k round metric at hyperspherical
+    ``angles`` (..., k), by the recurrence g_0 = 1, g_(i+1) = g_i sin^2 t_i."""
+    angles = np.asarray(angles, dtype=float)
     out = np.empty(angles.shape)
-    for i, g in enumerate(diag):
-        out[..., i] = g
+    out[..., 0] = 1.0
+    for i in range(angles.shape[-1] - 1):  # the last angle's sine enters no entry
+        out[..., i + 1] = out[..., i] * np.sin(angles[..., i]) ** 2
     return out
 
 
@@ -172,13 +158,11 @@ class Chart:
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
     Every field is required.  ``jacobian`` maps points
     (..., n) to the tangent frame (..., n+2, n).  ``metric_diag`` maps
-    points (..., n) to the metric diagonal (..., n), and an open grid (a
-    tuple of n per-axis coordinate arrays that broadcast against each
-    other, as from ``np.ix_``) to a tuple of n diagonal entries that
-    broadcast to that grid, bit for bit the values of the stacked form at
-    the grid points; it is the one source of sqrt(det g)
-    (:func:`sqrt_det_metric`).  ``inverse`` maps ambient points (..., n+2)
-    to the chart coordinates of their nearest surface points.
+    points (..., n) to the metric diagonal (..., n), its one input form;
+    it is the one source of sqrt(det g) (:func:`sqrt_det_metric`) and of
+    the stability pencil (:func:`.operators.axis_pencils`).  ``inverse``
+    maps ambient points (..., n+2) to the chart coordinates of their
+    nearest surface points.
     """
 
     box: np.ndarray                      # (n, 2) coordinate bounds
@@ -411,8 +395,6 @@ def _product_surface(product):
         return jac
 
     def metric_diag(U):
-        if isinstance(U, tuple):  # open grid: one tuple entry per axis
-            return sum((tuple(g * r**2 for g in _sphere_metric_diag(U[ax])) for ax, _, r in blocks), ())
         U = np.asarray(U, dtype=float)
         return np.concatenate([_sphere_metric_diag(U[..., ax]) * r**2 for ax, _, r in blocks], axis=-1)
 
@@ -526,9 +508,17 @@ def chart_quadrature(chart, resolution):
 
 
 def _tensor_grid(axes):
-    """Row-major tensor product of 1D axes as points, shape (prod of lengths, len(axes))."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    """Row-major tensor product of 1D axes as points, shape (prod of lengths, len(axes)).
+
+    The stacked array is filled one axis at a time through a broadcast
+    view, so forming it takes its own size and no per-axis copy of the grid.
+    """
+    shape = tuple(len(a) for a in axes)
+    out = np.empty((math.prod(shape), len(axes)), dtype=np.result_type(*axes))
+    grid = out.reshape(shape + (len(axes),))
+    for i, a in enumerate(axes):
+        grid[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
+    return out
 
 
 def _per_axis(resolution, n):
@@ -561,9 +551,8 @@ def _row_product(entries):
     A stacked array ``a`` (..., n) passes ``np.moveaxis(a, -1, 0)`` and gets
     ``np.prod(a, axis=-1)`` bit for bit: both multiply the entries of a row
     left to right, but ``np.prod`` pays a reduction per row, so over a short
-    last axis this is about 10x faster.  It is the one product of metric
-    diagonals behind sqrt(det g), on stacked nodes (:func:`sqrt_det_metric`)
-    and on an open grid (the pencil weights of :mod:`operators`).
+    last axis this is about 10x faster.  It is the product of metric
+    diagonals behind sqrt(det g) on stacked nodes (:func:`sqrt_det_metric`).
     """
     return reduce(np.multiply, entries)
 

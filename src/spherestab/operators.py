@@ -1,252 +1,146 @@
-"""Discrete stability operators on chart grids.
+"""Discrete stability operators on chart grids, as a nest of 1-D pencils.
 
 The stability operator of a minimal hypersurface M^n of the unit sphere is
 ``L = Delta_M + |A|^2 + n`` (the ambient Ricci curvature of S^(n+1) is the
 constant n).  With the sign convention ``L u = -lambda u``, its spectrum is
-computed here from the generalized pencil
+that of the generalized pencil
 
     (S - V) x = lambda B x,
 
 where S is the weak-form stiffness (Dirichlet energy), B the lumped mass
-and V the potential ``|A|^2 + n`` weighted by the mass, the exact
-constant ``M.potential`` of the surface's sphere factors.  The
-discretization is second-order finite volumes in chart coordinates with
-metric-density weights: one node per cell, periodic axes wrap, and polar
-axes need no boundary rows because the density ``sqrt(det g)`` vanishes at
-the poles (the flux through a pole is zero).
+and V = c B the potential ``c = |A|^2 + n``, the exact constant
+``M.potential`` of the surface's sphere factors.  The discretization is
+second-order finite volumes in chart coordinates with metric-density
+weights: one node per cell, periodic axes wrap, and polar axes need no
+boundary rows because the density ``sqrt(det g)`` vanishes at the poles
+(the flux through a pole is zero).  The mass of a node is
+``sqrt(det g) * cell`` and the flux weight of the edge from a node to its
+neighbour one step up axis e is ``sqrt(det g) / g_ee * cell / h_e^2`` at
+the edge midpoint; S is the sum over edges of ``w (e_i - e_j)(e_i - e_j)^T``.
 
-The pencil is held in edge form (:class:`DiscreteOperator`): per axis a,
-the flux weight ``w_a = sqrt(det g) / g_aa * cell / h_a^2`` of the edge
-from each node to its neighbour one step up axis a, at the edge midpoint,
-with the edge through the box end of a polar axis set to exactly 0; and
-the node values of B and V.  Each is an array on the open grid, one that
-broadcasts to the grid's shape.  They define (S - V) x as per-axis fluxes
-on the tensor array,
+The pencil is never formed on the n-D grid.  It is held as a nest of 1-D
+pencils (tensor-product separation; Lynch, Rice & Thomas, Numer. Math. 6,
+1964).  The chart's metric diagonal is a nest when each entry g_ii is the
+product, over the axes a <= i, of one factor f_ai(t_a) per axis: entry i's
+own factor f_ii is g_ii along axis i with every other axis at the box
+centre, and for a < i, f_ai is g_ii along axis a over its value at the
+centre.  The hyperspherical chart of S^d is one (g_0 = 1,
+g_(i+1) = g_i sin^2 t_i), and a product of spheres is one nest per
+factor.  With rho_a = sqrt(prod_(i>=a) f_ai), the density factor of axis
+a, :class:`AxisPencils` keeps per axis a
 
-    flux = w_a * (roll(x, -1, a) - x),    S x += roll(flux, 1, a) - flux,
+* ``masses[a] = rho_a * h_a`` at the nodes;
+* ``weights[a] = rho_a / f_aa / h_a`` at the edge midpoints, the 1-D edge
+  weight from each node to its neighbour one step up the axis, set to
+  exactly 0 on the edge through the box end of a polar axis;
+* ``links[a] = rho_a / f_ae * h_a`` at the nodes, one column per later
+  axis e > a: the axis's factor in the weights of axis e's edges.  Its
+  factor in the weights of an earlier axis's edges is its mass.
 
-so S is symmetric by construction, positive semidefinite whenever every
-weight is >= 0, and S 1 is exactly 0: on a surface with constant
-potential the constant function is an exact discrete eigenvector,
-mirroring the continuous situation.  That structure is what
-:func:`spherestab.spectrum.first_stability_eigenvalue` certifies, and it
-refuses a pencil without it: when the weights are >= 0 and V = c B -- as
-on every surface, where |A|^2 is the constant of its sphere factors --
-the smallest eigenvalue is -c with the constant eigenvector.  As
-(S - V) 1 = -V, that eigenvalue and its residual are sums over the
-open-grid B and V, so the certified path builds nothing of the grid's
-size.
+so that at a grid node t
 
-The geometry is evaluated on the grid axes, not on the full grid.  A
-diagonal chart metric is asked for on an open grid (the per-axis node
-coordinates, or those of one axis moved to its midpoints, as arrays that
-broadcast against each other), so each axis's sines are taken once per
-coordinate value; on the hyperspherical charts entry g_aa varies only
-along the axes before a within its sphere factor.  sqrt(det g), the mass
-and the flux weights are then formed by broadcasting, with the same IEEE
-operations in the same order as on the stacked per-node (m, d) metric:
-the product runs over the axes in order, then ``** 0.5``, then
-``/ g_aa * cell / h^2``.  Broadcasting only repeats a value, it does not
-round it again, so every grid value goes through the same roundings on
-the same operands and the weights are bit for bit those of a per-node
-evaluation.  |A|^2 is the constant of the surface's sphere factors, so V
-stays on the open grid too.
+    B(t)   = prod_a masses[a](t_a),
+    w_e(t) = weights[e](t_e) * prod_(a<e) links[a][e](t_a) * prod_(a>e) masses[a](t_a),
 
-The matrices S, B and V are views built on demand from the edge form,
-for ``export_coo`` and oracle checks.  S is canonical CSR: row i holds
-the (2d + 1)-point stencil of node i in the slot order
-``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a and hi_a are the
-neighbours one step down and up axis a), which is ascending column order
-except on the rows that wrap on a periodic axis.  Each off-diagonal is the
-negated flux weight of its edge, and the diagonal is their negated sum
-taken in one fixed order: axis by axis, the flux to lo_a before the flux
-to hi_a.  The two slots through the box ends of a polar axis are not
-stored.  B and V are diagonal CSR.
+each the full-grid value up to the rounding of a product (the split
+identity the tests check against the n-D assembly of ``tests/oracles.py``).
+Every array has one entry per node of one axis.
+
+All of them come from one stacked ``chart.metric_diag`` call on per-axis
+rows -- each axis over its nodes and its edge midpoints, every other axis
+at the box centre -- the centre itself, and the grid's diagonal nodes
+(node j of every axis, j below the smallest count).  Nothing is taken from a closed form.  The
+diagonal checks the nest rather than assuming it: a chart whose metric
+there differs from the product of its factors by more than ``NEST_TOL``
+relative is refused with :class:`AssemblyFailure`.
+
+S 1 = 0 holds exactly (the flux of a constant is 0), and S is positive
+semidefinite whenever every edge weight is >= 0, which holds when every
+1-D weight, link coefficient and mass is; that is what
+:func:`spherestab.spectrum.first_stability_eigenvalue` certifies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import AssemblyFailure, DegenerateChart
 from .geometry import ParametrizedHypersurface, _per_axis, _row_product
 
+NEST_TOL = 1e-12  # relative misfit of the metric at the diagonal nodes to the nest's product
+
 
 @dataclass(eq=False)
-class DiscreteOperator:
-    """The stability pencil on one chart grid, in edge form.
+class AxisPencils:
+    """The stability pencil on one chart grid as per-axis 1-D arrays (module docstring)."""
 
-    ``weights[a]`` holds the flux weight of the edge from each node to its
-    neighbour one step up axis a (0 through the box end of a polar axis),
-    ``node_mass`` the lumped mass B_ii and ``node_potential`` V_ii; each
-    broadcasts to ``shape``.  ``stiffness``, ``mass`` and ``potential`` are
-    CSR views built from these on first use.
-    """
-
-    weights: tuple                 # per axis, >= 0 on an assembled grid
-    node_mass: np.ndarray          # positive
-    node_potential: np.ndarray     # (|A|^2 + n) * node_mass
-    periodic: tuple                # per axis
-    coords: tuple                  # per-axis node coordinates
-
-    @property
-    def shape(self):
-        return tuple(len(c) for c in self.coords)
+    weights: tuple      # per axis a: (N_a,) 1-D edge weights, >= 0 on a built grid
+    masses: tuple       # per axis a: (N_a,) node masses, positive
+    links: tuple        # per axis a: (N_a, n - a - 1) link coefficients of the later axes
+    potential: float    # c, with V = c B
 
     @property
     def size(self):
-        return math.prod(self.shape)
-
-    @cached_property
-    def _csr(self):
-        return _csr_views(self)
-
-    @property
-    def stiffness(self):
-        """S as canonical CSR."""
-        return self._csr[0]
-
-    @property
-    def mass(self):
-        """B as diagonal CSR."""
-        return self._csr[1]
-
-    @property
-    def potential(self):
-        """V as diagonal CSR."""
-        return self._csr[2]
-
-    def export_coo(self, which="stiffness", path=None):
-        """Matrix in text triplet form, one ``row col value`` line per entry."""
-        mat = getattr(self, which).tocoo()
-        order = np.lexsort((mat.col, mat.row))
-        lines = [
-            f"{mat.row[i]} {mat.col[i]} {float(mat.data[i])!r}"
-            for i in order
-            if mat.data[i] != 0.0
-        ]
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        """Nodes of the n-D grid."""
+        return math.prod(len(m) for m in self.masses)
 
 
-def grid_axes(chart, resolution):
-    """Node coordinates and spacing per axis: uniform (periodic) or cell-centered."""
-    res = _per_axis(resolution, chart.dim)
-    axes = []
-    for a, count in enumerate(res):
-        lo, hi = chart.box[a]
-        h = (hi - lo) / count
-        offset = 0.0 if chart.periodic[a] else 0.5
-        axes.append((lo + (np.arange(count) + offset) * h, h))
-    return axes
+def axis_pencils(M: ParametrizedHypersurface, resolution) -> AxisPencils:
+    """Build the 1-D nest of M's stability pencil on a tensor grid.
 
-
-def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator:
-    """Assemble the stability pencil of M on a tensor grid, in edge form.
-
-    Requires a chart with diagonal (orthogonal-coordinate) metric, which
-    covers every built-in family.  ``resolution`` is the node count
-    per axis (scalar or list), at least 8.
-
-    ``chart.metric_diag`` is evaluated on open grids (``np.ix_`` of the
-    per-axis coordinates): once at the nodes, for the metric and mass
-    checks and the mass, and once per axis a with that axis moved to its
-    edge midpoints, for the flux weights.  The mass and the flux weight
-    ``sqrt(det g) / g_aa * cell / h_a^2`` of each edge, at the edge
-    midpoint, are broadcast products of those per-axis entries, multiplied
-    in the order ``np.prod`` uses on a stacked (m, d) metric, so they round
-    as a per-node evaluation would.  On a polar axis the last edge ends at
-    the box end, where the density vanishes; its weight is set to 0, so no
-    flux crosses.  Nothing of the grid's full size is built here.
+    ``resolution`` is the node count per axis (scalar or list), at least
+    8: uniform nodes on a periodic axis, cell-centred on a polar one.
+    Raises :class:`DegenerateChart` when the metric is not positive at a
+    node, the box centre or a diagonal node, and :class:`AssemblyFailure`
+    when the metric at the diagonal nodes is not the nest's product.
     """
     chart = M.chart
-    res = _per_axis(resolution, chart.dim)
+    n = chart.dim
+    res = _per_axis(resolution, n)
     if min(res) < 8:
         raise ValueError("resolution must be >= 8 per axis")
+    box = np.asarray(chart.box, dtype=float)
+    starts = np.concatenate(([0], np.cumsum(res) * 2))  # the first row of each axis's block
+    d = min(res)                                         # diagonal nodes (j, ..., j), j < d
 
-    axes = grid_axes(chart, resolution)
-    coords = tuple(ax[0] for ax in axes)
-    cell = float(np.prod([ax[1] for ax in axes]))
-
-    # metric on the open grid: one broadcastable entry per axis
-    grid = np.ix_(*coords)
-    gdiag = chart.metric_diag(grid)
-    if any(np.any(g <= 0) for g in gdiag):
+    # one stacked metric, every axis at the centre but the one a row varies:
+    # per axis a block of its nodes and then its edge midpoints; then the
+    # diagonal nodes; then the centre
+    points = np.empty((starts[-1] + d + 1, n))
+    points[:] = (box[:, 0] + box[:, 1]) / 2.0
+    steps = []
+    for a, count in enumerate(res):
+        lo, hi = box[a]
+        h = (hi - lo) / count
+        x = lo + (np.arange(count) + (0.0 if chart.periodic[a] else 0.5)) * h
+        points[starts[a] : starts[a] + count, a] = x
+        points[starts[a] + count : starts[a + 1], a] = x + h / 2.0
+        points[starts[-1] : -1, a] = x[:d]
+        steps.append(h)
+    g = chart.metric_diag(points)
+    g_diag, g_centre = g[starts[-1] : -1], g[-1]
+    if not ((g[starts[-1] :] > 0).all() and all((g[s : s + c] > 0).all() for s, c in zip(starts, res))):
         raise DegenerateChart("metric degenerates at a grid node")
-    # the products of the diagonal entries start from ones with an axis per
-    # chart axis (1.0 * g_0 is exact), so mass and weights are arrays even
-    # where every entry is a scalar (the circle factors of S^1 and the torus)
-    ones = (np.ones((1,) * len(gdiag)),)
-    mass = _row_product(ones + gdiag) ** 0.5 * cell
-    if np.any(mass <= 0):
-        raise AssemblyFailure("mass matrix is not positive definite")
 
-    weights = []
-    for a, (_, h) in enumerate(axes):
-        # flux weight of the edge from each node to its hi neighbour, at the
-        # edge midpoint; on a polar axis the last one is the box end
-        gd = chart.metric_diag(grid[:a] + (grid[a] + h / 2.0,) + grid[a + 1 :])
-        up = _row_product(ones + gd) ** 0.5 / gd[a] * cell / h**2
+    weights, masses, links = [], [], []
+    nest = np.ones_like(g_diag)
+    for a, (count, h) in enumerate(zip(res, steps)):
+        # the factors f_ai of the entries i >= a: entry a whole, the later
+        # ones over their centre values
+        f = g[starts[a] : starts[a + 1], a:] / np.concatenate(([1.0], g_centre[a + 1 :]))
+        nest[:, a:] *= f[:d]
+        rho = _row_product(f.T) ** 0.5
+        up = rho[count:] / f[count:, 0] / h
         if not chart.periodic[a]:
-            up = np.array(np.broadcast_to(up, up.shape[:a] + (res[a],) + up.shape[a + 1 :]))
-            np.moveaxis(up, a, 0)[-1] = 0.0
+            up[-1] = 0.0  # the edge through the box end, where the density vanishes
         weights.append(up)
-
-    return DiscreteOperator(
-        weights=tuple(weights),
-        node_mass=mass,
-        node_potential=float(M.potential) * mass,
-        periodic=tuple(chart.periodic),
-        coords=coords,
-    )
-
-
-def _csr_views(op):
-    """(S, B, V) of an edge-form pencil as CSR, in the layout of the module docstring.
-
-    The slots through the box ends of a polar axis are dropped by position;
-    their weight is 0, so the diagonal can add every slot, axis by axis,
-    lo_a before hi_a, and no sort decides its rounding.  One
-    ``sort_indices`` orders the rows that wrap on a periodic axis.
-    """
-    import scipy.sparse as sp
-
-    shapes, n_nodes, ndim = op.shape, op.size, len(op.shape)
-    idx = np.arange(n_nodes, dtype=np.int32).reshape(shapes)
-    cols = np.empty((*shapes, 2 * ndim + 1), dtype=np.int32)
-    vals = np.empty((*shapes, 2 * ndim + 1))
-    keep = np.ones((*shapes, 2 * ndim + 1), dtype=bool)
-    diag = np.zeros(shapes)
-    for a, up in enumerate(op.weights):
-        lo = np.roll(up, 1, axis=a)
-        cols[..., a] = np.roll(idx, 1, axis=a)
-        cols[..., -1 - a] = np.roll(idx, -1, axis=a)
-        vals[..., a] = -lo
-        vals[..., -1 - a] = -up
-        if not op.periodic[a]:
-            np.moveaxis(keep[..., a], a, 0)[0] = False
-            np.moveaxis(keep[..., -1 - a], a, 0)[-1] = False
-        diag += lo
-        diag += up
-    cols[..., ndim] = idx
-    vals[..., ndim] = diag
-
-    # scipy stores the index arrays as int32 wherever the counts fit
-    indptr = np.concatenate(([0], np.cumsum(keep.reshape(n_nodes, -1).sum(axis=1))))
-    S = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_nodes, n_nodes))
-    S.sort_indices()  # the rows that wrap on a periodic axis
-    diagonal = np.arange(n_nodes + 1, dtype=np.int32)
-
-    def diagonal_csr(values):
-        values = np.broadcast_to(values, shapes).ravel()
-        return sp.csr_matrix((values, diagonal[:-1], diagonal), shape=S.shape)
-
-    return S, diagonal_csr(op.node_mass), diagonal_csr(op.node_potential)
-
+        masses.append(rho[:count] * h)
+        links.append(rho[:count, None] / f[:count, 1:] * h)
+    misfit = float((np.abs(nest - g_diag) / g_diag).max())
+    if not misfit <= NEST_TOL:
+        raise AssemblyFailure(f"chart metric is not a nest of per-axis factors: relative misfit "
+                              f"{misfit:.3e} > {NEST_TOL:g} at the grid's diagonal nodes")
+    return AxisPencils(tuple(weights), tuple(masses), tuple(links), float(M.potential))

@@ -8,10 +8,10 @@ the infimum of the stability Rayleigh quotient.  Benchmarks verified here:
 equators attain lambda_1 = -n with the constant eigenfunction; the minimal
 products of spheres attain lambda_1 = -2n, again with constant first
 eigenfunction, and |A| = sqrt(n) is the natural test field that exhibits
-the value.  On an assembled pencil both values are certified from its
-edge form (non-negative edge weights and a bound ptp(V_ii / B_ii) on the
-distance to the constant vector's Rayleigh quotient); a pencil that fails
-the check is refused, not solved.  The pointwise identity
+the value.  On a grid both values are certified from the pencil's nest of
+1-D pencils (non-negative weights and link coefficients, positive masses,
+V = c B); a pencil that fails the check is refused, not solved.  The
+pointwise identity
 
     Delta |A|^2 = 2 |grad A|^2 + 2 n |A|^2 - 2 |A|^4
 
@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import operators
 from .errors import AssemblyFailure, NonMinimal, ZeroTestFunction
 from .fields import ConstantField, tangential_gradient_sq
 from .geometry import (
@@ -40,10 +41,8 @@ from .geometry import (
     sample_points,
     sqrt_det_metric,
 )
-from .operators import DiscreteOperator
 from .sampling import _CHUNK_ROWS
 
-CERT_TOL = 1e-8   # the residual bar the CLI asserts on every numeric rung
 ORDER_FLOOR = 1e-9  # errors below it sit at the solver floor (observed_order)
 
 
@@ -68,60 +67,40 @@ class EigenResult:
         }
 
 
-def first_stability_eigenvalue(op: DiscreteOperator) -> EigenResult:
-    """Smallest eigenvalue of the stability pencil.
+def first_stability_eigenvalue(M: ParametrizedHypersurface, resolution) -> EigenResult:
+    """Smallest eigenvalue of M's stability pencil on a tensor grid of ``resolution``.
 
-    The operator is first certified on its edge form, in O(size):
-    when every edge weight is >= 0, S is positive semidefinite with the
-    constants as its kernel, and :func:`_constant_mode_gap` bounds the
-    distance from lambda_1 to the constant vector's Rayleigh quotient by
-    ptp(V_ii / B_ii).  When that is at most ``CERT_TOL``, lambda_1 is the
-    Rayleigh quotient, and it is read off the open-grid arrays of B and V
-    with nothing of the grid's size built: S 1 = 0 exactly for finite
-    weights, so (S - V) 1 = -V, and each sum over the grid is an open-grid
-    sum times the number of nodes each open-grid entry stands for.  The
-    eigenvector is then the B-normalized constant as a read-only
-    ``np.broadcast_to`` view, and the residual is ||V + lambda_1 B|| / ||B||.
-    An operator that fails the certificate -- a negative or non-finite
-    weight, a mass entry that is not positive, or V / B off a constant by
-    more than ``CERT_TOL`` -- raises :class:`AssemblyFailure` with the gap,
-    and nothing is solved: no surface the library builds produces one.
+    The pencil is built as its nest of 1-D pencils
+    (:func:`.operators.axis_pencils`) and certified on them, in
+    O(resolution * n): when every 1-D weight and link coefficient is
+    finite and >= 0 and every mass is finite and positive, each edge
+    weight of the n-D pencil, a product of these, is >= 0, so S is
+    positive semidefinite with S 1 = 0, and B is positive.  As V = c B,
+
+        lambda_1 = min x^T (S - V) x / x^T B x = -c,
+
+    attained by the constant vector.  The eigenvector is the B-normalized
+    constant as a read-only ``np.broadcast_to`` view, its normalization
+    the product of the per-axis mass sums, and its residual is exactly 0:
+    S 1 = 0 and V 1 = c B 1.  A pencil that fails the certificate -- a
+    negative or non-finite 1-D weight or link coefficient, a mass that is
+    not positive, a potential that is not finite -- raises
+    :class:`AssemblyFailure`, and nothing is solved: no surface the
+    library builds produces one.
     """
-    gap = _constant_mode_gap(op)
-    if gap > CERT_TOL:
+    pencil = operators.axis_pencils(M, resolution)
+    # min and max are NaN where an entry is, and every comparison with NaN fails
+    signs = np.concatenate([p.ravel() for p in pencil.weights + pencil.links])
+    masses = np.concatenate(pencil.masses)
+    if not (0.0 <= signs.min() and signs.max() < math.inf and 0.0 < masses.min()
+            and masses.max() < math.inf and math.isfinite(pencil.potential)):
         raise AssemblyFailure(
-            f"stability pencil fails the constant-mode certificate: gap {gap:.3e} > {CERT_TOL:g}"
+            "stability pencil fails the certificate: a 1-D weight or link coefficient is "
+            "negative or not finite, a mass is not positive, or the potential is not finite"
         )
-    b, v = np.broadcast_arrays(op.node_mass, op.node_potential)
-    copies = op.size // b.size
-    mass = float(np.sum(b)) * copies
-    lam = -float(np.sum(v)) * copies / mass
-    residual = math.sqrt(float(np.sum((v + lam * b) ** 2)) / float(np.sum(b * b)))
-    x = np.broadcast_to(1.0 / math.sqrt(mass), (op.size,))
-    return EigenResult(lam, x, residual, "numeric")
-
-
-def _constant_mode_gap(op):
-    """Bound on |lambda_1 - R(1)| from the edge form of the pencil; inf if it fails.
-
-    R(1) = -sum(V_ii) / sum(B_ii) is the Rayleigh quotient of the constant
-    vector.  S is the sum over edges ij of w_ij (e_i - e_j)(e_i - e_j)^T,
-    so with finite weights w_ij >= 0 it is positive semidefinite with
-    S 1 = 0, and for B_ii > 0
-
-        -max(V_ii / B_ii) <= lambda_1 <= R(1) <= -min(V_ii / B_ii),
-
-    and the bound is ptp(V_ii / B_ii).  Symmetry, the diagonal form of B
-    and V and the zero row sums hold by construction of the edge form;
-    what is checked is the sign and finiteness of the stored arrays.
-    """
-    if not all(np.all(np.isfinite(w)) and np.all(w >= 0) for w in op.weights):
-        return np.inf
-    b = op.node_mass
-    if not (np.all(np.isfinite(b)) and np.all(b > 0)):
-        return np.inf
-    gap = float(np.ptp(op.node_potential / b))
-    return gap if np.isfinite(gap) else np.inf
+    mass = math.prod(float(m.sum()) for m in pencil.masses)
+    x = np.broadcast_to(1.0 / math.sqrt(mass), (pencil.size,))
+    return EigenResult(-pencil.potential, x, 0.0, "numeric")
 
 
 def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:

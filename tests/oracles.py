@@ -20,7 +20,12 @@ the cutoff step of the paper rests on, checked numerically:
 * the second fundamental form by central differences of the unit normal
   (:func:`shape_by_normal_derivative`), independent of the closed forms
   that :func:`spherestab.shape_at` reads;
-* the stability pencil applied matrix-free as per-axis fluxes
+* the stability pencil assembled on the whole n-D grid in edge form
+  (:func:`assemble_jacobi`, a :class:`DiscreteOperator`) from the stacked
+  metric at every node and edge midpoint, with its CSR views: the oracle
+  of the library's per-axis nest (:func:`spherestab.operators.axis_pencils`)
+  and of the dense ``eigh`` / ``eigsh`` checks;
+* that pencil applied matrix-free as per-axis fluxes
   (:func:`apply_pencil`), and the grid Rayleigh quotient
   x^T (S - V) x / x^T B x it gives (:func:`operator_rayleigh_quotient`),
   which is always >= the certified lambda_1 of that grid.
@@ -31,6 +36,10 @@ The tests import this module as ``oracles``: ``tests/`` has no
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from spherestab.cutoff import (
@@ -39,7 +48,14 @@ from spherestab.cutoff import (
     _product_excluding_one,
     _product_gradient,
 )
-from spherestab.errors import BoundViolation, PreconditionViolated, UnsupportedFamily, ZeroTestFunction
+from spherestab.errors import (
+    AssemblyFailure,
+    BoundViolation,
+    DegenerateChart,
+    PreconditionViolated,
+    UnsupportedFamily,
+    ZeroTestFunction,
+)
 from spherestab.fields import chart_gradient, surface_laplacian, tangential_gradient_sq
 from spherestab.geometry import (
     ParametrizedHypersurface,
@@ -47,13 +63,13 @@ from spherestab.geometry import (
     _check_metric,
     _chord_to_arc,
     _gauss_rule,
+    _per_axis,
     _stencil,
     _tensor_grid,
     chart_quadrature,
     geodesic_distance,
     sqrt_det_metric,
 )
-from spherestab.operators import assemble_jacobi
 from spherestab.sampling import nearest_chart_point
 from spherestab.spectrum import _christoffel, _gradient_sq, _laplacian
 
@@ -407,8 +423,150 @@ def shape_by_normal_derivative(chart, u, step=1e-3):
 
 
 # ---------------------------------------------------------------------------
-# the matrix-free pencil and its grid Rayleigh quotient
+# the n-D pencil in edge form, its CSR views, its matrix-free apply
 # ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class DiscreteOperator:
+    """The stability pencil on one chart grid, in edge form.
+
+    ``weights[a]`` holds, on the grid, the flux weight of the edge from each
+    node to its neighbour one step up axis a (0 through the box end of a
+    polar axis), ``node_mass`` the lumped mass B_ii and ``node_potential``
+    V_ii.  ``stiffness``, ``mass`` and ``potential`` are CSR views built
+    from these on first use (:func:`_csr_views`).
+    """
+
+    weights: tuple                 # per axis, >= 0 on an assembled grid
+    node_mass: np.ndarray          # positive
+    node_potential: np.ndarray     # (|A|^2 + n) * node_mass
+    periodic: tuple                # per axis
+    coords: tuple                  # per-axis node coordinates
+
+    @property
+    def shape(self):
+        return tuple(len(c) for c in self.coords)
+
+    @property
+    def size(self):
+        return math.prod(self.shape)
+
+    @cached_property
+    def _csr(self):
+        return _csr_views(self)
+
+    @property
+    def stiffness(self):
+        """S as canonical CSR."""
+        return self._csr[0]
+
+    @property
+    def mass(self):
+        """B as diagonal CSR."""
+        return self._csr[1]
+
+    @property
+    def potential(self):
+        """V as diagonal CSR."""
+        return self._csr[2]
+
+
+def grid_axes(chart, resolution):
+    """Node coordinates and spacing per axis: uniform (periodic) or cell-centered."""
+    res = _per_axis(resolution, chart.dim)
+    axes = []
+    for a, count in enumerate(res):
+        lo, hi = chart.box[a]
+        h = (hi - lo) / count
+        offset = 0.0 if chart.periodic[a] else 0.5
+        axes.append((lo + (np.arange(count) + offset) * h, h))
+    return axes
+
+
+def assemble_jacobi(M: ParametrizedHypersurface, resolution) -> DiscreteOperator:
+    """Assemble the stability pencil of M on a tensor grid, in edge form.
+
+    The per-node form of the finite volumes of :mod:`spherestab.operators`:
+    ``chart.metric_diag`` at every node, for the mass
+    ``sqrt(det g) * cell``, and at every node with axis a moved to its edge
+    midpoints, for the flux weight ``sqrt(det g) / g_aa * cell / h_a^2`` of
+    axis a, whose edge through the box end of a polar axis is set to 0.
+    ``resolution`` is the node count per axis (scalar or list), at least 8.
+    Every array has the grid's size, so keep the grids small.
+    """
+    chart = M.chart
+    if min(_per_axis(resolution, chart.dim)) < 8:
+        raise ValueError("resolution must be >= 8 per axis")
+    axes = grid_axes(chart, resolution)
+    coords = tuple(x for x, _ in axes)
+    shape = tuple(len(x) for x in coords)
+    cell = float(np.prod([h for _, h in axes]))
+
+    gdiag = chart.metric_diag(_tensor_grid(coords))
+    if np.any(gdiag <= 0):
+        raise DegenerateChart("metric degenerates at a grid node")
+    mass = (np.prod(gdiag, axis=-1) ** 0.5 * cell).reshape(shape)
+    if np.any(mass <= 0):
+        raise AssemblyFailure("mass matrix is not positive definite")
+
+    weights = []
+    for a, (x, h) in enumerate(axes):
+        gd = chart.metric_diag(_tensor_grid(coords[:a] + (x + h / 2.0,) + coords[a + 1 :]))
+        up = (np.prod(gd, axis=-1) ** 0.5 / gd[:, a] * cell / h**2).reshape(shape)
+        if not chart.periodic[a]:
+            np.moveaxis(up, a, 0)[-1] = 0.0
+        weights.append(up)
+    return DiscreteOperator(tuple(weights), mass, float(M.potential) * mass, tuple(chart.periodic), coords)
+
+
+def _csr_views(op):
+    """(S, B, V) of an edge-form pencil as CSR.
+
+    S is canonical CSR: row i holds the (2d + 1)-point stencil of node i in
+    the slot order ``[lo_0 ... lo_(d-1), self, hi_(d-1) ... hi_0]`` (lo_a
+    and hi_a are the neighbours one step down and up axis a), ascending
+    column order except on the rows that wrap on a periodic axis.  Each
+    off-diagonal is the negated flux weight of its edge, and the diagonal
+    is their negated sum in one fixed order: axis by axis, the flux to lo_a
+    before the flux to hi_a.  The two slots through the box ends of a polar
+    axis are dropped by position; their weight is 0, so the diagonal can add
+    every slot and no sort decides its rounding.  One ``sort_indices``
+    orders the rows that wrap on a periodic axis.  B and V are diagonal CSR.
+    """
+    import scipy.sparse as sp
+
+    shapes, n_nodes, ndim = op.shape, op.size, len(op.shape)
+    idx = np.arange(n_nodes, dtype=np.int32).reshape(shapes)
+    cols = np.empty((*shapes, 2 * ndim + 1), dtype=np.int32)
+    vals = np.empty((*shapes, 2 * ndim + 1))
+    keep = np.ones((*shapes, 2 * ndim + 1), dtype=bool)
+    diag = np.zeros(shapes)
+    for a, up in enumerate(op.weights):
+        lo = np.roll(up, 1, axis=a)
+        cols[..., a] = np.roll(idx, 1, axis=a)
+        cols[..., -1 - a] = np.roll(idx, -1, axis=a)
+        vals[..., a] = -lo
+        vals[..., -1 - a] = -up
+        if not op.periodic[a]:
+            np.moveaxis(keep[..., a], a, 0)[0] = False
+            np.moveaxis(keep[..., -1 - a], a, 0)[-1] = False
+        diag += lo
+        diag += up
+    cols[..., ndim] = idx
+    vals[..., ndim] = diag
+
+    # scipy stores the index arrays as int32 wherever the counts fit
+    indptr = np.concatenate(([0], np.cumsum(keep.reshape(n_nodes, -1).sum(axis=1))))
+    S = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_nodes, n_nodes))
+    S.sort_indices()  # the rows that wrap on a periodic axis
+    diagonal = np.arange(n_nodes + 1, dtype=np.int32)
+
+    def diagonal_csr(values):
+        values = np.broadcast_to(values, shapes).ravel()
+        return sp.csr_matrix((values, diagonal[:-1], diagonal), shape=S.shape)
+
+    return S, diagonal_csr(op.node_mass), diagonal_csr(op.node_potential)
+
 
 def apply_pencil(op, x):
     """(S - V) x for a vector x of length ``op.size``, as per-axis fluxes on

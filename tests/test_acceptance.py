@@ -24,7 +24,6 @@ import pytest
 from spherestab import cutoff as cut
 from spherestab import estimates as est
 from spherestab import geometry as geo
-from spherestab import operators as ops
 from spherestab import spectrum as spec
 from spherestab.errors import (
     BoundViolation,
@@ -52,7 +51,7 @@ def test_criterion_01_equator_exactness():
         float(M.product.laplace_eigenvalues(1)[0]) - float(M.potential) == -float(M.dimension)
         for M in equators
     )
-    res = spec.first_stability_eigenvalue(ops.assemble_jacobi(geo.equator(2), 128))
+    res = spec.first_stability_eigenvalue(geo.equator(2), 128)
     err = abs(res.lambda1 + 2.0)
     elapsed = time.time() - t0
     verdict(
@@ -70,7 +69,7 @@ def test_criterion_02_clifford_equality_case():
     errors = []
     vec_var = None
     for res in (32, 64, 128):
-        r = spec.first_stability_eigenvalue(ops.assemble_jacobi(torus, res))
+        r = spec.first_stability_eigenvalue(torus, res)
         errors.append(abs(r.lambda1 + 4.0))
         x = r.eigenvector
         vec_var = (x.max() - x.min()) / np.abs(x).max()

@@ -387,21 +387,19 @@ def test_config_file_accepts_int_for_float(tmp_path):
 
 
 def test_spectrum_builds_no_csr_matrix(tmp_path, monkeypatch):
-    # every rung of a built-in family is certified and measured on the edge
-    # form, with neither a CSR view nor the (m, n) node array
+    # every rung of a built-in family is certified on its per-axis nest,
+    # with neither a matrix nor the (m, n) node array of the grid
     def refuse(*args):
         raise AssertionError("the spectrum run built a full-grid view")
 
-    monkeypatch.setattr(ops, "_csr_views", refuse)
     monkeypatch.setattr(geo, "_tensor_grid", refuse)
     assert run(tmp_path, "spectrum", "--family", "clifford", "--k", "2", "--l", "1",
                "--resolutions", "16,20") == 0
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported only by the code that uses it, the CSR views, which
-    # no subcommand builds.  With scipy made unimportable, every subcommand
-    # still runs.
+    # the library imports no scipy (only the tests' oracles use it).  With
+    # scipy made unimportable, every subcommand still runs.
     code = """
 import sys, spherestab.cli
 print([m for m in sys.modules if m.startswith('scipy')])
@@ -465,16 +463,16 @@ def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
 
 
 def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
-    # a rung whose grid does not fit: the assembly is made to raise, no
-    # large grid is allocated; the earlier rows are kept and the exit is 3
-    original = ops.assemble_jacobi
+    # a rung that does not fit: `axis_pencils` is made to raise, no
+    # large array is allocated; the earlier rows are kept and the exit is 3
+    original = ops.axis_pencils
 
     def out_of_memory_at_32(M, resolution):
         if resolution == 32:
             raise MemoryError("Unable to allocate 8.00 GiB")
         return original(M, resolution)
 
-    monkeypatch.setattr(ops, "assemble_jacobi", out_of_memory_at_32)
+    monkeypatch.setattr(ops, "axis_pencils", out_of_memory_at_32)
     argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32,64"]
     assert run(tmp_path, *argv, "--format", "json") == 3
     doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
@@ -486,20 +484,20 @@ def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
 
 
 def test_refused_rung_writes_rows_and_failure(tmp_path, monkeypatch):
-    # a rung whose pencil fails the certificate (one negative edge weight)
-    # is refused like a rung out of memory: the earlier rows are kept, the
-    # failure names the refusal and the exit is 3
-    original = ops.assemble_jacobi
+    # a rung whose pencil fails the certificate (one negative 1-D edge
+    # weight) is refused like a rung out of memory: the earlier rows are
+    # kept, the failure names the refusal and the exit is 3
+    original = ops.axis_pencils
 
     def negative_weight_at_32(M, resolution):
-        op = original(M, resolution)
+        pencil = original(M, resolution)
         if resolution == 32:
-            weights = [np.array(np.broadcast_to(w, op.shape)) for w in op.weights]
-            weights[0][0, 0] = -1.0
-            op = dataclasses.replace(op, weights=tuple(weights))
-        return op
+            weights = [w.copy() for w in pencil.weights]
+            weights[0][0] = -1.0
+            pencil = dataclasses.replace(pencil, weights=tuple(weights))
+        return pencil
 
-    monkeypatch.setattr(ops, "assemble_jacobi", negative_weight_at_32)
+    monkeypatch.setattr(ops, "axis_pencils", negative_weight_at_32)
     argv = ["spectrum", "--family", "clifford", "--k", "1", "--l", "1", "--resolutions", "16,32,64"]
     assert run(tmp_path, *argv, "--format", "json") == 3
     doc = json.loads((tmp_path / "spectrum_clifford_1_1.json").read_text())
@@ -660,6 +658,31 @@ def test_high_dimensional_cutoff_fits_in_1_gib(tmp_path, argv):
         report.unlink()
     assert runs[0] == runs[1]
     assert json.loads(runs[0][1])["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "clifford", "--k", "3", "--l", "3", "--resolutions", "16,32,64"],
+    ["--family", "equator", "--n", "6", "--resolutions", "64"],
+], ids=" ".join)
+def test_high_dimensional_spectrum_fits_in_1_gib(tmp_path, argv):
+    # n = 6 rungs of 64^6 nodes: each is certified on its per-axis nest of
+    # 64 nodes per axis, where open-grid weights of 64^4 (S^3 x S^3) or 64^5
+    # (S^6) entries took 1.2 GB or raised MemoryError; the child under a
+    # 1 GiB address space, OpenBLAS on one thread, must exit 0 and write the
+    # unlimited child's report and stdout byte for byte
+    argv = ["spectrum", *argv, "--format", "json", "--out", str(tmp_path)]
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1"}
+    runs = []
+    for preexec_fn in (None, _limit_address_space_to_1_gib):
+        out = subprocess.run([sys.executable, "-m", "spherestab.cli", *argv], env=env,
+                             capture_output=True, text=True, preexec_fn=preexec_fn)
+        assert out.returncode == 0, out.stderr[-2000:]
+        (report,) = tmp_path.iterdir()
+        runs.append((out.stdout, report.read_text()))
+        report.unlink()
+    assert runs[0] == runs[1]
+    doc = json.loads(runs[0][1])
+    assert doc["rows"][-1]["resolution"] == 64 and doc["rows"][-1]["abs_err"] == 0.0
 
 
 def test_cutoff_lowers_radius_floor_for_many_points(tmp_path):

@@ -6,8 +6,10 @@ not.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spherestab import geometry as geo
@@ -46,13 +48,38 @@ def test_spectrum_passes_unmutated(tmp_path):
 
 
 def test_potential_mutant_flips_spectrum(tmp_path, monkeypatch):
-    # V + 0.5 B: V / B is still constant, so the pencil is certified, and
-    # lambda_1 moves by exactly -0.5 from the analytic -2n
-    original = ops.assemble_jacobi
+    # V + 0.5 B: V is still a constant times B, so the pencil is certified,
+    # and lambda_1 moves by exactly -0.5 from the analytic -2n
+    original = ops.axis_pencils
 
     def shifted_potential(M, resolution):
-        op = original(M, resolution)
-        return dataclasses.replace(op, node_potential=op.node_potential + 0.5 * op.node_mass)
+        pencil = original(M, resolution)
+        return dataclasses.replace(pencil, potential=pencil.potential + 0.5)
 
-    monkeypatch.setattr(ops, "assemble_jacobi", shifted_potential)
+    monkeypatch.setattr(ops, "axis_pencils", shifted_potential)
     assert main(SPECTRUM_21 + ["--out", str(tmp_path)]) == 1
+
+
+def test_non_nest_metric_mutant_refuses_spectrum(tmp_path, monkeypatch):
+    # g_1 x (1 + 0.1 cos t_2) on clifford(2, 1): the S^2 factor's second
+    # entry now varies along the S^1 axis after it, so the metric is no nest
+    # of per-axis factors; the first rung is refused on the diagonal nodes
+    built = geo.clifford_hypersurface
+
+    def mutant(kl):
+        M = built(kl)
+        exact = M.chart.metric_diag
+
+        def metric_diag(U):
+            g = exact(U)
+            g[..., 1] *= 1.0 + 0.1 * np.cos(np.asarray(U)[..., 2])
+            return g
+
+        chart = dataclasses.replace(M.chart, metric_diag=metric_diag)
+        return geo.ParametrizedHypersurface(chart, M.product, M.shape_batch)
+
+    monkeypatch.setattr(geo, "clifford_hypersurface", mutant)
+    assert main(SPECTRUM_21 + ["--out", str(tmp_path), "--format", "json"]) == 3
+    doc = json.loads((tmp_path / "spectrum_clifford_2_1.json").read_text())
+    assert doc["failure"].startswith("AssemblyFailure: chart metric is not a nest")
+    assert [r["backend"] for r in doc["rows"]] == ["analytic"]

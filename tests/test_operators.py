@@ -1,8 +1,10 @@
-"""Discrete assembly and the exact -Delta spectra of the sphere products."""
+"""The per-axis nest of the stability pencil, its n-D oracle assembly, and the
+exact -Delta spectra of the sphere products."""
 
 import dataclasses
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from scipy.sparse.linalg import eigsh
 
 from spherestab import geometry as geo
 from spherestab import operators as ops
+from spherestab import spectrum as spec
 from spherestab.errors import AssemblyFailure, DegenerateChart
+
+import oracles
+from oracles import assemble_jacobi
 
 
 def lowest_pencil_eigs(op, k=6):
@@ -22,20 +28,20 @@ def lowest_pencil_eigs(op, k=6):
 
 
 def test_potential_mass_ratio_torus(torus):
-    op = ops.assemble_jacobi(torus, 64)
+    op = assemble_jacobi(torus, 64)
     ratio = op.potential.diagonal() / op.mass.diagonal()
     assert np.abs(ratio - 4.0).max() <= 1e-10   # |A|^2 + n = 2 + 2
 
 
 def test_potential_mass_ratio_equator(equator2):
-    op = ops.assemble_jacobi(equator2, 64)
+    op = assemble_jacobi(equator2, 64)
     ratio = op.potential.diagonal() / op.mass.diagonal()
     assert np.abs(ratio - 2.0).max() <= 1e-10
 
 
 def test_stiffness_kernel_and_symmetry(torus, equator2):
     for M in (torus, equator2):
-        op = ops.assemble_jacobi(M, 32)
+        op = assemble_jacobi(M, 32)
         S = op.stiffness
         assert np.abs((S - S.T)).max() == 0.0
         ones = np.ones(op.size)
@@ -44,7 +50,7 @@ def test_stiffness_kernel_and_symmetry(torus, equator2):
 
 
 def test_constant_is_harmonic(torus):
-    op = ops.assemble_jacobi(torus, 64)
+    op = assemble_jacobi(torus, 64)
     vals, vecs = eigsh(op.stiffness.tocsc(), k=1, M=op.mass, sigma=-0.5, which="LM")
     assert abs(vals[0]) <= 1e-10
     x = vecs[:, 0]
@@ -56,7 +62,7 @@ def test_torus_spectrum_matches_fft_oracle(torus):
     # (8/h^2)(sin^2(pi j / N) + sin^2(pi m / N)), the FFT diagonalization
     # of the translation-invariant stencil.
     N = 32
-    op = ops.assemble_jacobi(torus, N)
+    op = assemble_jacobi(torus, N)
     h = 2.0 * np.pi / N
     j = np.arange(N)
     lam1d = (4.0 / h**2) * np.sin(np.pi * j / N) ** 2
@@ -128,7 +134,7 @@ def test_product_spectrum_clusters_match_dense_pencil():
     # cluster below 0, so clusters are counted, not signs
     M = geo.clifford_hypersurface((2, 1))
     exact = M.product.laplace_eigenvalues(13) - 6.0
-    op = ops.assemble_jacobi(M, 10)
+    op = assemble_jacobi(M, 10)
     A, B = (op.stiffness - op.potential).tocsc(), op.mass
     numeric = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True, subset_by_index=[0, 12])
     assert _cluster_sizes(exact) == _cluster_sizes(numeric) == [1, 5, 6, 1]
@@ -139,8 +145,8 @@ def test_sphere_spectrum_against_assembled_oracle(equator2):
     # brute-force diagonalization of the assembled operator; the raw
     # second-order errors are ~1e-3 at resolution 128, so the 1e-4 match
     # uses Richardson extrapolation of the same oracle over {128, 256}
-    v128 = lowest_pencil_eigs(ops.assemble_jacobi(equator2, 128), k=5)
-    v256 = lowest_pencil_eigs(ops.assemble_jacobi(equator2, 256), k=5)
+    v128 = lowest_pencil_eigs(assemble_jacobi(equator2, 128), k=5)
+    v256 = lowest_pencil_eigs(assemble_jacobi(equator2, 256), k=5)
     extrapolated = (4.0 * v256 - v128) / 3.0
     exact = equator2.product.laplace_eigenvalues(5)
     assert np.abs(extrapolated - exact).max() <= 1e-4
@@ -151,34 +157,20 @@ def test_discrete_spectrum_convergence_order(torus, equator2):
         exact = M.product.laplace_eigenvalues(4)
         errs = []
         for res in (32, 64, 128):
-            vals = lowest_pencil_eigs(ops.assemble_jacobi(M, res), k=4)
+            vals = lowest_pencil_eigs(assemble_jacobi(M, res), k=4)
             errs.append(np.abs(vals - exact).max())
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) >= 1.9
 
 
 def test_potential_shift_moves_eigenvalues_exactly(torus):
-    op = ops.assemble_jacobi(torus, 16)
+    op = assemble_jacobi(torus, 16)
     A = (op.stiffness - op.potential).toarray()
     B = op.mass.toarray()
     base = np.sort(scipy.linalg.eigh(A, B, eigvals_only=True))
     c = 1.75
     shifted = np.sort(scipy.linalg.eigh(A - c * B, B, eigvals_only=True))
     assert np.abs(shifted - (base - c)).max() <= 1e-10
-
-
-def test_coo_export_roundtrip(tmp_path, torus):
-    op = ops.assemble_jacobi(torus, 8)
-    path = tmp_path / "stiffness.txt"
-    op.export_coo("stiffness", path)
-    rows = np.array(
-        [[float(tok) for tok in line.split()] for line in path.read_text().splitlines()]
-    )
-    rebuilt = sp.csr_matrix(
-        (rows[:, 2], (rows[:, 0].astype(int), rows[:, 1].astype(int))),
-        shape=op.stiffness.shape,
-    )
-    assert np.abs((rebuilt - op.stiffness)).max() == 0.0
 
 
 def _coo_reference(M, resolution):
@@ -189,7 +181,7 @@ def _coo_reference(M, resolution):
     that order wherever scipy's per-row sort is stable (rows of <= 16 entries).
     """
     chart = M.chart
-    axes = ops.grid_axes(chart, resolution)
+    axes = oracles.grid_axes(chart, resolution)
     shapes = [len(ax[0]) for ax in axes]
     n_nodes = int(np.prod(shapes))
     idx = np.arange(n_nodes).reshape(shapes)
@@ -219,7 +211,7 @@ def _coo_reference(M, resolution):
 
 
 def _assert_matches_reference(M, resolution, exact_diagonal=True):
-    op = ops.assemble_jacobi(M, resolution)
+    op = assemble_jacobi(M, resolution)
     S = op.stiffness
     ref_S, ref_B, ref_V = _coo_reference(M, resolution)
     assert S.has_canonical_format
@@ -242,7 +234,7 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
         assert np.all(np.abs(S.diagonal() - ref_S.diagonal()) <= bound)
     # the diagonal is the stencil's fixed-order sum: axis by axis, the flux to
     # the lo neighbour before the flux to the hi neighbour
-    shapes = [len(ax[0]) for ax in ops.grid_axes(M.chart, resolution)]
+    shapes = [len(ax[0]) for ax in oracles.grid_axes(M.chart, resolution)]
     idx = np.arange(op.size).reshape(shapes)
     diagonal = np.zeros(op.size)
     for a in range(len(shapes)):
@@ -261,12 +253,12 @@ def _assert_matches_reference(M, resolution, exact_diagonal=True):
 # (surface, grids) of the reference comparisons; uneven and odd per-axis counts
 _GRIDS = [
     (geo.equator(1), [8, 33]),
-    (geo.equator(2), [[8, 13], 128]),
-    (geo.equator(3), [9]),
+    (geo.equator(2), [[8, 13], 12, 128]),
+    (geo.equator(3), [9, 12]),
     (geo.equator(4), [8]),
-    (geo.clifford_hypersurface((1, 1)), [[8, 300]]),
-    (geo.clifford_hypersurface((1, 2)), [9]),
-    (geo.clifford_hypersurface((2, 1)), [16, 24]),
+    (geo.clifford_hypersurface((1, 1)), [12, [8, 300]]),
+    (geo.clifford_hypersurface((1, 2)), [9, 12]),
+    (geo.clifford_hypersurface((2, 1)), [12, 16, 24]),
     (geo.clifford_hypersurface((2, 2)), [[8, 9, 10, 8]]),
     (geo.clifford_hypersurface((3, 1)), [[8, 9, 10, 11]]),
     (geo.clifford_hypersurface((1, 3)), [8]),
@@ -292,29 +284,45 @@ def test_stencil_assembly_matches_coo_reference_n5(M):
     _assert_matches_reference(M, 8, exact_diagonal=False)
 
 
-@pytest.mark.parametrize("M, resolutions", _GRIDS + [(geo.equator(5), [8])],
-                         ids=_GRID_IDS + ["equator5"])
+def _nest_on_grid(pencil):
+    """(B, (w_0, ..., w_(n-1))) on the n-D grid as outer products of the per-axis nest:
+    axis a's factor in the weights of axis e's edges is its link coefficient
+    for a < e, its 1-D weight for a = e and its mass for a > e."""
+    n = len(pencil.masses)
+
+    def factor(a, e):
+        return pencil.links[a][:, e - a - 1] if a < e else pencil.weights[e] if a == e else pencil.masses[a]
+
+    mass = reduce(np.multiply.outer, pencil.masses)
+    return mass, [reduce(np.multiply.outer, [factor(a, e) for a in range(n)]) for e in range(n)]
+
+
+def _assert_split_identity(M, resolution):
+    # the product of the per-axis factors against the oracle's per-node
+    # assembly: the mass and every edge weight to 1e-13 relative (the two
+    # edges through a polar box end are 0 in both)
+    op = assemble_jacobi(M, resolution)
+    pencil = ops.axis_pencils(M, resolution)
+    mass, weights = _nest_on_grid(pencil)
+    assert mass.shape == op.shape and pencil.size == op.size
+    assert np.all(np.abs(mass - op.node_mass) <= 1e-13 * op.node_mass)
+    for got, ref in zip(weights, op.weights, strict=True):
+        assert got.shape == op.shape and np.all(np.abs(got - ref) <= 1e-13 * ref)
+    assert np.array_equal(op.node_potential, pencil.potential * op.node_mass)
+
+
+@pytest.mark.parametrize(
+    "M, resolutions",
+    _GRIDS + [(geo.equator(5), [8]), (geo.equator(6), [8]), (geo.clifford_hypersurface((3, 3)), [8])],
+    ids=_GRID_IDS + ["equator5", "equator6", "clifford33"],
+)
 def test_open_grid_metric_matches_stacked(M, resolutions):
-    # the assembly's open-grid metric, on the node grid and on each axis's
-    # midpoint grid, against the stacked form at the full grid's points
-    chart = M.chart
+    # the split identity: the per-axis nest is the pencil's open grid, and
+    # its outer products, on even, uneven and odd per-axis counts, give the
+    # oracle's mass and edge weights from the stacked metric at every node
+    # and edge midpoint of the full grid
     for res in resolutions:
-        axes = ops.grid_axes(chart, res)
-        shapes = tuple(len(ax[0]) for ax in axes)
-        node_coords = [ax[0] for ax in axes]
-        grids = [node_coords] + [
-            node_coords[:a] + [node_coords[a] + h / 2.0] + node_coords[a + 1 :]
-            for a, (_, h) in enumerate(axes)
-        ]
-        for coords in grids:
-            stacked = chart.metric_diag(geo._tensor_grid(coords))
-            open_grid = chart.metric_diag(np.ix_(*coords))
-            assert isinstance(open_grid, tuple) and len(open_grid) == chart.dim
-            for b, entry in enumerate(open_grid):
-                full = np.broadcast_to(entry, shapes).ravel()
-                assert np.array_equal(full, stacked[:, b])
-            sqrt_det = np.broadcast_to(geo._row_product(open_grid) ** 0.5, shapes).ravel()
-            assert np.array_equal(sqrt_det, np.prod(stacked, axis=-1) ** 0.5)
+        _assert_split_identity(M, res)
 
 
 def _former_sphere_metric_diag(angles):
@@ -331,8 +339,8 @@ def _former_sphere_metric_diag(angles):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sphere_metric_diag_matches_former_recurrence(k):
-    # the recurrence that skips the last angle's sine, in point and open-grid
-    # form, against the loop that took every sine: bit for bit, at poles too
+    # the recurrence that skips the last angle's sine against the loop that
+    # took every sine: bit for bit, at poles too
     rng = np.random.default_rng(40 + k)
     axes = [np.concatenate([[0.0, np.pi, -np.pi / 2, 2 * np.pi], rng.uniform(-7.0, 7.0, 5 + a)])
             for a in range(k)]
@@ -340,11 +348,6 @@ def test_sphere_metric_diag_matches_former_recurrence(k):
     former = _former_sphere_metric_diag(grid)
     assert np.array_equal(geo._sphere_metric_diag(grid), former)
     assert np.array_equal(geo._sphere_metric_diag(grid[3]), former[3])
-    open_grid = geo._sphere_metric_diag(np.ix_(*axes))
-    assert isinstance(open_grid, tuple) and len(open_grid) == k
-    shape = tuple(len(a) for a in axes)
-    for i, entry in enumerate(open_grid):
-        assert np.array_equal(np.broadcast_to(entry, shape).ravel(), former[:, i])
 
 
 @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (3, 0), (5, 0), (1, 1), (1, 2), (2, 1),
@@ -383,7 +386,8 @@ def test_norm_A_sq_matches_shape_batch(M):
 @pytest.mark.parametrize("M", [geo.equator(2), geo.clifford_hypersurface((2, 1))],
                          ids=["equator2", "clifford21"])
 def test_assembly_never_builds_shape_batch(M, monkeypatch):
-    expected = ops.assemble_jacobi(M, 8)
+    # the nest reads the chart's metric, never the closed-form shape batch
+    expected = ops.axis_pencils(M, 8)
 
     def refuse(U):
         raise AssertionError("assembly built the closed-form shape batch")
@@ -391,9 +395,11 @@ def test_assembly_never_builds_shape_batch(M, monkeypatch):
     monkeypatch.setattr(M, "_closed_form", refuse)
     with pytest.raises(AssertionError):
         M.shape_batch(np.zeros((1, M.dimension)))
-    op = ops.assemble_jacobi(M, 8)
-    for name in ("stiffness", "mass", "potential"):
-        assert np.array_equal(getattr(op, name).toarray(), getattr(expected, name).toarray())
+    pencil = ops.axis_pencils(M, 8)
+    for name in ("weights", "masses", "links"):
+        for got, ref in zip(getattr(pencil, name), getattr(expected, name), strict=True):
+            assert np.array_equal(got, ref)
+    assert spec.first_stability_eigenvalue(M, 8).lambda1 == -float(M.potential)
 
 
 def _sphere_chart_on_box(box):
@@ -405,27 +411,32 @@ def test_assembly_refuses_degenerate_open_grid(equator2):
     # polar nodes at -0.5 + (i + 1/2) * 1 = i: the node t = 0 has g_11 = sin^2 0 = 0
     degenerate = _sphere_chart_on_box([[-0.5, 7.5], [0.0, 2.0 * np.pi]])
     M = geo.ParametrizedHypersurface(degenerate, equator2.product, equator2.shape_batch)
-    assert np.any(geo._tensor_grid([ops.grid_axes(degenerate, 8)[0][0]]) == 0.0)
-    with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
-        ops.assemble_jacobi(M, 8)
-    # shifted off the zeros of sin, the same chart passes the metric and mass checks
+    assert np.any(geo._tensor_grid([oracles.grid_axes(degenerate, 8)[0][0]]) == 0.0)
+    for build in (ops.axis_pencils, assemble_jacobi):
+        with pytest.raises(DegenerateChart, match="metric degenerates at a grid node"):
+            build(M, 8)
+    # shifted off the zeros of sin, the same chart passes the metric and mass
+    # checks, and the nest is certified
     shifted = _sphere_chart_on_box([[0.25, 8.25], [0.0, 2.0 * np.pi]])
-    gdiag = shifted.metric_diag(np.ix_(*[ax[0] for ax in ops.grid_axes(shifted, 8)]))
-    assert all(np.all(g > 0) for g in gdiag)
+    M = geo.ParametrizedHypersurface(shifted, equator2.product, equator2.shape_batch)
+    assert spec.first_stability_eigenvalue(M, 8).lambda1 == -2.0
+    assert np.all(assemble_jacobi(M, 8).node_mass > 0)
 
 
 def test_assembly_refuses_vanishing_mass(equator2):
-    # every metric entry positive, but their product underflows to 0
+    # every metric entry positive, but their product underflows to 0 at
+    # every node of the n-D assembly; the nest forms no such product
     def tiny(U):
-        if isinstance(U, tuple):
-            return tuple(np.full(np.shape(t), 1e-200) for t in U)
         return np.full(np.shape(U), 1e-200)
 
     chart = dataclasses.replace(equator2.chart, metric_diag=tiny)
+    M = geo.ParametrizedHypersurface(chart, equator2.product, equator2.shape_batch)
     with pytest.raises(AssemblyFailure):
-        ops.assemble_jacobi(geo.ParametrizedHypersurface(chart, equator2.product, equator2.shape_batch), 8)
+        assemble_jacobi(M, 8)
+    assert spec.first_stability_eigenvalue(M, 8).lambda1 == -2.0
 
 
 def test_assembly_preconditions(torus):
-    with pytest.raises(ValueError):
-        ops.assemble_jacobi(torus, 4)
+    for build in (ops.axis_pencils, spec.first_stability_eigenvalue, assemble_jacobi):
+        with pytest.raises(ValueError):
+            build(torus, 4)

@@ -30,10 +30,7 @@ PACKAGE = ROOT / "src" / "spherestab"
 SPANS = ROOT / "perfbench" / "spans.py"
 
 _ITEM_12 = "ROADMAP item 12: the product cutoff bounds take the cover's class count K from it"
-_CSR = "benchmark read: perfbench/spans.py reads the CSR view as `op.stiffness.nnz`; ROADMAP item 17"
 _FIELD_METHOD = "benchmark read: perfbench/spans.py wraps it as {} in FIELD_METHODS"
-_EXPORT = ("README File formats: export_coo(which=...) reads the {} CSR view; "
-           "no benchmark reads it")
 _FIELD = ("ROADMAP item 11: the spectrum report's Rayleigh quotient of the ambient "
           "coordinates x_j (-> -n)")
 _HESSIAN = ("the field protocol (value, gradient, Hessian) that fields.surface_laplacian "
@@ -58,13 +55,6 @@ UNREACHED = {
     "fields.AmbientCoordinateField.ambient_hessian": _HESSIAN,
     "fields.ConstantField.ambient_hessian": _HESSIAN,
     "fields._zero_hessian": _HESSIAN,
-    "operators.DiscreteOperator._csr": _CSR,
-    "operators.DiscreteOperator.stiffness": _CSR,
-    "operators.DiscreteOperator.mass": _EXPORT.format("B"),
-    "operators.DiscreteOperator.potential": _EXPORT.format("V"),
-    "operators.DiscreteOperator.export_coo": "README File formats: the matrix export of a CSR view",
-    "operators._csr_views": _CSR,
-    "operators._csr_views.diagonal_csr": _CSR,
     "sampling.BoxEstimates.samples": ("benchmark read: perfbench/spans.py counts sampling.samples "
                                       "from `estimate.samples`"),
 }
@@ -152,9 +142,9 @@ def _stale_benchmark_reads(reasons, spans):
 
 def test_benchmark_reads_are_quoted_from_the_benchmark():
     spans = SPANS.read_text()
-    assert sum(reason.startswith("benchmark read:") for reason in UNREACHED.values()) == 9
+    assert sum(reason.startswith("benchmark read:") for reason in UNREACHED.values()) == 5
     assert _stale_benchmark_reads(UNREACHED, spans) == []
     # a benchmark that stops reading an expression leaves its entries stale
-    for expr, names in [("op.stiffness.nnz", 4), ("estimate.samples", 1), ('"active_index"', 1)]:
+    for expr, names in [("estimate.samples", 1), ('"active_index"', 1)]:
         assert len(_stale_benchmark_reads(UNREACHED, spans.replace(expr, "0"))) == names
     assert _stale_benchmark_reads({"f": "benchmark read: no quoted expression"}, spans) == ["f"]

@@ -17,6 +17,7 @@ from spherestab.errors import AssemblyFailure, NonMinimal, ZeroTestFunction
 from spherestab.fields import AmbientCoordinateField, ConstantField
 
 import oracles
+from oracles import assemble_jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_clifford22_lambda1_analytic():
 
 
 def test_torus_lambda1_numeric(torus):
-    res = spec.first_stability_eigenvalue(ops.assemble_jacobi(torus, 64))
+    res = spec.first_stability_eigenvalue(torus, 64)
     assert res.backend == "numeric" and res.converged
     assert abs(res.lambda1 + 4.0) <= 1e-6
     assert res.residual <= 1e-8
@@ -60,7 +61,7 @@ def test_torus_lambda1_numeric(torus):
 
 
 def test_equator2_lambda1_numeric(equator2):
-    res = spec.first_stability_eigenvalue(ops.assemble_jacobi(equator2, 64))
+    res = spec.first_stability_eigenvalue(equator2, 64)
     assert abs(res.lambda1 + 2.0) <= 1e-6
     assert res.residual <= 1e-8
 
@@ -90,13 +91,13 @@ def surface(kl):
 
 def sphere_factor(d, r, res):
     """Pencil of S^d(r): the unit-sphere assembly, stiffness by r^(d-2), mass by r^d."""
-    unit = ops.assemble_jacobi(geo.equator(d), res)
+    unit = assemble_jacobi(geo.equator(d), res)
     return unit.stiffness * r ** (d - 2), unit.mass * r**d
 
 
 @pytest.mark.parametrize("kl, res", FACTORED_GRIDS)
 def test_assembled_pencil_is_kronecker_sum_of_factors(kl, res):
-    op = ops.assemble_jacobi(geo.clifford_hypersurface(kl), res)
+    op = assemble_jacobi(geo.clifford_hypersurface(kl), res)
     k, l = kl
     rk, rl = geo.clifford_hypersurface(kl).product.radii
     (S_k, B_k), (S_l, B_l) = sphere_factor(k, rk, op.shape[:k]), sphere_factor(l, rl, op.shape[k:])
@@ -114,56 +115,47 @@ def test_factorized_lambda1_matches_whole_pencil_solve(kl, res):
     # assembled CSR pencil, sigma = -(2n + 1), from the all-ones start vector
     # (eigsh raises if it does not converge)
     M = surface(kl)
-    op = ops.assemble_jacobi(M, res)
-    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
+    op = assemble_jacobi(M, res)
     oracle = eigsh(
         (op.stiffness - op.potential).tocsc(), k=1, M=op.mass, sigma=-(2.0 * M.dimension + 1.0),
         which="LM", v0=np.ones(op.size), tol=1e-10, maxiter=10_000,
     )[0][0]
-    result = spec.first_stability_eigenvalue(op)
+    result = spec.first_stability_eigenvalue(M, res)
     assert result.converged
     assert abs(result.lambda1 - oracle) <= 1e-12
     assert result.residual <= 1e-12
 
 
-def _full(values, op):
-    return np.array(np.broadcast_to(values, op.shape))
-
-
-def _set_weight(axis, new):
-    def corrupt(op, i):
-        weights = [_full(w, op) for w in op.weights]
-        weights[axis][i] = new(weights[axis][i])
-        return dataclasses.replace(op, weights=tuple(weights))
+def _set_entry(name, axis, new):
+    """Replace entry 3 of axis ``axis``'s array ``name`` of the nest by ``new`` of it."""
+    def corrupt(pencil):
+        parts = [p.copy() for p in getattr(pencil, name)]
+        parts[axis][3] = new(parts[axis][3])
+        return dataclasses.replace(pencil, **{name: tuple(parts)})
     return corrupt
 
 
-def _scale_node(name, factor):
-    def corrupt(op, i):
-        values = _full(getattr(op, name), op)
-        values[i] *= factor
-        return dataclasses.replace(op, **{name: values})
-    return corrupt
+def _potential_entry(pencil):
+    # the one entry c of V = c B
+    return dataclasses.replace(pencil, potential=float("nan"))
 
 
-@pytest.mark.parametrize("corrupt, gap", [
-    (_set_weight(0, lambda w: -w), np.inf),                         # a positive off-diagonal in S
-    (_scale_node("node_potential", 1.01), pytest.approx(0.06)),     # one potential entry x 1.01
-    (_scale_node("node_mass", 0.0), np.inf),                        # one zero mass entry
-    (_set_weight(1, lambda w: np.nan), np.inf),                     # one NaN edge weight
-], ids=["negative-weight", "potential-entry", "zero-mass", "nan-weight"])
-def test_certificate_refuses_corrupted_pencil(corrupt, gap, monkeypatch):
-    # each corruption of the edge form breaks one hypothesis of the
-    # certificate; the pencil is then refused, with its gap, and no matrix
-    # is built to solve it
-    op = ops.assemble_jacobi(geo.clifford_hypersurface((2, 1)), 8)
-    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
-    op = corrupt(op, np.unravel_index(op.size // 2 + 3, op.shape))
-    refused = spec._constant_mode_gap(op)
-    assert refused > spec.CERT_TOL and refused == gap
-    monkeypatch.setattr(ops, "_csr_views", None)
-    with pytest.raises(AssemblyFailure, match=f"certificate: gap {refused:.3e}"):
-        spec.first_stability_eigenvalue(op)
+@pytest.mark.parametrize("corrupt", [
+    _set_entry("weights", 0, lambda w: -w),       # a positive off-diagonal in S
+    _potential_entry,                             # a potential that is not finite
+    _set_entry("masses", 1, lambda m: 0.0 * m),   # one zero mass entry
+    _set_entry("weights", 1, lambda w: np.nan),   # one NaN edge weight
+    _set_entry("links", 0, lambda l: -l),         # a negative link coefficient
+], ids=["negative-weight", "potential-entry", "zero-mass", "nan-weight", "negative-link"])
+def test_certificate_refuses_corrupted_pencil(corrupt, monkeypatch):
+    # each corruption of the nest breaks one hypothesis of the certificate;
+    # the pencil is then refused, and nothing is solved
+    M = geo.clifford_hypersurface((2, 1))
+    original = ops.axis_pencils
+    assert spec.first_stability_eigenvalue(M, 8).lambda1 == -6.0
+    monkeypatch.setattr(ops, "axis_pencils", lambda M, res: corrupt(original(M, res)))
+    with pytest.raises(AssemblyFailure, match="stability pencil fails the certificate"):
+        spec.first_stability_eigenvalue(M, 8)
 
 
 @pytest.mark.parametrize("M", [geo.clifford_hypersurface((1, 1)), geo.clifford_hypersurface((2, 1)),
@@ -171,7 +163,7 @@ def test_certificate_refuses_corrupted_pencil(corrupt, gap, monkeypatch):
                          ids=["torus", "clifford21", "clifford22", "equator3"])
 def test_apply_matches_csr_pencil(M):
     # the matrix-free fluxes against the CSR views, on uneven grids
-    op = ops.assemble_jacobi(M, [9, 12, 10, 8][: M.dimension])
+    op = assemble_jacobi(M, [9, 12, 10, 8][: M.dimension])
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.normal(size=op.size)
@@ -181,17 +173,13 @@ def test_apply_matches_csr_pencil(M):
 
 @pytest.mark.parametrize("n, res", [(2, 512), (3, 48)])
 def test_certificate_holds_on_fine_equator_grids(n, res, monkeypatch):
-    # fine polar grids: the pole rows have B_ii ~ h^3, so a bound that divides
-    # row-sum rounding by B_ii would refuse them; ptp(V / B) does not, and
-    # no matrix is built
-    op = ops.assemble_jacobi(geo.equator(n), res)
-    assert spec._constant_mode_gap(op) <= spec.CERT_TOL
-
+    # fine polar grids: the pole rows have masses ~ h^n, which the
+    # certificate takes as they are, and no n-D node array is built
     def refuse(*args):
-        raise AssertionError("the certified pencil was built as CSR")
+        raise AssertionError("the certified pencil built the grid's nodes")
 
-    monkeypatch.setattr(ops, "_csr_views", refuse)
-    result = spec.first_stability_eigenvalue(op)
+    monkeypatch.setattr(geo, "_tensor_grid", refuse)
+    result = spec.first_stability_eigenvalue(geo.equator(n), res)
     assert abs(result.lambda1 + n) <= 1e-12
     assert result.residual <= 1e-14
 
@@ -201,7 +189,7 @@ def test_factorized_reach(kl, res):
     # n = 6 (262k nodes) and n = 4 at 16^4 are out of reach of the
     # whole-pencil solve; the certificate gives lambda_1 = -2n exactly
     n = kl[0] + kl[1]
-    result = spec.first_stability_eigenvalue(ops.assemble_jacobi(geo.clifford_hypersurface(kl), res))
+    result = spec.first_stability_eigenvalue(geo.clifford_hypersurface(kl), res)
     assert result.converged
     assert abs(result.lambda1 + 2.0 * n) <= 1e-6
     assert result.residual <= 1e-8
@@ -216,12 +204,12 @@ OPEN_GRID_CASES = [
 @pytest.mark.parametrize("kl, res", OPEN_GRID_CASES)
 def test_certified_values_match_full_grid_oracle(kl, res):
     # the certified branch reads lambda_1, the eigenvector and the residual
-    # off the open-grid B and V; the full-grid apply-based values are the oracle
-    op = ops.assemble_jacobi(surface(kl), res)
+    # off the per-axis nest; the full-grid apply-based values are the oracle
+    op = assemble_jacobi(surface(kl), res)
     ones = np.ones(op.size)
     assert np.array_equal(oracles.apply_pencil(op, ones),
                           -np.broadcast_to(op.node_potential, op.shape).ravel())
-    result = spec.first_stability_eigenvalue(op)
+    result = spec.first_stability_eigenvalue(surface(kl), res)
     b = np.broadcast_to(op.node_mass, op.shape).ravel()
     assert abs(result.lambda1 - ones @ oracles.apply_pencil(op, ones) / (ones @ (b * ones))) <= 1e-13
     assert result.residual <= 1e-14
@@ -234,12 +222,11 @@ def test_certified_rung_allocates_no_grid_array():
     # clifford(3, 3) at 16^6 nodes: one float array of the grid is 134 MB
     tracemalloc.start()
     try:
-        op = ops.assemble_jacobi(geo.clifford_hypersurface((3, 3)), 16)
-        result = spec.first_stability_eigenvalue(op)
+        result = spec.first_stability_eigenvalue(geo.clifford_hypersurface((3, 3)), 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert op.size == 16**6
+    assert result.eigenvector.shape == (16**6,)
     assert abs(result.lambda1 + 12.0) <= 1e-13 and result.residual <= 1e-14
     assert peak < 16 * 2**20
 
@@ -308,6 +295,42 @@ def test_rayleigh_quotient_memory_on_clifford23():
     assert peak < 128e6, peak / 1e6
 
 
+def _meshgrid_tensor_grid(axes):
+    """The tensor grid as it was formed before: every axis copied by ``np.meshgrid``, then stacked."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
+def test_tensor_grid_fills_axis_by_axis(monkeypatch):
+    # the stacked nodes, filled one axis at a time, equal the meshgrid stack
+    # bit for bit, on float and integer axes; the quadrature of clifford(2,3)
+    # at its capped 15^5 grid peaks near its own size (61 MB, twice the
+    # 30 MB of nodes, through meshgrid's copies); quadrature and Rayleigh
+    # quotient values are unchanged bit for bit
+    rng = np.random.default_rng(9)
+    for axes in ([np.arange(3)], [np.arange(4), np.arange(3)], [np.linspace(0, 1, 7)] * 3,
+                 [rng.normal(size=5), rng.normal(size=1), rng.normal(size=4)]):
+        got, ref = geo._tensor_grid(axes), _meshgrid_tensor_grid(axes)
+        assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+    chart = geo.clifford_hypersurface((2, 3)).chart
+    res = geo._capped_per_axis(48, 5)
+    tracemalloc.start()
+    try:
+        nodes, weights = geo.chart_quadrature(chart, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape == (15**5, 5) and peak < 1.3 * nodes.nbytes, peak / 1e6
+    cases = [(geo.clifford_hypersurface((1, 2)), AmbientCoordinateField(1), 24),
+             (geo.clifford_hypersurface((2, 3)), AmbientCoordinateField(0), 8),
+             (geo.equator(3), ConstantField(1.0), 16)]
+    values = [spec.rayleigh_quotient(M, f, resolution=r) for M, f, r in cases]
+    monkeypatch.setattr(geo, "_tensor_grid", _meshgrid_tensor_grid)
+    former_nodes, former_weights = geo.chart_quadrature(chart, res)
+    assert np.array_equal(nodes, former_nodes) and np.array_equal(weights, former_weights)
+    assert values == [spec.rayleigh_quotient(M, f, resolution=r) for M, f, r in cases]
+
+
 def test_rayleigh_scale_invariance(torus):
     f = AmbientCoordinateField(1, scale=1.0)
     base = spec.rayleigh_quotient(torus, f, resolution=32)
@@ -318,8 +341,8 @@ def test_rayleigh_scale_invariance(torus):
 
 def test_rayleigh_dominates_lambda1(torus):
     # operator-path quotients are exact Rayleigh quotients of the pencil
-    op = ops.assemble_jacobi(torus, 32)
-    lam1 = spec.first_stability_eigenvalue(op).lambda1
+    op = assemble_jacobi(torus, 32)
+    lam1 = spec.first_stability_eigenvalue(torus, 32).lambda1
     rng = np.random.default_rng(0)
     B = op.mass
     for _ in range(20):
