@@ -52,11 +52,9 @@ from .cutoff import (
     cover_singular_set,
     covers_points,
     empty_cover,
-    enlarged_class_count,
     gradient_integral_estimate,
     load_point_cloud,
     mr_quality_report,
-    vitali_discard,
 )
 from .estimates import (
     ConeVerdict,

@@ -12,10 +12,11 @@ satisfy the budget ``sum_i r_i^(n-q) < epsilon``:
   from the quintic once, on first use, and read from the field.
 
 The quantitative facts verified numerically: the gradient estimate
-``int_M |grad phi|^q <= 2^(n+q) C_V epsilon``; the Vitali-style discard
-(sixth-balls pairwise disjoint, half-balls still cover); and the
-smooth-cutoff quality triple (area of {phi != 1}, grad L^2, Laplacian L^1)
-against its proof-side constants.
+``int_M |grad phi|^q <= 2^(n+q) C_V epsilon``; and the smooth-cutoff
+quality triple against its bounds in the cover's own sums,
+``area{phi != 1} <= C_V sum r_i^n``, ``int_M |grad phi|^2 <= K C0 C_V
+sum r_i^(n-2)`` and ``int_M |Delta phi| <= (C1 + K C0) C_V sum r_i^(n-2)``,
+with K the most balls any one point lies in (:func:`mr_quality_report`).
 
 Geodesic balls of the ambient sphere are used for the gradient estimate
 (radii converted by the chord-arc map); the smooth product construction
@@ -35,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BoundViolation,
     BudgetInfeasible,
     InsufficientSamples,
     PreconditionViolated,
@@ -122,10 +122,10 @@ def _point_array(points):
 class BallCover:
     """Finite ball family under the Hausdorff budget ``sum r_i^(n-q) < epsilon``.
 
-    ``dimension`` is n, ``exponent`` q, and ``points`` the covered input set
-    (discards re-verify coverage).  Built only within budget: an unknown
-    metric or epsilon <= 0 raises ``ValueError``; q > n (r^(n-q) grows as a
-    ball shrinks) or a sum >= epsilon raises :class:`BudgetInfeasible`.
+    ``dimension`` is n, ``exponent`` q, and ``points`` the covered input set.
+    Built only within budget: an unknown metric or epsilon <= 0 raises
+    ``ValueError``; q > n (r^(n-q) grows as a ball shrinks) or a sum >=
+    epsilon raises :class:`BudgetInfeasible`.
     """
 
     centers: np.ndarray
@@ -158,25 +158,6 @@ class BallCover:
     @property
     def budget_sum(self):
         return float(np.sum(self.radii ** (self.dimension - self.exponent)))
-
-    @property
-    def dyadic_classes(self):
-        """Partition {i : 2^m <= r_i < 2^(m+1)} keyed by the integer m."""
-        out = {}
-        for i, r in enumerate(self.radii):
-            out.setdefault(int(np.floor(np.log2(r))), []).append(i)
-        return {m: np.array(ix) for m, ix in out.items()}
-
-    def subset(self, indices):
-        return BallCover(
-            self.centers[indices],
-            self.radii[indices],
-            self.dimension,
-            self.exponent,
-            self.epsilon,
-            self.metric,
-            self.points,
-        )
 
 
 def empty_cover(n, q, epsilon, metric="geodesic", ambient_dim=1):
@@ -293,55 +274,12 @@ def _single_linkage(points, link, dist):
     return np.split(order, starts[1:])
 
 
-def vitali_discard(cover: BallCover) -> BallCover:
-    """Keep a subfamily whose sixth-balls are pairwise disjoint.
-
-    Balls are visited in decreasing radius (ties broken by lexicographic
-    center order); a ball is dropped when its sixth-ball meets the
-    sixth-ball of a retained, at-least-as-large ball -- its sixth-ball then
-    lies inside that ball's half-ball, so the retained half-balls still
-    cover the input points.
-    """
-    if cover.size == 0:
-        return cover
-    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
-    clash = d < (cover.radii[:, None] + cover.radii[None, :]) / 6.0
-    keys = tuple(cover.centers.T[::-1]) + (-cover.radii,)
-    retained = []
-    for j in np.lexsort(keys):
-        if not clash[j, retained].any():
-            retained.append(int(j))
-    return cover.subset(np.array(sorted(retained)))
-
-
 def covers_points(cover: BallCover, factor) -> bool:
     """Every input point within factor * r_i of some center (widened Gram screen)."""
     if cover.points is None:
         return True
     bound = _chord_sq_bound(factor * cover.radii, cover.metric)[:, None]
     return bool(np.all(np.any(_gram_chord_sq(cover.centers, cover.points) < bound, axis=0)))
-
-
-# ---------------------------------------------------------------------------
-# class counts of enlarged balls
-# ---------------------------------------------------------------------------
-
-def enlarged_class_count(cover: BallCover):
-    """Per dyadic class, max count of enlarged balls B(p_i, r_i + r_j) containing p_j.
-
-    Valid after :func:`vitali_discard` (disjoint sixth-balls): within one
-    class the enlarged radii are 2-comparable and their 18th-part sub-balls
-    inherit disjointness, so the count is at most 108^N.
-    """
-    N = cover.centers.shape[1]
-    bound = 108.0**N
-    d = _distance(cover.metric)(cover.centers[:, None, :], cover.centers[None, :, :])
-    dyadic = np.floor(np.log2(cover.radii))
-    inside = (d <= cover.radii[:, None] + cover.radii[None, :]) & (dyadic[:, None] == dyadic[None, :])
-    worst = int(inside.sum(axis=0).max(initial=0))
-    if worst > bound:
-        raise BoundViolation(f"class count {worst} exceeds 108^{N}")
-    return worst, bound
 
 
 # ---------------------------------------------------------------------------
@@ -826,30 +764,45 @@ def mr_quality_report(
     overlap counts once.  The three integrals draw from the three children
     of ``seed``, and ball i from child i of its integral's child.
 
-    Bounds come from the construction's proof: C_V eps, 8 * 108^N C0 C_V eps
-    and (C1 + 8 * 108^N C0) C_V eps with C1 = n C0 + C_H sqrt(C0), C_H the
-    ambient mean-curvature bound (n for minimal hypersurfaces of the unit
-    sphere), N the Euclidean dimension, eps and the default C_V's metric
-    those of ``field.cover``.  Raises :class:`InsufficientSamples` when a
-    standard error exceeds 10% of its bound; a measured value above bound +
-    3 stderr is returned as a report with ``passed`` false.
+    Bounds come from the construction's proof, in the cover's own sums:
+    C_V sum r_i^n for the area, K C0 C_V sum r_i^(n-2) for grad L^2 and
+    (C1 + K C0) C_V sum r_i^(n-2) for Laplacian L^1, with C1 = n C0 +
+    C_H sqrt(C0), C_H the ambient mean-curvature bound (n for minimal
+    hypersurfaces of the unit sphere) and the default C_V's metric that of
+    ``field.cover``.  K is the widest row of the balls' neighbour table at
+    reach 1 (:func:`_neighbour_table`, which the integrands read too): a
+    point in k balls has |p_i - p_j| < r_i + r_j for each pair of them, so
+    all k lie in one ball's row and K bounds how many balls hold any point.
+
+    The derivation: phi != 1 only on the union of the balls, whose area is
+    at most sum_i area(M cap B(p_i, r_i)) <= C_V sum r_i^n (centres p_i on
+    M).  With 0 <= phi_i <= 1, |grad phi| <= sum_i |grad phi_i|, where at
+    most K terms are nonzero at any point, so (sum_i |grad phi_i|)^2 <= K
+    sum_i |grad phi_i|^2 (Cauchy-Schwarz); |grad phi_i|^2 <= C0 r_i^-2 on
+    B(p_i, r_i) integrates to C0 C_V r_i^(n-2).  Delta phi = sum_i
+    (prod_(k != i) phi_k) Delta phi_i + sum_(i != j) (prod_(k != i, j)
+    phi_k) <grad phi_i, grad phi_j>, so |Delta phi| <= sum_i |Delta phi_i|
+    + K sum_i |grad phi_i|^2; and |Delta_M phi_i| <= n |D^2 phi_i| + C_H
+    |D phi_i| <= n C0 r_i^-2 + C_H sqrt(C0) r_i^-1 <= C1 r_i^-2, the drift
+    term using r_i <= 1 (:func:`cover_singular_set` refuses radii >= 1).
+
+    Raises :class:`InsufficientSamples` when a standard error exceeds 10% of
+    its bound; a measured value above bound + 3 stderr is returned as a
+    report with ``passed`` false.
     """
     if field.kind != "product":
         raise PreconditionViolated("quality report applies to the product cutoff")
-    n = M.dimension
-    N = n + 2
+    cover, n = field.cover, M.dimension
     if C_V is None:
-        C_V = measure_volume_growth(M, metric=field.cover.metric)
-    eps = field.cover.epsilon
+        C_V = measure_volume_growth(M, metric=cover.metric)
     c0 = field.C0
     c_h = float(n)  # |H_vec| of a minimal hypersurface of the unit sphere
     c1 = n * c0 + c_h * math.sqrt(c0)
-    bounds = (
-        C_V * eps,
-        8.0 * 108.0**N * c0 * C_V * eps,
-        (c1 + 8.0 * 108.0**N * c0) * C_V * eps,
-    )
-    area, grad, lap = _per_ball_integrals(M, field.cover, 1.0, _quality_integrands(M, field),
+    table, pad = _neighbour_table(cover, 1.0)
+    K = pad.shape[1]
+    energy = C_V * float(np.sum(cover.radii ** (n - 2)))
+    bounds = (C_V * float(np.sum(cover.radii**n)), K * c0 * energy, (c1 + K * c0) * energy)
+    area, grad, lap = _per_ball_integrals(M, cover, 1.0, _quality_integrands(M, field, table, pad),
                                           np.random.SeedSequence(seed).spawn(3), strata, 2)
     for est, bnd, name in zip((area, grad, lap), bounds, ("area", "grad", "lap")):
         if est.stderr > 0.1 * bnd:
@@ -857,7 +810,7 @@ def mr_quality_report(
     return MRQualityReport(area, grad, lap, bounds, C_V, c0, c1)
 
 
-def _quality_integrands(M, field: CutoffField):
+def _quality_integrands(M, field: CutoffField, table, pad):
     """The three quality integrands 1{phi != 1}, |grad_M phi|^2 and |Delta_M phi|
     as ``integrand(U, X, own)``: a row's value where its ball ``own`` (a cover
     index per row) is the lowest-index ball j with d_j < r_j there, else 0,
@@ -865,11 +818,10 @@ def _quality_integrands(M, field: CutoffField):
 
     Only rows within a conservative screen of their own ball, and for the
     derivatives outside B(p_own, r_own/2), where both are exactly 0, take
-    ramps, and only those of the ball's neighbours (:func:`_neighbour_table`
-    at reach 1).
+    ramps, and only those of the ball's neighbours: ``table`` and ``pad``
+    are :func:`_neighbour_table` at reach 1.
     """
     cover = field.cover
-    table, pad = _neighbour_table(cover, 1.0)
     outer_sq = _chord_sq_bound(cover.radii, cover.metric)
 
     def per_ball(quantity, inner):

@@ -1,6 +1,6 @@
 """Chart-based closed hypersurfaces of the round unit sphere.
 
-Surfaces M^n in S^(n+1) subset R^(n+2) are described by one
+Surfaces M^n in S^(n+1), the unit sphere of R^(n+2), are described by one
 parametrization chart (a box of angles with periodicity flags and an
 immersion map); chart coordinates U are arrays (..., n).  Two families ship
 with exact closed-form geometry:
@@ -74,7 +74,7 @@ def _distance(metric):
 # ---------------------------------------------------------------------------
 
 def _write_hyperspherical_point(out, angles, scale):
-    """Write the point of the unit S^k subset R^(k+1) at hyperspherical
+    """Write the point of the unit S^k of R^(k+1) at hyperspherical
     ``angles`` (..., k), times ``scale``, into ``out`` (..., k+1).
 
     x_0 = cos t_0, x_i = sin t_0 ... sin t_(i-1) cos t_i, x_k = sin t_0 ... sin t_(k-1).

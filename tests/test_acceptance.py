@@ -236,7 +236,8 @@ def test_criterion_08_smooth_cutoff_report():
     verdict(
         8,
         rep.passed and area_ok,
-        f"H^2(phi != 1) = {rep.area_not_one.value:.4f} < C_V eps = {rep.bounds[0]:.4f}; "
+        f"H^2(phi != 1) = {rep.area_not_one.value:.4f} < C_V sum r^n = 0.8 C_V eps "
+        f"= {rep.bounds[0]:.4f}; "
         f"grad L2 {rep.grad_l2.value:.3g} < {rep.bounds[1]:.3g}; "
         f"lap L1 {rep.lap_l1.value:.3g} < {rep.bounds[2]:.3g}",
     )

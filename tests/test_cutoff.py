@@ -1,4 +1,4 @@
-"""Covers, discard, packing bounds, cutoff fields and their integrals."""
+"""Covers, packing bounds, cutoff fields and their integrals."""
 
 import inspect
 import math
@@ -112,11 +112,6 @@ def test_cover_budget_invariant_random():
         assert cov.budget_sum < eps
         assert np.all(cov.radii < 1.0)
         assert cut.covers_points(cov, 1.0)
-        classes = cov.dyadic_classes
-        assert sum(len(ix) for ix in classes.values()) == cov.size
-        for mexp, ix in classes.items():
-            assert np.all(cov.radii[ix] >= 2.0**mexp)
-            assert np.all(cov.radii[ix] < 2.0 ** (mexp + 1))
 
 
 def test_point_cloud_roundtrip(tmp_path):
@@ -143,61 +138,8 @@ def test_cover_clusters_nearby_points():
     assert cut.covers_points(cov, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# vitali discard
-# ---------------------------------------------------------------------------
-
-def test_vitali_identical_and_disjoint():
-    two = cut.BallCover(np.zeros((2, 3)), np.array([0.1, 0.1]), 2, 1, 10, "euclidean")
-    assert cut.vitali_discard(two).size == 1
-    far = cut.BallCover(np.array([[0.0, 0, 0], [9.0, 0, 0]]), np.array([0.1, 0.2]),
-                        2, 1, 10, "euclidean")
-    assert cut.vitali_discard(far).size == 2
-    empty = cut.empty_cover(2, 1, 10, "euclidean", ambient_dim=3)
-    assert cut.vitali_discard(empty) is empty
-
-
-def test_vitali_random_family_disjoint_and_covering():
-    rng = np.random.default_rng(3)
-    centers = rng.random((50, 3))
-    radii = rng.uniform(0.02, 0.3, 50)
-    cov = cut.BallCover(centers, radii, 3, 1, 1e9, "euclidean", points=centers)
-    out = cut.vitali_discard(cov)
-    d = np.linalg.norm(out.centers[:, None] - out.centers[None], axis=-1)
-    off = ~np.eye(out.size, dtype=bool)
-    rsum = (out.radii[:, None] + out.radii[None]) / 6.0
-    assert np.all(d[off] >= rsum[off] - 1e-12)       # sixth-balls pairwise disjoint
-    assert cut.covers_points(out, 0.5)               # half-balls still cover
-
-
-def test_vitali_on_geodesic_cover(torus):
-    # end-to-end on the sphere: sixth-containment cover, discard, coverage
-    _, pts = geo.sample_points(torus, 12, seed=13)
-    cov = cut.cover_singular_set(pts, n=2, q=1, epsilon=0.6, containment="sixth")
-    assert cut.covers_points(cov, 1.0 / 6.0)
-    out = cut.vitali_discard(cov)
-    assert cut.covers_points(out, 0.5)
-    for i in range(out.size):
-        for j in range(i + 1, out.size):
-            d = geo.geodesic_distance(out.centers[i], out.centers[j])
-            assert d >= (out.radii[i] + out.radii[j]) / 6.0 - 1e-12
-
-
-def test_vitali_order_independent():
-    rng = np.random.default_rng(11)
-    centers = rng.random((30, 2))
-    radii = rng.uniform(0.05, 0.4, 30)  # distinct with probability 1
-    cov = cut.BallCover(centers, radii, 2, 1, 1e9, "euclidean")
-    out1 = cut.vitali_discard(cov)
-    perm = rng.permutation(30)
-    out2 = cut.vitali_discard(cut.BallCover(centers[perm], radii[perm], 2, 1, 1e9, "euclidean"))
-    key1 = sorted(map(tuple, np.column_stack([out1.centers, out1.radii])))
-    key2 = sorted(map(tuple, np.column_stack([out2.centers, out2.radii])))
-    assert key1 == key2
-
-
 def test_linkage_and_discard_match_loop_reference():
-    # union-find linkage and the pairwise discard loop, as first written
+    # union-find linkage, as first written
     def linkage_loop(points, link, dist):
         parent = list(range(len(points)))
 
@@ -214,29 +156,17 @@ def test_linkage_and_discard_match_loop_reference():
             groups.setdefault(find(i), []).append(i)
         return sorted(groups.values(), key=lambda ix: ix[0])
 
-    def discard_loop(cov, dist):
-        retained = []
-        for j in np.lexsort(tuple(cov.centers.T[::-1]) + (-cov.radii,)):
-            if all(dist(cov.centers[j], cov.centers[i]) >= (cov.radii[i] + cov.radii[j]) / 6.0
-                   for i in retained):
-                retained.append(int(j))
-        return sorted(retained)
-
     rng = np.random.default_rng(23)
     for trial in range(12):
         pts = sphere_cloud(int(rng.integers(1, 120)), seed=trial)
         if trial % 2:
             pts = pts[:1] + 0.1 * pts  # clustered cloud
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        radii = rng.uniform(0.01, 0.6, len(pts))
         for metric in ("geodesic", "euclidean"):
             dist = geo._distance(metric)
             link = rng.uniform(0.02, 0.4)
             got = [list(ix) for ix in cut._single_linkage(pts, link, dist)]
             assert got == linkage_loop(pts, link, dist)
-            out = cut.vitali_discard(cut.BallCover(pts, radii, 2, 1, 1e9, metric))
-            kept = discard_loop(cut.BallCover(pts, radii, 2, 1, 1e9, metric), dist)
-            assert np.array_equal(out.radii, radii[kept])
 
     def arc(order, step=0.01):
         # points on a great circle, step apart in the given index order
@@ -304,32 +234,11 @@ def test_intersection_bound_random_sample():
                         assert bound == 323.0  # 18^2 - 1
 
 
-def test_enlarged_class_count_after_discard():
-    rng = np.random.default_rng(9)
-    centers = rng.random((60, 2))
-    radii = rng.uniform(0.01, 0.5, 60)
-    out = cut.vitali_discard(
-        cut.BallCover(centers, radii, 2, 0, 1e9, "euclidean")
-    )
-    worst, bound = cut.enlarged_class_count(out)
-    assert worst <= bound
-    assert bound == 108.0**2
-
-
 def test_cover_checks_match_loop_reference():
-    # per-point / per-ball loops, as the checks were first written
+    # a per-point loop, as the check was first written
     def covers_loop(cov, factor):
         dist = geo._distance(cov.metric)
         return all(np.any(dist(cov.centers, p) <= factor * cov.radii + 1e-12) for p in cov.points)
-
-    def class_count_loop(cov):
-        dist = geo._distance(cov.metric)
-        worst = 0
-        for idx in cov.dyadic_classes.values():
-            for j in idx:
-                d = dist(cov.centers[idx], cov.centers[j])
-                worst = max(worst, int(np.sum(d <= cov.radii[idx] + cov.radii[j])))
-        return worst
 
     rng = np.random.default_rng(17)
     pts = sphere_cloud(80, seed=17)
@@ -338,9 +247,7 @@ def test_cover_checks_match_loop_reference():
         cov = cut.BallCover(centers, rng.uniform(0.1, 0.5, 40), 2, 1, 1e9, metric, points=pts)
         for factor in (1.0, 2.0, 3.0):  # False, False, True on both metrics
             assert cut.covers_points(cov, factor) == covers_loop(cov, factor)
-        assert cut.enlarged_class_count(cov)[0] == class_count_loop(cov)
     empty = cut.empty_cover(2, 1, 1.0, ambient_dim=4)
-    assert cut.enlarged_class_count(empty)[0] == 0
     assert cut.covers_points(empty, 1.0)                        # no points to cover
     no_balls = cut.BallCover(empty.centers, empty.radii, 2, 1, 1.0, points=pts)
     assert not cut.covers_points(no_balls, 1.0)
@@ -1049,6 +956,25 @@ def test_mr_quality_report_one_ball(torus, torus_cv_chord):
     assert rep.lap_l1.value <= rep.c1 * rep.c_v + 3 * rep.lap_l1.stderr
 
 
+def test_mr_bounds_count_every_ball_a_point_lies_in(torus, torus_cv_chord):
+    # a ball of radius 0.5 at chart point (1, 2) and three of radius 0.1
+    # within chart distance 0.06 of it: points near (1, 2) lie in all four.
+    # The grad bound K C0 C_V sum r_i^(n-2) reads K = 4 back, at least the
+    # most balls any of 2e5 sampled points lies in; a count within one
+    # dyadic class (2^m <= r < 2^(m+1)) reads 3, the three small balls
+    chart = torus.chart
+    base = np.array([[1.0, 2.0], [1.06, 2.0], [1.0, 2.06], [0.94, 2.0]])
+    radii = np.array([0.5, 0.1, 0.1, 0.1])
+    cover = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
+    rep = cut.mr_quality_report(torus, cut.build_product_cutoff(cover), C_V=torus_cv_chord, seed=0)
+    assert rep.passed
+    K = rep.bounds[1] / (rep.c0 * rep.c_v * np.sum(radii ** (2 - 2)))
+    assert K == pytest.approx(4.0, rel=1e-12)
+    U = np.random.default_rng(0).uniform((0.2, 1.2), (1.8, 2.8), size=(200_000, 2))
+    held = np.sum(np.linalg.norm(chart.embed(U)[:, None, :] - cover.centers, axis=-1) < radii, axis=1)
+    assert K >= held.max() == 4
+
+
 def test_mr_area_against_quadrature_oracle(torus, torus_cv_chord):
     # independent oracle for H^2({phi != 1}): deterministic indicator
     # quadrature of the union of the balls on a fine grid.  The crowded
@@ -1163,7 +1089,7 @@ def test_quality_integrands_read_zero_outside_every_ball(torus):
         outside = np.all(np.linalg.norm(X[:, None, :] - cover.centers, axis=-1) >= cover.radii, axis=1)
         assert 0 < outside.sum() < len(U)
         own = np.random.default_rng(4).integers(cover.size, size=len(U))
-        for integrand in cut._quality_integrands(torus, field):
+        for integrand in cut._quality_integrands(torus, field, *cut._neighbour_table(cover, 1.0)):
             assert np.all(integrand(U, X, own)[outside] == 0.0)
         _, _, _, vals, slope = _every_ball(field, X[outside])
         assert np.all(vals == 1.0) and np.all(slope == 0.0)
@@ -1198,7 +1124,8 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
             np.abs(surface_laplacian(torus, U, X, grad, hess)),
         )
         balls = np.arange(cover.size)
-        for integrand, ref in zip(cut._quality_integrands(torus, field), reference):
+        integrands = cut._quality_integrands(torus, field, *cut._neighbour_table(cover, 1.0))
+        for integrand, ref in zip(integrands, reference):
             per_ball = np.array([integrand(U, X, np.full(len(U), i)) for i in balls])
             assert np.all(per_ball[balls[:, None] != lowest] == 0.0)
             assert np.sum(ref > 0.0) > 1000
@@ -1207,7 +1134,8 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
     # nonzero ramp derivatives
     X = chart.embed(U_edge[1::3])
     lowest = np.argmax(np.linalg.norm(X[:, None, :] - crowded.centers, axis=-1) < radii, axis=1)
-    lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded))[2]
+    lap = cut._quality_integrands(torus, cut.build_product_cutoff(crowded),
+                                  *cut._neighbour_table(crowded, 1.0))[2]
     assert np.sum(lap(U_edge[1::3], X, lowest) > 0.0) >= 10
 
 

@@ -18,6 +18,15 @@ from spherestab.cli import main
 
 SIMONS_21 = ["simons", "--family", "clifford", "--k", "2", "--l", "1", "--samples", "200"]
 SPECTRUM_21 = ["spectrum", "--family", "clifford", "--k", "2", "--l", "1", "--resolutions", "16,20,24"]
+# README's three product cutoff lines and the energy-integrals workload's one
+PRODUCT_CUTOFFS = {
+    name: f"cutoff --family clifford --k {k} --l {l} --points {points} --epsilon {eps} "
+          "--exponent 0 --kind product".split()
+    for name, k, l, points, eps in [("readme-1-point", 1, 1, 1, 0.05),
+                                    ("readme-200-points", 1, 1, 200, 0.5),
+                                    ("readme-n3", 1, 2, 20, 0.5),
+                                    ("energy-integrals", 1, 1, 20, 0.5)]
+}
 
 
 def _scale_curvature_sq(monkeypatch, factor):
@@ -83,3 +92,18 @@ def test_non_nest_metric_mutant_refuses_spectrum(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "spectrum_clifford_2_1.json").read_text())
     assert doc["failure"].startswith("AssemblyFailure: chart metric is not a nest")
     assert [r["backend"] for r in doc["rows"]] == ["analytic"]
+
+
+@pytest.mark.parametrize("argv", PRODUCT_CUTOFFS.values(), ids=PRODUCT_CUTOFFS.keys())
+def test_product_cutoff_passes_unmutated(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", PRODUCT_CUTOFFS.values(), ids=PRODUCT_CUTOFFS.keys())
+def test_ball_area_mutant_flips_product_cutoff(tmp_path, monkeypatch, argv):
+    # ball area x 0.5 halves C_V and so every bound of the quality triple;
+    # the measured area, 0.54-0.70 of its bound C_V sum r_i^n, then exceeds
+    # it by more than 3 stderr
+    exact = geo.SphereProduct.ball_area
+    monkeypatch.setattr(geo.SphereProduct, "ball_area", lambda self, level: 0.5 * exact(self, level))
+    assert main(argv + ["--out", str(tmp_path)]) == 1

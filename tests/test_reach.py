@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spherestab"
 SPANS = ROOT / "perfbench" / "spans.py"
 
-_ITEM_12 = "ROADMAP item 12: the product cutoff bounds take the cover's class count K from it"
 _FIELD_METHOD = "benchmark read: perfbench/spans.py wraps it as {} in FIELD_METHODS"
 _FIELD = ("ROADMAP item 11: the spectrum report's Rayleigh quotient of the ambient "
           "coordinates x_j (-> -n)")
@@ -40,10 +39,6 @@ _HESSIAN = ("the field protocol (value, gradient, Hessian) that fields.surface_l
 UNREACHED = {
     "cli._failure": "error path: the report of a numerical failure",
     "cli._jsonable": "error path: json.dumps fallback for a numpy value in a payload",
-    "cutoff.BallCover.dyadic_classes": _ITEM_12,
-    "cutoff.BallCover.subset": _ITEM_12,
-    "cutoff.enlarged_class_count": _ITEM_12,
-    "cutoff.vitali_discard": _ITEM_12,
     "cutoff.CutoffField.active_index": _FIELD_METHOD.format('`"active_index"`'),
     "cutoff.CutoffField.ambient_gradient": _FIELD_METHOD.format('`"ambient_gradient"`'),
     "cutoff.CutoffField.ambient_hessian": _FIELD_METHOD.format('`"ambient_hessian"`'),
