@@ -11,7 +11,6 @@ stability threshold -(n+1)^2/4.
 
 from .errors import (
     AssemblyFailure,
-    BoundViolation,
     BudgetInfeasible,
     DegenerateChart,
     InsufficientSamples,

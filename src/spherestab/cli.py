@@ -302,7 +302,7 @@ def _run_cutoff(config: RunConfig, M):
         cover = cut.cover_singular_set(
             pts, M.dimension, config.exponent, config.epsilon,
             metric="geodesic" if config.kind == "inf" else "euclidean",
-            containment="full" if config.kind == "inf" else "sixth",
+            containment="full" if config.kind == "inf" else "half",
         )
     except (OSError, ValueError) as exc:
         raise ConfigError(f"singular set {config.singular_set}: {exc}") from None

@@ -183,7 +183,8 @@ def cover_singular_set(
     uniform budget split ``(0.9 epsilon / m)^(1/(n-q))`` and never drop
     below the cluster containment radius or r_min (``None``: 1e-3, or
     ``0.5 (epsilon / k)^(1/(n-q))`` if k points of radius 1e-3 would spend
-    the budget); ``containment="sixth"`` takes six times that radius.
+    the budget); ``containment="half"`` takes twice that radius, so the
+    cluster lies in B(p, r/2), where the product cutoff vanishes.
 
     :class:`BallCover` refuses a bad epsilon or q > n before any work.
     ``ValueError`` names the rule an unknown ``containment`` or the points
@@ -192,9 +193,9 @@ def cover_singular_set(
     for m clusters, or a cluster needs radius >= 1.
     """
     empty = empty_cover(n, q, epsilon, metric)
-    factor = {"full": 1.0, "sixth": 6.0}.get(containment)
+    factor = {"full": 1.0, "half": 2.0}.get(containment)
     if factor is None:
-        raise ValueError(f"unknown containment {containment!r}; use 'full' or 'sixth'")
+        raise ValueError(f"unknown containment {containment!r}; use 'full' or 'half'")
     points = _point_array([] if points is None else points)
     if points.size == 0:
         return empty
@@ -630,7 +631,7 @@ def _annulus_gradient_integrand(M, field, q):
             grad[shared] = slope[:, None] * grad_d
         rows = rows[keep]
         out = np.zeros(X.shape[0])
-        out[rows] = tangential_gradient_sq(M, U[rows], grad[keep]) ** (q / 2.0)
+        out[rows] = tangential_gradient_sq(M, X[rows], grad[keep]) ** (q / 2.0)
         return out
 
     return integrand
@@ -838,15 +839,15 @@ def _quality_integrands(M, field: CutoffField, table, pad):
             mine = holds.any(axis=1) & (first == own[rows])
             rows = rows[mine]
             out = np.zeros(X.shape[0])
-            out[rows] = quantity(U[rows], X[rows], tuple(a[mine] for a in ramps))
+            out[rows] = quantity(X[rows], tuple(a[mine] for a in ramps))
             return out
 
         return integrand
 
     return (
-        per_ball(lambda U, X, ramps: 1.0, 0.0),
-        per_ball(lambda U, X, ramps: tangential_gradient_sq(
-            M, U, _product_gradient(_product_excluding_one(ramps[3]), ramps[4], ramps[1])), 0.5),
-        per_ball(lambda U, X, ramps: np.abs(surface_laplacian(
-            M, U, X, *_product_derivatives(ramps))), 0.5),
+        per_ball(lambda X, ramps: 1.0, 0.0),
+        per_ball(lambda X, ramps: tangential_gradient_sq(
+            M, X, _product_gradient(_product_excluding_one(ramps[3]), ramps[4], ramps[1])), 0.5),
+        per_ball(lambda X, ramps: np.abs(surface_laplacian(
+            M, X, *_product_derivatives(ramps))), 0.5),
     )

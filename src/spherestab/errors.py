@@ -34,9 +34,5 @@ class PreconditionViolated(SpherestabError):
     """Input configuration violates a checked precondition."""
 
 
-class BoundViolation(SpherestabError):
-    """A proved inequality was violated numerically (should never happen)."""
-
-
 class InsufficientSamples(SpherestabError):
     """Monte-Carlo standard error exceeds 10% of the bound being tested."""

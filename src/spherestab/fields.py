@@ -3,14 +3,18 @@
 Every field is a function on the ambient space R^(n+2): it answers
 ``value(X)``, ``ambient_gradient(X)`` and ``ambient_hessian(X)`` at points
 X (..., n+2), as :class:`~spherestab.cutoff.CutoffField` does.  Its
-surface derivatives at the surface points X = x(U) all come from the
-helpers below, which read the chart frame at the chart points U:
+surface derivatives at surface points X all come from the helpers below,
+which read the normal frame there: the position x and the chart's unit
+normal nu (``Chart.normal``) are an orthonormal basis of the normal space
+of M in R^(n+2), so the tangent part of a vector is what is left when
+both are projected out.
 
-* :func:`chart_gradient`, the chart partials d_a f = J^T grad f;
-* :func:`tangential_gradient_sq`, |grad_M f|^2 = g^aa (d_a f)^2;
+* :func:`tangential_gradient_sq`, |grad_M f|^2 = |t|^2 with
+  t = grad f - <grad f, x> x - <grad f, nu> nu;
 * :func:`surface_laplacian`, Delta_M f = tr_M Hess f + <grad f, H_vec>
-  with the mean curvature vector H_vec = -n x of a minimal hypersurface
-  of the unit sphere in R^(n+2) (Takahashi: Delta_M x = -n x).
+  with tr_M Hess f = tr Hess f - x^T Hess f x - nu^T Hess f nu and the
+  mean curvature vector H_vec = -n x of a minimal hypersurface of the
+  unit sphere in R^(n+2) (Takahashi: Delta_M x = -n x).
 """
 
 from __future__ import annotations
@@ -63,35 +67,39 @@ class AmbientCoordinateField:
         return _zero_hessian(X)
 
 
-def chart_gradient(M, U, ambient_grad, jac=None):
-    """Chart partials d_a f = J^T grad f; ``jac`` is the chart Jacobian at U if the caller has it."""
-    if jac is None:
-        jac = M.chart.jacobian(np.asarray(U, dtype=float))
+def tangential_gradient_sq(M, X, ambient_grad):
+    """|grad_M f|^2 at the surface points X from the ambient gradient.
+
+    The tangent part t is formed as a vector and then squared, so nothing
+    cancels as it would in |grad f|^2 - <grad f, x>^2 - <grad f, nu>^2.
+    """
+    X = np.asarray(X, dtype=float)
     grad = np.asarray(ambient_grad, dtype=float)
-    # J^T grad per row as one batched matmul, in the operand layout that
-    # einsum("pia,pi->pa", optimize=True) hands to matmul: the same rounding,
-    # without a contraction-path search on every call
-    return np.matmul(jac.swapaxes(-1, -2), grad.reshape(grad.shape + (1,)))[..., 0]
+    nu = M.chart.normal(X)
+    t = grad - _dot(grad, X)[..., None] * X - _dot(grad, nu)[..., None] * nu
+    return _dot(t, t)
 
 
-def tangential_gradient_sq(M, U, ambient_grad):
-    """|grad_M f|^2 from an ambient gradient via the chart frame."""
-    U = np.asarray(U, dtype=float)
-    return np.sum(chart_gradient(M, U, ambient_grad) ** 2 / M.chart.metric_diag(U), axis=-1)
-
-
-def surface_laplacian(M, U, X, ambient_grad, ambient_hess, jac=None):
-    """Delta_M f = tr_M Hess f + <grad f, H_vec> at the surface points X = x(U).
+def surface_laplacian(M, X, ambient_grad, ambient_hess):
+    """Delta_M f = tr_M Hess f + <grad f, H_vec> at the surface points X.
 
     ``ambient_grad`` (points, n+2) and ``ambient_hess`` (points, n+2, n+2)
-    are the field's Euclidean derivatives at X; ``jac`` is the chart
-    Jacobian at U if the caller has it.  H_vec = -n x is the mean
-    curvature vector of a minimal hypersurface of the unit sphere.
+    are the field's Euclidean derivatives at X.  The tangential trace is the
+    full trace less the two normal directions x and nu; H_vec = -n x is the
+    mean curvature vector of a minimal hypersurface of the unit sphere.
     """
-    U = np.asarray(U, dtype=float)
-    if jac is None:
-        jac = M.chart.jacobian(U)
-    trace = np.einsum("pia,pij,pja,pa->p", jac, ambient_hess, jac, 1.0 / M.chart.metric_diag(U),
-                      optimize=["einsum_path", (0, 1), (0, 2), (0, 1)])  # the path optimize=True finds
-    drift = -M.dimension * np.einsum("pj,pj->p", ambient_grad, X)
-    return trace + drift
+    X = np.asarray(X, dtype=float)
+    hess = np.asarray(ambient_hess, dtype=float)
+    nu = M.chart.normal(X)
+    trace = np.trace(hess, axis1=-2, axis2=-1) - _form(hess, X) - _form(hess, nu)
+    return trace - M.dimension * _dot(ambient_grad, X)
+
+
+def _dot(a, b):
+    """Row-wise inner products along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _form(hess, v):
+    """Row-wise quadratic forms v^T Hess v."""
+    return _dot(v, np.matmul(hess, v[..., None])[..., 0])

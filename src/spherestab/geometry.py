@@ -24,8 +24,11 @@ Charts use hyperspherical coordinates.  Polar axes span [0, pi] and carry
 a sampling margin (``POLE_MARGIN``, 1e-3) so random evaluation never touches a
 coordinate pole; quadrature uses interior nodes (Gauss-Legendre on polar
 axes, uniform on periodic axes) where the vanishing metric density keeps
-integrals accurate.  Every chart carries its analytic frame: Jacobian,
-metric diagonal and nearest-point inverse.
+integrals accurate.  Every chart carries its analytic frame: the unit
+normal, the metric diagonal and the nearest-point inverse.  The normal
+and the position x span the normal space of M in R^(n+2), so surface
+derivatives are ambient ones with x and nu projected out
+(:mod:`.fields`) and need no chart Jacobian.
 """
 
 from __future__ import annotations
@@ -108,27 +111,6 @@ def sphere_angles(x):
     return out
 
 
-def _write_hyperspherical_jacobian(out, angles, scale):
-    """Write the analytic Jacobian of :func:`_write_hyperspherical_point` at
-    ``angles`` (..., k), times ``scale``, into the zeroed ``out`` (..., k+1, k).
-
-    Column a is d/dt_a: row a is -prod_(m<a) sin t_m * sin t_a, and each
-    later row is its coordinate's product with sin t_a swapped for cos t_a,
-    built as a running product, so it holds where sin t_a == 0 too.
-    """
-    k = angles.shape[-1]
-    s, c = np.sin(angles), np.cos(angles)
-    prefix = None  # prod_(m<a) sin t_m; None stands for 1.0
-    for a in range(k):
-        np.multiply(-s[..., a] if prefix is None else -prefix * s[..., a], scale, out=out[..., a, a])
-        run = c[..., a] if prefix is None else prefix * c[..., a]
-        for i in range(a + 1, k):
-            np.multiply(run * c[..., i], scale, out=out[..., i, a])
-            run = run * s[..., i]
-        np.multiply(run, scale, out=out[..., k, a])
-        prefix = s[..., a] if prefix is None else prefix * s[..., a]
-
-
 def _sphere_metric_diag(angles):
     """Diagonal (..., k) of the unit S^k round metric at hyperspherical
     ``angles`` (..., k), by the recurrence g_0 = 1, g_(i+1) = g_i sin^2 t_i."""
@@ -156,11 +138,13 @@ class Chart:
     """One parametrization chart: a coordinate box plus an immersion map.
 
     ``embed`` maps parameter arrays (..., n) to ambient points (..., n+2).
-    Every field is required.  ``jacobian`` maps points
-    (..., n) to the tangent frame (..., n+2, n).  ``metric_diag`` maps
-    points (..., n) to the metric diagonal (..., n), its one input form;
-    it is the one source of sqrt(det g) (:func:`sqrt_det_metric`) and of
-    the stability pencil (:func:`.operators.axis_pencils`).  ``inverse``
+    Every field is required.  ``normal`` maps surface points X (..., n+2)
+    to their unit normals nu (..., n+2), tangent to the sphere; with x
+    they span the normal space that :mod:`.fields` projects out.
+    ``metric_diag`` maps points (..., n) to the metric diagonal (..., n),
+    its one input form; it is the one source of sqrt(det g)
+    (:func:`sqrt_det_metric`) and of the stability pencil
+    (:func:`.operators.axis_pencils`).  ``inverse``
     maps ambient points (..., n+2) to the chart coordinates of their
     nearest surface points.
     """
@@ -168,7 +152,7 @@ class Chart:
     box: np.ndarray                      # (n, 2) coordinate bounds
     periodic: tuple
     embed: Callable
-    jacobian: Callable
+    normal: Callable
     metric_diag: Callable
     inverse: Callable
 
@@ -387,25 +371,21 @@ def _product_surface(product):
             _write_hyperspherical_point(out[..., amb], U[..., ax], r)
         return out
 
-    def jacobian(U):
-        U = np.asarray(U, dtype=float)
-        jac = np.zeros(U.shape[:-1] + (n + 2, n))
-        for ax, amb, r in blocks:
-            _write_hyperspherical_jacobian(jac[..., amb, ax], U[..., ax], r)
-        return jac
-
     def metric_diag(U):
         U = np.asarray(U, dtype=float)
         return np.concatenate([_sphere_metric_diag(U[..., ax]) * r**2 for ax, _, r in blocks], axis=-1)
 
-    def normal(U):
-        nu = np.zeros(U.shape[:-1] + (n + 2,))
-        if len(blocks) == 1:
-            nu[..., n + 1] = 1.0
-        else:  # (r_l p, -r_k q) at the point (r_k p, r_l q)
-            (ax_k, amb_k, rk), (ax_l, amb_l, rl) = blocks
-            _write_hyperspherical_point(nu[..., amb_k], U[..., ax_k], rl)
-            _write_hyperspherical_point(nu[..., amb_l], U[..., ax_l], -rk)
+    # nu = kappa_i x on factor i: at x = (r_k a, r_l b) it is (r_l a, -r_k b),
+    # as r_l / r_k = kappa_1 and -r_k / r_l = kappa_2; the equator's is e_(n+1)
+    kappa = np.repeat(product.principal_curvatures, dims)
+    scale = np.repeat(product.principal_curvatures, [d + 1 for d in dims])
+
+    def normal(X):
+        X = np.asarray(X, dtype=float)
+        if len(blocks) > 1:
+            return X * scale
+        nu = np.zeros(X.shape)
+        nu[..., n + 1] = 1.0
         return nu
 
     def inverse(X):
@@ -415,16 +395,15 @@ def _product_surface(product):
         X = np.asarray(X, dtype=float)
         return np.concatenate([sphere_angles(X[..., amb]) for _, amb, _ in blocks], axis=-1)
 
-    kappa = np.repeat(product.principal_curvatures, dims)
     a2 = float(product.norm_A_sq)
 
     def closed_form(U):
         U = np.asarray(U, dtype=float)
         base = U.shape[:-1]
         gdiag = metric_diag(U)
-        return gdiag, normal(U), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
+        return gdiag, normal(embed(U)), _diag_embed(kappa * gdiag), np.zeros(base), np.full(base, a2)
 
-    chart = Chart(box, periodic, embed, jacobian, metric_diag, inverse)
+    chart = Chart(box, periodic, embed, normal, metric_diag, inverse)
     return ParametrizedHypersurface(chart, product, closed_form)
 
 

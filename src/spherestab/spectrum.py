@@ -112,7 +112,7 @@ def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:
     |grad f|^2 from the field's ambient gradient through
     :func:`.fields.tangential_gradient_sq`.  The per-node density, f and
     |grad f|^2 are taken ``_CHUNK_ROWS`` nodes at a time, so the metric,
-    the embedding and the chart frame never hold the whole grid.
+    the embedding and the normal frame never hold the whole grid.
     """
     chart = M.chart
     nodes, weights = chart_quadrature(chart, _capped_per_axis(resolution, chart.dim))
@@ -122,7 +122,7 @@ def rayleigh_quotient(M: ParametrizedHypersurface, f, resolution=48) -> float:
         w[lo:lo + len(U)] = weights[lo:lo + len(U)] * sqrt_det_metric(chart, U)
         X = chart.embed(U)
         vals[lo:lo + len(U)] = f.value(X)
-        grads[lo:lo + len(U)] = tangential_gradient_sq(M, U, f.ambient_gradient(X))
+        grads[lo:lo + len(U)] = tangential_gradient_sq(M, X, f.ambient_gradient(X))
     num = float(w @ (grads - float(M.potential) * vals**2))
     denom = float(w @ vals**2)
     if denom <= 1e-28 * float(w.sum()):
@@ -171,13 +171,19 @@ def _christoffel(gdiag, g_plus, g_minus, step):
     return gdiag, ginv, gamma
 
 
-def _laplacian(f0, f_plus, f_minus, step, ginv, gamma):
+def _christoffel_trace(ginv, gamma):
+    """g^{cc} Gamma^e_{cc} from the ``ginv``, ``gamma`` of :func:`_christoffel`:
+    the first-order term of every Laplacian on those points."""
+    return np.einsum("mc,mecc->me", ginv, gamma, optimize=True)
+
+
+def _laplacian(f0, f_plus, f_minus, step, ginv, corr):
     """Laplace-Beltrami ``Delta f = g^{cc} (d^2_cc f - Gamma^e_{cc} d_e f)`` of a
     diagonal metric by central differences, from the values of f at U and at
-    the :func:`_stencil` points and the ``ginv``, ``gamma`` of :func:`_christoffel`."""
+    the :func:`_stencil` points, ``ginv`` of :func:`_christoffel` and ``corr``
+    of :func:`_christoffel_trace`."""
     df = _difference(f_plus, f_minus, step)
     ddf = np.stack([(fp - 2 * f0 + fm) / step**2 for fp, fm in zip(f_plus, f_minus)], axis=-1)
-    corr = np.einsum("mc,mecc->me", ginv, gamma, optimize=True)
     return np.einsum("mc,mc->m", ginv, ddf) - np.einsum("me,me->m", corr, df)
 
 
@@ -240,8 +246,9 @@ def simons_check(M: ParametrizedHypersurface, samples=200, seed=0, step=2e-3) ->
     a2_plus, a2_minus = at_stencil(4)
     normA0 = np.sqrt(a2_0)
     norm_plus, norm_minus = list(map(np.sqrt, a2_plus)), list(map(np.sqrt, a2_minus))
-    lap_a2 = _laplacian(a2_0, a2_plus, a2_minus, step, ginv, gamma)
-    lap_norm = _laplacian(normA0, norm_plus, norm_minus, step, ginv, gamma)
+    corr = _christoffel_trace(ginv, gamma)   # shared by both Laplacians
+    lap_a2 = _laplacian(a2_0, a2_plus, a2_minus, step, ginv, corr)
+    lap_norm = _laplacian(normA0, norm_plus, norm_minus, step, ginv, corr)
     grad_norm_sq = _gradient_sq(norm_plus, norm_minus, step, gdiag0)
 
     identity = np.abs(lap_a2 - (2 * grad_A_sq + 2 * n * a2_0 - 2 * a2_0**2))

@@ -17,6 +17,10 @@ the cutoff step of the paper rests on, checked numerically:
 * central-difference Christoffel symbols, Laplace-Beltrami operators and
   squared gradients of chart-parameter callables, built from the stencil
   helpers that :func:`spherestab.spectrum.simons_check` runs;
+* the analytic chart Jacobian of the built-in surfaces
+  (:func:`chart_jacobian`) and the chart-frame surface calculus it gives
+  (:func:`chart_frame_gradient_sq`, :func:`chart_frame_laplacian`): the
+  reference of the library's normal-frame kernels in :mod:`spherestab.fields`;
 * the second fundamental form by central differences of the unit normal
   (:func:`shape_by_normal_derivative`), independent of the closed forms
   that :func:`spherestab.shape_at` reads;
@@ -50,13 +54,13 @@ from spherestab.cutoff import (
 )
 from spherestab.errors import (
     AssemblyFailure,
-    BoundViolation,
     DegenerateChart,
     PreconditionViolated,
+    SpherestabError,
     UnsupportedFamily,
     ZeroTestFunction,
 )
-from spherestab.fields import chart_gradient, surface_laplacian, tangential_gradient_sq
+from spherestab.fields import surface_laplacian, tangential_gradient_sq
 from spherestab.geometry import (
     ParametrizedHypersurface,
     ShapeData,
@@ -71,7 +75,7 @@ from spherestab.geometry import (
     sqrt_det_metric,
 )
 from spherestab.sampling import nearest_chart_point
-from spherestab.spectrum import _christoffel, _gradient_sq, _laplacian
+from spherestab.spectrum import _christoffel, _christoffel_trace, _gradient_sq, _laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,10 @@ def _inside_box(chart, pts):
 # packing bound
 # ---------------------------------------------------------------------------
 
+class BoundViolation(SpherestabError):
+    """A proved inequality was violated numerically (should never happen)."""
+
+
 def intersection_bound_check(centers, radii, alpha, beta):
     """Max intersection degree of a ball family against (3 alpha beta)^N - 1.
 
@@ -248,13 +256,13 @@ def ibp_residual(
 
     def terms(U, X):
         # u, u Delta v + <grad u, grad v>, d_a v and the chart frame at the
-        # rows: one chart Jacobian serves every derivative
-        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        # rows: one chart Jacobian serves every gradient
+        jac, gdiag = chart_jacobian(M, U), chart.metric_diag(U)
         grad_v = v.ambient_gradient(X)
-        du = chart_gradient(M, U, u.ambient_gradient(X), jac)
-        dv = chart_gradient(M, U, grad_v, jac)
+        du = chart_gradient(jac, u.ambient_gradient(X))
+        dv = chart_gradient(jac, grad_v)
         uu = np.asarray(u.value(X), dtype=float)
-        lap = surface_laplacian(M, U, X, grad_v, v.ambient_hessian(X), jac)
+        lap = surface_laplacian(M, X, grad_v, v.ambient_hessian(X))
         return uu, uu * lap + np.sum(du * dv / gdiag, axis=-1), dv, jac, gdiag
 
     def correction(i, nb, U, X):
@@ -266,7 +274,7 @@ def ibp_residual(
             return out
         U, X, phi, slope, grad_d = U[rows], X[rows], phi[rows], slope[rows], grad_d[rows]
         uu, smooth, dv, jac, gdiag = terms(U, X)
-        dphi = chart_gradient(M, U, slope[:, None] * grad_d, jac)
+        dphi = chart_gradient(jac, slope[:, None] * grad_d)
         out[rows] = -(1.0 - phi) * smooth + uu * np.sum(dv * dphi / gdiag, axis=-1)
         return out
 
@@ -305,7 +313,7 @@ def cutoff_cross_term(
             mask = first == i
             grad = _product_gradient(_product_excluding_one(vals), slope, grad_d)
         uu = np.abs(np.asarray(u.value(X), dtype=float))
-        gsq = tangential_gradient_sq(M, U, grad)
+        gsq = tangential_gradient_sq(M, X, grad)
         return np.where(mask, uu * np.sqrt(gsq), 0.0)
 
     return _patch_sum(M, field, integrand, n_angular=128, nodes_per_segment=24)
@@ -361,7 +369,8 @@ def surface_laplacian_fd(M, U, fn, step=2e-3, parts=None):
     U = np.asarray(U, dtype=float)
     _, ginv, gamma = parts if parts is not None else christoffel_fd(M, U, step)
     plus, minus = _stencil(U, step)
-    return _laplacian(fn(U), [fn(P) for P in plus], [fn(P) for P in minus], step, ginv, gamma)
+    return _laplacian(fn(U), [fn(P) for P in plus], [fn(P) for P in minus], step, ginv,
+                      _christoffel_trace(ginv, gamma))
 
 
 def surface_gradient_sq_fd(M, U, fn, step=2e-3):
@@ -369,6 +378,71 @@ def surface_gradient_sq_fd(M, U, fn, step=2e-3):
     U = np.asarray(U, dtype=float)
     plus, minus = _stencil(U, step)
     return _gradient_sq([fn(P) for P in plus], [fn(P) for P in minus], step, M.chart.metric_diag(U))
+
+
+# ---------------------------------------------------------------------------
+# the chart Jacobian and the chart-frame surface calculus
+# ---------------------------------------------------------------------------
+
+def _write_hyperspherical_jacobian(out, angles, scale):
+    """Write the analytic Jacobian of the unit S^k's hyperspherical point at
+    ``angles`` (..., k), times ``scale``, into the zeroed ``out`` (..., k+1, k).
+
+    Column a is d/dt_a: row a is -prod_(m<a) sin t_m * sin t_a, and each
+    later row is its coordinate's product with sin t_a swapped for cos t_a,
+    built as a running product, so it holds where sin t_a == 0 too.
+    """
+    k = angles.shape[-1]
+    s, c = np.sin(angles), np.cos(angles)
+    prefix = None  # prod_(m<a) sin t_m; None stands for 1.0
+    for a in range(k):
+        np.multiply(-s[..., a] if prefix is None else -prefix * s[..., a], scale, out=out[..., a, a])
+        run = c[..., a] if prefix is None else prefix * c[..., a]
+        for i in range(a + 1, k):
+            np.multiply(run * c[..., i], scale, out=out[..., i, a])
+            run = run * s[..., i]
+        np.multiply(run, scale, out=out[..., k, a])
+        prefix = s[..., a] if prefix is None else prefix * s[..., a]
+
+
+def chart_jacobian(M: ParametrizedHypersurface, U):
+    """The tangent frame dx/dU (..., n+2, n) of a built-in surface's chart at U.
+
+    Factor S^d(r) of the surface's sphere product takes the next d chart
+    axes and the next d + 1 ambient coordinates, as in its ``embed``.
+    """
+    U = np.asarray(U, dtype=float)
+    jac = np.zeros(U.shape[:-1] + (M.dimension + 2, M.dimension))
+    start = 0
+    for i, (d, r) in enumerate(zip(M.product.dims, M.product.radii)):
+        _write_hyperspherical_jacobian(jac[..., start + i:start + i + d + 1, start:start + d],
+                                       U[..., start:start + d], r)
+        start += d
+    return jac
+
+
+def chart_gradient(jac, ambient_grad):
+    """Chart partials d_a f = J^T grad f from the chart Jacobian ``jac`` at the rows."""
+    grad = np.asarray(ambient_grad, dtype=float)
+    # J^T grad per row as one batched matmul, in the operand layout that
+    # einsum("pia,pi->pa", optimize=True) hands to matmul: the same rounding
+    return np.matmul(jac.swapaxes(-1, -2), grad.reshape(grad.shape + (1,)))[..., 0]
+
+
+def chart_frame_gradient_sq(M, U, ambient_grad):
+    """|grad_M f|^2 = g^aa (d_a f)^2 through the chart Jacobian at the chart points U."""
+    U = np.asarray(U, dtype=float)
+    return np.sum(chart_gradient(chart_jacobian(M, U), ambient_grad) ** 2 / M.chart.metric_diag(U),
+                  axis=-1)
+
+
+def chart_frame_laplacian(M, U, X, ambient_grad, ambient_hess):
+    """Delta_M f = g^aa J_a^T Hess f J_a - n <grad f, x> at X = x(U), through the chart Jacobian."""
+    U = np.asarray(U, dtype=float)
+    jac = chart_jacobian(M, U)
+    trace = np.einsum("pia,pij,pja,pa->p", jac, ambient_hess, jac, 1.0 / M.chart.metric_diag(U),
+                      optimize=True)
+    return trace - M.dimension * np.einsum("pj,pj->p", ambient_grad, X)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +458,13 @@ def _unit_normal(jac, x):
     return nu if nu[pivot] > 0 else -nu
 
 
-def shape_by_normal_derivative(chart, u, step=1e-3):
+def shape_by_normal_derivative(chart, jacobian, u, step=1e-3):
     """Shape data of a chart at one parameter point, with A_ab = <d_a nu, d_b x>
     by central differences (step ``step``) of the unit normal.
+
+    ``jacobian`` maps chart points to the chart's tangent frame (n+2, n),
+    as :func:`chart_jacobian` does for a built-in surface; the unit normal
+    is the direction orthogonal to it and to x, not the chart's ``normal``.
 
     Refuses (``ValueError``) a chart whose image leaves the unit sphere by
     more than 1e-8 at u; raises ``DegenerateChart`` when cond(g) > 1e12.
@@ -396,7 +474,7 @@ def shape_by_normal_derivative(chart, u, step=1e-3):
     drift = np.linalg.norm(x) - 1.0
     if abs(drift) > 1e-8:
         raise ValueError(f"the chart image leaves the unit sphere: |x(u)| - 1 = {drift:.3e}")
-    jac = chart.jacobian(u)
+    jac = jacobian(u)
     g = jac.T @ jac
     _check_metric(g)
     nu = _unit_normal(jac, x)
@@ -406,8 +484,8 @@ def shape_by_normal_derivative(chart, u, step=1e-3):
     for a in range(n):
         e = np.zeros(n)
         e[a] = step
-        nu_p = _unit_normal(chart.jacobian(u + e), chart.embed(u + e))
-        nu_m = _unit_normal(chart.jacobian(u - e), chart.embed(u - e))
+        nu_p = _unit_normal(jacobian(u + e), chart.embed(u + e))
+        nu_m = _unit_normal(jacobian(u - e), chart.embed(u - e))
         if nu_p @ nu < 0:
             nu_p = -nu_p
         if nu_m @ nu < 0:

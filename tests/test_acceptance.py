@@ -26,7 +26,6 @@ from spherestab import estimates as est
 from spherestab import geometry as geo
 from spherestab import spectrum as spec
 from spherestab.errors import (
-    BoundViolation,
     BudgetInfeasible,
     InsufficientSamples,
     ZeroTestFunction,
@@ -34,6 +33,7 @@ from spherestab.errors import (
 from spherestab.fields import AmbientCoordinateField
 
 import oracles
+from oracles import BoundViolation
 
 FAMILIES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 

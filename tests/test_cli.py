@@ -21,7 +21,9 @@ import spherestab.estimates as est
 import spherestab.geometry as geo
 import spherestab.operators as ops
 from spherestab.cli import main
-from spherestab.errors import BoundViolation, BudgetInfeasible
+from spherestab.errors import BudgetInfeasible
+
+from oracles import BoundViolation
 
 
 def run(tmp_path, *argv):
@@ -450,16 +452,17 @@ def test_exponent_above_dimension_writes_failure_report(tmp_path, epsilon):
 
 
 def test_bound_violation_writes_failure_report(tmp_path, monkeypatch):
-    # no subcommand raises BoundViolation; one that did would get the
-    # failure report and exit 3 of every other SpherestabError
+    # no subcommand raises BoundViolation (only the packing oracle does); one
+    # that did would get the failure report and exit 3 of every other
+    # SpherestabError
     def violate(config, M):
-        raise BoundViolation("class count 109 exceeds 108^3")
+        raise BoundViolation("degree 27 exceeds (3.0)^3 - 1")
 
     monkeypatch.setitem(cli.COMMANDS, "cone-table",
                         dataclasses.replace(cli.COMMANDS["cone-table"], run=violate))
     assert run(tmp_path, "cone-table", "--n-max", "3", "--format", "json") == 3
     doc = json.loads((tmp_path / "cone-table.json").read_text())
-    assert doc["failure"] == "BoundViolation: class count 109 exceeds 108^3"
+    assert doc["failure"] == "BoundViolation: degree 27 exceeds (3.0)^3 - 1"
 
 
 def test_out_of_memory_rung_writes_rows_and_failure(tmp_path, monkeypatch):
@@ -608,6 +611,25 @@ def test_cutoff_singular_set_file(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
     assert len(doc["radii"]) == 2
+
+
+def test_product_cover_of_a_cluster_is_twice_its_spread(tmp_path):
+    # 201 torus points along one chart axis, 1.5e-3 apart: one cluster of
+    # chord spread 0.15, whose product ball needs radius 0.3 (the cutoff
+    # vanishes on B(p, r/2)); six times the spread would spend
+    # sum r^n = 0.403 >= epsilon = 0.1 and refuse the cover
+    chart = geo.clifford_hypersurface((1, 1)).chart
+    U = np.stack([np.full(201, 1.0), 2.0 + 0.0015 * np.arange(201)], axis=-1)
+    cloud = tmp_path / "arc.txt"
+    cloud.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in chart.embed(U)) + "\n")
+    code = run(tmp_path, "cutoff", "--family", "clifford", "--k", "1", "--l", "1",
+               "--singular-set", str(cloud), "--epsilon", "0.1", "--exponent", "0",
+               "--kind", "product", "--format", "json")
+    doc = json.loads((tmp_path / "cutoff_clifford_1_1.json").read_text())
+    assert code == 0, doc.get("failure")
+    # the area bound is C_V sum r^n, so one ball of radius 0.3 reads C_V 0.09
+    assert abs(doc["bounds"][0] / doc["C_V"] - 0.09) <= 1e-4
+    assert doc["passed"] and 0.0 < doc["area_not_one"] <= doc["bounds"][0]
 
 
 def test_cutoff_reaches_four_dimensional_products(tmp_path):

@@ -284,7 +284,7 @@ def test_singleton_cover_matches_cluster_loop(metric):
     near = pts[40:46] + 2e-4
     near /= np.linalg.norm(near, axis=1, keepdims=True)  # back onto the sphere
     pts = np.vstack([pts, near, pair])  # seven two-point clusters
-    for containment, factor in (("full", 1.0), ("sixth", 6.0)):
+    for containment, factor in (("full", 1.0), ("half", 2.0)):
         cover = cut.cover_singular_set(pts, 2, 1, 10.0, r_min=1e-3, metric=metric,
                                        containment=containment)
         clusters = cut._single_linkage(pts, 2e-3, geo._distance(metric))
@@ -305,15 +305,19 @@ def test_cover_rejects_unknown_metric():
 
 
 def test_cover_rejects_unknown_containment():
-    # two torus points 1.5e-3 apart in the chart: the sixth cover holds them
-    # in B(p, r/6), and a misspelt containment must not quietly build the
-    # full cover (radius 0.00306, and the points leave the sixth-balls)
+    # two torus points 1.5e-3 apart in the chart (chord 1.0607e-3): the half
+    # cover holds them in B(p, r/2), and a misspelt containment must not
+    # quietly build the full cover (radius 0.00099 = 0.9 epsilon, and the
+    # points leave the half-balls)
     pts = geo.clifford_hypersurface((1, 1)).chart.embed([[0.3, 1.0], [0.3, 1.0015]])
-    cover = cut.cover_singular_set(pts, 2, 1, 0.0034, metric="euclidean", containment="sixth")
-    assert abs(cover.radii[0] - 0.003182) <= 1e-6 and cut.covers_points(cover, 1 / 6)
-    for containment in ("Sixth", "half", ""):
+    cover = cut.cover_singular_set(pts, 2, 1, 0.0011, r_min=6e-4, metric="euclidean", containment="half")
+    assert abs(cover.radii[0] - 0.0010607) <= 1e-6 and cut.covers_points(cover, 0.5)
+    full = cut.cover_singular_set(pts, 2, 1, 0.0011, r_min=6e-4, metric="euclidean")
+    assert abs(full.radii[0] - 0.00099) <= 1e-12 and not cut.covers_points(full, 0.5)
+    for containment in ("Half", "sixth", ""):
         with pytest.raises(ValueError, match="unknown containment"):
-            cut.cover_singular_set(pts, 2, 1, 0.0034, metric="euclidean", containment=containment)
+            cut.cover_singular_set(pts, 2, 1, 0.0011, r_min=6e-4, metric="euclidean",
+                                   containment=containment)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +684,7 @@ def _all_balls_integrand(M, field, i, q):
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         grad = slope[take, act][:, None] * grad_d[take, act]
-        gsq = cut.tangential_gradient_sq(M, U, grad)
+        gsq = cut.tangential_gradient_sq(M, X, grad)
         return np.where((act == i) & (slope[take, act] > 0.0), gsq ** (q / 2.0), 0.0)
 
     return integrand
@@ -1017,7 +1021,7 @@ def test_mr_grad_l2_on_balls_smaller_than_a_cell(torus):
     # c_2 = |S^1| int_(1/2)^1 rho'(s)^2 s ds = 13.46397 (scale-free at n = 2),
     # where one chart-wide grid of cells 65x wider reads 0 +- 0
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
-    cover = cut.cover_singular_set(pts, 2, 2.0, 25.0, metric="euclidean", containment="sixth")
+    cover = cut.cover_singular_set(pts, 2, 2.0, 25.0, metric="euclidean", containment="half")
     assert cover.size == 20 and np.all(cover.radii == 1e-3)
     t, w = np.polynomial.legendre.leggauss(5)   # exact: the integrand is a degree-9 polynomial
     s = 0.75 + 0.25 * t
@@ -1034,7 +1038,7 @@ def test_mr_quality_report_memory_at_n3():
     # cells was masked against every ball at once)
     M = geo.clifford_hypersurface((1, 2))
     _, pts = geo.sample_points(M, 20, seed=0, pad=0.05)
-    cover = cut.cover_singular_set(pts, 3, 0.0, 0.5, metric="euclidean", containment="sixth")
+    cover = cut.cover_singular_set(pts, 3, 0.0, 0.5, metric="euclidean", containment="half")
     field = cut.build_product_cutoff(cover)
     tracemalloc.start()
     try:
@@ -1080,7 +1084,7 @@ def test_quality_integrands_read_zero_outside_every_ball(torus):
     chart = torus.chart
     U_bg = np.random.default_rng(3).uniform(chart.box[:, 0], chart.box[:, 1], size=(3000, 2))
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)   # energy-integrals product cover
-    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
+    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="half")
     base, radii, U_edge = _crowded_torus_cover()
     crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
     for cover, U in ((workload, U_bg), (crowded, np.concatenate([U_edge, U_bg]))):
@@ -1106,7 +1110,7 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
     base, radii, U_edge = _crowded_torus_cover()
     crowded = cut.BallCover(chart.embed(base), radii, 2, 0.0, 0.5, "euclidean")
     _, pts = geo.sample_points(torus, 20, seed=0, pad=0.05)
-    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="sixth")
+    workload = cut.cover_singular_set(pts, 2, 0.0, 0.5, metric="euclidean", containment="half")
     assert cut._neighbour_table(workload, 1.0)[1].sum() == 14
     rng = np.random.default_rng(5)
     U_crowded = np.concatenate([U_edge, rng.uniform((0.75, 1.7), (1.45, 2.3), size=(4000, 2))])
@@ -1120,8 +1124,8 @@ def test_quality_integrands_count_each_point_in_its_lowest_ball(torus):
         grad, hess = field.ambient_gradient(X), field.ambient_hessian(X)
         reference = (
             (lowest >= 0).astype(float),
-            tangential_gradient_sq(torus, U, grad),
-            np.abs(surface_laplacian(torus, U, X, grad, hess)),
+            tangential_gradient_sq(torus, X, grad),
+            np.abs(surface_laplacian(torus, X, grad, hess)),
         )
         balls = np.arange(cover.size)
         integrands = cut._quality_integrands(torus, field, *cut._neighbour_table(cover, 1.0))
@@ -1263,15 +1267,15 @@ def _patch_reference(M, field, u, v, i, which):
             in_ann = (d > cover.radii[None] / 2.0) & (d < cover.radii[None])
             first = np.where(in_ann.any(axis=1), in_ann.argmax(axis=1), -1)
             grad = cut._product_gradient(cut._product_excluding_one(vals), slope, grad_d)
-            gsq = cut.tangential_gradient_sq(M, U, grad)
+            gsq = cut.tangential_gradient_sq(M, X, grad)
             return np.where(first == i, np.abs(uu) * np.sqrt(gsq), 0.0)
         act = vals.argmin(axis=1)
         take = np.arange(X.shape[0])
         phi, grad = vals[take, act], slope[take, act][:, None] * grad_d[take, act]
         if which == "cross":
-            gsq = cut.tangential_gradient_sq(M, U, grad)
+            gsq = cut.tangential_gradient_sq(M, X, grad)
             return np.where(act == i, np.abs(uu) * np.sqrt(gsq), 0.0)
-        jac, gdiag = chart.jacobian(U), chart.metric_diag(U)
+        jac, gdiag = oracles.chart_jacobian(M, U), chart.metric_diag(U)
         du, dv, dphi = (np.einsum("pia,pi->pa", jac, g, optimize=True)
                         for g in (u.ambient_gradient(X), v.ambient_gradient(X), grad))
         lap = -M.dimension * v.value(X)  # Delta x_j = -n x_j
@@ -1335,11 +1339,10 @@ def test_patch_integrands_match_all_balls(torus, monkeypatch):
 
 def test_ibp_residual_one_jacobian_per_patch(torus, monkeypatch):
     # each patch evaluates the chart frame of its rows once and passes it to
-    # every derivative: the fields' gradients, the inner product and dphi
-    chart = torus.chart
+    # every gradient: the fields' gradients, the inner product and dphi
     calls = []
-    jacobian = chart.jacobian
-    monkeypatch.setattr(chart, "jacobian", lambda U: calls.append(len(U)) or jacobian(U))
+    jacobian = oracles.chart_jacobian
+    monkeypatch.setattr(oracles, "chart_jacobian", lambda M, U: calls.append(len(U)) or jacobian(M, U))
     per_patch = []
     polar = oracles.local_polar_integral
 
@@ -1407,7 +1410,8 @@ def test_product_cross_term_matches_chart_quadrature(torus):
     u = AmbientCoordinateField(0, scale=math.sqrt(2.0))
     patches = oracles.cutoff_cross_term(torus, field, u)
     nodes, weights = geo.chart_quadrature(torus.chart, 384)
-    gsq = cut.tangential_gradient_sq(torus, nodes, field.ambient_gradient(torus.chart.embed(nodes)))
+    X = torus.chart.embed(nodes)
+    gsq = cut.tangential_gradient_sq(torus, X, field.ambient_gradient(X))
     density = weights * geo.sqrt_det_metric(torus.chart, nodes)
-    quadrature = float(density @ (np.abs(u.value(torus.chart.embed(nodes))) * np.sqrt(gsq)))
+    quadrature = float(density @ (np.abs(u.value(X)) * np.sqrt(gsq)))
     assert abs(patches / quadrature - 1.0) <= 1e-3

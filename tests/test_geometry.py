@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_clifford_minimality_invariants(clifford_families):
         # normals are unit, tangent to the sphere, orthogonal to the chart frame
         assert np.allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-12)
         assert np.abs(np.einsum("mi,mi->m", nu, X)).max() <= 1e-12
-        jac = M.chart.jacobian(U)
+        jac = oracles.chart_jacobian(M, U)
         assert np.abs(np.einsum("mia,mi->ma", jac, nu)).max() <= 1e-10
 
 
@@ -139,7 +140,7 @@ def test_generic_backends_match_closed_form():
     U, _ = geo.sample_points(M, 5, seed=6, pad=0.05)
     for u in U:
         cf = geo.shape_at(M, u)
-        nd = oracles.shape_by_normal_derivative(M.chart, u)
+        nd = oracles.shape_by_normal_derivative(M.chart, partial(oracles.chart_jacobian, M), u)
         # O(h^2) truncation with h = 1e-3 on a curved chart
         assert abs(nd.norm_A_sq - cf.norm_A_sq) <= 5e-6
         assert abs(nd.mean_curvature) <= 5e-6
@@ -159,7 +160,7 @@ def test_normal_derivative_refinement():
     cf = geo.shape_at(M, u)
     errs = []
     for h in (2e-3, 1e-3, 5e-4):
-        nd = oracles.shape_by_normal_derivative(M.chart, u, step=h)
+        nd = oracles.shape_by_normal_derivative(M.chart, partial(oracles.chart_jacobian, M), u, step=h)
         diff = min(
             np.abs(nd.second_fundamental - cf.second_fundamental).max(),
             np.abs(nd.second_fundamental + cf.second_fundamental).max(),
@@ -177,18 +178,19 @@ def test_chart_invariance_reparametrized_torus(torus):
     chart2 = geo.Chart(
         base.box.copy(), base.periodic,
         lambda U: base.embed(np.asarray(U) + off),
-        lambda U: base.jacobian(np.asarray(U) + off),
+        base.normal,   # a map of ambient points, which the shift leaves alone
         lambda U: base.metric_diag(np.asarray(U) + off),
         lambda X: np.mod(base.inverse(X) - off, 2.0 * math.pi),
     )
+    jac, jac2 = partial(oracles.chart_jacobian, torus), lambda U: oracles.chart_jacobian(torus, U + off)
     U, X = geo.sample_points(torus, 5, seed=8)
     U2 = chart2.inverse(X)                    # the same ambient points in the shifted chart
     assert np.max(np.abs(chart2.embed(U2) - X)) <= 1e-12
     density = geo.sqrt_det_metric(base, U)
     assert np.max(np.abs(geo.sqrt_det_metric(chart2, U2) / density - 1.0)) <= 1e-12
     for u in U:
-        sd2 = oracles.shape_by_normal_derivative(chart2, u - off)   # same ambient point
-        sd = oracles.shape_by_normal_derivative(base, u)
+        sd2 = oracles.shape_by_normal_derivative(chart2, jac2, u - off)   # same ambient point
+        sd = oracles.shape_by_normal_derivative(base, jac, u)
         assert abs(sd2.norm_A_sq - sd.norm_A_sq) <= 1e-10
         assert abs(sd2.mean_curvature) <= 1e-8
         # O(h^2) truncation with h = 1e-3, as in the comparison with the closed form
@@ -200,7 +202,7 @@ def test_chart_requires_its_analytic_frame(torus):
     with pytest.raises(TypeError):
         geo.Chart(base.box, base.periodic, base.embed)
     with pytest.raises(TypeError):
-        geo.Chart(base.box, base.periodic, base.embed, base.jacobian, base.metric_diag)
+        geo.Chart(base.box, base.periodic, base.embed, base.normal, base.metric_diag)
 
 
 @pytest.mark.parametrize("product, error, match", [
@@ -241,11 +243,11 @@ def test_immersion_drift_raises(torus):
     bad = dataclasses.replace(
         base,
         embed=lambda U: 1.001 * base.embed(U),
-        jacobian=lambda U: 1.001 * base.jacobian(U),
         metric_diag=lambda U: 1.001**2 * base.metric_diag(U),
     )
     with pytest.raises(ValueError, match="leaves the unit sphere"):
-        oracles.shape_by_normal_derivative(bad, np.array([0.3, 0.4]))
+        oracles.shape_by_normal_derivative(bad, lambda U: 1.001 * oracles.chart_jacobian(torus, U),
+                                           np.array([0.3, 0.4]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +326,9 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (4, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 4)])
 def test_embed_and_jacobian_match_former_loops(k, l):
-    # bit for bit, signs of zero included: the equator and clifford embed
-    # and jacobian, which write each (scaled) factor straight into one output
+    # bit for bit, signs of zero included: the equator and clifford embed,
+    # and the oracle's chart Jacobian, which write each (scaled) factor
+    # straight into one output
     M = geo.equator(k) if l == 0 else geo.clifford_hypersurface((k, l))
     rng = np.random.default_rng(7 * k + l)
     for base in [(), (1,), (300,), (6, 7)]:
@@ -343,7 +346,7 @@ def test_embed_and_jacobian_match_former_loops(k, l):
             jac[..., : k + 1, :k] = _former_sphere_jacobian(U[..., :k]) * rk
             jac[..., k + 1 :, k:] = _former_sphere_jacobian(U[..., k:]) * rl
         assert _same_bits(M.chart.embed(U), x)
-        assert _same_bits(M.chart.jacobian(U), jac)
+        assert _same_bits(oracles.chart_jacobian(M, U), jac)
 
 
 @pytest.mark.parametrize("M", [geo.equator(3), geo.clifford_hypersurface((1, 1)),
@@ -358,7 +361,31 @@ def test_jacobian_at_zero_angles_matches_central_differences(M):
         U[row, np.flatnonzero(zeros)] = 0.0
     fd = np.stack([(M.chart.embed(U + e) - M.chart.embed(U - e)) / 2e-6
                    for e in np.eye(n) * 1e-6], axis=-1)
-    assert np.max(np.abs(M.chart.jacobian(U) - fd)) <= 1e-9
+    assert np.max(np.abs(oracles.chart_jacobian(M, U) - fd)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind, arg", INVERSE_FAMILIES)
+def test_chart_normal_is_the_unit_normal_of_the_chart_frame(kind, arg):
+    # nu = Chart.normal(X) is unit, orthogonal to x and to every column of
+    # the oracle's chart Jacobian, and equals the trigonometric
+    # (r_l a, -r_k b) at x = (r_k a, r_l b) (e_(n+1) on the equator)
+    M = _family(kind, arg)
+    U, X = geo.sample_points(M, 500, seed=9)
+    nu = M.chart.normal(X)
+    assert np.max(np.abs(np.linalg.norm(nu, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.einsum("mi,mi->m", nu, X))) <= 1e-14
+    assert np.max(np.abs(np.einsum("mia,mi->ma", oracles.chart_jacobian(M, U), nu))) <= 1e-14
+    if kind == "equator":
+        expected = np.zeros(X.shape)
+        expected[:, -1] = 1.0
+    else:
+        k, l = arg
+        rk, rl = M.product.radii
+        a = geo.equator(k).chart.embed(U[:, :k])[:, :-1]   # the unit factor points
+        b = geo.equator(l).chart.embed(U[:, k:])[:, :-1]
+        expected = np.concatenate([rl * a, -rk * b], axis=-1)
+    assert np.max(np.abs(nu - expected)) <= 1e-15
+    assert np.array_equal(M.shape_batch(U)[1], nu)   # the closed form reads the same map
 
 
 @pytest.mark.parametrize("kind, arg", INVERSE_FAMILIES)
